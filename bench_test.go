@@ -19,7 +19,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -28,7 +27,6 @@ import (
 
 	"es/internal/analysis"
 	"es/internal/core"
-	"es/internal/frontend"
 	"es/internal/gc"
 	"es/internal/image"
 	"es/internal/server"
@@ -525,13 +523,15 @@ func BenchmarkEngineEvalScope(b *testing.B) {
 // ---- serving layer: esd over a unix socket ----
 
 // benchServer starts an in-process evaluation server backed by a warm
-// template, exactly as cmd/esd wires it.
-func benchServer(b *testing.B) string {
+// template, exactly as cmd/esd wires it, and returns its unix socket —
+// or, given a tcp address to listen on as well, its tcp:// target.
+func benchServer(b *testing.B, tcp string) string {
 	b.Helper()
 	template := benchShell(b)
 	sock := filepath.Join(b.TempDir(), "esd.sock")
 	srv, err := server.New(server.Config{
 		Socket:   sock,
+		TCP:      tcp,
 		PoolSize: 8,
 		NewSession: func() (*core.Interp, error) {
 			return template.Interp().Spawn(), nil
@@ -549,14 +549,25 @@ func benchServer(b *testing.B) string {
 			b.Error(err)
 		}
 	})
+	if tcp != "" {
+		return "tcp://" + srv.TCPAddr()
+	}
 	return sock
 }
 
-func benchServerEval(b *testing.B, fr *server.FrameReader, fw *server.FrameWriter, n int64) {
-	if err := fw.Write(&server.Frame{Type: "eval", ID: n, Src: "result 0"}); err != nil {
+// benchDial connects to a Dial target; the connection closes with the
+// benchmark.
+func benchDial(b *testing.B, target string) *server.Client {
+	c, err := server.Dial(target, nil, 1)
+	if err != nil {
 		b.Fatal(err)
 	}
-	f, err := fr.Read()
+	b.Cleanup(func() { c.Conn.Close() })
+	return c
+}
+
+func benchServerEval(b *testing.B, c *server.Client, n int64) {
+	f, err := c.RoundTrip(&server.Frame{Type: "eval", ID: n, Src: "result 0"})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -570,97 +581,46 @@ func benchServerEval(b *testing.B, fr *server.FrameReader, fw *server.FrameWrite
 // for a single client and for concurrent clients (one session each).
 func BenchmarkServerEval(b *testing.B) {
 	b.Run("sequential", func(b *testing.B) {
-		sock := benchServer(b)
-		conn, err := net.Dial("unix", sock)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer conn.Close()
-		fr, fw := server.NewClientConn(conn)
+		c := benchDial(b, benchServer(b, ""))
 		b.ResetTimer()
 		for n := 0; n < b.N; n++ {
-			benchServerEval(b, fr, fw, int64(n))
+			benchServerEval(b, c, int64(n))
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
-		sock := benchServer(b)
+		sock := benchServer(b, "")
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
-			conn, err := net.Dial("unix", sock)
+			c, err := server.Dial(sock, nil, 1)
 			if err != nil {
-				b.Fatal(err)
+				b.Error(err)
+				return
 			}
-			defer conn.Close()
-			fr, fw := server.NewClientConn(conn)
+			defer c.Conn.Close()
 			var n int64
 			for pb.Next() {
 				n++
-				benchServerEval(b, fr, fw, n)
+				benchServerEval(b, c, n)
 			}
 		})
 	})
 }
 
-// benchTCPServer starts a frontend with a TCP listener next to the unix
-// socket and returns the bound TCP address.
-func benchTCPServer(b *testing.B) string {
-	b.Helper()
-	template := benchShell(b)
-	fe, err := frontend.New(frontend.Config{
-		Server: server.Config{
-			Socket:   filepath.Join(b.TempDir(), "esd.sock"),
-			PoolSize: 8,
-			NewSession: func() (*core.Interp, error) {
-				return template.Interp().Spawn(), nil
-			},
-		},
-		TCP: "127.0.0.1:0",
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := fe.Listen(); err != nil {
-		b.Fatal(err)
-	}
-	go fe.Serve()
-	b.Cleanup(func() {
-		if err := fe.Drain(10 * time.Second); err != nil {
-			b.Error(err)
-		}
-	})
-	return fe.TCPAddr()
-}
-
-// BenchmarkServerEvalTCP is the round-trip over the TCP front end, serial
+// BenchmarkServerEvalTCP is the round-trip over the TCP listener, serial
 // (one request in flight, paying a network RTT per eval) against
 // pipelined (a hello-negotiated window keeps the connection full, so the
 // RTT is amortized across the window).
 func BenchmarkServerEvalTCP(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
-		addr := benchTCPServer(b)
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer conn.Close()
-		fr, fw := server.NewClientConn(conn)
+		c := benchDial(b, benchServer(b, "127.0.0.1:0"))
 		b.ResetTimer()
 		for n := 0; n < b.N; n++ {
-			benchServerEval(b, fr, fw, int64(n))
+			benchServerEval(b, c, int64(n))
 		}
 	})
 	b.Run("pipelined", func(b *testing.B) {
-		addr := benchTCPServer(b)
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer conn.Close()
-		fr, fw := server.NewClientConn(conn)
-		if err := fw.Write(&server.Frame{Type: "hello", Window: 16}); err != nil {
-			b.Fatal(err)
-		}
-		if f, err := fr.Read(); err != nil || f.Type != "hello" || f.Window < 2 {
+		c := benchDial(b, benchServer(b, "127.0.0.1:0"))
+		if f, err := c.Hello(16, ""); err != nil || f.Type != "hello" || f.Window < 2 {
 			b.Fatalf("hello = %+v, %v", f, err)
 		}
 		b.ResetTimer()
@@ -668,13 +628,13 @@ func BenchmarkServerEvalTCP(b *testing.B) {
 		// backpressure bound how far it runs ahead of the reads.
 		go func() {
 			for n := 0; n < b.N; n++ {
-				if err := fw.Write(&server.Frame{Type: "eval", ID: int64(n), Src: "result 0"}); err != nil {
+				if err := c.Write(&server.Frame{Type: "eval", ID: int64(n), Src: "result 0"}); err != nil {
 					return
 				}
 			}
 		}()
 		for n := 0; n < b.N; n++ {
-			f, err := fr.Read()
+			f, err := c.Read()
 			if err != nil {
 				b.Fatal(err)
 			}

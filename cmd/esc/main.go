@@ -6,7 +6,7 @@
 //	esc [-socket path | -addr host:port] [-deadline ms] 'command ...'
 //	esc -stats
 //	esc -check 'command ...'
-//	esc [-restore file] [-migrate socket] [-snap file] ['command ...']
+//	esc [-restore file] [-migrate target] [-snap file] ['command ...']
 //
 // -addr dials the daemon over TCP instead of the unix socket; -tls wraps
 // that connection in TLS (-tls-ca pins a PEM CA bundle, -tls-skip-verify
@@ -24,8 +24,9 @@
 // The session-image flags compose in a fixed order on one connection,
 // regardless of where they appear on the command line: -restore loads a
 // saved image into the fresh session first, -migrate then moves the
-// session to another daemon's socket, the command (if any) runs next,
-// and -snap checkpoints the final state to a file last.  So `esc
+// session to another daemon (a unix socket path, tcp://host:port or
+// tls://host:port), the command (if any) runs next, and -snap
+// checkpoints the final state to a file last.  So `esc
 // -restore s.esimg 'work'` resumes a checkpoint, `esc -snap s.esimg
 // 'setup'` runs setup and then saves the result, and `esc -restore
 // s.esimg -migrate /run/esd2.sock -snap s.esimg 'work'` does all three
@@ -38,16 +39,12 @@
 package main
 
 import (
-	"crypto/tls"
-	"crypto/x509"
 	"encoding/base64"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"es/internal/server"
 )
@@ -80,31 +77,27 @@ func run() int {
 		checkOnly   = flag.Bool("check", false, "statically analyze the command on the daemon instead of running it")
 		snapFile    = flag.String("snap", "", "checkpoint the session image to `file` after the command")
 		restoreFile = flag.String("restore", "", "load the session image from `file` before the command")
-		migrateSock = flag.String("migrate", "", "move the session to the daemon at `socket` before the command")
+		migrateSock = flag.String("migrate", "", "move the session to the daemon at `target` (socket path, tcp://host:port or tls://host:port) before the command")
 	)
 	flag.Parse()
 	if !*stats && flag.NArg() == 0 && *snapFile == "" && *restoreFile == "" && *migrateSock == "" {
-		fmt.Fprintln(os.Stderr, "usage: esc [-socket path | -addr host:port] [-deadline ms] [-restore file] [-migrate socket] [-snap file] ['command ...'] | esc -stats")
+		fmt.Fprintln(os.Stderr, "usage: esc [-socket path | -addr host:port] [-deadline ms] [-restore file] [-migrate target] [-snap file] ['command ...'] | esc -stats")
 		return 2
 	}
 
-	conn, err := dialDaemon(*socket, *addr, *useTLS, *tlsCA, *tlsSkip, *retry)
+	c, err := dialDaemon(*socket, *addr, *useTLS, *tlsCA, *tlsSkip, *retry)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "esc:", err)
 		return 1
 	}
-	defer conn.Close()
-	fr, fw := server.NewClientConn(conn)
+	defer c.Conn.Close()
 
 	// roundTrip submits one frame and returns the daemon's answer.
 	id := int64(0)
 	roundTrip := func(req *server.Frame) (*server.Frame, error) {
 		id++
 		req.ID = id
-		if err := fw.Write(req); err != nil {
-			return nil, err
-		}
-		f, err := fr.Read()
+		f, err := c.RoundTrip(req)
 		if err != nil {
 			return nil, err
 		}
@@ -217,63 +210,23 @@ func run() int {
 	return status
 }
 
-// dialDaemon connects over the unix socket, or over TCP (optionally
-// TLS-wrapped) when addr is set, retrying failed connects with bounded
-// exponential backoff so load-harness and soak runs don't flake on
-// daemon startup.
-func dialDaemon(socket, addr string, useTLS bool, caFile string, skipVerify bool, attempts int) (net.Conn, error) {
-	network, target := "unix", socket
-	if addr != "" {
-		network, target = "tcp", addr
-	}
-	var tcfg *tls.Config
-	if useTLS {
-		if network != "tcp" {
+// dialDaemon turns esc's transport flags into a server.Dial target: the
+// unix socket, or tcp://addr (tls://addr with -tls) when -addr is set.
+func dialDaemon(socket, addr string, useTLS bool, caFile string, skipVerify bool, attempts int) (*server.Client, error) {
+	if addr == "" {
+		if useTLS {
 			return nil, fmt.Errorf("-tls needs -addr")
 		}
-		tcfg = &tls.Config{InsecureSkipVerify: skipVerify, MinVersion: tls.VersionTLS12}
-		if host, _, err := net.SplitHostPort(addr); err == nil {
-			tcfg.ServerName = host
-		}
-		if caFile != "" {
-			pem, err := os.ReadFile(caFile)
-			if err != nil {
-				return nil, err
-			}
-			pool := x509.NewCertPool()
-			if !pool.AppendCertsFromPEM(pem) {
-				return nil, fmt.Errorf("%s: no certificates found", caFile)
-			}
-			tcfg.RootCAs = pool
-		}
+		return server.Dial(socket, nil, attempts)
 	}
-	if attempts < 1 {
-		attempts = 1
+	if !useTLS {
+		return server.Dial("tcp://"+addr, nil, attempts)
 	}
-	backoff := 50 * time.Millisecond
-	var err error
-	for k := 0; k < attempts; k++ {
-		if k > 0 {
-			time.Sleep(backoff)
-			if backoff *= 2; backoff > time.Second {
-				backoff = time.Second
-			}
-		}
-		var conn net.Conn
-		if conn, err = net.Dial(network, target); err != nil {
-			continue
-		}
-		if tcfg == nil {
-			return conn, nil
-		}
-		tc := tls.Client(conn, tcfg)
-		if err = tc.Handshake(); err != nil {
-			conn.Close()
-			continue
-		}
-		return tc, nil
+	tlsCfg, err := server.ClientTLS(caFile, skipVerify)
+	if err != nil {
+		return nil, err
 	}
-	return nil, err
+	return server.Dial("tls://"+addr, tlsCfg, attempts)
 }
 
 // statusOf maps a result frame to an exit status the way cmd/es maps a

@@ -1,7 +1,7 @@
 // Command esd is the es evaluation daemon: it serves concurrent es
-// sessions over a unix-domain socket — and, with the fleet front end
-// enabled, over TCP and TLS — with a newline-delimited JSON protocol
-// (see internal/server and internal/frontend).
+// sessions over a unix-domain socket, and optionally over TCP and TLS
+// next to it, with a newline-delimited JSON protocol (see
+// internal/server).
 //
 // Usage:
 //
@@ -28,10 +28,11 @@
 // window a hello frame can be granted.  -max-p99 and -max-queue arm the
 // admission controller: evals arriving while the sliding-window p99 or
 // the dispatch-queue depth is over its ceiling are answered with a
-// retryable `signal overload` error frame carrying retry_after_ms.
-// -quota sets one tenant's ceilings (0 means unlimited), e.g.
-// `-quota acme=100:16:5000` — 100 sessions, 16 in-flight evals, 5s
-// deadline ceiling.
+// retryable `signal overload` error frame carrying retry_after_ms
+// (-retry-after, also stamped on tenant quota refusals).  -quota sets
+// one tenant's ceilings (0 means unlimited), e.g. `-quota
+// acme=100:16:5000` — 100 sessions, 16 in-flight evals, 5s deadline
+// ceiling.
 //
 // SIGTERM or SIGINT triggers a graceful drain: stop accepting on every
 // listener, answer every request already accepted, say bye, exit 0.
@@ -52,7 +53,6 @@ import (
 
 	"es"
 	"es/internal/core"
-	"es/internal/frontend"
 	"es/internal/image"
 	"es/internal/server"
 )
@@ -112,7 +112,7 @@ func run() int {
 		maxWindow    = flag.Int("window", 32, "max per-session pipeline window grantable by hello")
 		maxP99       = flag.Int("max-p99", 0, "shed evals while the sliding-window p99 exceeds this many `ms` (0 = off)")
 		maxQueue     = flag.Int("max-queue", 0, "shed evals while this many are queued but not running (0 = off)")
-		retryAfter   = flag.Int64("retry-after", 100, "retry_after_ms hint stamped on shed frames")
+		retryAfter   = flag.Int64("retry-after", 100, "retry_after_ms hint stamped on shed and quota-refused evals")
 		addrFile     = flag.String("addr-file", "", "write bound tcp=/tls= addresses to `path` (for \":0\" ports)")
 		templateImg  = flag.String("template", "", "session `image` to pre-bake pool interpreters from")
 		poolSize     = flag.Int("pool", 4, "warm pre-spawned interpreters")
@@ -155,42 +155,40 @@ func run() int {
 		logger := log.New(os.Stderr, "", log.LstdFlags)
 		logf = logger.Printf
 	}
-	fe, err := frontend.New(frontend.Config{
-		Server: server.Config{
-			Socket:          *socket,
-			PoolSize:        *poolSize,
-			MaxConcurrent:   *maxConc,
-			MaxWindow:       *maxWindow,
-			DefaultDeadline: time.Duration(*deadlineMS) * time.Millisecond,
-			Vet:             *vet,
-			Tenants:         quotas,
-			NewSession:      newSession,
-			Logf:            logf,
-		},
-		TCP:          *tcpAddr,
-		TLS:          *tlsAddr,
-		CertFile:     *tlsCert,
-		KeyFile:      *tlsKey,
-		Accepts:      *accepts,
-		P99Ceiling:   time.Duration(*maxP99) * time.Millisecond,
-		QueueCeiling: *maxQueue,
-		RetryAfterMS: *retryAfter,
+	srv, err := server.New(server.Config{
+		Socket:          *socket,
+		TCP:             *tcpAddr,
+		TLS:             *tlsAddr,
+		CertFile:        *tlsCert,
+		KeyFile:         *tlsKey,
+		Accepts:         *accepts,
+		PoolSize:        *poolSize,
+		MaxConcurrent:   *maxConc,
+		MaxWindow:       *maxWindow,
+		DefaultDeadline: time.Duration(*deadlineMS) * time.Millisecond,
+		Vet:             *vet,
+		Tenants:         quotas,
+		P99Ceiling:      time.Duration(*maxP99) * time.Millisecond,
+		QueueCeiling:    *maxQueue,
+		RetryAfterMS:    *retryAfter,
+		NewSession:      newSession,
+		Logf:            logf,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "esd:", err)
 		return 1
 	}
-	if err := fe.Listen(); err != nil {
+	if err := srv.Listen(); err != nil {
 		fmt.Fprintln(os.Stderr, "esd:", err)
 		return 1
 	}
 	defer os.Remove(*socket)
 	if *addrFile != "" {
 		var lines string
-		if a := fe.TCPAddr(); a != "" {
+		if a := srv.TCPAddr(); a != "" {
 			lines += "tcp=" + a + "\n"
 		}
-		if a := fe.TLSAddr(); a != "" {
+		if a := srv.TLSAddr(); a != "" {
 			lines += "tls=" + a + "\n"
 		}
 		if err := os.WriteFile(*addrFile, []byte(lines), 0o644); err != nil {
@@ -204,10 +202,10 @@ func run() int {
 	drainErr := make(chan error, 1)
 	go func() {
 		<-sig
-		drainErr <- fe.Drain(*drainTimeout)
+		drainErr <- srv.Drain(*drainTimeout)
 	}()
 
-	if err := fe.Serve(); err != nil {
+	if err := srv.Serve(); err != nil {
 		fmt.Fprintln(os.Stderr, "esd: serve:", err)
 		return 1
 	}

@@ -33,10 +33,8 @@ package main
 
 import (
 	"crypto/tls"
-	"crypto/x509"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"sort"
 	"strings"
@@ -70,13 +68,13 @@ type tally struct {
 }
 
 type loadCfg struct {
-	network, target string
-	tlsCfg          *tls.Config
-	evals           int
-	window          int
-	tenant          string
-	mix             string
-	deadlineMS      int64
+	target     string // a server.Dial target
+	tlsCfg     *tls.Config
+	evals      int
+	window     int
+	tenant     string
+	mix        string
+	deadlineMS int64
 }
 
 func run() int {
@@ -98,31 +96,24 @@ func run() int {
 	flag.Parse()
 
 	cfg := loadCfg{
-		network: "unix", target: *socket,
-		evals: *evals, window: *window, tenant: *tenant,
+		target: *socket, evals: *evals, window: *window, tenant: *tenant,
 		mix: *mix, deadlineMS: *deadlineMS,
 	}
+	transport := "unix"
 	if *addr != "" {
-		cfg.network, cfg.target = "tcp", *addr
+		cfg.target, transport = "tcp://"+*addr, "tcp"
 	}
 	if *useTLS {
-		cfg.tlsCfg = &tls.Config{InsecureSkipVerify: *tlsSkip, MinVersion: tls.VersionTLS12}
-		if host, _, err := net.SplitHostPort(*addr); err == nil {
-			cfg.tlsCfg.ServerName = host
+		if *addr == "" {
+			fmt.Fprintln(os.Stderr, "esload: -tls needs -addr")
+			return 2
 		}
-		if *tlsCA != "" {
-			pem, err := os.ReadFile(*tlsCA)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "esload:", err)
-				return 1
-			}
-			pool := x509.NewCertPool()
-			if !pool.AppendCertsFromPEM(pem) {
-				fmt.Fprintln(os.Stderr, "esload: "+*tlsCA+": no certificates found")
-				return 1
-			}
-			cfg.tlsCfg.RootCAs = pool
+		tlsCfg, err := server.ClientTLS(*tlsCA, *tlsSkip)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "esload:", err)
+			return 1
 		}
+		cfg.target, cfg.tlsCfg, transport = "tls://"+*addr, tlsCfg, "tls"
 	}
 	if cfg.window < 1 {
 		cfg.window = 1
@@ -135,10 +126,6 @@ func run() int {
 	}
 	label := *name
 	if label == "" {
-		transport := cfg.network
-		if cfg.tlsCfg != nil {
-			transport = "tls"
-		}
 		label = fmt.Sprintf("%s_%s_w%d", transport, cfg.mix, cfg.window)
 	}
 
@@ -189,7 +176,7 @@ func run() int {
 			"esload %s: %d sessions x %d requests over %s in %v\n"+
 				"  throughput %.1f req/s   admitted p50 %v  p95 %v  p99 %v  max %v\n"+
 				"  sheds %d  deadline-hits %d  errors %d\n",
-			label, *sessions, *evals, cfg.network, wall.Round(time.Millisecond),
+			label, *sessions, *evals, transport, wall.Round(time.Millisecond),
 			float64(all.requests)/wall.Seconds(),
 			q(0.50), q(0.95), q(0.99), q(1),
 			all.sheds, all.timeouts, all.errors)
@@ -200,51 +187,22 @@ func run() int {
 	return 0
 }
 
-// dial connects one worker, with a short fixed retry so a mass of
-// workers starting before the daemon's listener settles doesn't skew
-// the run with connect failures.
-func dial(cfg loadCfg) (net.Conn, error) {
-	var err error
-	for k := 0; k < 3; k++ {
-		if k > 0 {
-			time.Sleep(time.Duration(k) * 100 * time.Millisecond)
-		}
-		var conn net.Conn
-		if conn, err = net.Dial(cfg.network, cfg.target); err != nil {
-			continue
-		}
-		if cfg.tlsCfg == nil {
-			return conn, nil
-		}
-		tc := tls.Client(conn, cfg.tlsCfg)
-		if err = tc.Handshake(); err != nil {
-			conn.Close()
-			continue
-		}
-		return tc, nil
-	}
-	return nil, err
-}
-
 // worker drives one session to completion: hello if pipelining or
 // tenancy is wanted, then cfg.evals requests with up to `window` in
 // flight, replies matched by id.
 func worker(cfg loadCfg) (t tally) {
-	conn, err := dial(cfg)
+	// A short retry keeps a mass of workers starting before the daemon's
+	// listener settles from skewing the run with connect failures.
+	c, err := server.Dial(cfg.target, cfg.tlsCfg, 3)
 	if err != nil {
 		t.errors++
 		return t
 	}
-	defer conn.Close()
-	fr, fw := server.NewClientConn(conn)
+	defer c.Conn.Close()
 
 	window := cfg.window
 	if window > 1 || cfg.tenant != "" {
-		if err := fw.Write(&server.Frame{Type: "hello", Window: window, Tenant: cfg.tenant}); err != nil {
-			t.errors++
-			return t
-		}
-		f, err := fr.Read()
+		f, err := c.Hello(window, cfg.tenant)
 		if err != nil || f.Type != "hello" {
 			// A quota-refused tenant gets an error frame and a bye; count
 			// the session as shed, not failed.
@@ -264,11 +222,11 @@ func worker(cfg loadCfg) (t tally) {
 	// request pairs serially regardless of window.
 	if cfg.mix == "snap" {
 		for n := 0; n < cfg.evals; n++ {
-			if !snapRestore(fr, fw, &t) {
+			if !snapRestore(c, &t) {
 				return t
 			}
 		}
-		fw.Write(&server.Frame{Type: "bye"})
+		c.Write(&server.Frame{Type: "bye"})
 		return t
 	}
 
@@ -280,14 +238,14 @@ func worker(cfg loadCfg) (t tally) {
 			id := int64(sent + 1)
 			f := requestFor(cfg, sent, image)
 			f.ID = id
-			if err := fw.Write(f); err != nil {
+			if err := c.Write(f); err != nil {
 				t.errors++
 				return t
 			}
 			inflight[id] = time.Now()
 			sent++
 		}
-		f, err := fr.Read()
+		f, err := c.Read()
 		if err != nil {
 			t.errors++
 			return t
@@ -320,7 +278,7 @@ func worker(cfg loadCfg) (t tally) {
 			t.errors++
 		}
 	}
-	fw.Write(&server.Frame{Type: "bye"})
+	c.Write(&server.Frame{Type: "bye"})
 	return t
 }
 
@@ -349,14 +307,10 @@ func requestFor(cfg loadCfg, n int, image string) *server.Frame {
 }
 
 // snapRestore runs one serial snap+restore pair, timing each round trip.
-func snapRestore(fr *server.FrameReader, fw *server.FrameWriter, t *tally) bool {
+func snapRestore(c *server.Client, t *tally) bool {
 	roundTrip := func(req *server.Frame) *server.Frame {
 		start := time.Now()
-		if err := fw.Write(req); err != nil {
-			t.errors++
-			return nil
-		}
-		f, err := fr.Read()
+		f, err := c.RoundTrip(req)
 		if err != nil || f.Type == "error" || f.Type == "bye" {
 			t.errors++
 			return nil

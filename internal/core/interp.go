@@ -63,6 +63,11 @@ type Interp struct {
 	// (the embedded default), $&exit raises the exit exception instead.
 	ExitFunc func(status int)
 
+	// ServerStats, when set, backs $&serverstats with the counters of the
+	// esd daemon serving this interpreter's session.  Forks inherit it, so
+	// pipelines and subshells inside a session report the same server.
+	ServerStats func() []string
+
 	// Alloc records the interpreter's allocation behaviour for the GC
 	// experiments when Trace is enabled.
 	Alloc AllocStats
@@ -256,6 +261,7 @@ func (i *Interp) Fork() *Interp {
 		primTab:     i.primTab,
 		maxDepth:    i.maxDepth,
 		Reader:      i.Reader,
+		ServerStats: i.ServerStats,
 		// A fork may assign $path without the parent seeing the settor
 		// run, so it starts with its own empty path cache; sharing the
 		// parent's would serve answers computed against the wrong $path.

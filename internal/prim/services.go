@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"es/internal/core"
 	"es/internal/proc"
@@ -122,25 +121,16 @@ func primCacheStats(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, e
 	return out, nil
 }
 
-// serverStatsFn is installed by internal/server when an esd daemon runs
-// in this process; it is held here, one layer below the server, so the
-// primitive table never depends on the serving layer.
-var serverStatsFn atomic.Value // of func() []string
-
-// SetServerStats wires $&serverstats to a running server's counter
-// snapshot.
-func SetServerStats(fn func() []string) { serverStatsFn.Store(fn) }
-
 // primServerStats returns the serving layer's counters as name:value
 // words (sessions, evals, timeouts, p50/p99 latency, bytes in/out), the
-// same shape as $&cachestats.  Outside a daemon it throws error, so
+// same shape as $&cachestats, for the daemon serving this interpreter
+// (core.Interp.ServerStats).  Outside a daemon it throws error, so
 // scripts can probe for the serving layer with catch.
 func primServerStats(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, error) {
-	fn, _ := serverStatsFn.Load().(func() []string)
-	if fn == nil {
+	if i.ServerStats == nil {
 		return nil, core.ErrorExc("serverstats: no server running in this process")
 	}
-	return core.StrList(fn()...), nil
+	return core.StrList(i.ServerStats()...), nil
 }
 
 // primWhatis prints how each name would be interpreted: the environment

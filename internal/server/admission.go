@@ -1,4 +1,4 @@
-package frontend
+package server
 
 // The p99-aware admission controller.  Load shedding has to act on the
 // present, but the server's histogram is cumulative over the process
@@ -14,12 +14,12 @@ package frontend
 // checked inline on every admission rather than sampled.
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
-
-	"es/internal/server"
 )
+
+// samplePeriod is how often the controller re-reads the histogram.
+const samplePeriod = 100 * time.Millisecond
 
 // minIntervalSamples is how many evals must finish inside one sample
 // period before its p99 is believed; a near-idle interval's quantiles
@@ -27,55 +27,31 @@ import (
 const minIntervalSamples = 8
 
 type controller struct {
-	m            *server.Metrics
+	m            *Metrics
 	p99Ceiling   time.Duration
 	queueCeiling int
 	retryMS      int64
-	period       time.Duration
 
 	shedding atomic.Bool
 	prev     []int64
-	started  atomic.Bool
-	stopOnce sync.Once
-	stopCh   chan struct{}
-	done     chan struct{}
 }
 
-func newController(m *server.Metrics, cfg Config) *controller {
-	return &controller{
+func newController(m *Metrics, cfg Config) controller {
+	return controller{
 		m:            m,
 		p99Ceiling:   cfg.P99Ceiling,
 		queueCeiling: cfg.QueueCeiling,
 		retryMS:      cfg.RetryAfterMS,
-		period:       cfg.SamplePeriod,
-		stopCh:       make(chan struct{}),
-		done:         make(chan struct{}),
 	}
 }
 
-func (c *controller) start() {
-	if c.p99Ceiling <= 0 {
-		return // nothing to sample; queue depth is checked inline
-	}
-	c.prev = c.m.Buckets()
-	c.started.Store(true)
-	go c.run()
-}
-
-func (c *controller) stop() {
-	c.stopOnce.Do(func() { close(c.stopCh) })
-	if c.started.Load() {
-		<-c.done
-	}
-}
-
-func (c *controller) run() {
-	defer close(c.done)
-	tick := time.NewTicker(c.period)
+// run samples the histogram every period until stop closes.
+func (c *controller) run(stop <-chan struct{}) {
+	tick := time.NewTicker(samplePeriod)
 	defer tick.Stop()
 	for {
 		select {
-		case <-c.stopCh:
+		case <-stop:
 			return
 		case <-tick.C:
 			c.sample()
@@ -86,7 +62,7 @@ func (c *controller) run() {
 // sample advances the sliding window by one period and re-decides the
 // shed flag from the interval's p99.
 func (c *controller) sample() {
-	cur := c.m.Buckets()
+	cur := c.m.buckets()
 	delta := make([]int64, len(cur))
 	var n int64
 	for k := range cur {
@@ -96,7 +72,7 @@ func (c *controller) sample() {
 	c.prev = cur
 	switch {
 	case n >= minIntervalSamples:
-		c.shedding.Store(server.QuantileOfCounts(delta, 0.99) > c.p99Ceiling)
+		c.shedding.Store(quantileOfCounts(delta, 0.99) > c.p99Ceiling)
 	case n == 0:
 		// Nothing finished: either idle (stop shedding) or everything is
 		// wedged behind the queue — and the queue-depth check covers that.
@@ -106,14 +82,15 @@ func (c *controller) sample() {
 	// the previous verdict.
 }
 
-// admit is the server's AdmitEval hook: nil admits, non-nil sheds.
-func (c *controller) admit() *server.Overload {
+// admit decides one arriving eval: nil admits, non-nil sheds.  With no
+// ceiling configured it is two integer compares.
+func (c *controller) admit() *overload {
 	if c.queueCeiling > 0 && c.m.Queued.Load() >= int64(c.queueCeiling) {
-		return &server.Overload{Signal: "overload",
+		return &overload{Signal: "overload",
 			Reason: "queue depth over ceiling", RetryAfterMS: c.retryMS}
 	}
 	if c.p99Ceiling > 0 && c.shedding.Load() {
-		return &server.Overload{Signal: "overload",
+		return &overload{Signal: "overload",
 			Reason: "p99 over ceiling", RetryAfterMS: c.retryMS}
 	}
 	return nil

@@ -11,7 +11,7 @@ import (
 
 func TestCheckFrame(t *testing.T) {
 	srv := newTestServer(t, Config{})
-	c := dial(t, srv)
+	c := dial(t, srv.cfg.Socket)
 
 	// A script with only warnings checks true, diagnostics included.
 	f := c.roundTrip(t, &Frame{Type: "check", ID: 1, Src: "echo $undefined; ls | wc"})
@@ -50,7 +50,7 @@ func TestCheckFrame(t *testing.T) {
 // against: a hook the session itself spoofed is known to its analyzer.
 func TestCheckResolvesAgainstSession(t *testing.T) {
 	srv := newTestServer(t, Config{})
-	c := dial(t, srv)
+	c := dial(t, srv.cfg.Socket)
 
 	f := c.roundTrip(t, &Frame{Type: "check", ID: 1, Src: "%my-custom-hook"})
 	if f.True && len(f.Diags) == 0 {
@@ -67,7 +67,7 @@ func TestCheckResolvesAgainstSession(t *testing.T) {
 
 func TestVetRejectsWithoutEvaluating(t *testing.T) {
 	srv := newTestServer(t, Config{Vet: true})
-	c := dial(t, srv)
+	c := dial(t, srv.cfg.Socket)
 
 	// The script sets a variable and then trips a static error.  If any
 	// of it had run, $witness would be set afterwards.

@@ -1,4 +1,9 @@
-package frontend
+package server
+
+// Tests for the network surfaces next to the unix socket — TCP and TLS
+// listeners, Listen's cleanup after a partial failure — and for the
+// admission controller: queue-ceiling shedding and the sliding-window
+// p99 logic.
 
 import (
 	"crypto/ecdsa"
@@ -20,88 +25,21 @@ import (
 
 	"es"
 	"es/internal/core"
-	"es/internal/server"
 )
 
-// newFrontend starts a Frontend on a fresh unix socket plus whatever the
-// config adds; the returned frontend is already serving.
-func newFrontend(t *testing.T, cfg Config) *Frontend {
-	t.Helper()
-	template, err := es.New(es.Options{})
-	if err != nil {
-		t.Fatalf("template shell: %v", err)
-	}
-	cfg.Server.Socket = filepath.Join(t.TempDir(), "esd.sock")
-	cfg.Server.NewSession = func() (*core.Interp, error) {
-		return template.Interp().Spawn(), nil
-	}
-	fe, err := New(cfg)
-	if err != nil {
-		t.Fatalf("frontend.New: %v", err)
-	}
-	if err := fe.Listen(); err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- fe.Serve() }()
-	t.Cleanup(func() {
-		if err := fe.Drain(10 * time.Second); err != nil {
-			t.Logf("cleanup drain: %v", err)
-		}
-		if err := <-serveErr; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	})
-	return fe
-}
-
-type client struct {
-	conn net.Conn
-	fr   *server.FrameReader
-	fw   *server.FrameWriter
-}
-
-func dialNet(t *testing.T, network, addr string) *client {
-	t.Helper()
-	conn, err := net.Dial(network, addr)
-	return dialConn(t, conn, err)
-}
-
-func dialConn(t *testing.T, conn net.Conn, err error) *client {
-	t.Helper()
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	fr, fw := server.NewClientConn(conn)
-	return &client{conn: conn, fr: fr, fw: fw}
-}
-
-func (c *client) eval(t *testing.T, id int64, src string) *server.Frame {
-	t.Helper()
-	if err := c.fw.Write(&server.Frame{Type: "eval", ID: id, Src: src}); err != nil {
-		t.Fatalf("write eval: %v", err)
-	}
-	f, err := c.fr.Read()
-	if err != nil {
-		t.Fatalf("read reply: %v", err)
-	}
-	return f
-}
-
 func TestTCPServing(t *testing.T) {
-	fe := newFrontend(t, Config{TCP: "127.0.0.1:0", Accepts: 3})
-	addr := fe.TCPAddr()
+	srv := newTestServer(t, Config{TCP: "127.0.0.1:0", Accepts: 3})
+	addr := srv.TCPAddr()
 	if addr == "" {
 		t.Fatal("no bound TCP address")
 	}
-	c := dialNet(t, "tcp", addr)
-	if f := c.eval(t, 1, "echo over tcp"); f.Type != "result" || f.Stdout != "over tcp\n" {
+	c := dial(t, "tcp://"+addr)
+	if f := c.eval(t, "echo over tcp", 0); f.Type != "result" || f.Stdout != "over tcp\n" {
 		t.Fatalf("tcp eval = %+v", f)
 	}
 	// The unix socket serves alongside.
-	u := dialNet(t, "unix", fe.Socket())
-	if f := u.eval(t, 1, "result unix-too"); f.Type != "result" || f.Value[0] != "unix-too" {
+	u := dial(t, srv.cfg.Socket)
+	if f := u.eval(t, "result unix-too", 0); f.Type != "result" || f.Value[0] != "unix-too" {
 		t.Fatalf("unix eval = %+v", f)
 	}
 }
@@ -109,8 +47,8 @@ func TestTCPServing(t *testing.T) {
 // TestTCPManySessions exercises accept sharding: a burst of concurrent
 // TCP sessions all served, counted under the tcp listener's stats.
 func TestTCPManySessions(t *testing.T) {
-	fe := newFrontend(t, Config{TCP: "127.0.0.1:0", Accepts: 4})
-	addr := fe.TCPAddr()
+	srv := newTestServer(t, Config{TCP: "127.0.0.1:0", Accepts: 4})
+	addr := srv.TCPAddr()
 	const sessions = 32
 	var wg sync.WaitGroup
 	errs := make(chan error, sessions)
@@ -118,24 +56,19 @@ func TestTCPManySessions(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			conn, err := net.Dial("tcp", addr)
+			c, err := Dial("tcp://"+addr, nil, 1)
 			if err != nil {
 				errs <- err
 				return
 			}
-			defer conn.Close()
-			fr, fw := server.NewClientConn(conn)
+			defer c.Conn.Close()
 			want := fmt.Sprintf("s%d", k)
-			if err := fw.Write(&server.Frame{Type: "eval", ID: 1, Src: "echo " + want}); err != nil {
-				errs <- err
-				return
-			}
-			f, err := fr.Read()
+			f, err := c.RoundTrip(&Frame{Type: "eval", ID: 1, Src: "echo " + want})
 			if err != nil || f.Type != "result" || f.Stdout != want+"\n" {
 				errs <- fmt.Errorf("session %d: %+v, %v", k, f, err)
 				return
 			}
-			fw.Write(&server.Frame{Type: "bye"})
+			c.Write(&Frame{Type: "bye"})
 		}(k)
 	}
 	wg.Wait()
@@ -143,7 +76,7 @@ func TestTCPManySessions(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	joined := strings.Join(fe.Server().Stats(), " ")
+	joined := strings.Join(srv.Stats(), " ")
 	if !strings.Contains(joined, fmt.Sprintf("lst_tcp_sessions:%d", sessions)) {
 		t.Errorf("per-listener session count missing: %s", joined)
 	}
@@ -191,8 +124,8 @@ func selfSignedCert(t *testing.T, dir string) (certFile, keyFile string) {
 func TestTLSServing(t *testing.T) {
 	dir := t.TempDir()
 	certFile, keyFile := selfSignedCert(t, dir)
-	fe := newFrontend(t, Config{TLS: "127.0.0.1:0", CertFile: certFile, KeyFile: keyFile})
-	addr := fe.TLSAddr()
+	srv := newTestServer(t, Config{TLS: "127.0.0.1:0", CertFile: certFile, KeyFile: keyFile})
+	addr := srv.TLSAddr()
 	if addr == "" {
 		t.Fatal("no bound TLS address")
 	}
@@ -204,12 +137,16 @@ func TestTLSServing(t *testing.T) {
 	if !pool.AppendCertsFromPEM(pemBytes) {
 		t.Fatal("bad test cert")
 	}
-	conn, err := tls.Dial("tcp", addr, &tls.Config{RootCAs: pool, ServerName: "127.0.0.1"})
-	c := dialConn(t, conn, err)
-	if f := c.eval(t, 1, "result secure"); f.Type != "result" || f.Value[0] != "secure" {
+	cl, err := Dial("tls://"+addr, &tls.Config{RootCAs: pool}, 1)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	t.Cleanup(func() { cl.Conn.Close() })
+	c := &client{cl}
+	if f := c.eval(t, "result secure", 0); f.Type != "result" || f.Value[0] != "secure" {
 		t.Fatalf("tls eval = %+v", f)
 	}
-	joined := strings.Join(fe.Server().Stats(), " ")
+	joined := strings.Join(srv.Stats(), " ")
 	if !strings.Contains(joined, "lst_tls_sessions:1") {
 		t.Errorf("tls listener stats missing: %s", joined)
 	}
@@ -218,37 +155,35 @@ func TestTLSServing(t *testing.T) {
 // TestQueueCeilingShed is the load-shedding acceptance path: with one
 // eval running and the dispatch queue at its ceiling, further evals are
 // answered `signal overload` with a retry hint while admitted work
-// completes normally.
+// completes normally.  A shed eval is never evaluated, and the session
+// that saw sheds keeps serving.
 func TestQueueCeilingShed(t *testing.T) {
-	fe := newFrontend(t, Config{
-		Server:       server.Config{MaxConcurrent: 1},
-		QueueCeiling: 1,
-		RetryAfterMS: 25,
+	srv := newTestServer(t, Config{
+		MaxConcurrent: 1,
+		QueueCeiling:  1,
+		RetryAfterMS:  25,
+		P99Ceiling:    time.Hour, // never trips; runs the sampling controller until Drain
 	})
-	srv := fe.Server()
-	a := dialNet(t, "unix", fe.Socket())
-	if err := a.fw.Write(&server.Frame{Type: "eval", ID: 1, Src: "sleep 0.4; result slow"}); err != nil {
+	a := dial(t, srv.cfg.Socket)
+	if err := a.Write(&Frame{Type: "eval", ID: 1, Src: "sleep 0.4; result slow"}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(100 * time.Millisecond) // let it occupy the semaphore
 
-	b := dialNet(t, "unix", fe.Socket())
-	if err := b.fw.Write(&server.Frame{Type: "hello", Window: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if f, err := b.fr.Read(); err != nil || f.Type != "hello" {
-		t.Fatalf("hello: %+v, %v", f, err)
+	b := dial(t, srv.cfg.Socket)
+	if f := b.hello(t, "", 4); f.Type != "hello" {
+		t.Fatalf("hello: %+v", f)
 	}
 	// First eval queues (depth 1 = ceiling); the next two arrive over the
 	// ceiling and must shed.
 	for id := int64(1); id <= 3; id++ {
-		if err := b.fw.Write(&server.Frame{Type: "eval", ID: id, Src: "result ok"}); err != nil {
+		if err := b.Write(&Frame{Type: "eval", ID: id, Src: "result ok"}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var shed, served int
 	for k := 0; k < 3; k++ {
-		f, err := b.fr.Read()
+		f, err := b.Read()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,24 +202,31 @@ func TestQueueCeilingShed(t *testing.T) {
 	if shed != 2 || served != 1 {
 		t.Fatalf("shed=%d served=%d, want 2/1", shed, served)
 	}
-	if f, err := a.fr.Read(); err != nil || f.Type != "result" || f.Value[0] != "slow" {
+	if f, err := a.Read(); err != nil || f.Type != "result" || f.Value[0] != "slow" {
 		t.Fatalf("admitted slow eval = %+v, %v", f, err)
 	}
 	if got := srv.Metrics().Sheds.Load(); got != 2 {
 		t.Errorf("sheds counter = %d, want 2", got)
+	}
+	// Only the admitted evals ran: a's slow one and b's served one.
+	if got := srv.Metrics().Evals.Load(); got != int64(served)+1 {
+		t.Errorf("shed evals were evaluated: evals = %d, want %d", got, served+1)
+	}
+	if f := b.eval(t, "result ok", 0); f.Type != "result" {
+		t.Fatalf("session unusable after shed: %+v", f)
 	}
 }
 
 // TestControllerP99Window unit-tests the sliding-window p99 logic: a
 // burst of slow evals flips shedding on; a quiet interval flips it off.
 func TestControllerP99Window(t *testing.T) {
-	var m server.Metrics
+	var m Metrics
+	// Never started: the test samples by hand.
 	c := newController(&m, Config{
 		P99Ceiling:   time.Millisecond,
 		RetryAfterMS: 50,
-		SamplePeriod: time.Hour, // sampled manually
 	})
-	c.prev = m.Buckets()
+	c.prev = m.buckets()
 	for k := 0; k < 20; k++ {
 		m.Observe(10 * time.Millisecond)
 	}
@@ -310,5 +252,46 @@ func TestControllerP99Window(t *testing.T) {
 	c.sample()
 	if c.shedding.Load() {
 		t.Fatal("fast interval started shedding")
+	}
+}
+
+// TestListenFailureReleasesEverything: a Listen that fails after binding
+// the unix socket and a TCP listener — here on a missing TLS certificate
+// — closes both and drops the socket lock, so a fresh server can take the
+// same socket path at once.
+func TestListenFailureReleasesEverything(t *testing.T) {
+	template, err := es.New(es.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cfg := Config{
+		Socket:     filepath.Join(dir, "esd.sock"),
+		TCP:        "127.0.0.1:0",
+		TLS:        "127.0.0.1:0",
+		CertFile:   filepath.Join(dir, "missing-cert.pem"),
+		KeyFile:    filepath.Join(dir, "missing-key.pem"),
+		NewSession: func() (*core.Interp, error) { return template.Interp().Spawn(), nil },
+	}
+	bad, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bad.Listen(); err == nil {
+		t.Fatal("Listen with a missing certificate succeeded")
+	}
+	if _, err := os.Stat(cfg.Socket); err == nil {
+		t.Error("failed Listen left its socket file on disk")
+	}
+	cfg.TCP, cfg.TLS = "", ""
+	good, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := good.Listen(); err != nil {
+		t.Fatalf("Listen after a failed Listen: %v", err)
+	}
+	if err := good.Drain(time.Second); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -47,8 +47,8 @@ type Metrics struct {
 }
 
 // ListenerStats is the per-listener slice of the transport counters: one
-// per accept surface (unix, tcp, tls), registered by the serving layer
-// and folded into Words after the globals.
+// per accept surface (unix, tcp, tls), folded into Words after the
+// globals.
 type ListenerStats struct {
 	Name     string
 	Sessions atomic.Int64
@@ -56,16 +56,10 @@ type ListenerStats struct {
 	BytesOut atomic.Int64
 }
 
-// RegisterListener adds (or returns the existing) per-listener counter
-// set under name.
-func (m *Metrics) RegisterListener(name string) *ListenerStats {
+// registerListener adds a per-listener counter set under name.
+func (m *Metrics) registerListener(name string) *ListenerStats {
 	m.lmu.Lock()
 	defer m.lmu.Unlock()
-	for _, ls := range m.listeners {
-		if ls.Name == name {
-			return ls
-		}
-	}
 	ls := &ListenerStats{Name: name}
 	m.listeners = append(m.listeners, ls)
 	return ls
@@ -109,13 +103,13 @@ func bucketUpper(k int) time.Duration {
 // that bucket's upper edge, claiming a "minimum" larger than an
 // observation that was actually made.
 func (m *Metrics) Quantile(q float64) time.Duration {
-	return QuantileOfCounts(m.Buckets(), q)
+	return quantileOfCounts(m.buckets(), q)
 }
 
-// Buckets snapshots the latency histogram counts, bucket edges as
-// documented above.  Controllers that want a sliding window keep the
-// previous snapshot and take the difference.
-func (m *Metrics) Buckets() []int64 {
+// buckets snapshots the latency histogram counts, bucket edges as
+// documented above.  The admission controller keeps the previous
+// snapshot and takes the difference for its sliding window.
+func (m *Metrics) buckets() []int64 {
 	counts := make([]int64, latBuckets)
 	for k := range m.lat {
 		counts[k] = m.lat[k].Load()
@@ -123,10 +117,10 @@ func (m *Metrics) Buckets() []int64 {
 	return counts
 }
 
-// QuantileOfCounts is Quantile over an arbitrary count vector with the
-// same bucket edges — the piece admission controllers run over an
-// interval delta of Buckets rather than the lifetime histogram.
-func QuantileOfCounts(counts []int64, q float64) time.Duration {
+// quantileOfCounts is Quantile over an arbitrary count vector with the
+// same bucket edges — the piece the admission controller runs over an
+// interval delta of buckets rather than the lifetime histogram.
+func quantileOfCounts(counts []int64, q float64) time.Duration {
 	var total int64
 	for _, c := range counts {
 		total += c

@@ -1,9 +1,9 @@
 package server
 
 // Tests for the fleet-front-end session semantics: the hello handshake,
-// in-session pipelining windows, tenant quotas, admission shedding, the
-// oversized-frame error path, the socket-takeover lock, and the
-// startSession refusal branches.
+// in-session pipelining windows, tenant quotas, the oversized-frame
+// error path, the socket-takeover lock, and the startSession refusal
+// branches.
 
 import (
 	"fmt"
@@ -17,22 +17,9 @@ import (
 	"es/internal/core"
 )
 
-// hello performs the handshake and returns the server's reply.
-func (c *client) hello(t *testing.T, tenant string, window int) *Frame {
-	t.Helper()
-	if err := c.fw.Write(&Frame{Type: "hello", ID: 99, Tenant: tenant, Window: window}); err != nil {
-		t.Fatalf("write hello: %v", err)
-	}
-	f, err := c.fr.Read()
-	if err != nil {
-		t.Fatalf("read hello reply: %v", err)
-	}
-	return f
-}
-
 func TestHelloWindowClamp(t *testing.T) {
 	srv := newTestServer(t, Config{MaxWindow: 2})
-	c := dial(t, srv)
+	c := dial(t, srv.cfg.Socket)
 	f := c.hello(t, "", 99)
 	if f.Type != "hello" || !f.True || f.Window != 2 {
 		t.Fatalf("hello reply = %+v, want granted window 2", f)
@@ -47,20 +34,20 @@ func TestHelloWindowClamp(t *testing.T) {
 // flight on one session, answered with their ids, each reply correct.
 func TestPipelining(t *testing.T) {
 	srv := newTestServer(t, Config{})
-	c := dial(t, srv)
+	c := dial(t, srv.cfg.Socket)
 	if f := c.hello(t, "", 4); f.Window != 4 {
 		t.Fatalf("hello granted %+v", f)
 	}
 	const n = 4
 	for id := 1; id <= n; id++ {
-		if err := c.fw.Write(&Frame{Type: "eval", ID: int64(id),
+		if err := c.Write(&Frame{Type: "eval", ID: int64(id),
 			Src: fmt.Sprintf("result r%d", id)}); err != nil {
 			t.Fatalf("pipelined write %d: %v", id, err)
 		}
 	}
 	seen := map[int64]string{}
 	for k := 0; k < n; k++ {
-		f, err := c.fr.Read()
+		f, err := c.Read()
 		if err != nil {
 			t.Fatalf("pipelined read %d: %v", k, err)
 		}
@@ -80,7 +67,7 @@ func TestPipelining(t *testing.T) {
 // never says hello sees exactly the old frame types and old behavior.
 func TestSerialClientUnaffected(t *testing.T) {
 	srv := newTestServer(t, Config{MaxWindow: 8})
-	c := dial(t, srv)
+	c := dial(t, srv.cfg.Socket)
 	for n := 0; n < 3; n++ {
 		f := c.eval(t, fmt.Sprintf("result %d", n), 0)
 		if f.Type != "result" || f.Value[0] != fmt.Sprintf("%d", n) {
@@ -93,34 +80,34 @@ func TestTenantSessionQuota(t *testing.T) {
 	srv := newTestServer(t, Config{
 		Tenants: map[string]TenantQuota{"acme": {MaxSessions: 1}},
 	})
-	a := dial(t, srv)
+	a := dial(t, srv.cfg.Socket)
 	if f := a.hello(t, "acme", 1); f.Type != "hello" || f.Tenant != "acme" {
 		t.Fatalf("first hello: %+v", f)
 	}
-	b := dial(t, srv)
+	b := dial(t, srv.cfg.Socket)
 	f := b.hello(t, "acme", 1)
 	if f.Type != "error" || len(f.Exception) < 2 || f.Exception[0] != "signal" || f.Exception[1] != "quota" {
 		t.Fatalf("over-quota hello = %+v, want signal quota", f)
 	}
-	if bye, err := b.fr.Read(); err != nil || bye.Type != "bye" || bye.Reason != "quota" {
+	if bye, err := b.Read(); err != nil || bye.Type != "bye" || bye.Reason != "quota" {
 		t.Fatalf("after quota reject: %+v, %v", bye, err)
 	}
 	if got := srv.Metrics().QuotaRejects.Load(); got != 1 {
 		t.Errorf("quota_rejects = %d, want 1", got)
 	}
 	// Closing the first session frees the slot.
-	a.fw.Write(&Frame{Type: "bye"})
-	a.fr.Read()
-	a.conn.Close()
+	a.Write(&Frame{Type: "bye"})
+	a.Read()
+	a.Conn.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		c := dial(t, srv)
+		c := dial(t, srv.cfg.Socket)
 		f := c.hello(t, "acme", 1)
 		if f.Type == "hello" {
 			break
 		}
-		c.fr.Read() // the bye
-		c.conn.Close()
+		c.Read() // the bye
+		c.Conn.Close()
 		if time.Now().After(deadline) {
 			t.Fatal("session slot never released after bye")
 		}
@@ -133,21 +120,21 @@ func TestTenantInFlightQuota(t *testing.T) {
 		MaxConcurrent: 4,
 		Tenants:       map[string]TenantQuota{"t": {MaxInFlight: 1}},
 	})
-	c := dial(t, srv)
+	c := dial(t, srv.cfg.Socket)
 	if f := c.hello(t, "t", 4); f.Type != "hello" {
 		t.Fatalf("hello: %+v", f)
 	}
 	// The first eval is slow and holds the tenant's one in-flight slot;
 	// the second arrives while it runs and must be refused retryably.
-	if err := c.fw.Write(&Frame{Type: "eval", ID: 1, Src: "sleep 0.3; result slow"}); err != nil {
+	if err := c.Write(&Frame{Type: "eval", ID: 1, Src: "sleep 0.3; result slow"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.fw.Write(&Frame{Type: "eval", ID: 2, Src: "result fast"}); err != nil {
+	if err := c.Write(&Frame{Type: "eval", ID: 2, Src: "result fast"}); err != nil {
 		t.Fatal(err)
 	}
 	var rejected, completed *Frame
 	for k := 0; k < 2; k++ {
-		f, err := c.fr.Read()
+		f, err := c.Read()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +165,7 @@ func TestTenantDeadlineCeiling(t *testing.T) {
 	srv := newTestServer(t, Config{
 		Tenants: map[string]TenantQuota{"t": {DeadlineCeiling: 50 * time.Millisecond}},
 	})
-	c := dial(t, srv)
+	c := dial(t, srv.cfg.Socket)
 	if f := c.hello(t, "t", 1); f.Type != "hello" {
 		t.Fatalf("hello: %+v", f)
 	}
@@ -201,21 +188,17 @@ func TestTenantDeadlineCeiling(t *testing.T) {
 	}
 }
 
-// TestAdmitEvalShed exercises the pluggable admission hook the frontend
-// controller sits behind: a shed eval is answered `signal overload` with
-// a retry hint, costs no evaluation, and the session keeps working.
+// TestAdmitEvalShed exercises the p99 side of admission in the session
+// loop: a shed eval is answered `signal overload` with a retry hint,
+// costs no evaluation, and the session keeps working once admission
+// reopens.  The shed flag is set by hand, and the config leaves
+// P99Ceiling zero so Serve starts no sampler that could reset it.
 func TestAdmitEvalShed(t *testing.T) {
-	var shed sync.Map
-	shed.Store("on", true)
-	srv := newTestServer(t, Config{
-		AdmitEval: func() *Overload {
-			if on, _ := shed.Load("on"); on.(bool) {
-				return &Overload{Signal: "overload", Reason: "test", RetryAfterMS: 7}
-			}
-			return nil
-		},
+	srv := newTestServer(t, Config{RetryAfterMS: 7}, func(s *Server) {
+		s.ctrl.p99Ceiling = time.Hour
+		s.ctrl.shedding.Store(true)
 	})
-	c := dial(t, srv)
+	c := dial(t, srv.cfg.Socket)
 	f := c.eval(t, "result never-runs", 0)
 	if f.Type != "error" || len(f.Exception) < 2 || f.Exception[1] != "overload" {
 		t.Fatalf("shed reply = %+v, want signal overload", f)
@@ -230,7 +213,7 @@ func TestAdmitEvalShed(t *testing.T) {
 	if got := m.Evals.Load(); got != 0 {
 		t.Errorf("shed eval was evaluated: evals = %d", got)
 	}
-	shed.Store("on", false)
+	srv.ctrl.shedding.Store(false)
 	if f := c.eval(t, "result ok", 0); f.Type != "result" {
 		t.Fatalf("session unusable after shed: %+v", f)
 	}
@@ -240,7 +223,7 @@ func TestAdmitEvalShed(t *testing.T) {
 // must be answered with an error frame and a bye, not a silent death.
 func TestOversizedFrame(t *testing.T) {
 	srv := newTestServer(t, Config{})
-	c := dial(t, srv)
+	c := dial(t, srv.cfg.Socket)
 	go func() {
 		// The server stops reading mid-line, so this write may fail once
 		// it closes the connection; that is the point.
@@ -248,16 +231,16 @@ func TestOversizedFrame(t *testing.T) {
 		for k := range huge {
 			huge[k] = 'a'
 		}
-		c.conn.Write(huge)
+		c.Conn.Write(huge)
 	}()
-	f, err := c.fr.Read()
+	f, err := c.Read()
 	if err != nil {
 		t.Fatalf("no error frame for oversized line: %v", err)
 	}
 	if f.Type != "error" || !strings.Contains(strings.Join(f.Exception, " "), "frame exceeds") {
 		t.Fatalf("oversized reply = %+v", f)
 	}
-	if f, err = c.fr.Read(); err != nil || f.Type != "bye" || f.Reason != "frame too large" {
+	if f, err = c.Read(); err != nil || f.Type != "bye" || f.Reason != "frame too large" {
 		t.Fatalf("no bye after oversized frame: %+v, %v", f, err)
 	}
 	waitClosed(t, srv)
@@ -318,16 +301,11 @@ func TestListenTakeoverRace(t *testing.T) {
 	for _, s := range []*Server{s1, s2} {
 		if s.ln != nil {
 			go s.Serve()
-			conn, err := net.Dial("unix", cfg.Socket)
-			if err != nil {
-				t.Fatalf("winner not serving: %v", err)
-			}
-			fr, fw := NewClientConn(conn)
-			fw.Write(&Frame{Type: "eval", ID: 1, Src: "result alive"})
-			if f, err := fr.Read(); err != nil || f.Type != "result" {
+			c := dial(t, cfg.Socket)
+			if f, err := c.RoundTrip(&Frame{Type: "eval", ID: 1, Src: "result alive"}); err != nil || f.Type != "result" {
 				t.Fatalf("winner eval: %+v, %v", f, err)
 			}
-			conn.Close()
+			c.Conn.Close()
 			s.Drain(5 * time.Second)
 		}
 	}
@@ -350,20 +328,15 @@ func TestStartSessionPoolError(t *testing.T) {
 	}
 	go srv.Serve()
 	defer srv.Drain(5 * time.Second)
-	conn, err := net.Dial("unix", cfg.Socket)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	fr, _ := NewClientConn(conn)
-	f, err := fr.Read()
+	c := dial(t, cfg.Socket)
+	f, err := c.Read()
 	if err != nil {
 		t.Fatalf("no error frame on pool exhaustion: %v", err)
 	}
 	if f.Type != "error" || !strings.Contains(strings.Join(f.Exception, " "), "spawn exhausted") {
 		t.Fatalf("pool-exhaustion reply = %+v", f)
 	}
-	if _, err := fr.Read(); err == nil {
+	if _, err := c.Read(); err == nil {
 		t.Fatal("connection left open after pool exhaustion")
 	}
 	if got := srv.Metrics().SessionsOpened.Load(); got != 0 {
@@ -397,7 +370,7 @@ func TestStartSessionDrainRace(t *testing.T) {
 		defer close(done)
 		srv.startSession(serverEnd, nil)
 	}()
-	fr, _ := NewClientConn(client)
+	fr := NewFrameReader(client)
 	f, err := fr.Read()
 	if err != nil || f.Type != "bye" || f.Reason != "drain" {
 		t.Fatalf("drain-race reply = %+v, %v", f, err)
@@ -416,7 +389,7 @@ func TestStartSessionDrainRace(t *testing.T) {
 // the stats words next to the old ones.
 func TestStatsIncludeListenersAndTenants(t *testing.T) {
 	srv := newTestServer(t, Config{})
-	c := dial(t, srv)
+	c := dial(t, srv.cfg.Socket)
 	if f := c.hello(t, "acme", 2); f.Type != "hello" {
 		t.Fatalf("hello: %+v", f)
 	}
@@ -430,5 +403,26 @@ func TestStatsIncludeListenersAndTenants(t *testing.T) {
 		if !strings.Contains(joined, want) {
 			t.Errorf("stats missing %q:\n%s", want, joined)
 		}
+	}
+}
+
+// TestQuotaRefusalRetryHint: tenant in-flight refusals carry the
+// configured retry hint, like sheds do.
+func TestQuotaRefusalRetryHint(t *testing.T) {
+	srv := newTestServer(t, Config{
+		RetryAfterMS: 25,
+		Tenants:      map[string]TenantQuota{"t": {MaxInFlight: 1}},
+	})
+	c := dial(t, srv.cfg.Socket)
+	if f := c.hello(t, "t", 2); f.Type != "hello" {
+		t.Fatalf("hello: %+v", f)
+	}
+	c.Write(&Frame{Type: "eval", ID: 1, Src: "sleep 0.3"})
+	f := c.roundTrip(t, &Frame{Type: "eval", ID: 2, Src: "result refused"})
+	if f.ID != 2 || f.Type != "error" || len(f.Exception) < 2 || f.Exception[1] != "quota" {
+		t.Fatalf("second eval = %+v, want signal quota", f)
+	}
+	if f.RetryAfterMS != 25 {
+		t.Errorf("quota refusal retry_after_ms = %d, want 25", f.RetryAfterMS)
 	}
 }

@@ -1,6 +1,6 @@
 // Package server is the esd serving layer: a concurrent evaluation
 // service that drives warm-pooled es interpreters over a unix-domain
-// socket.
+// socket and, when configured, TCP and TLS listeners next to it.
 //
 // The paper frames es as an embeddable command language — "a library
 // version of es which could be used stand-alone as a shell or linked into
@@ -10,15 +10,18 @@
 // mailbox, a warm pool keeps session start-up off the hot path, a
 // semaphore caps concurrent evaluations, and per-request deadlines
 // surface in-script as the catchable exception `signal deadline` via the
-// interpreter's cooperative-cancellation boundary checks.
+// interpreter's cooperative-cancellation boundary checks.  Admission
+// control (tenant quotas, queue-depth and p99 ceilings) refuses evals at
+// the read loop, before they queue.
 //
-// The protocol is newline-delimited JSON, one Frame per line.  Clients
-// send eval, stats and bye frames; the server answers with result, error,
-// stats and bye frames.  A session that never says hello is served
-// serially, exactly as before the fleet front end existed; a hello frame
-// may negotiate a pipeline window (several evals in flight, replies
-// matched by id, ordering guaranteed only per id) and name a tenant for
-// quota accounting.  Cross-session concurrency comes from sessions.
+// The protocol is newline-delimited JSON, one Frame per line, the same on
+// every transport.  Clients send eval, stats and bye frames; the server
+// answers with result, error, stats and bye frames.  A session that never
+// says hello is served serially; a hello frame may negotiate a pipeline
+// window (several evals in flight, replies matched by id, ordering
+// guaranteed only per id) and name a tenant for quota accounting.
+// Cross-session concurrency comes from sessions.  Dial is the client
+// side.
 package server
 
 import (
@@ -42,8 +45,9 @@ import (
 //	snap    (client) — ID; (server) — ID, Image (the session's state as a
 //	                   base64 session image, internal/image format)
 //	restore (client) — ID, Image; (server) — ID, True (state replaced)
-//	migrate (client) — ID, Socket (another esd's socket path); (server) —
-//	                   ID, Socket, True once the session's state lives on
+//	migrate (client) — ID, Socket (another esd as a Dial target: a unix
+//	                   socket path, tcp://host:port or tls://host:port);
+//	                   (server) — ID, Socket, True once the session's state lives on
 //	                   the target and this daemon has become a transparent
 //	                   relay: subsequent frames on the same connection are
 //	                   answered by the target
@@ -148,12 +152,6 @@ type FrameWriter struct {
 
 func NewFrameWriter(w io.Writer, out ...*atomic.Int64) *FrameWriter {
 	return &FrameWriter{w: w, out: out}
-}
-
-// NewClientConn wraps the client side of an esd connection in frame
-// codecs (without wire-byte accounting); esc and tests speak through it.
-func NewClientConn(rw io.ReadWriter) (*FrameReader, *FrameWriter) {
-	return NewFrameReader(rw, nil), NewFrameWriter(rw, nil)
 }
 
 func (fw *FrameWriter) Write(f *Frame) error {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"crypto/tls"
 	"errors"
 	"fmt"
 	"net"
@@ -12,13 +13,26 @@ import (
 	"time"
 
 	"es/internal/core"
-	"es/internal/prim"
 )
 
 // Config configures a Server.
 type Config struct {
 	// Socket is the unix-domain socket path to serve on.
 	Socket string
+
+	// TCP, when non-empty, is a host:port to also serve plaintext TCP on
+	// (":0" picks a free port; see TCPAddr).
+	TCP string
+
+	// TLS, when non-empty, is a host:port to also serve TLS on; CertFile
+	// and KeyFile must name a PEM certificate/key pair.
+	TLS      string
+	CertFile string
+	KeyFile  string
+
+	// Accepts is the number of parallel accept goroutines per TCP/TLS
+	// listener (default 2).
+	Accepts int
 
 	// PoolSize is how many warm interpreters to keep pre-spawned
 	// (default 4).
@@ -47,11 +61,19 @@ type Config struct {
 	// Tenants absent from the map are unlimited but still accounted.
 	Tenants map[string]TenantQuota
 
-	// AdmitEval, when set, is consulted once per arriving eval frame
-	// before it is queued; a non-nil Overload sheds the eval with a
-	// retryable `signal overload` error frame.  internal/frontend wires
-	// its p99/queue-depth controller here.
-	AdmitEval func() *Overload
+	// P99Ceiling, when positive, turns on p99-aware shedding: while the
+	// p99 of evals completed in the last sample period exceeds it, new
+	// evals are answered `signal overload` instead of queueing.
+	P99Ceiling time.Duration
+
+	// QueueCeiling, when positive, sheds evals arriving while the
+	// dispatch-queue depth (admitted evals not yet running) is at or
+	// over it.
+	QueueCeiling int
+
+	// RetryAfterMS is the retry hint stamped on every refused eval, shed
+	// or over its tenant's in-flight quota (default 100).
+	RetryAfterMS int64
 
 	// NewSession builds one detached session interpreter.  The usual
 	// implementation spawns from a warm template:
@@ -66,10 +88,10 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Overload is an admission controller's verdict when it refuses an eval:
-// the client sees an error frame `signal <Signal> <Reason>` carrying
-// RetryAfterMS as a retry hint.
-type Overload struct {
+// overload is the admission verdict when an eval is refused: the client
+// sees an error frame `signal <Signal> <Reason>` carrying RetryAfterMS as
+// a retry hint.
+type overload struct {
 	Signal       string // "overload" (shed) or "quota" (tenant ceiling)
 	Reason       string
 	RetryAfterMS int64
@@ -78,12 +100,15 @@ type Overload struct {
 // Server is a concurrent es evaluation daemon.
 type Server struct {
 	cfg     Config
-	ln      net.Listener
+	ln      net.Listener // the unix socket
+	tcp     net.Listener
+	tlsL    net.Listener
 	lock    *os.File // flock-held sentinel next to the unix socket
 	unixLS  *ListenerStats
 	pool    *pool
 	sem     chan struct{}
 	metrics Metrics
+	ctrl    controller
 	tenants *tenantSet
 
 	drainCh   chan struct{} // closed when draining starts
@@ -91,19 +116,19 @@ type Server struct {
 	drainOnce sync.Once
 
 	mu       sync.Mutex
-	extra    []net.Listener // TCP/TLS listeners attached by the front end
 	sessions map[uint64]*session
 	nextID   atomic.Uint64
 	wg       sync.WaitGroup // one per session goroutine
-	lnWG     sync.WaitGroup // one per accept goroutine on extra listeners
+	lnWG     sync.WaitGroup // network accept goroutines and the controller
 }
 
-// New builds a Server and wires $&serverstats: scripts evaluated anywhere
-// in this process report this server's counters (the most recently
-// created server wins, matching the one-daemon-per-process deployment).
+// New builds a Server.  Nothing is bound until Listen.
 func New(cfg Config) (*Server, error) {
 	if cfg.NewSession == nil {
 		return nil, errors.New("server: Config.NewSession is required")
+	}
+	if cfg.Accepts <= 0 {
+		cfg.Accepts = 2
 	}
 	if cfg.PoolSize == 0 {
 		cfg.PoolSize = 4
@@ -113,6 +138,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxWindow <= 0 {
 		cfg.MaxWindow = 32
+	}
+	if cfg.RetryAfterMS <= 0 {
+		cfg.RetryAfterMS = 100
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -125,38 +153,48 @@ func New(cfg Config) (*Server, error) {
 		drainCh:  make(chan struct{}),
 		sessions: make(map[uint64]*session),
 	}
-	prim.SetServerStats(s.Stats)
+	s.ctrl = newController(&s.metrics, cfg)
 	return s, nil
 }
 
 // admitEval decides one arriving eval's fate before it is queued: nil
-// admits it; a non-nil Overload sheds it with a retryable error frame.
+// admits it; a non-nil overload sheds it with a retryable error frame.
 // Tenant in-flight quotas are checked first (they are the tighter,
-// attributable signal), then the pluggable controller.
-func (s *Server) admitEval(t *tenantState) *Overload {
+// attributable signal), then the admission controller.
+func (s *Server) admitEval(t *tenantState) *overload {
 	if t != nil && t.quota.MaxInFlight > 0 && t.inflight.Load() >= int64(t.quota.MaxInFlight) {
 		s.metrics.QuotaRejects.Add(1)
-		return &Overload{Signal: "quota",
+		return &overload{Signal: "quota",
 			Reason:       "tenant " + t.name + " in-flight quota exhausted",
-			RetryAfterMS: 100}
+			RetryAfterMS: s.cfg.RetryAfterMS}
 	}
-	if s.cfg.AdmitEval != nil {
-		if ov := s.cfg.AdmitEval(); ov != nil {
-			s.metrics.Sheds.Add(1)
-			return ov
-		}
+	if ov := s.ctrl.admit(); ov != nil {
+		s.metrics.Sheds.Add(1)
+		return ov
 	}
 	return nil
 }
 
-// Listen binds the unix socket, replacing a stale socket file left by a
-// dead daemon.  Takeover is guarded by an exclusive flock on a sentinel
-// file next to the socket: two daemons racing for the same stale socket
-// would otherwise both pass the liveness dial check and the loser's
-// Listen would silently unlink the winner's freshly bound socket.  The
-// kernel drops the lock when the owner dies, so a crashed daemon never
-// wedges the path.
-func (s *Server) Listen() error {
+// Listen binds every configured surface: the unix socket, then TCP, then
+// TLS.  If any step fails, everything already bound is closed and the
+// socket lock released before the error returns, so the same path can be
+// listened on again at once.
+//
+// The unix socket replaces a stale socket file left by a dead daemon.
+// Takeover is guarded by an exclusive flock on a sentinel file next to
+// the socket: two daemons racing for the same stale socket would
+// otherwise both pass the liveness dial check and the loser's Listen
+// would silently unlink the winner's freshly bound socket.  The kernel
+// drops the lock when the owner dies, so a crashed daemon never wedges
+// the path.
+func (s *Server) Listen() (err error) {
+	defer func() {
+		if err != nil {
+			s.closeListeners()
+			s.ln, s.tcp, s.tlsL = nil, nil, nil
+			s.releaseLock()
+		}
+	}()
 	lock, err := os.OpenFile(s.cfg.Socket+".lock", os.O_RDWR|os.O_CREATE, 0o600)
 	if err != nil {
 		return fmt.Errorf("server: %w", err)
@@ -165,33 +203,89 @@ func (s *Server) Listen() error {
 		lock.Close()
 		return fmt.Errorf("server: %s: daemon already running (lock held)", s.cfg.Socket)
 	}
+	s.lock = lock
 	if fi, err := os.Stat(s.cfg.Socket); err == nil && fi.Mode()&os.ModeSocket != 0 {
 		if c, err := net.Dial("unix", s.cfg.Socket); err == nil {
 			c.Close()
-			lock.Close()
 			return fmt.Errorf("server: %s: daemon already running", s.cfg.Socket)
 		}
 		os.Remove(s.cfg.Socket)
 	}
-	ln, err := net.Listen("unix", s.cfg.Socket)
-	if err != nil {
-		lock.Close()
+	if s.ln, err = net.Listen("unix", s.cfg.Socket); err != nil {
 		return err
 	}
-	s.ln = ln
-	s.lock = lock
-	s.unixLS = s.metrics.RegisterListener("unix")
+	s.unixLS = s.metrics.registerListener("unix")
 	s.cfg.Logf("esd: listening on %s (pool=%d max=%d window=%d)",
 		s.cfg.Socket, s.cfg.PoolSize, s.cfg.MaxConcurrent, s.cfg.MaxWindow)
+	if s.cfg.TCP != "" {
+		if s.tcp, err = net.Listen("tcp", s.cfg.TCP); err != nil {
+			return err
+		}
+	}
+	if s.cfg.TLS != "" {
+		if s.cfg.CertFile == "" || s.cfg.KeyFile == "" {
+			return errors.New("server: TLS listener needs CertFile and KeyFile")
+		}
+		cert, err := tls.LoadX509KeyPair(s.cfg.CertFile, s.cfg.KeyFile)
+		if err != nil {
+			return err
+		}
+		ln, err := net.Listen("tcp", s.cfg.TLS)
+		if err != nil {
+			return err
+		}
+		s.tlsL = tls.NewListener(ln, &tls.Config{
+			Certificates: []tls.Certificate{cert},
+			MinVersion:   tls.VersionTLS12,
+		})
+	}
 	return nil
 }
 
-// Serve accepts sessions until the listener closes; it returns nil when
-// the server is draining.
+// TCPAddr is the bound TCP address after Listen ("" without a TCP
+// listener) — the way scripts and tests discover a ":0" port.
+func (s *Server) TCPAddr() string {
+	if s.tcp == nil {
+		return ""
+	}
+	return s.tcp.Addr().String()
+}
+
+// TLSAddr is the bound TLS address after Listen ("" without TLS).
+func (s *Server) TLSAddr() string {
+	if s.tlsL == nil {
+		return ""
+	}
+	return s.tlsL.Addr().String()
+}
+
+// Serve starts the TCP/TLS accept loops and the p99 controller, then
+// accepts unix-socket sessions in the foreground until the listener
+// closes; it returns nil when the server is draining.
 func (s *Server) Serve() error {
 	if s.ln == nil {
 		return errors.New("server: Serve before Listen")
 	}
+	// Under s.mu, so a concurrent Drain either sees these goroutines in
+	// lnWG or stops them from starting.
+	s.mu.Lock()
+	if !s.draining.Load() {
+		if s.tcp != nil {
+			s.serveListener(s.tcp, "tcp")
+		}
+		if s.tlsL != nil {
+			s.serveListener(s.tlsL, "tls")
+		}
+		if s.ctrl.p99Ceiling > 0 {
+			s.ctrl.prev = s.metrics.buckets()
+			s.lnWG.Add(1)
+			go func() {
+				defer s.lnWG.Done()
+				s.ctrl.run(s.drainCh)
+			}()
+		}
+	}
+	s.mu.Unlock()
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
@@ -204,26 +298,14 @@ func (s *Server) Serve() error {
 	}
 }
 
-// AddListener attaches an extra accept surface — a TCP or TLS listener
-// bound by internal/frontend — served by `accepts` parallel accept
-// goroutines (accept sharding keeps a burst of handshakes from
-// serializing behind one goroutine's session setup).  The listener is
-// closed when the server drains.
-func (s *Server) AddListener(ln net.Listener, name string, accepts int) *ListenerStats {
-	if accepts < 1 {
-		accepts = 1
-	}
-	ls := s.metrics.RegisterListener(name)
-	s.mu.Lock()
-	s.extra = append(s.extra, ln)
-	draining := s.draining.Load()
-	s.mu.Unlock()
-	if draining {
-		ln.Close()
-		return ls
-	}
-	s.cfg.Logf("esd: listening on %s/%s (accepts=%d)", name, ln.Addr(), accepts)
-	for k := 0; k < accepts; k++ {
+// serveListener runs Config.Accepts parallel accept goroutines on a
+// network listener (accept sharding keeps a burst of handshakes from
+// serializing behind one goroutine's session setup), counting its
+// sessions and bytes under lst_<name>_*.  Drain closes the listener.
+func (s *Server) serveListener(ln net.Listener, name string) {
+	ls := s.metrics.registerListener(name)
+	s.cfg.Logf("esd: listening on %s/%s (accepts=%d)", name, ln.Addr(), s.cfg.Accepts)
+	for k := 0; k < s.cfg.Accepts; k++ {
 		s.lnWG.Add(1)
 		go func() {
 			defer s.lnWG.Done()
@@ -236,15 +318,6 @@ func (s *Server) AddListener(ln net.Listener, name string, accepts int) *Listene
 			}
 		}()
 	}
-	return ls
-}
-
-// ListenAndServe is Listen followed by Serve.
-func (s *Server) ListenAndServe() error {
-	if err := s.Listen(); err != nil {
-		return err
-	}
-	return s.Serve()
 }
 
 func (s *Server) startSession(conn net.Conn, ls *ListenerStats) {
@@ -255,6 +328,7 @@ func (s *Server) startSession(conn net.Conn, ls *ListenerStats) {
 		conn.Close()
 		return
 	}
+	interp.ServerStats = s.Stats
 	id := s.nextID.Add(1)
 	sess := newSession(id, s, conn, interp, ls)
 	s.mu.Lock()
@@ -294,16 +368,12 @@ func (s *Server) dropSession(id uint64) {
 func (s *Server) Drain(timeout time.Duration) error {
 	s.drainOnce.Do(func() {
 		s.draining.Store(true)
-		close(s.drainCh)
-		if s.ln != nil {
-			s.ln.Close()
-		}
+		close(s.drainCh) // stops the controller and every session loop
+		// Taking s.mu orders this after a Serve that saw draining unset,
+		// so its lnWG.Add calls precede the Wait below.
 		s.mu.Lock()
-		extra := append([]net.Listener(nil), s.extra...)
+		s.closeListeners()
 		s.mu.Unlock()
-		for _, ln := range extra {
-			ln.Close()
-		}
 		s.cfg.Logf("esd: draining (%d sessions open)", s.openSessions())
 	})
 	done := make(chan struct{})
@@ -333,6 +403,16 @@ func (s *Server) Drain(timeout time.Duration) error {
 		s.pool.close()
 		s.releaseLock()
 		return fmt.Errorf("server: drain timed out after %v; sessions force-closed", timeout)
+	}
+}
+
+// closeListeners closes every bound listener; the unix listener unlinks
+// its socket file as it closes.
+func (s *Server) closeListeners() {
+	for _, ln := range []net.Listener{s.ln, s.tcp, s.tlsL} {
+		if ln != nil {
+			ln.Close()
+		}
 	}
 }
 

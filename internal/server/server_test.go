@@ -7,8 +7,8 @@ package server
 
 import (
 	"fmt"
-	"net"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -19,8 +19,9 @@ import (
 )
 
 // newTestServer starts a server on a fresh socket; the returned server is
-// already accepting.
-func newTestServer(t *testing.T, cfg Config) *Server {
+// already accepting.  Each setup function runs on the new server before it
+// listens, for tests that need to set its state without a data race.
+func newTestServer(t *testing.T, cfg Config, setup ...func(*Server)) *Server {
 	t.Helper()
 	template, err := es.New(es.Options{})
 	if err != nil {
@@ -33,6 +34,9 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatalf("server.New: %v", err)
+	}
+	for _, f := range setup {
+		f(srv)
 	}
 	if err := srv.Listen(); err != nil {
 		t.Fatalf("Listen: %v", err)
@@ -50,39 +54,51 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	return srv
 }
 
-type client struct {
-	conn net.Conn
-	fr   *FrameReader
-	fw   *FrameWriter
-}
+// client is a test's view of a Client: helpers that fail the test
+// instead of returning errors.
+type client struct{ *Client }
 
-func dial(t *testing.T, srv *Server) *client {
+// dial connects to a Dial target — a server's socket path, or tcp:// for
+// its TCP listener; the connection closes with the test.
+func dial(t *testing.T, target string) *client {
 	t.Helper()
-	conn, err := net.Dial("unix", srv.cfg.Socket)
+	c, err := Dial(target, nil, 1)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	t.Cleanup(func() { conn.Close() })
-	fr, fw := NewClientConn(conn)
-	return &client{conn: conn, fr: fr, fw: fw}
+	t.Cleanup(func() { c.Conn.Close() })
+	return &client{c}
+}
+
+// roundTrip sends one frame and returns the reply.
+func (c *client) roundTrip(t *testing.T, f *Frame) *Frame {
+	t.Helper()
+	r, err := c.RoundTrip(f)
+	if err != nil {
+		t.Fatalf("%s round trip: %v", f.Type, err)
+	}
+	return r
 }
 
 // eval sends one eval frame and returns the reply.
 func (c *client) eval(t *testing.T, src string, deadlineMS int64) *Frame {
 	t.Helper()
-	if err := c.fw.Write(&Frame{Type: "eval", ID: 1, Src: src, DeadlineMS: deadlineMS}); err != nil {
-		t.Fatalf("write eval: %v", err)
-	}
-	f, err := c.fr.Read()
+	return c.roundTrip(t, &Frame{Type: "eval", ID: 1, Src: src, DeadlineMS: deadlineMS})
+}
+
+// hello performs the handshake and returns the server's reply.
+func (c *client) hello(t *testing.T, tenant string, window int) *Frame {
+	t.Helper()
+	f, err := c.Hello(window, tenant)
 	if err != nil {
-		t.Fatalf("read reply: %v", err)
+		t.Fatalf("hello: %v", err)
 	}
 	return f
 }
 
 func TestEvalRoundTrip(t *testing.T) {
 	srv := newTestServer(t, Config{})
-	c := dial(t, srv)
+	c := dial(t, srv.cfg.Socket)
 	f := c.eval(t, "echo hello, server", 0)
 	if f.Type != "result" || f.Stdout != "hello, server\n" || !f.True {
 		t.Fatalf("reply = %+v", f)
@@ -108,7 +124,7 @@ func TestEvalRoundTrip(t *testing.T) {
 // session remains usable for the next request.
 func TestDeadline(t *testing.T) {
 	srv := newTestServer(t, Config{})
-	c := dial(t, srv)
+	c := dial(t, srv.cfg.Socket)
 	start := time.Now()
 	f := c.eval(t, "while {} {}", 50)
 	elapsed := time.Since(start)
@@ -128,7 +144,7 @@ func TestDeadline(t *testing.T) {
 
 func TestDeadlineCatchableInScript(t *testing.T) {
 	srv := newTestServer(t, Config{})
-	c := dial(t, srv)
+	c := dial(t, srv.cfg.Socket)
 	f := c.eval(t, "catch @ e {result caught $e} {while {} {}}", 50)
 	if f.Type != "result" || strings.Join(f.Value, " ") != "caught signal deadline" {
 		t.Fatalf("catch reply = %+v", f)
@@ -137,7 +153,7 @@ func TestDeadlineCatchableInScript(t *testing.T) {
 
 func TestDefaultDeadlineFromConfig(t *testing.T) {
 	srv := newTestServer(t, Config{DefaultDeadline: 50 * time.Millisecond})
-	c := dial(t, srv)
+	c := dial(t, srv.cfg.Socket)
 	f := c.eval(t, "while {} {}", 0)
 	if f.Type != "error" || strings.Join(f.Exception, " ") != "signal deadline" {
 		t.Fatalf("default deadline reply = %+v", f)
@@ -146,7 +162,7 @@ func TestDefaultDeadlineFromConfig(t *testing.T) {
 
 func TestSessionIsolation(t *testing.T) {
 	srv := newTestServer(t, Config{})
-	a, b := dial(t, srv), dial(t, srv)
+	a, b := dial(t, srv.cfg.Socket), dial(t, srv.cfg.Socket)
 	if f := a.eval(t, "x = from-session-a; fn greet {echo hi}", 0); f.Type != "result" {
 		t.Fatalf("assign: %+v", f)
 	}
@@ -163,13 +179,13 @@ func TestSessionIsolation(t *testing.T) {
 
 func TestStatsFrameAndServerstatsPrim(t *testing.T) {
 	srv := newTestServer(t, Config{})
-	c := dial(t, srv)
+	c := dial(t, srv.cfg.Socket)
 	c.eval(t, "echo warm", 0)
 
-	if err := c.fw.Write(&Frame{Type: "stats", ID: 7}); err != nil {
+	if err := c.Write(&Frame{Type: "stats", ID: 7}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := c.fr.Read()
+	f, err := c.Read()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +200,7 @@ func TestStatsFrameAndServerstatsPrim(t *testing.T) {
 	}
 
 	// The same counters are scriptable inside a session via the
-	// $&serverstats primitive (wired through prim.SetServerStats).
+	// $&serverstats primitive (wired through core.Interp.ServerStats).
 	r := c.eval(t, "result <>{serverstats}", 0)
 	if r.Type != "result" {
 		t.Fatalf("serverstats eval = %+v", r)
@@ -202,11 +218,11 @@ func TestStatsFrameAndServerstatsPrim(t *testing.T) {
 
 func TestByeFrame(t *testing.T) {
 	srv := newTestServer(t, Config{})
-	c := dial(t, srv)
-	if err := c.fw.Write(&Frame{Type: "bye"}); err != nil {
+	c := dial(t, srv.cfg.Socket)
+	if err := c.Write(&Frame{Type: "bye"}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := c.fr.Read()
+	f, err := c.Read()
 	if err != nil || f.Type != "bye" {
 		t.Fatalf("bye reply = %+v, %v", f, err)
 	}
@@ -238,20 +254,19 @@ func TestSoak100Sessions(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			conn, err := net.Dial("unix", srv.cfg.Socket)
+			c, err := Dial(srv.cfg.Socket, nil, 1)
 			if err != nil {
 				errs <- err
 				return
 			}
-			defer conn.Close()
-			fr, fw := NewClientConn(conn)
+			defer c.Conn.Close()
 			for n := 0; n < evalsPer; n++ {
 				want := fmt.Sprintf("s%d-%d", k, n)
-				if err := fw.Write(&Frame{Type: "eval", ID: int64(n), Src: "echo " + want}); err != nil {
+				if err := c.Write(&Frame{Type: "eval", ID: int64(n), Src: "echo " + want}); err != nil {
 					errs <- fmt.Errorf("session %d write: %w", k, err)
 					return
 				}
-				f, err := fr.Read()
+				f, err := c.Read()
 				if err != nil {
 					errs <- fmt.Errorf("session %d read: %w", k, err)
 					return
@@ -261,7 +276,7 @@ func TestSoak100Sessions(t *testing.T) {
 					return
 				}
 			}
-			fw.Write(&Frame{Type: "bye"})
+			c.Write(&Frame{Type: "bye"})
 		}(k)
 	}
 	wg.Wait()
@@ -298,25 +313,24 @@ func TestDrainUnderLoad(t *testing.T) {
 	for k := 0; k < sessions; k++ {
 		started.Add(1)
 		go func() {
-			conn, err := net.Dial("unix", srv.cfg.Socket)
+			c, err := Dial(srv.cfg.Socket, nil, 1)
 			if err != nil {
 				started.Done()
 				results <- outcome{err: err}
 				return
 			}
-			defer conn.Close()
-			fr, fw := NewClientConn(conn)
-			err = fw.Write(&Frame{Type: "eval", ID: 1, Src: "sleep 0.3; echo survived"})
+			defer c.Conn.Close()
+			err = c.Write(&Frame{Type: "eval", ID: 1, Src: "sleep 0.3; echo survived"})
 			started.Done()
 			if err != nil {
 				results <- outcome{err: err}
 				return
 			}
 			var o outcome
-			o.result, o.err = fr.Read()
+			o.result, o.err = c.Read()
 			if o.err == nil {
 				// The drain should follow with a goodbye.
-				o.bye, _ = fr.Read()
+				o.bye, _ = c.Read()
 			}
 			results <- o
 		}()
@@ -340,7 +354,7 @@ func TestDrainUnderLoad(t *testing.T) {
 		}
 	}
 	// New connections are refused once draining.
-	if _, err := net.Dial("unix", srv.cfg.Socket); err == nil {
+	if _, err := Dial(srv.cfg.Socket, nil, 1); err == nil {
 		// The socket file may still accept at the OS level before close
 		// propagates; a served bye/drain is also acceptable.  Only a
 		// successfully evaluated request would be a bug, and the listener
@@ -355,8 +369,8 @@ func TestDrainUnderLoad(t *testing.T) {
 // close.
 func TestDrainForceClosesStuckSessions(t *testing.T) {
 	srv := newTestServer(t, Config{})
-	c := dial(t, srv)
-	if err := c.fw.Write(&Frame{Type: "eval", ID: 1, Src: "while {} {}"}); err != nil {
+	c := dial(t, srv.cfg.Socket)
+	if err := c.Write(&Frame{Type: "eval", ID: 1, Src: "while {} {}"}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond) // let the eval start spinning
@@ -373,16 +387,43 @@ func TestDrainForceClosesStuckSessions(t *testing.T) {
 
 func TestUnknownFrameType(t *testing.T) {
 	srv := newTestServer(t, Config{})
-	c := dial(t, srv)
-	if err := c.fw.Write(&Frame{Type: "flirp", ID: 3}); err != nil {
+	c := dial(t, srv.cfg.Socket)
+	if err := c.Write(&Frame{Type: "flirp", ID: 3}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := c.fr.Read()
+	f, err := c.Read()
 	if err != nil || f.Type != "error" || f.ID != 3 {
 		t.Fatalf("unknown frame reply = %+v, %v", f, err)
 	}
 	// Session still works afterwards.
 	if f := c.eval(t, "result ok", 0); f.Type != "result" {
 		t.Fatalf("session died after bad frame: %+v", f)
+	}
+}
+
+// TestServerstatsPerServer: with two servers in one process, a session's
+// $&serverstats reports the counters of the server running it — in
+// pipeline elements too, which run in forks — and an interpreter no
+// server runs throws.
+func TestServerstatsPerServer(t *testing.T) {
+	first := newTestServer(t, Config{})
+	second := newTestServer(t, Config{})
+	c2 := dial(t, second.cfg.Socket)
+	for k := 0; k < 3; k++ {
+		c2.eval(t, "result ok", 0)
+	}
+	c1 := dial(t, first.cfg.Socket)
+	if r := c1.eval(t, "result <>{serverstats}", 0); r.Type != "result" || !slices.Contains(r.Value, "evals:1") {
+		t.Fatalf("serverstats on the first server = %+v, want its own evals:1", r)
+	}
+	if r := c1.eval(t, "echo <>{serverstats} | cat", 0); r.Type != "result" || !strings.Contains(r.Stdout, "evals:2 ") {
+		t.Fatalf("serverstats in a pipeline = %+v, want the first server's evals:2", r)
+	}
+	sh, err := es.New(es.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sh.Run("serverstats"); err == nil || !strings.Contains(err.Error(), "no server running") {
+		t.Fatalf("serverstats outside a server: err = %v", err)
 	}
 }

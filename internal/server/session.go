@@ -268,8 +268,11 @@ func (s *session) hello(f *Frame, window int) (int, bool) {
 func (s *session) dispatch(f *Frame) bool {
 	switch f.Type {
 	case "eval":
-		s.eval(f)
+		// The eval's accounting is released before its reply goes out, so
+		// a client that has its answer sees balanced counters.
+		reply := s.eval(f)
 		s.finishEval()
+		s.fw.Write(reply)
 		return false
 	case "stats":
 		words := append(s.srv.Stats(), s.sm.words(s.id)...)
@@ -322,8 +325,9 @@ func (s *session) check(f *Frame) {
 
 // eval runs one request on the session's interpreter, under the server's
 // eval semaphore and, when a deadline applies, under a cancel token that
-// surfaces in-script as the catchable exception `signal deadline`.
-func (s *session) eval(f *Frame) {
+// surfaces in-script as the catchable exception `signal deadline`.  It
+// returns the reply frame.
+func (s *session) eval(f *Frame) *Frame {
 	s.srv.sem <- struct{}{}
 	s.srv.metrics.Queued.Add(-1) // dispatched: no longer queue depth
 	defer func() { <-s.srv.sem }()
@@ -344,8 +348,7 @@ func (s *session) eval(f *Frame) {
 			for _, d := range res.Filter(analysis.SevError) {
 				exc = append(exc, d.String())
 			}
-			s.fw.Write(&Frame{Type: "error", ID: f.ID, Exception: exc})
-			return
+			return &Frame{Type: "error", ID: f.ID, Exception: exc}
 		}
 	}
 
@@ -403,5 +406,5 @@ func (s *session) eval(f *Frame) {
 		reply.Value = res.Strings()
 		reply.True = res.True()
 	}
-	s.fw.Write(reply)
+	return reply
 }

@@ -22,7 +22,6 @@ package server
 import (
 	"encoding/base64"
 	"io"
-	"net"
 
 	"es/internal/core"
 	"es/internal/image"
@@ -72,10 +71,11 @@ func decodeImageFrame(f *Frame) (*image.Image, error) {
 	return image.Decode(data)
 }
 
-// migrate moves the session to the daemon at f.Socket and turns this
-// session into a relay.  The returned bool is dispatch's "close the
-// session" flag: true once the relay ends.  A failed migration replies
-// with an error frame and leaves the session here, untouched.
+// migrate moves the session to the daemon at f.Socket — a Dial target:
+// unix path, tcp:// or tls:// — and turns this session into a relay.  The
+// returned bool is dispatch's "close the session" flag: true once the
+// relay ends.  A failed migration replies with an error frame and leaves
+// the session here, untouched.
 func (s *session) migrate(f *Frame) bool {
 	fail := func(msg string) bool {
 		s.fw.Write(&Frame{Type: "error", ID: f.ID,
@@ -85,27 +85,22 @@ func (s *session) migrate(f *Frame) bool {
 	if f.Socket == "" {
 		return fail("no target socket")
 	}
-	if f.Socket == s.srv.cfg.Socket {
+	if s.srv.isSelf(f.Socket) {
 		return fail("target is this daemon")
 	}
-	tconn, err := net.Dial("unix", f.Socket)
+	target, err := Dial(f.Socket, nil, 1)
 	if err != nil {
 		return fail(err.Error())
 	}
-	tfr, tfw := NewClientConn(tconn)
 	img := image.Capture(s.interp, nil)
-	if err := tfw.Write(&Frame{Type: "restore", ID: f.ID,
-		Image: base64.StdEncoding.EncodeToString(img.Encode())}); err != nil {
-		tconn.Close()
-		return fail(err.Error())
-	}
-	ack, err := tfr.Read()
+	ack, err := target.RoundTrip(&Frame{Type: "restore", ID: f.ID,
+		Image: base64.StdEncoding.EncodeToString(img.Encode())})
 	if err != nil {
-		tconn.Close()
+		target.Conn.Close()
 		return fail(err.Error())
 	}
 	if ack.Type != "restore" || !ack.True {
-		tconn.Close()
+		target.Conn.Close()
 		msg := "target refused the session"
 		if len(ack.Exception) > 0 {
 			msg = ack.Exception[len(ack.Exception)-1]
@@ -115,8 +110,16 @@ func (s *session) migrate(f *Frame) bool {
 	s.srv.metrics.Migrations.Add(1)
 	s.srv.cfg.Logf("esd: session %d migrated to %s", s.id, f.Socket)
 	s.fw.Write(&Frame{Type: "migrate", ID: f.ID, Socket: f.Socket, True: true})
-	s.relay(tconn, tfw)
+	s.relay(target)
 	return true
+}
+
+// isSelf reports whether a migrate target names one of this daemon's own
+// listeners.
+func (s *Server) isSelf(target string) bool {
+	return target == s.cfg.Socket ||
+		s.tcp != nil && target == "tcp://"+s.TCPAddr() ||
+		s.tlsL != nil && target == "tls://"+s.TLSAddr()
 }
 
 // relay forwards the rest of the session through the target connection:
@@ -126,7 +129,8 @@ func (s *session) migrate(f *Frame) bool {
 // when either side hangs up or this daemon drains — a drain closes the
 // target connection, and the client sees EOF exactly as if its daemon
 // had restarted, which is what the snap/restore path is for.
-func (s *session) relay(tconn net.Conn, tfw *FrameWriter) {
+func (s *session) relay(target *Client) {
+	tconn := target.Conn
 	defer tconn.Close()
 	copied := make(chan struct{})
 	go func() {
@@ -148,7 +152,7 @@ func (s *session) relay(tconn net.Conn, tfw *FrameWriter) {
 				s.srv.metrics.Queued.Add(-1)
 				s.finishEval()
 			}
-			if err := tfw.Write(f); err != nil {
+			if err := target.Write(f); err != nil {
 				<-copied
 				return
 			}

@@ -16,19 +16,6 @@ import (
 	"es/internal/image"
 )
 
-// roundTrip sends one frame and returns the reply.
-func (c *client) roundTrip(t *testing.T, f *Frame) *Frame {
-	t.Helper()
-	if err := c.fw.Write(f); err != nil {
-		t.Fatalf("write %s: %v", f.Type, err)
-	}
-	r, err := c.fr.Read()
-	if err != nil {
-		t.Fatalf("read %s reply: %v", f.Type, err)
-	}
-	return r
-}
-
 // decorate gives a session the state the acceptance criterion names:
 // variables, a function with a capture, and a spoofed %pathsearch.
 func decorate(t *testing.T, c *client) {
@@ -61,7 +48,7 @@ func checkDecorated(t *testing.T, c *client, label string) {
 
 func TestSnapRestoreFrames(t *testing.T) {
 	srv := newTestServer(t, Config{})
-	c := dial(t, srv)
+	c := dial(t, srv.cfg.Socket)
 	decorate(t, c)
 
 	snap := c.roundTrip(t, &Frame{Type: "snap", ID: 2})
@@ -78,7 +65,7 @@ func TestSnapRestoreFrames(t *testing.T) {
 	}
 
 	// A FRESH session restored from the image behaves identically.
-	c2 := dial(t, srv)
+	c2 := dial(t, srv.cfg.Socket)
 	if f := c2.roundTrip(t, &Frame{Type: "restore", ID: 3, Image: snap.Image}); f.Type != "restore" || !f.True {
 		t.Fatalf("restore reply = %+v", f)
 	}
@@ -109,7 +96,7 @@ func TestSnapRestoreFrames(t *testing.T) {
 // start a NEW daemon process-equivalent on a fresh socket, restore.
 func TestSnapSurvivesDaemonRestart(t *testing.T) {
 	srv1 := newTestServer(t, Config{})
-	c1 := dial(t, srv1)
+	c1 := dial(t, srv1.cfg.Socket)
 	decorate(t, c1)
 	snap := c1.roundTrip(t, &Frame{Type: "snap", ID: 2})
 	if snap.Type != "snap" {
@@ -120,7 +107,7 @@ func TestSnapSurvivesDaemonRestart(t *testing.T) {
 	}
 
 	srv2 := newTestServer(t, Config{})
-	c2 := dial(t, srv2)
+	c2 := dial(t, srv2.cfg.Socket)
 	if f := c2.roundTrip(t, &Frame{Type: "restore", ID: 1, Image: snap.Image}); f.Type != "restore" || !f.True {
 		t.Fatalf("restore on restarted daemon = %+v", f)
 	}
@@ -133,7 +120,7 @@ func TestSnapSurvivesDaemonRestart(t *testing.T) {
 func TestMigrateBetweenDaemons(t *testing.T) {
 	origin := newTestServer(t, Config{})
 	target := newTestServer(t, Config{})
-	c := dial(t, origin)
+	c := dial(t, origin.cfg.Socket)
 	decorate(t, c)
 
 	f := c.roundTrip(t, &Frame{Type: "migrate", ID: 7, Socket: target.cfg.Socket})
@@ -165,7 +152,7 @@ func TestMigrateBetweenDaemons(t *testing.T) {
 
 func TestMigrateFailureLeavesSession(t *testing.T) {
 	origin := newTestServer(t, Config{})
-	c := dial(t, origin)
+	c := dial(t, origin.cfg.Socket)
 	decorate(t, c)
 	if f := c.roundTrip(t, &Frame{Type: "migrate", ID: 1, Socket: "/nonexistent/esd.sock"}); f.Type != "error" {
 		t.Fatalf("migrate to nowhere = %+v", f)
@@ -218,5 +205,33 @@ func TestNewSessionFromImage(t *testing.T) {
 	}
 	if got := strings.Join(res.Strings(), " "); got != "yes" {
 		t.Errorf("template leaked mutation: %q", got)
+	}
+}
+
+// TestMigrateOverTCP: a session on a unix-only daemon migrates to a
+// daemon reachable only over TCP and keeps running there; a daemon
+// refuses a migration to its own TCP address.
+func TestMigrateOverTCP(t *testing.T) {
+	origin := newTestServer(t, Config{})
+	target := newTestServer(t, Config{TCP: "127.0.0.1:0"})
+	addr := "tcp://" + target.TCPAddr()
+	c := dial(t, origin.cfg.Socket)
+	decorate(t, c)
+	if f := c.roundTrip(t, &Frame{Type: "migrate", ID: 1, Socket: addr}); f.Type != "migrate" || !f.True {
+		t.Fatalf("migrate over tcp = %+v", f)
+	}
+	before := target.Metrics().Evals.Load()
+	checkDecorated(t, c, "session migrated over tcp")
+	if got := target.Metrics().Evals.Load(); got <= before {
+		t.Errorf("target evals %d -> %d: the eval did not run on the target", before, got)
+	}
+	if stats := strings.Join(origin.Stats(), " "); !strings.Contains(stats, "migrations:1") {
+		t.Errorf("origin stats lack migrations:1: %s", stats)
+	}
+
+	d := dial(t, addr)
+	f := d.roundTrip(t, &Frame{Type: "migrate", ID: 2, Socket: addr})
+	if f.Type != "error" || !strings.Contains(strings.Join(f.Exception, " "), "target is this daemon") {
+		t.Fatalf("migrate to own tcp address = %+v", f)
 	}
 }

@@ -1,7 +1,7 @@
 #!/bin/sh
 # bench_server.sh - the serving-layer performance baseline
 # (BenchmarkServerEval sequential/parallel, BenchmarkServerEvalTCP
-# serial/pipelined through the TCP front end, the session-spawn cost
+# serial/pipelined through the TCP listener, the session-spawn cost
 # behind the warm pool, the pre-baked-from-image spawn path next to the
 # restore-per-session cost it avoids, the static-analysis pass that
 # esd -vet puts on the admission path, and two esload waves against a

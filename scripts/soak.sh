@@ -1,8 +1,9 @@
 #!/bin/sh
 # soak.sh - binary-level serving soak: N concurrent esc clients against a
 # race-enabled esd, asserting zero failed frames, a working per-request
-# deadline, and a graceful drain — SIGTERM during load must complete every
-# in-flight eval and exit 0.
+# deadline, a session migrating to a second daemon over TCP, and a
+# graceful drain — SIGTERM during load must complete every in-flight eval
+# and exit 0.
 #
 # Usage: scripts/soak.sh [clients] [evals-per-client]
 set -eu
@@ -13,8 +14,10 @@ evals="${2:-5}"
 
 tmp=$(mktemp -d)
 espid=""
+espid2=""
 cleanup() {
 	[ -n "$espid" ] && kill "$espid" 2>/dev/null || true
+	[ -n "$espid2" ] && kill "$espid2" 2>/dev/null || true
 	rm -rf "$tmp"
 }
 trap cleanup EXIT INT TERM
@@ -73,6 +76,30 @@ out=$("$tmp/esc" -socket "$sock" 'echo alive-tcp') || fail=1
 [ "$out" = "alive-tcp" ] || fail=1
 [ "$fail" -eq 0 ] || { echo "soak: daemon unusable after TCP wave" >&2; exit 1; }
 
+# Two daemons: a session opened on the first migrates to a second one
+# reachable over TCP and runs its command there (the second daemon's
+# restores counter proves where it ran); the second daemon must then
+# drain cleanly on SIGTERM, as the first does in wave 2.
+"$tmp/esd" -socket "$tmp/esd2.sock" -tcp 127.0.0.1:0 -addr-file "$tmp/addr2" \
+	-quiet -drain-timeout 30s &
+espid2=$!
+for i in $(seq 1 100); do
+	[ -s "$tmp/addr2" ] && break
+	sleep 0.1
+done
+tcpaddr2=$(sed -n 's/^tcp=//p' "$tmp/addr2")
+[ -n "$tcpaddr2" ] || { echo "soak: second esd did not come up" >&2; exit 1; }
+out=$("$tmp/esc" -socket "$sock" -migrate "tcp://$tcpaddr2" 'echo moved') || fail=1
+[ "$out" = "moved" ] || fail=1
+"$tmp/esc" -addr "$tcpaddr2" -stats | grep -qx 'restores:1' || fail=1
+kill -TERM "$espid2"
+if wait "$espid2"; then :; else
+	echo "soak: second esd exited nonzero after SIGTERM" >&2
+	fail=1
+fi
+espid2=""
+[ "$fail" -eq 0 ] || { echo "soak: migration to a TCP daemon failed" >&2; exit 1; }
+
 # Wave 2: SIGTERM while evals are in flight.  Every client must still get
 # its result (then the drain goodbye), and esd must exit 0.
 pids=""
@@ -94,4 +121,4 @@ if wait "$espid"; then :; else
 fi
 espid=""
 [ "$fail" -eq 0 ] || { echo "soak: drain under load failed" >&2; exit 1; }
-echo "soak ok ($clients clients x $evals evals, deadline, TCP pipelining, SIGTERM drain)"
+echo "soak ok ($clients clients x $evals evals, deadline, TCP pipelining, TCP migration, SIGTERM drain)"
