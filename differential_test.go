@@ -9,6 +9,8 @@ package es
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -80,103 +82,36 @@ func diffCompare(t *testing.T, src string, deadline time.Duration) bool {
 	return true
 }
 
-// TestDifferentialEngines pins engine agreement over a battery of
-// programs covering every opcode, the word-evaluation fast paths, and
-// the exception machinery.
+// golden is one recorded verdict from testdata/engine_golden.json: what
+// the tree walker produced for src under runEngine's hermetic harness.
+type golden struct {
+	Src    string `json:"src"`
+	Output string `json:"output"`
+	Result string `json:"result"`
+	Error  string `json:"error"`
+}
+
+// TestDifferentialEngines replays the golden corpus — a battery covering
+// every opcode, the word-evaluation fast paths and the exception
+// machinery, the differential fuzz seeds, and the parser's fuzz corpus —
+// and requires each engine to reproduce every recorded outcome exactly.
 func TestDifferentialEngines(t *testing.T) {
-	programs := []string{
-		// constants, grouping, sequencing
-		"result a b c",
-		"{result a; result b}",
-		"; ; ",
-		"{}",
-		// assignment and variables
-		"x = 1 2 3; echo $x; echo $#x; echo $x(2); echo $^x",
-		"x = a b; y = $x $x; echo $#y",
-		"x = (a b); echo $x(2 1)",
-		"x = ; echo $#x",
-		"echo $nosuchvar; echo $#nosuchvar",
-		"x = val; n = x; echo $$n",
-		// concatenation (and its failure shape)
-		"echo a^b; x = 1 2; echo p$x; echo $x^s",
-		"x = 1 2; y = 3 4 5; echo $x^$y",
-		"echo ()^a",
-		// let / local / for
-		"let (x = 1) {let (y = 2) {echo $x $y}}",
-		"x = outer; let (x = inner) {echo $x}; echo $x",
-		"x = outer; local (x = inner) {echo $x}; echo $x",
-		"for (i = a b c) echo $i",
-		"for (i = 1 2; j = x) echo $i $j",
-		"for (i = ) echo $i",
-		// match and extraction
-		"~ foo f*; echo $0",
-		"if {~ foo f*} {echo yes} {echo no}",
-		"if {~ foo b*} {echo yes} {echo no}",
-		"~~ foo.c *.c",
-		"echo <={~~ hello.txt *.*}",
-		"if {~ () ()} {echo empty-true}",
-		"x = abc; ~ $x a*; echo matched $0",
-		// not
-		"! result 0",
-		"! {result a}",
-		"!",
-		// closures, functions, higher-order use
-		"fn greet who {echo hello, $who}; greet world",
-		"f = @ x {result $x $x}; $f dup",
-		"fn apply cmd args {for (i = $args) $cmd $i}; apply @ x {echo got $x} 1 2",
-		"fn outer {fn-inner = @ {result nested}; inner}; outer",
-		// tail recursion through the trampoline
-		"fn count n {if {~ $n 0} {result done} {count <={%count-down $n}}}; fn-%count-down = @ n {result 0}; count 5",
-		// exceptions
-		"throw error src boom",
-		"catch @ e args {echo caught $e $args} {throw error here oops}",
-		"catch @ e {result rescued} {nosuchcommand}",
-		"fn f {return early; echo unreached}; f",
-		"for (i = 1 2 3) {if {~ $i 2} {break}; echo $i}",
-		// substitutions
-		"echo `{result a b}",
-		"echo pre`{result mid}post",
-		"echo <={result rich values}",
-		"x = <={result one}; echo $x",
-		// primitives, direct and spoofed
-		"$&result direct",
-		"echo <={$&count a b c}",
-		"$&nosuchprim",
-		"fn-%pathsearch = @ name {throw error %pathsearch spoofed $name}; catch @ e args {echo $args} {definitely-not-a-command}",
-		// quoting and glob-free wildcards against an empty directory
-		"echo 'a b'; echo a*z; echo '*'",
-		"echo [abc]x?",
-		// fsplit / flatten style library words
-		"echo <={%fsplit : a:b:c}",
-		// settors
-		"set-watched = @ {echo set to $*; result $*}; watched = v1; echo $watched",
-		// local with settor interplay
-		"set-v = @ {result $*}; v = init; local (v = tmp) {echo $v}; echo $v",
-		// deep word shapes
-		"echo (a (b c) d)",
-		"x = (1 2 3); echo $x(3)$x(1)",
-		"echo $#; echo $0",
-		// eval / dot-ish
-		"eval 'echo evaluated'",
-		"x = 'echo nested'; eval $x",
-		// whatis / var
-		"fn probe {result p}; echo <={%whatis probe}",
-		"var x",
-		// here-strings and redirection shells (hermetic: files in tmpdir)
-		"echo data > f; cat f",
-		"echo one > f; echo two >> f; cat f",
-		"cat < /dev/null",
-		// subscript error shape
-		"x = a b; echo $x(bad)",
-		// bad concatenation error shape through dynamic path
-		"y = 1 2; z = 3 4 5; echo $y^$z",
-		// externals disabled error shape (deterministic in both engines)
-		"/bin/definitely-not-here",
-		"nosuchcmd arg",
+	data, err := os.ReadFile("testdata/engine_golden.json")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, src := range programs {
-		if !diffCompare(t, src, 5*time.Second) {
-			t.Logf("deadline hit, skipped: %q", src)
+	var corpus []golden
+	if err := json.Unmarshal(data, &corpus); err != nil {
+		t.Fatalf("engine_golden.json: %v", err)
+	}
+	for _, g := range corpus {
+		want := diffOutcome{output: g.Output, result: g.Result, errMsg: g.Error}
+		for _, nocompile := range []bool{false, true} {
+			got := runEngine(t, g.Src, t.TempDir(), nocompile, 5*time.Second)
+			if got != want {
+				t.Errorf("nocompile=%v diverges from the golden outcome of %q:\n  got: %+v\n want: %+v",
+					nocompile, g.Src, got, want)
+			}
 		}
 	}
 }
