@@ -1,7 +1,7 @@
 # Verification tiers: `make check` is the tier-1 floor (build + tests);
-# `make race` adds vet, the race detector, the tree-walker engine suite,
-# the serving bench gate, and the esd server soak; `make bench` runs the
-# dispatch-cache benchmarks that guard the native cache speedups;
+# `make race` adds vet, the race detector, the esd server soak, and then
+# the serving bench gate; `make bench` runs the dispatch-cache
+# benchmarks that guard the native cache speedups;
 # `make bench-server` regenerates the serving baseline and
 # `make bench-check` gates against it (>25% ns/op regression fails).
 

@@ -455,52 +455,43 @@ func BenchmarkForkClone(b *testing.B) {
 	}
 }
 
-// ---- the bytecode engine: compiled vs tree-walking evaluation ----
+// ---- the bytecode engine: steady-state evaluation ----
 
-// benchEnginePair runs one workload on both evaluation engines as
-// sub-benchmarks, so the compile step's win (or any regression) reads
-// directly off `go test -bench EngineEval`.  Parse and compile caches
-// are warmed before timing: the pair isolates steady-state evaluation,
-// which is where the engines differ.
-func benchEnginePair(b *testing.B, setup, src string) {
+// benchEngine times steady-state evaluation of src: parse and compile
+// caches are warmed before timing, so each iteration is a parse-cache
+// hit that runs the shared compiled unit.
+func benchEngine(b *testing.B, setup, src string) {
 	b.Helper()
-	for _, mode := range []struct {
-		name      string
-		nocompile bool
-	}{{"compiled", false}, {"walker", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			sh, err := New(Options{Stdout: io.Discard, Stderr: io.Discard, NoCompile: mode.nocompile})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if setup != "" {
-				benchRun(b, sh, setup)
-			}
-			benchRun(b, sh, src)
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				benchRun(b, sh, src)
-			}
-		})
+	sh, err := New(Options{Stdout: io.Discard, Stderr: io.Discard})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if setup != "" {
+		benchRun(b, sh, setup)
+	}
+	benchRun(b, sh, src)
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		benchRun(b, sh, src)
 	}
 }
 
 // BenchmarkEngineEvalSimple: the smallest command — primitive dispatch
 // plus constant-word materialization.
 func BenchmarkEngineEvalSimple(b *testing.B) {
-	benchEnginePair(b, "", "result a b c")
+	benchEngine(b, "", "result a b c")
 }
 
 // BenchmarkEngineEvalCall: function application through fn- lookup and
 // the trampoline.
 func BenchmarkEngineEvalCall(b *testing.B) {
-	benchEnginePair(b, "fn f a b {result $b $a}", "f one two")
+	benchEngine(b, "fn f a b {result $b $a}", "f one two")
 }
 
 // BenchmarkEngineEvalWords: word evaluation — splicing, subscripts,
-// concatenation, counting — the type-switch-heaviest walker path.
+// concatenation, counting — the dynamic-word path.
 func BenchmarkEngineEvalWords(b *testing.B) {
-	benchEnginePair(b,
+	benchEngine(b,
 		"x = alpha beta gamma delta",
 		"y = $x $x(2) pre^$x(1)^post $#x; result $#y")
 }
@@ -508,7 +499,7 @@ func BenchmarkEngineEvalWords(b *testing.B) {
 // BenchmarkEngineEvalLoop: a match loop over a list — pre-compiled
 // static patterns against per-iteration bindings.
 func BenchmarkEngineEvalLoop(b *testing.B) {
-	benchEnginePair(b,
+	benchEngine(b,
 		"files = a.c b.c c.h d.c e.go f.c g.h h.c",
 		"for (f = $files) ~ $f *.[ch]")
 }
@@ -516,7 +507,7 @@ func BenchmarkEngineEvalLoop(b *testing.B) {
 // BenchmarkEngineEvalScope: let/local dynamic extents and settor-free
 // assignment.
 func BenchmarkEngineEvalScope(b *testing.B) {
-	benchEnginePair(b, "",
+	benchEngine(b, "",
 		"let (a = 1) {local (b = 2) {c = $a $b; result $c}}")
 }
 

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	es [-c command] [-v] [-no-tco] [-nocompile] [file [args ...]]
+//	es [-c command] [-n] [-check] [-p] [-no-tco] [-cachestats] [-v] [file [args ...]]
 //
 // With no command or file, es runs interactively, driving the
 // %interactive-loop hook (which is itself written in es and can be
@@ -38,7 +38,6 @@ func run() int {
 		command    = flag.String("c", "", "execute `command` and exit")
 		version    = flag.Bool("v", false, "print version and exit")
 		noTCO      = flag.Bool("no-tco", false, "disable tail-call elimination")
-		noCompile  = flag.Bool("nocompile", false, "evaluate with the tree walker instead of the bytecode engine")
 		parseOnly  = flag.Bool("n", false, "parse input but do not execute it")
 		checkOnly  = flag.Bool("check", false, "statically analyze input but do not execute it")
 		protected  = flag.Bool("p", false, "protected: do not import function definitions from the environment")
@@ -63,7 +62,6 @@ func run() int {
 		Stderr:      os.Stderr,
 		Environ:     environ,
 		NoTailCalls: *noTCO,
-		NoCompile:   *noCompile,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "es: startup:", err)

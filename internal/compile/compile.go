@@ -1,16 +1,20 @@
-// Package compile lowers rewritten syntax trees to a compact, flat
-// instruction form that the evaluator in internal/core executes in place
-// of walking the heap-allocated AST.
+// Package compile lowers syntax trees to a compact, flat instruction
+// form, the only form the evaluator in internal/core executes.
 //
 // The parse cache (internal/core.ParseCommand) already makes rewritten
 // trees shared and immutable, which is exactly the precondition for a
 // compile step: each *syntax.Block is lowered once, process-wide, and the
 // compiled Unit is reused by every evaluation and every interpreter.
 //
-// What compilation buys over tree walking:
+// Compile is total.  Every tree ParseCommand makes is already rewritten to
+// the core forms, and a surface node that reaches the compiler anyway (an
+// embedder evaluating an unrewritten tree) is lowered through
+// syntax.Rewrite on the spot, so every block the parser accepts compiles.
 //
-//   - command dispatch is a switch on a dense opcode instead of a type
-//     assertion ladder over heap nodes;
+// What the lowering does once, so that no evaluation repeats it:
+//
+//   - each command node becomes a dense opcode, so dispatch is one
+//     switch, not a type assertion per evaluation;
 //   - word parts are pre-lowered: literal text becomes a pre-built
 //     glob.Pattern constant (quoting masks included), so evaluation never
 //     re-scans source text or re-allocates literal masks;
@@ -27,13 +31,10 @@
 //
 // The package deliberately knows nothing about the evaluator: it depends
 // only on syntax and glob.  Execution semantics — environments, tail
-// calls, cancellation, exceptions — live in internal/core, which runs
-// these instructions through exactly the same Ctx/Binding machinery as
-// the tree walker.
+// calls, cancellation, exceptions — live in internal/core.
 package compile
 
 import (
-	"errors"
 	"sync"
 
 	"es/internal/glob"
@@ -82,8 +83,8 @@ type Seq []Instr
 
 // Body is a compiled command in body position (the body of let, local,
 // for, and !).  IsBlock records whether the source command was a braced
-// block: the evaluator counts a command boundary per block member, as the
-// tree walker does, but not for a bare single-command body.
+// block: the evaluator counts a command boundary per block member, but
+// not for a bare single-command body.
 type Body struct {
 	Seq     Seq
 	IsBlock bool
@@ -227,39 +228,20 @@ type Seg struct {
 	Words []*Word // SegList
 }
 
-// Registrar receives the compiled unit (nil if compilation failed) for
-// every nested block — lambda bodies, substitution bodies — encountered
-// while compiling a parent, so closure application later starts on
-// compiled code without recompiling.
+// Registrar receives the compiled unit for every nested block — lambda
+// bodies, substitution bodies — encountered while compiling a parent, so
+// closure application later starts on compiled code without recompiling.
 type Registrar func(b *syntax.Block, u *Unit)
 
-// ErrUnsupported reports a node the compiler cannot lower; the evaluator
-// falls back to the tree walker for that block.
-var ErrUnsupported = errors.New("compile: unsupported construct")
-
-// Compile lowers a rewritten block.  reg may be nil.
-func Compile(b *syntax.Block, reg Registrar) (u *Unit, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if ce, ok := r.(compileErr); ok {
-				u, err = nil, ce.err
-				return
-			}
-			panic(r)
-		}
-	}()
+// Compile lowers a block, rewriting any surface node it meets.  reg may
+// be nil.  Compilation cannot fail: the error is always nil.
+func Compile(b *syntax.Block, reg Registrar) (*Unit, error) {
 	c := &compiler{reg: reg}
 	return c.block(b), nil
 }
 
-type compileErr struct{ err error }
-
 type compiler struct {
 	reg Registrar
-}
-
-func (c *compiler) fail() {
-	panic(compileErr{ErrUnsupported})
 }
 
 func (c *compiler) block(b *syntax.Block) *Unit {
@@ -275,20 +257,14 @@ func (c *compiler) block(b *syntax.Block) *Unit {
 }
 
 // subBlock compiles a nested block that may later be evaluated on its
-// own (a lambda or substitution body) and registers the result.  A
-// failure inside the sub-block does not fail the parent: the evaluator
-// will tree-walk just that block.
+// own (a lambda or substitution body) and registers the result.
 func (c *compiler) subBlock(b *syntax.Block) {
 	if b == nil {
 		return
 	}
-	sub, err := Compile(b, c.reg)
+	sub := c.block(b)
 	if c.reg != nil {
-		if err != nil {
-			c.reg(b, nil)
-		} else {
-			c.reg(b, sub)
-		}
+		c.reg(b, sub)
 	}
 }
 
@@ -299,6 +275,9 @@ func (c *compiler) cmd(cmd syntax.Cmd) Instr {
 	case *syntax.Block:
 		return Instr{Op: OpSeq, Seq: c.block(cmd).Seq}
 	case *syntax.Simple:
+		if len(cmd.Redirs) > 0 {
+			return c.cmd(syntax.Rewrite(cmd))
+		}
 		return c.simple(cmd)
 	case *syntax.Assign:
 		return Instr{
@@ -319,14 +298,9 @@ func (c *compiler) cmd(cmd syntax.Cmd) Instr {
 	case *syntax.Not:
 		return Instr{Op: OpNot, Body: c.body(cmd.Body)}
 	default:
-		// A surface node leaked through without Rewrite; lower it the
-		// way the tree walker does, on the fly.
-		rw := syntax.Rewrite(cmd)
-		switch rw.(type) {
-		case *syntax.Pipe, *syntax.AndOr, *syntax.Bg, *syntax.RedirCmd, *syntax.Fn:
-			c.fail() // Rewrite did not eliminate it; don't recurse forever
-		}
-		return c.cmd(rw)
+		// A surface node leaked through without Rewrite (pipe, and/or,
+		// background, redirection, fn): Rewrite turns it into core forms.
+		return c.cmd(syntax.Rewrite(cmd))
 	}
 }
 
@@ -350,10 +324,6 @@ func (c *compiler) bindings(bs []syntax.Binding) []Binding {
 }
 
 func (c *compiler) simple(s *syntax.Simple) Instr {
-	if len(s.Redirs) > 0 {
-		// Surface-only shape; Rewrite eliminates it.
-		c.fail()
-	}
 	// A bare brace block in command position is grouping, not a call.
 	if len(s.Words) == 1 && len(s.Words[0].Parts) == 1 {
 		if lp, ok := s.Words[0].Parts[0].(*syntax.LambdaPart); ok && !lp.Lambda.HasParams {
@@ -414,7 +384,7 @@ func (c *compiler) pats(ws []*syntax.Word) Pats {
 			continue
 		}
 		for _, sp := range cw.Static {
-			static = append(static, sp.toPattern())
+			static = append(static, sp.Pattern())
 		}
 	}
 	if staticOK {
@@ -426,7 +396,9 @@ func (c *compiler) pats(ws []*syntax.Word) Pats {
 	return p
 }
 
-func (sp StaticPiece) toPattern() glob.Pattern {
+// Pattern is the piece as a match pattern: a $&prim term matches its
+// unparsed name literally.
+func (sp StaticPiece) Pattern() glob.Pattern {
 	if sp.Prim != "" {
 		return glob.NewLiteral("$&" + sp.Prim)
 	}
@@ -519,7 +491,7 @@ func segStatic(segs []Seg) ([]StaticPiece, bool) {
 // staticConcat mirrors the evaluator's concatPieces over static pieces.
 func staticConcat(a, b []StaticPiece) ([]StaticPiece, bool) {
 	join := func(x, y StaticPiece) StaticPiece {
-		p := glob.Concat(x.toPattern(), y.toPattern())
+		p := glob.Concat(x.Pattern(), y.Pattern())
 		return StaticPiece{Pat: p, Wild: p.HasWild()}
 	}
 	switch {
@@ -588,8 +560,8 @@ func (c *compiler) part(part syntax.Part) Seg {
 		}
 		return Seg{Kind: SegList, Words: words}
 	default:
-		c.fail()
-		panic("unreachable")
+		// Unreachable: the seven cases above are every syntax.Part.
+		panic("compile: unknown word part")
 	}
 }
 

@@ -111,7 +111,7 @@ func TestCompileBareBlockIsGrouping(t *testing.T) {
 
 func TestCompileRewritesLeakedSurfaceNodes(t *testing.T) {
 	// Compile a parse-only tree (no Rewrite pass): the compiler lowers
-	// surface nodes on the fly the same way the tree walker does.
+	// surface nodes on the fly through syntax.Rewrite.
 	b, err := syntax.Parse("echo a | echo b")
 	if err != nil {
 		t.Fatal(err)

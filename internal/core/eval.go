@@ -1,11 +1,9 @@
 package core
 
 import (
-	"strconv"
 	"strings"
 	"sync/atomic"
 
-	"es/internal/glob"
 	"es/internal/syntax"
 )
 
@@ -80,81 +78,12 @@ func (i *Interp) checkPending() error {
 // EvalBlock evaluates a command sequence; the result is the last
 // command's result (the empty list — true — for an empty block).  When
 // ctx is a tail context the final command is evaluated in tail position.
+// The block runs as its compiled unit, lowered on first use.
 func (i *Interp) EvalBlock(ctx *Ctx, b *syntax.Block, env *Binding) (List, error) {
 	if b == nil || len(b.Cmds) == 0 {
 		return List{}, nil
 	}
-	// The compiled engine is the default; blocks the compiler cannot
-	// lower (and every block under -nocompile) take the tree walker.
-	if !i.NoCompile {
-		if u := unitFor(b); u != nil {
-			return i.execSeq(ctx, u.Seq, env)
-		}
-	}
-	inner := ctx.NonTail()
-	for _, c := range b.Cmds[:len(b.Cmds)-1] {
-		i.Alloc.command()
-		if _, err := i.evalCmd(inner, c, env); err != nil {
-			return nil, err
-		}
-	}
-	i.Alloc.command()
-	return i.evalCmd(ctx, b.Cmds[len(b.Cmds)-1], env)
-}
-
-func (i *Interp) evalCmd(ctx *Ctx, c syntax.Cmd, env *Binding) (List, error) {
-	if err := i.checkPending(); err != nil {
-		return nil, err
-	}
-	switch c := c.(type) {
-	case *syntax.Block:
-		return i.EvalBlock(ctx, c, env)
-	case *syntax.Simple:
-		return i.evalSimple(ctx, c, env)
-	case *syntax.Assign:
-		return i.evalAssign(ctx, c, env)
-	case *syntax.Let:
-		return i.evalLet(ctx, c, env)
-	case *syntax.Local:
-		return i.evalLocal(ctx, c, env)
-	case *syntax.For:
-		return i.evalFor(ctx, c, env)
-	case *syntax.Match:
-		return i.evalMatch(ctx, c, env)
-	case *syntax.MatchExtract:
-		return i.evalMatchExtract(ctx, c, env)
-	case *syntax.Not:
-		res, err := i.evalCmd(ctx.NonTail(), c.Body, env)
-		if err != nil {
-			return nil, err
-		}
-		return Bool(!res.True()), nil
-	case nil:
-		return List{}, nil
-	default:
-		// A surface node leaked through without Rewrite.
-		return i.evalCmd(ctx, syntax.Rewrite(c), env)
-	}
-}
-
-func (i *Interp) evalSimple(ctx *Ctx, s *syntax.Simple, env *Binding) (List, error) {
-	// A bare brace block in command position is grouping, not a function
-	// call: it runs in the enclosing environment, keeps the enclosing $*,
-	// and is transparent to return.  ({cmd} with arguments, or a block
-	// reached through a variable, is a closure application as usual.)
-	if len(s.Words) == 1 && len(s.Words[0].Parts) == 1 {
-		if lp, ok := s.Words[0].Parts[0].(*syntax.LambdaPart); ok && !lp.Lambda.HasParams {
-			return i.EvalBlock(ctx, lp.Lambda.Body, env)
-		}
-	}
-	terms, err := i.EvalWords(ctx, s.Words, env)
-	if err != nil {
-		return nil, err
-	}
-	if len(terms) == 0 {
-		return List{}, nil
-	}
-	return i.applyTerm(ctx, env, terms[0], terms[1:])
+	return i.execSeq(ctx, unitFor(b).Seq, env)
 }
 
 // applyTerm dispatches a command head: closures are applied, primitives
@@ -300,445 +229,4 @@ func (i *Interp) CallHook(ctx *Ctx, hook string, args List) (List, error) {
 		return fn(i, ctx, args)
 	}
 	return nil, ErrorExc(hook + ": hook not defined")
-}
-
-func (i *Interp) evalAssign(ctx *Ctx, a *syntax.Assign, env *Binding) (List, error) {
-	name, err := i.evalWordString(ctx, a.Name, env)
-	if err != nil {
-		return nil, err
-	}
-	values, err := i.EvalWords(ctx, a.Values, env)
-	if err != nil {
-		return nil, err
-	}
-	if values == nil {
-		values = List{}
-	}
-	if err := i.assignVar(ctx.NonTail(), env, name, values); err != nil {
-		return nil, err
-	}
-	return True(), nil
-}
-
-func (i *Interp) evalLet(ctx *Ctx, l *syntax.Let, env *Binding) (List, error) {
-	inner := env
-	for _, b := range l.Bindings {
-		name, err := i.evalWordString(ctx, b.Name, env)
-		if err != nil {
-			return nil, err
-		}
-		values, err := i.EvalWords(ctx.NonTail(), b.Values, inner)
-		if err != nil {
-			return nil, err
-		}
-		i.Alloc.binding(1)
-		inner = &Binding{Name: name, Value: values, Next: inner}
-	}
-	return i.evalCmd(ctx, l.Body, inner)
-}
-
-func (i *Interp) evalLocal(ctx *Ctx, l *syntax.Local, env *Binding) (List, error) {
-	type saved struct {
-		name    string
-		value   List
-		defined bool
-	}
-	nt := ctx.NonTail()
-	var saves []saved
-	restore := func() {
-		// Restore in reverse; settors run so aliased pairs (path/PATH)
-		// stay consistent after the dynamic extent ends.
-		for k := len(saves) - 1; k >= 0; k-- {
-			s := saves[k]
-			if !s.defined {
-				i.SetVarRaw(s.name, nil)
-				continue
-			}
-			if err := i.SetVar(nt, s.name, s.value); err != nil {
-				i.SetVarRaw(s.name, s.value)
-			}
-		}
-	}
-	for _, b := range l.Bindings {
-		name, err := i.evalWordString(ctx, b.Name, env)
-		if err != nil {
-			restore()
-			return nil, err
-		}
-		values, err := i.EvalWords(nt, b.Values, env)
-		if err != nil {
-			restore()
-			return nil, err
-		}
-		if values == nil {
-			values = List{}
-		}
-		oldVal := i.Var(name) // forces lazy decode so the restore is faithful
-		_, defined := i.vars[name]
-		saves = append(saves, saved{name: name, value: oldVal, defined: defined})
-		if err := i.SetVar(nt, name, values); err != nil {
-			restore()
-			return nil, err
-		}
-	}
-	res, err := i.evalCmd(nt, l.Body, env)
-	restore()
-	return res, err
-}
-
-func (i *Interp) evalFor(ctx *Ctx, f *syntax.For, env *Binding) (List, error) {
-	nt := ctx.NonTail()
-	names := make([]string, len(f.Bindings))
-	values := make([]List, len(f.Bindings))
-	n := 0
-	for k, b := range f.Bindings {
-		name, err := i.evalWordString(ctx, b.Name, env)
-		if err != nil {
-			return nil, err
-		}
-		v, err := i.EvalWords(nt, b.Values, env)
-		if err != nil {
-			return nil, err
-		}
-		names[k], values[k] = name, v
-		if len(v) > n {
-			n = len(v)
-		}
-	}
-	result := True()
-	for iter := 0; iter < n; iter++ {
-		inner := env
-		for k := range names {
-			var v List
-			if iter < len(values[k]) {
-				v = values[k][iter : iter+1]
-			}
-			i.Alloc.binding(1)
-			inner = &Binding{Name: names[k], Value: v, Next: inner}
-		}
-		res, err := i.evalCmd(nt, f.Body, inner)
-		if err != nil {
-			if e := AsException(err); e != nil && e.Name() == "break" {
-				if len(e.Args) > 1 {
-					return e.Args[1:], nil
-				}
-				return result, nil
-			}
-			return nil, err
-		}
-		result = res
-	}
-	return result, nil
-}
-
-func (i *Interp) evalMatch(ctx *Ctx, m *syntax.Match, env *Binding) (List, error) {
-	subj, err := i.EvalWords(ctx, []*syntax.Word{m.Subject}, env)
-	if err != nil {
-		return nil, err
-	}
-	pats := make([]glob.Pattern, 0, len(m.Pats))
-	for _, pw := range m.Pats {
-		ps, err := i.evalPatterns(ctx, pw, env)
-		if err != nil {
-			return nil, err
-		}
-		pats = append(pats, ps...)
-	}
-	// ~ () () is true; a null subject matches only a null pattern list?
-	// Following es: with no patterns, match succeeds only for an empty
-	// subject.
-	if len(pats) == 0 {
-		return Bool(len(subj) == 0), nil
-	}
-	for _, s := range subj {
-		str := s.String()
-		for _, p := range pats {
-			if p.Match(str) {
-				return True(), nil
-			}
-		}
-	}
-	return False(), nil
-}
-
-// evalMatchExtract implements ~~ subject patterns...: the result is what
-// the wildcards of the first matching pattern extracted from the first
-// matching subject element; no match is false.
-func (i *Interp) evalMatchExtract(ctx *Ctx, m *syntax.MatchExtract, env *Binding) (List, error) {
-	subj, err := i.EvalWords(ctx, []*syntax.Word{m.Subject}, env)
-	if err != nil {
-		return nil, err
-	}
-	var pats []glob.Pattern
-	for _, pw := range m.Pats {
-		ps, err := i.evalPatterns(ctx, pw, env)
-		if err != nil {
-			return nil, err
-		}
-		pats = append(pats, ps...)
-	}
-	for _, s := range subj {
-		str := s.String()
-		for _, p := range pats {
-			if caps, ok := p.MatchCapture(str); ok {
-				return StrList(caps...), nil
-			}
-		}
-	}
-	return False(), nil
-}
-
-// ---- word evaluation ----
-
-// errAt raises an error exception with the message anchored to a known
-// source position ("line:col: msg"); with an unknown position the message
-// is unchanged.  Both engines use it, with positions taken from the same
-// rewritten tree, so the walker and the bytecode engine stay
-// byte-identical on error shapes.
-func errAt(pos syntax.Pos, msg string) error {
-	if pos.Known() {
-		return ErrorExc(pos.String() + ": " + msg)
-	}
-	return ErrorExc(msg)
-}
-
-// piece is an intermediate word value: either a pattern (string with
-// literal mask, pre-glob) or a non-string term (closure or primitive).
-type piece struct {
-	pat  glob.Pattern
-	term *Term
-}
-
-func strPiece(p glob.Pattern) piece { return piece{pat: p} }
-
-func (p piece) toPattern() glob.Pattern {
-	if p.term != nil {
-		return glob.NewLiteral(p.term.String())
-	}
-	return p.pat
-}
-
-// EvalWords evaluates words to a term list, splicing list values and
-// performing filename expansion on unquoted wildcards.
-func (i *Interp) EvalWords(ctx *Ctx, words []*syntax.Word, env *Binding) (List, error) {
-	var out List
-	i.Alloc.list()
-	for _, w := range words {
-		pieces, err := i.evalWordPieces(ctx, w, env)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range pieces {
-			if p.term != nil {
-				out = append(out, *p.term)
-				i.Alloc.term(1)
-				continue
-			}
-			if p.pat.HasWild() {
-				if matches := glob.Expand(p.pat, i.dir); matches != nil {
-					for _, m := range matches {
-						out = append(out, Term{Str: m})
-					}
-					i.Alloc.term(len(out))
-					continue
-				}
-			}
-			i.Alloc.term(1)
-			i.Alloc.str(len(p.pat.String()))
-			out = append(out, Term{Str: p.pat.String()})
-		}
-	}
-	return out, nil
-}
-
-// evalPatterns evaluates a word for use as a match pattern: no filename
-// expansion; quoting data is preserved so quoted wildcards stay literal.
-func (i *Interp) evalPatterns(ctx *Ctx, w *syntax.Word, env *Binding) ([]glob.Pattern, error) {
-	pieces, err := i.evalWordPieces(ctx, w, env)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]glob.Pattern, len(pieces))
-	for k, p := range pieces {
-		out[k] = p.toPattern()
-	}
-	return out, nil
-}
-
-// evalWordString evaluates a word that must produce exactly one string
-// (variable names, file names for redirection).
-func (i *Interp) evalWordString(ctx *Ctx, w *syntax.Word, env *Binding) (string, error) {
-	pieces, err := i.evalWordPieces(ctx, w, env)
-	if err != nil {
-		return "", err
-	}
-	if len(pieces) != 1 || pieces[0].term != nil {
-		return "", errAt(w.Pos, "expected a single name")
-	}
-	return pieces[0].pat.String(), nil
-}
-
-func (i *Interp) evalWordPieces(ctx *Ctx, w *syntax.Word, env *Binding) ([]piece, error) {
-	if w == nil {
-		return nil, nil
-	}
-	var acc []piece
-	for k, part := range w.Parts {
-		ps, err := i.evalPart(ctx, part, env)
-		if err != nil {
-			return nil, err
-		}
-		if k == 0 {
-			acc = ps
-			continue
-		}
-		acc, err = concatPieces(w.Pos, acc, ps)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return acc, nil
-}
-
-// concatPieces implements list concatenation over pieces: pairwise for
-// equal lengths, distributing for singletons.  pos anchors the error to
-// the word being concatenated when the source position is known.
-func concatPieces(pos syntax.Pos, a, b []piece) ([]piece, error) {
-	join := func(x, y piece) piece {
-		return strPiece(glob.Concat(x.toPattern(), y.toPattern()))
-	}
-	switch {
-	case len(a) == 0 || len(b) == 0:
-		return nil, errAt(pos, "bad concatenation")
-	case len(a) == 1:
-		out := make([]piece, len(b))
-		for i := range b {
-			out[i] = join(a[0], b[i])
-		}
-		return out, nil
-	case len(b) == 1:
-		out := make([]piece, len(a))
-		for i := range a {
-			out[i] = join(a[i], b[0])
-		}
-		return out, nil
-	case len(a) == len(b):
-		out := make([]piece, len(a))
-		for i := range a {
-			out[i] = join(a[i], b[i])
-		}
-		return out, nil
-	default:
-		return nil, errAt(pos, "bad concatenation")
-	}
-}
-
-func termsToPieces(l List, quotedStrings bool) []piece {
-	out := make([]piece, len(l))
-	for k := range l {
-		t := l[k]
-		if t.Closure != nil || t.Prim != "" {
-			out[k] = piece{term: &t}
-		} else if quotedStrings {
-			out[k] = strPiece(glob.NewLiteral(t.Str))
-		} else {
-			out[k] = strPiece(glob.New(t.Str))
-		}
-	}
-	return out
-}
-
-func (i *Interp) evalPart(ctx *Ctx, part syntax.Part, env *Binding) ([]piece, error) {
-	switch part := part.(type) {
-	case *syntax.Lit:
-		if part.Quoted {
-			return []piece{strPiece(glob.NewLiteral(part.Text))}, nil
-		}
-		return []piece{strPiece(glob.New(part.Text))}, nil
-	case *syntax.Var:
-		return i.evalVarPart(ctx, part, env)
-	case *syntax.Prim:
-		return []piece{{term: &Term{Prim: part.Name}}}, nil
-	case *syntax.LambdaPart:
-		i.Alloc.closure()
-		cl := &Closure{
-			Params:    part.Lambda.Params,
-			HasParams: part.Lambda.HasParams,
-			Body:      part.Lambda.Body,
-			Env:       env,
-		}
-		return []piece{{term: &Term{Closure: cl}}}, nil
-	case *syntax.CmdSub:
-		i.Alloc.closure()
-		cl := &Closure{Body: part.Body, Env: env}
-		res, err := i.CallHook(ctx.NonTail(), "%backquote", List{Term{Closure: cl}})
-		if err != nil {
-			return nil, err
-		}
-		// Substituted command output is not re-globbed (rc semantics).
-		return termsToPieces(res, true), nil
-	case *syntax.RetSub:
-		res, err := i.EvalBlock(ctx.NonTail(), part.Body, env)
-		if err != nil {
-			return nil, err
-		}
-		return termsToPieces(res, true), nil
-	case *syntax.ListPart:
-		var out []piece
-		for _, w := range part.Words {
-			ps, err := i.evalWordPieces(ctx, w, env)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ps...)
-		}
-		return out, nil
-	default:
-		return nil, ErrorExc("unknown word part")
-	}
-}
-
-func (i *Interp) evalVarPart(ctx *Ctx, v *syntax.Var, env *Binding) ([]piece, error) {
-	name, err := i.evalWordString(ctx, v.Name, env)
-	if err != nil {
-		return nil, err
-	}
-	value := lookupVar(i, env, name)
-	if v.Double {
-		// $$x: the value of the variable(s) named by $x.
-		var indirect List
-		for _, t := range value {
-			indirect = append(indirect, lookupVar(i, env, t.String())...)
-		}
-		value = indirect
-	}
-	if v.Count {
-		return []piece{strPiece(glob.NewLiteral(strconv.Itoa(len(value))))}, nil
-	}
-	if len(v.Index) > 0 {
-		var sel List
-		for _, iw := range v.Index {
-			idxs, err := i.EvalWords(ctx, []*syntax.Word{iw}, env)
-			if err != nil {
-				return nil, err
-			}
-			for _, it := range idxs {
-				n, err := strconv.Atoi(it.String())
-				if err != nil {
-					return nil, errAt(v.Pos, "bad subscript: "+it.String())
-				}
-				if n >= 1 && n <= len(value) {
-					sel = append(sel, value[n-1])
-				}
-			}
-		}
-		value = sel
-	}
-	if v.Flat && len(value) > 0 {
-		// $^name: the whole value as one space-joined word.
-		value = List{Term{Str: value.Flatten(" ")}}
-	}
-	// Variable values are not re-globbed (the rc rule: substitution does
-	// not re-scan for metacharacters).
-	return termsToPieces(value, true), nil
 }

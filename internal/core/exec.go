@@ -1,15 +1,13 @@
 package core
 
-// The bytecode execution loop.  EvalBlock routes every block through
-// unitFor, which lowers the (shared, immutable) rewritten AST to the flat
-// instruction form of internal/compile exactly once, process-wide, and
-// caches it alongside the parse results.  Execution here shares all of
-// the tree walker's machinery — Ctx tail marking, Binding chains, the
-// tail-call trampoline, checkPending cancellation polls, exceptions as
-// errors — so results, exception shapes, deadlines, and interrupts are
-// identical between the two engines.  `es -nocompile` (or ES_NOCOMPILE=1
-// in the environment) keeps the walker as an escape hatch and as the
-// differential-testing reference.
+// The bytecode execution loop, the interpreter's one evaluator.
+// EvalBlock routes every block through unitFor, which lowers the (shared,
+// immutable) rewritten AST to the flat instruction form of
+// internal/compile exactly once, process-wide, and caches it alongside
+// the parse results.  Commands and words run here; closure application,
+// the tail-call trampoline and cancellation polls are in eval.go.  The
+// outcomes this loop must reproduce are pinned by
+// testdata/engine_golden.json at the repository root.
 
 import (
 	"strconv"
@@ -21,8 +19,7 @@ import (
 )
 
 // compileCache memoizes compiled units by block identity, alongside the
-// parse cache (which guarantees one shared *syntax.Block per source).  A
-// nil unit is a negative entry: the block uses the tree walker.
+// parse cache (which guarantees one shared *syntax.Block per source).
 var compileCache = cache.NewKeyMap[*syntax.Block, *compile.Unit]("compile", 1024)
 
 // FlushCompileCache drops every compiled unit (the $&recache escape
@@ -30,28 +27,24 @@ var compileCache = cache.NewKeyMap[*syntax.Block, *compile.Unit]("compile", 1024
 func FlushCompileCache() { compileCache.Flush() }
 
 // unitFor returns the compiled unit for b, lowering and caching it on
-// first use; nil means the block is tree-walked.  Nested lambda and
-// substitution bodies are registered as they are compiled, so closure
-// application starts on compiled code.
+// first use.  Every block, rewritten or not, has a unit.  Nested lambda
+// and substitution bodies are registered as they are compiled, so
+// closure application starts on compiled code.
 func unitFor(b *syntax.Block) *compile.Unit {
 	if u, ok := compileCache.Get(b); ok {
 		return u
 	}
-	u, err := compile.Compile(b, func(sb *syntax.Block, su *compile.Unit) {
+	// Compilation is total: the error is always nil.
+	u, _ := compile.Compile(b, func(sb *syntax.Block, su *compile.Unit) {
 		compileCache.Put(sb, su)
 	})
-	if err != nil {
-		compileCache.Put(b, nil)
-		return nil
-	}
 	compileCache.Put(b, u)
 	return u
 }
 
 // execSeq evaluates a compiled command sequence; the result is the last
 // command's result (the empty list — true — for an empty sequence).
-// When ctx is a tail context the final command runs in tail position,
-// exactly as EvalBlock does.
+// When ctx is a tail context the final command runs in tail position.
 func (i *Interp) execSeq(ctx *Ctx, seq compile.Seq, env *Binding) (List, error) {
 	if len(seq) == 0 {
 		return List{}, nil
@@ -68,8 +61,8 @@ func (i *Interp) execSeq(ctx *Ctx, seq compile.Seq, env *Binding) (List, error) 
 }
 
 // execBody evaluates a compiled body-position command (the body of let,
-// local, for, !), mirroring evalCmd's boundary: one cancellation poll,
-// then block bodies count their member command boundaries.
+// local, for, !): one cancellation poll for the body as a command, then
+// block bodies count their member command boundaries.
 func (i *Interp) execBody(ctx *Ctx, b *compile.Body, env *Binding) (List, error) {
 	if err := i.checkPending(); err != nil {
 		return nil, err
@@ -193,7 +186,7 @@ func (i *Interp) execLet(ctx *Ctx, in *compile.Instr, env *Binding) (List, error
 		if err != nil {
 			return nil, err
 		}
-		values, err := i.execWordsCtx(ctx.NonTail(), &b.Values, inner)
+		values, err := i.execWords(ctx.NonTail(), &b.Values, inner)
 		if err != nil {
 			return nil, err
 		}
@@ -232,7 +225,7 @@ func (i *Interp) execLocal(ctx *Ctx, in *compile.Instr, env *Binding) (List, err
 			restore()
 			return nil, err
 		}
-		values, err := i.execWordsCtx(nt, &b.Values, env)
+		values, err := i.execWords(nt, &b.Values, env)
 		if err != nil {
 			restore()
 			return nil, err
@@ -264,7 +257,7 @@ func (i *Interp) execFor(ctx *Ctx, in *compile.Instr, env *Binding) (List, error
 		if err != nil {
 			return nil, err
 		}
-		v, err := i.execWordsCtx(nt, &b.Values, env)
+		v, err := i.execWords(nt, &b.Values, env)
 		if err != nil {
 			return nil, err
 		}
@@ -360,9 +353,84 @@ func (i *Interp) execPats(ctx *Ctx, cp *compile.Pats, env *Binding) ([]glob.Patt
 
 // ---- word evaluation ----
 
+// errAt raises an error exception with the message anchored to a known
+// source position ("line:col: msg"); with an unknown position the message
+// is unchanged.  Compiled words and segments carry their positions from
+// the rewritten tree.
+func errAt(pos syntax.Pos, msg string) error {
+	if pos.Known() {
+		return ErrorExc(pos.String() + ": " + msg)
+	}
+	return ErrorExc(msg)
+}
+
+// piece is an intermediate word value: either a pattern (string with
+// literal mask, pre-glob) or a non-string term (closure or primitive).
+type piece struct {
+	pat  glob.Pattern
+	term *Term
+}
+
+func strPiece(p glob.Pattern) piece { return piece{pat: p} }
+
+func (p piece) toPattern() glob.Pattern {
+	if p.term != nil {
+		return glob.NewLiteral(p.term.String())
+	}
+	return p.pat
+}
+
+// concatPieces implements list concatenation over pieces: pairwise for
+// equal lengths, distributing for singletons.  pos anchors the error to
+// the word being concatenated when the source position is known.
+func concatPieces(pos syntax.Pos, a, b []piece) ([]piece, error) {
+	join := func(x, y piece) piece {
+		return strPiece(glob.Concat(x.toPattern(), y.toPattern()))
+	}
+	switch {
+	case len(a) == 0 || len(b) == 0:
+		return nil, errAt(pos, "bad concatenation")
+	case len(a) == 1:
+		out := make([]piece, len(b))
+		for i := range b {
+			out[i] = join(a[0], b[i])
+		}
+		return out, nil
+	case len(b) == 1:
+		out := make([]piece, len(a))
+		for i := range a {
+			out[i] = join(a[i], b[0])
+		}
+		return out, nil
+	case len(a) == len(b):
+		out := make([]piece, len(a))
+		for i := range a {
+			out[i] = join(a[i], b[i])
+		}
+		return out, nil
+	default:
+		return nil, errAt(pos, "bad concatenation")
+	}
+}
+
+// termsToPieces converts substituted values — variable values, command
+// and return-value substitutions — to pieces.  Their strings are literal:
+// substitution does not re-scan for wildcards (the rc rule).
+func termsToPieces(l List) []piece {
+	out := make([]piece, len(l))
+	for k := range l {
+		t := l[k]
+		if t.Closure != nil || t.Prim != "" {
+			out[k] = piece{term: &t}
+		} else {
+			out[k] = strPiece(glob.NewLiteral(t.Str))
+		}
+	}
+	return out
+}
+
 // execWords evaluates a compiled word list to a term list, splicing list
-// values and performing filename expansion on unquoted wildcards —
-// EvalWords over the compiled form.
+// values and performing filename expansion on unquoted wildcards.
 func (i *Interp) execWords(ctx *Ctx, wl *compile.WordList, env *Binding) (List, error) {
 	if wl.Const != nil {
 		return i.constList(wl.Const), nil
@@ -379,13 +447,8 @@ func (i *Interp) execWords(ctx *Ctx, wl *compile.WordList, env *Binding) (List, 
 	return out, nil
 }
 
-// execWordsCtx is execWords for binding values (already non-tail ctx).
-func (i *Interp) execWordsCtx(ctx *Ctx, wl *compile.WordList, env *Binding) (List, error) {
-	return i.execWords(ctx, wl, env)
-}
-
-// execWordTerms evaluates one compiled word to terms (EvalWords over a
-// single word: match subjects, subscript words).
+// execWordTerms evaluates one compiled word to terms (match subjects,
+// subscript words).
 func (i *Interp) execWordTerms(ctx *Ctx, w *compile.Word, env *Binding) (List, error) {
 	i.Alloc.list()
 	return i.appendWordTerms(ctx, nil, w, env)
@@ -467,7 +530,7 @@ func (i *Interp) execPatterns(ctx *Ctx, w *compile.Word, env *Binding) ([]glob.P
 	if w.StaticSet {
 		out := make([]glob.Pattern, len(w.Static))
 		for k := range w.Static {
-			out[k] = staticPiecePattern(&w.Static[k])
+			out[k] = w.Static[k].Pattern()
 		}
 		return out, nil
 	}
@@ -489,13 +552,6 @@ func (i *Interp) execPatterns(ctx *Ctx, w *compile.Word, env *Binding) ([]glob.P
 		out[k] = p.toPattern()
 	}
 	return out, nil
-}
-
-func staticPiecePattern(sp *compile.StaticPiece) glob.Pattern {
-	if sp.Prim != "" {
-		return glob.NewLiteral("$&" + sp.Prim)
-	}
-	return sp.Pat
 }
 
 // execWordString evaluates a compiled word that must produce exactly one
@@ -574,13 +630,13 @@ func (i *Interp) execSeg(ctx *Ctx, s *compile.Seg, env *Binding) ([]piece, error
 			return nil, err
 		}
 		// Substituted command output is not re-globbed (rc semantics).
-		return termsToPieces(res, true), nil
+		return termsToPieces(res), nil
 	case compile.SegRetSub:
 		res, err := i.EvalBlock(ctx.NonTail(), s.Block, env)
 		if err != nil {
 			return nil, err
 		}
-		return termsToPieces(res, true), nil
+		return termsToPieces(res), nil
 	case compile.SegList:
 		var out []piece
 		for _, w := range s.Words {
@@ -642,5 +698,5 @@ func (i *Interp) execVarSeg(ctx *Ctx, s *compile.Seg, env *Binding) ([]piece, er
 	}
 	// Variable values are not re-globbed (the rc rule: substitution does
 	// not re-scan for metacharacters).
-	return termsToPieces(value, true), nil
+	return termsToPieces(value), nil
 }

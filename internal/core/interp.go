@@ -41,11 +41,6 @@ type Interp struct {
 	// stack space" deficiency (the E7 ablation).
 	NoTailCalls bool
 
-	// NoCompile keeps this interpreter on the tree walker (es -nocompile,
-	// ES_NOCOMPILE=1): the escape hatch for the bytecode engine and the
-	// reference half of the differential tests.
-	NoCompile bool
-
 	// NoExternals makes command dispatch fail with a deterministic error
 	// instead of executing real processes — for hermetic harnesses like
 	// the differential fuzzer, where arbitrary generated input must not
@@ -180,7 +175,6 @@ func New() *Interp {
 		intr:      new(atomic.Bool),
 		cancel:    new(atomic.Pointer[cancelState]),
 		maxDepth:  10000,
-		NoCompile: os.Getenv("ES_NOCOMPILE") != "",
 		primTab:   new([]PrimFunc),
 	}
 }
@@ -256,7 +250,6 @@ func (i *Interp) Fork() *Interp {
 		jobs:        i.jobs,
 		parent:      i,
 		NoTailCalls: i.NoTailCalls,
-		NoCompile:   i.NoCompile,
 		NoExternals: i.NoExternals,
 		primTab:     i.primTab,
 		maxDepth:    i.maxDepth,

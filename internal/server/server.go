@@ -111,9 +111,10 @@ type Server struct {
 	ctrl    controller
 	tenants *tenantSet
 
-	drainCh   chan struct{} // closed when draining starts
-	draining  atomic.Bool
-	drainOnce sync.Once
+	drainCh      chan struct{} // closed when draining starts
+	draining     atomic.Bool
+	drainOnce    sync.Once
+	teardownOnce sync.Once // pool close and lock release, after the drain
 
 	mu       sync.Mutex
 	sessions map[uint64]*session
@@ -390,8 +391,7 @@ func (s *Server) Drain(timeout time.Duration) error {
 	}
 	select {
 	case <-done:
-		s.pool.close()
-		s.releaseLock()
+		s.teardown()
 		s.cfg.Logf("esd: drain complete")
 		return nil
 	case <-timeoutCh:
@@ -400,10 +400,19 @@ func (s *Server) Drain(timeout time.Duration) error {
 		case <-done:
 		case <-time.After(5 * time.Second):
 		}
-		s.pool.close()
-		s.releaseLock()
+		s.teardown()
 		return fmt.Errorf("server: drain timed out after %v; sessions force-closed", timeout)
 	}
+}
+
+// teardown closes the pool and releases the socket lock exactly once,
+// however many Drain callers get there; a late caller waits in Do until
+// the first has finished, so every caller returns after the teardown.
+func (s *Server) teardown() {
+	s.teardownOnce.Do(func() {
+		s.pool.close()
+		s.releaseLock()
+	})
 }
 
 // closeListeners closes every bound listener; the unix listener unlinks

@@ -363,6 +363,24 @@ func TestDrainUnderLoad(t *testing.T) {
 	}
 }
 
+// TestDrainConcurrentCallers: Drain's doc promises that concurrent
+// callers all wait.  Every caller must get nil, and the post-drain
+// teardown (pool close, lock release) must run once, not once per
+// caller, or the race detector sees the lock file closed twice.
+func TestDrainConcurrentCallers(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	const callers = 4
+	errs := make(chan error, callers)
+	for k := 0; k < callers; k++ {
+		go func() { errs <- srv.Drain(5 * time.Second) }()
+	}
+	for k := 0; k < callers; k++ {
+		if err := <-errs; err != nil {
+			t.Errorf("Drain caller %d: %v", k, err)
+		}
+	}
+}
+
 // TestDrainForceClosesStuckSessions: an eval with no deadline spinning
 // forever cannot hold the drain hostage past its timeout — the server
 // cancels it cooperatively (`signal shutdown`) and reports the forced

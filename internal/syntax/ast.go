@@ -251,7 +251,6 @@ type Fn struct {
 	Pos    Pos
 }
 
-func (*Word) part()       {}
 func (*Lit) part()        {}
 func (*Var) part()        {}
 func (*Prim) part()       {}

@@ -68,11 +68,6 @@ type Options struct {
 	// for the ablation benchmark).
 	NoTailCalls bool
 
-	// NoCompile keeps evaluation on the tree walker instead of the
-	// compiled bytecode engine (the es -nocompile escape hatch; also
-	// settable process-wide with ES_NOCOMPILE=1).
-	NoCompile bool
-
 	// Dir is the shell's starting working directory; empty means the
 	// process working directory.  The shell's directory is virtual
 	// (fork-isolated) and never calls os.Chdir.
@@ -115,9 +110,6 @@ func New(opts Options) (*Shell, error) {
 	}
 	i := core.New()
 	i.NoTailCalls = opts.NoTailCalls
-	if opts.NoCompile {
-		i.NoCompile = true
-	}
 	if opts.Dir != "" {
 		i.SetDir(opts.Dir)
 	}
