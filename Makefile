@@ -1,4 +1,5 @@
-# Verification tiers: `make check` is the tier-1 floor (build + tests);
+# Verification tiers: `make check` is the tier-1 floor (build, tests,
+# gofmt, and vet over the bench module);
 # `make race` adds vet, the race detector, the esd server soak, and then
 # the serving bench gate; `make bench` runs the dispatch-cache
 # benchmarks that guard the native cache speedups;

@@ -521,9 +521,8 @@ func benchServer(b *testing.B, tcp string) string {
 	template := benchShell(b)
 	sock := filepath.Join(b.TempDir(), "esd.sock")
 	srv, err := server.New(server.Config{
-		Socket:   sock,
-		TCP:      tcp,
-		PoolSize: 8,
+		Socket: sock,
+		TCP:    tcp,
 		NewSession: func() (*core.Interp, error) {
 			return template.Interp().Spawn(), nil
 		},
@@ -636,8 +635,9 @@ func BenchmarkServerEvalTCP(b *testing.B) {
 	})
 }
 
-// BenchmarkServerSessionSpawn is the warm-pool rationale: the cost of
-// stamping one session interpreter out of the initialized template.
+// BenchmarkServerSessionSpawn is the cost every new connection pays on
+// its own goroutine: stamping one session interpreter out of the
+// initialized template.
 func BenchmarkServerSessionSpawn(b *testing.B) {
 	template := benchShell(b)
 	i := template.Interp()
@@ -650,7 +650,7 @@ func BenchmarkServerSessionSpawn(b *testing.B) {
 }
 
 // benchImage captures a session image carrying a realistic amount of
-// user state, for the pre-baked-pool benchmarks.
+// user state, for the pre-baked-template benchmarks.
 func benchImage(b *testing.B) *image.Image {
 	loaded := benchShell(b)
 	src := "fn work x {result $x $x}; fn-%pathsearch = @ n {result /spoof/$n}\n"
@@ -663,7 +663,7 @@ func benchImage(b *testing.B) *image.Image {
 	return image.Capture(loaded.Interp(), nil)
 }
 
-// BenchmarkServerSessionFromImage is the pre-baked pool: the image is
+// BenchmarkServerSessionFromImage is the pre-baked template: the image is
 // restored once onto a template and sessions are stamped out with Spawn.
 // The point of pre-baking is that this tracks BenchmarkServerSessionSpawn
 // rather than BenchmarkServerSessionRestore — the restore cost is paid

@@ -53,19 +53,9 @@ func main() {
 	os.Exit(run())
 }
 
-func defaultSocket() string {
-	if s := os.Getenv("ESD_SOCKET"); s != "" {
-		return s
-	}
-	if dir := os.Getenv("XDG_RUNTIME_DIR"); dir != "" {
-		return dir + "/esd.sock"
-	}
-	return fmt.Sprintf("/tmp/esd-%d.sock", os.Getuid())
-}
-
 func run() int {
 	var (
-		socket      = flag.String("socket", defaultSocket(), "esd unix socket `path` (or $ESD_SOCKET)")
+		socket      = flag.String("socket", server.DefaultSocket(), "esd unix socket `path` (or $ESD_SOCKET)")
 		addr        = flag.String("addr", "", "dial the daemon over TCP at `host:port` instead of the unix socket")
 		useTLS      = flag.Bool("tls", false, "wrap the -addr connection in TLS")
 		tlsCA       = flag.String("tls-ca", "", "PEM CA bundle `file` to verify the daemon against")

@@ -6,14 +6,16 @@
 // Usage:
 //
 //	esd [-socket path] [-tcp addr] [-tls addr -tls-cert f -tls-key f]
-//	    [-accepts n] [-window n] [-max-p99 ms] [-max-queue n] [-retry-after ms]
+//	    [-window n] [-max-p99 ms] [-max-queue n] [-retry-after ms]
 //	    [-quota tenant=sessions:inflight:deadline_ms]...
-//	    [-template image] [-pool n] [-max n] [-deadline ms] [-vet]
+//	    [-template image] [-max n] [-deadline ms] [-vet]
 //	    [-addr-file path] [-drain-timeout s] [-quiet]
 //
-// Each session owns one interpreter spawned from a warm template (shell
+// -socket defaults to $ESD_SOCKET, then $XDG_RUNTIME_DIR/esd.sock, then
+// /tmp/esd-$UID.sock, the same path esc and esload dial.  Each
+// connection spawns its own interpreter from a warm template (shell
 // state, including function definitions, arrives through esd's own
-// environment, exactly as for es itself).  With -template, the warm pool
+// environment, exactly as for es itself).  With -template, the template
 // is instead pre-baked from a session image (written by `snapshot` or an
 // esc snap frame): every session starts with that image's variables,
 // functions, and spoofed hooks already installed.  A per-request deadline —
@@ -61,15 +63,6 @@ func main() {
 	os.Exit(run())
 }
 
-// defaultSocket puts the socket in the user's runtime dir when the
-// platform provides one, /tmp otherwise.
-func defaultSocket() string {
-	if dir := os.Getenv("XDG_RUNTIME_DIR"); dir != "" {
-		return dir + "/esd.sock"
-	}
-	return fmt.Sprintf("/tmp/esd-%d.sock", os.Getuid())
-}
-
 // quotaFlag accumulates repeated -quota tenant=sessions:inflight:deadline_ms.
 type quotaFlag map[string]server.TenantQuota
 
@@ -103,19 +96,17 @@ func (q quotaFlag) Set(s string) error {
 func run() int {
 	quotas := quotaFlag{}
 	var (
-		socket       = flag.String("socket", defaultSocket(), "unix socket `path` to serve on")
+		socket       = flag.String("socket", server.DefaultSocket(), "unix socket `path` to serve on (or $ESD_SOCKET)")
 		tcpAddr      = flag.String("tcp", "", "also serve plaintext TCP on `addr` (\":0\" picks a port)")
 		tlsAddr      = flag.String("tls", "", "also serve TLS on `addr`")
 		tlsCert      = flag.String("tls-cert", "", "PEM certificate `file` for -tls")
 		tlsKey       = flag.String("tls-key", "", "PEM private key `file` for -tls")
-		accepts      = flag.Int("accepts", 2, "parallel accept goroutines per TCP/TLS listener")
 		maxWindow    = flag.Int("window", 32, "max per-session pipeline window grantable by hello")
 		maxP99       = flag.Int("max-p99", 0, "shed evals while the sliding-window p99 exceeds this many `ms` (0 = off)")
 		maxQueue     = flag.Int("max-queue", 0, "shed evals while this many are queued but not running (0 = off)")
 		retryAfter   = flag.Int64("retry-after", 100, "retry_after_ms hint stamped on shed and quota-refused evals")
 		addrFile     = flag.String("addr-file", "", "write bound tcp=/tls= addresses to `path` (for \":0\" ports)")
-		templateImg  = flag.String("template", "", "session `image` to pre-bake pool interpreters from")
-		poolSize     = flag.Int("pool", 4, "warm pre-spawned interpreters")
+		templateImg  = flag.String("template", "", "session `image` to pre-bake the session template from")
 		maxConc      = flag.Int("max", runtime.GOMAXPROCS(0), "max concurrent evaluations")
 		deadlineMS   = flag.Int("deadline", 0, "default per-request deadline in `ms` (0 = none)")
 		vet          = flag.Bool("vet", false, "statically analyze every eval and reject scripts with errors before running them")
@@ -161,8 +152,6 @@ func run() int {
 		TLS:             *tlsAddr,
 		CertFile:        *tlsCert,
 		KeyFile:         *tlsKey,
-		Accepts:         *accepts,
-		PoolSize:        *poolSize,
 		MaxConcurrent:   *maxConc,
 		MaxWindow:       *maxWindow,
 		DefaultDeadline: time.Duration(*deadlineMS) * time.Millisecond,

@@ -48,16 +48,6 @@ func main() {
 	os.Exit(run())
 }
 
-func defaultSocket() string {
-	if s := os.Getenv("ESD_SOCKET"); s != "" {
-		return s
-	}
-	if dir := os.Getenv("XDG_RUNTIME_DIR"); dir != "" {
-		return dir + "/esd.sock"
-	}
-	return fmt.Sprintf("/tmp/esd-%d.sock", os.Getuid())
-}
-
 // tally is one worker's outcome, merged after the run.
 type tally struct {
 	lat      []time.Duration // admitted, answered requests
@@ -79,7 +69,7 @@ type loadCfg struct {
 
 func run() int {
 	var (
-		socket     = flag.String("socket", defaultSocket(), "esd unix socket `path` (or $ESD_SOCKET)")
+		socket     = flag.String("socket", server.DefaultSocket(), "esd unix socket `path` (or $ESD_SOCKET)")
 		addr       = flag.String("addr", "", "dial over TCP at `host:port` instead of the unix socket")
 		useTLS     = flag.Bool("tls", false, "wrap the -addr connection in TLS")
 		tlsCA      = flag.String("tls-ca", "", "PEM CA bundle `file` to verify the daemon against")

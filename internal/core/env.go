@@ -515,7 +515,8 @@ func splitOutside(s string, sep byte) []string {
 }
 
 // skipQuoted advances k from an opening quote at s[k] to its closing
-// quote ('' is an escaped quote), returning the index of the close.
+// quote, returning the index of the close; a doubled quote inside is an
+// escaped quote, not the close.
 func skipQuoted(s string, k int) int {
 	for k++; k < len(s); k++ {
 		if s[k] == '\'' {

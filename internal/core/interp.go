@@ -283,8 +283,8 @@ func (i *Interp) Fork() *Interp {
 // Spawn forks the interpreter and detaches the copy from the parent's
 // process-group state: the child gets its own interrupt line, cancel
 // slot, and background-job table.  Fork models a subshell; Spawn models a
-// fresh top-level interpreter stamped out of a warm template — the esd
-// session-pool idiom — so interrupting or deadlining one session can
+// fresh top-level interpreter stamped out of a warm template — how esd
+// starts each session — so interrupting or deadlining one session can
 // never abort another, and `wait` in one session cannot reap another's
 // jobs.
 func (i *Interp) Spawn() *Interp {

@@ -333,12 +333,12 @@ func TestCompiledHonorsMask(t *testing.T) {
 		lit, wild, s string
 		want         bool
 	}{
-		{"a*b", "*", "a*bXX", true},   // literal star, then real star
-		{"a*b", "*", "aXbYY", false},  // literal star must not match X
-		{"[x]", "?", "[x]q", true},    // literal brackets stay literal
-		{"[x]", "?", "xq", false},     //
-		{"", "[ab]", "a", true},       // class still compiles under Concat
-		{"", "[ab]", "c", false},      //
+		{"a*b", "*", "a*bXX", true},  // literal star, then real star
+		{"a*b", "*", "aXbYY", false}, // literal star must not match X
+		{"[x]", "?", "[x]q", true},   // literal brackets stay literal
+		{"[x]", "?", "xq", false},    //
+		{"", "[ab]", "a", true},      // class still compiles under Concat
+		{"", "[ab]", "c", false},     //
 	}
 	for _, tc := range tests {
 		p := Concat(NewLiteral(tc.lit), New(tc.wild))

@@ -14,6 +14,19 @@ import (
 	"time"
 )
 
+// DefaultSocket is the unix socket esd serves on and its clients dial
+// when none is given: $ESD_SOCKET, else esd.sock in the user's runtime
+// dir when the platform provides one, else /tmp/esd-$UID.sock.
+func DefaultSocket() string {
+	if s := os.Getenv("ESD_SOCKET"); s != "" {
+		return s
+	}
+	if dir := os.Getenv("XDG_RUNTIME_DIR"); dir != "" {
+		return dir + "/esd.sock"
+	}
+	return fmt.Sprintf("/tmp/esd-%d.sock", os.Getuid())
+}
+
 // Client is one connection to an esd with its frame codecs: Read returns
 // the next frame, Write sends one.
 type Client struct {

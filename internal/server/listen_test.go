@@ -1,9 +1,9 @@
 package server
 
 // Tests for the network surfaces next to the unix socket — TCP and TLS
-// listeners, Listen's cleanup after a partial failure — and for the
-// admission controller: queue-ceiling shedding and the sliding-window
-// p99 logic.
+// listeners, Listen's cleanup after a partial failure, the accept loop
+// every listener shares — and for the admission controller:
+// queue-ceiling shedding and the sliding-window p99 logic.
 
 import (
 	"crypto/ecdsa"
@@ -20,6 +20,8 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -28,7 +30,7 @@ import (
 )
 
 func TestTCPServing(t *testing.T) {
-	srv := newTestServer(t, Config{TCP: "127.0.0.1:0", Accepts: 3})
+	srv := newTestServer(t, Config{TCP: "127.0.0.1:0"})
 	addr := srv.TCPAddr()
 	if addr == "" {
 		t.Fatal("no bound TCP address")
@@ -44,10 +46,10 @@ func TestTCPServing(t *testing.T) {
 	}
 }
 
-// TestTCPManySessions exercises accept sharding: a burst of concurrent
-// TCP sessions all served, counted under the tcp listener's stats.
+// TestTCPManySessions: a burst of concurrent TCP sessions all served,
+// counted under the tcp listener's stats.
 func TestTCPManySessions(t *testing.T) {
-	srv := newTestServer(t, Config{TCP: "127.0.0.1:0", Accepts: 4})
+	srv := newTestServer(t, Config{TCP: "127.0.0.1:0"})
 	addr := srv.TCPAddr()
 	const sessions = 32
 	var wg sync.WaitGroup
@@ -80,6 +82,123 @@ func TestTCPManySessions(t *testing.T) {
 	if !strings.Contains(joined, fmt.Sprintf("lst_tcp_sessions:%d", sessions)) {
 		t.Errorf("per-listener session count missing: %s", joined)
 	}
+}
+
+// flakyListener fails its first `fails` calls to Accept with EMFILE, as
+// a daemon out of file descriptors sees them, then accepts normally.
+type flakyListener struct {
+	net.Listener
+	fails atomic.Int32
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if l.fails.Add(-1) >= 0 {
+		return nil, &net.OpError{Op: "accept", Net: "unix",
+			Err: os.NewSyscallError("accept4", syscall.EMFILE)}
+	}
+	return l.Listener.Accept()
+}
+
+// TestTransientAcceptError: an accept error other than a closed listener
+// is logged and retried, not fatal.  After three EMFILEs the next client
+// is served, and Serve returns nil once the server drains.
+func TestTransientAcceptError(t *testing.T) {
+	template, err := es.New(es.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var logs []string
+	srv, err := New(Config{
+		Socket:     filepath.Join(t.TempDir(), "esd.sock"),
+		NewSession: func() (*core.Interp, error) { return template.Interp().Spawn(), nil },
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Listen(); err != nil {
+		t.Fatal(err)
+	}
+	fl := &flakyListener{Listener: srv.ln}
+	fl.fails.Store(3)
+	srv.ln = fl
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve() }()
+
+	c := dial(t, srv.cfg.Socket)
+	c.Conn.SetDeadline(time.Now().Add(5 * time.Second))
+	f, err := c.RoundTrip(&Frame{Type: "eval", ID: 1, Src: "result served"})
+	if err != nil || f.Type != "result" || strings.Join(f.Value, " ") != "served" {
+		t.Errorf("eval after transient accept errors = %+v, %v", f, err)
+	}
+	if err := srv.Drain(5 * time.Second); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if err := <-serveErr; err != nil {
+		t.Fatalf("Serve = %v, want nil after Drain", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	var retried int
+	for _, l := range logs {
+		if strings.Contains(l, "too many open files") {
+			retried++
+		}
+	}
+	if retried != 3 {
+		t.Errorf("%d accept errors logged, want 3:\n%s", retried, strings.Join(logs, "\n"))
+	}
+}
+
+// TestSlowSessionStartDoesNotBlockAccept: NewSession runs on each
+// connection's own goroutine, so a slow one never holds up the next
+// Accept.  Here NewSession returns only once four calls are in flight
+// together, and gives up with an error after 3s.
+func TestSlowSessionStartDoesNotBlockAccept(t *testing.T) {
+	template, err := es.New(es.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clients = 4
+	var inFlight atomic.Int32
+	var once sync.Once
+	together := make(chan struct{})
+	srv := newTestServer(t, Config{NewSession: func() (*core.Interp, error) {
+		defer inFlight.Add(-1)
+		if inFlight.Add(1) == clients {
+			once.Do(func() { close(together) })
+		}
+		select {
+		case <-together:
+			return template.Interp().Spawn(), nil
+		case <-time.After(3 * time.Second):
+			return nil, fmt.Errorf("session start serialized")
+		}
+	}})
+	var wg sync.WaitGroup
+	for k := 0; k < clients; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			c, err := Dial(srv.cfg.Socket, nil, 1)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Conn.Close()
+			want := fmt.Sprintf("c%d", k)
+			f, err := c.RoundTrip(&Frame{Type: "eval", ID: 1, Src: "result " + want})
+			if err != nil || f.Type != "result" || strings.Join(f.Value, " ") != want {
+				t.Errorf("client %d: %+v, %v", k, f, err)
+			}
+		}(k)
+	}
+	wg.Wait()
 }
 
 // selfSignedCert writes a PEM cert/key pair for 127.0.0.1 into dir.
@@ -121,6 +240,20 @@ func selfSignedCert(t *testing.T, dir string) (certFile, keyFile string) {
 	return certFile, keyFile
 }
 
+// trusting is a client TLS config that trusts only the cert in certFile.
+func trusting(t *testing.T, certFile string) *tls.Config {
+	t.Helper()
+	pemBytes, err := os.ReadFile(certFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := x509.NewCertPool()
+	if !roots.AppendCertsFromPEM(pemBytes) {
+		t.Fatal("bad test cert")
+	}
+	return &tls.Config{RootCAs: roots}
+}
+
 func TestTLSServing(t *testing.T) {
 	dir := t.TempDir()
 	certFile, keyFile := selfSignedCert(t, dir)
@@ -129,15 +262,7 @@ func TestTLSServing(t *testing.T) {
 	if addr == "" {
 		t.Fatal("no bound TLS address")
 	}
-	pemBytes, err := os.ReadFile(certFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := x509.NewCertPool()
-	if !pool.AppendCertsFromPEM(pemBytes) {
-		t.Fatal("bad test cert")
-	}
-	cl, err := Dial("tls://"+addr, &tls.Config{RootCAs: pool}, 1)
+	cl, err := Dial("tls://"+addr, trusting(t, certFile), 1)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}

@@ -45,8 +45,8 @@ func TestObserveBucketRanges(t *testing.T) {
 		{4 * time.Microsecond, 3},
 		{7 * time.Microsecond, 3},
 		{8 * time.Microsecond, 4},
-		{100 * time.Microsecond, 7}, // [64µs, 128µs)
-		{time.Millisecond, 10},      // 1000µs ∈ [512µs, 1024µs)
+		{100 * time.Microsecond, 7},        // [64µs, 128µs)
+		{time.Millisecond, 10},             // 1000µs ∈ [512µs, 1024µs)
 		{8760 * time.Hour, latBuckets - 1}, // a year: far past the last lower edge
 	}
 	for _, c := range cases {

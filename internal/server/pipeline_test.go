@@ -316,7 +316,6 @@ func TestListenTakeoverRace(t *testing.T) {
 func TestStartSessionPoolError(t *testing.T) {
 	cfg := Config{
 		Socket:     t.TempDir() + "/esd.sock",
-		PoolSize:   -1, // no filler goroutine; get() always calls NewSession
 		NewSession: func() (*core.Interp, error) { return nil, fmt.Errorf("spawn exhausted") },
 	}
 	srv, err := New(cfg)
@@ -331,13 +330,13 @@ func TestStartSessionPoolError(t *testing.T) {
 	c := dial(t, cfg.Socket)
 	f, err := c.Read()
 	if err != nil {
-		t.Fatalf("no error frame on pool exhaustion: %v", err)
+		t.Fatalf("no error frame on a failed NewSession: %v", err)
 	}
 	if f.Type != "error" || !strings.Contains(strings.Join(f.Exception, " "), "spawn exhausted") {
-		t.Fatalf("pool-exhaustion reply = %+v", f)
+		t.Fatalf("failed-NewSession reply = %+v", f)
 	}
 	if _, err := c.Read(); err == nil {
-		t.Fatal("connection left open after pool exhaustion")
+		t.Fatal("connection left open after a failed NewSession")
 	}
 	if got := srv.Metrics().SessionsOpened.Load(); got != 0 {
 		t.Errorf("refused session counted as opened: %d", got)

@@ -1,16 +1,17 @@
 // Package server is the esd serving layer: a concurrent evaluation
-// service that drives warm-pooled es interpreters over a unix-domain
-// socket and, when configured, TCP and TLS listeners next to it.
+// service that drives es interpreters over a unix-domain socket and,
+// when configured, TCP and TLS listeners next to it.
 //
 // The paper frames es as an embeddable command language — "a library
 // version of es which could be used stand-alone as a shell or linked into
 // other programs" — and this package is that library version put behind a
-// wire: each connection is a session owning one interpreter (core.Interp
-// is not safe for concurrent use) driven by a dedicated goroutine with a
-// mailbox, a warm pool keeps session start-up off the hot path, a
-// semaphore caps concurrent evaluations, and per-request deadlines
-// surface in-script as the catchable exception `signal deadline` via the
-// interpreter's cooperative-cancellation boundary checks.  Admission
+// wire: one accept loop per listener hands each connection to a
+// goroutine of its own, which spawns the session's interpreter from a
+// warm template and alone runs it (core.Interp is not safe for
+// concurrent use), fed through a mailbox.  A semaphore caps concurrent
+// evaluations, and per-request deadlines surface in-script as the
+// catchable exception `signal deadline` via the interpreter's
+// cooperative-cancellation boundary checks.  Admission
 // control (tenant quotas, queue-depth and p99 ceilings) refuses evals at
 // the read loop, before they queue.
 //

@@ -30,14 +30,6 @@ type Config struct {
 	CertFile string
 	KeyFile  string
 
-	// Accepts is the number of parallel accept goroutines per TCP/TLS
-	// listener (default 2).
-	Accepts int
-
-	// PoolSize is how many warm interpreters to keep pre-spawned
-	// (default 4).
-	PoolSize int
-
 	// MaxConcurrent caps simultaneously running evaluations across all
 	// sessions (default GOMAXPROCS); sessions beyond the cap queue on the
 	// semaphore in arrival order.
@@ -75,8 +67,9 @@ type Config struct {
 	// or over its tenant's in-flight quota (default 100).
 	RetryAfterMS int64
 
-	// NewSession builds one detached session interpreter.  The usual
-	// implementation spawns from a warm template:
+	// NewSession builds one detached session interpreter; it runs on the
+	// new connection's own goroutine.  The usual implementation spawns
+	// from a warm template:
 	//
 	//	sh, _ := es.New(es.Options{...})         // once
 	//	cfg.NewSession = func() (*core.Interp, error) {
@@ -104,8 +97,6 @@ type Server struct {
 	tcp     net.Listener
 	tlsL    net.Listener
 	lock    *os.File // flock-held sentinel next to the unix socket
-	unixLS  *ListenerStats
-	pool    *pool
 	sem     chan struct{}
 	metrics Metrics
 	ctrl    controller
@@ -114,25 +105,18 @@ type Server struct {
 	drainCh      chan struct{} // closed when draining starts
 	draining     atomic.Bool
 	drainOnce    sync.Once
-	teardownOnce sync.Once // pool close and lock release, after the drain
+	teardownOnce sync.Once // lock release, after the drain
 
 	mu       sync.Mutex
 	sessions map[uint64]*session
 	nextID   atomic.Uint64
-	wg       sync.WaitGroup // one per session goroutine
-	lnWG     sync.WaitGroup // network accept goroutines and the controller
+	wg       sync.WaitGroup // accept loops, the controller, one per connection
 }
 
 // New builds a Server.  Nothing is bound until Listen.
 func New(cfg Config) (*Server, error) {
 	if cfg.NewSession == nil {
 		return nil, errors.New("server: Config.NewSession is required")
-	}
-	if cfg.Accepts <= 0 {
-		cfg.Accepts = 2
-	}
-	if cfg.PoolSize == 0 {
-		cfg.PoolSize = 4
 	}
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = runtime.GOMAXPROCS(0)
@@ -148,7 +132,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:      cfg,
-		pool:     newPool(cfg.PoolSize, cfg.NewSession),
 		sem:      make(chan struct{}, cfg.MaxConcurrent),
 		tenants:  newTenantSet(cfg.Tenants),
 		drainCh:  make(chan struct{}),
@@ -215,9 +198,6 @@ func (s *Server) Listen() (err error) {
 	if s.ln, err = net.Listen("unix", s.cfg.Socket); err != nil {
 		return err
 	}
-	s.unixLS = s.metrics.registerListener("unix")
-	s.cfg.Logf("esd: listening on %s (pool=%d max=%d window=%d)",
-		s.cfg.Socket, s.cfg.PoolSize, s.cfg.MaxConcurrent, s.cfg.MaxWindow)
 	if s.cfg.TCP != "" {
 		if s.tcp, err = net.Listen("tcp", s.cfg.TCP); err != nil {
 			return err
@@ -260,69 +240,79 @@ func (s *Server) TLSAddr() string {
 	return s.tlsL.Addr().String()
 }
 
-// Serve starts the TCP/TLS accept loops and the p99 controller, then
-// accepts unix-socket sessions in the foreground until the listener
-// closes; it returns nil when the server is draining.
+// Serve runs one accept loop per bound listener — unix, then TCP, then
+// TLS, each counted under lst_<name>_* — and the p99 controller.  It
+// returns nil once the server starts draining.
 func (s *Server) Serve() error {
 	if s.ln == nil {
 		return errors.New("server: Serve before Listen")
 	}
 	// Under s.mu, so a concurrent Drain either sees these goroutines in
-	// lnWG or stops them from starting.
+	// wg or stops them from starting.
 	s.mu.Lock()
 	if !s.draining.Load() {
-		if s.tcp != nil {
-			s.serveListener(s.tcp, "tcp")
-		}
-		if s.tlsL != nil {
-			s.serveListener(s.tlsL, "tls")
+		for _, l := range []struct {
+			name string
+			ln   net.Listener
+		}{{"unix", s.ln}, {"tcp", s.tcp}, {"tls", s.tlsL}} {
+			if l.ln != nil {
+				s.wg.Add(1)
+				go s.accept(l.ln, s.metrics.registerListener(l.name))
+			}
 		}
 		if s.ctrl.p99Ceiling > 0 {
 			s.ctrl.prev = s.metrics.buckets()
-			s.lnWG.Add(1)
+			s.wg.Add(1)
 			go func() {
-				defer s.lnWG.Done()
+				defer s.wg.Done()
 				s.ctrl.run(s.drainCh)
 			}()
 		}
 	}
 	s.mu.Unlock()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			if s.draining.Load() {
-				return nil
-			}
-			return err
-		}
-		s.startSession(conn, s.unixLS)
-	}
+	<-s.drainCh
+	return nil
 }
 
-// serveListener runs Config.Accepts parallel accept goroutines on a
-// network listener (accept sharding keeps a burst of handshakes from
-// serializing behind one goroutine's session setup), counting its
-// sessions and bytes under lst_<name>_*.  Drain closes the listener.
-func (s *Server) serveListener(ln net.Listener, name string) {
-	ls := s.metrics.registerListener(name)
-	s.cfg.Logf("esd: listening on %s/%s (accepts=%d)", name, ln.Addr(), s.cfg.Accepts)
-	for k := 0; k < s.cfg.Accepts; k++ {
-		s.lnWG.Add(1)
-		go func() {
-			defer s.lnWG.Done()
-			for {
-				conn, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				s.startSession(conn, ls)
+// accept serves one listener until Drain closes it.  Each connection
+// gets a goroutine of its own, so a slow NewSession never holds up the
+// next Accept; the loop adds it to wg while itself counted there, which
+// orders the Add before Drain's Wait.  Any error but a closed listener
+// (EMFILE, ECONNABORTED, ...) is logged and retried after a backoff, as
+// net/http does, so a transient one cannot end serving.
+func (s *Server) accept(ln net.Listener, ls *ListenerStats) {
+	defer s.wg.Done()
+	s.cfg.Logf("esd: listening on %s %s", ls.Name, ln.Addr())
+	var backoff time.Duration
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			if errors.Is(err, net.ErrClosed) {
+				return
 			}
+			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
+			s.cfg.Logf("esd: accept on %s: %v; retrying in %v", ls.Name, err, backoff)
+			select {
+			case <-time.After(backoff):
+			case <-s.drainCh:
+			}
+			continue
+		}
+		backoff = 0
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			s.startSession(conn, ls)
 		}()
 	}
 }
 
+// startSession spawns the connection's interpreter and runs its session
+// to the end.  If NewSession fails the client gets an error frame, and if
+// draining began meanwhile a drain goodbye; either way the connection
+// then closes.
 func (s *Server) startSession(conn net.Conn, ls *ListenerStats) {
-	interp, err := s.pool.get()
+	interp, err := s.cfg.NewSession()
 	if err != nil {
 		fw := NewFrameWriter(conn, &s.metrics.BytesOut)
 		fw.Write(&Frame{Type: "error", Exception: []string{"error", "esd", err.Error()}})
@@ -345,11 +335,7 @@ func (s *Server) startSession(conn net.Conn, ls *ListenerStats) {
 	if ls != nil {
 		ls.Sessions.Add(1)
 	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		sess.run()
-	}()
+	sess.run()
 }
 
 // dropSession forgets a finished session.
@@ -371,7 +357,7 @@ func (s *Server) Drain(timeout time.Duration) error {
 		s.draining.Store(true)
 		close(s.drainCh) // stops the controller and every session loop
 		// Taking s.mu orders this after a Serve that saw draining unset,
-		// so its lnWG.Add calls precede the Wait below.
+		// so its wg.Add calls precede the Wait below.
 		s.mu.Lock()
 		s.closeListeners()
 		s.mu.Unlock()
@@ -379,7 +365,6 @@ func (s *Server) Drain(timeout time.Duration) error {
 	})
 	done := make(chan struct{})
 	go func() {
-		s.lnWG.Wait()
 		s.wg.Wait()
 		close(done)
 	}()
@@ -405,14 +390,11 @@ func (s *Server) Drain(timeout time.Duration) error {
 	}
 }
 
-// teardown closes the pool and releases the socket lock exactly once,
-// however many Drain callers get there; a late caller waits in Do until
-// the first has finished, so every caller returns after the teardown.
+// teardown releases the socket lock exactly once, however many Drain
+// callers get there; a late caller waits in Do until the first has
+// finished, so every caller returns after the teardown.
 func (s *Server) teardown() {
-	s.teardownOnce.Do(func() {
-		s.pool.close()
-		s.releaseLock()
-	})
+	s.teardownOnce.Do(s.releaseLock)
 }
 
 // closeListeners closes every bound listener; the unix listener unlinks

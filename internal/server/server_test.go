@@ -8,6 +8,7 @@ package server
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -19,17 +20,21 @@ import (
 )
 
 // newTestServer starts a server on a fresh socket; the returned server is
-// already accepting.  Each setup function runs on the new server before it
-// listens, for tests that need to set its state without a data race.
+// already accepting.  Sessions spawn from a fresh template unless cfg
+// brings its own NewSession.  Each setup function runs on the new server
+// before it listens, for tests that need to set its state without a data
+// race.
 func newTestServer(t *testing.T, cfg Config, setup ...func(*Server)) *Server {
 	t.Helper()
-	template, err := es.New(es.Options{})
-	if err != nil {
-		t.Fatalf("template shell: %v", err)
-	}
 	cfg.Socket = filepath.Join(t.TempDir(), "esd.sock")
-	cfg.NewSession = func() (*core.Interp, error) {
-		return template.Interp().Spawn(), nil
+	if cfg.NewSession == nil {
+		template, err := es.New(es.Options{})
+		if err != nil {
+			t.Fatalf("template shell: %v", err)
+		}
+		cfg.NewSession = func() (*core.Interp, error) {
+			return template.Interp().Spawn(), nil
+		}
 	}
 	srv, err := New(cfg)
 	if err != nil {
@@ -245,7 +250,7 @@ func waitClosed(t *testing.T, srv *Server) {
 // sessions, several requests each, zero failed frames.  Run under -race
 // by scripts/check.sh -race.
 func TestSoak100Sessions(t *testing.T) {
-	srv := newTestServer(t, Config{PoolSize: 8})
+	srv := newTestServer(t, Config{})
 	const sessions = 100
 	const evalsPer = 5
 	var wg sync.WaitGroup
@@ -336,7 +341,14 @@ func TestDrainUnderLoad(t *testing.T) {
 		}()
 	}
 	started.Wait()
-	time.Sleep(50 * time.Millisecond) // let the evals reach the interpreter
+	// Let every eval reach its interpreter before draining.
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Metrics().Evals.Load() < sessions {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d evals started", srv.Metrics().Evals.Load(), sessions)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if err := srv.Drain(10 * time.Second); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
@@ -365,8 +377,8 @@ func TestDrainUnderLoad(t *testing.T) {
 
 // TestDrainConcurrentCallers: Drain's doc promises that concurrent
 // callers all wait.  Every caller must get nil, and the post-drain
-// teardown (pool close, lock release) must run once, not once per
-// caller, or the race detector sees the lock file closed twice.
+// teardown (the lock release) must run once, not once per caller, or
+// the race detector sees the lock file closed twice.
 func TestDrainConcurrentCallers(t *testing.T) {
 	srv := newTestServer(t, Config{})
 	const callers = 4
@@ -401,6 +413,84 @@ func TestDrainForceClosesStuckSessions(t *testing.T) {
 		t.Fatalf("forced drain took %v", el)
 	}
 	waitClosed(t, srv)
+}
+
+// TestDrainLeavesNoGoroutines: once Drain returns, every goroutine the
+// server started has exited — the accept loops of all three listeners,
+// the p99 controller, and serial, pipelined and idle sessions with their
+// read loops.
+func TestDrainLeavesNoGoroutines(t *testing.T) {
+	dir := t.TempDir()
+	certFile, keyFile := selfSignedCert(t, dir)
+	template, err := es.New(es.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	srv, err := New(Config{
+		Socket:     filepath.Join(dir, "esd.sock"),
+		TCP:        "127.0.0.1:0",
+		TLS:        "127.0.0.1:0",
+		CertFile:   certFile,
+		KeyFile:    keyFile,
+		P99Ceiling: time.Hour,
+		NewSession: func() (*core.Interp, error) { return template.Interp().Spawn(), nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Listen(); err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve() }()
+
+	serial := dial(t, srv.cfg.Socket)
+	if f := serial.eval(t, "result serial", 0); f.Type != "result" {
+		t.Fatalf("serial eval = %+v", f)
+	}
+	piped := dial(t, "tcp://"+srv.TCPAddr())
+	if f := piped.hello(t, "", 4); f.Type != "hello" {
+		t.Fatalf("hello = %+v", f)
+	}
+	for id := int64(1); id <= 3; id++ {
+		if err := piped.Write(&Frame{Type: "eval", ID: id, Src: "result piped"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := 0; k < 3; k++ {
+		if f, err := piped.Read(); err != nil || f.Type != "result" {
+			t.Fatalf("pipelined reply = %+v, %v", f, err)
+		}
+	}
+	idle, err := Dial("tls://"+srv.TLSAddr(), trusting(t, certFile), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Conn.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.openSessions() < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sessions open, want 3", srv.openSessions())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if err := srv.Drain(5 * time.Second); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if err := <-serveErr; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	deadline = time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Drain, %d before New:\n%s",
+				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func TestUnknownFrameType(t *testing.T) {

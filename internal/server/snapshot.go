@@ -14,7 +14,7 @@ package server
 //     evals now run on the target.  Stateless load-balancing for a
 //     connection-oriented protocol.
 //
-//   - pre-baked pools: a Config.NewSession built by NewSessionFromImage
+//   - pre-baked templates: a Config.NewSession built by NewSessionFromImage
 //     restores an image once onto a template and stamps sessions out of
 //     it with Spawn, so per-session cost stays one deep copy no matter
 //     how much state the image carries.

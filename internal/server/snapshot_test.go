@@ -166,7 +166,7 @@ func TestMigrateFailureLeavesSession(t *testing.T) {
 	}
 }
 
-// Pre-baked pools: sessions spawned via NewSessionFromImage start with
+// Pre-baked templates: sessions spawned via NewSessionFromImage start with
 // the image's state already installed.
 func TestNewSessionFromImage(t *testing.T) {
 	template, err := es.New(es.Options{})

@@ -2,10 +2,11 @@
 # bench_server.sh - the serving-layer performance baseline
 # (BenchmarkServerEval sequential/parallel, BenchmarkServerEvalTCP
 # serial/pipelined through the TCP listener, the session-spawn cost
-# behind the warm pool, the pre-baked-from-image spawn path next to the
-# restore-per-session cost it avoids, the static-analysis pass that
-# esd -vet puts on the admission path, and two esload waves against a
-# live daemon binary: unix serial and TCP pipelined).
+# every connection pays on its own goroutine, the pre-baked-from-image
+# spawn path next to the restore-per-session cost it avoids, the
+# static-analysis pass that esd -vet puts on the admission path, and
+# two esload waves against a live daemon binary: unix serial and TCP
+# pipelined).
 #
 # Usage: scripts/bench_server.sh [benchtime]          regenerate BENCH_server.json
 #        scripts/bench_server.sh -check [benchtime]   compare against BENCH_server.json,

@@ -1,7 +1,11 @@
 #!/bin/sh
 # check.sh - repository verification tiers.
 #
-#   tier 1 (default): go build + go test, the floor every change must hold
+#   tier 1 (default): go build + go test, the floor every change must hold,
+#                     plus gofmt (any file it lists fails), go vet over the
+#                     bench module (which go test ./... never compiles but
+#                     which imports the server, core, compile and image
+#                     APIs), esvet and escheck
 #   tier 2 (-race):   adds go vet, the race detector over the full suite
 #                     (including the 100-session esd soak test), a
 #                     binary-level server soak (concurrent esc clients
@@ -19,6 +23,14 @@ echo "== go build ./..."
 go build ./...
 echo "== go test ./..."
 go test ./...
+echo "== gofmt -l (must list nothing)"
+unformatted=$(gofmt -l cmd internal examples bench *.go)
+if [ -n "$unformatted" ]; then
+	echo "$unformatted"
+	exit 1
+fi
+echo "== go vet ./esbench (the bench module)"
+(cd bench && go vet ./esbench)
 echo "== esvet (primitive registry hygiene)"
 go run ./cmd/esvet ./internal/prim
 echo "== escheck (zero errors over lib/ and the embedded prelude)"
