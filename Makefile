@@ -1,8 +1,8 @@
 # Verification tiers: `make check` is the tier-1 floor (build, tests,
 # gofmt, and vet over the bench module);
-# `make race` adds vet, the race detector, the esd server soak, and then
-# the serving bench gate; `make bench` runs the dispatch-cache
-# benchmarks that guard the native cache speedups;
+# `make race` adds vet, the race detector, 20s of frame-codec fuzzing,
+# the esd server soak, and then the serving bench gate; `make bench`
+# runs the dispatch-cache benchmarks that guard the native cache speedups;
 # `make bench-server` regenerates the serving baseline and
 # `make bench-check` gates against it (>25% ns/op regression fails).
 

@@ -23,11 +23,17 @@
 // guaranteed only per id) and name a tenant for quota accounting.
 // Cross-session concurrency comes from sessions.  Dial is the client
 // side.
+//
+// Frames are encoded and decoded by a codec written for the Frame struct
+// alone (codec.go), without reflection: it writes each frame byte for
+// byte as encoding/json would and reads a line by encoding/json's rules.
+// A line that does not decode is answered with an error frame and the
+// session reads on, since the newline framing is intact; a client that
+// hangs up has the evals it left queued dropped, not run.
 package server
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -103,6 +109,11 @@ const maxFrameBytes = 8 << 20
 // error frame and a bye rather than dying silently.
 var ErrFrameTooLarge = fmt.Errorf("frame exceeds %d bytes: %w", maxFrameBytes, bufio.ErrTooLong)
 
+// ErrBadFrame reports a line that is not a valid frame.  The newline
+// framing survives it, so unlike ErrFrameTooLarge the stream is still
+// usable: the session answers with an error frame and reads on.
+var ErrBadFrame = errors.New("bad frame")
+
 // FrameReader decodes newline-delimited frames, counting wire bytes into
 // the given metrics counters (nil counters are skipped; sessions count
 // into both the server-wide and the per-listener counter).
@@ -111,14 +122,18 @@ type FrameReader struct {
 	in []*atomic.Int64
 }
 
+// NewFrameReader reads frames from r.  Its line buffer starts at
+// bufio's default size and grows only as far as the longest line, up to
+// maxFrameBytes.
 func NewFrameReader(r io.Reader, in ...*atomic.Int64) *FrameReader {
 	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 64<<10), maxFrameBytes)
+	s.Buffer(nil, maxFrameBytes)
 	return &FrameReader{s: s, in: in}
 }
 
 // Read returns the next frame; io.EOF at end of stream, ErrFrameTooLarge
-// for a line over the frame-size bound.
+// for a line over the frame-size bound, and an error wrapping ErrBadFrame
+// for a line that does not decode.
 func (fr *FrameReader) Read() (*Frame, error) {
 	if !fr.s.Scan() {
 		if err := fr.s.Err(); err != nil {
@@ -135,39 +150,58 @@ func (fr *FrameReader) Read() (*Frame, error) {
 			c.Add(int64(len(line) + 1))
 		}
 	}
-	var f Frame
-	if err := json.Unmarshal(line, &f); err != nil {
-		return nil, fmt.Errorf("bad frame: %w", err)
-	}
-	return &f, nil
+	return decodeFrame(line)
 }
 
 // FrameWriter encodes frames one per line.  It serializes writers: the
 // session goroutine, the read loop's admission path, and the server's
-// drain path may all speak on one connection.
+// drain path may all speak on one connection.  The first failed write
+// stops it, since a torn line would corrupt the stream: every later
+// Write returns that error without writing.
 type FrameWriter struct {
 	mu  sync.Mutex
 	w   io.Writer
 	out []*atomic.Int64
+	buf []byte // the last frame encoded, reused for the next
+	err error  // the first write error
 }
+
+// maxKeptFrame bounds the encoding buffer a FrameWriter keeps between
+// writes, so one large reply (a snap image, a long stdout) does not stay
+// pinned to an idle connection.
+const maxKeptFrame = 64 << 10
 
 func NewFrameWriter(w io.Writer, out ...*atomic.Int64) *FrameWriter {
 	return &FrameWriter{w: w, out: out}
 }
 
 func (fw *FrameWriter) Write(f *Frame) error {
-	b, err := json.Marshal(f)
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	if fw.err != nil {
+		return fw.err
+	}
+	b, err := appendFrame(fw.buf[:0], f)
 	if err != nil {
 		return err
 	}
 	b = append(b, '\n')
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
 	n, err := fw.w.Write(b)
 	for _, c := range fw.out {
 		if c != nil {
 			c.Add(int64(n))
 		}
 	}
+	if cap(b) <= maxKeptFrame {
+		fw.buf = b
+	}
+	fw.err = err
 	return err
+}
+
+// Err returns the write error that stopped the writer, or nil.
+func (fw *FrameWriter) Err() error {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	return fw.err
 }

@@ -509,6 +509,86 @@ func TestUnknownFrameType(t *testing.T) {
 	}
 }
 
+// TestMalformedFrameLine: a line that does not decode leaves the newline
+// framing intact, so it is answered with an error frame (no id: the line
+// could not be trusted for one) and the session reads on.
+func TestMalformedFrameLine(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	c := dial(t, srv.cfg.Socket)
+	lines := `{"type":"eval","id":1,"src":"res` + "\n" + `{"type":"eval","id":"x"}` + "\n"
+	if _, err := c.Conn.Write([]byte(lines)); err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 2; k++ {
+		f, err := c.Read()
+		if err != nil {
+			t.Fatalf("reply to bad line %d: %v", k+1, err)
+		}
+		if f.Type != "error" || f.ID != 0 || len(f.Exception) != 3 ||
+			f.Exception[0] != "error" || f.Exception[1] != "esd" || !strings.HasPrefix(f.Exception[2], "bad frame: ") {
+			t.Fatalf("reply to bad line %d = %+v, want error esd bad frame: …", k+1, f)
+		}
+	}
+	if f := c.eval(t, "result ok", 0); f.Type != "result" || strings.Join(f.Value, " ") != "ok" {
+		t.Fatalf("eval after bad lines = %+v", f)
+	}
+}
+
+// TestDeadClientStopsQueuedWork: a client that hangs up with evals queued
+// has them dropped, not run.  The reply to the running eval fails, which
+// ends the session; its drain releases the queued evals through
+// finishEval, so the counters balance and no goroutine is left.
+func TestDeadClientStopsQueuedWork(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	c, err := Dial(srv.cfg.Socket, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, err := c.Hello(8, ""); err != nil || f.Window != 8 {
+		t.Fatalf("hello = %+v, %v", f, err)
+	}
+	if err := c.Write(&Frame{Type: "eval", ID: 1, Src: "forever {}", DeadlineMS: 200}); err != nil {
+		t.Fatal(err)
+	}
+	for id := int64(2); id <= 8; id++ {
+		if err := c.Write(&Frame{Type: "eval", ID: id, Src: "result ok"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Conn.Close()
+	waitClosed(t, srv)
+	stats := srv.Stats()
+	for _, want := range []string{"evals:1", "queued:0", "inflight:0"} {
+		if !slices.Contains(stats, want) {
+			t.Errorf("stats lack %s: %v", want, stats)
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		left := sessionGoroutines()
+		if len(left) == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still run session code:\n%s", len(left), strings.Join(left, "\n\n"))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// sessionGoroutines returns the stacks of the goroutines running a
+// session: its startSession goroutine and its read loop.
+func sessionGoroutines() []string {
+	buf := make([]byte, 1<<20)
+	var left []string
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "server.(*session).") || strings.Contains(g, "server.(*Server).startSession") {
+			left = append(left, g)
+		}
+	}
+	return left
+}
+
 // TestServerstatsPerServer: with two servers in one process, a session's
 // $&serverstats reports the counters of the server running it — in
 // pipeline elements too, which run in forks — and an interpreter no

@@ -103,16 +103,13 @@ func (s *session) run() {
 	defer func() {
 		close(s.closed)
 		s.conn.Close()
-		// Evals admitted but never dispatched (a force-close dropped the
-		// session mid-queue) still hold queue-depth and tenant-in-flight
-		// accounting; release them.  The read loop is guaranteed to close
-		// the mailbox: its reads fail once the connection is closed, and
-		// its window waits select on s.closed.
+		// Evals admitted but never dispatched (a force-close or a dead
+		// client dropped the session mid-queue) still hold queue-depth and
+		// tenant-in-flight accounting; release them.  The read loop is
+		// guaranteed to close the mailbox: its reads fail once the
+		// connection is closed, and its window waits select on s.closed.
 		for f := range s.mail {
-			if f.Type == "eval" {
-				s.srv.metrics.Queued.Add(-1)
-				s.finishEval()
-			}
+			s.release(f)
 		}
 		s.srv.metrics.SessionsClosed.Add(1)
 		s.srv.dropSession(s.id)
@@ -159,6 +156,16 @@ func (s *session) finishEval() {
 	s.evalDone <- struct{}{}
 }
 
+// release retires a frame taken off the mailbox that this session will
+// not dispatch: an eval gives back the queue-depth slot its admission
+// took, then its window token and tenant slot.
+func (s *session) release(f *Frame) {
+	if f.Type == "eval" {
+		s.srv.metrics.Queued.Add(-1)
+		s.finishEval()
+	}
+}
+
 // readLoop feeds the mailbox until the stream ends.  It never touches the
 // interpreter; hello handshakes and eval admission (window backpressure,
 // overload shedding, tenant quotas) are handled here so a shed request is
@@ -174,6 +181,13 @@ func (s *session) readLoop() {
 	}()
 	for {
 		f, err := s.fr.Read()
+		if errors.Is(err, ErrBadFrame) {
+			// The newline framing survives a line that does not decode,
+			// so say what was wrong with it and read on.
+			s.fw.Write(&Frame{Type: "error",
+				Exception: []string{"error", "esd", err.Error()}})
+			continue
+		}
 		if err != nil {
 			if errors.Is(err, ErrFrameTooLarge) {
 				// The doc on maxFrameBytes promises an error frame, and
@@ -264,8 +278,19 @@ func (s *session) hello(f *Frame, window int) (int, bool) {
 }
 
 // dispatch handles one frame; the returned bool means "close the
-// session".
+// session".  Once a reply has failed to go out nobody hears this session,
+// so it runs nothing more: the frame in hand is released, and run's
+// deferred drain releases the rest of the queue.
 func (s *session) dispatch(f *Frame) bool {
+	if s.fw.Err() != nil {
+		s.release(f)
+		return true
+	}
+	return s.handle(f) || s.fw.Err() != nil
+}
+
+// handle answers one frame; the returned bool means "close the session".
+func (s *session) handle(f *Frame) bool {
 	switch f.Type {
 	case "eval":
 		// The eval's accounting is released before its reply goes out, so

@@ -146,12 +146,9 @@ func (s *session) relay(target *Client) {
 				<-copied
 				return
 			}
-			if f.Type == "eval" {
-				// The target answers this eval; release the local window
-				// token and queue-depth slot its admission took.
-				s.srv.metrics.Queued.Add(-1)
-				s.finishEval()
-			}
+			// The target answers this frame; an eval's local accounting
+			// is released here.
+			s.release(f)
 			if err := target.Write(f); err != nil {
 				<-copied
 				return

@@ -7,13 +7,15 @@
 #                     which imports the server, core, compile and image
 #                     APIs), esvet and escheck
 #   tier 2 (-race):   adds go vet, the race detector over the full suite
-#                     (including the 100-session esd soak test), a
-#                     binary-level server soak (concurrent esc clients
-#                     against a race-enabled esd, asserting zero failed
-#                     frames and a clean drain on SIGTERM), and last the
-#                     serving-layer bench gate against BENCH_server.json,
-#                     which runs after the soak because a host slower than
-#                     the one that recorded the baseline fails it
+#                     (including the 100-session esd soak test), 20s of
+#                     FuzzFrameCodec (esd's frame codec against
+#                     encoding/json), a binary-level server soak
+#                     (concurrent esc clients against a race-enabled esd,
+#                     asserting zero failed frames and a clean drain on
+#                     SIGTERM), and last the serving-layer bench gate
+#                     against BENCH_server.json, which runs after the soak
+#                     because a host slower than the one that recorded the
+#                     baseline fails it
 #
 # Usage: scripts/check.sh [-race]
 set -eu
@@ -41,6 +43,8 @@ if [ "${1:-}" = "-race" ]; then
 	go vet ./...
 	echo "== go test -race ./..."
 	go test -race ./...
+	echo "== FuzzFrameCodec (20s: the frame codec against encoding/json)"
+	go test -run '^$' -fuzz '^FuzzFrameCodec$' -fuzztime 20s ./internal/server
 	echo "== server soak (esd -race + concurrent esc, SIGTERM drain)"
 	sh scripts/soak.sh
 	echo "== server bench gate (scripts/bench_server.sh -check)"
