@@ -431,6 +431,16 @@ func BenchmarkPipeBuiltins(b *testing.B) {
 	}
 }
 
+// BenchmarkPipeWordCount runs the shape of the builtin pipeline in
+// esbench's rpc_script workload: twelve words counted by four builtins.
+func BenchmarkPipeWordCount(b *testing.B) {
+	sh := benchShell(b)
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		benchRun(b, sh, `echo pear fig kiwi pear lime fig pear date kiwi pear lime fig | tr ' ' '\012' | sort | uniq -c | sed 3q`)
+	}
+}
+
 func BenchmarkEnvExport(b *testing.B) {
 	sh := benchShell(b)
 	benchRun(b, sh, startupDefs())

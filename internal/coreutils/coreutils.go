@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"sync"
 
 	"es/internal/core"
 )
@@ -44,19 +45,38 @@ type ctxio struct {
 	name string
 }
 
+// A builtin call borrows its fixed-size scratch from these pools instead
+// of allocating it, so a call costs what its lines cost.  Pipelines make
+// many short calls, and allocating 36 KiB or more for each one makes Go's
+// collector the largest cost of serving them.
+var (
+	// outPool holds output writers, each Reset to io.Discard so that a
+	// pooled writer never keeps a stream alive.
+	outPool = sync.Pool{New: func() any { return bufio.NewWriter(io.Discard) }}
+	// bufPool holds 32 KiB read buffers.
+	bufPool = sync.Pool{New: func() any {
+		b := make([]byte, 32*1024)
+		return &b
+	}}
+)
+
 // wrap adapts a simpler function shape to core.BuiltinFunc, handling
 // output buffering and error reporting uniformly.
 func wrap(name string, fn func(c *ctxio, args []string) int) core.BuiltinFunc {
 	return func(i *core.Interp, ctx *core.Ctx, argv []string) int {
+		out := outPool.Get().(*bufio.Writer)
+		out.Reset(ctx.Stdout())
 		c := &ctxio{
 			i:    i,
 			in:   ctx.Stdin(),
-			out:  bufio.NewWriter(ctx.Stdout()),
+			out:  out,
 			errw: ctx.Stderr(),
 			name: name,
 		}
 		status := fn(c, argv[1:])
-		c.out.Flush()
+		out.Flush()
+		out.Reset(io.Discard)
+		outPool.Put(out)
 		return status
 	}
 }
@@ -102,11 +122,28 @@ func (c *ctxio) inputs(files []string, fn func(r io.Reader) int) int {
 	return status
 }
 
-// eachLine feeds every input line (without newline) to fn.
-func eachLine(r io.Reader, fn func(line string)) {
+// eachLine feeds every input line (without newline) to fn.  It returns
+// the scanner's error: a failed read, or a line over the 16 MiB cap.
+func eachLine(r io.Reader, fn func(line string)) error {
+	buf := bufPool.Get().(*[]byte)
+	defer bufPool.Put(buf)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
+	// The borrowed buffer is only the scanner's first; a longer line
+	// grows a buffer of the scanner's own.  Text copies each line out.
+	sc.Buffer(*buf, 16*1024*1024)
 	for sc.Scan() {
 		fn(sc.Text())
 	}
+	return sc.Err()
+}
+
+// copyBorrowed copies r to w through a borrowed buffer.  The wrappers
+// hide ReadFrom and WriteTo, which would pick their own copy path:
+// os.File's generic one allocates 32 KiB per call when the other end is
+// a pipe.
+func copyBorrowed(w io.Writer, r io.Reader) error {
+	buf := bufPool.Get().(*[]byte)
+	defer bufPool.Put(buf)
+	_, err := io.CopyBuffer(struct{ io.Writer }{w}, struct{ io.Reader }{r}, *buf)
+	return err
 }

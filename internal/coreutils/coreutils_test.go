@@ -1,11 +1,16 @@
 package coreutils
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"es/internal/core"
 )
@@ -584,5 +589,87 @@ func TestHeadOfFile(t *testing.T) {
 	}
 	if _, st := runTool(t, i, "", "head", "-nx"); st == 0 {
 		t.Error("bad count should fail")
+	}
+}
+
+// TestLineTooLong checks that the line-oriented builtins report a line
+// over the 16 MiB cap, or a failed read, and fail: 1, or 2 for grep,
+// whose 1 means no match.
+func TestLineTooLong(t *testing.T) {
+	i := newI(t)
+	long := "a\n" + strings.Repeat("x", 16<<20+1) + "\nb\n"
+	readErr := errors.New("read failed")
+	for _, tc := range []struct {
+		argv   []string
+		status int
+	}{
+		{[]string{"sort"}, 1},
+		{[]string{"uniq"}, 1},
+		{[]string{"sed", "5q"}, 1},
+		{[]string{"grep", "b"}, 2},
+		{[]string{"head"}, 1},
+		{[]string{"tail"}, 1},
+		{[]string{"cut", "-f1"}, 1},
+		{[]string{"rev"}, 1},
+		{[]string{"tac"}, 1},
+		{[]string{"nl"}, 1},
+	} {
+		for _, in := range []struct {
+			r   io.Reader
+			err error
+		}{
+			{strings.NewReader(long), bufio.ErrTooLong},
+			{io.MultiReader(strings.NewReader("a\n"), iotest.ErrReader(readErr)), readErr},
+		} {
+			var out, errw bytes.Buffer
+			ctx := &core.Ctx{IO: core.NewIOTable(in.r, &out, &errw)}
+			status := i.Builtin(tc.argv[0])(i, ctx, tc.argv)
+			want := tc.argv[0] + ": " + in.err.Error() + "\n"
+			if status != tc.status || errw.String() != want {
+				t.Errorf("%v on %v: status %d, stderr %q; want %d, %q",
+					tc.argv, in.err, status, errw.String(), tc.status, want)
+			}
+		}
+	}
+}
+
+// TestSedScriptForms checks sed's hand-written recognisers against the
+// regexps that define the script forms: the same scripts must be
+// accepted, with the same parts.
+func TestSedScriptForms(t *testing.T) {
+	quitRE := regexp.MustCompile(`^(\d*)q$`)
+	addrRE := regexp.MustCompile(`^/(.*)/([dp])$`)
+	check := func(script string) {
+		digits, ok := sedQuit(script)
+		if m := quitRE.FindStringSubmatch(script); ok != (m != nil) || ok && digits != m[1] {
+			t.Errorf("sedQuit(%q) = %q, %v; the regexp matches %q", script, digits, ok, m)
+		}
+		pat, cmd, ok := sedAddress(script)
+		if m := addrRE.FindStringSubmatch(script); ok != (m != nil) || ok && (pat != m[1] || string(cmd) != m[2]) {
+			t.Errorf("sedAddress(%q) = %q, %q, %v; the regexp matches %q", script, pat, cmd, ok, m)
+		}
+	}
+	for _, script := range []string{
+		"q", "3q", "007q", strings.Repeat("9", 30) + "q", "qq", "q3", " 3q",
+		"//d", "/a/p", "/a/b/d", "/a/x", "/a\n/d", "/d", "/", "s/a/b/",
+		"", "3q\n", "/a/d\n", "\n/a/d", "٣q", "/\xff/p", "/é/d",
+	} {
+		check(script)
+	}
+	// Every script of up to five bytes over an alphabet that reaches each
+	// branch of both recognisers.
+	const alphabet = "/dpq3a\n"
+	scripts := []string{""}
+	for n := 0; n < 5; n++ {
+		var next []string
+		for _, s := range scripts {
+			for k := 0; k < len(alphabet); k++ {
+				next = append(next, s+alphabet[k:k+1])
+			}
+		}
+		for _, s := range next {
+			check(s)
+		}
+		scripts = next
 	}
 }

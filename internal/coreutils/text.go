@@ -36,7 +36,7 @@ func openFile(c *ctxio, name string) (*os.File, error) {
 
 func builtinCat(c *ctxio, args []string) int {
 	return c.inputs(args, func(r io.Reader) int {
-		if _, err := io.Copy(c.out, r); err != nil {
+		if err := copyBorrowed(c.out, r); err != nil {
 			return c.errorf("%v", err)
 		}
 		return 0
@@ -101,7 +101,9 @@ func builtinTr(c *ctxio, args []string) int {
 		}
 	}
 	var lastOut int = -1
-	buf := make([]byte, 32*1024)
+	bp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bp)
+	buf := *bp
 	status := c.inputs(nil, func(r io.Reader) int {
 		for {
 			n, err := r.Read(buf)
@@ -190,8 +192,11 @@ func builtinSort(c *ctxio, args []string) int {
 		}
 	}
 	var lines []string
+	status := 0
 	c.inputs(files, func(r io.Reader) int {
-		eachLine(r, func(l string) { lines = append(lines, l) })
+		if err := eachLine(r, func(l string) { lines = append(lines, l) }); err != nil {
+			status = c.errorf("%v", err)
+		}
 		return 0
 	})
 	less := func(a, b string) bool { return a < b }
@@ -220,7 +225,7 @@ func builtinSort(c *ctxio, args []string) int {
 		c.out.WriteByte('\n')
 		prev, first = l, false
 	}
-	return 0
+	return status
 }
 
 func leadingNum(s string) float64 {
@@ -260,8 +265,9 @@ func builtinUniq(c *ctxio, args []string) int {
 			c.out.WriteByte('\n')
 		}
 	}
+	status := 0
 	c.inputs(files, func(r io.Reader) int {
-		eachLine(r, func(l string) {
+		err := eachLine(r, func(l string) {
 			if n > 0 && l == prev {
 				n++
 				return
@@ -269,10 +275,13 @@ func builtinUniq(c *ctxio, args []string) int {
 			flush()
 			prev, n = l, 1
 		})
+		if err != nil {
+			status = c.errorf("%v", err)
+		}
 		return 0
 	})
 	flush()
-	return 0
+	return status
 }
 
 // builtinSed supports the small command subset the paper and common
@@ -290,27 +299,23 @@ func builtinSed(c *ctxio, args []string) int {
 	script := args[0]
 	files := args[1:]
 
-	// Nq: quit after printing N lines.
-	if m := regexp.MustCompile(`^(\d*)q$`).FindStringSubmatch(script); m != nil {
+	var each func(l string)
+	if digits, ok := sedQuit(script); ok {
+		// Nq: quit after printing N lines.
 		limit := 1
-		if m[1] != "" {
-			limit, _ = strconv.Atoi(m[1])
+		if digits != "" {
+			limit, _ = strconv.Atoi(digits)
 		}
 		n := 0
-		c.inputs(files, func(r io.Reader) int {
-			eachLine(r, func(l string) {
-				if n < limit {
-					c.out.WriteString(l)
-					c.out.WriteByte('\n')
-					n++
-				}
-			})
-			return 0
-		})
-		return 0
-	}
-	// s/re/repl/[g]
-	if strings.HasPrefix(script, "s") && len(script) > 1 {
+		each = func(l string) {
+			if n < limit {
+				c.out.WriteString(l)
+				c.out.WriteByte('\n')
+				n++
+			}
+		}
+	} else if strings.HasPrefix(script, "s") && len(script) > 1 {
+		// s/re/repl/[g]
 		sep := script[1]
 		parts := strings.Split(script[2:], string(sep))
 		if len(parts) < 2 {
@@ -322,47 +327,78 @@ func builtinSed(c *ctxio, args []string) int {
 		}
 		repl := strings.ReplaceAll(parts[1], "\\", "$")
 		global := len(parts) > 2 && strings.Contains(parts[2], "g")
-		c.inputs(files, func(r io.Reader) int {
-			eachLine(r, func(l string) {
-				if global {
-					l = re.ReplaceAllString(l, repl)
-				} else if loc := re.FindStringIndex(l); loc != nil {
-					l = l[:loc[0]] + re.ReplaceAllString(l[loc[0]:loc[1]], repl) + l[loc[1]:]
-				}
-				if !noPrint {
-					c.out.WriteString(l)
-					c.out.WriteByte('\n')
-				}
-			})
-			return 0
-		})
-		return 0
-	}
-	// /re/d and /re/p
-	if m := regexp.MustCompile(`^/(.*)/([dp])$`).FindStringSubmatch(script); m != nil {
-		re, err := regexp.Compile(m[1])
+		each = func(l string) {
+			if global {
+				l = re.ReplaceAllString(l, repl)
+			} else if loc := re.FindStringIndex(l); loc != nil {
+				l = l[:loc[0]] + re.ReplaceAllString(l[loc[0]:loc[1]], repl) + l[loc[1]:]
+			}
+			if !noPrint {
+				c.out.WriteString(l)
+				c.out.WriteByte('\n')
+			}
+		}
+	} else if pat, cmd, ok := sedAddress(script); ok {
+		// /re/d and /re/p
+		re, err := regexp.Compile(pat)
 		if err != nil {
 			return c.errorf("bad pattern: %v", err)
 		}
-		del := m[2] == "d"
-		c.inputs(files, func(r io.Reader) int {
-			eachLine(r, func(l string) {
-				match := re.MatchString(l)
-				switch {
-				case del && match:
-				case !del && match && !noPrint:
-					c.out.WriteString(l + "\n" + l + "\n")
-				case !del && match:
-					c.out.WriteString(l + "\n")
-				case !noPrint:
-					c.out.WriteString(l + "\n")
-				}
-			})
-			return 0
-		})
-		return 0
+		del := cmd == 'd'
+		each = func(l string) {
+			match := re.MatchString(l)
+			switch {
+			case del && match:
+			case !del && match && !noPrint:
+				c.out.WriteString(l + "\n" + l + "\n")
+			case !del && match:
+				c.out.WriteString(l + "\n")
+			case !noPrint:
+				c.out.WriteString(l + "\n")
+			}
+		}
+	} else {
+		return c.errorf("unsupported script: %s", script)
 	}
-	return c.errorf("unsupported script: %s", script)
+	status := 0
+	c.inputs(files, func(r io.Reader) int {
+		if err := eachLine(r, each); err != nil {
+			status = c.errorf("%v", err)
+		}
+		return 0
+	})
+	return status
+}
+
+// sedQuit recognises the Nq script: exactly the scripts ^(\d*)q$
+// matches, returning N's digits.  It is hand-written: compiled per call,
+// the regexp would cost more than a short sed call, and compiled at
+// package init it would charge every es and esd start.
+func sedQuit(script string) (digits string, ok bool) {
+	digits, ok = strings.CutSuffix(script, "q")
+	if !ok {
+		return "", false
+	}
+	for k := 0; k < len(digits); k++ {
+		if digits[k] < '0' || digits[k] > '9' {
+			return "", false
+		}
+	}
+	return digits, true
+}
+
+// sedAddress recognises the /re/d and /re/p scripts: exactly the scripts
+// ^/(.*)/([dp])$ matches, so the pattern holds no newline.
+func sedAddress(script string) (pat string, cmd byte, ok bool) {
+	n := len(script)
+	if n < 3 || script[0] != '/' || script[n-2] != '/' || (script[n-1] != 'd' && script[n-1] != 'p') {
+		return "", 0, false
+	}
+	pat = script[1 : n-2]
+	if strings.Contains(pat, "\n") {
+		return "", 0, false
+	}
+	return pat, script[n-1], true
 }
 
 func builtinGrep(c *ctxio, args []string) int {
@@ -395,9 +431,9 @@ func builtinGrep(c *ctxio, args []string) int {
 	if err != nil {
 		return c.errorf("bad pattern: %v", err)
 	}
-	matched, n := false, 0
+	matched, failed, n := false, false, 0
 	c.inputs(args[1:], func(r io.Reader) int {
-		eachLine(r, func(l string) {
+		err := eachLine(r, func(l string) {
 			if re.MatchString(l) != invert {
 				matched = true
 				n++
@@ -407,10 +443,17 @@ func builtinGrep(c *ctxio, args []string) int {
 				}
 			}
 		})
+		if err != nil {
+			c.errorf("%v", err)
+			failed = true
+		}
 		return 0
 	})
 	if count {
 		fmt.Fprintf(c.out, "%d\n", n)
+	}
+	if failed {
+		return 2 // 1 means no line matched
 	}
 	if matched {
 		return 0
@@ -457,13 +500,16 @@ func builtinHead(c *ctxio, args []string) int {
 	}
 	return c.inputs(files, func(r io.Reader) int {
 		k := 0
-		eachLine(r, func(l string) {
+		err := eachLine(r, func(l string) {
 			if k < n {
 				c.out.WriteString(l)
 				c.out.WriteByte('\n')
 				k++
 			}
 		})
+		if err != nil {
+			return c.errorf("%v", err)
+		}
 		return 0
 	})
 }
@@ -475,7 +521,7 @@ func builtinTail(c *ctxio, args []string) int {
 	}
 	return c.inputs(files, func(r io.Reader) int {
 		var keep []string
-		eachLine(r, func(l string) {
+		err := eachLine(r, func(l string) {
 			keep = append(keep, l)
 			if len(keep) > n {
 				keep = keep[1:]
@@ -484,6 +530,9 @@ func builtinTail(c *ctxio, args []string) int {
 		for _, l := range keep {
 			c.out.WriteString(l)
 			c.out.WriteByte('\n')
+		}
+		if err != nil {
+			return c.errorf("%v", err)
 		}
 		return 0
 	})
@@ -530,10 +579,12 @@ func builtinWc(c *ctxio, args []string) int {
 		c.out.WriteString(strings.Join(cols, " "))
 		c.out.WriteByte('\n')
 	}
+	bp := bufPool.Get().(*[]byte)
+	defer bufPool.Put(bp)
+	buf := *bp
 	countOne := func(r io.Reader) (int64, int64, int64) {
 		var l, w, ch int64
 		inWord := false
-		buf := make([]byte, 32*1024)
 		for {
 			n, err := r.Read(buf)
 			for _, b := range buf[:n] {
@@ -600,7 +651,8 @@ func builtinTee(c *ctxio, args []string) int {
 		writers = append(writers, w)
 		closers = append(closers, w)
 	}
-	io.Copy(io.MultiWriter(writers...), c.in)
+	// tee's status reports the files it could not open, not copy errors.
+	_ = copyBorrowed(io.MultiWriter(writers...), c.in)
 	for _, cl := range closers {
 		cl.Close()
 	}
@@ -640,7 +692,7 @@ func builtinCut(c *ctxio, args []string) int {
 		return c.errorf("missing field list")
 	}
 	return c.inputs(files, func(r io.Reader) int {
-		eachLine(r, func(l string) {
+		err := eachLine(r, func(l string) {
 			cols := strings.Split(l, delim)
 			var outCols []string
 			for _, f := range fields {
@@ -651,13 +703,16 @@ func builtinCut(c *ctxio, args []string) int {
 			c.out.WriteString(strings.Join(outCols, delim))
 			c.out.WriteByte('\n')
 		})
+		if err != nil {
+			return c.errorf("%v", err)
+		}
 		return 0
 	})
 }
 
 func builtinRev(c *ctxio, args []string) int {
 	return c.inputs(args, func(r io.Reader) int {
-		eachLine(r, func(l string) {
+		err := eachLine(r, func(l string) {
 			rs := []rune(l)
 			for a, b := 0, len(rs)-1; a < b; a, b = a+1, b-1 {
 				rs[a], rs[b] = rs[b], rs[a]
@@ -665,30 +720,39 @@ func builtinRev(c *ctxio, args []string) int {
 			c.out.WriteString(string(rs))
 			c.out.WriteByte('\n')
 		})
+		if err != nil {
+			return c.errorf("%v", err)
+		}
 		return 0
 	})
 }
 
 func builtinTac(c *ctxio, args []string) int {
 	var lines []string
+	status := 0
 	c.inputs(args, func(r io.Reader) int {
-		eachLine(r, func(l string) { lines = append(lines, l) })
+		if err := eachLine(r, func(l string) { lines = append(lines, l) }); err != nil {
+			status = c.errorf("%v", err)
+		}
 		return 0
 	})
 	for k := len(lines) - 1; k >= 0; k-- {
 		c.out.WriteString(lines[k])
 		c.out.WriteByte('\n')
 	}
-	return 0
+	return status
 }
 
 func builtinNl(c *ctxio, args []string) int {
 	n := 0
 	return c.inputs(args, func(r io.Reader) int {
-		eachLine(r, func(l string) {
+		err := eachLine(r, func(l string) {
 			n++
 			fmt.Fprintf(c.out, "%6d\t%s\n", n, l)
 		})
+		if err != nil {
+			return c.errorf("%v", err)
+		}
 		return 0
 	})
 }

@@ -9,6 +9,7 @@ package server
 import (
 	"fmt"
 	"math"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -173,6 +174,7 @@ func (m *Metrics) Words() []string {
 		fmt.Sprintf("bytes_out:%d", m.BytesOut.Load()),
 		fmt.Sprintf("p50_us:%d", m.Quantile(0.50).Microseconds()),
 		fmt.Sprintf("p99_us:%d", m.Quantile(0.99).Microseconds()),
+		fmt.Sprintf("gc_cpu_frac:%.3f", gcCPUFrac()),
 	}
 	m.lmu.Lock()
 	listeners := append([]*ListenerStats(nil), m.listeners...)
@@ -185,6 +187,23 @@ func (m *Metrics) Words() []string {
 		)
 	}
 	return words
+}
+
+// gcCPUFrac is the garbage collector's share of the CPU this process has
+// used: GC time over all CPU time but idle, so an idle daemon does not
+// dilute it.  The runtime refreshes these classes at each collection.
+func gcCPUFrac() float64 {
+	s := []metrics.Sample{
+		{Name: "/cpu/classes/gc/total:cpu-seconds"},
+		{Name: "/cpu/classes/total:cpu-seconds"},
+		{Name: "/cpu/classes/idle:cpu-seconds"},
+	}
+	metrics.Read(s)
+	used := s[1].Value.Float64() - s[2].Value.Float64()
+	if used <= 0 {
+		return 0
+	}
+	return s[0].Value.Float64() / used
 }
 
 // sessionMetrics is the per-session slice of the same counters, reported

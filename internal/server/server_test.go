@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -198,9 +199,23 @@ func TestStatsFrameAndServerstatsPrim(t *testing.T) {
 		t.Fatalf("stats reply = %+v", f)
 	}
 	joined := strings.Join(f.Stats, " ")
-	for _, want := range []string{"sessions_total:", "evals:", "timeouts:", "p50_us:", "p99_us:", "bytes_in:", "session_evals:"} {
+	for _, want := range []string{"sessions_total:", "evals:", "timeouts:", "p50_us:", "p99_us:", "gc_cpu_frac:", "bytes_in:", "session_evals:"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("stats missing %q: %v", want, f.Stats)
+		}
+	}
+	// gc_cpu_frac follows p99_us and is a share, printed with three decimals.
+	for k, w := range f.Stats {
+		v, ok := strings.CutPrefix(w, "gc_cpu_frac:")
+		if !ok {
+			continue
+		}
+		if k == 0 || !strings.HasPrefix(f.Stats[k-1], "p99_us:") {
+			t.Errorf("gc_cpu_frac does not follow p99_us: %v", f.Stats)
+		}
+		frac, err := strconv.ParseFloat(v, 64)
+		if err != nil || frac < 0 || frac > 1 || len(v) != len("0.000") {
+			t.Errorf("gc_cpu_frac = %q, want a value in [0, 1] with three decimals", v)
 		}
 	}
 
