@@ -1,5 +1,5 @@
 # Verification tiers: `make check` is the tier-1 floor (build, tests,
-# gofmt, and vet over the bench module);
+# gofmt, and vet plus the short tests of the bench module);
 # `make race` adds vet, the race detector, 20s of frame-codec fuzzing,
 # the esd server soak, and then the serving bench gate; `make bench`
 # runs, with -benchmem, the dispatch-cache benchmarks that guard the

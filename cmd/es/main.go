@@ -20,13 +20,13 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 
 	"es"
 	"es/internal/analysis"
 	"es/internal/core"
+	"es/internal/prim"
 )
 
 func main() {
@@ -46,7 +46,7 @@ func run() int {
 	flag.Parse()
 
 	if *parseOnly {
-		return checkSyntax(*command, flag.Args())
+		return checkInputs(*command, flag.Args(), checkSyntax)
 	}
 	if *checkOnly {
 		return checkStatic(*command, flag.Args())
@@ -119,54 +119,22 @@ func printCacheStats(sh *es.Shell) {
 func report(res es.List, err error) int {
 	if err != nil {
 		if exc, ok := err.(*es.Exception); ok && exc.Name() == "exit" {
-			return statusOf(exc.Args[1:])
+			return prim.ExitStatus(exc.Args[1:])
 		}
 		fmt.Fprintln(os.Stderr, "es: uncaught exception:", err)
 		return 1
 	}
-	return statusOf(res)
+	return prim.ExitStatus(res)
 }
 
-func statusOf(res es.List) int {
-	if res.True() {
-		return 0
-	}
-	if len(res) == 1 {
-		if n, err := strconv.Atoi(res[0].String()); err == nil && n >= 0 && n < 256 {
-			return n
-		}
-	}
-	return 1
-}
-
-// checkSyntax implements -n: parse the command, files, or stdin and
-// report errors without executing anything.
-func checkSyntax(command string, files []string) int {
-	check := func(label, src string) int {
-		if _, err := core.ParseCommand(src); err != nil {
-			fmt.Fprintf(os.Stderr, "es: %s: %v\n", label, err)
-			return 1
-		}
-		return 0
-	}
-	switch {
-	case command != "":
+// checkInputs applies check to the -c command, else to each file, else
+// to stdin, and executes nothing.  The status is 1 if an input could not
+// be read or check found an error in it.
+func checkInputs(command string, files []string, check func(label, src string) int) int {
+	if command != "" {
 		return check("-c", command)
-	case len(files) > 0:
-		status := 0
-		for _, f := range files {
-			src, err := os.ReadFile(f)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "es:", err)
-				status = 1
-				continue
-			}
-			if check(f, string(src)) != 0 {
-				status = 1
-			}
-		}
-		return status
-	default:
+	}
+	if len(files) == 0 {
 		src, err := io.ReadAll(os.Stdin)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "es:", err)
@@ -174,6 +142,26 @@ func checkSyntax(command string, files []string) int {
 		}
 		return check("stdin", string(src))
 	}
+	status := 0
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "es:", err)
+			status = 1
+		} else if check(f, string(src)) != 0 {
+			status = 1
+		}
+	}
+	return status
+}
+
+// checkSyntax is the check of -n: it reports src's parse error, if any.
+func checkSyntax(label, src string) int {
+	if _, err := core.ParseCommand(src); err != nil {
+		fmt.Fprintf(os.Stderr, "es: %s: %v\n", label, err)
+		return 1
+	}
+	return 0
 }
 
 // checkStatic implements -check: run the static analyzer (escheck's
@@ -187,7 +175,7 @@ func checkStatic(command string, files []string) int {
 		return 1
 	}
 	env := analysis.EnvFromInterp(sh.Interp())
-	check := func(label, src string) int {
+	return checkInputs(command, files, func(label, src string) int {
 		res := analysis.Analyze(src, analysis.Options{File: label, Env: env})
 		for _, d := range res.Diags {
 			fmt.Fprintln(os.Stderr, d.String())
@@ -196,32 +184,7 @@ func checkStatic(command string, files []string) int {
 			return 1
 		}
 		return 0
-	}
-	switch {
-	case command != "":
-		return check("-c", command)
-	case len(files) > 0:
-		status := 0
-		for _, f := range files {
-			src, err := os.ReadFile(f)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "es:", err)
-				status = 1
-				continue
-			}
-			if check(f, string(src)) != 0 {
-				status = 1
-			}
-		}
-		return status
-	default:
-		src, err := io.ReadAll(os.Stdin)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "es:", err)
-			return 1
-		}
-		return check("stdin", string(src))
-	}
+	})
 }
 
 // stripFunctions implements -p: fn- and set- definitions inherited from

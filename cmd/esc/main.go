@@ -43,9 +43,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
+	"es/internal/core"
+	"es/internal/prim"
 	"es/internal/server"
 )
 
@@ -178,7 +179,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "esc: uncaught exception:", strings.Join(f.Exception, " "))
 			status = 1
 		} else {
-			status = statusOf(f)
+			status = prim.ExitStatus(core.StrList(f.Value...))
 		}
 	}
 	if *snapFile != "" {
@@ -217,19 +218,4 @@ func dialDaemon(socket, addr string, useTLS bool, caFile string, skipVerify bool
 		return nil, err
 	}
 	return server.Dial("tls://"+addr, tlsCfg, attempts)
-}
-
-// statusOf maps a result frame to an exit status the way cmd/es maps a
-// top-level result: true is 0, a single small integer is itself, anything
-// else is 1.
-func statusOf(f *server.Frame) int {
-	if f.True {
-		return 0
-	}
-	if len(f.Value) == 1 {
-		if n, err := strconv.Atoi(f.Value[0]); err == nil && n >= 0 && n < 256 {
-			return n
-		}
-	}
-	return 1
 }

@@ -239,6 +239,48 @@ func TestEsParseOnly(t *testing.T) {
 	}
 }
 
+func TestEsCheckOnly(t *testing.T) {
+	bin := buildEs(t)
+	check := func(stdin string, args ...string) (int, string, string) {
+		t.Helper()
+		cmd := exec.Command(bin, append([]string{"-check"}, args...)...)
+		cmd.Stdin = strings.NewReader(stdin)
+		var stdout, stderr strings.Builder
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		if _, ok := err.(*exec.ExitError); err != nil && !ok {
+			t.Fatalf("es -check %v: %v", args, err)
+		}
+		return cmd.ProcessState.ExitCode(), stdout.String(), stderr.String()
+	}
+	// -check never executes: a clean program exits 0 and prints nothing.
+	if code, out, errs := check("", "-c", "echo should-not-run"); code != 0 || out != "" || errs != "" {
+		t.Errorf("-check of a clean program: exit %d, stdout %q, stderr %q", code, out, errs)
+	}
+	const src = "$&nosuchprim x"
+	const diag = "1:1: [E101] reference to unregistered primitive $&nosuchprim\n"
+	dir := t.TempDir()
+	file := filepath.Join(dir, "bad.es")
+	os.WriteFile(file, []byte(src+"\n"), 0o644)
+	for _, c := range []struct {
+		label, stdin string
+		args         []string
+	}{
+		{"-c", "", []string{"-c", src}},
+		{file, "", []string{file}},
+		{"stdin", src + "\n", nil},
+	} {
+		code, out, errs := check(c.stdin, c.args...)
+		if code != 1 || out != "" || errs != c.label+":"+diag {
+			t.Errorf("-check %s: exit %d, stdout %q, stderr %q; want exit 1 and %q",
+				c.label, code, out, errs, c.label+":"+diag)
+		}
+	}
+	if code, _, errs := check("", filepath.Join(dir, "missing.es")); code != 1 || errs == "" {
+		t.Errorf("-check of a missing file: exit %d, stderr %q", code, errs)
+	}
+}
+
 func TestEsProtectedMode(t *testing.T) {
 	bin := buildEs(t)
 	hostile := append(os.Environ(),

@@ -24,10 +24,11 @@
 //     execution (es lists are immutable, so sharing is safe);
 //   - match patterns built from static words are compiled to glob
 //     patterns once, not per evaluation;
-//   - $&primitive references are interned to dense indices so the
-//     evaluator dispatches through a flat table instead of a map;
 //   - lambda and substitution bodies are compiled eagerly and registered
 //     with the caller, so closure application starts on compiled code.
+//
+// A $&primitive stays a name, looked up in the running interpreter's
+// registry each time its command runs.
 //
 // The package deliberately knows nothing about the evaluator: it depends
 // only on syntax and glob.  Execution semantics — environments, tail
@@ -35,8 +36,6 @@
 package compile
 
 import (
-	"sync"
-
 	"es/internal/glob"
 	"es/internal/syntax"
 )
@@ -73,8 +72,7 @@ const (
 
 // Unit is one compiled block.
 type Unit struct {
-	Block *syntax.Block // provenance (closure bodies still carry the AST)
-	Seq   Seq
+	Seq Seq
 }
 
 // Seq is a compiled command sequence; the result of a sequence is the
@@ -103,12 +101,6 @@ type Instr struct {
 	Pats     Pats      // OpMatch / OpMatchExtract
 	Body     Body      // OpLet / OpLocal / OpFor / OpNot body
 	Seq      Seq       // OpGroup / OpSeq
-
-	// HeadPrim pre-resolves $&prim command heads: when Words.Const is
-	// non-nil and its first term is a primitive reference, HeadPrim holds
-	// its interned index (else -1).  The evaluator dispatches through its
-	// flat primitive table without building the head term at all.
-	HeadPrim int
 }
 
 // Binding is one compiled name = values pair in a binding form header.
@@ -132,9 +124,8 @@ type WordList struct {
 // ConstTerm is one term of a constant word list: a plain string, or a
 // $&primitive reference when Prim is non-empty.
 type ConstTerm struct {
-	Str     string
-	Prim    string
-	PrimIdx int
+	Str  string
+	Prim string
 }
 
 // Pats is a compiled match-pattern word list.
@@ -170,10 +161,9 @@ const (
 
 // StaticPiece is one pre-evaluated piece of a static word.
 type StaticPiece struct {
-	Pat     glob.Pattern
-	Wild    bool   // Pat.HasWild(), computed once
-	Prim    string // non-empty: the piece is a $&prim term
-	PrimIdx int
+	Pat  glob.Pattern
+	Wild bool   // Pat.HasWild(), computed once
+	Prim string // non-empty: the piece is a $&prim term
 }
 
 // Word is one compiled word: segments joined pairwise by concatenation
@@ -219,8 +209,7 @@ type Seg struct {
 	Flat    bool   // $^name
 	Index   []*Word
 
-	Prim    string // SegPrim
-	PrimIdx int
+	Prim string // SegPrim
 
 	Lambda *syntax.Lambda // SegLambda (closure creation needs the AST)
 	Block  *syntax.Block  // SegCmdSub / SegRetSub body
@@ -245,7 +234,7 @@ type compiler struct {
 }
 
 func (c *compiler) block(b *syntax.Block) *Unit {
-	u := &Unit{Block: b}
+	u := &Unit{}
 	if b == nil {
 		return u
 	}
@@ -330,11 +319,7 @@ func (c *compiler) simple(s *syntax.Simple) Instr {
 			return Instr{Op: OpGroup, Seq: c.block(lp.Lambda.Body).Seq}
 		}
 	}
-	in := Instr{Op: OpSimple, Words: c.words(s.Words), HeadPrim: -1}
-	if len(in.Words.Const) > 0 && in.Words.Const[0].Prim != "" {
-		in.HeadPrim = in.Words.Const[0].PrimIdx
-	}
-	return in
+	return Instr{Op: OpSimple, Words: c.words(s.Words)}
 }
 
 func (c *compiler) words(ws []*syntax.Word) WordList {
@@ -351,7 +336,7 @@ func (c *compiler) words(ws []*syntax.Word) WordList {
 		for _, sp := range cw.Static {
 			switch {
 			case sp.Prim != "":
-				consts = append(consts, ConstTerm{Prim: sp.Prim, PrimIdx: sp.PrimIdx})
+				consts = append(consts, ConstTerm{Prim: sp.Prim})
 			case sp.Wild:
 				// Filename expansion depends on the filesystem.
 				constOK = false
@@ -470,7 +455,7 @@ func segStatic(segs []Seg) ([]StaticPiece, bool) {
 	case SegLit:
 		return []StaticPiece{{Pat: s.Pat, Wild: s.Pat.HasWild()}}, true
 	case SegPrim:
-		return []StaticPiece{{Prim: s.Prim, PrimIdx: s.PrimIdx}}, true
+		return []StaticPiece{{Prim: s.Prim}}, true
 	case SegList:
 		var out []StaticPiece
 		for _, w := range s.Words {
@@ -543,7 +528,7 @@ func (c *compiler) part(part syntax.Part) Seg {
 		}
 		return s
 	case *syntax.Prim:
-		return Seg{Kind: SegPrim, Prim: part.Name, PrimIdx: InternPrim(part.Name)}
+		return Seg{Kind: SegPrim, Prim: part.Name}
 	case *syntax.LambdaPart:
 		c.subBlock(part.Lambda.Body)
 		return Seg{Kind: SegLambda, Lambda: part.Lambda}
@@ -563,53 +548,4 @@ func (c *compiler) part(part syntax.Part) Seg {
 		// Unreachable: the seven cases above are every syntax.Part.
 		panic("compile: unknown word part")
 	}
-}
-
-// ---- primitive interning ----
-
-// Primitive names are interned process-wide to dense indices, so compiled
-// code can dispatch $&primitives through a flat per-interpreter table (one
-// bounds check) instead of a map lookup.  The table only grows; indices
-// are stable for the life of the process.
-var primIntern = struct {
-	mu    sync.RWMutex
-	index map[string]int
-	names []string
-}{index: make(map[string]int)}
-
-// InternPrim returns the stable dense index for a primitive name,
-// assigning one on first use.
-func InternPrim(name string) int {
-	primIntern.mu.RLock()
-	idx, ok := primIntern.index[name]
-	primIntern.mu.RUnlock()
-	if ok {
-		return idx
-	}
-	primIntern.mu.Lock()
-	defer primIntern.mu.Unlock()
-	if idx, ok := primIntern.index[name]; ok {
-		return idx
-	}
-	idx = len(primIntern.names)
-	primIntern.names = append(primIntern.names, name)
-	primIntern.index[name] = idx
-	return idx
-}
-
-// PrimName returns the name interned at idx ("" if out of range).
-func PrimName(idx int) string {
-	primIntern.mu.RLock()
-	defer primIntern.mu.RUnlock()
-	if idx < 0 || idx >= len(primIntern.names) {
-		return ""
-	}
-	return primIntern.names[idx]
-}
-
-// NumPrims returns the number of interned primitive names.
-func NumPrims() int {
-	primIntern.mu.RLock()
-	defer primIntern.mu.RUnlock()
-	return len(primIntern.names)
 }

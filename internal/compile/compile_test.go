@@ -42,9 +42,6 @@ func TestCompileConstantCommandWords(t *testing.T) {
 			t.Errorf("Const[%d] = %+v, want plain %q", k, ct, w)
 		}
 	}
-	if in.HeadPrim != -1 {
-		t.Errorf("HeadPrim = %d for a non-primitive head, want -1", in.HeadPrim)
-	}
 }
 
 func TestCompilePrimHeadInterned(t *testing.T) {
@@ -55,9 +52,6 @@ func TestCompilePrimHeadInterned(t *testing.T) {
 	}
 	if in.Words.Const == nil || in.Words.Const[0].Prim != "result" {
 		t.Fatalf("head not a constant prim term: %+v", in.Words.Const)
-	}
-	if want := InternPrim("result"); in.HeadPrim != want {
-		t.Errorf("HeadPrim = %d, want interned index %d", in.HeadPrim, want)
 	}
 }
 
@@ -135,25 +129,5 @@ func TestCompileRegistersLambdaBodies(t *testing.T) {
 	}
 	if got == 0 {
 		t.Error("lambda body was not registered for compiled application")
-	}
-}
-
-func TestInternPrimStable(t *testing.T) {
-	a := InternPrim("compile-test-prim-a")
-	b := InternPrim("compile-test-prim-b")
-	if a == b {
-		t.Fatalf("distinct names share index %d", a)
-	}
-	if again := InternPrim("compile-test-prim-a"); again != a {
-		t.Errorf("re-interning moved index %d -> %d", a, again)
-	}
-	if got := PrimName(a); got != "compile-test-prim-a" {
-		t.Errorf("PrimName(%d) = %q", a, got)
-	}
-	if got := PrimName(-1); got != "" {
-		t.Errorf("PrimName(-1) = %q, want empty", got)
-	}
-	if n := NumPrims(); n <= b {
-		t.Errorf("NumPrims() = %d, want > %d", n, b)
 	}
 }

@@ -111,16 +111,6 @@ func (i *Interp) execInstr(ctx *Ctx, in *compile.Instr, env *Binding) (List, err
 }
 
 func (i *Interp) execSimple(ctx *Ctx, in *compile.Instr, env *Binding) (List, error) {
-	// Pre-resolved primitive head: $&name args… dispatches through the
-	// flat primitive table without building the head term.
-	if in.HeadPrim >= 0 {
-		name := in.Words.Const[0].Prim
-		fn := i.primByIdx(in.HeadPrim, name)
-		if fn == nil {
-			return nil, ErrorExc("$&" + name + ": unknown primitive")
-		}
-		return fn(i, ctx, i.constList(in.Words.Const)[1:])
-	}
 	terms, err := i.execWords(ctx, &in.Words, env)
 	if err != nil {
 		return nil, err
@@ -129,16 +119,6 @@ func (i *Interp) execSimple(ctx *Ctx, in *compile.Instr, env *Binding) (List, er
 		return List{}, nil
 	}
 	return i.applyTerm(ctx, env, terms[0], terms[1:])
-}
-
-// primByIdx resolves an interned primitive index through the flat table,
-// falling back to the name map for primitives registered after this
-// interpreter's table was last grown.
-func (i *Interp) primByIdx(idx int, name string) PrimFunc {
-	if t := *i.primTab; idx < len(t) && t[idx] != nil {
-		return t[idx]
-	}
-	return i.prims[name]
 }
 
 // constList materializes a constant word list.  The elements are exact

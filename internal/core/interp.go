@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"es/internal/cache"
-	"es/internal/compile"
 	"es/internal/glob"
 	"es/internal/syntax"
 )
@@ -34,8 +33,7 @@ type Interp struct {
 	Reader CommandReader
 
 	// background job bookkeeping.
-	jobs   *jobTable
-	parent *Interp
+	jobs *jobTable
 
 	// TCO can be disabled to measure the paper's "tail calls consume
 	// stack space" deficiency (the E7 ablation).
@@ -46,11 +44,6 @@ type Interp struct {
 	// the differential fuzzer, where arbitrary generated input must not
 	// launch programs.
 	NoExternals bool
-
-	// primTab is the flat primitive dispatch table indexed by
-	// compile.InternPrim indices.  It is shared by reference with forks,
-	// like the prims map it mirrors.
-	primTab *[]PrimFunc
 
 	// ExitFunc, when set, makes $&exit terminate the process like the C
 	// implementation's exit(2) call.  It is deliberately not inherited
@@ -175,24 +168,16 @@ func New() *Interp {
 		intr:      new(atomic.Bool),
 		cancel:    new(atomic.Pointer[cancelState]),
 		maxDepth:  10000,
-		primTab:   new([]PrimFunc),
 	}
 }
 
-// RegisterPrim registers a $&name primitive.  Primitives cannot be
-// redefined from the shell: "it is always possible to access the
-// underlying shell service, even when its hook has been reassigned."
+// RegisterPrim registers a $&name primitive in the one registry every
+// $&name is looked up in when it runs, literal head or hook value alike.
+// Primitives cannot be redefined from the shell: "it is always possible
+// to access the underlying shell service, even when its hook has been
+// reassigned."
 func (i *Interp) RegisterPrim(name string, fn PrimFunc) {
 	i.prims[name] = fn
-	// Mirror the registration into the flat table compiled code
-	// dispatches through.
-	idx := compile.InternPrim(name)
-	t := *i.primTab
-	for idx >= len(t) {
-		t = append(t, nil)
-	}
-	t[idx] = fn
-	*i.primTab = t
 }
 
 // RegisterBuiltin registers a hermetic utility command, found after fn-
@@ -248,10 +233,8 @@ func (i *Interp) Fork() *Interp {
 		builtins:    i.builtins,
 		dir:         i.dir,
 		jobs:        i.jobs,
-		parent:      i,
 		NoTailCalls: i.NoTailCalls,
 		NoExternals: i.NoExternals,
-		primTab:     i.primTab,
 		maxDepth:    i.maxDepth,
 		Reader:      i.Reader,
 		ServerStats: i.ServerStats,
@@ -289,7 +272,6 @@ func (i *Interp) Fork() *Interp {
 // jobs.
 func (i *Interp) Spawn() *Interp {
 	child := i.Fork()
-	child.parent = nil
 	child.intr = new(atomic.Bool)
 	child.cancel = new(atomic.Pointer[cancelState])
 	child.jobs = &jobTable{jobs: make(map[int]*job)}

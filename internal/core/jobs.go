@@ -106,10 +106,6 @@ func (i *Interp) JobIDs() []int {
 	for id := range i.jobs.jobs {
 		out = append(out, id)
 	}
-	for a := 1; a < len(out); a++ {
-		for b := a; b > 0 && out[b] < out[b-1]; b-- {
-			out[b], out[b-1] = out[b-1], out[b]
-		}
-	}
+	sort.Ints(out)
 	return out
 }

@@ -55,9 +55,9 @@ import (
 //	migrate (client) — ID, Socket (another esd as a Dial target: a unix
 //	                   socket path, tcp://host:port or tls://host:port);
 //	                   (server) — ID, Socket, True once the session's state lives on
-//	                   the target and this daemon has become a transparent
-//	                   relay: subsequent frames on the same connection are
-//	                   answered by the target
+//	                   the target and this daemon has become a relay: the
+//	                   target answers later frames on the same connection,
+//	                   bar the few the read loop answers itself (see relay)
 //	check   (client) — ID, Src; (server) — ID, Diags (one word per
 //	                   diagnostic), Effects (capability categories the
 //	                   script reaches), True when the script carries no
@@ -154,10 +154,10 @@ func (fr *FrameReader) Read() (*Frame, error) {
 }
 
 // FrameWriter encodes frames one per line.  It serializes writers: the
-// session goroutine, the read loop's admission path, and the server's
-// drain path may all speak on one connection.  The first failed write
-// stops it, since a torn line would corrupt the stream: every later
-// Write returns that error without writing.
+// session goroutine, the read loop's admission path, the server's drain
+// path and a migrated session's relay may all speak on one connection.
+// The first failed write stops it, since a torn line would corrupt the
+// stream: every later Write returns that error without writing.
 type FrameWriter struct {
 	mu  sync.Mutex
 	w   io.Writer
@@ -178,22 +178,57 @@ func NewFrameWriter(w io.Writer, out ...*atomic.Int64) *FrameWriter {
 func (fw *FrameWriter) Write(f *Frame) error {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
-	if fw.err != nil {
-		return fw.err
-	}
 	b, err := appendFrame(fw.buf[:0], f)
 	if err != nil {
 		return err
 	}
 	b = append(b, '\n')
+	if cap(b) <= maxKeptFrame {
+		fw.buf = b
+	}
+	return fw.put(b)
+}
+
+// CopyLines copies r to the connection one whole line at a time, holding
+// the lock for each line, so a frame from Write lands between two copied
+// lines, never inside one.  A line longer than the read buffer is written
+// in pieces, all under one hold of the lock, so Write waits while r is
+// slow to finish a long line.  It stops at the writer's first error,
+// which it returns, or at r's end (nil) or error.
+func (fw *FrameWriter) CopyLines(r io.Reader) error {
+	br := bufio.NewReaderSize(r, 32<<10)
+	for {
+		line, err := br.ReadSlice('\n')
+		fw.mu.Lock()
+		for len(line) > 0 && fw.put(line) == nil && err == bufio.ErrBufferFull {
+			// The line runs past the buffer: copy the rest of it
+			// before another frame can take the lock.
+			line, err = br.ReadSlice('\n')
+		}
+		werr := fw.err
+		fw.mu.Unlock()
+		switch {
+		case werr != nil:
+			return werr
+		case err == io.EOF:
+			return nil
+		case err != nil:
+			return err
+		}
+	}
+}
+
+// put writes b, counting the bytes written; fw.mu is held.  The first
+// failed write is kept and stops every later one.
+func (fw *FrameWriter) put(b []byte) error {
+	if fw.err != nil {
+		return fw.err
+	}
 	n, err := fw.w.Write(b)
 	for _, c := range fw.out {
 		if c != nil {
 			c.Add(int64(n))
 		}
-	}
-	if cap(b) <= maxKeptFrame {
-		fw.buf = b
 	}
 	fw.err = err
 	return err

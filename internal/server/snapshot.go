@@ -21,7 +21,6 @@ package server
 
 import (
 	"encoding/base64"
-	"io"
 
 	"es/internal/core"
 	"es/internal/image"
@@ -123,20 +122,21 @@ func (s *Server) isSelf(target string) bool {
 }
 
 // relay forwards the rest of the session through the target connection:
-// client frames out of the mailbox are re-framed to the target, target
-// bytes are copied back verbatim (the session goroutine stopped writing
-// frames of its own, so raw copy cannot tear a line).  The relay ends
-// when either side hangs up or this daemon drains — a drain closes the
-// target connection, and the client sees EOF exactly as if its daemon
-// had restarted, which is what the snap/restore path is for.
+// client frames out of the mailbox are re-framed to the target, and
+// target lines are copied back verbatim through the session's frame
+// writer, a whole line per hold of its lock, so the frames the read loop
+// still answers itself (bad lines, hellos, admission refusals) land
+// between relayed lines.  The relay ends when either side hangs up or
+// this daemon drains — a drain closes the target connection, and the
+// client sees EOF exactly as if its daemon had restarted, which is what
+// the snap/restore path is for.
 func (s *session) relay(target *Client) {
 	tconn := target.Conn
 	defer tconn.Close()
 	copied := make(chan struct{})
 	go func() {
 		defer close(copied)
-		n, _ := io.Copy(s.conn, tconn)
-		s.srv.metrics.BytesOut.Add(n)
+		s.fw.CopyLines(tconn)
 	}()
 	for {
 		select {

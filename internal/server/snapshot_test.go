@@ -235,3 +235,49 @@ func TestMigrateOverTCP(t *testing.T) {
 		t.Fatalf("migrate to own tcp address = %+v", f)
 	}
 }
+
+// TestRelayKeepsLinesWhole: after a migrate the origin still answers a
+// line that does not decode itself, while it relays the target's replies.
+// Its error frames must land between relayed lines, never inside one, so
+// every line the client reads decodes.
+func TestRelayKeepsLinesWhole(t *testing.T) {
+	origin := newTestServer(t, Config{})
+	target := newTestServer(t, Config{})
+	c := dial(t, origin.cfg.Socket)
+	if f := c.roundTrip(t, &Frame{Type: "migrate", ID: 1, Socket: target.cfg.Socket}); f.Type != "migrate" || !f.True {
+		t.Fatalf("migrate reply = %+v", f)
+	}
+	// 16 bytes doubled 14 times: each reply carries 256 KiB of stdout,
+	// far more than one read of the relay.
+	if f := c.eval(t, "big = 0123456789abcdef; for (i = 1 2 3 4 5 6 7 8 9 10 11 12 13 14) big = $big^$big", 0); f.Type != "result" {
+		t.Fatalf("setup = %+v", f)
+	}
+	const rounds, garbage = 40, 50
+	go func() {
+		for k := 0; k < rounds; k++ {
+			if c.Write(&Frame{Type: "eval", ID: int64(k + 2), Src: "echo $big"}) != nil {
+				return
+			}
+			if _, err := c.Conn.Write([]byte(strings.Repeat("garbage\n", garbage))); err != nil {
+				return
+			}
+		}
+	}()
+	c.Conn.SetReadDeadline(time.Now().Add(time.Minute))
+	evals := 0
+	for n := 1; n <= rounds*(1+garbage); n++ {
+		f, err := c.Read()
+		if err != nil {
+			t.Fatalf("line %d: %v", n, err)
+		}
+		if f.Type == "result" {
+			if len(f.Stdout) != 256<<10+1 {
+				t.Fatalf("eval %d: %d bytes of stdout, want %d", f.ID, len(f.Stdout), 256<<10+1)
+			}
+			evals++
+		}
+	}
+	if evals != rounds {
+		t.Errorf("%d eval replies, want %d", evals, rounds)
+	}
+}

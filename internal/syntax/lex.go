@@ -269,9 +269,6 @@ func (l *lexer) next() Token {
 			l.lexFdSpec(&tok)
 			if tok.Fd2 >= 0 {
 				tok.Op = RedirDup
-			} else if tok.Op == RedirClose {
-				// already set by lexFdSpec for >[n=]
-				_ = tok
 			}
 		}
 		return tok

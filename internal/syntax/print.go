@@ -11,13 +11,6 @@ func Unparse(c Cmd) string {
 	return b.String()
 }
 
-// UnparseWord renders one word.
-func UnparseWord(w *Word) string {
-	var b strings.Builder
-	printWord(&b, w)
-	return b.String()
-}
-
 // UnparseLambda renders a lambda value: "@ p1 p2 {body}" when it has a
 // declared parameter list, "{body}" otherwise.
 func UnparseLambda(l *Lambda) string {

@@ -2,10 +2,10 @@
 # check.sh - repository verification tiers.
 #
 #   tier 1 (default): go build + go test, the floor every change must hold,
-#                     plus gofmt (any file it lists fails), go vet over the
-#                     bench module (which go test ./... never compiles but
-#                     which imports the server, core, compile and image
-#                     APIs), esvet and escheck
+#                     plus gofmt (any file it lists fails), go vet and the
+#                     short tests of the bench module (which go test ./...
+#                     never compiles but which imports the server, core,
+#                     compile and image APIs), esvet and escheck
 #   tier 2 (-race):   adds go vet, the race detector over the full suite
 #                     (including the 100-session esd soak test), 20s of
 #                     FuzzFrameCodec (esd's frame codec against
@@ -33,6 +33,8 @@ if [ -n "$unformatted" ]; then
 fi
 echo "== go vet ./esbench (the bench module)"
 (cd bench && go vet ./esbench)
+echo "== go test -short ./esbench (the bench module's own tests)"
+(cd bench && go test -short ./esbench)
 echo "== esvet (primitive registry hygiene)"
 go run ./cmd/esvet ./internal/prim
 echo "== escheck (zero errors over lib/ and the embedded prelude)"

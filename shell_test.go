@@ -62,6 +62,43 @@ func TestShellRegisterPrim(t *testing.T) {
 	}
 }
 
+// TestPrimResolvedAtRunTime: a literal $&name head is looked up in the
+// running shell's registry each time it runs.  Every run below shares one
+// compiled unit, so a primitive registered after that unit was compiled
+// is found, and only by the shell that registered it.
+func TestPrimResolvedAtRunTime(t *testing.T) {
+	const src = "$&probe-late 7"
+	a, _, _ := newTestShell(t)
+	b, _, _ := newTestShell(t)
+	compiles := func() int64 {
+		for _, s := range a.Interp().CacheStats() {
+			if s.Name == "compile" {
+				return s.Misses
+			}
+		}
+		t.Fatal("no compile cache in CacheStats")
+		return 0
+	}
+	unknown := func(sh *Shell, who string) {
+		t.Helper()
+		if _, err := sh.Run(src); err == nil || !strings.Contains(err.Error(), "$&probe-late: unknown primitive") {
+			t.Errorf("%s: err = %v, want $&probe-late: unknown primitive", who, err)
+		}
+	}
+	unknown(a, "A before registering")
+	before := compiles()
+	a.RegisterPrim("probe-late", func(i *Interp, ctx *Ctx, args List) (List, error) {
+		return args, nil
+	})
+	if res, err := a.Run(src); err != nil || res.Flatten(" ") != "7" {
+		t.Errorf("A after registering = %v, %v; want 7", res, err)
+	}
+	unknown(b, "B, which never registered it")
+	if after := compiles(); after != before {
+		t.Errorf("%d more compile misses: the runs did not share one unit", after-before)
+	}
+}
+
 func itoa(n int) string {
 	if n == 0 {
 		return "0"
