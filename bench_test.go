@@ -21,6 +21,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -657,6 +658,35 @@ func BenchmarkServerSessionSpawn(b *testing.B) {
 			b.Fatal("spawn failed")
 		}
 	}
+}
+
+// spawnResidentSessions is how many sessions BenchmarkSpawnResident
+// holds live at once.
+const spawnResidentSessions = 256
+
+// BenchmarkSpawnResident is what each live esd session keeps resident:
+// the heap growth, over a forced collection on either side, while
+// spawnResidentSessions sessions stamped out of one template are held at
+// once, reported as bytes/session.
+func BenchmarkSpawnResident(b *testing.B) {
+	i := benchShell(b).Interp()
+	i.Spawn() // folds the template's startup writes, once, as esd's first session does
+	kept := make([]*core.Interp, spawnResidentSessions)
+	var before, after runtime.MemStats
+	var grown int64
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for k := range kept {
+			kept[k] = i.Spawn()
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		grown += int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		clear(kept)
+	}
+	b.ReportMetric(float64(grown)/float64(b.N*spawnResidentSessions), "bytes/session")
 }
 
 // benchImage captures a session image carrying a realistic amount of

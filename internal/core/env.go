@@ -277,9 +277,9 @@ func freeVarsPart(part syntax.Part, bound, free map[string]bool) bool {
 // becomes superfluous for a new instance of es ... to run a configuration
 // file."
 func (i *Interp) ExportEnv() []string {
-	out := make([]string, 0, len(i.vars))
-	for name, slot := range i.vars {
-		if slot.noexport || (slot.value == nil && !slot.lazy) {
+	out := make([]string, 0, len(i.base.slots)+len(i.over))
+	for name, slot := range i.allVars {
+		if slot.noexport || slot.phantom() {
 			continue
 		}
 		if strings.ContainsAny(name, "=\000") {
@@ -306,7 +306,7 @@ func (i *Interp) ImportEnv(environ []string) {
 			continue
 		}
 		name, val := kv[:eq], kv[eq+1:]
-		i.vars[name] = &varSlot{raw: val, lazy: true}
+		i.put(name, &varSlot{raw: val, lazy: true})
 	}
 }
 
@@ -363,11 +363,8 @@ func (i *Interp) decodeTerm(seg string) (Term, bool) {
 // duplicated.
 func copyDecoded(t Term) Term {
 	if t.Closure != nil && t.Closure.Env != nil {
-		memo := &forkMemo{
-			bindings: make(map[*Binding]*Binding),
-			closures: make(map[*Closure]*Closure),
-		}
-		t.Closure = copyClosure(t.Closure, memo)
+		var memo forkMemo
+		t.Closure = copyClosure(t.Closure, &memo)
 	}
 	return t
 }

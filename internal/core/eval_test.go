@@ -235,7 +235,8 @@ let (shared = init) {
 }
 
 // ... but if the functions are forked, the connection is lost (the
-// paper's subshell lament, reproduced by Fork's deep copy).
+// paper's subshell lament, reproduced by Fork's copy of captured
+// bindings).
 func TestForkSeversLexicalSharing(t *testing.T) {
 	i, ctx, _ := harness(t)
 	eval(t, i, ctx, `

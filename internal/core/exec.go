@@ -214,8 +214,7 @@ func (i *Interp) execLocal(ctx *Ctx, in *compile.Instr, env *Binding) (List, err
 			values = List{}
 		}
 		oldVal := i.Var(name) // forces lazy decode so the restore is faithful
-		_, defined := i.vars[name]
-		saves = append(saves, saved{name: name, value: oldVal, defined: defined})
+		saves = append(saves, saved{name: name, value: oldVal, defined: i.slot(name) != nil})
 		if err := i.SetVar(nt, name, values); err != nil {
 			restore()
 			return nil, err

@@ -20,10 +20,19 @@ type PrimFunc func(i *Interp, ctx *Ctx, args List) (List, error)
 // status.
 type BuiltinFunc func(i *Interp, ctx *Ctx, args []string) int
 
-// Interp is one es interpreter.  It is not safe for concurrent use; Fork
-// produces an isolated copy for subshell semantics.
+// Interp is one es interpreter.  It is not safe for concurrent use,
+// except that Fork and Spawn may run at once on several goroutines while
+// nothing else uses it (esd spawns every session from one template).
+// Fork produces an isolated copy for subshell semantics.
 type Interp struct {
-	vars     map[string]*varSlot
+	// The global variables: a frozen base shared with forks under a
+	// private overlay, dirty once the overlay holds a write the base
+	// lacks (see vars.go).  forkMu orders concurrent Forks' folds.
+	base   *frozenVars
+	over   map[string]*varSlot
+	dirty  bool
+	forkMu sync.Mutex
+
 	prims    map[string]PrimFunc
 	builtins map[string]BuiltinFunc
 
@@ -61,8 +70,9 @@ type Interp struct {
 	Alloc AllocStats
 
 	// pathCache memoizes successful $path lookups made by $&pathsearch.
-	// It is per-interpreter (a fork may change $path independently) and
-	// invalidated whenever path/PATH is assigned; see CacheStats.
+	// It is per-interpreter (a fork may change $path independently),
+	// made on first use and invalidated whenever path/PATH is assigned;
+	// see CacheStats.
 	pathCache *cache.Map[string]
 
 	// intr is the pending-interrupt line, shared with forks (a subshell
@@ -159,15 +169,14 @@ func New() *Interp {
 		dir = "/"
 	}
 	return &Interp{
-		vars:      make(map[string]*varSlot),
-		prims:     make(map[string]PrimFunc),
-		builtins:  make(map[string]BuiltinFunc),
-		dir:       dir,
-		jobs:      &jobTable{jobs: make(map[int]*job)},
-		pathCache: cache.NewMap[string]("path", 512),
-		intr:      new(atomic.Bool),
-		cancel:    new(atomic.Pointer[cancelState]),
-		maxDepth:  10000,
+		base:     new(frozenVars),
+		prims:    make(map[string]PrimFunc),
+		builtins: make(map[string]BuiltinFunc),
+		dir:      dir,
+		jobs:     &jobTable{jobs: make(map[int]*job)},
+		intr:     new(atomic.Bool),
+		cancel:   new(atomic.Pointer[cancelState]),
+		maxDepth: 10000,
 	}
 }
 
@@ -222,13 +231,29 @@ func (i *Interp) Dir() string { return i.dir }
 // SetDir sets the working directory (no validation; $&cd validates).
 func (i *Interp) SetDir(dir string) { i.dir = dir }
 
-// Fork deep-copies the interpreter for subshell execution: variable
-// bindings — including the lexical environments captured inside closures —
-// are copied so that mutations in the child are invisible to the parent,
-// matching the process-fork semantics of the C implementation.
+// Fork makes a subshell of the interpreter, isolated as a fork(2)ed C
+// es process is: the child shares the parent's frozen base of global
+// variables (folding the parent's overlay into a new base first when it
+// has written since its last fork) and writes only a private overlay, so
+// neither side ever sees the other's assignments.  Closures with
+// captured bindings are the one mutable state values reach; the child
+// gets its own copies of the ones the globals hold, preserving sharing
+// and cycles among them.
 func (i *Interp) Fork() *Interp {
+	child, _, _ := i.ForkCmd(Term{}, nil)
+	return child
+}
+
+// ForkCmd forks the interpreter to run cmd with args, copying both
+// through the memo that copies the child's globals, so the subshell's
+// own command cannot assign a lexical binding the parent still sees:
+// in let (x = 1) {{x = 2} | cat}, the pipeline element gets its own x.
+func (i *Interp) ForkCmd(cmd Term, args List) (*Interp, Term, List) {
+	i.forkMu.Lock()
+	defer i.forkMu.Unlock()
+	i.fold()
 	child := &Interp{
-		vars:        make(map[string]*varSlot, len(i.vars)),
+		base:        i.base,
 		prims:       i.prims,
 		builtins:    i.builtins,
 		dir:         i.dir,
@@ -238,10 +263,6 @@ func (i *Interp) Fork() *Interp {
 		maxDepth:    i.maxDepth,
 		Reader:      i.Reader,
 		ServerStats: i.ServerStats,
-		// A fork may assign $path without the parent seeing the settor
-		// run, so it starts with its own empty path cache; sharing the
-		// parent's would serve answers computed against the wrong $path.
-		pathCache: cache.NewMap[string]("path", 512),
 		// The interrupt line IS shared: a SIGINT aimed at the shell
 		// interrupts its subshells too, like a Unix process group.  So is
 		// the cancel slot: a request deadline aborts the subshells and
@@ -249,18 +270,20 @@ func (i *Interp) Fork() *Interp {
 		intr:   i.intr,
 		cancel: i.cancel,
 	}
-	memo := &forkMemo{
-		bindings: make(map[*Binding]*Binding),
-		closures: make(map[*Closure]*Closure),
-	}
-	for name, slot := range i.vars {
-		if slot.lazy {
-			child.vars[name] = &varSlot{raw: slot.raw, lazy: true, noexport: slot.noexport}
-			continue
+	var memo forkMemo
+	if len(i.base.captured) > 0 {
+		child.over = make(map[string]*varSlot, len(i.base.captured))
+		for _, name := range i.base.captured {
+			// A parent with nothing to fold may still hold its own
+			// copies of these, from its own fork: those are the values.
+			s := i.slot(name)
+			child.over[name] = &varSlot{value: copyList(s.value, &memo), noexport: s.noexport}
 		}
-		child.vars[name] = &varSlot{value: copyList(slot.value, memo), noexport: slot.noexport}
 	}
-	return child
+	if cmd.Closure != nil {
+		cmd.Closure = copyClosure(cmd.Closure, &memo)
+	}
+	return child, cmd, copyList(args, &memo)
 }
 
 // Spawn forks the interpreter and detaches the copy from the parent's
@@ -269,7 +292,9 @@ func (i *Interp) Fork() *Interp {
 // fresh top-level interpreter stamped out of a warm template — how esd
 // starts each session — so interrupting or deadlining one session can
 // never abort another, and `wait` in one session cannot reap another's
-// jobs.
+// jobs.  Like Fork it shares the template's frozen variables instead of
+// copying them, so a session costs the same however many the template
+// defines.
 func (i *Interp) Spawn() *Interp {
 	child := i.Fork()
 	child.intr = new(atomic.Bool)
@@ -280,21 +305,25 @@ func (i *Interp) Spawn() *Interp {
 
 // forkMemo preserves object identity — including cycles, which es values
 // can form ("the ability to create true recursive structures") — across
-// the deep copy.
+// the deep copy.  Its maps are made on first use.
 type forkMemo struct {
 	bindings map[*Binding]*Binding
 	closures map[*Closure]*Closure
 }
 
-func copyList(l List, memo *forkMemo) List {
-	needs := false
+// capturesBindings reports whether l holds a closure with captured
+// bindings: the mutable state a fork has to copy.
+func capturesBindings(l List) bool {
 	for _, t := range l {
-		if t.Closure != nil {
-			needs = true
-			break
+		if t.Closure != nil && t.Closure.Env != nil {
+			return true
 		}
 	}
-	if !needs {
+	return false
+}
+
+func copyList(l List, memo *forkMemo) List {
+	if !capturesBindings(l) {
 		return l
 	}
 	out := make(List, len(l))
@@ -315,6 +344,9 @@ func copyClosure(c *Closure, memo *forkMemo) *Closure {
 		return dup
 	}
 	dup := &Closure{Params: c.Params, HasParams: c.HasParams, Body: c.Body}
+	if memo.closures == nil {
+		memo.closures = make(map[*Closure]*Closure)
+	}
 	memo.closures[c] = dup
 	dup.Env = copyBindings(c.Env, memo)
 	return dup
@@ -328,6 +360,9 @@ func copyBindings(b *Binding, memo *forkMemo) *Binding {
 		return dup
 	}
 	dup := &Binding{Name: b.Name}
+	if memo.bindings == nil {
+		memo.bindings = make(map[*Binding]*Binding)
+	}
 	memo.bindings[b] = dup
 	dup.Value = copyList(b.Value, memo)
 	dup.Next = copyBindings(b.Next, memo)
@@ -371,13 +406,18 @@ func FlushParseCache() { parseCache.Flush() }
 
 // PathCache exposes the interpreter's pathsearch memo so the pathsearch
 // primitive (package prim) can consult it and tests can observe it.
-func (i *Interp) PathCache() *cache.Map[string] { return i.pathCache }
+func (i *Interp) PathCache() *cache.Map[string] {
+	if i.pathCache == nil {
+		i.pathCache = cache.NewMap[string]("path", 512)
+	}
+	return i.pathCache
+}
 
 // FlushCaches drops this interpreter's path cache and the process-wide
 // parse, decode, and glob caches: the native analogue of Figure 2's
 // recache function, bound to $&recache.
 func (i *Interp) FlushCaches() {
-	i.pathCache.Flush()
+	i.PathCache().Flush()
 	FlushParseCache()
 	FlushCompileCache()
 	FlushDecodeCache()
@@ -390,7 +430,7 @@ func (i *Interp) FlushCaches() {
 // by $&cachestats and the es -cachestats flag.
 func (i *Interp) CacheStats() []cache.Stats {
 	return []cache.Stats{
-		i.pathCache.Stats(),
+		i.PathCache().Stats(),
 		parseCache.Stats(),
 		compileCache.Stats(),
 		decodeCache.Stats(),

@@ -28,8 +28,8 @@ type VarRecord struct {
 // captured as their undecoded raw string — no decode work happens, and
 // the encoding is the same either way.
 func (i *Interp) SnapshotVars() []VarRecord {
-	out := make([]VarRecord, 0, len(i.vars))
-	for name, slot := range i.vars {
+	out := make([]VarRecord, 0, len(i.base.slots)+len(i.over))
+	for name, slot := range i.allVars {
 		rec := VarRecord{Name: name, NoExport: slot.noexport}
 		switch {
 		case slot.phantom():
@@ -54,17 +54,23 @@ func (i *Interp) SnapshotVars() []VarRecord {
 // marks, phantom marks, and null values are restored exactly.  Settors do
 // not run: a restore reinstates state, it does not re-assign it.
 func (i *Interp) RestoreVars(recs []VarRecord) {
-	i.vars = make(map[string]*varSlot, len(recs))
+	slots := make(map[string]*varSlot, len(recs))
 	for _, r := range recs {
 		switch {
 		case r.Phantom:
-			i.vars[r.Name] = &varSlot{noexport: r.NoExport}
+			slots[r.Name] = &varSlot{noexport: r.NoExport}
 		case r.Empty:
-			i.vars[r.Name] = &varSlot{value: List{}, noexport: r.NoExport}
+			slots[r.Name] = &varSlot{value: List{}, noexport: r.NoExport}
 		default:
-			i.vars[r.Name] = &varSlot{raw: r.Value, lazy: true, noexport: r.NoExport}
+			slots[r.Name] = &varSlot{raw: r.Value, lazy: true, noexport: r.NoExport}
 		}
 	}
+	// No slot holds a decoded closure, so nothing is captured.
+	i.base = &frozenVars{slots: slots}
+	clear(i.over)
+	i.dirty = false
 	// $path may have changed wholesale; cached lookups are for the old one.
-	i.pathCache.Flush()
+	if i.pathCache != nil {
+		i.pathCache.Flush()
+	}
 }

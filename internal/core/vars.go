@@ -1,6 +1,10 @@
 package core
 
-import "sort"
+import (
+	"maps"
+	"sort"
+	"strings"
+)
 
 // varSlot holds one global (dynamic) variable.  Values imported from the
 // environment stay as raw strings until first use: parsing every
@@ -24,15 +28,118 @@ func (s *varSlot) phantom() bool {
 	return s.value == nil && !s.lazy
 }
 
+// The global table has two levels, the in-process analogue of the
+// copy-on-write pages fork(2) gives the C implementation's subshells.
+// Interp.base is frozen: an interpreter shares it with every fork made
+// since it was last folded, so neither its map nor any slot in it is
+// ever written again.  Interp.over is private to one interpreter and
+// takes every write — assignment, unset (a nil tombstone), SetNoExport
+// and lazy decode — while lookups fall through it to the base.  Fork
+// folds a written overlay into a new base first (one map clone), so a
+// child costs one Interp however many variables there are.
+
+// frozenVars is a base table.
+type frozenVars struct {
+	slots map[string]*varSlot
+	// captured names the slots whose values hold closures with captured
+	// bindings.  Bindings are mutable, so every fork still copies these
+	// slots through a forkMemo; the list is made once per base.
+	captured []string
+}
+
+// slot returns name's current slot, or nil if it has none.
+func (i *Interp) slot(name string) *varSlot {
+	if s, ok := i.over[name]; ok {
+		return s // nil: unset since the last fold
+	}
+	return i.base.slots[name]
+}
+
+// put stores s (nil to unset) as name's slot in the overlay.
+func (i *Interp) put(name string, s *varSlot) {
+	if i.over == nil {
+		i.over = make(map[string]*varSlot)
+	}
+	i.over[name] = s
+	i.dirty = true
+}
+
+// own returns name's slot for writing: the overlay's, copied up from
+// the base (or made empty) on the first write since the last fold.
+func (i *Interp) own(name string) *varSlot {
+	i.dirty = true
+	s, ok := i.over[name]
+	if s != nil {
+		return s
+	}
+	s = new(varSlot)
+	if b := i.base.slots[name]; !ok && b != nil {
+		*s = *b
+	}
+	i.put(name, s)
+	return s
+}
+
+// fold makes the overlay's writes part of a new base; the old base is
+// left as it was, for the forks still sharing it.
+func (i *Interp) fold() {
+	if !i.dirty {
+		return
+	}
+	slots := maps.Clone(i.base.slots)
+	if slots == nil {
+		slots = make(map[string]*varSlot, len(i.over))
+	}
+	var captured []string
+	for _, name := range i.base.captured {
+		if _, ok := i.over[name]; !ok {
+			captured = append(captured, name)
+		}
+	}
+	for name, s := range i.over {
+		switch {
+		case s == nil:
+			delete(slots, name)
+		case !s.lazy && capturesBindings(s.value):
+			captured = append(captured, name)
+			fallthrough
+		default:
+			slots[name] = s
+		}
+	}
+	i.base = &frozenVars{slots: slots, captured: captured}
+	clear(i.over)
+	i.dirty = false
+}
+
+// allVars ranges over every slot the table holds, phantoms included, in
+// no particular order.
+func (i *Interp) allVars(yield func(string, *varSlot) bool) {
+	for name, s := range i.base.slots {
+		if _, ok := i.over[name]; !ok && !yield(name, s) {
+			return
+		}
+	}
+	for name, s := range i.over {
+		if s != nil && !yield(name, s) {
+			return
+		}
+	}
+}
+
 // Var returns the value of the global variable name (nil if unset).
 func (i *Interp) Var(name string) List {
-	s, ok := i.vars[name]
-	if !ok {
+	s := i.slot(name)
+	if s == nil {
 		return nil
 	}
 	if s.lazy {
-		s.value = i.DecodeValue(name, s.raw)
-		s.lazy = false
+		v := i.DecodeValue(name, s.raw)
+		// The copy keeps name from escaping, so callers' "fn-"+name
+		// stays off the heap on every command dispatch.
+		w := i.own(strings.Clone(name))
+		w.value, w.lazy, w.raw = v, false, ""
+		return v
 	}
 	return s.value
 }
@@ -42,19 +149,18 @@ func (i *Interp) Var(name string) List {
 // this check, SetNoExport on an unset name made Defined report a
 // variable that no assignment ever created.
 func (i *Interp) Defined(name string) bool {
-	s, ok := i.vars[name]
-	return ok && !s.phantom()
+	s := i.slot(name)
+	return s != nil && !s.phantom()
 }
 
 // VarNames returns the defined global variable names, sorted.  Phantom
 // noexport-only slots are omitted, matching Defined.
 func (i *Interp) VarNames() []string {
-	names := make([]string, 0, len(i.vars))
-	for n, s := range i.vars {
-		if s.phantom() {
-			continue
+	names := make([]string, 0, len(i.base.slots)+len(i.over))
+	for n, s := range i.allVars {
+		if !s.phantom() {
+			names = append(names, n)
 		}
-		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
@@ -66,14 +172,15 @@ func (i *Interp) VarNames() []string {
 func (i *Interp) SetVarRaw(name string, value List) {
 	i.invalidateForAssign(name)
 	if value == nil {
-		delete(i.vars, name)
+		if i.base.slots[name] != nil {
+			i.put(name, nil)
+		} else {
+			delete(i.over, name)
+		}
 		return
 	}
-	if s, ok := i.vars[name]; ok {
-		s.value, s.lazy, s.raw = value, false, ""
-		return
-	}
-	i.vars[name] = &varSlot{value: value}
+	s := i.own(name)
+	s.value, s.lazy, s.raw = value, false, ""
 }
 
 // invalidateForAssign keeps the native caches honest across assignments:
@@ -81,18 +188,14 @@ func (i *Interp) SetVarRaw(name string, value List) {
 // restore, or an unset — drops the pathsearch memo, exactly as the
 // set-path settor invalidates Figure 2's spoofed cache.
 func (i *Interp) invalidateForAssign(name string) {
-	if name == "path" || name == "PATH" {
+	if (name == "path" || name == "PATH") && i.pathCache != nil {
 		i.pathCache.Flush()
 	}
 }
 
 // SetNoExport marks a variable as excluded from the environment.
 func (i *Interp) SetNoExport(name string) {
-	if s, ok := i.vars[name]; ok {
-		s.noexport = true
-	} else {
-		i.vars[name] = &varSlot{noexport: true}
-	}
+	i.own(name).noexport = true
 }
 
 // SetVar assigns a global variable, running its settor if one is defined:
@@ -112,11 +215,8 @@ func (i *Interp) SetVar(ctx *Ctx, name string, value List) error {
 	// an empty variable.  We follow the simpler rc rule: x = (no values)
 	// leaves x defined but null; only explicit unset (SetVarRaw nil)
 	// deletes.  Null and undefined are indistinguishable to $#.
-	if s, ok := i.vars[name]; ok {
-		s.value, s.lazy, s.raw = value, false, ""
-	} else {
-		i.vars[name] = &varSlot{value: value}
-	}
+	s := i.own(name)
+	s.value, s.lazy, s.raw = value, false, ""
 	return nil
 }
 
@@ -149,13 +249,4 @@ func (i *Interp) assignVar(ctx *Ctx, env *Binding, name string, value List) erro
 		return nil
 	}
 	return i.SetVar(ctx, name, value)
-}
-
-// ifs returns the field separator characters used by backquote splitting.
-func (i *Interp) ifs(env *Binding) string {
-	v := lookupVar(i, env, "ifs")
-	if v == nil {
-		return " \t\n"
-	}
-	return v.Flatten("")
 }

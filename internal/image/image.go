@@ -104,8 +104,8 @@ func (img *Image) Restore(i *core.Interp) {
 	}
 	for _, r := range img.Vars {
 		if r.Name == "pid" && !r.Phantom {
-			// SetVarRaw mutates the restored slot in place, so the
-			// captured noexport mark survives the re-stamp.
+			// SetVarRaw keeps the restored slot's noexport mark, so
+			// the captured mark survives the re-stamp.
 			i.SetVarRaw("pid", core.StrList(strconv.Itoa(os.Getpid())))
 			break
 		}

@@ -51,7 +51,9 @@ func primHere(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, error) 
 // element runs in its own forked interpreter (the in-process analogue of
 // the per-element fork in the C implementation), connected with real
 // pipes so externals and shell functions mix freely.  The result is the
-// final element's result.
+// final element's result.  All elements are forked before any starts:
+// Fork may fold the parent's variables, which must not race with a
+// running sibling's fork.
 func primPipe(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, error) {
 	if len(args) == 0 {
 		return core.True(), nil
@@ -96,6 +98,10 @@ func primPipe(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, error) 
 		ios[k+1] = ios[k+1].WithFD(elems[k+1].inFd, pr)
 	}
 
+	children := make([]*core.Interp, len(elems))
+	for k := range elems {
+		children[k], elems[k].cmd, _ = i.ForkCmd(elems[k].cmd, nil)
+	}
 	var wg sync.WaitGroup
 	results := make([]core.List, len(elems))
 	errs := make([]error, len(elems))
@@ -103,9 +109,8 @@ func primPipe(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, error) 
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			child := i.Fork()
 			cctx := &core.Ctx{IO: ios[k]}
-			results[k], errs[k] = child.ApplyTerm(cctx, elems[k].cmd, nil)
+			results[k], errs[k] = children[k].ApplyTerm(cctx, elems[k].cmd, nil)
 			// Close this element's pipe ends so neighbours see EOF.
 			if k > 0 {
 				pipes[k-1].r.Close()
@@ -203,9 +208,8 @@ func primBackground(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, e
 	if len(args) == 0 {
 		return core.True(), nil
 	}
-	child := i.Fork()
+	child, cmd, rest := i.ForkCmd(args[0], args[1:])
 	cctx := &core.Ctx{IO: ctx.IO}
-	cmd, rest := args[0], args[1:]
 	stderr := ctx.Stderr()
 	id := i.StartJob(func() core.List {
 		res, err := child.ApplyTerm(cctx, cmd, rest)
@@ -227,8 +231,8 @@ func primFork(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, error) 
 	if len(args) == 0 {
 		return core.True(), nil
 	}
-	child := i.Fork()
-	res, err := child.ApplyTerm(ctx.NonTail(), args[0], args[1:])
+	child, cmd, rest := i.ForkCmd(args[0], args[1:])
+	res, err := child.ApplyTerm(ctx.NonTail(), cmd, rest)
 	if err != nil {
 		return subshellResult(ctx, err, "in subshell"), nil
 	}
@@ -261,7 +265,7 @@ func primBackquote(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, er
 	if v := i.Var("ifs"); v != nil {
 		ifs = v.Flatten("")
 	}
-	child := i.Fork()
+	child, cmd, rest := i.ForkCmd(args[0], args[1:])
 	var buf bytes.Buffer
 	pr, pw := io.Pipe()
 	done := make(chan error, 1)
@@ -270,7 +274,7 @@ func primBackquote(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, er
 		done <- err
 	}()
 	cctx := ctx.NonTail().WithIO(ctx.IO.WithFD(1, pw))
-	_, err := child.ApplyTerm(cctx, args[0], args[1:])
+	_, err := child.ApplyTerm(cctx, cmd, rest)
 	pw.Close()
 	<-done
 	if err != nil {

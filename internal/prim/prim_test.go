@@ -370,6 +370,45 @@ func TestForkIsolation(t *testing.T) {
 	}
 }
 
+// A subshell gets its own copy of the lexical bindings its command closes
+// over, as a fork(2)ed C es process does, so an assignment inside it never
+// reaches the parent's binding.
+func TestSubshellsCopyLexicalBindings(t *testing.T) {
+	i, ctx, _, _ := newInterp(t)
+	for _, src := range []string{
+		"let (x = 1) {{x = 2} | {}; result $x}",
+		"let (x = 1) {fork {x = 2}; result $x}",
+		"let (x = 1) {y = `{x = 2}; result $x}",
+		"let (x = 1) {{x = 2} &; wait; result $x}",
+		// Sharing one binding, these two elements raced under -race.
+		"let (x = 1) {{x = a} | {x = b}; result $x}",
+	} {
+		if got := mustRun(t, i, ctx, src).Flatten(" "); got != "1" {
+			t.Errorf("%s: x = %q, want 1", src, got)
+		}
+	}
+}
+
+// A background job runs on the globals as they were when it was forked:
+// the parent's later assignment, and the fold of it that the parent's
+// next fork makes, never reach the job.
+func TestBackgroundJobKeepsForkTimeGlobals(t *testing.T) {
+	i, ctx, _, _ := newInterp(t)
+	gate := make(chan struct{})
+	i.RegisterPrim("gate", func(*core.Interp, *core.Ctx, core.List) (core.List, error) {
+		<-gate
+		return core.True(), nil
+	})
+	mustRun(t, i, ctx, "x = old; {$&gate; result $x} &; x = new; fork {}")
+	close(gate)
+	if got := mustRun(t, i, ctx, "wait").Flatten(" "); got != "old" {
+		t.Errorf("job read x = %q, want old", got)
+	}
+	if got := i.Var("x").Flatten(" "); got != "new" {
+		t.Errorf("parent x = %q, want new", got)
+	}
+}
+
 func TestBackquoteSplitting(t *testing.T) {
 	i, ctx, _, _ := newInterp(t)
 	got := mustRun(t, i, ctx, "result `{echo 'a b'; echo c}").Flatten(",")

@@ -16,8 +16,9 @@ package server
 //
 //   - pre-baked templates: a Config.NewSession built by NewSessionFromImage
 //     restores an image once onto a template and stamps sessions out of
-//     it with Spawn, so per-session cost stays one deep copy no matter
-//     how much state the image carries.
+//     it with Spawn, which shares the template's variables instead of
+//     copying them, so per-session cost does not grow with how much
+//     state the image carries.
 
 import (
 	"encoding/base64"
