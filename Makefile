@@ -1,13 +1,14 @@
 # Verification tiers: `make check` is the tier-1 floor (build, tests,
 # gofmt, and vet plus the short tests of the bench module);
-# `make race` adds vet, the fork, spawn and isolation tests ten times
-# over under the race detector, the race detector over everything, 20s
-# of frame-codec fuzzing, the esd server soak, and then the serving
+# `make race` adds vet, the fork, spawn, isolation and pipe tests ten
+# times over under the race detector, the race detector over everything,
+# 20s of frame-codec fuzzing, the esd server soak, and then the serving
 # bench gate; `make bench` runs, with -benchmem, the dispatch-cache
 # benchmarks that guard the native cache speedups, the builtin
-# pipelines whose allocations the coreutils buffer pools cut, and the
-# fork and spawn benchmarks of the copy-on-write variable table
-# (SpawnResident reports heap bytes per live session);
+# pipelines whose allocations the coreutils buffer pools cut and whose
+# stages the in-memory pipe joins without descriptors, and the fork and
+# spawn benchmarks of the copy-on-write variable table (SpawnResident
+# reports heap bytes per live session);
 # `make bench-server` regenerates the serving baseline and
 # `make bench-check` gates against it (>25% ns/op regression fails).
 
@@ -26,7 +27,7 @@ soak:
 	sh scripts/soak.sh
 
 bench:
-	go test -run=NONE -bench='NativePath|ParseCold|GlobMatch|EnvDecode|AllocUnderLiveRoots|Fig1PipeBaseline|PipeWordCount|ForkClone|ServerSessionSpawn|SpawnResident' -benchmem -benchtime=200ms . ./internal/gc ./internal/glob
+	go test -run=NONE -bench='NativePath|ParseCold|GlobMatch|EnvDecode|AllocUnderLiveRoots|Fig1PipeBaseline|PipeWordCount|PipeBuiltins|ForkClone|ServerSessionSpawn|SpawnResident' -benchmem -benchtime=200ms . ./internal/gc ./internal/glob
 
 bench-server:
 	sh scripts/bench_server.sh

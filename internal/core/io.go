@@ -6,8 +6,9 @@ import (
 )
 
 // IOTable maps shell file descriptors to Go streams.  Entries are
-// io.Reader or io.Writer values; *os.File entries can be handed to
-// external processes directly, anything else goes through a pipe.
+// io.Reader or io.Writer values; *os.File entries and the ends of a
+// NewPipe can be handed to external processes directly, anything else
+// goes through a pipe.
 //
 // Tables are persistent: WithFD returns a copy, so redirections scope to
 // the command they wrap, exactly like the nested %create/%open calls the
@@ -65,13 +66,21 @@ func (t *IOTable) Writer(fd int) io.Writer {
 }
 
 // File materializes fd as an *os.File for handing to an external process.
-// If the entry is already a file it is returned with done == nil.
-// Otherwise a pipe is created and a copier goroutine bridges it; call
-// done() after the process exits to flush and reap the copier.
+// A file, or the end of a pipe between pipeline elements, gives its own
+// descriptor with done == nil.  Otherwise a pipe is created and a copier
+// goroutine bridges it; call done() after the process exits to flush and
+// reap the copier.
 func (t *IOTable) File(fd int, input bool) (f *os.File, done func(), err error) {
 	entry := t.m[fd]
-	if file, ok := entry.(*os.File); ok {
-		return file, nil, nil
+	switch e := entry.(type) {
+	case *os.File:
+		return e, nil, nil
+	case *PipeReader:
+		f, err := e.File()
+		return f, nil, err
+	case *PipeWriter:
+		f, err := e.File()
+		return f, nil, err
 	}
 	if entry == nil {
 		// Unbound: give the process the null device.

@@ -125,13 +125,23 @@ func (c *ctxio) inputs(files []string, fn func(r io.Reader) int) int {
 // eachLine feeds every input line (without newline) to fn.  It returns
 // the scanner's error: a failed read, or a line over the 16 MiB cap.
 func eachLine(r io.Reader, fn func(line string)) error {
+	return firstLines(r, -1, fn)
+}
+
+// firstLines feeds the first n input lines to fn, or all of them if n is
+// negative, and reads no further: a pipe's writer then sees its reader
+// go once the builtin returns, as head(1) makes its writer see EPIPE.
+func firstLines(r io.Reader, n int, fn func(line string)) error {
+	if n == 0 {
+		return nil
+	}
 	buf := bufPool.Get().(*[]byte)
 	defer bufPool.Put(buf)
 	sc := bufio.NewScanner(r)
 	// The borrowed buffer is only the scanner's first; a longer line
 	// grows a buffer of the scanner's own.  Text copies each line out.
 	sc.Buffer(*buf, 16*1024*1024)
-	for sc.Scan() {
+	for ; n != 0 && sc.Scan(); n-- {
 		fn(sc.Text())
 	}
 	return sc.Err()

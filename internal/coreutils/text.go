@@ -1,6 +1,7 @@
 package coreutils
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"syscall"
 
 	"es/internal/core"
 )
@@ -36,7 +38,13 @@ func openFile(c *ctxio, name string) (*os.File, error) {
 
 func builtinCat(c *ctxio, args []string) int {
 	return c.inputs(args, func(r io.Reader) int {
-		if err := copyBorrowed(c.out, r); err != nil {
+		err := copyBorrowed(c.out, r)
+		switch {
+		case errors.Is(err, syscall.EPIPE):
+			// The reader has gone, which stops cat(1) with SIGPIPE:
+			// quietly, since a reader that stops early is no error.
+			return 1
+		case err != nil:
 			return c.errorf("%v", err)
 		}
 		return 0
@@ -300,19 +308,18 @@ func builtinSed(c *ctxio, args []string) int {
 	files := args[1:]
 
 	var each func(l string)
+	// limit is how many more lines sed reads; only Nq sets one.
+	limit := -1
 	if digits, ok := sedQuit(script); ok {
 		// Nq: quit after printing N lines.
-		limit := 1
+		limit = 1
 		if digits != "" {
 			limit, _ = strconv.Atoi(digits)
 		}
-		n := 0
 		each = func(l string) {
-			if n < limit {
-				c.out.WriteString(l)
-				c.out.WriteByte('\n')
-				n++
-			}
+			c.out.WriteString(l)
+			c.out.WriteByte('\n')
+			limit--
 		}
 	} else if strings.HasPrefix(script, "s") && len(script) > 1 {
 		// s/re/repl/[g]
@@ -362,7 +369,7 @@ func builtinSed(c *ctxio, args []string) int {
 	}
 	status := 0
 	c.inputs(files, func(r io.Reader) int {
-		if err := eachLine(r, each); err != nil {
+		if err := firstLines(r, limit, each); err != nil {
 			status = c.errorf("%v", err)
 		}
 		return 0
@@ -499,13 +506,9 @@ func builtinHead(c *ctxio, args []string) int {
 		return c.errorf("bad count")
 	}
 	return c.inputs(files, func(r io.Reader) int {
-		k := 0
-		err := eachLine(r, func(l string) {
-			if k < n {
-				c.out.WriteString(l)
-				c.out.WriteByte('\n')
-				k++
-			}
+		err := firstLines(r, max(n, 0), func(l string) {
+			c.out.WriteString(l)
+			c.out.WriteByte('\n')
 		})
 		if err != nil {
 			return c.errorf("%v", err)

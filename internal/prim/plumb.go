@@ -49,11 +49,13 @@ func primHere(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, error) 
 
 // primPipe runs a flattened pipeline: cmd (outfd infd cmd)...  Every
 // element runs in its own forked interpreter (the in-process analogue of
-// the per-element fork in the C implementation), connected with real
-// pipes so externals and shell functions mix freely.  The result is the
-// final element's result.  All elements are forked before any starts:
-// Fork may fold the parent's variables, which must not race with a
-// running sibling's fork.
+// the per-element fork in the C implementation), connected with
+// in-process pipes (core.NewPipe) that become real pipes only when an
+// external process needs a descriptor, so externals and shell functions
+// mix freely and a pipeline of builtins holds no descriptor.  The result
+// is the final element's result.  All elements are forked before any
+// starts: Fork may fold the parent's variables, which must not race with
+// a running sibling's fork.
 func primPipe(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, error) {
 	if len(args) == 0 {
 		return core.True(), nil
@@ -86,13 +88,13 @@ func primPipe(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, error) 
 	for k := range ios {
 		ios[k] = ctx.IO
 	}
-	type pipeEnds struct{ r, w *os.File }
+	type pipeEnds struct {
+		r *core.PipeReader
+		w *core.PipeWriter
+	}
 	pipes := make([]pipeEnds, len(elems)-1)
 	for k := 0; k < len(elems)-1; k++ {
-		pr, pw, err := os.Pipe()
-		if err != nil {
-			return nil, core.ErrorExc(err.Error())
-		}
+		pr, pw := core.NewPipe()
 		pipes[k] = pipeEnds{pr, pw}
 		ios[k] = ios[k].WithFD(elems[k].outFd, pw)
 		ios[k+1] = ios[k+1].WithFD(elems[k+1].inFd, pr)

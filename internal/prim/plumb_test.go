@@ -1,0 +1,192 @@
+package prim
+
+import (
+	"bufio"
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"strconv"
+	"strings"
+	"sync"
+	"syscall"
+	"testing"
+
+	"es/internal/core"
+	"es/internal/coreutils"
+)
+
+// newPipeInterp is newInterp with the coreutils builtins, which the
+// pipelines below run, writing to buffers that several externals'
+// copiers may write at once.
+func newPipeInterp(t *testing.T) (*core.Interp, *core.Ctx, *lockedBuffer, *lockedBuffer) {
+	t.Helper()
+	i, _, _, _ := newInterp(t)
+	coreutils.Register(i)
+	var out, errw lockedBuffer
+	ctx := &core.Ctx{IO: core.NewIOTable(strings.NewReader(""), &out, &errw)}
+	return i, ctx, &out, &errw
+}
+
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+func (l *lockedBuffer) Reset() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.b.Reset()
+}
+
+// openFDs counts this process's open descriptors.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot count descriptors: %v", err)
+	}
+	return len(ents)
+}
+
+func needExternals(t *testing.T, paths ...string) {
+	t.Helper()
+	for _, p := range paths {
+		if _, err := os.Stat(p); err != nil {
+			t.Skipf("%s: %v", p, err)
+		}
+	}
+}
+
+// A pipeline of builtins runs over in-process pipes: its middle stage
+// sees no more descriptors open than a command outside any pipeline.
+func TestPipeBuiltinsHoldNoDescriptors(t *testing.T) {
+	i, ctx, out, _ := newPipeInterp(t)
+	openFDs(t) // skips where /proc/self/fd cannot be read
+	i.RegisterBuiltin("fdcount", func(_ *core.Interp, ctx *core.Ctx, _ []string) int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			return 1
+		}
+		fmt.Fprintln(ctx.Stdout(), len(ents))
+		return 0
+	})
+	count := func(src string) int {
+		out.Reset()
+		mustRun(t, i, ctx, src)
+		n, err := strconv.Atoi(strings.TrimSpace(out.String()))
+		if err != nil {
+			t.Fatalf("%s printed %q", src, out.String())
+		}
+		return n
+	}
+	outside := count("fdcount")
+	if inside := count("echo x | cat | fdcount | cat | cat"); inside > outside {
+		t.Errorf("middle stage sees %d descriptors, %d outside the pipeline", inside, outside)
+	}
+}
+
+// An early reader ends its writer: once sed or head has printed its
+// lines it stops reading and returns, and the writer's next write fails
+// with EPIPE, long before it has written everything it would.  A cat in
+// between passes the EPIPE on, quietly.
+func TestPipeEarlyReaderStopsWriter(t *testing.T) {
+	i, ctx, out, errw := newPipeInterp(t)
+	var written int
+	var werr error
+	i.RegisterBuiltin("spew", func(_ *core.Interp, ctx *core.Ctx, _ []string) int {
+		w := bufio.NewWriter(ctx.Stdout())
+		for written = 0; written < 1<<22; written++ {
+			if _, werr = w.WriteString("y\n"); werr != nil {
+				return 1
+			}
+		}
+		werr = w.Flush()
+		return 0
+	})
+	for _, reader := range []string{"sed 2q", "head -n 2", "cat | sed 2q"} {
+		out.Reset()
+		mustRun(t, i, ctx, "spew | "+reader)
+		if out.String() != "y\ny\n" {
+			t.Errorf("spew | %s printed %q", reader, out.String())
+		}
+		if written >= 1<<17 || !errors.Is(werr, syscall.EPIPE) {
+			t.Errorf("spew | %s: the writer wrote %d lines and saw %v, want EPIPE", reader, written, werr)
+		}
+	}
+	if errw.String() != "" {
+		t.Errorf("stderr = %q", errw.String())
+	}
+}
+
+// An external ends the same way when its reader stops early: the kernel
+// stops it with SIGPIPE.
+func TestPipeEarlyReaderStopsExternal(t *testing.T) {
+	needExternals(t, "/usr/bin/seq")
+	i, ctx, out, errw := newPipeInterp(t)
+	mustRun(t, i, ctx, "{st = <={/usr/bin/seq 1 1000000}; echo seq $st >[1=2]} | sed 3q")
+	if out.String() != "1\n2\n3\n" {
+		t.Errorf("seq | sed 3q printed %q", out.String())
+	}
+	if !strings.HasPrefix(errw.String(), "seq sig") {
+		t.Errorf("seq ended with %q, want a signal", errw.String())
+	}
+}
+
+// When an external needs a descriptor, the bytes already in the pipe
+// come out ahead of anything written after.
+func TestPipeExternalKeepsOrder(t *testing.T) {
+	needExternals(t, "/bin/echo", "/bin/cat")
+	i, ctx, out, _ := newPipeInterp(t)
+	for _, tt := range []struct{ src, want string }{
+		{"{echo first; /bin/echo second} | cat", "first\nsecond\n"},
+		{"{echo one; echo two} | {x = <={$&read}; /bin/cat; echo got $x}", "two\ngot one\n"},
+	} {
+		out.Reset()
+		mustRun(t, i, ctx, tt.src)
+		if out.String() != tt.want {
+			t.Errorf("%s printed %q, want %q", tt.src, out.String(), tt.want)
+		}
+	}
+}
+
+// Pipes that became OS pipes close their descriptors with the pipeline.
+func TestPipeDescriptorsReturnToBaseline(t *testing.T) {
+	needExternals(t, "/bin/echo", "/bin/cat")
+	i, ctx, out, _ := newPipeInterp(t)
+	srcs := []string{
+		"echo a b | /bin/cat | tr a-z A-Z | /bin/cat | sed 1q",
+		"{echo first; /bin/echo second} | cat",
+	}
+	const want = "A B\nfirst\nsecond\n"
+	// The first run opens whatever the runtime keeps for good, such as
+	// the poller's descriptors.
+	for _, src := range srcs {
+		mustRun(t, i, ctx, src)
+	}
+	baseline := openFDs(t)
+	for k := 0; k < 50; k++ {
+		out.Reset()
+		for _, src := range srcs {
+			mustRun(t, i, ctx, src)
+		}
+		if out.String() != want {
+			t.Fatalf("round %d printed %q, want %q", k, out.String(), want)
+		}
+	}
+	if n := openFDs(t); n > baseline {
+		t.Errorf("%d descriptors open after 100 pipelines, %d before", n, baseline)
+	}
+}
