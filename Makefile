@@ -1,14 +1,16 @@
 # Verification tiers: `make check` is the tier-1 floor (build, tests,
 # gofmt, and vet plus the short tests of the bench module);
-# `make race` adds vet, the fork, spawn, isolation and pipe tests ten
-# times over under the race detector, the race detector over everything,
-# 20s of frame-codec fuzzing, the esd server soak, and then the serving
-# bench gate; `make bench` runs, with -benchmem, the dispatch-cache
+# `make race` adds vet, the fork, spawn, isolation, pipe and shared-unit
+# tests ten times over under the race detector, the race detector over
+# everything, 20s of frame-codec fuzzing, the esd server soak, and then
+# the serving bench gate; `make bench` runs, with -benchmem, the dispatch-cache
 # benchmarks that guard the native cache speedups, the builtin
 # pipelines whose allocations the coreutils buffer pools cut and whose
-# stages the in-memory pipe joins without descriptors, and the fork and
+# stages the in-memory pipe joins without descriptors, the fork and
 # spawn benchmarks of the copy-on-write variable table (SpawnResident
-# reports heap bytes per live session);
+# reports heap bytes per live session), and CompileProgram, which lowers
+# higher-order programs into flat units and reports their allocations
+# and the heap bytes a program's units keep (unit-B/prog);
 # `make bench-server` regenerates the serving baseline and
 # `make bench-check` gates against it (>25% ns/op regression fails).
 
@@ -27,7 +29,7 @@ soak:
 	sh scripts/soak.sh
 
 bench:
-	go test -run=NONE -bench='NativePath|ParseCold|GlobMatch|EnvDecode|AllocUnderLiveRoots|Fig1PipeBaseline|PipeWordCount|PipeBuiltins|ForkClone|ServerSessionSpawn|SpawnResident' -benchmem -benchtime=200ms . ./internal/gc ./internal/glob
+	go test -run=NONE -bench='NativePath|ParseCold|GlobMatch|EnvDecode|AllocUnderLiveRoots|Fig1PipeBaseline|PipeWordCount|PipeBuiltins|ForkClone|ServerSessionSpawn|SpawnResident|CompileProgram' -benchmem -benchtime=200ms . ./internal/gc ./internal/glob ./internal/compile
 
 bench-server:
 	sh scripts/bench_server.sh

@@ -205,6 +205,52 @@ func TestParseCacheReusesAST(t *testing.T) {
 	}
 }
 
+// TestParseHitNeverRecompiles: a program whose tree is still in the parse
+// cache runs on the units lowered the first time, however many blocks
+// other programs have lowered since.  The 150 programs in between hold
+// far more blocks than a block-keyed cache of 1,024 entries could keep,
+// and far fewer trees than the parse cache's 512.
+func TestParseHitNeverRecompiles(t *testing.T) {
+	sh, _, _ := newTestShell(t)
+	core.FlushParseCache()
+	prog := func(k int) string {
+		return fmt.Sprintf("let (mk = @ p {result @ x {result $p^$x}}; twice = @ f x {$f <={$f $x}}) "+
+			"{let (f = <={$mk p%d}; g = <={$mk q%d}) {result <={$f a} <={$twice $g b} <={$f <={$g c}}}}", k, k)
+	}
+	misses := func(name string) int64 {
+		for _, s := range sh.Interp().CacheStats() {
+			if s.Name == name {
+				return s.Misses
+			}
+		}
+		t.Fatalf("no %s cache in CacheStats", name)
+		return 0
+	}
+	run := func(k int) {
+		t.Helper()
+		res, err := sh.Run(prog(k))
+		if want := fmt.Sprintf("p%[1]da q%[1]dq%[1]db p%[1]dq%[1]dc", k); err != nil || res.Flatten(" ") != want {
+			t.Fatalf("program %d = %v, %v; want %s", k, res, err, want)
+		}
+	}
+	run(0)
+	before := misses("compile")
+	for k := 1; k <= 150; k++ {
+		run(k)
+	}
+	if lowered := misses("compile") - before; lowered < 150 {
+		t.Fatalf("%d lowerings for 150 new programs", lowered)
+	}
+	parse, compile := misses("parse"), misses("compile")
+	run(0)
+	if n := misses("parse") - parse; n != 0 {
+		t.Fatalf("rerun missed the parse cache %d times", n)
+	}
+	if n := misses("compile") - compile; n != 0 {
+		t.Errorf("rerun of a cached tree lowered %d blocks again", n)
+	}
+}
+
 // Two shells importing the same exported closure must not share mutable
 // state through the decode cache: assignments to a captured variable in
 // one shell stay invisible in the other.

@@ -10,9 +10,10 @@ package es
 // hand-reviewed change of semantics.
 //
 // The fuzz target covers the risk that comes with one engine: compiled
-// units and constant pools are shared by every interpreter in the
-// process, so each input must behave the same cold (parsed and compiled
-// afresh) and warm (running the cached unit in a second shell).
+// units and constant pools live on the cached tree and are shared by
+// every interpreter in the process, so each input must behave the same
+// cold (a fresh tree, lowered on its first run) and warm (a second shell
+// running the units the first run left on the cached tree).
 
 import (
 	"bytes"
@@ -36,7 +37,7 @@ type outcome struct {
 // private working directory, deterministic stand-ins for the
 // counter-reporting primitives, and a deadline so `forever {}` inputs
 // terminate.  With cold set, the process-wide caches are flushed first,
-// so src is parsed and compiled anew.  It reports false, with no
+// so src is parsed anew and its fresh tree lowered on its first run.  It reports false, with no
 // outcome, when the run is not reproducible: the deadline stopped it at
 // a timing-dependent point, or it started a background job that may
 // still be writing.

@@ -51,39 +51,30 @@ func (s Stats) String() string {
 		s.Name, s.Entries, s.Hits, s.Misses, s.Invalidations, s.HitRate()*100)
 }
 
-// KeyMap is a bounded cache over any comparable key.  When the map
-// reaches its capacity a batch of arbitrary entries is evicted; the
-// workloads these caches serve (command names, command sources, glob
-// patterns, parsed blocks) are heavily skewed, so hot entries repopulate
-// immediately and precise LRU bookkeeping would cost more than it saves.
-type KeyMap[K comparable, V any] struct {
+// Map is a bounded string-keyed cache.  When the map reaches its
+// capacity a batch of arbitrary entries is evicted; the workloads these
+// caches serve (command names, command sources, glob patterns) are
+// heavily skewed, so hot entries repopulate immediately and precise LRU
+// bookkeeping would cost more than it saves.
+type Map[V any] struct {
 	Counters
 	mu      sync.Mutex
 	max     int
-	entries map[K]V
+	entries map[string]V
 }
 
-// Map is the common string-keyed cache.
-type Map[V any] = KeyMap[string, V]
-
-// NewMap creates a string-keyed cache holding at most max entries.
+// NewMap creates a cache holding at most max entries.
 func NewMap[V any](name string, max int) *Map[V] {
-	return NewKeyMap[string, V](name, max)
-}
-
-// NewKeyMap creates a cache over an arbitrary comparable key type (the
-// compile cache keys by AST pointer) holding at most max entries.
-func NewKeyMap[K comparable, V any](name string, max int) *KeyMap[K, V] {
 	if max < 1 {
 		max = 1
 	}
-	m := &KeyMap[K, V]{max: max, entries: make(map[K]V)}
+	m := &Map[V]{max: max, entries: make(map[string]V)}
 	m.name = name
 	return m
 }
 
 // Get looks up key, counting a hit or a miss.
-func (m *KeyMap[K, V]) Get(key K) (V, bool) {
+func (m *Map[V]) Get(key string) (V, bool) {
 	m.mu.Lock()
 	v, ok := m.entries[key]
 	m.mu.Unlock()
@@ -96,7 +87,7 @@ func (m *KeyMap[K, V]) Get(key K) (V, bool) {
 }
 
 // Put stores key → v, evicting arbitrary entries if the cache is full.
-func (m *KeyMap[K, V]) Put(key K, v V) {
+func (m *Map[V]) Put(key string, v V) {
 	m.mu.Lock()
 	if _, exists := m.entries[key]; !exists && len(m.entries) >= m.max {
 		// Evict an eighth of the cache (at least one entry) so a burst
@@ -118,7 +109,7 @@ func (m *KeyMap[K, V]) Put(key K, v V) {
 }
 
 // Delete removes one entry, counting an invalidation if it was present.
-func (m *KeyMap[K, V]) Delete(key K) {
+func (m *Map[V]) Delete(key string) {
 	m.mu.Lock()
 	_, ok := m.entries[key]
 	if ok {
@@ -131,23 +122,23 @@ func (m *KeyMap[K, V]) Delete(key K) {
 }
 
 // Flush drops every entry, counting each as an invalidation.
-func (m *KeyMap[K, V]) Flush() {
+func (m *Map[V]) Flush() {
 	m.mu.Lock()
 	n := len(m.entries)
-	m.entries = make(map[K]V)
+	m.entries = make(map[string]V)
 	m.mu.Unlock()
 	m.invalidations.Add(int64(n))
 }
 
 // Len reports the number of cached entries.
-func (m *KeyMap[K, V]) Len() int {
+func (m *Map[V]) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.entries)
 }
 
 // Stats snapshots the cache's counters.
-func (m *KeyMap[K, V]) Stats() Stats {
+func (m *Map[V]) Stats() Stats {
 	return Stats{
 		Name:          m.name,
 		Entries:       m.Len(),

@@ -1,0 +1,132 @@
+package compile
+
+import (
+	"fmt"
+	"math/rand/v2"
+	"runtime"
+	"strings"
+	"testing"
+
+	"es/internal/syntax"
+)
+
+// unitBudget is the most a program's compiled units may weigh, as a
+// fraction of the heap bytes of the rewritten tree they are lowered from.
+// Units live on their blocks for the tree's whole life, so every byte of
+// a unit is kept as long as the parse cache keeps the tree.
+const unitBudget = 0.6
+
+// TestUnitBytesWithinBudget lowers a corpus of higher-order programs
+// (map/filter/fold, subscripts, match dispatch and currying, one in four
+// behind a builtin pipeline) and weighs the trees and the units on the
+// heap, nested units included.
+func TestUnitBytesWithinBudget(t *testing.T) {
+	srcs := programCorpus(256)
+	treeBytes, unitBytes := weigh(t, srcs)
+	n := float64(len(srcs))
+	ratio := float64(unitBytes) / float64(treeBytes)
+	t.Logf("per program: tree %.0f B, units %.0f B (%.2fx)", float64(treeBytes)/n, float64(unitBytes)/n, ratio)
+	if ratio > unitBudget {
+		t.Errorf("units take %.2fx their trees' bytes, budget %.2fx", ratio, unitBudget)
+	}
+}
+
+// BenchmarkCompileProgram lowers programs of the same four shapes, one at
+// a time, and reports the heap bytes one program's units keep.
+func BenchmarkCompileProgram(b *testing.B) {
+	srcs := programCorpus(64)
+	_, unitBytes := weigh(b, srcs)
+	trees := make([]*syntax.Block, len(srcs))
+	for k, src := range srcs {
+		trees[k] = parseRewrite(b, src)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		Compile(trees[k%len(trees)], nil)
+	}
+	b.ReportMetric(float64(unitBytes)/float64(len(srcs)), "unit-B/prog")
+}
+
+// weigh parses and rewrites srcs, lowers each tree, and returns the live
+// heap bytes of the trees and of the units.  The registrar keeps every
+// nested unit, as the evaluator does by attaching it to its block.  The
+// trees' bytes include the slot each block keeps its unit in; the units'
+// bytes include the slice that keeps them here, which weighs about as
+// much.
+func weigh(tb testing.TB, srcs []string) (treeBytes, unitBytes int64) {
+	before := liveHeap()
+	trees := make([]*syntax.Block, len(srcs))
+	for k, src := range srcs {
+		trees[k] = parseRewrite(tb, src)
+	}
+	treeBytes = liveHeap() - before
+	var units []*Unit
+	keep := func(_ *syntax.Block, u *Unit) { units = append(units, u) }
+	for _, b := range trees {
+		u, _ := Compile(b, keep)
+		units = append(units, u)
+	}
+	unitBytes = liveHeap() - before - treeBytes
+	runtime.KeepAlive(trees)
+	runtime.KeepAlive(units)
+	return treeBytes, unitBytes
+}
+
+// liveHeap is the heap in use after a full collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// programCorpus makes n distinct programs in four higher-order shapes;
+// one in four also runs a word count through the builtin text tools.
+func programCorpus(n int) []string {
+	r := rand.New(rand.NewPCG(7, 20))
+	word := func() string {
+		const alnum = "bcdfghjkmnpqrstvwxz0123456789"
+		b := make([]byte, 6)
+		b[0] = alnum[r.IntN(19)]
+		for k := 1; k < len(b); k++ {
+			b[k] = alnum[r.IntN(len(alnum))]
+		}
+		return string(b)
+	}
+	words := func(n int) string {
+		ws := make([]string, n)
+		for k := range ws {
+			ws[k] = word()
+		}
+		return strings.Join(ws, " ")
+	}
+	out := make([]string, n)
+	for k := range out {
+		var src string
+		switch k % 4 {
+		case 0:
+			src = fmt.Sprintf("let (map = @ f l {let (acc = ) {for (x = $l) {acc = $acc <={$f $x}}; result $acc}}; "+
+				"filter = @ p l {let (acc = ) {for (x = $l) {if {$p $x} {acc = $acc $x}}; result $acc}}; "+
+				"fold = @ f a l {for (x = $l) {a = <={$f $a $x}}; result $a}) "+
+				"{result <={$fold @ a b {result $a^.^$b} %s <={$map @ x {result %s^$x} <={$filter @ x {~ $x *%c*} %s}}}}",
+				word(), word(), word()[1], words(12))
+		case 1:
+			src = fmt.Sprintf("local (v = %s) {let (h = $v(%d %d %d); n = $#v) {result $h^-^$n $v($n) <={result %s^$v(1)}}}",
+				words(10), 1+r.IntN(10), 1+r.IntN(10), 1+r.IntN(10), word())
+		case 2:
+			src = fmt.Sprintf("let (cls = @ w {if {~ $w %c*} {result A^$w} {~ $w *%c} {result B} {~ $w (%s)} {result C} {result D}}; out = ) "+
+				"{for (w = %s) {out = $out <={$cls $w}}; result $out}",
+				word()[0], word()[5], words(2), words(10))
+		case 3:
+			src = fmt.Sprintf("let (mk = @ p {result @ x {result $p^$x}}; twice = @ f x {$f <={$f $x}}) "+
+				"{let (f = <={$mk %s}; g = <={$mk %s}) {result <={$f %s} <={$twice $g %s} <={$f <={$g %s}}}}",
+				word(), word(), word(), word(), word())
+		}
+		if k/4%4 == 0 {
+			src = fmt.Sprintf("echo %s | tr ' ' '\\012' | sort | uniq -c | sed 3q; %s", words(12), src)
+		}
+		out[k] = src
+	}
+	return out
+}

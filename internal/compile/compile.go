@@ -3,13 +3,24 @@
 //
 // The parse cache (internal/core.ParseCommand) already makes rewritten
 // trees shared and immutable, which is exactly the precondition for a
-// compile step: each *syntax.Block is lowered once, process-wide, and the
-// compiled Unit is reused by every evaluation and every interpreter.
+// compile step: each *syntax.Block is lowered at most once, on its first
+// run, and the evaluator keeps the compiled Unit on the block itself for
+// as long as the tree lives, shared by every evaluation and every
+// interpreter.
 //
 // Compile is total.  Every tree ParseCommand makes is already rewritten to
 // the core forms, and a surface node that reaches the compiler anyway (an
 // embedder evaluating an unrewritten tree) is lowered through
 // syntax.Rewrite on the spot, so every block the parser accepts compiles.
+//
+// A program — a block and every block nested in it — is laid out in a few
+// flat tables indexed by int32 (instructions, words, segments, static
+// pieces and constant terms), plus side tables for the rare operands
+// (bindings, static match patterns, computed names and subscripts,
+// variable and primitive names, lambda and substitution bodies).
+// Compiling a program makes about one allocation per non-empty table,
+// not one per word and segment, and the units weigh less than the tree
+// they come from.
 //
 // What the lowering does once, so that no evaluation repeats it:
 //
@@ -20,12 +31,13 @@
 //     re-scans source text or re-allocates literal masks;
 //   - fully static words — no variable references, no substitutions — are
 //     folded at compile time into constant piece lists, and fully static,
-//     wildcard-free word lists become constant Term pools shared by every
+//     wildcard-free word lists become constant term pools shared by every
 //     execution (es lists are immutable, so sharing is safe);
 //   - match patterns built from static words are compiled to glob
 //     patterns once, not per evaluation;
-//   - lambda and substitution bodies are compiled eagerly and registered
-//     with the caller, so closure application starts on compiled code.
+//   - lambda and substitution bodies are lowered with the program that
+//     holds them and handed to the caller, so closure application starts
+//     on compiled code.
 //
 // A $&primitive stays a name, looked up in the running interpreter's
 // registry each time its command runs.
@@ -36,6 +48,8 @@
 package compile
 
 import (
+	"sync"
+
 	"es/internal/glob"
 	"es/internal/syntax"
 )
@@ -54,7 +68,7 @@ const (
 	// OpSeq is a nested command sequence (a *syntax.Block in command
 	// position reached through rewriting).
 	OpSeq
-	// OpAssign is Name = Values.
+	// OpAssign is Word = Words.
 	OpAssign
 	// OpLet lexically binds Bindings around Body.
 	OpLet
@@ -70,71 +84,163 @@ const (
 	OpNot
 )
 
-// Unit is one compiled block.
+// Span is a run of entries in one of a Program's tables: Len entries
+// from Off.  A Len of -1 marks an absent operand.
+type Span struct{ Off, Len int32 }
+
+// none is the absent span: a word list that is not constant, or match
+// patterns that are not static.
+var none = Span{Off: -1, Len: -1}
+
+// Set reports whether the span is present (possibly empty).
+func (s Span) Set() bool { return s.Len >= 0 }
+
+// in returns the entries of table that s covers, capped so an append
+// cannot write into the next operand.
+func in[T any](table []T, s Span) []T {
+	return table[s.Off : s.Off+s.Len : s.Off+s.Len]
+}
+
+// Pos is a source position in four-byte fields, kept only where an error
+// message is anchored to it: on words, and on subscripted variables.
+type Pos struct{ Line, Col int32 }
+
+// Syntax returns the position as the parser spells it.
+func (p Pos) Syntax() syntax.Pos { return syntax.Pos{Line: int(p.Line), Col: int(p.Col)} }
+
+func pos(p syntax.Pos) Pos { return Pos{Line: int32(p.Line), Col: int32(p.Col)} }
+
+// Program is one lowered tree: its root block and every block nested in
+// it, laid out in flat tables.  Operands refer to table entries by int32
+// index or by Span.  A Program is immutable once Compile returns it.
+type Program struct {
+	Instrs []Instr
+	Words  []Word
+	Segs   []Seg
+	Pieces []StaticPiece
+	Consts []ConstTerm
+
+	// Side tables for the rare operands.
+	Bindings []Binding
+	Pats     []glob.Pattern // static match pattern lists
+	Vars     []VarExt       // computed names and subscripts
+	Names    []string       // variable and primitive names
+	Lambdas  []*syntax.Lambda
+	Blocks   []*syntax.Block // substitution bodies
+
+	// Units holds the root block's unit first, then one for each lambda
+	// and substitution body, in the order Compile registered them.
+	Units []Unit
+}
+
+// Seq returns the instructions s covers.
+func (p *Program) Seq(s Span) []Instr { return in(p.Instrs, s) }
+
+// WordsIn returns the words s covers.
+func (p *Program) WordsIn(s Span) []Word { return in(p.Words, s) }
+
+// SegsOf returns a dynamic word's segments.
+func (p *Program) SegsOf(w *Word) []Seg { return in(p.Segs, w.Span) }
+
+// PiecesOf returns a static word's pieces.
+func (p *Program) PiecesOf(w *Word) []StaticPiece { return in(p.Pieces, w.Span) }
+
+// ConstsIn returns the constant terms s covers.
+func (p *Program) ConstsIn(s Span) []ConstTerm { return in(p.Consts, s) }
+
+// BindingsIn returns the bindings s covers.
+func (p *Program) BindingsIn(s Span) []Binding { return in(p.Bindings, s) }
+
+// PatsIn returns the static match patterns s covers.
+func (p *Program) PatsIn(s Span) []glob.Pattern { return in(p.Pats, s) }
+
+// Unit is one compiled block: a run of instructions in its program.
+// Every block nested in the program that can run on its own — a lambda
+// or substitution body — has a unit of its own in the same program, so a
+// closure that outlives its tree keeps the whole program's tables alive.
 type Unit struct {
-	Seq Seq
+	Prog *Program
+	Seq  Span
 }
 
-// Seq is a compiled command sequence; the result of a sequence is the
-// result of its last instruction.
-type Seq []Instr
-
-// Body is a compiled command in body position (the body of let, local,
-// for, and !).  IsBlock records whether the source command was a braced
-// block: the evaluator counts a command boundary per block member, but
-// not for a bare single-command body.
-type Body struct {
-	Seq     Seq
-	IsBlock bool
-}
-
-// Instr is one compiled command.  The operand fields used depend on Op;
-// unused fields are zero.
+// Instr is one compiled command.  The operand fields used depend on Op.
 type Instr struct {
 	Op Op
+	// IsBlock records whether the body of OpLet, OpLocal, OpFor or OpNot
+	// was a braced block: the evaluator counts a command boundary per
+	// block member, but not for a bare single-command body.
+	IsBlock bool
 
-	Words    WordList  // OpSimple
-	Name     *Word     // OpAssign target
-	Values   WordList  // OpAssign values
-	Bindings []Binding // OpLet / OpLocal / OpFor
-	Subject  *Word     // OpMatch / OpMatchExtract
-	Pats     Pats      // OpMatch / OpMatchExtract
-	Body     Body      // OpLet / OpLocal / OpFor / OpNot body
-	Seq      Seq       // OpGroup / OpSeq
+	Word     int32    // OpAssign target; OpMatch, OpMatchExtract subject
+	Words    WordList // OpSimple command; OpAssign values; match patterns
+	Pats     Span     // match patterns, when all static: into Pats
+	Bindings Span     // OpLet, OpLocal, OpFor: into Bindings
+	Body     Span     // OpGroup, OpSeq, and the body of OpLet, OpLocal, OpFor, OpNot
 }
 
 // Binding is one compiled name = values pair in a binding form header.
 type Binding struct {
-	Name   *Word
+	Name   int32
 	Values WordList
 }
 
 // WordList is a compiled word list (command words, assignment values,
-// binding values).
+// binding values, dynamic match patterns).
 type WordList struct {
-	Words []*Word
-	// Const, when non-nil, is the exact, environment-independent term
-	// list the words always evaluate to: every word is static and no
-	// piece carries an unquoted wildcard (so no filename expansion can
-	// intervene).  The evaluator shares one immutable List built from
-	// this pool across all executions.
-	Const []ConstTerm
+	Words Span
+	// Const, when set, holds the exact, environment-independent terms
+	// the words always evaluate to: every word is static and no piece
+	// carries an unquoted wildcard (so no filename expansion can
+	// intervene).  The words themselves are then not kept.
+	Const Span
 }
 
 // ConstTerm is one term of a constant word list: a plain string, or a
-// $&primitive reference when Prim is non-empty.
+// $&primitive reference named by Str when Prim is set.
 type ConstTerm struct {
 	Str  string
-	Prim string
+	Prim bool
 }
 
-// Pats is a compiled match-pattern word list.
-type Pats struct {
-	Words []*Word
-	// Static, when non-nil, is the pre-compiled pattern list: every
-	// pattern word was static, so the patterns (masks included) are
-	// constants.  nil with len(Words) == 0 means "no patterns".
-	Static []glob.Pattern
+// WordKind says how a word evaluates.
+type WordKind uint8
+
+const (
+	// WordDynamic concatenates its segments, Span, at run time.
+	WordDynamic WordKind = iota
+	// WordStatic always evaluates to its pieces, Span.
+	WordStatic
+	// WordLoneVar is the common $name word: a single plain variable
+	// segment, Span, whose value splices directly into a term list with
+	// no piece conversion at all.
+	WordLoneVar
+)
+
+// Word is one compiled word: segments joined pairwise by concatenation
+// (the ^ operator and part adjacency), or the pieces they fold to.
+type Word struct {
+	Kind WordKind
+	Span Span // into Pieces for WordStatic, into Segs otherwise
+	// Pos is the source position of the word; the evaluator anchors
+	// word-shape errors to it.
+	Pos Pos
+}
+
+// StaticPiece is one pre-evaluated piece of a static word, or the
+// pattern of a literal segment.
+type StaticPiece struct {
+	Pat  glob.Pattern // the literal text; for a primitive, its name
+	Wild bool         // Pat.HasWild(), computed once
+	Prim bool         // the piece is a $&prim term
+}
+
+// Pattern is the piece as a match pattern: a $&prim term matches its
+// unparsed name literally.
+func (sp StaticPiece) Pattern() glob.Pattern {
+	if sp.Prim {
+		return glob.NewLiteral("$&" + sp.Pat.String())
+	}
+	return sp.Pat
 }
 
 // SegKind identifies one word segment.
@@ -159,102 +265,171 @@ const (
 	SegList
 )
 
-// StaticPiece is one pre-evaluated piece of a static word.
-type StaticPiece struct {
-	Pat  glob.Pattern
-	Wild bool   // Pat.HasWild(), computed once
-	Prim string // non-empty: the piece is a $&prim term
-}
-
-// Word is one compiled word: segments joined pairwise by concatenation
-// (the ^ operator and part adjacency).
-type Word struct {
-	Segs []Seg
-
-	// Pos is the source position of the word, carried for diagnostics
-	// (the evaluator anchors word-shape errors to it).
-	Pos syntax.Pos
-
-	// Static, when non-nil, holds the pieces the word always evaluates
-	// to; StaticSet distinguishes a static empty word from a dynamic one.
-	Static    []StaticPiece
-	StaticSet bool
-
-	// LitName is the word's value when used as a single name (variable
-	// or binding target): set when the word is static with exactly one
-	// non-prim piece.
-	LitName    string
-	LitNameSet bool
-
-	// LoneVar marks the common $name word: a single plain variable
-	// segment whose value splices directly into a term list with no
-	// piece conversion at all.
-	LoneVar bool
-}
-
-// Seg is one word segment.
+// Seg is one word segment.  Ref indexes the table its kind names; Ext is
+// the second operand of the two kinds that have one.
 type Seg struct {
 	Kind SegKind
+	// Variable modifiers: $#name, $$name, $^name.
+	Count, Double, Flat bool
 
-	// Pos anchors segment-level diagnostics (bad subscripts) to source.
-	Pos syntax.Pos
+	// Ref is, by kind: SegLit, the pattern in Pieces; SegVar, the name
+	// in Names, or -1 for a computed name; SegPrim, the name in Names;
+	// SegLambda, the lambda in Lambdas; SegCmdSub and SegRetSub, the body
+	// in Blocks; SegList, the first of its words.
+	Ref int32
+	// Ext is, for SegVar, the entry in Vars, or -1 when the name is
+	// static and there is no subscript; for SegList, the number of words.
+	Ext int32
+}
 
-	Pat glob.Pattern // SegLit
-
-	// SegVar: the (usually static) name plus modifiers.
-	Name    *Word  // nil when NameLit is set
-	NameLit string // static variable name
-	Count   bool   // $#name
-	Double  bool   // $$name
-	Flat    bool   // $^name
-	Index   []*Word
-
-	Prim string // SegPrim
-
-	Lambda *syntax.Lambda // SegLambda (closure creation needs the AST)
-	Block  *syntax.Block  // SegCmdSub / SegRetSub body
-
-	Words []*Word // SegList
+// VarExt is the rare part of a variable reference.
+type VarExt struct {
+	Name  int32 // the computed name word, or -1
+	Index Span  // subscript words
+	Pos   Pos   // anchors a bad subscript error
 }
 
 // Registrar receives the compiled unit for every nested block — lambda
-// bodies, substitution bodies — encountered while compiling a parent, so
-// closure application later starts on compiled code without recompiling.
+// bodies, substitution bodies — in a program, so closure application
+// later starts on compiled code without recompiling.  It is called once
+// per nested block, after the program is complete.
 type Registrar func(b *syntax.Block, u *Unit)
 
-// Compile lowers a block, rewriting any surface node it meets.  reg may
-// be nil.  Compilation cannot fail: the error is always nil.
+// Compile lowers a block, rewriting any surface node it meets, and
+// returns the unit of b.  Every call lowers the whole tree afresh.  reg
+// may be nil.  Compilation cannot fail: the error is always nil.
 func Compile(b *syntax.Block, reg Registrar) (*Unit, error) {
-	c := &compiler{reg: reg}
-	return c.block(b), nil
+	c := compilers.Get().(*compiler)
+	c.units = append(c.units, Unit{})
+	c.nested = append(c.nested, b)
+	root := c.block(b)
+	c.units[0].Seq = root
+	p := c.finish()
+	if reg != nil {
+		for k := 1; k < len(p.Units); k++ {
+			reg(c.nested[k], &p.Units[k])
+		}
+	}
+	c.reset()
+	compilers.Put(c)
+	return &p.Units[0], nil
 }
 
+// compiler holds the tables of the program being lowered.  They grow as
+// the tree is walked and are copied out at their exact sizes when it is
+// done, so the scratch is pooled and reused by the next compile.
 type compiler struct {
-	reg Registrar
+	instrs   []Instr
+	words    []Word
+	segs     []Seg
+	pieces   []StaticPiece
+	consts   []ConstTerm
+	bindings []Binding
+	pats     []glob.Pattern
+	vars     []VarExt
+	names    []string
+	lambdas  []*syntax.Lambda
+	blocks   []*syntax.Block
+	units    []Unit
+
+	nested []*syntax.Block // the block of each units entry
+	one    [1]StaticPiece  // static's result for a lone literal
 }
 
-func (c *compiler) block(b *syntax.Block) *Unit {
-	u := &Unit{}
+var compilers = sync.Pool{New: func() any { return new(compiler) }}
+
+// exact copies a scratch table to a new slice of its exact length; an
+// empty table becomes nil.
+func exact[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return append([]T(nil), s...)
+}
+
+// finish copies the scratch tables out into a Program.
+func (c *compiler) finish() *Program {
+	p := &Program{
+		Instrs:   exact(c.instrs),
+		Words:    exact(c.words),
+		Segs:     exact(c.segs),
+		Pieces:   exact(c.pieces),
+		Consts:   exact(c.consts),
+		Bindings: exact(c.bindings),
+		Pats:     exact(c.pats),
+		Vars:     exact(c.vars),
+		Names:    exact(c.names),
+		Lambdas:  exact(c.lambdas),
+		Blocks:   exact(c.blocks),
+		Units:    exact(c.units),
+	}
+	for k := range p.Units {
+		p.Units[k].Prog = p
+	}
+	return p
+}
+
+// reset empties the scratch tables, dropping every pointer they hold so
+// the pool keeps no tree or program alive.
+func (c *compiler) reset() {
+	c.instrs = c.instrs[:0]
+	c.words = c.words[:0]
+	c.segs = c.segs[:0]
+	c.pieces = truncate(c.pieces, 0)
+	c.consts = truncate(c.consts, 0)
+	c.bindings = c.bindings[:0]
+	c.pats = truncate(c.pats, 0)
+	c.vars = c.vars[:0]
+	c.names = truncate(c.names, 0)
+	c.lambdas = truncate(c.lambdas, 0)
+	c.blocks = truncate(c.blocks, 0)
+	c.units = c.units[:0]
+	c.nested = truncate(c.nested, 0)
+	c.one = [1]StaticPiece{}
+}
+
+// truncate shortens s to n entries, zeroing the entries dropped.
+func truncate[T any](s []T, n int) []T {
+	clear(s[n:])
+	return s[:n]
+}
+
+// reserve appends n zero entries to *t and returns their span; the
+// caller fills them in once their nested operands are lowered.
+func reserve[T any](t *[]T, n int) Span {
+	off := len(*t)
+	*t = append(*t, make([]T, n)...)
+	return Span{Off: int32(off), Len: int32(n)}
+}
+
+// add appends v to *t and returns its index.
+func add[T any](t *[]T, v T) int32 {
+	*t = append(*t, v)
+	return int32(len(*t) - 1)
+}
+
+// block lowers a command sequence into a contiguous run of instructions.
+func (c *compiler) block(b *syntax.Block) Span {
 	if b == nil {
-		return u
+		return Span{Off: int32(len(c.instrs))}
 	}
-	u.Seq = make(Seq, len(b.Cmds))
+	seq := reserve(&c.instrs, len(b.Cmds))
 	for k, cmd := range b.Cmds {
-		u.Seq[k] = c.cmd(cmd)
+		in := c.cmd(cmd)
+		c.instrs[seq.Off+int32(k)] = in
 	}
-	return u
+	return seq
 }
 
-// subBlock compiles a nested block that may later be evaluated on its
-// own (a lambda or substitution body) and registers the result.
-func (c *compiler) subBlock(b *syntax.Block) {
+// nest lowers a block that may later be evaluated on its own (a lambda
+// or substitution body) and gives it a unit.
+func (c *compiler) nest(b *syntax.Block) {
 	if b == nil {
 		return
 	}
-	sub := c.block(b)
-	if c.reg != nil {
-		c.reg(b, sub)
-	}
+	seq := c.block(b)
+	c.units = append(c.units, Unit{Seq: seq})
+	c.nested = append(c.nested, b)
 }
 
 func (c *compiler) cmd(cmd syntax.Cmd) Instr {
@@ -262,30 +437,29 @@ func (c *compiler) cmd(cmd syntax.Cmd) Instr {
 	case nil:
 		return Instr{Op: OpNop}
 	case *syntax.Block:
-		return Instr{Op: OpSeq, Seq: c.block(cmd).Seq}
+		return Instr{Op: OpSeq, Body: c.block(cmd)}
 	case *syntax.Simple:
 		if len(cmd.Redirs) > 0 {
 			return c.cmd(syntax.Rewrite(cmd))
 		}
 		return c.simple(cmd)
 	case *syntax.Assign:
-		return Instr{
-			Op:     OpAssign,
-			Name:   c.word(cmd.Name),
-			Values: c.words(cmd.Values),
-		}
+		name := c.word(cmd.Name)
+		return Instr{Op: OpAssign, Word: name, Words: c.wordList(cmd.Values)}
 	case *syntax.Let:
-		return Instr{Op: OpLet, Bindings: c.bindings(cmd.Bindings), Body: c.body(cmd.Body)}
+		return c.binder(OpLet, cmd.Bindings, cmd.Body)
 	case *syntax.Local:
-		return Instr{Op: OpLocal, Bindings: c.bindings(cmd.Bindings), Body: c.body(cmd.Body)}
+		return c.binder(OpLocal, cmd.Bindings, cmd.Body)
 	case *syntax.For:
-		return Instr{Op: OpFor, Bindings: c.bindings(cmd.Bindings), Body: c.body(cmd.Body)}
+		return c.binder(OpFor, cmd.Bindings, cmd.Body)
 	case *syntax.Match:
-		return Instr{Op: OpMatch, Subject: c.word(cmd.Subject), Pats: c.pats(cmd.Pats)}
+		return c.match(OpMatch, cmd.Subject, cmd.Pats)
 	case *syntax.MatchExtract:
-		return Instr{Op: OpMatchExtract, Subject: c.word(cmd.Subject), Pats: c.pats(cmd.Pats)}
+		return c.match(OpMatchExtract, cmd.Subject, cmd.Pats)
 	case *syntax.Not:
-		return Instr{Op: OpNot, Body: c.body(cmd.Body)}
+		in := Instr{Op: OpNot}
+		in.Body, in.IsBlock = c.body(cmd.Body)
+		return in
 	default:
 		// A surface node leaked through without Rewrite (pipe, and/or,
 		// background, redirection, fn): Rewrite turns it into core forms.
@@ -293,184 +467,204 @@ func (c *compiler) cmd(cmd syntax.Cmd) Instr {
 	}
 }
 
-// body compiles a command in body position.
-func (c *compiler) body(cmd syntax.Cmd) Body {
-	if cmd == nil {
-		return Body{}
+// binder lowers let, local and for: a binding header around a body.
+func (c *compiler) binder(op Op, bs []syntax.Binding, body syntax.Cmd) Instr {
+	in := Instr{Op: op, Bindings: reserve(&c.bindings, len(bs))}
+	for k, b := range bs {
+		name := c.word(b.Name)
+		values := c.wordList(b.Values)
+		c.bindings[in.Bindings.Off+int32(k)] = Binding{Name: name, Values: values}
 	}
-	if b, ok := cmd.(*syntax.Block); ok {
-		return Body{Seq: c.block(b).Seq, IsBlock: true}
-	}
-	return Body{Seq: Seq{c.cmd(cmd)}}
+	in.Body, in.IsBlock = c.body(body)
+	return in
 }
 
-func (c *compiler) bindings(bs []syntax.Binding) []Binding {
-	out := make([]Binding, len(bs))
-	for k, b := range bs {
-		out[k] = Binding{Name: c.word(b.Name), Values: c.words(b.Values)}
+// body lowers a command in body position and reports whether it was a
+// braced block.
+func (c *compiler) body(cmd syntax.Cmd) (Span, bool) {
+	if cmd == nil {
+		return Span{Off: int32(len(c.instrs))}, false
 	}
-	return out
+	if b, ok := cmd.(*syntax.Block); ok {
+		return c.block(b), true
+	}
+	seq := reserve(&c.instrs, 1)
+	in := c.cmd(cmd)
+	c.instrs[seq.Off] = in
+	return seq, false
 }
 
 func (c *compiler) simple(s *syntax.Simple) Instr {
 	// A bare brace block in command position is grouping, not a call.
 	if len(s.Words) == 1 && len(s.Words[0].Parts) == 1 {
 		if lp, ok := s.Words[0].Parts[0].(*syntax.LambdaPart); ok && !lp.Lambda.HasParams {
-			return Instr{Op: OpGroup, Seq: c.block(lp.Lambda.Body).Seq}
+			return Instr{Op: OpGroup, Body: c.block(lp.Lambda.Body)}
 		}
 	}
-	return Instr{Op: OpSimple, Words: c.words(s.Words)}
+	return Instr{Op: OpSimple, Words: c.wordList(s.Words)}
 }
 
-func (c *compiler) words(ws []*syntax.Word) WordList {
-	wl := WordList{Words: make([]*Word, len(ws))}
-	constOK := true
-	var consts []ConstTerm
-	for k, w := range ws {
-		cw := c.word(w)
-		wl.Words[k] = cw
-		if !constOK || !cw.StaticSet {
-			constOK = false
-			continue
+// wordList lowers a word list, to constant terms when it can.
+func (c *compiler) wordList(ws []*syntax.Word) WordList {
+	if consts, ok := c.constTerms(ws); ok {
+		return WordList{Const: consts}
+	}
+	return WordList{Words: c.wordRun(ws), Const: none}
+}
+
+// constTerms appends the terms of a word list that is static and free of
+// unquoted wildcards (filename expansion depends on the filesystem).
+func (c *compiler) constTerms(ws []*syntax.Word) (Span, bool) {
+	start := len(c.consts)
+	for _, w := range ws {
+		ps, ok := c.static(w)
+		if !ok {
+			c.consts = truncate(c.consts, start)
+			return none, false
 		}
-		for _, sp := range cw.Static {
-			switch {
-			case sp.Prim != "":
-				consts = append(consts, ConstTerm{Prim: sp.Prim})
-			case sp.Wild:
-				// Filename expansion depends on the filesystem.
-				constOK = false
-			default:
-				consts = append(consts, ConstTerm{Str: sp.Pat.String()})
+		for _, sp := range ps {
+			if sp.Wild {
+				c.consts = truncate(c.consts, start)
+				return none, false
 			}
-			if !constOK {
-				break
-			}
+			c.consts = append(c.consts, ConstTerm{Str: sp.Pat.String(), Prim: sp.Prim})
 		}
 	}
-	if constOK {
-		if consts == nil {
-			consts = []ConstTerm{}
-		}
-		wl.Const = consts
-	}
-	return wl
+	return Span{Off: int32(start), Len: int32(len(c.consts) - start)}, true
 }
 
-func (c *compiler) pats(ws []*syntax.Word) Pats {
-	p := Pats{Words: make([]*Word, len(ws))}
-	staticOK := true
-	var static []glob.Pattern
+// match lowers ~ and ~~: the subject, and the patterns as static glob
+// patterns when every pattern word is static, else as words.
+func (c *compiler) match(op Op, subject *syntax.Word, pats []*syntax.Word) Instr {
+	in := Instr{Op: op, Word: c.word(subject), Words: WordList{Const: none}, Pats: none}
+	start := len(c.pats)
+	for _, w := range pats {
+		ps, ok := c.static(w)
+		if !ok {
+			c.pats = truncate(c.pats, start)
+			in.Words.Words = c.wordRun(pats)
+			return in
+		}
+		for _, sp := range ps {
+			c.pats = append(c.pats, sp.Pattern())
+		}
+	}
+	in.Pats = Span{Off: int32(start), Len: int32(len(c.pats) - start)}
+	return in
+}
+
+// wordRun lowers words into a contiguous run of the word table.
+func (c *compiler) wordRun(ws []*syntax.Word) Span {
+	run := reserve(&c.words, len(ws))
 	for k, w := range ws {
-		cw := c.word(w)
-		p.Words[k] = cw
-		if !staticOK || !cw.StaticSet {
-			staticOK = false
-			continue
-		}
-		for _, sp := range cw.Static {
-			static = append(static, sp.Pattern())
-		}
+		cw := c.wordValue(w)
+		c.words[run.Off+int32(k)] = cw
 	}
-	if staticOK {
-		if static == nil {
-			static = []glob.Pattern{}
-		}
-		p.Static = static
-	}
-	return p
+	return run
 }
 
-// Pattern is the piece as a match pattern: a $&prim term matches its
-// unparsed name literally.
-func (sp StaticPiece) Pattern() glob.Pattern {
-	if sp.Prim != "" {
-		return glob.NewLiteral("$&" + sp.Prim)
-	}
-	return sp.Pat
+// word lowers one word and returns its index.
+func (c *compiler) word(w *syntax.Word) int32 {
+	k := add(&c.words, Word{})
+	cw := c.wordValue(w)
+	c.words[k] = cw
+	return k
 }
 
-func (c *compiler) word(w *syntax.Word) *Word {
-	cw := &Word{}
-	if w == nil {
-		cw.Static = []StaticPiece{}
-		cw.StaticSet = true
+func (c *compiler) wordValue(w *syntax.Word) Word {
+	if ps, ok := c.static(w); ok {
+		off := len(c.pieces)
+		c.pieces = append(c.pieces, ps...)
+		cw := Word{Kind: WordStatic, Span: Span{Off: int32(off), Len: int32(len(ps))}}
+		if w != nil {
+			cw.Pos = pos(w.Pos)
+		}
 		return cw
 	}
-	cw.Pos = w.Pos
-	cw.Segs = make([]Seg, len(w.Parts))
+	kind := WordDynamic
+	if len(w.Parts) == 1 {
+		if v, ok := w.Parts[0].(*syntax.Var); ok && !v.Count && !v.Double && !v.Flat && len(v.Index) == 0 {
+			if _, ok := c.litName(v.Name); ok {
+				kind = WordLoneVar
+			}
+		}
+	}
+	segs := reserve(&c.segs, len(w.Parts))
 	for k, part := range w.Parts {
-		cw.Segs[k] = c.part(part)
+		s := c.seg(part)
+		c.segs[segs.Off+int32(k)] = s
 	}
-	c.fold(cw)
-	return cw
+	return Word{Kind: kind, Span: segs, Pos: pos(w.Pos)}
 }
 
-// fold computes the word's static pieces (mirroring the evaluator's
-// incremental concatenation over parts) and its fast-path summaries.
-func (c *compiler) fold(cw *Word) {
-	if len(cw.Segs) == 0 {
-		cw.Static = []StaticPiece{}
-		cw.StaticSet = true
-		return
+// static returns the pieces a word always evaluates to, mirroring the
+// evaluator's concatenation over its parts, and whether it has such
+// pieces at all.  A concatenation that would fail at run time (length
+// mismatch) is not static, so the evaluator reproduces the exact error.
+// The result may alias c.one and is only valid until the next call.
+func (c *compiler) static(w *syntax.Word) ([]StaticPiece, bool) {
+	if w == nil || len(w.Parts) == 0 {
+		return nil, true
 	}
-	if len(cw.Segs) == 1 {
-		s := &cw.Segs[0]
-		if s.Kind == SegVar && s.Name == nil && !s.Count && !s.Double && !s.Flat && len(s.Index) == 0 {
-			cw.LoneVar = true
-			return
-		}
+	acc, ok := c.partStatic(w.Parts[0])
+	if !ok || len(w.Parts) == 1 {
+		return acc, ok
 	}
-	acc, ok := segStatic(cw.Segs[0:1])
-	if !ok {
-		return
-	}
-	for k := 1; k < len(cw.Segs); k++ {
-		next, nok := segStatic(cw.Segs[k : k+1])
-		if !nok {
-			return
-		}
-		acc, ok = staticConcat(acc, next)
+	acc = append([]StaticPiece(nil), acc...)
+	for _, part := range w.Parts[1:] {
+		next, ok := c.partStatic(part)
 		if !ok {
-			// The concatenation would fail at runtime (length
-			// mismatch); keep the dynamic path so the evaluator
-			// reproduces the exact error.
-			return
+			return nil, false
+		}
+		if acc, ok = staticConcat(acc, next); !ok {
+			return nil, false
 		}
 	}
-	cw.Static = acc
-	cw.StaticSet = true
-	// Names are never glob-expanded, so a wildcard piece is still a
-	// legal single name (a variable really can be called a*b).
-	if len(acc) == 1 && acc[0].Prim == "" {
-		cw.LitName = acc[0].Pat.String()
-		cw.LitNameSet = true
-	}
+	return acc, true
 }
 
-// segStatic returns the pieces a segment always evaluates to, if any.
-func segStatic(segs []Seg) ([]StaticPiece, bool) {
-	s := &segs[0]
-	switch s.Kind {
-	case SegLit:
-		return []StaticPiece{{Pat: s.Pat, Wild: s.Pat.HasWild()}}, true
-	case SegPrim:
-		return []StaticPiece{{Prim: s.Prim}}, true
-	case SegList:
+// partStatic returns the pieces one word part always evaluates to.
+func (c *compiler) partStatic(part syntax.Part) ([]StaticPiece, bool) {
+	switch part := part.(type) {
+	case *syntax.Lit:
+		p := litPattern(part)
+		c.one[0] = StaticPiece{Pat: p, Wild: p.HasWild()}
+		return c.one[:], true
+	case *syntax.Prim:
+		c.one[0] = StaticPiece{Pat: glob.New(part.Name), Prim: true}
+		return c.one[:], true
+	case *syntax.ListPart:
 		var out []StaticPiece
-		for _, w := range s.Words {
-			if !w.StaticSet {
+		for _, w := range part.Words {
+			ps, ok := c.static(w)
+			if !ok {
 				return nil, false
 			}
-			out = append(out, w.Static...)
-		}
-		if out == nil {
-			out = []StaticPiece{}
+			out = append(out, ps...)
 		}
 		return out, true
 	default:
 		return nil, false
 	}
+}
+
+func litPattern(l *syntax.Lit) glob.Pattern {
+	if l.Quoted {
+		return glob.NewLiteral(l.Text)
+	}
+	return glob.New(l.Text)
+}
+
+// litName returns the value of a word used as a single name (a variable
+// or binding target): set when the word is static with exactly one
+// non-prim piece.  Names are never glob-expanded, so a wildcard piece is
+// still a legal single name (a variable really can be called a*b).
+func (c *compiler) litName(w *syntax.Word) (string, bool) {
+	ps, ok := c.static(w)
+	if !ok || len(ps) != 1 || ps[0].Prim {
+		return "", false
+	}
+	return ps[0].Pat.String(), true
 }
 
 // staticConcat mirrors the evaluator's concatPieces over static pieces.
@@ -505,45 +699,40 @@ func staticConcat(a, b []StaticPiece) ([]StaticPiece, bool) {
 	}
 }
 
-func (c *compiler) part(part syntax.Part) Seg {
+func (c *compiler) seg(part syntax.Part) Seg {
 	switch part := part.(type) {
 	case *syntax.Lit:
-		if part.Quoted {
-			return Seg{Kind: SegLit, Pat: glob.NewLiteral(part.Text)}
-		}
-		return Seg{Kind: SegLit, Pat: glob.New(part.Text)}
+		p := litPattern(part)
+		return Seg{Kind: SegLit, Ref: add(&c.pieces, StaticPiece{Pat: p, Wild: p.HasWild()})}
 	case *syntax.Var:
-		s := Seg{Kind: SegVar, Count: part.Count, Double: part.Double, Flat: part.Flat, Pos: part.Pos}
-		name := c.word(part.Name)
-		if name.LitNameSet {
-			s.NameLit = name.LitName
-		} else {
-			s.Name = name
+		s := Seg{Kind: SegVar, Count: part.Count, Double: part.Double, Flat: part.Flat, Ref: -1, Ext: -1}
+		name, static := c.litName(part.Name)
+		if static {
+			s.Ref = add(&c.names, name)
 		}
-		if len(part.Index) > 0 {
-			s.Index = make([]*Word, len(part.Index))
-			for k, iw := range part.Index {
-				s.Index[k] = c.word(iw)
+		if !static || len(part.Index) > 0 {
+			ext := VarExt{Name: -1, Pos: pos(part.Pos)}
+			if !static {
+				ext.Name = c.word(part.Name)
 			}
+			ext.Index = c.wordRun(part.Index)
+			s.Ext = add(&c.vars, ext)
 		}
 		return s
 	case *syntax.Prim:
-		return Seg{Kind: SegPrim, Prim: part.Name}
+		return Seg{Kind: SegPrim, Ref: add(&c.names, part.Name)}
 	case *syntax.LambdaPart:
-		c.subBlock(part.Lambda.Body)
-		return Seg{Kind: SegLambda, Lambda: part.Lambda}
+		c.nest(part.Lambda.Body)
+		return Seg{Kind: SegLambda, Ref: add(&c.lambdas, part.Lambda)}
 	case *syntax.CmdSub:
-		c.subBlock(part.Body)
-		return Seg{Kind: SegCmdSub, Block: part.Body}
+		c.nest(part.Body)
+		return Seg{Kind: SegCmdSub, Ref: add(&c.blocks, part.Body)}
 	case *syntax.RetSub:
-		c.subBlock(part.Body)
-		return Seg{Kind: SegRetSub, Block: part.Body}
+		c.nest(part.Body)
+		return Seg{Kind: SegRetSub, Ref: add(&c.blocks, part.Body)}
 	case *syntax.ListPart:
-		words := make([]*Word, len(part.Words))
-		for k, w := range part.Words {
-			words[k] = c.word(w)
-		}
-		return Seg{Kind: SegList, Words: words}
+		run := c.wordRun(part.Words)
+		return Seg{Kind: SegList, Ref: run.Off, Ext: run.Len}
 	default:
 		// Unreachable: the seven cases above are every syntax.Part.
 		panic("compile: unknown word part")

@@ -1,6 +1,8 @@
 package compile
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -12,9 +14,10 @@ import (
 
 // FuzzCompile: Compile is total.  Anything syntax.Parse accepts must
 // compile, both as parsed (surface nodes included) and after Rewrite,
-// to a non-nil unit with a nil error, registering a non-nil unit for
-// every nested block, and without panicking.  Seeded with FuzzParse's
-// seeds and its on-disk corpus.
+// to a non-nil unit with a nil error, without panicking, into one
+// program whose every operand stays inside its table.  Each nested block
+// is registered with a unit in that same program.  Seeded with
+// FuzzParse's seeds and its on-disk corpus.
 func FuzzCompile(f *testing.F) {
 	seeds := []string{
 		"ls > /tmp/foo",
@@ -41,17 +44,113 @@ func FuzzCompile(f *testing.F) {
 		if err != nil {
 			return
 		}
-		reg := func(sb *syntax.Block, su *Unit) {
-			if su == nil {
-				t.Errorf("nested block of %q registered a nil unit", src)
-			}
-		}
 		for _, tree := range []*syntax.Block{b, syntax.Rewrite(b).(*syntax.Block)} {
-			if u, err := Compile(tree, reg); u == nil || err != nil {
+			var nested []*Unit
+			u, err := Compile(tree, func(sb *syntax.Block, su *Unit) {
+				if sb == nil || su == nil {
+					t.Errorf("%q: registrar got block %p, unit %p", src, sb, su)
+				}
+				nested = append(nested, su)
+			})
+			if u == nil || err != nil {
 				t.Fatalf("Compile(%q) = %v, %v; want a unit and no error", src, u, err)
+			}
+			if err := validate(u.Prog); err != nil {
+				t.Fatalf("Compile(%q): %v", src, err)
+			}
+			if len(nested) != len(u.Prog.Units)-1 {
+				t.Errorf("%q: %d nested units registered, program holds %d", src, len(nested), len(u.Prog.Units)-1)
+			}
+			for _, su := range nested {
+				if su != nil && su.Prog != u.Prog {
+					t.Errorf("%q: a nested unit is outside its program", src)
+				}
 			}
 		}
 	})
+}
+
+// validate checks that every operand of a program indexes inside the
+// table it names.
+func validate(p *Program) error {
+	span := func(what string, s Span, n int) error {
+		if s.Off < 0 || s.Len < 0 || int(s.Off)+int(s.Len) > n {
+			return fmt.Errorf("%s span %+v outside a table of %d", what, s, n)
+		}
+		return nil
+	}
+	index := func(what string, k int32, n int) error {
+		if k < 0 || int(k) >= n {
+			return fmt.Errorf("%s index %d outside a table of %d", what, k, n)
+		}
+		return nil
+	}
+	wordList := func(wl WordList) error {
+		if wl.Const.Set() {
+			return span("const", wl.Const, len(p.Consts))
+		}
+		return span("words", wl.Words, len(p.Words))
+	}
+	var errs []error
+	for _, u := range p.Units {
+		errs = append(errs, span("unit", u.Seq, len(p.Instrs)))
+	}
+	for _, in := range p.Instrs {
+		errs = append(errs, span("body", in.Body, len(p.Instrs)))
+		switch in.Op {
+		case OpSimple:
+			errs = append(errs, wordList(in.Words))
+		case OpAssign:
+			errs = append(errs, index("target", in.Word, len(p.Words)), wordList(in.Words))
+		case OpLet, OpLocal, OpFor:
+			errs = append(errs, span("bindings", in.Bindings, len(p.Bindings)))
+		case OpMatch, OpMatchExtract:
+			errs = append(errs, index("subject", in.Word, len(p.Words)))
+			if in.Pats.Set() {
+				errs = append(errs, span("patterns", in.Pats, len(p.Pats)))
+			} else {
+				errs = append(errs, wordList(in.Words))
+			}
+		}
+	}
+	for _, b := range p.Bindings {
+		errs = append(errs, index("binding", b.Name, len(p.Words)), wordList(b.Values))
+	}
+	for _, w := range p.Words {
+		if w.Kind == WordStatic {
+			errs = append(errs, span("pieces", w.Span, len(p.Pieces)))
+		} else {
+			errs = append(errs, span("segs", w.Span, len(p.Segs)))
+		}
+	}
+	for _, s := range p.Segs {
+		switch s.Kind {
+		case SegLit:
+			errs = append(errs, index("literal", s.Ref, len(p.Pieces)))
+		case SegVar:
+			if s.Ref >= 0 || s.Ext < 0 {
+				errs = append(errs, index("name", s.Ref, len(p.Names)))
+			}
+			if s.Ext >= 0 {
+				errs = append(errs, index("var", s.Ext, len(p.Vars)))
+			}
+		case SegPrim:
+			errs = append(errs, index("prim", s.Ref, len(p.Names)))
+		case SegLambda:
+			errs = append(errs, index("lambda", s.Ref, len(p.Lambdas)))
+		case SegCmdSub, SegRetSub:
+			errs = append(errs, index("body", s.Ref, len(p.Blocks)))
+		case SegList:
+			errs = append(errs, span("list", Span{Off: s.Ref, Len: s.Ext}, len(p.Words)))
+		}
+	}
+	for _, v := range p.Vars {
+		if v.Name >= 0 {
+			errs = append(errs, index("computed name", v.Name, len(p.Words)))
+		}
+		errs = append(errs, span("subscripts", v.Index, len(p.Words)))
+	}
+	return errors.Join(errs...)
 }
 
 // parseCorpus reads the string inputs of FuzzParse's corpus, so every

@@ -83,7 +83,8 @@ func (i *Interp) EvalBlock(ctx *Ctx, b *syntax.Block, env *Binding) (List, error
 	if b == nil || len(b.Cmds) == 0 {
 		return List{}, nil
 	}
-	return i.execSeq(ctx, unitFor(b).Seq, env)
+	u := unitFor(b)
+	return i.execSeq(ctx, u.Prog, u.Prog.Seq(u.Seq), env)
 }
 
 // applyTerm dispatches a command head: closures are applied, primitives

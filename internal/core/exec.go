@@ -2,15 +2,16 @@ package core
 
 // The bytecode execution loop, the interpreter's one evaluator.
 // EvalBlock routes every block through unitFor, which lowers the (shared,
-// immutable) rewritten AST to the flat instruction form of
-// internal/compile exactly once, process-wide, and caches it alongside
-// the parse results.  Commands and words run here; closure application,
-// the tail-call trampoline and cancellation polls are in eval.go.  The
+// immutable) rewritten AST to the flat tables of internal/compile on the
+// block's first run and keeps the unit on the block for as long as the
+// tree lives.  Commands and words run here; closure application, the
+// tail-call trampoline and cancellation polls are in eval.go.  The
 // outcomes this loop must reproduce are pinned by
 // testdata/engine_golden.json at the repository root.
 
 import (
 	"strconv"
+	"sync/atomic"
 
 	"es/internal/cache"
 	"es/internal/compile"
@@ -18,65 +19,78 @@ import (
 	"es/internal/syntax"
 )
 
-// compileCache memoizes compiled units by block identity, alongside the
-// parse cache (which guarantees one shared *syntax.Block per source).
-var compileCache = cache.NewKeyMap[*syntax.Block, *compile.Unit]("compile", 1024)
+// compileHits counts block runs that found their unit on the block;
+// compileMisses counts lowerings.  $&cachestats reports them as the
+// compile cache, which keeps no table: a unit lives on its block, and
+// goes when the tree goes.
+var compileHits, compileMisses atomic.Int64
 
-// FlushCompileCache drops every compiled unit (the $&recache escape
-// hatch and the cold-start lever for benchmarks).
-func FlushCompileCache() { compileCache.Flush() }
+func compileStats() cache.Stats {
+	return cache.Stats{Name: "compile", Hits: compileHits.Load(), Misses: compileMisses.Load()}
+}
 
-// unitFor returns the compiled unit for b, lowering and caching it on
-// first use.  Every block, rewritten or not, has a unit.  Nested lambda
-// and substitution bodies are registered as they are compiled, so
-// closure application starts on compiled code.
+// unitFor returns the compiled unit of b, lowering b's whole tree on
+// first use.  Every block, rewritten or not, has a unit, and keeps the
+// first one published for its lifetime.  Nested lambda and substitution
+// bodies are attached as the tree is lowered, so closure application
+// starts on compiled code.
 func unitFor(b *syntax.Block) *compile.Unit {
-	if u, ok := compileCache.Get(b); ok {
+	if u, ok := b.Unit.Load().(*compile.Unit); ok {
+		compileHits.Add(1)
 		return u
 	}
+	compileMisses.Add(1)
 	// Compilation is total: the error is always nil.
-	u, _ := compile.Compile(b, func(sb *syntax.Block, su *compile.Unit) {
-		compileCache.Put(sb, su)
-	})
-	compileCache.Put(b, u)
-	return u
+	u, _ := compile.Compile(b, func(sb *syntax.Block, su *compile.Unit) { attach(sb, su) })
+	return attach(b, u)
+}
+
+// attach publishes u as b's unit unless another goroutine (a session or
+// pipeline element running the same cached tree) published one first,
+// and returns the unit b keeps.
+func attach(b *syntax.Block, u *compile.Unit) *compile.Unit {
+	if b.Unit.CompareAndSwap(nil, u) {
+		return u
+	}
+	return b.Unit.Load().(*compile.Unit)
 }
 
 // execSeq evaluates a compiled command sequence; the result is the last
 // command's result (the empty list — true — for an empty sequence).
 // When ctx is a tail context the final command runs in tail position.
-func (i *Interp) execSeq(ctx *Ctx, seq compile.Seq, env *Binding) (List, error) {
+func (i *Interp) execSeq(ctx *Ctx, p *compile.Program, seq []compile.Instr, env *Binding) (List, error) {
 	if len(seq) == 0 {
 		return List{}, nil
 	}
 	inner := ctx.NonTail()
 	for k := range seq[:len(seq)-1] {
 		i.Alloc.command()
-		if _, err := i.execInstr(inner, &seq[k], env); err != nil {
+		if _, err := i.execInstr(inner, p, &seq[k], env); err != nil {
 			return nil, err
 		}
 	}
 	i.Alloc.command()
-	return i.execInstr(ctx, &seq[len(seq)-1], env)
+	return i.execInstr(ctx, p, &seq[len(seq)-1], env)
 }
 
-// execBody evaluates a compiled body-position command (the body of let,
-// local, for, !): one cancellation poll for the body as a command, then
-// block bodies count their member command boundaries.
-func (i *Interp) execBody(ctx *Ctx, b *compile.Body, env *Binding) (List, error) {
+// execBody evaluates the body of let, local, for and !: one cancellation
+// poll for the body as a command, then block bodies count their member
+// command boundaries.
+func (i *Interp) execBody(ctx *Ctx, p *compile.Program, in *compile.Instr, env *Binding) (List, error) {
 	if err := i.checkPending(); err != nil {
 		return nil, err
 	}
-	if len(b.Seq) == 0 {
+	seq := p.Seq(in.Body)
+	if len(seq) == 0 {
 		return List{}, nil
 	}
-	if b.IsBlock {
-		return i.execSeq(ctx, b.Seq, env)
+	if in.IsBlock {
+		return i.execSeq(ctx, p, seq, env)
 	}
-	return i.execInstr(ctx, &b.Seq[0], env)
+	return i.execInstr(ctx, p, &seq[0], env)
 }
 
-func (i *Interp) execInstr(ctx *Ctx, in *compile.Instr, env *Binding) (List, error) {
+func (i *Interp) execInstr(ctx *Ctx, p *compile.Program, in *compile.Instr, env *Binding) (List, error) {
 	if err := i.checkPending(); err != nil {
 		return nil, err
 	}
@@ -84,23 +98,23 @@ func (i *Interp) execInstr(ctx *Ctx, in *compile.Instr, env *Binding) (List, err
 	case compile.OpNop:
 		return List{}, nil
 	case compile.OpSimple:
-		return i.execSimple(ctx, in, env)
+		return i.execSimple(ctx, p, in, env)
 	case compile.OpGroup, compile.OpSeq:
-		return i.execSeq(ctx, in.Seq, env)
+		return i.execSeq(ctx, p, p.Seq(in.Body), env)
 	case compile.OpAssign:
-		return i.execAssign(ctx, in, env)
+		return i.execAssign(ctx, p, in, env)
 	case compile.OpLet:
-		return i.execLet(ctx, in, env)
+		return i.execLet(ctx, p, in, env)
 	case compile.OpLocal:
-		return i.execLocal(ctx, in, env)
+		return i.execLocal(ctx, p, in, env)
 	case compile.OpFor:
-		return i.execFor(ctx, in, env)
+		return i.execFor(ctx, p, in, env)
 	case compile.OpMatch:
-		return i.execMatch(ctx, in, env)
+		return i.execMatch(ctx, p, in, env)
 	case compile.OpMatchExtract:
-		return i.execMatchExtract(ctx, in, env)
+		return i.execMatchExtract(ctx, p, in, env)
 	case compile.OpNot:
-		res, err := i.execBody(ctx.NonTail(), &in.Body, env)
+		res, err := i.execBody(ctx.NonTail(), p, in, env)
 		if err != nil {
 			return nil, err
 		}
@@ -110,8 +124,8 @@ func (i *Interp) execInstr(ctx *Ctx, in *compile.Instr, env *Binding) (List, err
 	}
 }
 
-func (i *Interp) execSimple(ctx *Ctx, in *compile.Instr, env *Binding) (List, error) {
-	terms, err := i.execWords(ctx, &in.Words, env)
+func (i *Interp) execSimple(ctx *Ctx, p *compile.Program, in *compile.Instr, env *Binding) (List, error) {
+	terms, err := i.execWords(ctx, p, &in.Words, env)
 	if err != nil {
 		return nil, err
 	}
@@ -131,8 +145,8 @@ func (i *Interp) constList(consts []compile.ConstTerm) List {
 	out := make(List, len(consts))
 	for k := range consts {
 		c := &consts[k]
-		if c.Prim != "" {
-			out[k] = Term{Prim: c.Prim}
+		if c.Prim {
+			out[k] = Term{Prim: c.Str}
 		} else {
 			out[k] = Term{Str: c.Str}
 		}
@@ -140,12 +154,12 @@ func (i *Interp) constList(consts []compile.ConstTerm) List {
 	return out
 }
 
-func (i *Interp) execAssign(ctx *Ctx, in *compile.Instr, env *Binding) (List, error) {
-	name, err := i.execWordString(ctx, in.Name, env)
+func (i *Interp) execAssign(ctx *Ctx, p *compile.Program, in *compile.Instr, env *Binding) (List, error) {
+	name, err := i.execWordString(ctx, p, &p.Words[in.Word], env)
 	if err != nil {
 		return nil, err
 	}
-	values, err := i.execWords(ctx, &in.Values, env)
+	values, err := i.execWords(ctx, p, &in.Words, env)
 	if err != nil {
 		return nil, err
 	}
@@ -158,25 +172,26 @@ func (i *Interp) execAssign(ctx *Ctx, in *compile.Instr, env *Binding) (List, er
 	return True(), nil
 }
 
-func (i *Interp) execLet(ctx *Ctx, in *compile.Instr, env *Binding) (List, error) {
+func (i *Interp) execLet(ctx *Ctx, p *compile.Program, in *compile.Instr, env *Binding) (List, error) {
 	inner := env
-	for k := range in.Bindings {
-		b := &in.Bindings[k]
-		name, err := i.execWordString(ctx, b.Name, env)
+	bs := p.BindingsIn(in.Bindings)
+	for k := range bs {
+		b := &bs[k]
+		name, err := i.execWordString(ctx, p, &p.Words[b.Name], env)
 		if err != nil {
 			return nil, err
 		}
-		values, err := i.execWords(ctx.NonTail(), &b.Values, inner)
+		values, err := i.execWords(ctx.NonTail(), p, &b.Values, inner)
 		if err != nil {
 			return nil, err
 		}
 		i.Alloc.binding(1)
 		inner = &Binding{Name: name, Value: values, Next: inner}
 	}
-	return i.execBody(ctx, &in.Body, inner)
+	return i.execBody(ctx, p, in, inner)
 }
 
-func (i *Interp) execLocal(ctx *Ctx, in *compile.Instr, env *Binding) (List, error) {
+func (i *Interp) execLocal(ctx *Ctx, p *compile.Program, in *compile.Instr, env *Binding) (List, error) {
 	type saved struct {
 		name    string
 		value   List
@@ -198,14 +213,15 @@ func (i *Interp) execLocal(ctx *Ctx, in *compile.Instr, env *Binding) (List, err
 			}
 		}
 	}
-	for k := range in.Bindings {
-		b := &in.Bindings[k]
-		name, err := i.execWordString(ctx, b.Name, env)
+	bs := p.BindingsIn(in.Bindings)
+	for k := range bs {
+		b := &bs[k]
+		name, err := i.execWordString(ctx, p, &p.Words[b.Name], env)
 		if err != nil {
 			restore()
 			return nil, err
 		}
-		values, err := i.execWords(nt, &b.Values, env)
+		values, err := i.execWords(nt, p, &b.Values, env)
 		if err != nil {
 			restore()
 			return nil, err
@@ -220,23 +236,24 @@ func (i *Interp) execLocal(ctx *Ctx, in *compile.Instr, env *Binding) (List, err
 			return nil, err
 		}
 	}
-	res, err := i.execBody(nt, &in.Body, env)
+	res, err := i.execBody(nt, p, in, env)
 	restore()
 	return res, err
 }
 
-func (i *Interp) execFor(ctx *Ctx, in *compile.Instr, env *Binding) (List, error) {
+func (i *Interp) execFor(ctx *Ctx, p *compile.Program, in *compile.Instr, env *Binding) (List, error) {
 	nt := ctx.NonTail()
-	names := make([]string, len(in.Bindings))
-	values := make([]List, len(in.Bindings))
+	bs := p.BindingsIn(in.Bindings)
+	names := make([]string, len(bs))
+	values := make([]List, len(bs))
 	n := 0
-	for k := range in.Bindings {
-		b := &in.Bindings[k]
-		name, err := i.execWordString(ctx, b.Name, env)
+	for k := range bs {
+		b := &bs[k]
+		name, err := i.execWordString(ctx, p, &p.Words[b.Name], env)
 		if err != nil {
 			return nil, err
 		}
-		v, err := i.execWords(nt, &b.Values, env)
+		v, err := i.execWords(nt, p, &b.Values, env)
 		if err != nil {
 			return nil, err
 		}
@@ -256,7 +273,7 @@ func (i *Interp) execFor(ctx *Ctx, in *compile.Instr, env *Binding) (List, error
 			i.Alloc.binding(1)
 			inner = &Binding{Name: names[k], Value: v, Next: inner}
 		}
-		res, err := i.execBody(nt, &in.Body, inner)
+		res, err := i.execBody(nt, p, in, inner)
 		if err != nil {
 			if e := AsException(err); e != nil && e.Name() == "break" {
 				if len(e.Args) > 1 {
@@ -271,12 +288,12 @@ func (i *Interp) execFor(ctx *Ctx, in *compile.Instr, env *Binding) (List, error
 	return result, nil
 }
 
-func (i *Interp) execMatch(ctx *Ctx, in *compile.Instr, env *Binding) (List, error) {
-	subj, err := i.execWordTerms(ctx, in.Subject, env)
+func (i *Interp) execMatch(ctx *Ctx, p *compile.Program, in *compile.Instr, env *Binding) (List, error) {
+	subj, err := i.execWordTerms(ctx, p, &p.Words[in.Word], env)
 	if err != nil {
 		return nil, err
 	}
-	pats, err := i.execPats(ctx, &in.Pats, env)
+	pats, err := i.execPats(ctx, p, in, env)
 	if err != nil {
 		return nil, err
 	}
@@ -286,8 +303,8 @@ func (i *Interp) execMatch(ctx *Ctx, in *compile.Instr, env *Binding) (List, err
 	}
 	for _, s := range subj {
 		str := s.String()
-		for _, p := range pats {
-			if p.Match(str) {
+		for _, pat := range pats {
+			if pat.Match(str) {
 				return True(), nil
 			}
 		}
@@ -295,19 +312,19 @@ func (i *Interp) execMatch(ctx *Ctx, in *compile.Instr, env *Binding) (List, err
 	return False(), nil
 }
 
-func (i *Interp) execMatchExtract(ctx *Ctx, in *compile.Instr, env *Binding) (List, error) {
-	subj, err := i.execWordTerms(ctx, in.Subject, env)
+func (i *Interp) execMatchExtract(ctx *Ctx, p *compile.Program, in *compile.Instr, env *Binding) (List, error) {
+	subj, err := i.execWordTerms(ctx, p, &p.Words[in.Word], env)
 	if err != nil {
 		return nil, err
 	}
-	pats, err := i.execPats(ctx, &in.Pats, env)
+	pats, err := i.execPats(ctx, p, in, env)
 	if err != nil {
 		return nil, err
 	}
 	for _, s := range subj {
 		str := s.String()
-		for _, p := range pats {
-			if caps, ok := p.MatchCapture(str); ok {
+		for _, pat := range pats {
+			if caps, ok := pat.MatchCapture(str); ok {
 				return StrList(caps...), nil
 			}
 		}
@@ -315,13 +332,16 @@ func (i *Interp) execMatchExtract(ctx *Ctx, in *compile.Instr, env *Binding) (Li
 	return False(), nil
 }
 
-func (i *Interp) execPats(ctx *Ctx, cp *compile.Pats, env *Binding) ([]glob.Pattern, error) {
-	if cp.Static != nil {
-		return cp.Static, nil
+// execPats evaluates the patterns of a match: the static patterns
+// compile built, or the pattern words.
+func (i *Interp) execPats(ctx *Ctx, p *compile.Program, in *compile.Instr, env *Binding) ([]glob.Pattern, error) {
+	if in.Pats.Set() {
+		return p.PatsIn(in.Pats), nil
 	}
 	var pats []glob.Pattern
-	for _, pw := range cp.Words {
-		ps, err := i.execPatterns(ctx, pw, env)
+	ws := p.WordsIn(in.Words.Words)
+	for k := range ws {
+		ps, err := i.execPatterns(ctx, p, &ws[k], env)
 		if err != nil {
 			return nil, err
 		}
@@ -410,15 +430,16 @@ func termsToPieces(l List) []piece {
 
 // execWords evaluates a compiled word list to a term list, splicing list
 // values and performing filename expansion on unquoted wildcards.
-func (i *Interp) execWords(ctx *Ctx, wl *compile.WordList, env *Binding) (List, error) {
-	if wl.Const != nil {
-		return i.constList(wl.Const), nil
+func (i *Interp) execWords(ctx *Ctx, p *compile.Program, wl *compile.WordList, env *Binding) (List, error) {
+	if wl.Const.Set() {
+		return i.constList(p.ConstsIn(wl.Const)), nil
 	}
 	i.Alloc.list()
 	var out List
 	var err error
-	for _, w := range wl.Words {
-		out, err = i.appendWordTerms(ctx, out, w, env)
+	ws := p.WordsIn(wl.Words)
+	for k := range ws {
+		out, err = i.appendWordTerms(ctx, out, p, &ws[k], env)
 		if err != nil {
 			return nil, err
 		}
@@ -428,38 +449,43 @@ func (i *Interp) execWords(ctx *Ctx, wl *compile.WordList, env *Binding) (List, 
 
 // execWordTerms evaluates one compiled word to terms (match subjects,
 // subscript words).
-func (i *Interp) execWordTerms(ctx *Ctx, w *compile.Word, env *Binding) (List, error) {
+func (i *Interp) execWordTerms(ctx *Ctx, p *compile.Program, w *compile.Word, env *Binding) (List, error) {
 	i.Alloc.list()
-	return i.appendWordTerms(ctx, nil, w, env)
+	return i.appendWordTerms(ctx, nil, p, w, env)
+}
+
+// loneVarName is the variable a WordLoneVar word names.
+func loneVarName(p *compile.Program, w *compile.Word) string {
+	return p.Names[p.Segs[w.Span.Off].Ref]
 }
 
 // appendWordTerms appends one word's terms to out, with the static and
 // lone-$var fast paths.
-func (i *Interp) appendWordTerms(ctx *Ctx, out List, w *compile.Word, env *Binding) (List, error) {
-	if w.StaticSet {
-		return i.appendStatic(out, w.Static), nil
-	}
-	if w.LoneVar {
+func (i *Interp) appendWordTerms(ctx *Ctx, out List, p *compile.Program, w *compile.Word, env *Binding) (List, error) {
+	switch w.Kind {
+	case compile.WordStatic:
+		return i.appendStatic(out, p.PiecesOf(w)), nil
+	case compile.WordLoneVar:
 		// $name alone in a word: the value splices in unchanged (string
 		// terms stay literal — variable values are not re-globbed — and
 		// closure/primitive terms are preserved), which is exactly what
 		// piece conversion does, minus the pieces.
-		value := lookupVar(i, env, w.Segs[0].NameLit)
+		value := lookupVar(i, env, loneVarName(p, w))
 		i.Alloc.term(len(value))
 		return append(out, value...), nil
 	}
-	pieces, err := i.execWordPieces(ctx, w, env)
+	pieces, err := i.execWordPieces(ctx, p, w, env)
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range pieces {
-		if p.term != nil {
-			out = append(out, *p.term)
+	for _, pc := range pieces {
+		if pc.term != nil {
+			out = append(out, *pc.term)
 			i.Alloc.term(1)
 			continue
 		}
-		if p.pat.HasWild() {
-			if matches := glob.Expand(p.pat, i.dir); matches != nil {
+		if pc.pat.HasWild() {
+			if matches := glob.Expand(pc.pat, i.dir); matches != nil {
 				for _, m := range matches {
 					out = append(out, Term{Str: m})
 					i.Alloc.term(1)
@@ -468,8 +494,8 @@ func (i *Interp) appendWordTerms(ctx *Ctx, out List, w *compile.Word, env *Bindi
 			}
 		}
 		i.Alloc.term(1)
-		i.Alloc.str(len(p.pat.String()))
-		out = append(out, Term{Str: p.pat.String()})
+		i.Alloc.str(len(pc.pat.String()))
+		out = append(out, Term{Str: pc.pat.String()})
 	}
 	return out, nil
 }
@@ -480,9 +506,9 @@ func (i *Interp) appendStatic(out List, static []compile.StaticPiece) List {
 	for k := range static {
 		sp := &static[k]
 		switch {
-		case sp.Prim != "":
+		case sp.Prim:
 			i.Alloc.term(1)
-			out = append(out, Term{Prim: sp.Prim})
+			out = append(out, Term{Prim: sp.Pat.String()})
 		case sp.Wild:
 			if matches := glob.Expand(sp.Pat, i.dir); matches != nil {
 				for _, m := range matches {
@@ -505,16 +531,17 @@ func (i *Interp) appendStatic(out List, static []compile.StaticPiece) List {
 // execPatterns evaluates a compiled word for use as a match pattern: no
 // filename expansion; quoting data is preserved so quoted wildcards stay
 // literal.
-func (i *Interp) execPatterns(ctx *Ctx, w *compile.Word, env *Binding) ([]glob.Pattern, error) {
-	if w.StaticSet {
-		out := make([]glob.Pattern, len(w.Static))
-		for k := range w.Static {
-			out[k] = w.Static[k].Pattern()
+func (i *Interp) execPatterns(ctx *Ctx, p *compile.Program, w *compile.Word, env *Binding) ([]glob.Pattern, error) {
+	switch w.Kind {
+	case compile.WordStatic:
+		static := p.PiecesOf(w)
+		out := make([]glob.Pattern, len(static))
+		for k := range static {
+			out[k] = static[k].Pattern()
 		}
 		return out, nil
-	}
-	if w.LoneVar {
-		value := lookupVar(i, env, w.Segs[0].NameLit)
+	case compile.WordLoneVar:
+		value := lookupVar(i, env, loneVarName(p, w))
 		out := make([]glob.Pattern, len(value))
 		for k := range value {
 			// Variable values match literally (closures unparse).
@@ -522,44 +549,46 @@ func (i *Interp) execPatterns(ctx *Ctx, w *compile.Word, env *Binding) ([]glob.P
 		}
 		return out, nil
 	}
-	pieces, err := i.execWordPieces(ctx, w, env)
+	pieces, err := i.execWordPieces(ctx, p, w, env)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]glob.Pattern, len(pieces))
-	for k, p := range pieces {
-		out[k] = p.toPattern()
+	for k, pc := range pieces {
+		out[k] = pc.toPattern()
 	}
 	return out, nil
 }
 
 // execWordString evaluates a compiled word that must produce exactly one
 // string (variable names, binding targets).
-func (i *Interp) execWordString(ctx *Ctx, w *compile.Word, env *Binding) (string, error) {
-	if w.LitNameSet {
-		return w.LitName, nil
+func (i *Interp) execWordString(ctx *Ctx, p *compile.Program, w *compile.Word, env *Binding) (string, error) {
+	if w.Kind == compile.WordStatic {
+		// A static word is a name only as one plain piece; otherwise it
+		// is a constant failure.
+		if static := p.PiecesOf(w); len(static) == 1 && !static[0].Prim {
+			return static[0].Pat.String(), nil
+		}
+		return "", errAt(w.Pos.Syntax(), "expected a single name")
 	}
-	if w.StaticSet {
-		// Static but not a single plain string: constant failure.
-		return "", errAt(w.Pos, "expected a single name")
-	}
-	pieces, err := i.execWordPieces(ctx, w, env)
+	pieces, err := i.execWordPieces(ctx, p, w, env)
 	if err != nil {
 		return "", err
 	}
 	if len(pieces) != 1 || pieces[0].term != nil {
-		return "", errAt(w.Pos, "expected a single name")
+		return "", errAt(w.Pos.Syntax(), "expected a single name")
 	}
 	return pieces[0].pat.String(), nil
 }
 
-func (i *Interp) execWordPieces(ctx *Ctx, w *compile.Word, env *Binding) ([]piece, error) {
-	if w.StaticSet {
-		out := make([]piece, len(w.Static))
-		for k := range w.Static {
-			sp := &w.Static[k]
-			if sp.Prim != "" {
-				out[k] = piece{term: &Term{Prim: sp.Prim}}
+func (i *Interp) execWordPieces(ctx *Ctx, p *compile.Program, w *compile.Word, env *Binding) ([]piece, error) {
+	if w.Kind == compile.WordStatic {
+		static := p.PiecesOf(w)
+		out := make([]piece, len(static))
+		for k := range static {
+			sp := &static[k]
+			if sp.Prim {
+				out[k] = piece{term: &Term{Prim: sp.Pat.String()}}
 			} else {
 				out[k] = strPiece(sp.Pat)
 			}
@@ -567,8 +596,9 @@ func (i *Interp) execWordPieces(ctx *Ctx, w *compile.Word, env *Binding) ([]piec
 		return out, nil
 	}
 	var acc []piece
-	for k := range w.Segs {
-		ps, err := i.execSeg(ctx, &w.Segs[k], env)
+	segs := p.SegsOf(w)
+	for k := range segs {
+		ps, err := i.execSeg(ctx, p, &segs[k], env)
 		if err != nil {
 			return nil, err
 		}
@@ -576,7 +606,7 @@ func (i *Interp) execWordPieces(ctx *Ctx, w *compile.Word, env *Binding) ([]piec
 			acc = ps
 			continue
 		}
-		acc, err = concatPieces(w.Pos, acc, ps)
+		acc, err = concatPieces(w.Pos.Syntax(), acc, ps)
 		if err != nil {
 			return nil, err
 		}
@@ -584,26 +614,27 @@ func (i *Interp) execWordPieces(ctx *Ctx, w *compile.Word, env *Binding) ([]piec
 	return acc, nil
 }
 
-func (i *Interp) execSeg(ctx *Ctx, s *compile.Seg, env *Binding) ([]piece, error) {
+func (i *Interp) execSeg(ctx *Ctx, p *compile.Program, s *compile.Seg, env *Binding) ([]piece, error) {
 	switch s.Kind {
 	case compile.SegLit:
-		return []piece{strPiece(s.Pat)}, nil
+		return []piece{strPiece(p.Pieces[s.Ref].Pat)}, nil
 	case compile.SegVar:
-		return i.execVarSeg(ctx, s, env)
+		return i.execVarSeg(ctx, p, s, env)
 	case compile.SegPrim:
-		return []piece{{term: &Term{Prim: s.Prim}}}, nil
+		return []piece{{term: &Term{Prim: p.Names[s.Ref]}}}, nil
 	case compile.SegLambda:
 		i.Alloc.closure()
+		lam := p.Lambdas[s.Ref]
 		cl := &Closure{
-			Params:    s.Lambda.Params,
-			HasParams: s.Lambda.HasParams,
-			Body:      s.Lambda.Body,
+			Params:    lam.Params,
+			HasParams: lam.HasParams,
+			Body:      lam.Body,
 			Env:       env,
 		}
 		return []piece{{term: &Term{Closure: cl}}}, nil
 	case compile.SegCmdSub:
 		i.Alloc.closure()
-		cl := &Closure{Body: s.Block, Env: env}
+		cl := &Closure{Body: p.Blocks[s.Ref], Env: env}
 		res, err := i.CallHook(ctx.NonTail(), "%backquote", List{Term{Closure: cl}})
 		if err != nil {
 			return nil, err
@@ -611,15 +642,16 @@ func (i *Interp) execSeg(ctx *Ctx, s *compile.Seg, env *Binding) ([]piece, error
 		// Substituted command output is not re-globbed (rc semantics).
 		return termsToPieces(res), nil
 	case compile.SegRetSub:
-		res, err := i.EvalBlock(ctx.NonTail(), s.Block, env)
+		res, err := i.EvalBlock(ctx.NonTail(), p.Blocks[s.Ref], env)
 		if err != nil {
 			return nil, err
 		}
 		return termsToPieces(res), nil
 	case compile.SegList:
 		var out []piece
-		for _, w := range s.Words {
-			ps, err := i.execWordPieces(ctx, w, env)
+		ws := p.WordsIn(compile.Span{Off: s.Ref, Len: s.Ext})
+		for k := range ws {
+			ps, err := i.execWordPieces(ctx, p, &ws[k], env)
 			if err != nil {
 				return nil, err
 			}
@@ -631,11 +663,17 @@ func (i *Interp) execSeg(ctx *Ctx, s *compile.Seg, env *Binding) ([]piece, error
 	}
 }
 
-func (i *Interp) execVarSeg(ctx *Ctx, s *compile.Seg, env *Binding) ([]piece, error) {
-	name := s.NameLit
-	if s.Name != nil {
+func (i *Interp) execVarSeg(ctx *Ctx, p *compile.Program, s *compile.Seg, env *Binding) ([]piece, error) {
+	var ext *compile.VarExt
+	if s.Ext >= 0 {
+		ext = &p.Vars[s.Ext]
+	}
+	var name string
+	if s.Ref >= 0 {
+		name = p.Names[s.Ref]
+	} else {
 		var err error
-		name, err = i.execWordString(ctx, s.Name, env)
+		name, err = i.execWordString(ctx, p, &p.Words[ext.Name], env)
 		if err != nil {
 			return nil, err
 		}
@@ -652,17 +690,18 @@ func (i *Interp) execVarSeg(ctx *Ctx, s *compile.Seg, env *Binding) ([]piece, er
 	if s.Count {
 		return []piece{strPiece(glob.NewLiteral(strconv.Itoa(len(value))))}, nil
 	}
-	if len(s.Index) > 0 {
+	if ext != nil && ext.Index.Len > 0 {
 		var sel List
-		for _, iw := range s.Index {
-			idxs, err := i.execWordTerms(ctx, iw, env)
+		ws := p.WordsIn(ext.Index)
+		for k := range ws {
+			idxs, err := i.execWordTerms(ctx, p, &ws[k], env)
 			if err != nil {
 				return nil, err
 			}
 			for _, it := range idxs {
 				n, err := strconv.Atoi(it.String())
 				if err != nil {
-					return nil, errAt(s.Pos, "bad subscript: "+it.String())
+					return nil, errAt(ext.Pos.Syntax(), "bad subscript: "+it.String())
 				}
 				if n >= 1 && n <= len(value) {
 					sel = append(sel, value[n-1])

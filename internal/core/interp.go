@@ -415,11 +415,12 @@ func (i *Interp) PathCache() *cache.Map[string] {
 
 // FlushCaches drops this interpreter's path cache and the process-wide
 // parse, decode, and glob caches: the native analogue of Figure 2's
-// recache function, bound to $&recache.
+// recache function, bound to $&recache.  Compiled units live on their
+// trees, so a flushed tree takes its units with it and the next parse
+// lowers afresh.
 func (i *Interp) FlushCaches() {
 	i.PathCache().Flush()
 	FlushParseCache()
-	FlushCompileCache()
 	FlushDecodeCache()
 	glob.FlushCache()
 }
@@ -432,7 +433,7 @@ func (i *Interp) CacheStats() []cache.Stats {
 	return []cache.Stats{
 		i.PathCache().Stats(),
 		parseCache.Stats(),
-		compileCache.Stats(),
+		compileStats(),
 		decodeCache.Stats(),
 		glob.CacheStats(),
 	}

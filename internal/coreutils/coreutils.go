@@ -11,10 +11,12 @@ package coreutils
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
 	"sync"
+	"syscall"
 
 	"es/internal/core"
 )
@@ -43,6 +45,34 @@ type ctxio struct {
 	out  *bufio.Writer
 	errw io.Writer
 	name string
+	sink *sink // where out flushes to
+}
+
+// sink is a builtin's standard output as its buffered writer sees it:
+// writes pass through, and the first failure is kept.  Once a write has
+// failed the builtin reads no further, as a Unix tool whose output is
+// gone dies of SIGPIPE or its write error.
+type sink struct {
+	w   io.Writer
+	err error
+}
+
+func (s *sink) Write(p []byte) (int, error) {
+	n, err := s.w.Write(p)
+	if err != nil && s.err == nil {
+		s.err = err
+	}
+	return n, err
+}
+
+// stopped reports whether writing the builtin's output has failed.
+func (c *ctxio) stopped() bool { return c.sink.err != nil }
+
+// output is a builtin's output buffer and the sink it flushes to, pooled
+// together.
+type output struct {
+	buf  *bufio.Writer
+	sink sink
 }
 
 // A builtin call borrows its fixed-size scratch from these pools instead
@@ -50,9 +80,13 @@ type ctxio struct {
 // many short calls, and allocating 36 KiB or more for each one makes Go's
 // collector the largest cost of serving them.
 var (
-	// outPool holds output writers, each Reset to io.Discard so that a
-	// pooled writer never keeps a stream alive.
-	outPool = sync.Pool{New: func() any { return bufio.NewWriter(io.Discard) }}
+	// outPool holds output buffers.  A pooled one's sink points at
+	// io.Discard, so that it never keeps a stream alive.
+	outPool = sync.Pool{New: func() any {
+		o := &output{sink: sink{w: io.Discard}}
+		o.buf = bufio.NewWriter(&o.sink)
+		return o
+	}}
 	// bufPool holds 32 KiB read buffers.
 	bufPool = sync.Pool{New: func() any {
 		b := make([]byte, 32*1024)
@@ -61,22 +95,35 @@ var (
 )
 
 // wrap adapts a simpler function shape to core.BuiltinFunc, handling
-// output buffering and error reporting uniformly.
+// output buffering and error reporting uniformly.  A builtin whose
+// output fails stops reading (see stopped) and exits 1: quietly on
+// EPIPE, since a reader that stops early is no error, and otherwise with
+// the write error unless the builtin reported a failure of its own.
 func wrap(name string, fn func(c *ctxio, args []string) int) core.BuiltinFunc {
 	return func(i *core.Interp, ctx *core.Ctx, argv []string) int {
-		out := outPool.Get().(*bufio.Writer)
-		out.Reset(ctx.Stdout())
+		o := outPool.Get().(*output)
+		o.sink.w = ctx.Stdout()
 		c := &ctxio{
 			i:    i,
 			in:   ctx.Stdin(),
-			out:  out,
+			out:  o.buf,
 			errw: ctx.Stderr(),
 			name: name,
+			sink: &o.sink,
 		}
 		status := fn(c, argv[1:])
-		out.Flush()
-		out.Reset(io.Discard)
-		outPool.Put(out)
+		o.buf.Flush()
+		err := o.sink.err
+		o.sink = sink{w: io.Discard}
+		o.buf.Reset(&o.sink)
+		outPool.Put(o)
+		switch {
+		case err == nil:
+		case errors.Is(err, syscall.EPIPE):
+			status = 1
+		case status == 0:
+			status = c.errorf("%v", err)
+		}
 		return status
 	}
 }
@@ -103,6 +150,9 @@ func (c *ctxio) inputs(files []string, fn func(r io.Reader) int) int {
 	}
 	status := 0
 	for _, f := range files {
+		if c.stopped() {
+			break
+		}
 		if f == "-" {
 			if s := fn(c.in); s != 0 {
 				status = s
@@ -124,14 +174,15 @@ func (c *ctxio) inputs(files []string, fn func(r io.Reader) int) int {
 
 // eachLine feeds every input line (without newline) to fn.  It returns
 // the scanner's error: a failed read, or a line over the 16 MiB cap.
-func eachLine(r io.Reader, fn func(line string)) error {
-	return firstLines(r, -1, fn)
+func (c *ctxio) eachLine(r io.Reader, fn func(line string)) error {
+	return c.firstLines(r, -1, fn)
 }
 
 // firstLines feeds the first n input lines to fn, or all of them if n is
 // negative, and reads no further: a pipe's writer then sees its reader
 // go once the builtin returns, as head(1) makes its writer see EPIPE.
-func firstLines(r io.Reader, n int, fn func(line string)) error {
+// It also stops once the builtin's output has failed.
+func (c *ctxio) firstLines(r io.Reader, n int, fn func(line string)) error {
 	if n == 0 {
 		return nil
 	}
@@ -141,7 +192,7 @@ func firstLines(r io.Reader, n int, fn func(line string)) error {
 	// The borrowed buffer is only the scanner's first; a longer line
 	// grows a buffer of the scanner's own.  Text copies each line out.
 	sc.Buffer(*buf, 16*1024*1024)
-	for ; n != 0 && sc.Scan(); n-- {
+	for ; n != 0 && !c.stopped() && sc.Scan(); n-- {
 		fn(sc.Text())
 	}
 	return sc.Err()

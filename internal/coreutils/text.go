@@ -1,7 +1,6 @@
 package coreutils
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -9,7 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"syscall"
 
 	"es/internal/core"
 )
@@ -38,13 +36,8 @@ func openFile(c *ctxio, name string) (*os.File, error) {
 
 func builtinCat(c *ctxio, args []string) int {
 	return c.inputs(args, func(r io.Reader) int {
-		err := copyBorrowed(c.out, r)
-		switch {
-		case errors.Is(err, syscall.EPIPE):
-			// The reader has gone, which stops cat(1) with SIGPIPE:
-			// quietly, since a reader that stops early is no error.
-			return 1
-		case err != nil:
+		// A failed write is wrap's to report.
+		if err := copyBorrowed(c.out, r); err != nil && !c.stopped() {
 			return c.errorf("%v", err)
 		}
 		return 0
@@ -129,7 +122,7 @@ func builtinTr(c *ctxio, args []string) int {
 				c.out.WriteByte(ob)
 				lastOut = int(ob)
 			}
-			if err != nil {
+			if err != nil || c.stopped() {
 				return 0
 			}
 		}
@@ -202,7 +195,7 @@ func builtinSort(c *ctxio, args []string) int {
 	var lines []string
 	status := 0
 	c.inputs(files, func(r io.Reader) int {
-		if err := eachLine(r, func(l string) { lines = append(lines, l) }); err != nil {
+		if err := c.eachLine(r, func(l string) { lines = append(lines, l) }); err != nil {
 			status = c.errorf("%v", err)
 		}
 		return 0
@@ -275,7 +268,7 @@ func builtinUniq(c *ctxio, args []string) int {
 	}
 	status := 0
 	c.inputs(files, func(r io.Reader) int {
-		err := eachLine(r, func(l string) {
+		err := c.eachLine(r, func(l string) {
 			if n > 0 && l == prev {
 				n++
 				return
@@ -369,7 +362,7 @@ func builtinSed(c *ctxio, args []string) int {
 	}
 	status := 0
 	c.inputs(files, func(r io.Reader) int {
-		if err := firstLines(r, limit, each); err != nil {
+		if err := c.firstLines(r, limit, each); err != nil {
 			status = c.errorf("%v", err)
 		}
 		return 0
@@ -440,7 +433,7 @@ func builtinGrep(c *ctxio, args []string) int {
 	}
 	matched, failed, n := false, false, 0
 	c.inputs(args[1:], func(r io.Reader) int {
-		err := eachLine(r, func(l string) {
+		err := c.eachLine(r, func(l string) {
 			if re.MatchString(l) != invert {
 				matched = true
 				n++
@@ -506,7 +499,7 @@ func builtinHead(c *ctxio, args []string) int {
 		return c.errorf("bad count")
 	}
 	return c.inputs(files, func(r io.Reader) int {
-		err := firstLines(r, max(n, 0), func(l string) {
+		err := c.firstLines(r, max(n, 0), func(l string) {
 			c.out.WriteString(l)
 			c.out.WriteByte('\n')
 		})
@@ -524,7 +517,7 @@ func builtinTail(c *ctxio, args []string) int {
 	}
 	return c.inputs(files, func(r io.Reader) int {
 		var keep []string
-		err := eachLine(r, func(l string) {
+		err := c.eachLine(r, func(l string) {
 			keep = append(keep, l)
 			if len(keep) > n {
 				keep = keep[1:]
@@ -695,7 +688,7 @@ func builtinCut(c *ctxio, args []string) int {
 		return c.errorf("missing field list")
 	}
 	return c.inputs(files, func(r io.Reader) int {
-		err := eachLine(r, func(l string) {
+		err := c.eachLine(r, func(l string) {
 			cols := strings.Split(l, delim)
 			var outCols []string
 			for _, f := range fields {
@@ -715,7 +708,7 @@ func builtinCut(c *ctxio, args []string) int {
 
 func builtinRev(c *ctxio, args []string) int {
 	return c.inputs(args, func(r io.Reader) int {
-		err := eachLine(r, func(l string) {
+		err := c.eachLine(r, func(l string) {
 			rs := []rune(l)
 			for a, b := 0, len(rs)-1; a < b; a, b = a+1, b-1 {
 				rs[a], rs[b] = rs[b], rs[a]
@@ -734,7 +727,7 @@ func builtinTac(c *ctxio, args []string) int {
 	var lines []string
 	status := 0
 	c.inputs(args, func(r io.Reader) int {
-		if err := eachLine(r, func(l string) { lines = append(lines, l) }); err != nil {
+		if err := c.eachLine(r, func(l string) { lines = append(lines, l) }); err != nil {
 			status = c.errorf("%v", err)
 		}
 		return 0
@@ -749,7 +742,7 @@ func builtinTac(c *ctxio, args []string) int {
 func builtinNl(c *ctxio, args []string) int {
 	n := 0
 	return c.inputs(args, func(r io.Reader) int {
-		err := eachLine(r, func(l string) {
+		err := c.eachLine(r, func(l string) {
 			n++
 			fmt.Fprintf(c.out, "%6d\t%s\n", n, l)
 		})

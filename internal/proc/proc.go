@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"sort"
+	"strconv"
 	"syscall"
 	"time"
 )
@@ -69,11 +70,56 @@ func Status(err error) (string, error) {
 	if errors.As(err, &exit) {
 		ws, ok := exit.Sys().(syscall.WaitStatus)
 		if ok && ws.Signaled() {
-			return "sig" + ws.Signal().String(), nil
+			return SignalName(ws.Signal()), nil
 		}
 		return fmt.Sprintf("%d", exit.ExitCode()), nil
 	}
 	return "", err
+}
+
+// signalNames are the Linux signals by number, named as C es names the
+// status of a child they killed.
+var signalNames = [...]string{
+	syscall.SIGHUP:    "sighup",
+	syscall.SIGINT:    "sigint",
+	syscall.SIGQUIT:   "sigquit",
+	syscall.SIGILL:    "sigill",
+	syscall.SIGTRAP:   "sigtrap",
+	syscall.SIGABRT:   "sigabrt",
+	syscall.SIGBUS:    "sigbus",
+	syscall.SIGFPE:    "sigfpe",
+	syscall.SIGKILL:   "sigkill",
+	syscall.SIGUSR1:   "sigusr1",
+	syscall.SIGSEGV:   "sigsegv",
+	syscall.SIGUSR2:   "sigusr2",
+	syscall.SIGPIPE:   "sigpipe",
+	syscall.SIGALRM:   "sigalrm",
+	syscall.SIGTERM:   "sigterm",
+	syscall.SIGSTKFLT: "sigstkflt",
+	syscall.SIGCHLD:   "sigchld",
+	syscall.SIGCONT:   "sigcont",
+	syscall.SIGSTOP:   "sigstop",
+	syscall.SIGTSTP:   "sigtstp",
+	syscall.SIGTTIN:   "sigttin",
+	syscall.SIGTTOU:   "sigttou",
+	syscall.SIGURG:    "sigurg",
+	syscall.SIGXCPU:   "sigxcpu",
+	syscall.SIGXFSZ:   "sigxfsz",
+	syscall.SIGVTALRM: "sigvtalrm",
+	syscall.SIGPROF:   "sigprof",
+	syscall.SIGWINCH:  "sigwinch",
+	syscall.SIGIO:     "sigio",
+	syscall.SIGPWR:    "sigpwr",
+	syscall.SIGSYS:    "sigsys",
+}
+
+// SignalName is the es status word of a child killed by sig: sigint,
+// sigpipe, sigterm and so on, or sig<number> for a signal with no name.
+func SignalName(sig syscall.Signal) string {
+	if sig >= 0 && int(sig) < len(signalNames) && signalNames[sig] != "" {
+		return signalNames[sig]
+	}
+	return "sig" + strconv.Itoa(int(sig))
 }
 
 // Usage is a resource-usage snapshot for the time builtin.

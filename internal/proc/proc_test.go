@@ -5,6 +5,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -130,8 +132,31 @@ func TestStatusSignal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if status != "sigterminated" {
+	if status != "sigterm" {
 		t.Errorf("signal status = %q", status)
+	}
+}
+
+// A child killed by a signal reports the signal's name as C es does.
+func TestStatusSignalNames(t *testing.T) {
+	sh := shPath(t)
+	for _, sig := range []string{"INT", "KILL", "PIPE", "TERM"} {
+		status, err := Run(sh, []string{"sh", "-c", "kill -" + sig + " $$"}, "/", nil, nil)
+		if want := "sig" + strings.ToLower(sig); err != nil || status != want {
+			t.Errorf("kill -%s: status %q, %v; want %s", sig, status, err, want)
+		}
+	}
+	for sig, want := range map[syscall.Signal]string{
+		syscall.SIGQUIT: "sigquit",
+		syscall.SIGCHLD: "sigchld",
+		syscall.SIGSYS:  "sigsys",
+		0:               "sig0",
+		34:              "sig34",
+		-1:              "sig-1",
+	} {
+		if got := SignalName(sig); got != want {
+			t.Errorf("SignalName(%d) = %q, want %q", int(sig), got, want)
+		}
 	}
 }
 

@@ -6,11 +6,13 @@
 #                     short tests of the bench module (which go test ./...
 #                     never compiles but which imports the server, core,
 #                     compile and image APIs), esvet and escheck
-#   tier 2 (-race):   adds go vet, the fork, spawn, isolation and pipe
-#                     tests ten times over under the race detector (forks
-#                     and spawned sessions share one frozen variable table
-#                     across goroutines, and pipeline elements share the
-#                     ends of their pipes), the race detector over the full
+#   tier 2 (-race):   adds go vet, the fork, spawn, isolation, pipe and
+#                     shared-unit tests ten times over under the race
+#                     detector (forks and spawned sessions share one frozen
+#                     variable table across goroutines, pipeline elements
+#                     share the ends of their pipes, and sessions running
+#                     one cached tree publish its compiled units to each
+#                     other), the race detector over the full
 #                     suite (including the 100-session esd soak test), 20s of
 #                     FuzzFrameCodec (esd's frame codec against
 #                     encoding/json), a binary-level server soak
@@ -47,8 +49,8 @@ go run ./cmd/escheck -prelude lib/*.es
 if [ "${1:-}" = "-race" ]; then
 	echo "== go vet ./..."
 	go vet ./...
-	echo "== go test -race -count=10 (fork, spawn, isolation and pipe tests)"
-	go test -race -count=10 -run 'Fork|Spawn|Subshell|Isolation|BackgroundJob|Pipe' ./internal/core ./internal/prim
+	echo "== go test -race -count=10 (fork, spawn, isolation, pipe and shared-unit tests)"
+	go test -race -count=10 -run 'Fork|Spawn|Subshell|Isolation|BackgroundJob|Pipe|ConcurrentFirstRunSharesUnits' ./internal/core ./internal/prim
 	echo "== go test -race ./..."
 	go test -race ./...
 	echo "== FuzzFrameCodec (20s: the frame codec against encoding/json)"
