@@ -8,9 +8,12 @@
 # pipelines whose allocations the coreutils buffer pools cut and whose
 # stages the in-memory pipe joins without descriptors, the fork and
 # spawn benchmarks of the copy-on-write variable table (SpawnResident
-# reports heap bytes per live session), and CompileProgram, which lowers
+# reports heap bytes per live session), CompileProgram, which lowers
 # higher-order programs into flat units and reports their allocations
-# and the heap bytes a program's units keep (unit-B/prog);
+# and the heap bytes a program's units keep (unit-B/prog), the EngineEval
+# micros of steady-state evaluation, and ScriptFamilies, which runs one
+# program per family of esbench's rpc_script workload on a warm spawned
+# session and reports its allocations per program;
 # `make bench-server` regenerates the serving baseline and
 # `make bench-check` gates against it (>25% ns/op regression fails).
 
@@ -29,7 +32,7 @@ soak:
 	sh scripts/soak.sh
 
 bench:
-	go test -run=NONE -bench='NativePath|ParseCold|GlobMatch|EnvDecode|AllocUnderLiveRoots|Fig1PipeBaseline|PipeWordCount|PipeBuiltins|ForkClone|ServerSessionSpawn|SpawnResident|CompileProgram' -benchmem -benchtime=200ms . ./internal/gc ./internal/glob ./internal/compile
+	go test -run=NONE -bench='NativePath|ParseCold|GlobMatch|EnvDecode|AllocUnderLiveRoots|Fig1PipeBaseline|PipeWordCount|PipeBuiltins|ForkClone|ServerSessionSpawn|SpawnResident|CompileProgram|EngineEval|ScriptFamilies' -benchmem -benchtime=200ms . ./internal/gc ./internal/glob ./internal/compile
 
 bench-server:
 	sh scripts/bench_server.sh

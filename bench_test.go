@@ -488,7 +488,7 @@ func benchEngine(b *testing.B, setup, src string) {
 }
 
 // BenchmarkEngineEvalSimple: the smallest command — primitive dispatch
-// plus constant-word materialization.
+// plus static-word materialization.
 func BenchmarkEngineEvalSimple(b *testing.B) {
 	benchEngine(b, "", "result a b c")
 }
@@ -520,6 +520,58 @@ func BenchmarkEngineEvalLoop(b *testing.B) {
 func BenchmarkEngineEvalScope(b *testing.B) {
 	benchEngine(b, "",
 		"let (a = 1) {local (b = 2) {c = $a $b; result $c}}")
+}
+
+// scriptFamilies holds one fixed program for each family of esbench's
+// rpc_script workload, and its builtin word-count pipeline, with the
+// value each returns.
+var scriptFamilies = []struct{ name, src, want string }{
+	{"map-filter-fold",
+		"let (map = @ f l {let (acc = ) {for (x = $l) {acc = $acc <={$f $x}}; result $acc}}; " +
+			"filter = @ p l {let (acc = ) {for (x = $l) {if {$p $x} {acc = $acc $x}}; result $acc}}; " +
+			"fold = @ f a l {for (x = $l) {a = <={$f $a $x}}; result $a}) " +
+			"{result <={$fold @ a b {result $a^.^$b} wxbcdf <={$map @ x {result tv^$x} <={$filter @ x {~ $x *z*} " +
+			"bcdfgh bzdfgh cdfghj dfghjz fghjmn ghjmnp hjzmnp jmnpqr mnpqrs zpqrst pqrstv qrstvw}}}}",
+		"wxbcdf.tvbzdfgh.tvdfghjz.tvhjzmnp.tvzpqrst"},
+	{"subscripts",
+		"local (v = bcdfgh cdfghj dfghjk fghjkm ghjkmn hjkmnp jkmnpq kmnpqr mnpqrs npqrst) " +
+			"{let (h = $v(3 7 1); n = $#v) {result $h^-^$n $v($n) <={result tv^$v(1)}}}",
+		"dfghjk-10 jkmnpq-10 bcdfgh-10 npqrst tvbcdfgh"},
+	{"match",
+		"let (cls = @ w {if {~ $w b*} {result A^$w} {~ $w *7} {result B} {~ $w (fghjkm kmnpqr)} {result C} {result D}}; out = ) " +
+			"{for (w = bcdfgh cdfgh7 dfghjk fghjkm ghjkmn bjkmnp jkmnpq kmnpqr mnpqr7 npqrst) {out = $out <={$cls $w}}; result $out}",
+		"Abcdfgh B D C D Abjkmnp D C B D"},
+	{"curry",
+		"let (mk = @ p {result @ x {result $p^$x}}; twice = @ f x {$f <={$f $x}}) " +
+			"{let (f = <={$mk bc}; g = <={$mk cd}) {result <={$f df} <={$twice $g fg} <={$f <={$g gh}}}}",
+		"bcdf cdcdfg bccdgh"},
+	{"pipeline",
+		`echo pear fig kiwi pear lime fig pear date kiwi pear lime fig | tr ' ' '\012' | sort | uniq -c | sed 3q`,
+		"0"},
+}
+
+// BenchmarkScriptFamilies runs each program of scriptFamilies on a warm
+// session spawned from a started shell, as esd runs a request whose parse
+// is cached, and reports its allocations per program.
+func BenchmarkScriptFamilies(b *testing.B) {
+	tmpl := benchShell(b).Interp()
+	for _, f := range scriptFamilies {
+		b.Run(f.name, func(b *testing.B) {
+			s := tmpl.Spawn()
+			ctx := &core.Ctx{IO: core.NewIOTable(strings.NewReader(""), io.Discard, io.Discard)}
+			res, err := s.RunString(ctx, f.src)
+			if err != nil || res.Flatten(" ") != f.want {
+				b.Fatalf("%s = %v, %v; want %s", f.name, res, err, f.want)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				if _, err := s.RunString(ctx, f.src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // ---- serving layer: esd over a unix socket ----
@@ -739,6 +791,8 @@ func BenchmarkServerSessionRestore(b *testing.B) {
 // and hook resolution, structure lint, effect summary — over a
 // representative script, with the registry environment prebuilt the way
 // every production surface (escheck, esd -vet, $&analyze) holds it.
+// Analyze parses through the parse cache, so the loop flushes it to time
+// the parse too.
 func BenchmarkAnalyze(b *testing.B) {
 	sh := benchShell(b)
 	env := analysis.EnvFromInterp(sh.Interp())
@@ -760,6 +814,7 @@ echo found $matches | wc
 `
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
+		core.FlushParseCache()
 		res := analysis.Analyze(src, analysis.Options{Env: env})
 		if res.Errors() != 0 {
 			b.Fatalf("unexpected errors: %+v", res.Diags)

@@ -10,10 +10,10 @@ package es
 // hand-reviewed change of semantics.
 //
 // The fuzz target covers the risk that comes with one engine: compiled
-// units and constant pools live on the cached tree and are shared by
-// every interpreter in the process, so each input must behave the same
-// cold (a fresh tree, lowered on its first run) and warm (a second shell
-// running the units the first run left on the cached tree).
+// units live on the cached tree and are shared by every interpreter in
+// the process, so each input must behave the same cold (a fresh tree,
+// lowered on its first run) and warm (a second shell running the units
+// the first run left on the cached tree).
 
 import (
 	"bytes"

@@ -29,6 +29,7 @@ import (
 	"sort"
 	"strings"
 
+	"es/internal/core"
 	"es/internal/syntax"
 )
 
@@ -142,11 +143,13 @@ func (r Result) Filter(min Severity) []Diagnostic {
 	return out
 }
 
-// Analyze parses, rewrites, and analyzes src.  A parse failure yields a
-// single E100 diagnostic rather than an error: the analyzer's contract is
-// that every input produces a Result.
+// Analyze analyzes src as the evaluator parses it, through the parse
+// cache (core.ParseCommand), so a checked program that then runs is
+// parsed once.  A parse failure yields a single E100 diagnostic rather
+// than an error: the analyzer's contract is that every input produces a
+// Result.
 func Analyze(src string, opts Options) Result {
-	b, err := syntax.Parse(src)
+	b, err := core.ParseCommand(src)
 	if err != nil {
 		d := Diagnostic{File: opts.File, Code: CodeParse, Sev: SevError, Msg: err.Error()}
 		if pe, ok := err.(*syntax.ParseError); ok {
@@ -155,12 +158,7 @@ func Analyze(src string, opts Options) Result {
 		}
 		return Result{Diags: []Diagnostic{d}}
 	}
-	rw := syntax.Rewrite(b)
-	blk, ok := rw.(*syntax.Block)
-	if !ok {
-		blk = &syntax.Block{Cmds: []syntax.Cmd{rw}}
-	}
-	return AnalyzeBlock(blk, opts)
+	return AnalyzeBlock(b, opts)
 }
 
 // AnalyzeBlock analyzes an already parsed and rewritten tree.

@@ -14,10 +14,10 @@
 // syntax.Rewrite on the spot, so every block the parser accepts compiles.
 //
 // A program — a block and every block nested in it — is laid out in a few
-// flat tables indexed by int32 (instructions, words, segments, static
-// pieces and constant terms), plus side tables for the rare operands
-// (bindings, static match patterns, computed names and subscripts,
-// variable and primitive names, lambda and substitution bodies).
+// flat tables indexed by int32 (instructions, words, segments and static
+// pieces), plus side tables for the rare operands (bindings, static match
+// patterns, computed names and subscripts, variable and primitive names,
+// lambda and substitution bodies).
 // Compiling a program makes about one allocation per non-empty table,
 // not one per word and segment, and the units weigh less than the tree
 // they come from.
@@ -30,9 +30,7 @@
 //     glob.Pattern constant (quoting masks included), so evaluation never
 //     re-scans source text or re-allocates literal masks;
 //   - fully static words — no variable references, no substitutions — are
-//     folded at compile time into constant piece lists, and fully static,
-//     wildcard-free word lists become constant term pools shared by every
-//     execution (es lists are immutable, so sharing is safe);
+//     folded at compile time into constant piece lists;
 //   - match patterns built from static words are compiled to glob
 //     patterns once, not per evaluation;
 //   - lambda and substitution bodies are lowered with the program that
@@ -62,11 +60,9 @@ const (
 	OpNop Op = iota
 	// OpSimple evaluates Words and applies the first term to the rest.
 	OpSimple
-	// OpGroup is a bare {…} block in command position: grouping, not a
-	// closure call — it runs Body in the enclosing environment.
-	OpGroup
-	// OpSeq is a nested command sequence (a *syntax.Block in command
-	// position reached through rewriting).
+	// OpSeq runs the nested command sequence Body in the enclosing
+	// environment: a *syntax.Block in command position reached through
+	// rewriting, or a bare {…} block, which groups rather than calls.
 	OpSeq
 	// OpAssign is Word = Words.
 	OpAssign
@@ -88,8 +84,7 @@ const (
 // from Off.  A Len of -1 marks an absent operand.
 type Span struct{ Off, Len int32 }
 
-// none is the absent span: a word list that is not constant, or match
-// patterns that are not static.
+// none is the absent span: match patterns that are not static.
 var none = Span{Off: -1, Len: -1}
 
 // Set reports whether the span is present (possibly empty).
@@ -118,7 +113,6 @@ type Program struct {
 	Words  []Word
 	Segs   []Seg
 	Pieces []StaticPiece
-	Consts []ConstTerm
 
 	// Side tables for the rare operands.
 	Bindings []Binding
@@ -145,9 +139,6 @@ func (p *Program) SegsOf(w *Word) []Seg { return in(p.Segs, w.Span) }
 // PiecesOf returns a static word's pieces.
 func (p *Program) PiecesOf(w *Word) []StaticPiece { return in(p.Pieces, w.Span) }
 
-// ConstsIn returns the constant terms s covers.
-func (p *Program) ConstsIn(s Span) []ConstTerm { return in(p.Consts, s) }
-
 // BindingsIn returns the bindings s covers.
 func (p *Program) BindingsIn(s Span) []Binding { return in(p.Bindings, s) }
 
@@ -171,35 +162,17 @@ type Instr struct {
 	// block member, but not for a bare single-command body.
 	IsBlock bool
 
-	Word     int32    // OpAssign target; OpMatch, OpMatchExtract subject
-	Words    WordList // OpSimple command; OpAssign values; match patterns
-	Pats     Span     // match patterns, when all static: into Pats
-	Bindings Span     // OpLet, OpLocal, OpFor: into Bindings
-	Body     Span     // OpGroup, OpSeq, and the body of OpLet, OpLocal, OpFor, OpNot
+	Word     int32 // OpAssign target; OpMatch, OpMatchExtract subject
+	Words    Span  // OpSimple command; OpAssign values; match patterns: into Words
+	Pats     Span  // match patterns, when all static: into Pats
+	Bindings Span  // OpLet, OpLocal, OpFor: into Bindings
+	Body     Span  // OpSeq, and the body of OpLet, OpLocal, OpFor, OpNot
 }
 
 // Binding is one compiled name = values pair in a binding form header.
 type Binding struct {
 	Name   int32
-	Values WordList
-}
-
-// WordList is a compiled word list (command words, assignment values,
-// binding values, dynamic match patterns).
-type WordList struct {
-	Words Span
-	// Const, when set, holds the exact, environment-independent terms
-	// the words always evaluate to: every word is static and no piece
-	// carries an unquoted wildcard (so no filename expansion can
-	// intervene).  The words themselves are then not kept.
-	Const Span
-}
-
-// ConstTerm is one term of a constant word list: a plain string, or a
-// $&primitive reference named by Str when Prim is set.
-type ConstTerm struct {
-	Str  string
-	Prim bool
+	Values Span // into Words
 }
 
 // WordKind says how a word evaluates.
@@ -323,7 +296,6 @@ type compiler struct {
 	words    []Word
 	segs     []Seg
 	pieces   []StaticPiece
-	consts   []ConstTerm
 	bindings []Binding
 	pats     []glob.Pattern
 	vars     []VarExt
@@ -354,7 +326,6 @@ func (c *compiler) finish() *Program {
 		Words:    exact(c.words),
 		Segs:     exact(c.segs),
 		Pieces:   exact(c.pieces),
-		Consts:   exact(c.consts),
 		Bindings: exact(c.bindings),
 		Pats:     exact(c.pats),
 		Vars:     exact(c.vars),
@@ -376,7 +347,6 @@ func (c *compiler) reset() {
 	c.words = c.words[:0]
 	c.segs = c.segs[:0]
 	c.pieces = truncate(c.pieces, 0)
-	c.consts = truncate(c.consts, 0)
 	c.bindings = c.bindings[:0]
 	c.pats = truncate(c.pats, 0)
 	c.vars = c.vars[:0]
@@ -445,7 +415,7 @@ func (c *compiler) cmd(cmd syntax.Cmd) Instr {
 		return c.simple(cmd)
 	case *syntax.Assign:
 		name := c.word(cmd.Name)
-		return Instr{Op: OpAssign, Word: name, Words: c.wordList(cmd.Values)}
+		return Instr{Op: OpAssign, Word: name, Words: c.wordRun(cmd.Values)}
 	case *syntax.Let:
 		return c.binder(OpLet, cmd.Bindings, cmd.Body)
 	case *syntax.Local:
@@ -472,7 +442,7 @@ func (c *compiler) binder(op Op, bs []syntax.Binding, body syntax.Cmd) Instr {
 	in := Instr{Op: op, Bindings: reserve(&c.bindings, len(bs))}
 	for k, b := range bs {
 		name := c.word(b.Name)
-		values := c.wordList(b.Values)
+		values := c.wordRun(b.Values)
 		c.bindings[in.Bindings.Off+int32(k)] = Binding{Name: name, Values: values}
 	}
 	in.Body, in.IsBlock = c.body(body)
@@ -498,51 +468,22 @@ func (c *compiler) simple(s *syntax.Simple) Instr {
 	// A bare brace block in command position is grouping, not a call.
 	if len(s.Words) == 1 && len(s.Words[0].Parts) == 1 {
 		if lp, ok := s.Words[0].Parts[0].(*syntax.LambdaPart); ok && !lp.Lambda.HasParams {
-			return Instr{Op: OpGroup, Body: c.block(lp.Lambda.Body)}
+			return Instr{Op: OpSeq, Body: c.block(lp.Lambda.Body)}
 		}
 	}
-	return Instr{Op: OpSimple, Words: c.wordList(s.Words)}
-}
-
-// wordList lowers a word list, to constant terms when it can.
-func (c *compiler) wordList(ws []*syntax.Word) WordList {
-	if consts, ok := c.constTerms(ws); ok {
-		return WordList{Const: consts}
-	}
-	return WordList{Words: c.wordRun(ws), Const: none}
-}
-
-// constTerms appends the terms of a word list that is static and free of
-// unquoted wildcards (filename expansion depends on the filesystem).
-func (c *compiler) constTerms(ws []*syntax.Word) (Span, bool) {
-	start := len(c.consts)
-	for _, w := range ws {
-		ps, ok := c.static(w)
-		if !ok {
-			c.consts = truncate(c.consts, start)
-			return none, false
-		}
-		for _, sp := range ps {
-			if sp.Wild {
-				c.consts = truncate(c.consts, start)
-				return none, false
-			}
-			c.consts = append(c.consts, ConstTerm{Str: sp.Pat.String(), Prim: sp.Prim})
-		}
-	}
-	return Span{Off: int32(start), Len: int32(len(c.consts) - start)}, true
+	return Instr{Op: OpSimple, Words: c.wordRun(s.Words)}
 }
 
 // match lowers ~ and ~~: the subject, and the patterns as static glob
 // patterns when every pattern word is static, else as words.
 func (c *compiler) match(op Op, subject *syntax.Word, pats []*syntax.Word) Instr {
-	in := Instr{Op: op, Word: c.word(subject), Words: WordList{Const: none}, Pats: none}
+	in := Instr{Op: op, Word: c.word(subject), Pats: none}
 	start := len(c.pats)
 	for _, w := range pats {
 		ps, ok := c.static(w)
 		if !ok {
 			c.pats = truncate(c.pats, start)
-			in.Words.Words = c.wordRun(pats)
+			in.Words = c.wordRun(pats)
 			return in
 		}
 		for _, sp := range ps {
@@ -616,7 +557,7 @@ func (c *compiler) static(w *syntax.Word) ([]StaticPiece, bool) {
 		if !ok {
 			return nil, false
 		}
-		if acc, ok = staticConcat(acc, next); !ok {
+		if acc, ok = Concat(acc, next, joinStatic); !ok {
 			return nil, false
 		}
 	}
@@ -667,36 +608,27 @@ func (c *compiler) litName(w *syntax.Word) (string, bool) {
 	return ps[0].Pat.String(), true
 }
 
-// staticConcat mirrors the evaluator's concatPieces over static pieces.
-func staticConcat(a, b []StaticPiece) ([]StaticPiece, bool) {
-	join := func(x, y StaticPiece) StaticPiece {
-		p := glob.Concat(x.Pattern(), y.Pattern())
-		return StaticPiece{Pat: p, Wild: p.HasWild()}
-	}
-	switch {
-	case len(a) == 0 || len(b) == 0:
-		return nil, false
-	case len(a) == 1:
-		out := make([]StaticPiece, len(b))
-		for i := range b {
-			out[i] = join(a[0], b[i])
-		}
-		return out, true
-	case len(b) == 1:
-		out := make([]StaticPiece, len(a))
-		for i := range a {
-			out[i] = join(a[i], b[0])
-		}
-		return out, true
-	case len(a) == len(b):
-		out := make([]StaticPiece, len(a))
-		for i := range a {
-			out[i] = join(a[i], b[i])
-		}
-		return out, true
-	default:
+// Concat is es list concatenation, the ^ operator, over the values of
+// any word evaluation: it joins a and b pairwise when they have the same
+// length, or distributes a singleton over the other list.  It fails on an
+// empty operand and on two lengths that differ with neither of them one.
+// Compile folds static words with it, and the evaluator joins pieces.
+func Concat[T any](a, b []T, join func(x, y T) T) ([]T, bool) {
+	if len(a) == 0 || len(b) == 0 || (len(a) != len(b) && len(a) != 1 && len(b) != 1) {
 		return nil, false
 	}
+	out := make([]T, max(len(a), len(b)))
+	for k := range out {
+		out[k] = join(a[min(k, len(a)-1)], b[min(k, len(b)-1)])
+	}
+	return out, true
+}
+
+// joinStatic concatenates two static pieces, as the evaluator joins the
+// pieces they stand for.
+func joinStatic(x, y StaticPiece) StaticPiece {
+	p := glob.Concat(x.Pattern(), y.Pattern())
+	return StaticPiece{Pat: p, Wild: p.HasWild()}
 }
 
 func (c *compiler) seg(part syntax.Part) Seg {

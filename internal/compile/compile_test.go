@@ -34,63 +34,63 @@ func only(t *testing.T, u *Unit) (*Program, *Instr) {
 	return u.Prog, &seq[0]
 }
 
+// staticWord returns the pieces of word k of a one-command program,
+// which must be static.
+func staticWord(t *testing.T, p *Program, in *Instr, k int) []StaticPiece {
+	t.Helper()
+	ws := p.WordsIn(in.Words)
+	if k >= len(ws) || ws[k].Kind != WordStatic {
+		t.Fatalf("words = %+v, want a static word %d", ws, k)
+	}
+	return p.PiecesOf(&ws[k])
+}
+
+// A fully static word list is a run of static words, each folded to its
+// one plain piece, with no segment.
 func TestCompileConstantCommandWords(t *testing.T) {
 	p, in := only(t, mustCompile(t, "result a b c"))
 	if in.Op != OpSimple {
 		t.Fatalf("op = %v, want OpSimple", in.Op)
 	}
-	if !in.Words.Const.Set() {
-		t.Fatalf("fully static word list not constant-folded: %+v", in.Words)
-	}
 	want := []string{"result", "a", "b", "c"}
-	consts := p.ConstsIn(in.Words.Const)
-	if len(consts) != len(want) {
-		t.Fatalf("Const = %+v, want %v", consts, want)
+	if n := len(p.WordsIn(in.Words)); n != len(want) {
+		t.Fatalf("%d words, want %d", n, len(want))
 	}
 	for k, w := range want {
-		if ct := consts[k]; ct.Str != w || ct.Prim {
-			t.Errorf("Const[%d] = %+v, want plain %q", k, ct, w)
+		if ps := staticWord(t, p, in, k); len(ps) != 1 || ps[0].Pat.String() != w || ps[0].Prim || ps[0].Wild {
+			t.Errorf("word %d = %+v, want the plain piece %q", k, ps, w)
 		}
 	}
-	// A constant list keeps its terms, not its words.
-	if len(p.Words) != 0 || len(p.Segs) != 0 || len(p.Pieces) != 0 {
-		t.Errorf("constant list kept words %+v, segs %+v, pieces %+v", p.Words, p.Segs, p.Pieces)
+	if len(p.Segs) != 0 {
+		t.Errorf("static words kept segments %+v", p.Segs)
 	}
 }
 
+// A $&prim head is a static word of one primitive piece.
 func TestCompilePrimHeadInterned(t *testing.T) {
 	p, in := only(t, mustCompile(t, "$&result a"))
 	if in.Op != OpSimple {
 		t.Fatalf("op = %v, want OpSimple", in.Op)
 	}
-	if !in.Words.Const.Set() {
-		t.Fatalf("head not a constant: %+v", in.Words)
-	}
-	if ct := p.ConstsIn(in.Words.Const)[0]; !ct.Prim || ct.Str != "result" {
-		t.Fatalf("head = %+v, want the constant prim term result", ct)
+	if ps := staticWord(t, p, in, 0); len(ps) != 1 || !ps[0].Prim || ps[0].Pat.String() != "result" {
+		t.Fatalf("head = %+v, want the prim piece result", ps)
 	}
 }
 
+// An unquoted wildcard keeps its word static, marked Wild: expansion
+// depends on the filesystem at run time.
 func TestCompileWildcardBlocksConstPool(t *testing.T) {
 	p, in := only(t, mustCompile(t, "result *.c"))
-	if in.Words.Const.Set() {
-		t.Fatalf("word list with an unquoted wildcard must not be pooled: %+v", in.Words)
-	}
-	// The wildcard word itself is still static — only the pool is off,
-	// because expansion depends on the filesystem at run time.
-	w := &p.WordsIn(in.Words.Words)[1]
-	if ps := p.PiecesOf(w); w.Kind != WordStatic || len(ps) != 1 || !ps[0].Wild {
-		t.Errorf("wildcard word = %+v, want one static wild piece", w)
+	if ps := staticWord(t, p, in, 1); len(ps) != 1 || !ps[0].Wild {
+		t.Errorf("wildcard word = %+v, want one static wild piece", ps)
 	}
 }
 
+// A quoted wildcard is a plain piece, which no expansion touches.
 func TestCompileQuotedWildcardStaysConstant(t *testing.T) {
 	p, in := only(t, mustCompile(t, "result '*.c'"))
-	if !in.Words.Const.Set() {
-		t.Fatalf("quoted wildcard defeated the constant pool: %+v", in.Words)
-	}
-	if got := p.ConstsIn(in.Words.Const)[1].Str; got != "*.c" {
-		t.Errorf("Const[1] = %q, want %q", got, "*.c")
+	if ps := staticWord(t, p, in, 1); len(ps) != 1 || ps[0].Wild || ps[0].Pat.String() != "*.c" {
+		t.Errorf("quoted wildcard = %+v, want the plain piece %q", ps, "*.c")
 	}
 }
 
@@ -113,7 +113,7 @@ func TestCompileMatchPatterns(t *testing.T) {
 // fast path names the variable.
 func TestCompileStaticWordsKeepNoSegments(t *testing.T) {
 	p, in := only(t, mustCompile(t, "result foo $x"))
-	ws := p.WordsIn(in.Words.Words)
+	ws := p.WordsIn(in.Words)
 	if len(ws) != 3 || ws[0].Kind != WordStatic || ws[1].Kind != WordStatic || ws[2].Kind != WordLoneVar {
 		t.Fatalf("words = %+v, want static, static, lone var", ws)
 	}
@@ -123,8 +123,8 @@ func TestCompileStaticWordsKeepNoSegments(t *testing.T) {
 }
 
 func TestCompileBareBlockIsGrouping(t *testing.T) {
-	if _, in := only(t, mustCompile(t, "{result a}")); in.Op != OpGroup {
-		t.Fatalf("bare block lowered to %+v, want OpGroup", in)
+	if _, in := only(t, mustCompile(t, "{result a}")); in.Op != OpSeq {
+		t.Fatalf("bare block lowered to %+v, want OpSeq", in)
 	}
 }
 

@@ -85,12 +85,7 @@ func validate(p *Program) error {
 		}
 		return nil
 	}
-	wordList := func(wl WordList) error {
-		if wl.Const.Set() {
-			return span("const", wl.Const, len(p.Consts))
-		}
-		return span("words", wl.Words, len(p.Words))
-	}
+	words := func(s Span) error { return span("words", s, len(p.Words)) }
 	var errs []error
 	for _, u := range p.Units {
 		errs = append(errs, span("unit", u.Seq, len(p.Instrs)))
@@ -99,9 +94,9 @@ func validate(p *Program) error {
 		errs = append(errs, span("body", in.Body, len(p.Instrs)))
 		switch in.Op {
 		case OpSimple:
-			errs = append(errs, wordList(in.Words))
+			errs = append(errs, words(in.Words))
 		case OpAssign:
-			errs = append(errs, index("target", in.Word, len(p.Words)), wordList(in.Words))
+			errs = append(errs, index("target", in.Word, len(p.Words)), words(in.Words))
 		case OpLet, OpLocal, OpFor:
 			errs = append(errs, span("bindings", in.Bindings, len(p.Bindings)))
 		case OpMatch, OpMatchExtract:
@@ -109,12 +104,12 @@ func validate(p *Program) error {
 			if in.Pats.Set() {
 				errs = append(errs, span("patterns", in.Pats, len(p.Pats)))
 			} else {
-				errs = append(errs, wordList(in.Words))
+				errs = append(errs, words(in.Words))
 			}
 		}
 	}
 	for _, b := range p.Bindings {
-		errs = append(errs, index("binding", b.Name, len(p.Words)), wordList(b.Values))
+		errs = append(errs, index("binding", b.Name, len(p.Words)), words(b.Values))
 	}
 	for _, w := range p.Words {
 		if w.Kind == WordStatic {

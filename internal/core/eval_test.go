@@ -1,49 +1,22 @@
 package core_test
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"es/internal/core"
 	"es/internal/prim"
 )
 
-// syncBuffer is a concurrency-safe bytes.Buffer: subshells (pipeline
-// elements, background jobs) write output concurrently.
-type syncBuffer struct {
-	mu sync.Mutex
-	b  bytes.Buffer
-}
-
-func (s *syncBuffer) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.Write(p)
-}
-
-func (s *syncBuffer) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.String()
-}
-
-func (s *syncBuffer) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.b.Reset()
-}
-
 // harness builds a bare interpreter with primitives and initial.es but no
 // coreutils — pure language-level testing.
-func harness(t *testing.T) (*core.Interp, *core.Ctx, *syncBuffer) {
+func harness(t *testing.T) (*core.Interp, *core.Ctx, *core.Buffer) {
 	t.Helper()
 	i := core.New()
 	prim.Register(i)
-	out := &syncBuffer{}
+	out := &core.Buffer{}
 	ctx := &core.Ctx{IO: core.NewIOTable(strings.NewReader(""), out, out)}
 	if err := prim.RunInitial(i, ctx); err != nil {
 		t.Fatalf("initial.es: %v", err)
@@ -102,6 +75,21 @@ func TestEvalBadConcat(t *testing.T) {
 	_, err = i.RunString(ctx, "result $empty-undefined^x")
 	if err == nil {
 		t.Errorf("concat with null should error, got nil")
+	}
+}
+
+// A word list is allocated once, at one term per word: with one-term $a
+// and $c, `result $a b $c` makes exactly one allocation on a warm
+// interpreter, the list itself.
+func TestWordListSizedOnce(t *testing.T) {
+	i, ctx, _ := harness(t)
+	const src = "result $a b $c"
+	eval(t, i, ctx, "a = one; c = three")
+	if got := eval(t, i, ctx, src).Flatten(" "); got != "one b three" {
+		t.Fatalf("%s = %q", src, got)
+	}
+	if n := testing.AllocsPerRun(100, func() { i.RunString(ctx, src) }); n != 1 {
+		t.Errorf("%s made %v allocations per run, want 1", src, n)
 	}
 }
 

@@ -99,7 +99,7 @@ func (i *Interp) execInstr(ctx *Ctx, p *compile.Program, in *compile.Instr, env 
 		return List{}, nil
 	case compile.OpSimple:
 		return i.execSimple(ctx, p, in, env)
-	case compile.OpGroup, compile.OpSeq:
+	case compile.OpSeq:
 		return i.execSeq(ctx, p, p.Seq(in.Body), env)
 	case compile.OpAssign:
 		return i.execAssign(ctx, p, in, env)
@@ -125,7 +125,7 @@ func (i *Interp) execInstr(ctx *Ctx, p *compile.Program, in *compile.Instr, env 
 }
 
 func (i *Interp) execSimple(ctx *Ctx, p *compile.Program, in *compile.Instr, env *Binding) (List, error) {
-	terms, err := i.execWords(ctx, p, &in.Words, env)
+	terms, err := i.execWords(ctx, p, in.Words, env)
 	if err != nil {
 		return nil, err
 	}
@@ -135,31 +135,12 @@ func (i *Interp) execSimple(ctx *Ctx, p *compile.Program, in *compile.Instr, env
 	return i.applyTerm(ctx, env, terms[0], terms[1:])
 }
 
-// constList materializes a constant word list.  The elements are exact
-// (compile proved the list environment- and filesystem-independent); the
-// list is freshly allocated with no spare capacity so callers that
-// append never write into a shared backing array.
-func (i *Interp) constList(consts []compile.ConstTerm) List {
-	i.Alloc.list()
-	i.Alloc.term(len(consts))
-	out := make(List, len(consts))
-	for k := range consts {
-		c := &consts[k]
-		if c.Prim {
-			out[k] = Term{Prim: c.Str}
-		} else {
-			out[k] = Term{Str: c.Str}
-		}
-	}
-	return out
-}
-
 func (i *Interp) execAssign(ctx *Ctx, p *compile.Program, in *compile.Instr, env *Binding) (List, error) {
 	name, err := i.execWordString(ctx, p, &p.Words[in.Word], env)
 	if err != nil {
 		return nil, err
 	}
-	values, err := i.execWords(ctx, p, &in.Words, env)
+	values, err := i.execWords(ctx, p, in.Words, env)
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +162,7 @@ func (i *Interp) execLet(ctx *Ctx, p *compile.Program, in *compile.Instr, env *B
 		if err != nil {
 			return nil, err
 		}
-		values, err := i.execWords(ctx.NonTail(), p, &b.Values, inner)
+		values, err := i.execWords(ctx.NonTail(), p, b.Values, inner)
 		if err != nil {
 			return nil, err
 		}
@@ -221,7 +202,7 @@ func (i *Interp) execLocal(ctx *Ctx, p *compile.Program, in *compile.Instr, env 
 			restore()
 			return nil, err
 		}
-		values, err := i.execWords(nt, p, &b.Values, env)
+		values, err := i.execWords(nt, p, b.Values, env)
 		if err != nil {
 			restore()
 			return nil, err
@@ -253,7 +234,7 @@ func (i *Interp) execFor(ctx *Ctx, p *compile.Program, in *compile.Instr, env *B
 		if err != nil {
 			return nil, err
 		}
-		v, err := i.execWords(nt, p, &b.Values, env)
+		v, err := i.execWords(nt, p, b.Values, env)
 		if err != nil {
 			return nil, err
 		}
@@ -339,7 +320,7 @@ func (i *Interp) execPats(ctx *Ctx, p *compile.Program, in *compile.Instr, env *
 		return p.PatsIn(in.Pats), nil
 	}
 	var pats []glob.Pattern
-	ws := p.WordsIn(in.Words.Words)
+	ws := p.WordsIn(in.Words)
 	for k := range ws {
 		ps, err := i.execPatterns(ctx, p, &ws[k], env)
 		if err != nil {
@@ -379,37 +360,17 @@ func (p piece) toPattern() glob.Pattern {
 	return p.pat
 }
 
-// concatPieces implements list concatenation over pieces: pairwise for
-// equal lengths, distributing for singletons.  pos anchors the error to
-// the word being concatenated when the source position is known.
+// concatPieces is list concatenation over pieces (compile.Concat).  pos
+// anchors the error to the word being concatenated when the source
+// position is known.
 func concatPieces(pos syntax.Pos, a, b []piece) ([]piece, error) {
-	join := func(x, y piece) piece {
+	out, ok := compile.Concat(a, b, func(x, y piece) piece {
 		return strPiece(glob.Concat(x.toPattern(), y.toPattern()))
-	}
-	switch {
-	case len(a) == 0 || len(b) == 0:
-		return nil, errAt(pos, "bad concatenation")
-	case len(a) == 1:
-		out := make([]piece, len(b))
-		for i := range b {
-			out[i] = join(a[0], b[i])
-		}
-		return out, nil
-	case len(b) == 1:
-		out := make([]piece, len(a))
-		for i := range a {
-			out[i] = join(a[i], b[0])
-		}
-		return out, nil
-	case len(a) == len(b):
-		out := make([]piece, len(a))
-		for i := range a {
-			out[i] = join(a[i], b[i])
-		}
-		return out, nil
-	default:
+	})
+	if !ok {
 		return nil, errAt(pos, "bad concatenation")
 	}
+	return out, nil
 }
 
 // termsToPieces converts substituted values — variable values, command
@@ -429,15 +390,18 @@ func termsToPieces(l List) []piece {
 }
 
 // execWords evaluates a compiled word list to a term list, splicing list
-// values and performing filename expansion on unquoted wildcards.
-func (i *Interp) execWords(ctx *Ctx, p *compile.Program, wl *compile.WordList, env *Binding) (List, error) {
-	if wl.Const.Set() {
-		return i.constList(p.ConstsIn(wl.Const)), nil
-	}
+// values and performing filename expansion on unquoted wildcards.  A list
+// of several words starts at one term per word, so a list of one-term
+// words is allocated once; a single word appends to nil, so a lone $var
+// is copied at exactly its length.
+func (i *Interp) execWords(ctx *Ctx, p *compile.Program, s compile.Span, env *Binding) (List, error) {
 	i.Alloc.list()
+	ws := p.WordsIn(s)
 	var out List
+	if len(ws) > 1 {
+		out = make(List, 0, len(ws))
+	}
 	var err error
-	ws := p.WordsIn(wl.Words)
 	for k := range ws {
 		out, err = i.appendWordTerms(ctx, out, p, &ws[k], env)
 		if err != nil {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"io"
 	"os"
+	"sync"
 )
 
 // IOTable maps shell file descriptors to Go streams.  Entries are
@@ -111,6 +113,47 @@ func (t *IOTable) File(fd int, input bool) (f *os.File, done func(), err error) 
 		pr.Close()
 	}()
 	return pw, func() { pw.Close(); <-ch }, nil
+}
+
+// Buffer collects output that several goroutines may write at once:
+// pipeline elements, background jobs, and the copier IOTable.File starts
+// for an external.  `{…} captures into one, and esd collects a request's
+// output in two.  A write after Close fails as a write to a pipe whose
+// reader has gone does, so a job that outlives the capture stops there.
+type Buffer struct {
+	mu     sync.Mutex
+	b      bytes.Buffer
+	closed bool
+}
+
+func (b *Buffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return 0, errBrokenPipe
+	}
+	return b.b.Write(p)
+}
+
+// String returns what has been written.
+func (b *Buffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.b.String()
+}
+
+// Reset empties the buffer.
+func (b *Buffer) Reset() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.b.Reset()
+}
+
+// Close makes every later write fail with EPIPE.
+func (b *Buffer) Close() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.closed = true
 }
 
 type emptyReader struct{}

@@ -45,7 +45,7 @@ func TestConcurrentFirstRunSharesUnits(t *testing.T) {
 	var wg sync.WaitGroup
 	for k := range sessions {
 		s := tmpl.Spawn()
-		out := &syncBuffer{}
+		out := &core.Buffer{}
 		ctx := &core.Ctx{IO: core.NewIOTable(strings.NewReader(""), out, out)}
 		wg.Add(1)
 		go func() {
@@ -83,7 +83,7 @@ func TestConcurrentFirstRunSharesUnits(t *testing.T) {
 		t.Fatal("the program has no nested bodies")
 	}
 	before = compiles()
-	if res, err := tmpl.Spawn().RunString(&core.Ctx{IO: core.NewIOTable(strings.NewReader(""), &syncBuffer{}, &syncBuffer{})}, src); err != nil || res.Flatten(" ") != want {
+	if res, err := tmpl.Spawn().RunString(&core.Ctx{IO: core.NewIOTable(strings.NewReader(""), &core.Buffer{}, &core.Buffer{})}, src); err != nil || res.Flatten(" ") != want {
 		t.Errorf("rerun = %v, %v; want %s", res, err, want)
 	}
 	if n := compiles() - before; n != 0 {

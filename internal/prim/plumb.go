@@ -1,7 +1,6 @@
 package prim
 
 import (
-	"bytes"
 	"io"
 	"os"
 	"path/filepath"
@@ -242,23 +241,31 @@ func primFork(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, error) 
 }
 
 // subshellResult converts a subshell's terminal error into its status: an
-// exit exception becomes the status it carries; anything else is the
-// paper's "a message is printed on exit from the subshell and a false
+// exit exception becomes the status it carries, and signal sigpipe the
+// status sigpipe, as for an external killed by SIGPIPE; anything else is
+// the paper's "a message is printed on exit from the subshell and a false
 // exit status is returned".
 func subshellResult(ctx *core.Ctx, err error, where string) core.List {
 	return subshellResultTo(ctx.Stderr(), err, where)
 }
 
 func subshellResultTo(stderr io.Writer, err error, where string) core.List {
-	if e := core.AsException(err); e != nil && e.Name() == "exit" {
-		return core.StrList(strconv.Itoa(ExitStatus(e.Args[1:])))
+	if e := core.AsException(err); e != nil {
+		switch {
+		case e.Name() == "exit":
+			return core.StrList(strconv.Itoa(ExitStatus(e.Args[1:])))
+		case e.Name() == "signal" && len(e.Args) > 1 && e.Args[1].String() == "sigpipe":
+			return core.StrList("sigpipe")
+		}
 	}
 	io.WriteString(stderr, "es: uncaught exception "+where+": "+err.Error()+"\n")
 	return core.False()
 }
 
 // primBackquote runs a fragment in a subshell with its output captured,
-// then splits it on $ifs — the service behind `{cmd}.
+// then splits it on $ifs — the service behind `{cmd}.  In-process writers
+// append to the capture directly; an external gets a pipe from
+// IOTable.File, whose copier appends what it writes.
 func primBackquote(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, error) {
 	if len(args) == 0 {
 		return nil, core.ErrorExc("%backquote: missing command")
@@ -268,17 +275,10 @@ func primBackquote(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, er
 		ifs = v.Flatten("")
 	}
 	child, cmd, rest := i.ForkCmd(args[0], args[1:])
-	var buf bytes.Buffer
-	pr, pw := io.Pipe()
-	done := make(chan error, 1)
-	go func() {
-		_, err := io.Copy(&buf, pr)
-		done <- err
-	}()
-	cctx := ctx.NonTail().WithIO(ctx.IO.WithFD(1, pw))
+	var buf core.Buffer
+	cctx := ctx.NonTail().WithIO(ctx.IO.WithFD(1, &buf))
 	_, err := child.ApplyTerm(cctx, cmd, rest)
-	pw.Close()
-	<-done
+	buf.Close()
 	if err != nil {
 		if core.AsException(err) != nil {
 			return nil, err

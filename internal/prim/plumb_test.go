@@ -2,15 +2,14 @@ package prim
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"testing"
+	"time"
 
 	"es/internal/core"
 	"es/internal/coreutils"
@@ -19,36 +18,13 @@ import (
 // newPipeInterp is newInterp with the coreutils builtins, which the
 // pipelines below run, writing to buffers that several externals'
 // copiers may write at once.
-func newPipeInterp(t *testing.T) (*core.Interp, *core.Ctx, *lockedBuffer, *lockedBuffer) {
+func newPipeInterp(t *testing.T) (*core.Interp, *core.Ctx, *core.Buffer, *core.Buffer) {
 	t.Helper()
 	i, _, _, _ := newInterp(t)
 	coreutils.Register(i)
-	var out, errw lockedBuffer
+	var out, errw core.Buffer
 	ctx := &core.Ctx{IO: core.NewIOTable(strings.NewReader(""), &out, &errw)}
 	return i, ctx, &out, &errw
-}
-
-type lockedBuffer struct {
-	mu sync.Mutex
-	b  bytes.Buffer
-}
-
-func (l *lockedBuffer) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.b.Write(p)
-}
-
-func (l *lockedBuffer) String() string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.b.String()
-}
-
-func (l *lockedBuffer) Reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.b.Reset()
 }
 
 // openFDs counts this process's open descriptors.
@@ -158,6 +134,36 @@ func TestPipeEarlyReaderStopsExternal(t *testing.T) {
 	}
 	if errw.String() != "seq sigpipe\n" {
 		t.Errorf("seq ended with %q, want sigpipe", errw.String())
+	}
+}
+
+// An es loop that echoes into an early reader stops too: echo's failed
+// write throws signal sigpipe, which ends the element quietly with the
+// status sigpipe.  Without it the loop would spin until the deadline.
+// A capture that has ended is such a reader for a job that outlives it.
+func TestPipeEarlyReaderStopsLoop(t *testing.T) {
+	i, ctx, out, errw := newPipeInterp(t)
+	for _, tt := range []struct{ src, want string }{
+		{"{while {} {echo y}} | sed 1q", "y\n"},
+		{"fn f {while {} {echo y}}; f | head -n 2", "y\ny\n"},
+		{"x = `{{while {} {echo y}} &}; echo <={wait}", "sigpipe\n"},
+	} {
+		out.Reset()
+		done := make(chan struct{})
+		timer := time.AfterFunc(5*time.Second, func() { close(done) })
+		i.SetCancel(done, "deadline")
+		_, err := i.RunString(ctx, tt.src)
+		i.ClearCancel()
+		timer.Stop()
+		if err != nil {
+			t.Fatalf("%s: %v", tt.src, err)
+		}
+		if out.String() != tt.want {
+			t.Errorf("%s printed %q, want %q", tt.src, out.String(), tt.want)
+		}
+	}
+	if errw.String() != "" {
+		t.Errorf("stderr = %q", errw.String())
 	}
 }
 

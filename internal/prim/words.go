@@ -1,9 +1,11 @@
 package prim
 
 import (
+	"errors"
 	"io"
 	"strconv"
 	"strings"
+	"syscall"
 
 	"es/internal/core"
 	"es/internal/glob"
@@ -86,7 +88,10 @@ func primMatch(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, error)
 }
 
 // primEcho prints its arguments separated by spaces; -n suppresses the
-// newline, -- ends option processing.
+// newline, -- ends option processing.  A write to a pipe whose reader has
+// gone throws signal sigpipe, which ends the pipeline element as SIGPIPE
+// ends it in C es, so a loop that echoes into an early reader stops; any
+// other failed write returns false.
 func primEcho(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, error) {
 	nl := true
 	if len(args) > 0 {
@@ -109,6 +114,9 @@ func primEcho(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, error) 
 		b.WriteByte('\n')
 	}
 	if _, err := io.WriteString(ctx.Stdout(), b.String()); err != nil {
+		if errors.Is(err, syscall.EPIPE) {
+			return nil, core.Throw(core.StrList("signal", "sigpipe"))
+		}
 		return core.False(), nil
 	}
 	return core.True(), nil

@@ -21,11 +21,9 @@ package server
 // refusing work at the front door while the interpreter digs out.
 
 import (
-	"bytes"
 	"errors"
 	"net"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -54,28 +52,6 @@ type session struct {
 	// tenant is set by the read loop on the first hello naming one; the
 	// session goroutine reads it for deadline clamping and accounting.
 	tenant atomic.Pointer[tenantState]
-}
-
-// sessionBuffer collects one request's output.  Pipeline elements and
-// background jobs write from their own goroutines, so it locks; a
-// background job that outlives its request writes into a buffer nobody
-// will read again, which is safe and intentionally lossy (the C shell
-// drops output of disowned jobs on a closed terminal the same way).
-type sessionBuffer struct {
-	mu sync.Mutex
-	b  bytes.Buffer
-}
-
-func (s *sessionBuffer) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.Write(p)
-}
-
-func (s *sessionBuffer) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.String()
 }
 
 func newSession(id uint64, srv *Server, conn net.Conn, interp *core.Interp, ls *ListenerStats) *session {
@@ -388,7 +364,12 @@ func (s *session) eval(f *Frame) *Frame {
 			deadline = t.quota.DeadlineCeiling
 		}
 	}
-	var out, errb sessionBuffer
+	// Pipeline elements and background jobs write from their own
+	// goroutines.  A background job that outlives its request writes into
+	// a buffer nobody will read again, which is safe and intentionally
+	// lossy (the C shell drops output of disowned jobs on a closed
+	// terminal the same way).
+	var out, errb core.Buffer
 	ctx := &core.Ctx{IO: core.NewIOTable(strings.NewReader(""), &out, &errb)}
 	if deadline > 0 {
 		done := make(chan struct{})
