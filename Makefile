@@ -15,9 +15,14 @@
 # program per family of esbench's rpc_script workload on a warm spawned
 # session and reports its allocations per program;
 # `make bench-server` regenerates the serving baseline and
-# `make bench-check` gates against it (>25% ns/op regression fails).
+# `make bench-check` gates against it (>25% ns/op regression fails);
+# `make bench-allocs` records allocs/op and B/op of the bench set plus
+# Analyze, ApplyFunction, Startup* and ServerEval/sequential in
+# BENCH_allocs.json, and `make bench-allocs-check` (also part of tier 1)
+# fails on any allocs/op above it or any B/op above it by more than the
+# row's tolerance.
 
-.PHONY: check race soak bench bench-server bench-check build
+.PHONY: check race soak bench bench-server bench-check bench-allocs bench-allocs-check build
 
 build:
 	go build ./...
@@ -39,3 +44,9 @@ bench-server:
 
 bench-check:
 	sh scripts/bench_server.sh -check
+
+bench-allocs:
+	sh scripts/bench_allocs.sh
+
+bench-allocs-check:
+	sh scripts/bench_allocs.sh -check

@@ -87,6 +87,7 @@ func main() {
 		}
 		fmt.Println(indent(all, syntax.UnparseBody(blk)))
 	}
+	// Rewrite lowers blk in place, so the surface form is printed first.
 	if all || *coreF {
 		if all {
 			fmt.Println("core:")

@@ -158,11 +158,6 @@ func Analyze(src string, opts Options) Result {
 		}
 		return Result{Diags: []Diagnostic{d}}
 	}
-	return AnalyzeBlock(b, opts)
-}
-
-// AnalyzeBlock analyzes an already parsed and rewritten tree.
-func AnalyzeBlock(b *syntax.Block, opts Options) Result {
 	c := &checker{
 		file:     opts.File,
 		env:      opts.Env,
@@ -334,6 +329,8 @@ func isTerminal(cmd syntax.Cmd) bool {
 	return false
 }
 
+// walkCmd checks a command of a core tree, the only form ParseCommand
+// makes.
 func (c *checker) walkCmd(cmd syntax.Cmd, sc *scope) {
 	switch n := cmd.(type) {
 	case nil:
@@ -375,26 +372,6 @@ func (c *checker) walkCmd(cmd syntax.Cmd, sc *scope) {
 		}
 	case *syntax.Not:
 		c.walkCmd(n.Body, sc)
-	default:
-		// Surface nodes (Pipe, AndOr, Bg, RedirCmd, Fn) cannot appear in a
-		// rewritten tree; tolerate them anyway so the analyzer never
-		// panics on hand-built inputs.
-		switch n := cmd.(type) {
-		case *syntax.Pipe:
-			c.walkCmd(n.Left, sc)
-			c.walkCmd(n.Right, sc)
-		case *syntax.AndOr:
-			c.walkCmd(n.Left, sc)
-			c.walkCmd(n.Right, sc)
-		case *syntax.Bg:
-			c.walkCmd(n.Body, sc)
-		case *syntax.RedirCmd:
-			c.walkCmd(n.Body, sc)
-		case *syntax.Fn:
-			if n.Lambda != nil {
-				c.walkLambda(n.Lambda, sc)
-			}
-		}
 	}
 }
 

@@ -8,10 +8,10 @@
 // as long as the tree lives, shared by every evaluation and every
 // interpreter.
 //
-// Compile is total.  Every tree ParseCommand makes is already rewritten to
-// the core forms, and a surface node that reaches the compiler anyway (an
-// embedder evaluating an unrewritten tree) is lowered through
-// syntax.Rewrite on the spot, so every block the parser accepts compiles.
+// Compile lowers rewritten trees, the only form ParseCommand makes: the
+// core forms syntax.Rewrite leaves.  It is total on them, so every block
+// the parser accepts compiles once it is rewritten; a surface node
+// (pipe, and/or, background, redirection, fn) is not one of its inputs.
 //
 // A program — a block and every block nested in it — is laid out in a few
 // flat tables indexed by int32 (instructions, words, segments and static
@@ -268,9 +268,10 @@ type VarExt struct {
 // per nested block, after the program is complete.
 type Registrar func(b *syntax.Block, u *Unit)
 
-// Compile lowers a block, rewriting any surface node it meets, and
-// returns the unit of b.  Every call lowers the whole tree afresh.  reg
-// may be nil.  Compilation cannot fail: the error is always nil.
+// Compile lowers a block that syntax.Rewrite has lowered to the core
+// forms and returns the unit of b.  Every call lowers the whole tree
+// afresh.  reg may be nil.  Compilation cannot fail: the error is always
+// nil.
 func Compile(b *syntax.Block, reg Registrar) (*Unit, error) {
 	c := compilers.Get().(*compiler)
 	c.units = append(c.units, Unit{})
@@ -409,9 +410,6 @@ func (c *compiler) cmd(cmd syntax.Cmd) Instr {
 	case *syntax.Block:
 		return Instr{Op: OpSeq, Body: c.block(cmd)}
 	case *syntax.Simple:
-		if len(cmd.Redirs) > 0 {
-			return c.cmd(syntax.Rewrite(cmd))
-		}
 		return c.simple(cmd)
 	case *syntax.Assign:
 		name := c.word(cmd.Name)
@@ -431,9 +429,9 @@ func (c *compiler) cmd(cmd syntax.Cmd) Instr {
 		in.Body, in.IsBlock = c.body(cmd.Body)
 		return in
 	default:
-		// A surface node leaked through without Rewrite (pipe, and/or,
-		// background, redirection, fn): Rewrite turns it into core forms.
-		return c.cmd(syntax.Rewrite(cmd))
+		// Unreachable: the cases above are every core command, and
+		// Compile takes rewritten trees only.
+		panic("compile: surface command in a tree that was not rewritten")
 	}
 }
 

@@ -128,18 +128,6 @@ func TestCompileBareBlockIsGrouping(t *testing.T) {
 	}
 }
 
-func TestCompileRewritesLeakedSurfaceNodes(t *testing.T) {
-	// Compile a parse-only tree (no Rewrite pass): the compiler lowers
-	// surface nodes on the fly through syntax.Rewrite.
-	b, err := syntax.Parse("echo a | echo b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Compile(b, nil); err != nil {
-		t.Fatalf("Compile(unrewritten pipe): %v", err)
-	}
-}
-
 // The program is lowered whole: the lambda body gets its own unit in the
 // root's program, handed to the registrar once, after the program is
 // complete.

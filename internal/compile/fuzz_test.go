@@ -12,12 +12,13 @@ import (
 	"es/internal/syntax"
 )
 
-// FuzzCompile: Compile is total.  Anything syntax.Parse accepts must
-// compile, both as parsed (surface nodes included) and after Rewrite,
-// to a non-nil unit with a nil error, without panicking, into one
-// program whose every operand stays inside its table.  Each nested block
-// is registered with a unit in that same program.  Seeded with
-// FuzzParse's seeds and its on-disk corpus.
+// FuzzCompile: Compile is total on rewritten trees.  Anything
+// syntax.Parse accepts must, once syntax.Rewrite has lowered it to the
+// core forms (the only trees Compile takes), compile to a non-nil unit
+// with a nil error, without panicking, into one program whose every
+// operand stays inside its table.  Each nested block is registered with
+// a unit in that same program.  Seeded with FuzzParse's seeds and its
+// on-disk corpus.
 func FuzzCompile(f *testing.F) {
 	seeds := []string{
 		"ls > /tmp/foo",
@@ -44,27 +45,25 @@ func FuzzCompile(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, tree := range []*syntax.Block{b, syntax.Rewrite(b).(*syntax.Block)} {
-			var nested []*Unit
-			u, err := Compile(tree, func(sb *syntax.Block, su *Unit) {
-				if sb == nil || su == nil {
-					t.Errorf("%q: registrar got block %p, unit %p", src, sb, su)
-				}
-				nested = append(nested, su)
-			})
-			if u == nil || err != nil {
-				t.Fatalf("Compile(%q) = %v, %v; want a unit and no error", src, u, err)
+		var nested []*Unit
+		u, err := Compile(syntax.Rewrite(b).(*syntax.Block), func(sb *syntax.Block, su *Unit) {
+			if sb == nil || su == nil {
+				t.Errorf("%q: registrar got block %p, unit %p", src, sb, su)
 			}
-			if err := validate(u.Prog); err != nil {
-				t.Fatalf("Compile(%q): %v", src, err)
-			}
-			if len(nested) != len(u.Prog.Units)-1 {
-				t.Errorf("%q: %d nested units registered, program holds %d", src, len(nested), len(u.Prog.Units)-1)
-			}
-			for _, su := range nested {
-				if su != nil && su.Prog != u.Prog {
-					t.Errorf("%q: a nested unit is outside its program", src)
-				}
+			nested = append(nested, su)
+		})
+		if u == nil || err != nil {
+			t.Fatalf("Compile(%q) = %v, %v; want a unit and no error", src, u, err)
+		}
+		if err := validate(u.Prog); err != nil {
+			t.Fatalf("Compile(%q): %v", src, err)
+		}
+		if len(nested) != len(u.Prog.Units)-1 {
+			t.Errorf("%q: %d nested units registered, program holds %d", src, len(nested), len(u.Prog.Units)-1)
+		}
+		for _, su := range nested {
+			if su != nil && su.Prog != u.Prog {
+				t.Errorf("%q: a nested unit is outside its program", src)
 			}
 		}
 	})

@@ -78,7 +78,8 @@ func (i *Interp) checkPending() error {
 // EvalBlock evaluates a command sequence; the result is the last
 // command's result (the empty list — true — for an empty block).  When
 // ctx is a tail context the final command is evaluated in tail position.
-// The block runs as its compiled unit, lowered on first use.
+// The block runs as its compiled unit, lowered on first use, so it must
+// be in the core form (see syntax.Rewrite).
 func (i *Interp) EvalBlock(ctx *Ctx, b *syntax.Block, env *Binding) (List, error) {
 	if b == nil || len(b.Cmds) == 0 {
 		return List{}, nil

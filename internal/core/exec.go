@@ -62,11 +62,13 @@ func (i *Interp) execSeq(ctx *Ctx, p *compile.Program, seq []compile.Instr, env 
 	if len(seq) == 0 {
 		return List{}, nil
 	}
-	inner := ctx.NonTail()
-	for k := range seq[:len(seq)-1] {
-		i.Alloc.command()
-		if _, err := i.execInstr(inner, p, &seq[k], env); err != nil {
-			return nil, err
+	if len(seq) > 1 {
+		inner := ctx.NonTail()
+		for k := range seq[:len(seq)-1] {
+			i.Alloc.command()
+			if _, err := i.execInstr(inner, p, &seq[k], env); err != nil {
+				return nil, err
+			}
 		}
 	}
 	i.Alloc.command()

@@ -369,18 +369,21 @@ func copyBindings(b *Binding, memo *forkMemo) *Binding {
 	return dup
 }
 
-// parseCache memoizes ParseCommand results by source text.  The rewritten
-// AST is immutable — Rewrite builds fresh nodes and evaluation only reads
-// them — so one Block is safely shared by every evaluation and every
-// interpreter in the process.  Repeated eval/%parse of the same source
-// (and every startup's initial.es) skips the lexer entirely.
+// parseCache memoizes ParseCommand results by source text.  Rewrite
+// lowers the fresh parse in place before the tree is published, and from
+// then on evaluation only reads it (the compiled units on its blocks are
+// published by compare-and-swap), so one Block is safely shared by every
+// evaluation and every interpreter in the process.  Repeated eval/%parse
+// of the same source (and every startup's initial.es) skips the lexer
+// entirely.
 var parseCache = cache.NewMap[*syntax.Block]("parse", 512)
 
 // maxCachedSrc bounds the source size the parse cache will retain; huge
 // one-off scripts would otherwise pin memory for no repeat benefit.
 const maxCachedSrc = 1 << 14
 
-// ParseCommand parses source into the core representation ready for
+// ParseCommand parses source and rewrites the parsed tree, which it
+// alone holds, in place into the core representation ready for
 // evaluation.  Successful parses of modest sources are memoized.
 func ParseCommand(src string) (*syntax.Block, error) {
 	cacheable := len(src) <= maxCachedSrc

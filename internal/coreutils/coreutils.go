@@ -28,16 +28,6 @@ func Register(i *core.Interp) {
 	registerMisc(i)
 }
 
-// Names returns the registered command names (for tests and docs).
-func Names() []string {
-	return []string{
-		"basename", "cat", "cmp", "cut", "date", "dirname", "env", "false",
-		"grep", "head", "ls", "mkdir", "nl", "pwd", "rev", "rm", "seq",
-		"sed", "sleep", "sort", "tac", "tail", "tee", "test", "touch",
-		"tr", "true", "uniq", "wc", "xargs", "yes",
-	}
-}
-
 // ctxio bundles the common per-invocation state.
 type ctxio struct {
 	i    *core.Interp

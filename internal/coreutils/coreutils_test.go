@@ -39,15 +39,6 @@ func newI(t *testing.T) *core.Interp {
 	return i
 }
 
-func TestNamesAllRegistered(t *testing.T) {
-	i := newI(t)
-	for _, n := range Names() {
-		if i.Builtin(n) == nil {
-			t.Errorf("Names lists %q but it is not registered", n)
-		}
-	}
-}
-
 func TestCat(t *testing.T) {
 	i := newI(t)
 	if got, st := runTool(t, i, "line1\nline2\n", "cat"); got != "line1\nline2\n" || st != 0 {

@@ -140,11 +140,14 @@ func TestPipeEarlyReaderStopsExternal(t *testing.T) {
 // An es loop that echoes into an early reader stops too: echo's failed
 // write throws signal sigpipe, which ends the element quietly with the
 // status sigpipe.  Without it the loop would spin until the deadline.
-// A capture that has ended is such a reader for a job that outlives it.
+// vars and whatis stop the same way.  A capture that has ended is such a
+// reader for a job that outlives it.
 func TestPipeEarlyReaderStopsLoop(t *testing.T) {
 	i, ctx, out, errw := newPipeInterp(t)
 	for _, tt := range []struct{ src, want string }{
 		{"{while {} {echo y}} | sed 1q", "y\n"},
+		{"{while {} {vars}} | sed 1q | wc -l", "      1\n"},
+		{"{while {} {whatis echo}} | sed 1q", "$&echo\n"},
 		{"fn f {while {} {echo y}}; f | head -n 2", "y\ny\n"},
 		{"x = `{{while {} {echo y}} &}; echo <={wait}", "sigpipe\n"},
 	} {

@@ -302,6 +302,28 @@ func TestVarsListing(t *testing.T) {
 	}
 }
 
+// analyze returns one word per diagnostic, then "effects" and the
+// effect categories, resolving names against the running interpreter:
+// with the builtins registered, ls and wc run in process.
+func TestAnalyzePrim(t *testing.T) {
+	i, ctx, _, _ := newPipeInterp(t)
+	got := mustRun(t, i, ctx, "analyze 'echo $nope; ls | wc; x = $&nosuch'")
+	want := []string{
+		"1:6 [W110] warning: reference to undefined variable nope (evaluates to the empty list)",
+		"1:26 [E101] error: reference to unregistered primitive $&nosuch",
+		"effects",
+		"process",
+	}
+	if len(got) != len(want) {
+		t.Fatalf("analyze returned %d words %q, want %q", len(got), got.Flatten("|"), want)
+	}
+	for k, w := range want {
+		if got[k].String() != w {
+			t.Errorf("word %d = %q, want %q", k, got[k].String(), w)
+		}
+	}
+}
+
 func TestTimeFormat(t *testing.T) {
 	i, ctx, _, errw := newInterp(t)
 	mustRun(t, i, ctx, "time {result 0}")

@@ -136,38 +136,41 @@ func primServerStats(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, 
 // primWhatis prints how each name would be interpreted: the environment
 // encoding of its fn- definition (the paper's `whatis foo` →
 // `%closure(a=b)@ * {echo $a}`), the $& form for builtins, or the path of
-// the external.
+// the external.  A failed write ends it as writeFailed says.
 func primWhatis(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, error) {
 	out := ctx.Stdout()
 	status := core.True()
 	for _, t := range args {
 		name := t.String()
+		var line string
 		if fnval := i.Var("fn-" + name); len(fnval) > 0 {
-			io.WriteString(out, core.EncodeValue(fnval)+"\n")
-			continue
+			line = core.EncodeValue(fnval)
+		} else if i.Builtin(name) != nil {
+			line = "$&" + name
+		} else {
+			found, err := i.CallHook(ctx.NonTail(), "%pathsearch", core.StrList(name))
+			if err != nil && !core.ExcNamed(err, "error") {
+				// A spoofed %pathsearch may throw real exceptions —
+				// signal, break, a user's own names — which must
+				// unwind, not be misreported as "not found".
+				return nil, err
+			}
+			if err != nil || len(found) == 0 {
+				io.WriteString(ctx.Stderr(), name+": not found\n")
+				status = core.False()
+				continue
+			}
+			line = found.Flatten(" ")
 		}
-		if i.Builtin(name) != nil {
-			io.WriteString(out, "$&"+name+"\n")
-			continue
+		if _, err := io.WriteString(out, line+"\n"); err != nil {
+			return writeFailed(err)
 		}
-		found, err := i.CallHook(ctx.NonTail(), "%pathsearch", core.StrList(name))
-		if err != nil && !core.ExcNamed(err, "error") {
-			// A spoofed %pathsearch may throw real exceptions — signal,
-			// break, a user's own names — which must unwind, not be
-			// misreported as "not found".
-			return nil, err
-		}
-		if err != nil || len(found) == 0 {
-			io.WriteString(ctx.Stderr(), name+": not found\n")
-			status = core.False()
-			continue
-		}
-		io.WriteString(out, found.Flatten(" ")+"\n")
 	}
 	return status, nil
 }
 
-// primVars prints the variable table, one name=value per line.
+// primVars prints the variable table, one name=value per line.  A failed
+// write ends it as writeFailed says.
 func primVars(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, error) {
 	out := ctx.Stdout()
 	for _, name := range i.VarNames() {
@@ -175,7 +178,9 @@ func primVars(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, error) 
 		if v == nil {
 			continue
 		}
-		io.WriteString(out, name+"="+core.EncodeValue(v)+"\n")
+		if _, err := io.WriteString(out, name+"="+core.EncodeValue(v)+"\n"); err != nil {
+			return writeFailed(err)
+		}
 	}
 	return core.True(), nil
 }

@@ -88,10 +88,8 @@ func primMatch(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, error)
 }
 
 // primEcho prints its arguments separated by spaces; -n suppresses the
-// newline, -- ends option processing.  A write to a pipe whose reader has
-// gone throws signal sigpipe, which ends the pipeline element as SIGPIPE
-// ends it in C es, so a loop that echoes into an early reader stops; any
-// other failed write returns false.
+// newline, -- ends option processing.  A failed write ends it as
+// writeFailed says.
 func primEcho(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, error) {
 	nl := true
 	if len(args) > 0 {
@@ -114,10 +112,19 @@ func primEcho(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, error) 
 		b.WriteByte('\n')
 	}
 	if _, err := io.WriteString(ctx.Stdout(), b.String()); err != nil {
-		if errors.Is(err, syscall.EPIPE) {
-			return nil, core.Throw(core.StrList("signal", "sigpipe"))
-		}
-		return core.False(), nil
+		return writeFailed(err)
 	}
 	return core.True(), nil
+}
+
+// writeFailed is the outcome of a primitive whose write to its standard
+// output failed with err.  A write to a pipe whose reader has gone throws
+// signal sigpipe, which ends the pipeline element as SIGPIPE ends it in C
+// es, so a loop that writes into an early reader stops; any other failed
+// write returns false.
+func writeFailed(err error) (core.List, error) {
+	if errors.Is(err, syscall.EPIPE) {
+		return nil, core.Throw(core.StrList("signal", "sigpipe"))
+	}
+	return core.False(), nil
 }

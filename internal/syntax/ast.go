@@ -1,13 +1,18 @@
 package syntax
 
-import "sync/atomic"
+import (
+	"strconv"
+	"sync/atomic"
+)
 
 // The AST.  Parse produces surface nodes; Rewrite lowers the surface sugar
 // (pipes, redirections, background, && and ||, fn definitions) into core
-// forms: calls on %-hook functions, assignments, and the binding forms.
+// forms, in place: calls on %-hook functions, assignments, and the binding
+// forms.  Every layer after the parser (the compiler, the evaluator, the
+// analyzer) takes core trees only.
 //
 // Nodes shared by both layers: Word and its Parts, Block, Simple, Assign,
-// Let, Local, For, Match, Not, Lambda.
+// Let, Local, For, Match, MatchExtract, Not, Lambda.
 // Surface-only nodes eliminated by Rewrite: Pipe, AndOr, Bg, RedirCmd, Fn.
 
 // Pos is a source position: 1-based line and column.  The zero Pos means
@@ -23,7 +28,7 @@ type Pos struct {
 func (p Pos) Known() bool { return p.Line > 0 }
 
 func (p Pos) String() string {
-	return itoa(p.Line) + ":" + itoa(p.Col)
+	return strconv.Itoa(p.Line) + ":" + strconv.Itoa(p.Col)
 }
 
 // Cmd is any command node.
@@ -146,12 +151,10 @@ type Block struct {
 }
 
 // Simple is a command invocation: evaluate the words, apply the first
-// value to the rest.  Redirs is only populated on surface trees; Rewrite
-// folds them into %create/%append/%open/%dup calls.
+// value to the rest.
 type Simple struct {
-	Words  []*Word
-	Redirs []*Redir
-	Pos    Pos
+	Words []*Word
+	Pos   Pos
 }
 
 // Redir is one surface redirection.
@@ -295,15 +298,6 @@ func QuotedWord(text string) *Word {
 // LambdaWord wraps a lambda as a word.
 func LambdaWord(l *Lambda) *Word {
 	return &Word{Parts: []Part{&LambdaPart{Lambda: l}}}
-}
-
-// BlockLambda wraps a command as a parameterless {…} fragment word.
-func BlockLambda(c Cmd) *Word {
-	b, ok := c.(*Block)
-	if !ok {
-		b = &Block{Cmds: []Cmd{c}}
-	}
-	return LambdaWord(&Lambda{Body: b})
 }
 
 // LitText returns the text of a Word consisting of a single literal part,

@@ -176,7 +176,7 @@ func groupBody(c Cmd) *Block {
 	case *Block:
 		return c
 	case *Simple:
-		if len(c.Words) == 1 && len(c.Redirs) == 0 {
+		if len(c.Words) == 1 {
 			if l, ok := singleLambda(c.Words[0]); ok && !l.HasParams {
 				return l.Body
 			}
@@ -189,7 +189,7 @@ func groupBody(c Cmd) *Block {
 // lines: `if {cond} {a; b; c}` becomes an indented body.
 func (p *prettyPrinter) simpleLines(c *Simple, depth int) {
 	n := len(c.Words)
-	if n == 0 || len(c.Redirs) > 0 {
+	if n == 0 {
 		p.emit(depth, Unparse(c))
 		return
 	}

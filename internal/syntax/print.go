@@ -1,6 +1,9 @@
 package syntax
 
-import "strings"
+import (
+	"strconv"
+	"strings"
+)
 
 // Unparse renders a command back to es source.  The output re-parses to an
 // equivalent tree, which is what makes it possible to pass function
@@ -55,10 +58,6 @@ func printCmd(b *strings.Builder, c Cmd) {
 				printWord(b, w)
 			}
 		}
-		for _, r := range c.Redirs {
-			b.WriteByte(' ')
-			printRedir(b, r)
-		}
 	case *Assign:
 		printWord(b, c.Name)
 		b.WriteString(" =")
@@ -94,10 +93,10 @@ func printCmd(b *strings.Builder, c Cmd) {
 		b.WriteString(" |")
 		if c.LFd != 1 || c.RFd != 0 {
 			b.WriteByte('[')
-			b.WriteString(itoa(c.LFd))
+			b.WriteString(strconv.Itoa(c.LFd))
 			if c.RFd != 0 {
 				b.WriteByte('=')
-				b.WriteString(itoa(c.RFd))
+				b.WriteString(strconv.Itoa(c.RFd))
 			}
 			b.WriteByte(']')
 		}
@@ -142,39 +141,39 @@ func printRedir(b *strings.Builder, r *Redir) {
 		b.WriteByte('>')
 		if r.Fd != 1 {
 			b.WriteByte('[')
-			b.WriteString(itoa(r.Fd))
+			b.WriteString(strconv.Itoa(r.Fd))
 			b.WriteByte(']')
 		}
 	case RedirAppend:
 		b.WriteString(">>")
 		if r.Fd != 1 {
 			b.WriteByte('[')
-			b.WriteString(itoa(r.Fd))
+			b.WriteString(strconv.Itoa(r.Fd))
 			b.WriteByte(']')
 		}
 	case RedirFrom:
 		b.WriteByte('<')
 		if r.Fd != 0 {
 			b.WriteByte('[')
-			b.WriteString(itoa(r.Fd))
+			b.WriteString(strconv.Itoa(r.Fd))
 			b.WriteByte(']')
 		}
 	case RedirHere:
 		b.WriteString("<<<")
 		if r.Fd != 0 {
 			b.WriteByte('[')
-			b.WriteString(itoa(r.Fd))
+			b.WriteString(strconv.Itoa(r.Fd))
 			b.WriteByte(']')
 		}
 	case RedirDup:
 		b.WriteString(">[")
-		b.WriteString(itoa(r.Fd))
+		b.WriteString(strconv.Itoa(r.Fd))
 		b.WriteByte('=')
-		b.WriteString(itoa(r.Fd2))
+		b.WriteString(strconv.Itoa(r.Fd2))
 		b.WriteByte(']')
 	case RedirClose:
 		b.WriteString(">[")
-		b.WriteString(itoa(r.Fd))
+		b.WriteString(strconv.Itoa(r.Fd))
 		b.WriteString("=]")
 	}
 	if r.Target != nil {

@@ -1,5 +1,7 @@
 package syntax
 
+import "strconv"
+
 // Rewrite lowers surface syntax into the paper's core forms.  "In es,
 // almost all standard shell constructs (e.g., pipes and redirection) are
 // translated into a uniform representation: function calls."
@@ -23,67 +25,66 @@ package syntax
 // functions (fn-%pipe and friends, bound in initial.es), redefining them
 // from the shell changes the behaviour of the corresponding syntax — the
 // paper's "spoofing".
+//
+// Rewrite lowers the tree in place: it stores each rewritten command back
+// into its parent and allocates only the nodes it synthesizes (the hook
+// calls and their words, thunks, the Simple or Assign that replaces a
+// surface command, and the fn- prefix).  Its argument must be a tree
+// fresh from Parse that nothing else holds.  A Block is rewritten to
+// itself, and rewriting a core tree again changes nothing.
 func Rewrite(c Cmd) Cmd {
-	if c == nil {
-		return nil
-	}
 	switch c := c.(type) {
 	case *Block:
-		out := &Block{Cmds: make([]Cmd, 0, len(c.Cmds)), Pos: c.Pos}
-		for _, sub := range c.Cmds {
-			out.Cmds = append(out.Cmds, Rewrite(sub))
-		}
-		return out
+		rewriteSeq(c)
 	case *Simple:
-		out := &Simple{Words: rewriteWords(c.Words), Pos: c.Pos}
-		if len(c.Redirs) > 0 {
-			return rewriteRedirs(out, c.Redirs)
-		}
-		return out
+		rewriteWords(c.Words)
 	case *RedirCmd:
 		return rewriteRedirs(Rewrite(c.Body), c.Redirs)
 	case *Assign:
-		return &Assign{Name: rewriteWord(c.Name), Values: rewriteWords(c.Values), Pos: c.Pos}
+		rewriteWord(c.Name)
+		rewriteWords(c.Values)
 	case *Let:
-		return &Let{Bindings: rewriteBindings(c.Bindings), Body: Rewrite(c.Body), Pos: c.Pos}
+		rewriteBindings(c.Bindings)
+		c.Body = Rewrite(c.Body)
 	case *Local:
-		return &Local{Bindings: rewriteBindings(c.Bindings), Body: Rewrite(c.Body), Pos: c.Pos}
+		rewriteBindings(c.Bindings)
+		c.Body = Rewrite(c.Body)
 	case *For:
-		return &For{Bindings: rewriteBindings(c.Bindings), Body: Rewrite(c.Body), Pos: c.Pos}
+		rewriteBindings(c.Bindings)
+		c.Body = Rewrite(c.Body)
 	case *Match:
-		return &Match{Subject: rewriteWord(c.Subject), Pats: rewriteWords(c.Pats), Pos: c.Pos}
+		rewriteWord(c.Subject)
+		rewriteWords(c.Pats)
 	case *MatchExtract:
-		return &MatchExtract{Subject: rewriteWord(c.Subject), Pats: rewriteWords(c.Pats), Pos: c.Pos}
+		rewriteWord(c.Subject)
+		rewriteWords(c.Pats)
 	case *Not:
-		return &Not{Body: Rewrite(c.Body), Pos: c.Pos}
+		c.Body = Rewrite(c.Body)
 	case *Pipe:
-		return rewritePipe(c)
+		// a | b | c → %pipe {a} 1 0 {b} 1 0 {c}
+		return &Simple{Words: pipeOperands([]*Word{litWordAt(c.Pos, "%pipe")}, c), Pos: c.Pos}
 	case *AndOr:
 		hook := "%and"
 		if c.Op == OROR {
 			hook = "%or"
 		}
-		// Flatten chains of the same operator into one call.
-		words := []*Word{litWordAt(c.Pos, hook)}
-		words = append(words, andOrOperands(c, c.Op)...)
-		return &Simple{Words: words, Pos: c.Pos}
+		return &Simple{Words: andOrOperands([]*Word{litWordAt(c.Pos, hook)}, c, c.Op), Pos: c.Pos}
 	case *Bg:
 		return &Simple{Words: []*Word{litWordAt(c.Pos, "%background"), thunk(c.Body)}, Pos: c.Pos}
 	case *Fn:
-		nm := rewriteWord(c.Name)
-		var name *Word
-		if lit, ok := nm.Parts[0].(*Lit); ok && !lit.Quoted {
-			rest := append([]Part{&Lit{Text: "fn-" + lit.Text}}, nm.Parts[1:]...)
-			name = &Word{Parts: rest, Pos: nm.Pos}
+		name := c.Name
+		rewriteWord(name)
+		if lit, ok := name.Parts[0].(*Lit); ok && !lit.Quoted {
+			lit.Text = "fn-" + lit.Text
 		} else {
-			name = &Word{Parts: append([]Part{&Lit{Text: "fn-"}}, nm.Parts...), Pos: nm.Pos}
+			name.Parts = append([]Part{&Lit{Text: "fn-"}}, name.Parts...)
 		}
 		if c.Lambda == nil {
 			return &Assign{Name: name, Pos: c.Pos}
 		}
-		lam := &Lambda{Params: c.Lambda.Params, HasParams: c.Lambda.HasParams, Body: rewriteBlock(c.Lambda.Body), Pos: c.Lambda.Pos}
-		w := LambdaWord(lam)
-		w.Pos = lam.Pos
+		rewriteSeq(c.Lambda.Body)
+		w := LambdaWord(c.Lambda)
+		w.Pos = c.Lambda.Pos
 		return &Assign{Name: name, Values: []*Word{w}, Pos: c.Pos}
 	}
 	return c
@@ -98,146 +99,120 @@ func litWordAt(pos Pos, text string) *Word {
 	return w
 }
 
-// andOrOperands flattens nested AndOr nodes with the same operator into a
-// thunk list.
-func andOrOperands(c Cmd, op Kind) []*Word {
+// andOrOperands appends a thunk for each operand of c to words,
+// flattening nested AndOr nodes with the same operator into one call.
+func andOrOperands(words []*Word, c Cmd, op Kind) []*Word {
 	if ao, ok := c.(*AndOr); ok && ao.Op == op {
-		return append(andOrOperands(ao.Left, op), andOrOperands(ao.Right, op)...)
+		return andOrOperands(andOrOperands(words, ao.Left, op), ao.Right, op)
 	}
-	return []*Word{thunk(c)}
+	return append(words, thunk(c))
 }
 
-// rewritePipe flattens a pipeline into a single %pipe call:
-// a | b | c → %pipe {a} 1 0 {b} 1 0 {c}.
-func rewritePipe(c Cmd) Cmd {
-	pos := CmdPos(c)
-	words := append([]*Word{litWordAt(pos, "%pipe")}, pipeOperands(c)...)
-	return &Simple{Words: words, Pos: pos}
-}
-
-func pipeOperands(c Cmd) []*Word {
-	if p, ok := c.(*Pipe); ok {
-		left := pipeOperands(p.Left)
-		left = append(left, litWordAt(p.Pos, itoa(p.LFd)), litWordAt(p.Pos, itoa(p.RFd)))
-		return append(left, pipeOperands(p.Right)...)
+// pipeOperands appends the operands of a pipeline to words: a thunk for
+// each element, and the two descriptors of each pipe between them.
+func pipeOperands(words []*Word, c Cmd) []*Word {
+	p, ok := c.(*Pipe)
+	if !ok {
+		return append(words, thunk(c))
 	}
-	return []*Word{thunk(c)}
+	words = pipeOperands(words, p.Left)
+	words = append(words, litWordAt(p.Pos, strconv.Itoa(p.LFd)), litWordAt(p.Pos, strconv.Itoa(p.RFd)))
+	return pipeOperands(words, p.Right)
 }
 
-// rewriteRedirs nests redirection hook calls around a command, first redir
-// outermost (so it is applied first).
+// redirHooks names the hook each redirection operator calls.
+var redirHooks = [...]string{
+	RedirFrom:   "%open",
+	RedirTo:     "%create",
+	RedirAppend: "%append",
+	RedirDup:    "%dup",
+	RedirClose:  "%close",
+	RedirHere:   "%here",
+}
+
+// rewriteRedirs nests redirection hook calls around a rewritten command,
+// first redir outermost (so it is applied first).
 func rewriteRedirs(body Cmd, redirs []*Redir) Cmd {
 	out := body
 	for i := len(redirs) - 1; i >= 0; i-- {
 		r := redirs[i]
-		at := func(text string) *Word { return litWordAt(r.Pos, text) }
-		var words []*Word
-		switch r.Op {
-		case RedirTo:
-			words = []*Word{at("%create"), at(itoa(r.Fd)), rewriteWord(r.Target)}
-		case RedirAppend:
-			words = []*Word{at("%append"), at(itoa(r.Fd)), rewriteWord(r.Target)}
-		case RedirFrom:
-			words = []*Word{at("%open"), at(itoa(r.Fd)), rewriteWord(r.Target)}
-		case RedirHere:
-			words = []*Word{at("%here"), at(itoa(r.Fd)), rewriteWord(r.Target)}
-		case RedirDup:
-			words = []*Word{at("%dup"), at(itoa(r.Fd)), at(itoa(r.Fd2))}
-		case RedirClose:
-			words = []*Word{at("%close"), at(itoa(r.Fd))}
+		words := make([]*Word, 2, 4)
+		words[0] = litWordAt(r.Pos, redirHooks[r.Op])
+		words[1] = litWordAt(r.Pos, strconv.Itoa(r.Fd))
+		switch {
+		case r.Op == RedirDup:
+			words = append(words, litWordAt(r.Pos, strconv.Itoa(r.Fd2)))
+		case r.Target != nil:
+			rewriteWord(r.Target)
+			words = append(words, r.Target)
 		}
-		words = append(words, thunk(out))
+		words = append(words, thunkAt(CmdPos(out), out))
 		out = &Simple{Words: words, Pos: r.Pos}
 	}
 	return out
 }
 
-// thunk wraps a (rewritten) command as a parameterless {…} fragment
-// anchored to the source command's position.
+// thunk rewrites a command and wraps it as a parameterless {…} fragment
+// anchored to the command's source position.
 func thunk(c Cmd) *Word {
-	pos := CmdPos(c)
-	w := BlockLambda(Rewrite(c))
-	w.Pos = pos
-	if lp, ok := w.Parts[0].(*LambdaPart); ok {
-		lp.Lambda.Pos = pos
-		if lp.Lambda.Body != nil && !lp.Lambda.Body.Pos.Known() {
-			lp.Lambda.Body.Pos = pos
-		}
+	return thunkAt(CmdPos(c), Rewrite(c))
+}
+
+// thunkAt wraps a rewritten command as a {…} fragment anchored at pos.
+func thunkAt(pos Pos, c Cmd) *Word {
+	body, ok := c.(*Block)
+	if !ok {
+		body = &Block{Cmds: []Cmd{c}}
 	}
+	if !body.Pos.Known() {
+		body.Pos = pos
+	}
+	w := LambdaWord(&Lambda{Body: body, Pos: pos})
+	w.Pos = pos
 	return w
 }
 
-func rewriteBlock(b *Block) *Block {
+// rewriteSeq rewrites each command of a block into its slot.
+func rewriteSeq(b *Block) {
 	if b == nil {
-		return nil
+		return
 	}
-	return Rewrite(b).(*Block)
+	for k, sub := range b.Cmds {
+		b.Cmds[k] = Rewrite(sub)
+	}
 }
 
-func rewriteBindings(bs []Binding) []Binding {
-	out := make([]Binding, len(bs))
-	for i, b := range bs {
-		out[i] = Binding{Name: rewriteWord(b.Name), Values: rewriteWords(b.Values)}
+func rewriteBindings(bs []Binding) {
+	for _, b := range bs {
+		rewriteWord(b.Name)
+		rewriteWords(b.Values)
 	}
-	return out
 }
 
-func rewriteWords(ws []*Word) []*Word {
-	out := make([]*Word, len(ws))
-	for i, w := range ws {
-		out[i] = rewriteWord(w)
+func rewriteWords(ws []*Word) {
+	for _, w := range ws {
+		rewriteWord(w)
 	}
-	return out
 }
 
-func rewriteWord(w *Word) *Word {
+// rewriteWord rewrites the command blocks nested in a word's parts.
+func rewriteWord(w *Word) {
 	if w == nil {
-		return nil
+		return
 	}
-	out := &Word{Parts: make([]Part, len(w.Parts)), Pos: w.Pos}
-	for i, part := range w.Parts {
-		out.Parts[i] = rewritePart(part)
+	for _, part := range w.Parts {
+		switch part := part.(type) {
+		case *Var:
+			rewriteWord(part.Name)
+			rewriteWords(part.Index)
+		case *CmdSub:
+			rewriteSeq(part.Body)
+		case *RetSub:
+			rewriteSeq(part.Body)
+		case *LambdaPart:
+			rewriteSeq(part.Lambda.Body)
+		case *ListPart:
+			rewriteWords(part.Words)
+		}
 	}
-	return out
-}
-
-func rewritePart(part Part) Part {
-	switch part := part.(type) {
-	case *Var:
-		v := &Var{Name: rewriteWord(part.Name), Count: part.Count, Double: part.Double, Flat: part.Flat, Pos: part.Pos}
-		v.Index = rewriteWords(part.Index)
-		return v
-	case *CmdSub:
-		return &CmdSub{Body: rewriteBlock(part.Body), Pos: part.Pos}
-	case *RetSub:
-		return &RetSub{Body: rewriteBlock(part.Body), Pos: part.Pos}
-	case *LambdaPart:
-		l := part.Lambda
-		return &LambdaPart{Lambda: &Lambda{Params: l.Params, HasParams: l.HasParams, Body: rewriteBlock(l.Body), Pos: l.Pos}}
-	case *ListPart:
-		return &ListPart{Words: rewriteWords(part.Words)}
-	}
-	return part
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

@@ -1,6 +1,12 @@
 package syntax
 
-import "testing"
+import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+)
 
 // rewriteOf parses src, rewrites it, and unparses the core form.
 func rewriteOf(t *testing.T, src string) string {
@@ -145,4 +151,186 @@ func TestRewriteEliminatesSurfaceNodes(t *testing.T) {
 		}
 	}
 	check(Rewrite(b))
+}
+
+// rewriteRecord is one program's rewritten form as
+// testdata/rewrite_golden.json keeps it: the core form's unparse, and
+// the position of every command, word, variable, primitive,
+// substitution and lambda, in walk order.
+type rewriteRecord struct {
+	Name string `json:"name"`
+	Src  string `json:"src"`
+	Core string `json:"core"`
+	Pos  string `json:"pos"`
+}
+
+// recordRewrite parses and rewrites src; ok is false when src does not
+// parse.
+func recordRewrite(name, src string) (rec rewriteRecord, ok bool) {
+	b, err := Parse(src)
+	if err != nil {
+		return rewriteRecord{}, false
+	}
+	core := Rewrite(b).(*Block)
+	return rewriteRecord{Name: name, Src: src, Core: UnparseBody(core), Pos: positions(core)}, true
+}
+
+// positions lists a tag and a line:col for each positioned node of a
+// core tree, in walk order.
+func positions(c Cmd) string {
+	var w posWalk
+	w.cmd(c)
+	return strings.TrimSuffix(w.b.String(), " ")
+}
+
+type posWalk struct{ b strings.Builder }
+
+func (w *posWalk) at(tag string, p Pos) {
+	w.b.WriteString(tag)
+	w.b.WriteString(p.String())
+	w.b.WriteByte(' ')
+}
+
+func (w *posWalk) cmd(c Cmd) {
+	switch c := c.(type) {
+	case nil:
+	case *Block:
+		w.at("B", c.Pos)
+		for _, sub := range c.Cmds {
+			w.cmd(sub)
+		}
+	case *Simple:
+		w.at("S", c.Pos)
+		w.words(c.Words)
+	case *Assign:
+		w.at("A", c.Pos)
+		w.word(c.Name)
+		w.words(c.Values)
+	case *Let:
+		w.at("let", c.Pos)
+		w.bindings(c.Bindings)
+		w.cmd(c.Body)
+	case *Local:
+		w.at("local", c.Pos)
+		w.bindings(c.Bindings)
+		w.cmd(c.Body)
+	case *For:
+		w.at("for", c.Pos)
+		w.bindings(c.Bindings)
+		w.cmd(c.Body)
+	case *Match:
+		w.at("~", c.Pos)
+		w.word(c.Subject)
+		w.words(c.Pats)
+	case *MatchExtract:
+		w.at("~~", c.Pos)
+		w.word(c.Subject)
+		w.words(c.Pats)
+	case *Not:
+		w.at("!", c.Pos)
+		w.cmd(c.Body)
+	default:
+		fmt.Fprintf(&w.b, "surface:%T ", c)
+	}
+}
+
+func (w *posWalk) bindings(bs []Binding) {
+	for _, b := range bs {
+		w.word(b.Name)
+		w.words(b.Values)
+	}
+}
+
+func (w *posWalk) words(ws []*Word) {
+	for _, x := range ws {
+		w.word(x)
+	}
+}
+
+func (w *posWalk) word(x *Word) {
+	if x == nil {
+		return
+	}
+	w.at("w", x.Pos)
+	for _, p := range x.Parts {
+		switch p := p.(type) {
+		case *Var:
+			w.at("$", p.Pos)
+			w.word(p.Name)
+			w.words(p.Index)
+		case *Prim:
+			w.at("$&", p.Pos)
+		case *CmdSub:
+			w.at("`", p.Pos)
+			w.cmd(p.Body)
+		case *RetSub:
+			w.at("<>", p.Pos)
+			w.cmd(p.Body)
+		case *LambdaPart:
+			w.at("@", p.Lambda.Pos)
+			w.cmd(p.Lambda.Body)
+		case *ListPart:
+			w.words(p.Words)
+		}
+	}
+}
+
+// The rewriter's output is pinned by data recorded from the copying
+// rewriter that preceded the in-place one: for each program, the core
+// form's unparse and every node's position.  The programs are the
+// parser's fuzz corpus and seeds, the compiler's fuzz seeds, the sources
+// of the rewrite tests, lib/*.es, testdata/selftest.es, the embedded
+// initial.es and a set of redirection, fn, pipe and substitution shapes.
+// A node the parser shared between two places would be rewritten twice
+// in place, and its entry would differ.
+func TestRewriteGolden(t *testing.T) {
+	data, err := os.ReadFile("testdata/rewrite_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden []rewriteRecord
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatalf("rewrite_golden.json: %v", err)
+	}
+	if len(golden) == 0 {
+		t.Fatal("rewrite_golden.json holds no entries")
+	}
+	for _, want := range golden {
+		got, ok := recordRewrite(want.Name, want.Src)
+		if !ok {
+			t.Errorf("%s: no longer parses", want.Name)
+			continue
+		}
+		if got.Core != want.Core {
+			t.Errorf("%s: core form\n got: %s\nwant: %s", want.Name, got.Core, want.Core)
+		}
+		if got.Pos != want.Pos {
+			t.Errorf("%s: positions\n got: %s\nwant: %s", want.Name, got.Pos, want.Pos)
+		}
+	}
+}
+
+// Rewrite lowers the tree it is given: the block it returns is the one
+// Parse made, and rewriting that block again changes nothing.
+func TestRewriteInPlace(t *testing.T) {
+	form := func(b *Block) string { return UnparseBody(b) + "\n" + positions(b) }
+	for _, src := range []string{
+		"a | b > f && c",
+		"fn f a {x | y >> z}; {a; b} > f &",
+		"echo `{a|b} <={c || d}",
+		"let (x = {a > f}) for (i = $x) ! $i | b",
+	} {
+		b, err := Parse(src)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", src, err)
+		}
+		if core := Rewrite(b); core != Cmd(b) {
+			t.Errorf("Rewrite(%q) returned a new block", src)
+			continue
+		}
+		once := form(b)
+		if again := Rewrite(b); again != Cmd(b) || form(b) != once {
+			t.Errorf("a second Rewrite of %q changed it:\n got: %s\nwant: %s", src, form(b), once)
+		}
+	}
 }

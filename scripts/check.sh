@@ -5,7 +5,9 @@
 #                     plus gofmt (any file it lists fails), go vet and the
 #                     short tests of the bench module (which go test ./...
 #                     never compiles but which imports the server, core,
-#                     compile and image APIs), esvet and escheck
+#                     compile and image APIs), esvet, escheck, and the
+#                     allocation ratchet against BENCH_allocs.json (about
+#                     30s: allocation counts do not depend on the host)
 #   tier 2 (-race):   adds go vet, the fork, spawn, isolation, pipe and
 #                     shared-unit tests ten times over under the race
 #                     detector (forks and spawned sessions share one frozen
@@ -45,6 +47,8 @@ echo "== esvet (primitive registry hygiene)"
 go run ./cmd/esvet ./internal/prim
 echo "== escheck (zero errors over lib/ and the embedded prelude)"
 go run ./cmd/escheck -prelude lib/*.es
+echo "== bench_allocs.sh -check (no allocs/op above BENCH_allocs.json)"
+sh scripts/bench_allocs.sh -check
 
 if [ "${1:-}" = "-race" ]; then
 	echo "== go vet ./..."
