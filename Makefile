@@ -14,8 +14,12 @@
 # micros of steady-state evaluation, and ScriptFamilies, which runs one
 # program per family of esbench's rpc_script workload on a warm spawned
 # session and reports its allocations per program;
-# `make bench-server` regenerates the serving baseline and
-# `make bench-check` gates against it (>25% ns/op regression fails);
+# `make bench-server` regenerates the serving baseline, and
+# `make bench-check` is the paired timing gate: it builds the parent
+# (HEAD when the tree is dirty, else HEAD~1) in a temporary git worktree,
+# runs the serving rows, Analyze, the EngineEval micros, ScriptFamilies
+# and the two esload waves on both builds in 5 alternating rounds, and
+# fails when a row's median change/parent ratio is above 1.25;
 # `make bench-allocs` records allocs/op and B/op of the bench set plus
 # Analyze, ApplyFunction, Startup* and ServerEval/sequential in
 # BENCH_allocs.json, and `make bench-allocs-check` (also part of tier 1)

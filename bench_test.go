@@ -210,13 +210,10 @@ func BenchmarkFig3ReplTurn(b *testing.B) {
 
 // ---- E4: GC ----
 
-// shellProfile derives a per-command allocation profile from a real,
-// instrumented interpreter run (the paper's observations made concrete).
-func shellProfile(b *testing.B) (gc.CommandProfile, time.Duration) {
-	b.Helper()
-	sh := benchShell(b)
-	sh.Interp().Alloc.Trace = true
-	workload := `
+// allocWorkload is the shell workload E4's allocation profile is
+// derived from: loops, lists, concatenation, a let, a substitution, a
+// match, and Figure 1's pipeline.
+const allocWorkload = `
 for (k = 1 2 3 4 5 6 7 8 9 10) {
 	x = one two three $k
 	y = $x $x
@@ -226,12 +223,28 @@ for (k = 1 2 3 4 5 6 7 8 9 10) {
 	if {~ $k 5} {marker = reached $k}
 }
 ` + wordFreqPipeline
-	start := time.Now()
-	if _, err := sh.Run(workload); err != nil {
-		b.Fatal(err)
+
+// tracedAllocs runs allocWorkload in a fresh shell with allocation
+// tracing on, and returns the counts and the wall time of the run.
+func tracedAllocs(tb testing.TB) (core.AllocStats, time.Duration) {
+	tb.Helper()
+	sh, err := New(Options{Stdout: io.Discard, Stderr: io.Discard})
+	if err != nil {
+		tb.Fatal(err)
 	}
-	wall := time.Since(start)
-	a := sh.Interp().Alloc
+	sh.Interp().Alloc.Trace = true
+	start := time.Now()
+	if _, err := sh.Run(allocWorkload); err != nil {
+		tb.Fatal(err)
+	}
+	return sh.Interp().Alloc, time.Since(start)
+}
+
+// shellProfile derives a per-command allocation profile from a real,
+// instrumented interpreter run (the paper's observations made concrete).
+func shellProfile(b *testing.B) (gc.CommandProfile, time.Duration) {
+	b.Helper()
+	a, wall := tracedAllocs(b)
 	cmds := a.Commands
 	if cmds == 0 {
 		cmds = 1
@@ -246,6 +259,18 @@ for (k = 1 2 3 4 5 6 7 8 9 10) {
 		EnvSize:  64,
 	}
 	return p, wall / time.Duration(cmds)
+}
+
+// TestAllocStatsExact pins the counts E4 replays.  They model the C
+// shell's collector traffic, so a change to how the evaluator allocates
+// in Go must leave them alone.
+func TestAllocStatsExact(t *testing.T) {
+	got, _ := tracedAllocs(t)
+	got.Trace = false
+	want := core.AllocStats{Terms: 379, Lists: 73, Closures: 26, Bindings: 31, StrBytes: 1767, Commands: 73}
+	if got != want {
+		t.Errorf("allocation counts moved:\n got: %+v\nwant: %+v", got, want)
+	}
 }
 
 // BenchmarkGCReplay measures raw collector throughput on the live-derived

@@ -19,6 +19,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -34,16 +35,22 @@ type outcome struct {
 }
 
 // runEngine evaluates src in a fresh shell, hermetically: no externals, a
-// private working directory, deterministic stand-ins for the
-// counter-reporting primitives, and a deadline so `forever {}` inputs
-// terminate.  With cold set, the process-wide caches are flushed first,
-// so src is parsed anew and its fresh tree lowered on its first run.  It reports false, with no
+// private working directory holding an empty file for each of files,
+// deterministic stand-ins for the counter-reporting primitives, and a
+// deadline so `forever {}` inputs terminate.  With cold set, the
+// process-wide caches are flushed first, so src is parsed anew and its
+// fresh tree lowered on its first run.  It reports false, with no
 // outcome, when the run is not reproducible: the deadline stopped it at
 // a timing-dependent point, or it started a background job that may
 // still be writing.
-func runEngine(t *testing.T, src string, cold bool, deadline time.Duration) (outcome, bool) {
+func runEngine(t *testing.T, src string, cold bool, deadline time.Duration, files ...string) (outcome, bool) {
 	t.Helper()
 	dir := t.TempDir()
+	for _, name := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var buf bytes.Buffer
 	sh, err := New(Options{Stdout: &buf, Stderr: &buf, Dir: dir})
 	if err != nil {
@@ -104,6 +111,36 @@ func TestDifferentialEngines(t *testing.T) {
 	}
 	for _, want := range corpus {
 		got, ok := runEngine(t, want.Src, false, 5*time.Second)
+		switch {
+		case !ok:
+			t.Errorf("%q hit the deadline or went to the background", want.Src)
+		case got != want:
+			t.Errorf("diverges from the golden outcome of %q:\n  got: %+v\n want: %+v", want.Src, got, want)
+		}
+	}
+}
+
+// wordFiles is the working directory TestWordsGolden's programs glob in.
+var wordFiles = []string{"a1.c", "a2.c", "b.h", "ab"}
+
+// TestWordsGolden pins word evaluation — concatenation, substitution,
+// quoting against globbing, dynamic match patterns, computed names and
+// the sharing of list values — to testdata/words_golden.json, recorded
+// through runEngine in a directory holding wordFiles.
+func TestWordsGolden(t *testing.T) {
+	data, err := os.ReadFile("testdata/words_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var corpus []outcome
+	if err := json.Unmarshal(data, &corpus); err != nil {
+		t.Fatalf("words_golden.json: %v", err)
+	}
+	if len(corpus) == 0 {
+		t.Fatal("words_golden.json holds no entries")
+	}
+	for _, want := range corpus {
+		got, ok := runEngine(t, want.Src, false, 5*time.Second, wordFiles...)
 		switch {
 		case !ok:
 			t.Errorf("%q hit the deadline or went to the background", want.Src)

@@ -31,6 +31,10 @@
 //     re-scans source text or re-allocates literal masks;
 //   - fully static words — no variable references, no substitutions — are
 //     folded at compile time into constant piece lists;
+//   - a dynamic word with an unquoted wildcard in a literal of its own or
+//     of a word it lists is marked WordGlob, read from the source text,
+//     so the evaluator tracks quoting for those words only and builds
+//     every other word's terms directly;
 //   - match patterns built from static words are compiled to glob
 //     patterns once, not per evaluation;
 //   - lambda and substitution bodies are lowered with the program that
@@ -179,14 +183,21 @@ type Binding struct {
 type WordKind uint8
 
 const (
-	// WordDynamic concatenates its segments, Span, at run time.
+	// WordDynamic concatenates its segments, Span, at run time, straight
+	// into terms: no literal of the word, or of a word it lists, holds an
+	// unquoted wildcard, so its value is never globbed and no quoting
+	// needs tracking.
 	WordDynamic WordKind = iota
 	// WordStatic always evaluates to its pieces, Span.
 	WordStatic
 	// WordLoneVar is the common $name word: a single plain variable
-	// segment, Span, whose value splices directly into a term list with
-	// no piece conversion at all.
+	// segment, Span, whose value splices unchanged into a term list.
 	WordLoneVar
+	// WordGlob is a dynamic word, Span into Segs, with an unquoted
+	// wildcard in a literal of its own or of a word it lists: the
+	// evaluator concatenates it as patterns, which keep the quoting of
+	// every byte, and expands the result against the directory.
+	WordGlob
 )
 
 // Word is one compiled word: segments joined pairwise by concatenation
@@ -521,7 +532,9 @@ func (c *compiler) wordValue(w *syntax.Word) Word {
 		return cw
 	}
 	kind := WordDynamic
-	if len(w.Parts) == 1 {
+	if wild(w) {
+		kind = WordGlob
+	} else if len(w.Parts) == 1 {
 		if v, ok := w.Parts[0].(*syntax.Var); ok && !v.Count && !v.Double && !v.Flat && len(v.Index) == 0 {
 			if _, ok := c.litName(v.Name); ok {
 				kind = WordLoneVar
@@ -534,6 +547,26 @@ func (c *compiler) wordValue(w *syntax.Word) Word {
 		c.segs[segs.Off+int32(k)] = s
 	}
 	return Word{Kind: kind, Span: segs, Pos: pos(w.Pos)}
+}
+
+// wild reports whether a literal of w, or of a word w lists, holds an
+// unquoted wildcard.  It reads the source text, so it builds no pattern.
+func wild(w *syntax.Word) bool {
+	for _, part := range w.Parts {
+		switch part := part.(type) {
+		case *syntax.Lit:
+			if !part.Quoted && glob.New(part.Text).HasWild() {
+				return true
+			}
+		case *syntax.ListPart:
+			for _, lw := range part.Words {
+				if wild(lw) {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // static returns the pieces a word always evaluates to, mirroring the
@@ -555,7 +588,8 @@ func (c *compiler) static(w *syntax.Word) ([]StaticPiece, bool) {
 		if !ok {
 			return nil, false
 		}
-		if acc, ok = Concat(acc, next, joinStatic); !ok {
+		mid := len(acc)
+		if acc, ok = Concat(append(acc, next...), 0, mid, joinStatic); !ok {
 			return nil, false
 		}
 	}
@@ -607,19 +641,35 @@ func (c *compiler) litName(w *syntax.Word) (string, bool) {
 }
 
 // Concat is es list concatenation, the ^ operator, over the values of
-// any word evaluation: it joins a and b pairwise when they have the same
-// length, or distributes a singleton over the other list.  It fails on an
-// empty operand and on two lengths that differ with neither of them one.
-// Compile folds static words with it, and the evaluator joins pieces.
-func Concat[T any](a, b []T, join func(x, y T) T) ([]T, bool) {
+// any word evaluation, in place: it joins l[start:mid] with the entries
+// after them and returns l[:start+n] with the n joined entries at
+// l[start:].  Lists of the same length join pairwise, and a singleton
+// distributes over the other list, so n is the longer length.  It fails
+// on an empty operand and on two lengths that differ with neither of
+// them one.  l[start:] must share its array with no other list.  This
+// is the one concatenation: compile folds static words with it, and the
+// evaluator joins terms and patterns.
+func Concat[T any](l []T, start, mid int, join func(x, y T) T) ([]T, bool) {
+	a, b := l[start:mid], l[mid:]
 	if len(a) == 0 || len(b) == 0 || (len(a) != len(b) && len(a) != 1 && len(b) != 1) {
 		return nil, false
 	}
-	out := make([]T, max(len(a), len(b)))
-	for k := range out {
-		out[k] = join(a[min(k, len(a)-1)], b[min(k, len(b)-1)])
+	n := max(len(a), len(b))
+	// A singleton is read once, before the join overwrites it; a longer
+	// operand's k'th entry is read before l[start+k] is written.
+	x, y := a[0], b[0]
+	for k := 0; k < n; k++ {
+		u, v := x, y
+		if len(a) > 1 {
+			u = a[k]
+		}
+		if len(b) > 1 {
+			v = b[k]
+		}
+		l[start+k] = join(u, v)
 	}
-	return out, true
+	clear(l[start+n:])
+	return l[:start+n], true
 }
 
 // joinStatic concatenates two static pieces, as the evaluator joins the

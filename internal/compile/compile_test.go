@@ -122,6 +122,26 @@ func TestCompileStaticWordsKeepNoSegments(t *testing.T) {
 	}
 }
 
+// A dynamic word is a glob word only when a literal of its own, or of a
+// word it lists, has an unquoted wildcard.
+func TestCompileGlobWords(t *testing.T) {
+	for src, want := range map[string]WordKind{
+		"result $x^*.c":      WordGlob,
+		"result a?$x":        WordGlob,
+		"result ($x [ab])^c": WordGlob,
+		"result $x^'*'":      WordDynamic,
+		"result $x^(a b)":    WordDynamic,
+		"result $x^$y":       WordDynamic,
+		"result <={f *}^a":   WordDynamic,
+		"result $x(*)":       WordDynamic,
+	} {
+		p, in := only(t, mustCompile(t, src))
+		if ws := p.WordsIn(in.Words); ws[1].Kind != want {
+			t.Errorf("%s: word kind %d, want %d", src, ws[1].Kind, want)
+		}
+	}
+}
+
 func TestCompileBareBlockIsGrouping(t *testing.T) {
 	if _, in := only(t, mustCompile(t, "{result a}")); in.Op != OpSeq {
 		t.Fatalf("bare block lowered to %+v, want OpSeq", in)

@@ -58,6 +58,9 @@ func FuzzCompile(f *testing.F) {
 		if err := validate(u.Prog); err != nil {
 			t.Fatalf("Compile(%q): %v", src, err)
 		}
+		if err := globKinds(u.Prog); err != nil {
+			t.Errorf("Compile(%q): %v", src, err)
+		}
 		if len(nested) != len(u.Prog.Units)-1 {
 			t.Errorf("%q: %d nested units registered, program holds %d", src, len(nested), len(u.Prog.Units)-1)
 		}
@@ -145,6 +148,46 @@ func validate(p *Program) error {
 		errs = append(errs, span("subscripts", v.Index, len(p.Words)))
 	}
 	return errors.Join(errs...)
+}
+
+// globKinds checks that a dynamic word is WordGlob exactly when one of
+// its literals, or of the words it lists, has an unquoted wildcard: the
+// evaluator tracks quoting for those words only.
+func globKinds(p *Program) error {
+	var wild func(w *Word) bool
+	wild = func(w *Word) bool {
+		if w.Kind == WordStatic {
+			for _, sp := range p.PiecesOf(w) {
+				if sp.Wild {
+					return true
+				}
+			}
+			return false
+		}
+		for _, s := range p.SegsOf(w) {
+			switch s.Kind {
+			case SegLit:
+				if p.Pieces[s.Ref].Wild {
+					return true
+				}
+			case SegList:
+				ws := p.WordsIn(Span{Off: s.Ref, Len: s.Ext})
+				for k := range ws {
+					if wild(&ws[k]) {
+						return true
+					}
+				}
+			}
+		}
+		return false
+	}
+	for k := range p.Words {
+		w := &p.Words[k]
+		if w.Kind != WordStatic && wild(w) != (w.Kind == WordGlob) {
+			return fmt.Errorf("word %d is kind %d, but its literals' wildcards say otherwise", k, w.Kind)
+		}
+	}
+	return nil
 }
 
 // parseCorpus reads the string inputs of FuzzParse's corpus, so every

@@ -211,7 +211,7 @@ func bindParams(i *Interp, cl *Closure, args List) *Binding {
 		case k == n-1 && len(args) > k:
 			v = args[k:]
 		case k < len(args):
-			v = args[k : k+1]
+			v = args[k : k+1 : k+1]
 		}
 		env = &Binding{Name: p, Value: v, Next: env}
 	}

@@ -81,15 +81,27 @@ func TestEvalBadConcat(t *testing.T) {
 // A word list is allocated once, at one term per word: with one-term $a
 // and $c, `result $a b $c` makes exactly one allocation on a warm
 // interpreter, the list itself.
+// TestWordListSizedOnce pins what evaluating words allocates: a list of
+// several words is made once, a lambda word adds only its closure, and a
+// lone $var or <={…} list is the value itself, not a copy.
 func TestWordListSizedOnce(t *testing.T) {
 	i, ctx, _ := harness(t)
-	const src = "result $a b $c"
 	eval(t, i, ctx, "a = one; c = three")
-	if got := eval(t, i, ctx, src).Flatten(" "); got != "one b three" {
-		t.Fatalf("%s = %q", src, got)
-	}
-	if n := testing.AllocsPerRun(100, func() { i.RunString(ctx, src) }); n != 1 {
-		t.Errorf("%s made %v allocations per run, want 1", src, n)
+	for _, tc := range []struct {
+		src, want string
+		allocs    float64
+	}{
+		{"result $a b $c", "one b three", 1},
+		{"result @ x {x}", "@ x {x}", 2},
+		{"x = $a; result $x", "one", 1},
+		{"x = <={result $a}; result $x", "one", 2},
+	} {
+		if got := eval(t, i, ctx, tc.src).Flatten(" "); got != tc.want {
+			t.Fatalf("%s = %q", tc.src, got)
+		}
+		if n := testing.AllocsPerRun(100, func() { i.RunString(ctx, tc.src) }); n != tc.allocs {
+			t.Errorf("%s made %v allocations per run, want %v", tc.src, n, tc.allocs)
+		}
 	}
 }
 

@@ -7,7 +7,15 @@ package core
 // tree lives.  Commands and words run here; closure application, the
 // tail-call trampoline and cancellation polls are in eval.go.  The
 // outcomes this loop must reproduce are pinned by
-// testdata/engine_golden.json at the repository root.
+// testdata/engine_golden.json and testdata/words_golden.json at the
+// repository root.
+//
+// Words evaluate straight into the term list of their command: each
+// segment appends its terms, and ^ joins them in place.  Only
+// a compile.WordGlob word — one with an unquoted wildcard in a literal —
+// is concatenated as glob patterns, which keep the quoting of every
+// byte, before it is expanded; dynamic ~ patterns are the other user of
+// that path.
 
 import (
 	"strconv"
@@ -251,7 +259,7 @@ func (i *Interp) execFor(ctx *Ctx, p *compile.Program, in *compile.Instr, env *B
 		for k := range names {
 			var v List
 			if iter < len(values[k]) {
-				v = values[k][iter : iter+1]
+				v = values[k][iter : iter+1 : iter+1]
 			}
 			i.Alloc.binding(1)
 			inner = &Binding{Name: names[k], Value: v, Next: inner}
@@ -346,56 +354,11 @@ func errAt(pos syntax.Pos, msg string) error {
 	return ErrorExc(msg)
 }
 
-// piece is an intermediate word value: either a pattern (string with
-// literal mask, pre-glob) or a non-string term (closure or primitive).
-type piece struct {
-	pat  glob.Pattern
-	term *Term
-}
-
-func strPiece(p glob.Pattern) piece { return piece{pat: p} }
-
-func (p piece) toPattern() glob.Pattern {
-	if p.term != nil {
-		return glob.NewLiteral(p.term.String())
-	}
-	return p.pat
-}
-
-// concatPieces is list concatenation over pieces (compile.Concat).  pos
-// anchors the error to the word being concatenated when the source
-// position is known.
-func concatPieces(pos syntax.Pos, a, b []piece) ([]piece, error) {
-	out, ok := compile.Concat(a, b, func(x, y piece) piece {
-		return strPiece(glob.Concat(x.toPattern(), y.toPattern()))
-	})
-	if !ok {
-		return nil, errAt(pos, "bad concatenation")
-	}
-	return out, nil
-}
-
-// termsToPieces converts substituted values — variable values, command
-// and return-value substitutions — to pieces.  Their strings are literal:
-// substitution does not re-scan for wildcards (the rc rule).
-func termsToPieces(l List) []piece {
-	out := make([]piece, len(l))
-	for k := range l {
-		t := l[k]
-		if t.Closure != nil || t.Prim != "" {
-			out[k] = piece{term: &t}
-		} else {
-			out[k] = strPiece(glob.NewLiteral(t.Str))
-		}
-	}
-	return out
-}
-
 // execWords evaluates a compiled word list to a term list, splicing list
 // values and performing filename expansion on unquoted wildcards.  A list
 // of several words starts at one term per word, so a list of one-term
 // words is allocated once; a single word appends to nil, so a lone $var
-// is copied at exactly its length.
+// or <={…} hands back the value itself (see appendValue).
 func (i *Interp) execWords(ctx *Ctx, p *compile.Program, s compile.Span, env *Binding) (List, error) {
 	i.Alloc.list()
 	ws := p.WordsIn(s)
@@ -425,8 +388,20 @@ func loneVarName(p *compile.Program, w *compile.Word) string {
 	return p.Names[p.Segs[w.Span.Off].Ref]
 }
 
-// appendWordTerms appends one word's terms to out, with the static and
-// lone-$var fast paths.
+// appendValue appends a value — a variable's, or a substitution's — to
+// out.  Onto nothing it gives the value itself, capped at its length, so
+// no term is copied and an append to the result copies instead of
+// writing into the value.  That is safe because no list is written in
+// place except by the ^ join in appendWord, which joins only after a later
+// segment was appended, and that append copied.
+func appendValue(out, value List) List {
+	if out == nil {
+		return value[:len(value):len(value)]
+	}
+	return append(out, value...)
+}
+
+// appendWordTerms appends one word's terms to out.
 func (i *Interp) appendWordTerms(ctx *Ctx, out List, p *compile.Program, w *compile.Word, env *Binding) (List, error) {
 	switch w.Kind {
 	case compile.WordStatic:
@@ -434,36 +409,178 @@ func (i *Interp) appendWordTerms(ctx *Ctx, out List, p *compile.Program, w *comp
 	case compile.WordLoneVar:
 		// $name alone in a word: the value splices in unchanged (string
 		// terms stay literal — variable values are not re-globbed — and
-		// closure/primitive terms are preserved), which is exactly what
-		// piece conversion does, minus the pieces.
+		// closure/primitive terms are preserved).
 		value := lookupVar(i, env, loneVarName(p, w))
 		i.Alloc.term(len(value))
-		return append(out, value...), nil
+		return appendValue(out, value), nil
+	case compile.WordGlob:
+		return i.appendGlobbed(ctx, out, p, w, env)
 	}
-	pieces, err := i.execWordPieces(ctx, p, w, env)
+	start := len(out)
+	out, err := i.appendWord(ctx, out, p, w, env)
 	if err != nil {
 		return nil, err
 	}
-	for _, pc := range pieces {
-		if pc.term != nil {
-			out = append(out, *pc.term)
-			i.Alloc.term(1)
-			continue
+	// E4's trace counts each resulting term, and the bytes of each
+	// resulting string, once the word is whole.
+	for _, t := range out[start:] {
+		i.Alloc.term(1)
+		if t.Closure == nil && t.Prim == "" {
+			i.Alloc.str(len(t.Str))
 		}
-		if pc.pat.HasWild() {
-			if matches := glob.Expand(pc.pat, i.dir); matches != nil {
-				for _, m := range matches {
-					out = append(out, Term{Str: m})
-					i.Alloc.term(1)
+	}
+	return out, nil
+}
+
+// appendWord appends the terms of a word with no wildcard to out: each
+// segment's terms in turn, each joined by ^ to the terms before it.
+func (i *Interp) appendWord(ctx *Ctx, out List, p *compile.Program, w *compile.Word, env *Binding) (List, error) {
+	start := len(out)
+	segs := p.SegsOf(w)
+	for k := range segs {
+		mid := len(out)
+		var err error
+		if out, err = i.appendSeg(ctx, out, p, &segs[k], env); err != nil {
+			return nil, err
+		}
+		if k > 0 {
+			var ok bool
+			if out, ok = compile.Concat(out, start, mid, joinTerms); !ok {
+				return nil, errAt(w.Pos.Syntax(), "bad concatenation")
+			}
+		}
+	}
+	return out, nil
+}
+
+// joinTerms is ^ over two terms: a closure or primitive joins by its
+// unparsed form, and the result is a string.
+func joinTerms(x, y Term) Term { return Term{Str: x.String() + y.String()} }
+
+// appendSeg appends one segment's terms to out.
+func (i *Interp) appendSeg(ctx *Ctx, out List, p *compile.Program, s *compile.Seg, env *Binding) (List, error) {
+	switch s.Kind {
+	case compile.SegLit:
+		return append(out, Term{Str: p.Pieces[s.Ref].Pat.String()}), nil
+	case compile.SegVar:
+		return i.appendVarSeg(ctx, out, p, s, env)
+	case compile.SegPrim:
+		return append(out, Term{Prim: p.Names[s.Ref]}), nil
+	case compile.SegLambda:
+		i.Alloc.closure()
+		lam := p.Lambdas[s.Ref]
+		cl := &Closure{
+			Params:    lam.Params,
+			HasParams: lam.HasParams,
+			Body:      lam.Body,
+			Env:       env,
+		}
+		return append(out, Term{Closure: cl}), nil
+	case compile.SegCmdSub:
+		i.Alloc.closure()
+		cl := &Closure{Body: p.Blocks[s.Ref], Env: env}
+		res, err := i.CallHook(ctx.NonTail(), "%backquote", List{Term{Closure: cl}})
+		if err != nil {
+			return nil, err
+		}
+		// Substituted command output is not re-globbed (rc semantics).
+		return appendValue(out, res), nil
+	case compile.SegRetSub:
+		res, err := i.EvalBlock(ctx.NonTail(), p.Blocks[s.Ref], env)
+		if err != nil {
+			return nil, err
+		}
+		return appendValue(out, res), nil
+	case compile.SegList:
+		// The listed words have no wildcard either: nothing is globbed.
+		ws := p.WordsIn(compile.Span{Off: s.Ref, Len: s.Ext})
+		for k := range ws {
+			w := &ws[k]
+			if w.Kind == compile.WordStatic {
+				static := p.PiecesOf(w)
+				for j := range static {
+					out = append(out, staticTerm(&static[j]))
 				}
 				continue
 			}
+			var err error
+			if out, err = i.appendWord(ctx, out, p, w, env); err != nil {
+				return nil, err
+			}
 		}
-		i.Alloc.term(1)
-		i.Alloc.str(len(pc.pat.String()))
-		out = append(out, Term{Str: pc.pat.String()})
+		return out, nil
+	default:
+		return nil, ErrorExc("unknown word part")
 	}
-	return out, nil
+}
+
+func (i *Interp) appendVarSeg(ctx *Ctx, out List, p *compile.Program, s *compile.Seg, env *Binding) (List, error) {
+	var ext *compile.VarExt
+	if s.Ext >= 0 {
+		ext = &p.Vars[s.Ext]
+	}
+	var name string
+	if s.Ref >= 0 {
+		name = p.Names[s.Ref]
+	} else {
+		var err error
+		name, err = i.execWordString(ctx, p, &p.Words[ext.Name], env)
+		if err != nil {
+			return nil, err
+		}
+	}
+	value := lookupVar(i, env, name)
+	if s.Double {
+		// $$x: the value of the variable(s) named by $x.
+		var indirect List
+		for _, t := range value {
+			indirect = append(indirect, lookupVar(i, env, t.String())...)
+		}
+		value = indirect
+	}
+	if s.Count {
+		return append(out, Term{Str: strconv.Itoa(len(value))}), nil
+	}
+	if ext != nil && ext.Index.Len > 0 {
+		// The selected terms go straight onto out, which the first append
+		// copies if it is a value.
+		mark := len(out)
+		ws := p.WordsIn(ext.Index)
+		for k := range ws {
+			idxs, err := i.execWordTerms(ctx, p, &ws[k], env)
+			if err != nil {
+				return nil, err
+			}
+			for _, it := range idxs {
+				n, err := strconv.Atoi(it.String())
+				if err != nil {
+					return nil, errAt(ext.Pos.Syntax(), "bad subscript: "+it.String())
+				}
+				if n >= 1 && n <= len(value) {
+					out = append(out, value[n-1])
+				}
+			}
+		}
+		if s.Flat && len(out) > mark {
+			out = append(out[:mark], Term{Str: out[mark:].Flatten(" ")})
+		}
+		return out, nil
+	}
+	if s.Flat && len(value) > 0 {
+		// $^name: the whole value as one space-joined word.
+		return append(out, Term{Str: value.Flatten(" ")}), nil
+	}
+	// Variable values are not re-globbed (the rc rule: substitution does
+	// not re-scan for metacharacters).
+	return appendValue(out, value), nil
+}
+
+// staticTerm is the term a static piece stands for, unexpanded.
+func staticTerm(sp *compile.StaticPiece) Term {
+	if sp.Prim {
+		return Term{Prim: sp.Pat.String()}
+	}
+	return Term{Str: sp.Pat.String()}
 }
 
 // appendStatic appends pre-evaluated pieces, expanding wildcards against
@@ -496,7 +613,8 @@ func (i *Interp) appendStatic(out List, static []compile.StaticPiece) List {
 
 // execPatterns evaluates a compiled word for use as a match pattern: no
 // filename expansion; quoting data is preserved so quoted wildcards stay
-// literal.
+// literal.  A word with no unquoted wildcard matches its terms literally
+// (closures by their unparsed form).
 func (i *Interp) execPatterns(ctx *Ctx, p *compile.Program, w *compile.Word, env *Binding) ([]glob.Pattern, error) {
 	switch w.Kind {
 	case compile.WordStatic:
@@ -506,181 +624,170 @@ func (i *Interp) execPatterns(ctx *Ctx, p *compile.Program, w *compile.Word, env
 			out[k] = static[k].Pattern()
 		}
 		return out, nil
-	case compile.WordLoneVar:
-		value := lookupVar(i, env, loneVarName(p, w))
-		out := make([]glob.Pattern, len(value))
-		for k := range value {
-			// Variable values match literally (closures unparse).
-			out[k] = glob.NewLiteral(value[k].String())
+	case compile.WordGlob:
+		pieces, err := i.appendWordPieces(ctx, nil, p, w, env)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]glob.Pattern, len(pieces))
+		for k, pc := range pieces {
+			out[k] = pc.toPattern()
 		}
 		return out, nil
 	}
-	pieces, err := i.execWordPieces(ctx, p, w, env)
+	terms, err := i.appendWord(ctx, nil, p, w, env)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]glob.Pattern, len(pieces))
-	for k, pc := range pieces {
-		out[k] = pc.toPattern()
+	out := make([]glob.Pattern, len(terms))
+	for k := range terms {
+		out[k] = glob.NewLiteral(terms[k].String())
 	}
 	return out, nil
 }
 
 // execWordString evaluates a compiled word that must produce exactly one
-// string (variable names, binding targets).
+// string (variable names, binding targets).  Names are never globbed.
 func (i *Interp) execWordString(ctx *Ctx, p *compile.Program, w *compile.Word, env *Binding) (string, error) {
-	if w.Kind == compile.WordStatic {
+	switch w.Kind {
+	case compile.WordStatic:
 		// A static word is a name only as one plain piece; otherwise it
 		// is a constant failure.
 		if static := p.PiecesOf(w); len(static) == 1 && !static[0].Prim {
 			return static[0].Pat.String(), nil
 		}
-		return "", errAt(w.Pos.Syntax(), "expected a single name")
+	case compile.WordGlob:
+		pieces, err := i.appendWordPieces(ctx, nil, p, w, env)
+		if err != nil {
+			return "", err
+		}
+		if len(pieces) == 1 && pieces[0].term == nil {
+			return pieces[0].pat.String(), nil
+		}
+	default:
+		terms, err := i.appendWord(ctx, nil, p, w, env)
+		if err != nil {
+			return "", err
+		}
+		if len(terms) == 1 && terms[0].Closure == nil && terms[0].Prim == "" {
+			return terms[0].Str, nil
+		}
 	}
-	pieces, err := i.execWordPieces(ctx, p, w, env)
-	if err != nil {
-		return "", err
-	}
-	if len(pieces) != 1 || pieces[0].term != nil {
-		return "", errAt(w.Pos.Syntax(), "expected a single name")
-	}
-	return pieces[0].pat.String(), nil
+	return "", errAt(w.Pos.Syntax(), "expected a single name")
 }
 
-func (i *Interp) execWordPieces(ctx *Ctx, p *compile.Program, w *compile.Word, env *Binding) ([]piece, error) {
-	if w.Kind == compile.WordStatic {
-		static := p.PiecesOf(w)
-		out := make([]piece, len(static))
-		for k := range static {
-			sp := &static[k]
-			if sp.Prim {
-				out[k] = piece{term: &Term{Prim: sp.Pat.String()}}
-			} else {
-				out[k] = strPiece(sp.Pat)
-			}
-		}
-		return out, nil
+// ---- words with unquoted wildcards ----
+
+// piece is one term of a WordGlob word as it is concatenated: a pattern
+// (string with its literal mask, pre-glob) or a non-string term (closure
+// or primitive).
+type piece struct {
+	pat  glob.Pattern
+	term *Term
+}
+
+func (p piece) toPattern() glob.Pattern {
+	if p.term != nil {
+		return glob.NewLiteral(p.term.String())
 	}
-	var acc []piece
-	segs := p.SegsOf(w)
-	for k := range segs {
-		ps, err := i.execSeg(ctx, p, &segs[k], env)
-		if err != nil {
-			return nil, err
-		}
-		if k == 0 {
-			acc = ps
+	return p.pat
+}
+
+// appendGlobbed appends the terms of a WordGlob word to out, expanding
+// each pattern with an unquoted wildcard against the directory.  A
+// pattern that matches nothing stays as its text.
+func (i *Interp) appendGlobbed(ctx *Ctx, out List, p *compile.Program, w *compile.Word, env *Binding) (List, error) {
+	pieces, err := i.appendWordPieces(ctx, nil, p, w, env)
+	if err != nil {
+		return nil, err
+	}
+	for _, pc := range pieces {
+		if pc.term != nil {
+			out = append(out, *pc.term)
+			i.Alloc.term(1)
 			continue
 		}
-		acc, err = concatPieces(w.Pos.Syntax(), acc, ps)
-		if err != nil {
-			return nil, err
+		if pc.pat.HasWild() {
+			if matches := glob.Expand(pc.pat, i.dir); matches != nil {
+				for _, m := range matches {
+					out = append(out, Term{Str: m})
+					i.Alloc.term(1)
+				}
+				continue
+			}
 		}
+		i.Alloc.term(1)
+		i.Alloc.str(len(pc.pat.String()))
+		out = append(out, Term{Str: pc.pat.String()})
 	}
-	return acc, nil
+	return out, nil
 }
 
-func (i *Interp) execSeg(ctx *Ctx, p *compile.Program, s *compile.Seg, env *Binding) ([]piece, error) {
-	switch s.Kind {
-	case compile.SegLit:
-		return []piece{strPiece(p.Pieces[s.Ref].Pat)}, nil
-	case compile.SegVar:
-		return i.execVarSeg(ctx, p, s, env)
-	case compile.SegPrim:
-		return []piece{{term: &Term{Prim: p.Names[s.Ref]}}}, nil
-	case compile.SegLambda:
-		i.Alloc.closure()
-		lam := p.Lambdas[s.Ref]
-		cl := &Closure{
-			Params:    lam.Params,
-			HasParams: lam.HasParams,
-			Body:      lam.Body,
-			Env:       env,
-		}
-		return []piece{{term: &Term{Closure: cl}}}, nil
-	case compile.SegCmdSub:
-		i.Alloc.closure()
-		cl := &Closure{Body: p.Blocks[s.Ref], Env: env}
-		res, err := i.CallHook(ctx.NonTail(), "%backquote", List{Term{Closure: cl}})
-		if err != nil {
-			return nil, err
-		}
-		// Substituted command output is not re-globbed (rc semantics).
-		return termsToPieces(res), nil
-	case compile.SegRetSub:
-		res, err := i.EvalBlock(ctx.NonTail(), p.Blocks[s.Ref], env)
-		if err != nil {
-			return nil, err
-		}
-		return termsToPieces(res), nil
-	case compile.SegList:
-		var out []piece
-		ws := p.WordsIn(compile.Span{Off: s.Ref, Len: s.Ext})
-		for k := range ws {
-			ps, err := i.execWordPieces(ctx, p, &ws[k], env)
-			if err != nil {
-				return nil, err
+// appendWordPieces appends the pieces of a word of a WordGlob word — the
+// word itself, or one it lists — to out, as appendWord appends terms.
+func (i *Interp) appendWordPieces(ctx *Ctx, out []piece, p *compile.Program, w *compile.Word, env *Binding) ([]piece, error) {
+	if w.Kind == compile.WordStatic {
+		static := p.PiecesOf(w)
+		for k := range static {
+			if sp := &static[k]; sp.Prim {
+				out = append(out, piece{term: &Term{Prim: sp.Pat.String()}})
+			} else {
+				out = append(out, piece{pat: sp.Pat})
 			}
-			out = append(out, ps...)
 		}
 		return out, nil
-	default:
-		return nil, ErrorExc("unknown word part")
 	}
-}
-
-func (i *Interp) execVarSeg(ctx *Ctx, p *compile.Program, s *compile.Seg, env *Binding) ([]piece, error) {
-	var ext *compile.VarExt
-	if s.Ext >= 0 {
-		ext = &p.Vars[s.Ext]
-	}
-	var name string
-	if s.Ref >= 0 {
-		name = p.Names[s.Ref]
-	} else {
+	start := len(out)
+	segs := p.SegsOf(w)
+	for k := range segs {
+		mid := len(out)
 		var err error
-		name, err = i.execWordString(ctx, p, &p.Words[ext.Name], env)
-		if err != nil {
+		if out, err = i.appendSegPieces(ctx, out, p, &segs[k], env); err != nil {
 			return nil, err
 		}
-	}
-	value := lookupVar(i, env, name)
-	if s.Double {
-		// $$x: the value of the variable(s) named by $x.
-		var indirect List
-		for _, t := range value {
-			indirect = append(indirect, lookupVar(i, env, t.String())...)
+		if k > 0 {
+			var ok bool
+			if out, ok = compile.Concat(out, start, mid, joinPieces); !ok {
+				return nil, errAt(w.Pos.Syntax(), "bad concatenation")
+			}
 		}
-		value = indirect
 	}
-	if s.Count {
-		return []piece{strPiece(glob.NewLiteral(strconv.Itoa(len(value))))}, nil
-	}
-	if ext != nil && ext.Index.Len > 0 {
-		var sel List
-		ws := p.WordsIn(ext.Index)
+	return out, nil
+}
+
+// joinPieces is ^ over two pieces: the patterns join with their masks.
+func joinPieces(x, y piece) piece {
+	return piece{pat: glob.Concat(x.toPattern(), y.toPattern())}
+}
+
+// appendSegPieces appends one segment's pieces to out.  Only a literal
+// keeps its quoting mask; every other segment's terms are literal
+// (substitution does not re-scan for wildcards, the rc rule), so they
+// come from the term path.
+func (i *Interp) appendSegPieces(ctx *Ctx, out []piece, p *compile.Program, s *compile.Seg, env *Binding) ([]piece, error) {
+	switch s.Kind {
+	case compile.SegLit:
+		return append(out, piece{pat: p.Pieces[s.Ref].Pat}), nil
+	case compile.SegList:
+		ws := p.WordsIn(compile.Span{Off: s.Ref, Len: s.Ext})
 		for k := range ws {
-			idxs, err := i.execWordTerms(ctx, p, &ws[k], env)
-			if err != nil {
+			var err error
+			if out, err = i.appendWordPieces(ctx, out, p, &ws[k], env); err != nil {
 				return nil, err
 			}
-			for _, it := range idxs {
-				n, err := strconv.Atoi(it.String())
-				if err != nil {
-					return nil, errAt(ext.Pos.Syntax(), "bad subscript: "+it.String())
-				}
-				if n >= 1 && n <= len(value) {
-					sel = append(sel, value[n-1])
-				}
-			}
 		}
-		value = sel
+		return out, nil
 	}
-	if s.Flat && len(value) > 0 {
-		// $^name: the whole value as one space-joined word.
-		value = List{Term{Str: value.Flatten(" ")}}
+	terms, err := i.appendSeg(ctx, nil, p, s, env)
+	if err != nil {
+		return nil, err
 	}
-	// Variable values are not re-globbed (the rc rule: substitution does
-	// not re-scan for metacharacters).
-	return termsToPieces(value), nil
+	for k := range terms {
+		if t := &terms[k]; t.Closure != nil || t.Prim != "" {
+			out = append(out, piece{term: t})
+		} else {
+			out = append(out, piece{pat: glob.NewLiteral(t.Str)})
+		}
+	}
+	return out, nil
 }

@@ -15,13 +15,48 @@ import (
 // Tables are persistent: WithFD returns a copy, so redirections scope to
 // the command they wrap, exactly like the nested %create/%open calls the
 // rewriter produces.
+//
+// A table owns the two evaluation contexts that use it, out of tail
+// position and in it, so flipping a context's tail bit, or moving it to
+// another table, allocates nothing.
 type IOTable struct {
-	m map[int]interface{}
+	m   map[int]interface{}
+	ctx [2]Ctx // out of tail position, and in it
+}
+
+func newIOTable(m map[int]interface{}) *IOTable {
+	t := &IOTable{m: m}
+	t.ctx = [2]Ctx{{IO: t}, {IO: t, Tail: true}}
+	return t
 }
 
 // NewIOTable builds a table with the standard descriptors.
 func NewIOTable(stdin io.Reader, stdout, stderr io.Writer) *IOTable {
-	return &IOTable{m: map[int]interface{}{0: stdin, 1: stdout, 2: stderr}}
+	return newIOTable(map[int]interface{}{0: stdin, 1: stdout, 2: stderr})
+}
+
+// Ctx returns the table's own context out of tail position: the context
+// a top-level evaluation on the table starts in.
+func (t *IOTable) Ctx() *Ctx { return t.context(false) }
+
+// context returns the table's own context with the given tail bit.  A
+// table that NewIOTable or WithFD did not make has none, and gets a new
+// one.  It stays out of line: NonTail is inlined into every primitive
+// that runs a thunk, and copying this body into each of them added
+// 5 KB to the binary's text.
+//
+//go:noinline
+func (t *IOTable) context(tail bool) *Ctx {
+	if t != nil {
+		c := &t.ctx[0]
+		if tail {
+			c = &t.ctx[1]
+		}
+		if c.IO == t {
+			return c
+		}
+	}
+	return &Ctx{IO: t, Tail: tail}
 }
 
 // WithFD returns a copy of the table with fd bound to stream (nil closes
@@ -36,7 +71,7 @@ func (t *IOTable) WithFD(fd int, stream interface{}) *IOTable {
 	} else {
 		m[fd] = stream
 	}
-	return &IOTable{m: m}
+	return newIOTable(m)
 }
 
 // Get returns the raw entry for fd.
@@ -161,7 +196,9 @@ type emptyReader struct{}
 func (emptyReader) Read([]byte) (int, error) { return 0, io.EOF }
 
 // Ctx carries the per-command evaluation context: the descriptor table and
-// the tail-position flag used by the trampoline.
+// the tail-position flag used by the trampoline.  A context is never
+// changed once made; the ones the methods below return belong to their
+// table (see IOTable).
 type Ctx struct {
 	IO   *IOTable
 	Tail bool
@@ -174,7 +211,7 @@ func (c *Ctx) NonTail() *Ctx {
 	if !c.Tail {
 		return c
 	}
-	return &Ctx{IO: c.IO}
+	return c.IO.context(false)
 }
 
 // InTail returns a context marked as tail position.
@@ -182,12 +219,12 @@ func (c *Ctx) InTail() *Ctx {
 	if c.Tail {
 		return c
 	}
-	return &Ctx{IO: c.IO, Tail: true}
+	return c.IO.context(true)
 }
 
 // WithIO returns a context using a different descriptor table.
 func (c *Ctx) WithIO(t *IOTable) *Ctx {
-	return &Ctx{IO: t, Tail: c.Tail}
+	return t.context(c.Tail)
 }
 
 // Stdin, Stdout and Stderr are convenience accessors.

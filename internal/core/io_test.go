@@ -127,6 +127,37 @@ func TestCtxTailTransitions(t *testing.T) {
 	}
 }
 
+// TestCtxFlipsAllocateNothing: the contexts NonTail, InTail and WithIO
+// hand out are the table's own.
+func TestCtxFlipsAllocateNothing(t *testing.T) {
+	tbl := NewIOTable(nil, io.Discard, io.Discard)
+	other := tbl.WithFD(1, &bytes.Buffer{})
+	ctx := tbl.Ctx()
+	var got *Ctx
+	for _, tc := range []struct {
+		name string
+		flip func()
+		io   *IOTable
+		tail bool
+	}{
+		{"NonTail", func() { got = ctx.InTail().NonTail() }, tbl, false},
+		{"InTail", func() { got = ctx.NonTail().InTail() }, tbl, true},
+		{"WithIO", func() { got = ctx.InTail().WithIO(other) }, other, true},
+	} {
+		if n := testing.AllocsPerRun(100, tc.flip); n != 0 {
+			t.Errorf("%s allocates %v times", tc.name, n)
+		}
+		if got.IO != tc.io || got.Tail != tc.tail {
+			t.Errorf("%s gave %+v", tc.name, got)
+		}
+	}
+	// A context built by hand still flips.
+	bare := &Ctx{IO: &IOTable{}}
+	if tail := bare.InTail(); !tail.Tail || tail.IO != bare.IO || tail.NonTail().Tail {
+		t.Error("a table without contexts does not flip")
+	}
+}
+
 func TestForkDeepCopySharing(t *testing.T) {
 	// Two closures over one binding must still share after the fork —
 	// with each other, but not with the parent's pair.

@@ -127,11 +127,16 @@ func Bool(ok bool) List {
 	return False()
 }
 
+// trueList and falseList back True and False.  No list is written in
+// place, and each result is capped at its length, so an append to one
+// copies it.
+var trueList, falseList = List{{Str: "0"}}, List{{Str: "1"}}
+
 // True is the canonical success result: the list (0).
-func True() List { return List{Term{Str: "0"}} }
+func True() List { return trueList[:1:1] }
 
 // False is the canonical failure result: the list (1).
-func False() List { return List{Term{Str: "1"}} }
+func False() List { return falseList[:1:1] }
 
 // Equal reports deep equality of two lists (closures compare by pointer).
 func (l List) Equal(m List) bool {
@@ -144,34 +149,4 @@ func (l List) Equal(m List) bool {
 		}
 	}
 	return true
-}
-
-// Concat implements es list concatenation (the ^ operator and word
-// adjacency): pairwise when lengths match, distributing when either side
-// is a singleton.
-func Concat(a, b List) (List, error) {
-	switch {
-	case len(a) == 0 || len(b) == 0:
-		return nil, ErrorExc("bad concatenation")
-	case len(a) == 1:
-		out := make(List, len(b))
-		for i, t := range b {
-			out[i] = Term{Str: a[0].String() + t.String()}
-		}
-		return out, nil
-	case len(b) == 1:
-		out := make(List, len(a))
-		for i, t := range a {
-			out[i] = Term{Str: t.String() + b[0].String()}
-		}
-		return out, nil
-	case len(a) == len(b):
-		out := make(List, len(a))
-		for i := range a {
-			out[i] = Term{Str: a[i].String() + b[i].String()}
-		}
-		return out, nil
-	default:
-		return nil, ErrorExc("bad concatenation")
-	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"es/internal/compile"
 	"es/internal/syntax"
 )
 
@@ -41,6 +42,22 @@ func TestBoolRoundTrip(t *testing.T) {
 	}
 }
 
+// concat joins a and b as the evaluator's ^ does (compile.Concat with
+// joinTerms), after a term the join must leave alone, as it does the
+// terms of earlier words.
+func concat(t *testing.T, a, b List) (List, bool) {
+	t.Helper()
+	out := append(append(StrList("before"), a...), b...)
+	joined, ok := compile.Concat(out, 1, 1+len(a), joinTerms)
+	if !ok {
+		return nil, false
+	}
+	if joined[0].Str != "before" {
+		t.Fatalf("join wrote before its start: %v", joined)
+	}
+	return joined[1:], true
+}
+
 func TestConcatSemantics(t *testing.T) {
 	tests := []struct {
 		a, b []string
@@ -56,20 +73,24 @@ func TestConcatSemantics(t *testing.T) {
 		{[]string{"a"}, nil, nil, true},
 	}
 	for _, tt := range tests {
-		got, err := Concat(StrList(tt.a...), StrList(tt.b...))
-		if (err != nil) != tt.err {
-			t.Errorf("Concat(%v,%v) err = %v", tt.a, tt.b, err)
+		got, ok := concat(t, StrList(tt.a...), StrList(tt.b...))
+		if ok == tt.err {
+			t.Errorf("concat(%v,%v) ok = %v", tt.a, tt.b, ok)
 			continue
 		}
-		if err != nil {
-			if !ExcNamed(err, "error") {
-				t.Errorf("Concat error is not an es error exception: %v", err)
-			}
-			continue
+		if ok && got.Flatten(",") != strings.Join(tt.want, ",") {
+			t.Errorf("concat(%v,%v) = %v, want %v", tt.a, tt.b, got, tt.want)
 		}
-		if got.Flatten(",") != strings.Join(tt.want, ",") {
-			t.Errorf("Concat(%v,%v) = %v, want %v", tt.a, tt.b, got, tt.want)
-		}
+	}
+	// A closure or primitive joins by its unparsed form.
+	blk, err := ParseCommand("echo hi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := Term{Closure: &Closure{Body: blk}}
+	got, ok := concat(t, List{cl, {Prim: "echo"}}, StrList("!"))
+	if !ok || got.Flatten(",") != "{echo hi}!,$&echo!" || got[0].Closure != nil {
+		t.Errorf("terms joined = %v, %v", got, ok)
 	}
 }
 
@@ -78,19 +99,35 @@ func TestConcatSemantics(t *testing.T) {
 func TestConcatLengthProperty(t *testing.T) {
 	f := func(a, b []string) bool {
 		la, lb := len(a), len(b)
-		got, err := Concat(StrList(a...), StrList(b...))
+		got, ok := concat(t, StrList(a...), StrList(b...))
 		compatible := la > 0 && lb > 0 && (la == 1 || lb == 1 || la == lb)
 		if !compatible {
-			return err != nil
+			return !ok
 		}
 		want := la
 		if lb > want {
 			want = lb
 		}
-		return err == nil && len(got) == want
+		return ok && len(got) == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTrueFalseShared: the status lists are shared, so they allocate
+// nothing, and capped, so an append to one copies it.
+func TestTrueFalseShared(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { _, _ = True(), False() }); n != 0 {
+		t.Errorf("True and False allocate %v times", n)
+	}
+	grown := append(True(), Term{Str: "more"})
+	grown[0].Str = "changed"
+	if got := True(); len(got) != 1 || got[0].Str != "0" || !got.True() {
+		t.Errorf("True() after an append to it = %v", got)
+	}
+	if got := append(False(), False()...); got.Flatten(" ") != "1 1" || len(False()) != 1 {
+		t.Errorf("False() appended to = %v", got)
 	}
 }
 

@@ -110,8 +110,7 @@ func primPipe(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, error) 
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			cctx := &core.Ctx{IO: ios[k]}
-			results[k], errs[k] = children[k].ApplyTerm(cctx, elems[k].cmd, nil)
+			results[k], errs[k] = children[k].ApplyTerm(ios[k].Ctx(), elems[k].cmd, nil)
 			// Close this element's pipe ends so neighbours see EOF.
 			if k > 0 {
 				pipes[k-1].r.Close()
@@ -210,7 +209,7 @@ func primBackground(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, e
 		return core.True(), nil
 	}
 	child, cmd, rest := i.ForkCmd(args[0], args[1:])
-	cctx := &core.Ctx{IO: ctx.IO}
+	cctx := ctx.NonTail()
 	stderr := ctx.Stderr()
 	id := i.StartJob(func() core.List {
 		res, err := child.ApplyTerm(cctx, cmd, rest)

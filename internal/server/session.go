@@ -370,7 +370,7 @@ func (s *session) eval(f *Frame) *Frame {
 	// lossy (the C shell drops output of disowned jobs on a closed
 	// terminal the same way).
 	var out, errb core.Buffer
-	ctx := &core.Ctx{IO: core.NewIOTable(strings.NewReader(""), &out, &errb)}
+	ctx := core.NewIOTable(strings.NewReader(""), &out, &errb).Ctx()
 	if deadline > 0 {
 		done := make(chan struct{})
 		timer := time.AfterFunc(deadline, func() { close(done) })

@@ -105,6 +105,7 @@ func (p *parser) parseLines(close Kind) *Block {
 // parseCommandLine parses one full command: andor chains with optional
 // trailing & for background.
 func (p *parser) parseCommandLine() Cmd {
+	start := p.pos()
 	c := p.parseAndOr()
 	for p.tok.Kind == AMP && p.err == nil {
 		ampPos := p.pos()
@@ -115,7 +116,7 @@ func (p *parser) parseCommandLine() Cmd {
 			return c
 		}
 		next := p.parseAndOr()
-		c = &Block{Cmds: []Cmd{c, next}}
+		c = &Block{Cmds: []Cmd{c, next}, Pos: start}
 	}
 	return c
 }
@@ -300,8 +301,10 @@ func (p *parser) parseSimple() Cmd {
 			r := &Redir{Op: t.Op, Fd: t.Fd, Fd2: t.Fd2, Pos: Pos{Line: t.Line, Col: t.Col}}
 			switch {
 			case t.Heredoc:
-				// A heredoc: the lexer delivered the literal body.
+				// A heredoc: the lexer delivered the literal body, which
+				// takes the position of the << token.
 				r.Target = QuotedWord(t.Text)
+				r.Target.Pos = r.Pos
 			case t.Op != RedirDup && t.Op != RedirClose:
 				r.Target = p.parseWord()
 				if r.Target == nil {

@@ -20,10 +20,10 @@
 #                     encoding/json), a binary-level server soak
 #                     (concurrent esc clients against a race-enabled esd,
 #                     asserting zero failed frames and a clean drain on
-#                     SIGTERM), and last the serving-layer bench gate
-#                     against BENCH_server.json, which runs after the soak
-#                     because a host slower than the one that recorded the
-#                     baseline fails it
+#                     SIGTERM), and last the paired timing gate
+#                     (bench_server.sh -check): the working tree against
+#                     a build of its parent on this host, in alternating
+#                     rounds, failing on a median ratio above 1.25
 #
 # Usage: scripts/check.sh [-race]
 set -eu
@@ -61,7 +61,7 @@ if [ "${1:-}" = "-race" ]; then
 	go test -run '^$' -fuzz '^FuzzFrameCodec$' -fuzztime 20s ./internal/server
 	echo "== server soak (esd -race + concurrent esc, SIGTERM drain)"
 	sh scripts/soak.sh
-	echo "== server bench gate (scripts/bench_server.sh -check)"
+	echo "== paired timing gate (scripts/bench_server.sh -check, against the parent)"
 	sh scripts/bench_server.sh -check
 fi
 echo "ok"

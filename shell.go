@@ -120,7 +120,7 @@ func New(opts Options) (*Shell, error) {
 	// $pid, as in the C implementation (used for temporary file names).
 	i.SetVarRaw("pid", core.StrList(strconv.Itoa(os.Getpid())))
 	i.SetNoExport("pid")
-	ctx := &core.Ctx{IO: core.NewIOTable(in, out, errw)}
+	ctx := core.NewIOTable(in, out, errw).Ctx()
 	if err := prim.RunInitial(i, ctx); err != nil {
 		return nil, err
 	}
