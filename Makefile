@@ -17,8 +17,10 @@
 # `make bench-server` regenerates the serving baseline, and
 # `make bench-check` is the paired timing gate: it builds the parent
 # (HEAD when the tree is dirty, else HEAD~1) in a temporary git worktree,
-# runs the serving rows, Analyze, the EngineEval micros, ScriptFamilies
-# and the two esload waves on both builds in 5 alternating rounds, and
+# runs the serving rows, Analyze, the EngineEval micros, ScriptFamilies,
+# the builtin pipelines (PipeBuiltins, PipeWordCount, Fig1PipeProfile,
+# Fig1PipeBaseline) and the two esload waves on both builds in 5
+# alternating rounds, and
 # fails when a row's median change/parent ratio is above 1.25;
 # `make bench-allocs` records allocs/op and B/op of the bench set plus
 # Analyze, ApplyFunction, Startup* and ServerEval/sequential in

@@ -76,12 +76,23 @@ func BenchmarkFig1PipeBaseline(b *testing.B) {
 
 // ---- E2: Figure 2 ----
 
+// pathRootLen is the length of the directory nativePathShell builds
+// $path under.  The length is fixed, so the paths a lookup resolves, and
+// the bytes a run allocates for them, do not follow the length of the
+// host's temporary directory or of b.TempDir's random suffix.
+const pathRootLen = 160
+
 // nativePathShell builds a shell whose $path is ndirs directories with
 // benchtool in the last one — native dispatch only, no es-level spoof.
 func nativePathShell(b *testing.B, ndirs int) *Shell {
 	b.Helper()
 	sh := benchShell(b)
-	root := b.TempDir()
+	tmp := b.TempDir()
+	pad := pathRootLen - len(tmp) - 1
+	if pad < 1 {
+		b.Fatalf("temporary directory %s is too long to pad to %d bytes: set TMPDIR to a shorter one", tmp, pathRootLen)
+	}
+	root := filepath.Join(tmp, strings.Repeat("p", pad))
 	dirs := make([]string, ndirs)
 	for k := range dirs {
 		dirs[k] = filepath.Join(root, fmt.Sprintf("bin%03d", k))

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"es/internal/core"
+	"es/internal/coreutils"
 )
 
 func closedChan() chan struct{} {
@@ -136,5 +137,72 @@ func TestSpawnDetachesSignalStateAndJobs(t *testing.T) {
 	}
 	if id, res, ok := child.WaitAny(); !ok || res.Flatten(" ") != "x" {
 		t.Errorf("child WaitAny = %d %v %v", id, res, ok)
+	}
+}
+
+// deadlineWithin runs src on a fresh interpreter whose deadline fires
+// after 50ms, waits for the jobs it started, and returns what it printed
+// and its error; it fails the test if that takes more than a second past
+// the deadline.
+func deadlineWithin(t *testing.T, src string) (*core.Buffer, error) {
+	t.Helper()
+	i, ctx, out := harness(t)
+	coreutils.Register(i)
+	done := make(chan struct{})
+	timer := time.AfterFunc(50*time.Millisecond, func() { close(done) })
+	defer timer.Stop()
+	i.SetCancel(done, "deadline")
+	defer i.ClearCancel()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := i.RunString(ctx, src)
+		// The jobs src started take their own delivery: wait for them
+		// while the token is still armed.
+		for {
+			if _, _, ok := i.WaitAny(); !ok {
+				break
+			}
+		}
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		return out, err
+	case <-time.After(time.Second + 50*time.Millisecond):
+		t.Fatalf("%s still running a second after its deadline", src)
+		return nil, nil
+	}
+}
+
+// TestCancelEndsEveryElement: each interpreter of a fork group takes its
+// own delivery of a deadline, so it ends pipelines whose elements loop
+// and jobs that loop beside their parent, and the pipeline itself ends
+// with the signal even when no command follows it.
+func TestCancelEndsEveryElement(t *testing.T) {
+	for _, src := range []string{
+		"{while {} {}} | {while {} {}}",
+		"{while {} {}} | cat",
+		"{while {} {}} & while {} {}",
+		"fork {while {} {}}",
+	} {
+		_, err := deadlineWithin(t, src)
+		wantSignal(t, err, "deadline")
+	}
+}
+
+// TestCancelHandlerPipelineRuns: the subshells a handler starts after
+// catching the deadline inherit its delivery and are not aborted again.
+func TestCancelHandlerPipelineRuns(t *testing.T) {
+	for _, src := range []string{
+		"catch @ e {echo caught $e | cat} {while {} {}}",
+		"catch @ e {echo caught $e} {x = `{while {} {}}}",
+	} {
+		out, err := deadlineWithin(t, src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if out.String() != "caught signal deadline\n" {
+			t.Errorf("%s printed %q, want %q", src, out.String(), "caught signal deadline\n")
+		}
 	}
 }

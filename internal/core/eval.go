@@ -12,7 +12,7 @@ import (
 // to interact with UNIX signals."  The pending flag is per-interpreter
 // (shared with its forks, like a process group): interrupting one embedded
 // Interp does not abort commands running in an unrelated one.
-func (i *Interp) Interrupt() { i.intr.Store(true) }
+func (i *Interp) Interrupt() { i.sig.intr.Store(true) }
 
 // ClearInterrupt drops a pending interrupt that no command boundary
 // consumed.  The REPL calls this when it returns to the prompt (%parse),
@@ -21,18 +21,28 @@ func (i *Interp) Interrupt() { i.intr.Store(true) }
 // only the interrupt line: a server-side deadline armed with SetCancel
 // stays armed — a user pressing ^C at an embedded prompt must not grant
 // a request more time.
-func (i *Interp) ClearInterrupt() { i.intr.Store(false) }
+func (i *Interp) ClearInterrupt() { i.sig.intr.Store(false) }
+
+// signals is what a fork group shares for asynchronous aborts: the
+// pending-interrupt line, and the cooperative-cancellation slot a serving
+// layer arms per request (SetCancel), which every command boundary in the
+// group polls.
+type signals struct {
+	intr   atomic.Bool
+	cancel atomic.Pointer[cancelState]
+}
 
 // cancelState is one armed cooperative cancellation: once done is closed,
-// the next command boundary anywhere in the interpreter's fork group
-// raises `signal <reason>`.  Delivery is one-shot, like a Unix signal: the
-// first boundary to observe the closed channel wins the CAS and throws;
-// a handler that catches the exception then runs normally instead of
-// being re-aborted at its own first command.
+// the next command boundary of every interpreter in the fork group
+// raises `signal <reason>`.  Delivery is one-shot per interpreter, like
+// a Unix signal to each process of a group: an interpreter records the
+// token it raised (Interp.raised), so a handler that catches the
+// exception then runs normally instead of being re-aborted at its own
+// first command, and so do the subshells it starts, which inherit the
+// record.
 type cancelState struct {
 	done   <-chan struct{}
 	reason string
-	fired  atomic.Bool
 }
 
 // SetCancel arms cooperative cancellation for this interpreter and its
@@ -43,13 +53,38 @@ type cancelState struct {
 // (`throw signal deadline`), scripts may catch it, and the interpreter
 // stays usable for the next request.  Arming replaces any previous token.
 func (i *Interp) SetCancel(done <-chan struct{}, reason string) {
-	i.cancel.Store(&cancelState{done: done, reason: reason})
+	i.sig.cancel.Store(&cancelState{done: done, reason: reason})
 }
 
 // ClearCancel disarms SetCancel.  It does not touch a latched interrupt;
 // the interrupt line and the cancel slot are independent (ClearInterrupt
 // likewise leaves the cancel token armed).
-func (i *Interp) ClearCancel() { i.cancel.Store(nil) }
+func (i *Interp) ClearCancel() { i.sig.cancel.Store(nil) }
+
+// CheckCancel raises `signal <reason>` once the token SetCancel armed has
+// fired, unless this interpreter has raised it already.  A primitive that
+// waits for subshells calls it when they end: each subshell takes its own
+// delivery, so a deadline that aborted them aborts the command that
+// waited too, even when no command boundary follows.
+func (i *Interp) CheckCancel() error {
+	if c := i.sig.cancel.Load(); c != nil && c != i.raised {
+		return i.deliver(c)
+	}
+	return nil
+}
+
+// deliver raises c's signal once c has fired, and records that this
+// interpreter has.
+func (i *Interp) deliver(c *cancelState) error {
+	select {
+	case <-c.done:
+		i.raised = c
+		i.sig.intr.Store(false)
+		return Throw(StrList("signal", c.reason))
+	default:
+		return nil
+	}
+}
 
 // checkPending is the boundary poll for asynchronous aborts, run at every
 // command boundary and every closure application (the latter so that
@@ -57,19 +92,15 @@ func (i *Interp) ClearCancel() { i.cancel.Store(nil) }
 // fired cancel token outranks a latched interrupt, and consumes it: an
 // eval that is both interrupted and past its deadline is aborting for one
 // cause and raises exactly one exception.  The common no-abort path costs
-// two atomic loads, no read-modify-write.
+// two atomic loads, no read-modify-write; its cancel check is
+// CheckCancel's, written out so that it inlines here.
 func (i *Interp) checkPending() error {
-	if c := i.cancel.Load(); c != nil && !c.fired.Load() {
-		select {
-		case <-c.done:
-			if c.fired.CompareAndSwap(false, true) {
-				i.intr.Store(false)
-				return Throw(StrList("signal", c.reason))
-			}
-		default:
+	if c := i.sig.cancel.Load(); c != nil && c != i.raised {
+		if err := i.deliver(c); err != nil {
+			return err
 		}
 	}
-	if i.intr.Load() && i.intr.CompareAndSwap(true, false) {
+	if i.sig.intr.Load() && i.sig.intr.CompareAndSwap(true, false) {
 		return Throw(StrList("signal", "sigint"))
 	}
 	return nil

@@ -105,6 +105,28 @@ func TestWordListSizedOnce(t *testing.T) {
 	}
 }
 
+// TestDynamicLiteralMatchAllocatesNothing: a pattern word with no
+// unquoted wildcard matches its terms as strings and builds no glob
+// pattern, however many terms it has.
+func TestDynamicLiteralMatchAllocatesNothing(t *testing.T) {
+	i, ctx, _ := harness(t)
+	eval(t, i, ctx, "s = abcdefgh; p = abcdefgh; q = x y abcdefgh")
+	for _, tc := range []struct {
+		src, want string
+		allocs    float64
+	}{
+		{"~ $s $p", "0", 0},
+		{"~ $s $q", "0", 0},
+	} {
+		if got := eval(t, i, ctx, tc.src).Flatten(" "); got != tc.want {
+			t.Fatalf("%s = %q", tc.src, got)
+		}
+		if n := testing.AllocsPerRun(100, func() { i.RunString(ctx, tc.src) }); n != tc.allocs {
+			t.Errorf("%s made %v allocations per run, want %v", tc.src, n, tc.allocs)
+		}
+	}
+}
+
 func TestEvalGlobbing(t *testing.T) {
 	i, ctx, _ := harness(t)
 	dir := t.TempDir()

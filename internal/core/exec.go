@@ -120,9 +120,9 @@ func (i *Interp) execInstr(ctx *Ctx, p *compile.Program, in *compile.Instr, env 
 	case compile.OpFor:
 		return i.execFor(ctx, p, in, env)
 	case compile.OpMatch:
-		return i.execMatch(ctx, p, in, env)
+		return i.execMatch(ctx, p, in, env, false)
 	case compile.OpMatchExtract:
-		return i.execMatchExtract(ctx, p, in, env)
+		return i.execMatch(ctx, p, in, env, true)
 	case compile.OpNot:
 		res, err := i.execBody(ctx.NonTail(), p, in, env)
 		if err != nil {
@@ -279,66 +279,116 @@ func (i *Interp) execFor(ctx *Ctx, p *compile.Program, in *compile.Instr, env *B
 	return result, nil
 }
 
-func (i *Interp) execMatch(ctx *Ctx, p *compile.Program, in *compile.Instr, env *Binding) (List, error) {
+// matcher finds the first subject a match's patterns match and, for ~~,
+// the captures of the first pattern that matches it.  Patterns are tried
+// in order, each only on the subjects before the best match so far, so
+// no pattern list is built.
+type matcher struct {
+	subj    List
+	extract bool     // ~~: keep the captures
+	pats    int      // patterns tried
+	first   int      // the first subject matched; len(subj) if none
+	caps    []string // the captures of the match at first
+}
+
+// literal tries a pattern that matches its text literally: a term of a
+// word with no unquoted wildcard, closures by their unparsed form.  A
+// literal match captures nothing.
+func (m *matcher) literal(t *Term) {
+	m.pats++
+	s := t.String()
+	for k := range m.subj[:m.first] {
+		if m.subj[k].String() == s {
+			m.first, m.caps = k, nil
+			return
+		}
+	}
+}
+
+// glob tries a glob pattern.
+func (m *matcher) glob(pat glob.Pattern) {
+	m.pats++
+	for k := range m.subj[:m.first] {
+		if !m.extract {
+			if pat.Match(m.subj[k].String()) {
+				m.first = k
+				return
+			}
+		} else if caps, ok := pat.MatchCapture(m.subj[k].String()); ok {
+			m.first, m.caps = k, caps
+			return
+		}
+	}
+}
+
+// execMatch runs ~, or ~~ when extract is set: it evaluates the subject
+// and then the patterns, the static patterns compile built or the
+// pattern words, and tries each pattern.  Every pattern word is
+// evaluated before the match is known, as each may run a command.
+func (i *Interp) execMatch(ctx *Ctx, p *compile.Program, in *compile.Instr, env *Binding, extract bool) (List, error) {
 	subj, err := i.execWordTerms(ctx, p, &p.Words[in.Word], env)
 	if err != nil {
 		return nil, err
 	}
-	pats, err := i.execPats(ctx, p, in, env)
-	if err != nil {
-		return nil, err
+	m := matcher{subj: subj, extract: extract, first: len(subj)}
+	if in.Pats.Set() {
+		for _, pat := range p.PatsIn(in.Pats) {
+			m.glob(pat)
+		}
+	} else {
+		ws := p.WordsIn(in.Words)
+		for k := range ws {
+			if err := i.matchWord(ctx, &m, p, &ws[k], env); err != nil {
+				return nil, err
+			}
+		}
 	}
-	// With no patterns, match succeeds only for an empty subject.
-	if len(pats) == 0 {
+	switch {
+	case extract && m.first < len(subj):
+		return StrList(m.caps...), nil
+	case extract:
+		return False(), nil
+	case m.pats == 0:
+		// With no patterns, match succeeds only for an empty subject.
 		return Bool(len(subj) == 0), nil
 	}
-	for _, s := range subj {
-		str := s.String()
-		for _, pat := range pats {
-			if pat.Match(str) {
-				return True(), nil
-			}
-		}
-	}
-	return False(), nil
+	return Bool(m.first < len(subj)), nil
 }
 
-func (i *Interp) execMatchExtract(ctx *Ctx, p *compile.Program, in *compile.Instr, env *Binding) (List, error) {
-	subj, err := i.execWordTerms(ctx, p, &p.Words[in.Word], env)
-	if err != nil {
-		return nil, err
-	}
-	pats, err := i.execPats(ctx, p, in, env)
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range subj {
-		str := s.String()
-		for _, pat := range pats {
-			if caps, ok := pat.MatchCapture(str); ok {
-				return StrList(caps...), nil
-			}
+// matchWord evaluates a compiled word as match patterns, with no
+// filename expansion, and tries them.  Only a WordGlob word makes glob
+// patterns, which keep quoting so quoted wildcards stay literal; the
+// terms of any other dynamic word match literally.
+func (i *Interp) matchWord(ctx *Ctx, m *matcher, p *compile.Program, w *compile.Word, env *Binding) error {
+	switch w.Kind {
+	case compile.WordStatic:
+		static := p.PiecesOf(w)
+		for k := range static {
+			m.glob(static[k].Pattern())
 		}
-	}
-	return False(), nil
-}
-
-// execPats evaluates the patterns of a match: the static patterns
-// compile built, or the pattern words.
-func (i *Interp) execPats(ctx *Ctx, p *compile.Program, in *compile.Instr, env *Binding) ([]glob.Pattern, error) {
-	if in.Pats.Set() {
-		return p.PatsIn(in.Pats), nil
-	}
-	var pats []glob.Pattern
-	ws := p.WordsIn(in.Words)
-	for k := range ws {
-		ps, err := i.execPatterns(ctx, p, &ws[k], env)
+		return nil
+	case compile.WordGlob:
+		pieces, err := i.appendWordPieces(ctx, nil, p, w, env)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		pats = append(pats, ps...)
+		for _, pc := range pieces {
+			if pc.term != nil {
+				m.literal(pc.term)
+			} else {
+				m.glob(pc.pat)
+			}
+		}
+		return nil
 	}
-	return pats, nil
+	terms, err := i.appendWord(ctx, nil, p, w, env)
+	if err != nil {
+		return err
+	}
+	for k := range terms {
+		m.literal(&terms[k])
+	}
+	return nil
 }
 
 // ---- word evaluation ----
@@ -609,41 +659,6 @@ func (i *Interp) appendStatic(out List, static []compile.StaticPiece) List {
 		}
 	}
 	return out
-}
-
-// execPatterns evaluates a compiled word for use as a match pattern: no
-// filename expansion; quoting data is preserved so quoted wildcards stay
-// literal.  A word with no unquoted wildcard matches its terms literally
-// (closures by their unparsed form).
-func (i *Interp) execPatterns(ctx *Ctx, p *compile.Program, w *compile.Word, env *Binding) ([]glob.Pattern, error) {
-	switch w.Kind {
-	case compile.WordStatic:
-		static := p.PiecesOf(w)
-		out := make([]glob.Pattern, len(static))
-		for k := range static {
-			out[k] = static[k].Pattern()
-		}
-		return out, nil
-	case compile.WordGlob:
-		pieces, err := i.appendWordPieces(ctx, nil, p, w, env)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]glob.Pattern, len(pieces))
-		for k, pc := range pieces {
-			out[k] = pc.toPattern()
-		}
-		return out, nil
-	}
-	terms, err := i.appendWord(ctx, nil, p, w, env)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]glob.Pattern, len(terms))
-	for k := range terms {
-		out[k] = glob.NewLiteral(terms[k].String())
-	}
-	return out, nil
 }
 
 // execWordString evaluates a compiled word that must produce exactly one

@@ -4,7 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 
 	"es/internal/cache"
 	"es/internal/glob"
@@ -75,15 +74,14 @@ type Interp struct {
 	// see CacheStats.
 	pathCache *cache.Map[string]
 
-	// intr is the pending-interrupt line, shared with forks (a subshell
-	// belongs to the same "process group" as its parent) but private to
-	// each independently created interpreter.
-	intr *atomic.Bool
+	// sig holds the interrupt line and the cancel slot, shared with forks
+	// (a subshell belongs to the same "process group" as its parent) but
+	// private to each independently created interpreter.
+	sig *signals
 
-	// cancel is the cooperative-cancellation slot, shared with forks the
-	// same way the interrupt line is: a serving layer arms it per request
-	// (SetCancel) and every command boundary in the group polls it.
-	cancel *atomic.Pointer[cancelState]
+	// raised is the cancel token this interpreter has raised.  A plain
+	// field: an interpreter runs on one goroutine.
+	raised *cancelState
 
 	// Depth guards runaway recursion when TCO is off.
 	depth    int
@@ -174,8 +172,7 @@ func New() *Interp {
 		builtins: make(map[string]BuiltinFunc),
 		dir:      dir,
 		jobs:     &jobTable{jobs: make(map[int]*job)},
-		intr:     new(atomic.Bool),
-		cancel:   new(atomic.Pointer[cancelState]),
+		sig:      new(signals),
 		maxDepth: 10000,
 	}
 }
@@ -267,8 +264,10 @@ func (i *Interp) ForkCmd(cmd Term, args List) (*Interp, Term, List) {
 		// interrupts its subshells too, like a Unix process group.  So is
 		// the cancel slot: a request deadline aborts the subshells and
 		// background jobs the request spawned, not just its main line.
-		intr:   i.intr,
-		cancel: i.cancel,
+		// A subshell started after the parent raised the token (from the
+		// handler that caught it) is not aborted by it again.
+		sig:    i.sig,
+		raised: i.raised,
 	}
 	var memo forkMemo
 	if len(i.base.captured) > 0 {
@@ -297,8 +296,7 @@ func (i *Interp) ForkCmd(cmd Term, args List) (*Interp, Term, List) {
 // defines.
 func (i *Interp) Spawn() *Interp {
 	child := i.Fork()
-	child.intr = new(atomic.Bool)
-	child.cancel = new(atomic.Pointer[cancelState])
+	child.sig = new(signals)
 	child.jobs = &jobTable{jobs: make(map[int]*job)}
 	return child
 }

@@ -59,17 +59,32 @@ func (t *IOTable) context(tail bool) *Ctx {
 	return &Ctx{IO: t, Tail: tail}
 }
 
+// Redir binds descriptor Fd to Stream, for WithFDs; a nil Stream closes
+// the descriptor.
+type Redir struct {
+	Fd     int
+	Stream interface{}
+}
+
 // WithFD returns a copy of the table with fd bound to stream (nil closes
 // the descriptor).
 func (t *IOTable) WithFD(fd int, stream interface{}) *IOTable {
-	m := make(map[int]interface{}, len(t.m)+1)
+	return t.WithFDs(Redir{fd, stream})
+}
+
+// WithFDs returns one copy of the table with each redirection applied in
+// turn, so a pipeline element bound at both ends costs one table.
+func (t *IOTable) WithFDs(rs ...Redir) *IOTable {
+	m := make(map[int]interface{}, len(t.m)+len(rs))
 	for k, v := range t.m {
 		m[k] = v
 	}
-	if stream == nil {
-		delete(m, fd)
-	} else {
-		m[fd] = stream
+	for _, r := range rs {
+		if r.Stream == nil {
+			delete(m, r.Fd)
+		} else {
+			m[r.Fd] = r.Stream
+		}
 	}
 	return newIOTable(m)
 }

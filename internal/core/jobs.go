@@ -10,18 +10,18 @@ import (
 	"sort"
 )
 
-// StartJob runs fn in a new goroutine and returns the job id (the es
-// analogue of the child pid printed by &).
+// StartJob runs fn on a subshell runner (see Go) and returns the job id
+// (the es analogue of the child pid printed by &).
 func (i *Interp) StartJob(fn func() List) int {
 	i.jobs.mu.Lock()
 	i.jobs.next++
 	j := &job{id: i.jobs.next, done: make(chan struct{})}
 	i.jobs.jobs[j.id] = j
 	i.jobs.mu.Unlock()
-	go func() {
+	Go(func() {
 		j.res = fn()
 		close(j.done)
-	}()
+	})
 	return j.id
 }
 

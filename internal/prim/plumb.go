@@ -48,24 +48,29 @@ func primHere(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, error) 
 
 // primPipe runs a flattened pipeline: cmd (outfd infd cmd)...  Every
 // element runs in its own forked interpreter (the in-process analogue of
-// the per-element fork in the C implementation), connected with
-// in-process pipes (core.NewPipe) that become real pipes only when an
-// external process needs a descriptor, so externals and shell functions
-// mix freely and a pipeline of builtins holds no descriptor.  The result
-// is the final element's result.  All elements are forked before any
-// starts: Fork may fold the parent's variables, which must not race with
-// a running sibling's fork.
+// the per-element fork in the C implementation) on a subshell runner
+// (core.Go), connected with in-process pipes (core.NewPipe) that become
+// real pipes only when an external process needs a descriptor, so
+// externals and shell functions mix freely and a pipeline of builtins
+// holds no descriptor.  The result is the final element's result.  All
+// elements are forked before any starts: Fork may fold the parent's
+// variables, which must not race with a running sibling's fork.
 func primPipe(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, error) {
 	if len(args) == 0 {
 		return core.True(), nil
 	}
 	type elem struct {
 		cmd   core.Term
-		outFd int // descriptor this element writes into the next pipe
-		inFd  int // descriptor the NEXT element reads the pipe from
+		outFd int              // descriptor this element writes the next pipe on
+		inFd  int              // descriptor this element reads its pipe on
+		r     *core.PipeReader // the pipe this element reads; nil for the first
+		w     *core.PipeWriter // the pipe this element writes; nil for the last
+		child *core.Interp
+		res   core.List
+		err   error
 	}
-	var elems []elem
-	elems = append(elems, elem{cmd: args[0]})
+	elems := make([]elem, 1, 1+len(args)/3)
+	elems[0].cmd = args[0]
 	for k := 1; k < len(args); k += 3 {
 		if k+2 > len(args)-1 {
 			return nil, core.ErrorExc("%pipe: malformed pipeline")
@@ -82,55 +87,54 @@ func primPipe(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, error) 
 		return run(i, ctx.NonTail(), elems[0].cmd, nil)
 	}
 
-	// Wire n-1 pipes between n elements.
-	ios := make([]*core.IOTable, len(elems))
-	for k := range ios {
-		ios[k] = ctx.IO
+	// Wire n-1 pipes between n elements, and fork every element.
+	for k := 1; k < len(elems); k++ {
+		elems[k].r, elems[k-1].w = core.NewPipe()
 	}
-	type pipeEnds struct {
-		r *core.PipeReader
-		w *core.PipeWriter
-	}
-	pipes := make([]pipeEnds, len(elems)-1)
-	for k := 0; k < len(elems)-1; k++ {
-		pr, pw := core.NewPipe()
-		pipes[k] = pipeEnds{pr, pw}
-		ios[k] = ios[k].WithFD(elems[k].outFd, pw)
-		ios[k+1] = ios[k+1].WithFD(elems[k+1].inFd, pr)
-	}
-
-	children := make([]*core.Interp, len(elems))
 	for k := range elems {
-		children[k], elems[k].cmd, _ = i.ForkCmd(elems[k].cmd, nil)
+		elems[k].child, elems[k].cmd, _ = i.ForkCmd(elems[k].cmd, nil)
 	}
 	var wg sync.WaitGroup
-	results := make([]core.List, len(elems))
-	errs := make([]error, len(elems))
+	wg.Add(len(elems))
 	for k := range elems {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			results[k], errs[k] = children[k].ApplyTerm(ios[k].Ctx(), elems[k].cmd, nil)
+		e := &elems[k]
+		core.Go(func() {
+			// One copy of the caller's table per element, bound to its
+			// input, then its output.
+			var rs [2]core.Redir
+			fds := rs[:0]
+			if e.r != nil {
+				fds = append(fds, core.Redir{Fd: e.inFd, Stream: e.r})
+			}
+			if e.w != nil {
+				fds = append(fds, core.Redir{Fd: e.outFd, Stream: e.w})
+			}
+			e.res, e.err = e.child.ApplyTerm(ctx.IO.WithFDs(fds...).Ctx(), e.cmd, nil)
 			// Close this element's pipe ends so neighbours see EOF.
-			if k > 0 {
-				pipes[k-1].r.Close()
+			if e.r != nil {
+				e.r.Close()
 			}
-			if k < len(pipes) {
-				pipes[k].w.Close()
+			if e.w != nil {
+				e.w.Close()
 			}
-		}(k)
+			wg.Done()
+		})
 	}
 	wg.Wait()
 
 	// Exceptions from pipeline elements cannot propagate out of their
 	// subshell: report them and fail, as the paper laments.  An exit
 	// becomes the element's status, silently.
-	for k, err := range errs {
-		if err != nil {
-			results[k] = subshellResult(ctx, err, "in pipeline")
+	for k := range elems {
+		if err := elems[k].err; err != nil {
+			elems[k].res = subshellResult(ctx, err, "in pipeline")
 		}
 	}
-	return results[len(results)-1], nil
+	// A deadline that ended the elements ends the pipeline too.
+	if err := i.CheckCancel(); err != nil {
+		return nil, err
+	}
+	return elems[len(elems)-1].res, nil
 }
 
 func openRedir(i *core.Interp, ctx *core.Ctx, args core.List, flag int, what string) (core.List, error) {
@@ -234,7 +238,10 @@ func primFork(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, error) 
 	child, cmd, rest := i.ForkCmd(args[0], args[1:])
 	res, err := child.ApplyTerm(ctx.NonTail(), cmd, rest)
 	if err != nil {
-		return subshellResult(ctx, err, "in subshell"), nil
+		res = subshellResult(ctx, err, "in subshell")
+	}
+	if err := i.CheckCancel(); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -278,6 +285,9 @@ func primBackquote(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, er
 	cctx := ctx.NonTail().WithIO(ctx.IO.WithFD(1, &buf))
 	_, err := child.ApplyTerm(cctx, cmd, rest)
 	buf.Close()
+	if err := i.CheckCancel(); err != nil {
+		return nil, err
+	}
 	if err != nil {
 		if core.AsException(err) != nil {
 			return nil, err

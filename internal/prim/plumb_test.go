@@ -4,12 +4,15 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+	"weak"
 
 	"es/internal/core"
 	"es/internal/coreutils"
@@ -214,4 +217,86 @@ func TestPipeDescriptorsReturnToBaseline(t *testing.T) {
 	if n := openFDs(t); n > baseline {
 		t.Errorf("%d descriptors open after 100 pipelines, %d before", n, baseline)
 	}
+}
+
+// runWithin runs src and fails the test if it has not returned within d,
+// so a pipeline that deadlocks on too few runners fails instead of
+// hanging the package.
+func runWithin(t *testing.T, i *core.Interp, ctx *core.Ctx, src string, d time.Duration) {
+	t.Helper()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := i.RunString(ctx, src)
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("RunString(%q): %v", src, err)
+		}
+	case <-time.After(d):
+		t.Fatalf("%s did not finish within %v", src, d)
+	}
+}
+
+// Every element of a pipeline runs at once, however many there are: a
+// fixed set of runners would deadlock on 65 elements that wait on each
+// other, and on pipelines whose elements are pipelines.
+func TestPipeRunnersUnbounded(t *testing.T) {
+	i, ctx, out, _ := newPipeInterp(t)
+	long := "echo x" + strings.Repeat(" | cat", 64)
+	for _, tt := range []struct{ src, want string }{
+		{long, "x\n"},
+		{"{echo a | cat; echo b} | {cat | tr a-z A-Z} | {cat | cat}", "A\nB\n"},
+		{"{" + long + "} | {" + long + "}", "x\n"},
+	} {
+		out.Reset()
+		runWithin(t, i, ctx, tt.src, 10*time.Second)
+		if out.String() != tt.want {
+			t.Errorf("%.40s... printed %q, want %q", tt.src, out.String(), tt.want)
+		}
+	}
+}
+
+// A background job blocked on a read holds its runner; a pipeline run
+// meanwhile still gets runners of its own.
+func TestPipeRunsBesideBlockedJob(t *testing.T) {
+	i, _, _, _ := newPipeInterp(t)
+	in, feed := io.Pipe()
+	var out core.Buffer
+	ctx := core.NewIOTable(in, &out, &out).Ctx()
+	mustRun(t, i, ctx, "cat &")
+	runWithin(t, i, ctx, "echo y | cat", 10*time.Second)
+	if out.String() != "y\n" {
+		t.Errorf("pipeline beside a blocked job printed %q, want %q", out.String(), "y\n")
+	}
+	io.WriteString(feed, "job\n")
+	feed.Close()
+	mustRun(t, i, ctx, "wait")
+	if out.String() != "y\njob\n" {
+		t.Errorf("after the job: %q, want %q", out.String(), "y\njob\n")
+	}
+}
+
+// A parked runner keeps nothing of the pipeline it ran: once the call
+// ends, the output buffer only the call held is garbage.
+func TestPipeRunnersComeBackClean(t *testing.T) {
+	i, _, _, _ := newPipeInterp(t)
+	wp := pipeIntoBuffer(t, i)
+	runtime.GC()
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Fatal("the output buffer of a finished pipeline is still reachable")
+	}
+}
+
+//go:noinline
+func pipeIntoBuffer(t *testing.T, i *core.Interp) weak.Pointer[core.Buffer] {
+	buf := new(core.Buffer)
+	ctx := core.NewIOTable(strings.NewReader(""), buf, buf).Ctx()
+	mustRun(t, i, ctx, "echo x | cat")
+	if buf.String() != "x\n" {
+		t.Fatalf("echo x | cat printed %q", buf.String())
+	}
+	return weak.Make(buf)
 }

@@ -148,6 +148,33 @@ func TestDeadline(t *testing.T) {
 	}
 }
 
+// TestDeadlineEndsPipeline: a deadline ends a pipeline whose elements
+// both loop, with the signal deadline error frame, and leaves no
+// subshell runner busy.
+func TestDeadlineEndsPipeline(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	c := dial(t, srv.cfg.Socket)
+	start := time.Now()
+	f := c.eval(t, "{while {} {echo y}} | {while {} {cat}}", 50)
+	if f.Type != "error" || strings.Join(f.Exception, " ") != "signal deadline" {
+		t.Fatalf("deadline reply = %+v", f)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("deadline frame took %v, want < 1s", elapsed)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		busy, _ := core.Runners()
+		if busy == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d subshell runners still busy after the deadline", busy)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestDeadlineCatchableInScript(t *testing.T) {
 	srv := newTestServer(t, Config{})
 	c := dial(t, srv.cfg.Socket)
@@ -441,7 +468,7 @@ func TestDrainLeavesNoGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := runtime.NumGoroutine()
+	before := goroutines()
 	srv, err := New(Config{
 		Socket:     filepath.Join(dir, "esd.sock"),
 		TCP:        "127.0.0.1:0",
@@ -463,6 +490,9 @@ func TestDrainLeavesNoGoroutines(t *testing.T) {
 	serial := dial(t, srv.cfg.Socket)
 	if f := serial.eval(t, "result serial", 0); f.Type != "result" {
 		t.Fatalf("serial eval = %+v", f)
+	}
+	if f := serial.eval(t, "echo serial | cat | cat", 0); f.Type != "result" || f.Stdout != "serial\n" {
+		t.Fatalf("pipeline eval = %+v", f)
 	}
 	piped := dial(t, "tcp://"+srv.TCPAddr())
 	if f := piped.hello(t, "", 4); f.Type != "hello" {
@@ -498,14 +528,21 @@ func TestDrainLeavesNoGoroutines(t *testing.T) {
 		t.Fatalf("Serve: %v", err)
 	}
 	deadline = time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before {
+	for goroutines() > before {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines after Drain, %d before New:\n%s",
-				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+			t.Fatalf("%d goroutines after Drain, %d before New, not counting parked subshell runners:\n%s",
+				goroutines(), before, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// goroutines counts the live goroutines less the parked subshell
+// runners, which are no session's and exit on their own once idle.
+func goroutines() int {
+	_, idle := core.Runners()
+	return runtime.NumGoroutine() - idle
 }
 
 func TestUnknownFrameType(t *testing.T) {

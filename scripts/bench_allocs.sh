@@ -16,9 +16,10 @@
 #
 # Regenerating keeps each row's tolerance from the existing file; a new
 # row gets 2%.  A wider tolerance is set by hand in the file, for a row
-# whose B/op ten -check runs showed moving by more than 2%: the
-# NativePathByLength cached rows at dirs=8 and dirs=32 read 1,288 or
-# 1,320 B/op from run to run (2.5%), so they have 3%.
+# whose B/op ten -check runs showed moving by more than 2%; no row has
+# one.  The path-search rows build $path under a directory of fixed
+# length (pathRootLen in bench_test.go), so their B/op no longer follows
+# the host's temporary directory.
 set -eu
 cd "$(dirname "$0")/.."
 

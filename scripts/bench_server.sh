@@ -5,8 +5,10 @@
 # every connection pays on its own goroutine, the pre-baked-from-image
 # spawn path next to the restore-per-session cost it avoids, the
 # static-analysis pass that esd -vet puts on the admission path, the
-# EngineEval micros and ScriptFamilies, and two esload waves against a
-# live daemon binary: unix serial and TCP pipelined).
+# EngineEval micros and ScriptFamilies, the builtin pipelines
+# (PipeBuiltins, PipeWordCount, Fig1PipeProfile, Fig1PipeBaseline), and
+# two esload waves against a live daemon binary: unix serial and TCP
+# pipelined).
 #
 # Usage: scripts/bench_server.sh [benchtime]   regenerate BENCH_server.json
 #        scripts/bench_server.sh -check [rev]  paired gate against rev
@@ -27,7 +29,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-benches='ServerEval|ServerSession|Analyze|EngineEval|ScriptFamilies'
+benches='ServerEval|ServerSession|Analyze|EngineEval|ScriptFamilies|Pipe'
 
 tmp=$(mktemp -d)
 espid=""
