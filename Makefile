@@ -6,7 +6,8 @@
 # the serving bench gate; `make bench` runs, with -benchmem, the dispatch-cache
 # benchmarks that guard the native cache speedups, the builtin
 # pipelines whose allocations the coreutils buffer pools cut and whose
-# stages the in-memory pipe joins without descriptors, the fork and
+# stages the in-memory pipe joins without descriptors (Fig1PipeCorpus
+# runs Figure 1 over a shell_exec-sized corpus), the fork and
 # spawn benchmarks of the copy-on-write variable table (SpawnResident
 # reports heap bytes per live session), CompileProgram, which lowers
 # higher-order programs into flat units and reports their allocations
@@ -19,8 +20,8 @@
 # (HEAD when the tree is dirty, else HEAD~1) in a temporary git worktree,
 # runs the serving rows, Analyze, the EngineEval micros, ScriptFamilies,
 # the builtin pipelines (PipeBuiltins, PipeWordCount, Fig1PipeProfile,
-# Fig1PipeBaseline) and the two esload waves on both builds in 5
-# alternating rounds, and
+# Fig1PipeBaseline, Fig1PipeCorpus), the Startup rows and the two esload
+# waves on both builds in 5 alternating rounds, and
 # fails when a row's median change/parent ratio is above 1.25;
 # `make bench-allocs` records allocs/op and B/op of the bench set plus
 # Analyze, ApplyFunction, Startup* and ServerEval/sequential in
@@ -43,7 +44,7 @@ soak:
 	sh scripts/soak.sh
 
 bench:
-	go test -run=NONE -bench='NativePath|ParseCold|GlobMatch|EnvDecode|AllocUnderLiveRoots|Fig1PipeBaseline|PipeWordCount|PipeBuiltins|ForkClone|ServerSessionSpawn|SpawnResident|CompileProgram|EngineEval|ScriptFamilies' -benchmem -benchtime=200ms . ./internal/gc ./internal/glob ./internal/compile
+	go test -run=NONE -bench='NativePath|ParseCold|GlobMatch|EnvDecode|AllocUnderLiveRoots|Fig1PipeBaseline|Fig1PipeCorpus|PipeWordCount|PipeBuiltins|ForkClone|ServerSessionSpawn|SpawnResident|CompileProgram|EngineEval|ScriptFamilies' -benchmem -benchtime=200ms . ./internal/gc ./internal/glob ./internal/compile
 
 bench-server:
 	sh scripts/bench_server.sh

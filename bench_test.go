@@ -19,6 +19,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -71,6 +72,69 @@ func BenchmarkFig1PipeBaseline(b *testing.B) {
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		benchRun(b, sh, wordFreqPipeline)
+	}
+}
+
+// fig1Corpus is text in the shape of the corpus esbench's shell_exec
+// workload pipes through Figure 1: 1,720 six-letter words over a
+// 300-word vocabulary, seven of them frequent, shuffled and punctuated
+// (about 13.7 KB), drawn from a fixed seed.  testdata/paper.txt, at
+// 1,406 bytes, is too small to show how sort's cost grows with its input.
+func fig1Corpus() string {
+	r := rand.New(rand.NewPCG(1993, 1))
+	const letters = "bcdfghjkmnpqrstvwxz"
+	const alnum = letters + "0123456789"
+	seen := make(map[string]bool)
+	var vocab []string
+	for len(vocab) < 300 {
+		w := []byte{letters[r.IntN(len(letters))], 0, 0, 0, 0, 0}
+		for k := 1; k < len(w); k++ {
+			w[k] = alnum[r.IntN(len(alnum))]
+		}
+		if !seen[string(w)] {
+			seen[string(w)] = true
+			vocab = append(vocab, string(w))
+		}
+	}
+	var words []string
+	for k, w := range vocab {
+		n := 1 + k%8
+		if k < 7 {
+			n = 70 - 4*k
+		}
+		for ; n > 0; n-- {
+			words = append(words, w)
+		}
+	}
+	r.Shuffle(len(words), func(a, b int) { words[a], words[b] = words[b], words[a] })
+	seps := []string{" ", ", ", " - ", "; ", "  "}
+	var text strings.Builder
+	for k, w := range words {
+		text.WriteString(w)
+		if k%12 == 11 || k == len(words)-1 {
+			text.WriteString(".\n")
+		} else {
+			text.WriteString(seps[r.IntN(len(seps))])
+		}
+	}
+	return text.String()
+}
+
+// BenchmarkFig1PipeCorpus runs Figure 1's pipeline over fig1Corpus on
+// standard input, as each shell_exec request runs it over its corpus
+// file.
+func BenchmarkFig1PipeCorpus(b *testing.B) {
+	corpus := fig1Corpus()
+	in := strings.NewReader(corpus)
+	sh, err := New(Options{Stdin: in, Stdout: io.Discard, Stderr: io.Discard})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const src = `cat | tr -cs a-zA-Z0-9 '\012' | sort | uniq -c | sort -nr | sed 6q`
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		in.Reset(corpus)
+		benchRun(b, sh, src)
 	}
 }
 

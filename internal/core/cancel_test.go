@@ -206,3 +206,36 @@ func TestCancelHandlerPipelineRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestCancelKeptByBackgroundJob: a job started under a token keeps it.
+// ClearCancel reports the job still running, a token armed afterwards
+// does not reach the job, and closing the first token ends it.
+func TestCancelKeptByBackgroundJob(t *testing.T) {
+	i, ctx, out := harness(t)
+	done := make(chan struct{})
+	i.SetCancel(done, "deadline")
+	if _, err := i.RunString(ctx, "{while {} {}} &"); err != nil {
+		t.Fatal(err)
+	}
+	if !i.ClearCancel() {
+		t.Fatal("ClearCancel reports no job running under the token")
+	}
+	i.SetCancel(make(chan struct{}), "next")
+	close(done)
+	ended := make(chan struct{})
+	go func() {
+		i.WaitAny()
+		close(ended)
+	}()
+	select {
+	case <-ended:
+	case <-time.After(time.Second):
+		t.Fatal("job still running a second after its token fired")
+	}
+	if want := "es: uncaught exception in background job: signal deadline\n"; out.String() != want {
+		t.Errorf("job printed %q, want %q", out.String(), want)
+	}
+	if i.ClearCancel() {
+		t.Error("ClearCancel reports a job running under a token armed after it started")
+	}
+}

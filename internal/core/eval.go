@@ -43,6 +43,9 @@ type signals struct {
 type cancelState struct {
 	done   <-chan struct{}
 	reason string
+	// jobs counts the background jobs still running under this token;
+	// see StartJob.
+	jobs atomic.Int32
 }
 
 // SetCancel arms cooperative cancellation for this interpreter and its
@@ -58,8 +61,13 @@ func (i *Interp) SetCancel(done <-chan struct{}, reason string) {
 
 // ClearCancel disarms SetCancel.  It does not touch a latched interrupt;
 // the interrupt line and the cancel slot are independent (ClearInterrupt
-// likewise leaves the cancel token armed).
-func (i *Interp) ClearCancel() { i.sig.cancel.Store(nil) }
+// likewise leaves the cancel token armed).  It reports whether a
+// background job started under the token is still running: the job
+// keeps the token (see StartJob), so its done channel must still close.
+func (i *Interp) ClearCancel() (jobsRunning bool) {
+	c := i.sig.cancel.Swap(nil)
+	return c != nil && c.jobs.Load() > 0
+}
 
 // CheckCancel raises `signal <reason>` once the token SetCancel armed has
 // fired, unless this interpreter has raised it already.  A primitive that

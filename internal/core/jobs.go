@@ -10,16 +10,31 @@ import (
 	"sort"
 )
 
-// StartJob runs fn on a subshell runner (see Go) and returns the job id
-// (the es analogue of the child pid printed by &).
+// StartJob runs fn, which evaluates in i, on a subshell runner (see Go)
+// as a background job of i's fork group, and returns the job id (the es
+// analogue of the child pid printed by &).  i is the job's own subshell.
+//
+// A job started under an armed cancel token keeps that token: i gets
+// signals of its own that hold it, which neither ClearCancel nor the
+// next SetCancel on the group touches, so the deadline of the request
+// that started the job still ends it after the request has returned.
 func (i *Interp) StartJob(fn func() List) int {
 	i.jobs.mu.Lock()
 	i.jobs.next++
 	j := &job{id: i.jobs.next, done: make(chan struct{})}
 	i.jobs.jobs[j.id] = j
 	i.jobs.mu.Unlock()
+	c := i.sig.cancel.Load()
+	if c != nil {
+		c.jobs.Add(1)
+		i.sig = new(signals)
+		i.sig.cancel.Store(c)
+	}
 	Go(func() {
 		j.res = fn()
+		if c != nil {
+			c.jobs.Add(-1)
+		}
 		close(j.done)
 	})
 	return j.id

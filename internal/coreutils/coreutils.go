@@ -164,7 +164,7 @@ func (c *ctxio) inputs(files []string, fn func(r io.Reader) int) int {
 
 // eachLine feeds every input line (without newline) to fn.  It returns
 // the scanner's error: a failed read, or a line over the 16 MiB cap.
-func (c *ctxio) eachLine(r io.Reader, fn func(line string)) error {
+func (c *ctxio) eachLine(r io.Reader, fn func(line []byte)) error {
 	return c.firstLines(r, -1, fn)
 }
 
@@ -172,7 +172,11 @@ func (c *ctxio) eachLine(r io.Reader, fn func(line string)) error {
 // negative, and reads no further: a pipe's writer then sees its reader
 // go once the builtin returns, as head(1) makes its writer see EPIPE.
 // It also stops once the builtin's output has failed.
-func (c *ctxio) firstLines(r io.Reader, n int, fn func(line string)) error {
+//
+// A line is valid only until fn returns: it lies in the read buffer,
+// which the next line overwrites, so a builtin that keeps a line copies
+// it.
+func (c *ctxio) firstLines(r io.Reader, n int, fn func(line []byte)) error {
 	if n == 0 {
 		return nil
 	}
@@ -180,10 +184,10 @@ func (c *ctxio) firstLines(r io.Reader, n int, fn func(line string)) error {
 	defer bufPool.Put(buf)
 	sc := bufio.NewScanner(r)
 	// The borrowed buffer is only the scanner's first; a longer line
-	// grows a buffer of the scanner's own.  Text copies each line out.
+	// grows a buffer of the scanner's own.
 	sc.Buffer(*buf, 16*1024*1024)
 	for ; n != 0 && !c.stopped() && sc.Scan(); n-- {
-		fn(sc.Text())
+		fn(sc.Bytes())
 	}
 	return sc.Err()
 }

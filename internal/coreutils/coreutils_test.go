@@ -74,12 +74,22 @@ func TestTr(t *testing.T) {
 		// The paper's pipeline: complement+squeeze into newlines.
 		{[]string{"tr", "-cs", "a-zA-Z0-9", `\012`}, "one, two; three\n", "one\ntwo\nthree\n"},
 		{[]string{"tr", `\n`, " "}, "a\nb\n", "a b "},
+		// A range may end at byte 255.
+		{[]string{"tr", "a-\xff", "x"}, "abc\n", "xxx\n"},
 	}
 	for _, tt := range tests {
 		got, st := runTool(t, i, tt.stdin, tt.argv...)
 		if got != tt.want || st != 0 {
 			t.Errorf("%v < %q = %q (%d), want %q", tt.argv, tt.stdin, got, st, tt.want)
 		}
+	}
+}
+
+// TestTrRangeToByte255 checks that a range ending at byte 255 ends: a
+// byte counter would wrap to 0 and loop for ever.
+func TestTrRangeToByte255(t *testing.T) {
+	if got := expandTrSet("a-\xff"); len(got) != 0xff-'a'+1 || got[0] != 'a' || got[len(got)-1] != 0xff {
+		t.Errorf("expandTrSet(a-\\xff) = %d bytes, want %d from a to 0xff", len(got), 0xff-'a'+1)
 	}
 }
 
@@ -106,6 +116,23 @@ func TestSort(t *testing.T) {
 	counts := "      2 bb\n     10 aa\n      1 cc\n"
 	if got, _ := runTool(t, i, counts, "sort", "-nr"); !strings.HasPrefix(got, "     10 aa") {
 		t.Errorf("sort -nr counts = %q", got)
+	}
+	// -n reads POSIX's initial numeric string: blanks, an optional minus
+	// sign, digits, and one optional decimal point with digits.  10-5
+	// reads 10, 3.2.1 reads 3.2, +5 reads 0, and so do a prefix with no
+	// digits and a number that overflows a float64.
+	for _, tc := range []struct{ in, want string }{
+		{"10-5\n9\n3.2.1\n3.1\n+5\n4\n", "+5\n3.1\n3.2.1\n4\n9\n10-5\n"},
+		{" 2x\n\t-1.5\n-.5\n1\n", "\t-1.5\n-.5\n1\n 2x\n"},
+		{"1\n-\n.\n" + strings.Repeat("9", 400) + "\n-1\n", "-1\n-\n.\n" + strings.Repeat("9", 400) + "\n1\n"},
+	} {
+		if got, _ := runTool(t, i, tc.in, "sort", "-n"); got != tc.want {
+			t.Errorf("sort -n < %q = %q, want %q", tc.in, got, tc.want)
+		}
+	}
+	// Ties compare whole lines, so -nr reverses the whole order.
+	if got, _ := runTool(t, i, "1 b\n2\n1 a\n", "sort", "-nr"); got != "2\n1 b\n1 a\n" {
+		t.Errorf("sort -nr ties = %q", got)
 	}
 }
 

@@ -1,11 +1,13 @@
 package coreutils
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"os"
 	"regexp"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -71,63 +73,71 @@ func builtinTr(c *ctxio, args []string) int {
 	if len(args) > 1 {
 		set2 = expandTrSet(args[1])
 	}
-	inSet := make([]bool, 256)
-	for _, b := range set1 {
-		inSet[b] = true
-	}
-	member := func(b byte) bool { return inSet[b] != complement }
-	// Translation table: members map to their positional counterpart in
-	// set2 (the last char repeats); with -c, all members map to the last
-	// char of set2, per POSIX.
-	var xlat [256]byte
-	for i := 0; i < 256; i++ {
-		xlat[i] = byte(i)
-	}
-	if len(set2) > 0 && !del {
-		if complement {
-			last := set2[len(set2)-1]
-			for i := 0; i < 256; i++ {
-				if member(byte(i)) {
-					xlat[i] = last
-				}
-			}
-		} else {
-			for i, b := range set1 {
-				j := i
-				if j >= len(set2) {
-					j = len(set2) - 1
-				}
-				xlat[b] = set2[j]
-			}
-		}
-	}
-	var lastOut int = -1
+	t := newTrTable(set1, set2, complement, squeeze, del)
 	bp := bufPool.Get().(*[]byte)
 	defer bufPool.Put(bp)
 	buf := *bp
-	status := c.inputs(nil, func(r io.Reader) int {
+	last := -1 // the last byte written, for -s
+	return c.inputs(nil, func(r io.Reader) int {
 		for {
 			n, err := r.Read(buf)
+			// Translate in place: the output of a read is never longer
+			// than the read.
+			w := 0
 			for _, b := range buf[:n] {
-				if del && member(b) {
+				op := t[b]
+				if op.drop || op.squeeze && int(op.to) == last {
 					continue
 				}
-				ob := b
-				if member(b) {
-					ob = xlat[b]
-				}
-				if squeeze && member(b) && int(ob) == lastOut {
-					continue
-				}
-				c.out.WriteByte(ob)
-				lastOut = int(ob)
+				buf[w] = op.to
+				w++
+				last = int(op.to)
 			}
+			c.out.Write(buf[:w])
 			if err != nil || c.stopped() {
 				return 0
 			}
 		}
 	})
-	return status
+}
+
+// trOp is what tr does with one input byte: drop it, or write its
+// translation to, unless -s squeezes that into the same byte written
+// just before it.
+type trOp struct {
+	to            byte
+	drop, squeeze bool
+}
+
+// newTrTable makes tr's table for every byte value.  The members are
+// set1's bytes, or with -c every other byte.  A member maps to the byte
+// at its position in set2 (set2's last byte repeats); with -c every
+// member maps to set2's last byte, per POSIX.  -d drops members and
+// translates nothing; -s squeezes members.
+func newTrTable(set1, set2 []byte, complement, squeeze, del bool) (t [256]trOp) {
+	var inSet1 [256]bool
+	for _, b := range set1 {
+		inSet1[b] = true
+	}
+	for b := range t {
+		m := inSet1[b] != complement
+		t[b] = trOp{to: byte(b), drop: del && m, squeeze: squeeze && m}
+	}
+	if len(set2) == 0 || del {
+		return t
+	}
+	if complement {
+		for b := range t {
+			if !inSet1[b] {
+				t[b].to = set2[len(set2)-1]
+			}
+		}
+		return t
+	}
+	for k, b := range set1 {
+		t[b].to = set2[min(k, len(set2)-1)]
+	}
+	return t
 }
 
 // expandTrSet expands ranges (a-z) and escapes (\012, \n, \t) in a tr set.
@@ -159,9 +169,10 @@ func expandTrSet(s string) []byte {
 			}
 		}
 		if i+2 < len(s) && s[i+1] == '-' && s[i+2] != '\\' {
-			hi := s[i+2]
-			for b := ch; b <= hi; b++ {
-				out = append(out, b)
+			// Count in an int: a range that ends at byte 255 would wrap
+			// a byte counter back to 0 and never end.
+			for b := int(ch); b <= int(s[i+2]); b++ {
+				out = append(out, byte(b))
 			}
 			i += 2
 			continue
@@ -192,48 +203,82 @@ func builtinSort(c *ctxio, args []string) int {
 			files = append(files, a)
 		}
 	}
-	var lines []string
-	status := 0
+	// Every line goes into one string, each followed by its newline, and
+	// the lines to sort are substrings of it.
+	var text strings.Builder
+	n, status := 0, 0
 	c.inputs(files, func(r io.Reader) int {
-		if err := c.eachLine(r, func(l string) { lines = append(lines, l) }); err != nil {
+		err := c.eachLine(r, func(l []byte) {
+			text.Write(l)
+			text.WriteByte('\n')
+			n++
+		})
+		if err != nil {
 			status = c.errorf("%v", err)
 		}
 		return 0
 	})
-	less := func(a, b string) bool { return a < b }
-	if numeric {
-		less = func(a, b string) bool {
-			na, nb := leadingNum(a), leadingNum(b)
-			if na != nb {
-				return na < nb
-			}
-			return a < b
-		}
+	lines := make([]string, n)
+	rest := text.String()
+	for k := range lines {
+		lines[k], rest, _ = strings.Cut(rest, "\n")
 	}
-	sort.SliceStable(lines, func(x, y int) bool {
-		if reverse {
-			return less(lines[y], lines[x])
+	// Ties compare whole lines, so only identical lines tie: the sort
+	// need not be stable, and -r is the ascending order reversed.
+	if numeric {
+		keyed := make([]numLine, n)
+		for k, l := range lines {
+			keyed[k] = numLine{numKey(l), l}
 		}
-		return less(lines[x], lines[y])
-	})
-	var prev string
-	first := true
-	for _, l := range lines {
-		if unique && !first && l == prev {
+		slices.SortFunc(keyed, func(a, b numLine) int {
+			if order := cmp.Compare(a.key, b.key); order != 0 {
+				return order
+			}
+			return strings.Compare(a.line, b.line)
+		})
+		for k := range keyed {
+			lines[k] = keyed[k].line
+		}
+	} else {
+		slices.Sort(lines)
+	}
+	if reverse {
+		slices.Reverse(lines)
+	}
+	for k, l := range lines {
+		if unique && k > 0 && l == lines[k-1] {
 			continue
 		}
 		c.out.WriteString(l)
 		c.out.WriteByte('\n')
-		prev, first = l, false
 	}
 	return status
 }
 
-func leadingNum(s string) float64 {
+// numLine is a line and the number sort -n reads at its start.
+type numLine struct {
+	key  float64
+	line string
+}
+
+// numKey reads the initial numeric string of a line, as POSIX sort -n
+// does: blanks, an optional minus sign, digits, and an optional decimal
+// point followed by more digits.  A line with no digits there, which
+// ParseFloat rejects, or whose number overflows a float64, reads as 0.
+func numKey(s string) float64 {
 	s = strings.TrimLeft(s, " \t")
 	end := 0
-	for end < len(s) && (s[end] == '-' || s[end] == '+' || s[end] == '.' || (s[end] >= '0' && s[end] <= '9')) {
+	if end < len(s) && s[end] == '-' {
 		end++
+	}
+	for end < len(s) && s[end] >= '0' && s[end] <= '9' {
+		end++
+	}
+	if end < len(s) && s[end] == '.' {
+		end++
+		for end < len(s) && s[end] >= '0' && s[end] <= '9' {
+			end++
+		}
 	}
 	v, err := strconv.ParseFloat(s[:end], 64)
 	if err != nil {
@@ -253,28 +298,27 @@ func builtinUniq(c *ctxio, args []string) int {
 			files = append(files, a)
 		}
 	}
-	var prev string
+	var prev []byte // a copy: the line reader reuses its buffer
 	n := 0
 	flush := func() {
 		if n == 0 {
 			return
 		}
 		if count {
-			fmt.Fprintf(c.out, "%7d %s\n", n, prev)
-		} else {
-			c.out.WriteString(prev)
-			c.out.WriteByte('\n')
+			c.out.Write(appendCount(c.out.AvailableBuffer(), n))
 		}
+		c.out.Write(prev)
+		c.out.WriteByte('\n')
 	}
 	status := 0
 	c.inputs(files, func(r io.Reader) int {
-		err := c.eachLine(r, func(l string) {
-			if n > 0 && l == prev {
+		err := c.eachLine(r, func(l []byte) {
+			if n > 0 && bytes.Equal(l, prev) {
 				n++
 				return
 			}
 			flush()
-			prev, n = l, 1
+			prev, n = append(prev[:0], l...), 1
 		})
 		if err != nil {
 			status = c.errorf("%v", err)
@@ -283,6 +327,17 @@ func builtinUniq(c *ctxio, args []string) int {
 	})
 	flush()
 	return status
+}
+
+// appendCount appends uniq -c's count field, n as printf's "%7d " would
+// write it.
+func appendCount(b []byte, n int) []byte {
+	for w := 10; w <= 1e6; w *= 10 {
+		if n < w {
+			b = append(b, ' ')
+		}
+	}
+	return append(strconv.AppendInt(b, int64(n), 10), ' ')
 }
 
 // builtinSed supports the small command subset the paper and common
@@ -300,7 +355,7 @@ func builtinSed(c *ctxio, args []string) int {
 	script := args[0]
 	files := args[1:]
 
-	var each func(l string)
+	var each func(l []byte)
 	// limit is how many more lines sed reads; only Nq sets one.
 	limit := -1
 	if digits, ok := sedQuit(script); ok {
@@ -309,8 +364,8 @@ func builtinSed(c *ctxio, args []string) int {
 		if digits != "" {
 			limit, _ = strconv.Atoi(digits)
 		}
-		each = func(l string) {
-			c.out.WriteString(l)
+		each = func(l []byte) {
+			c.out.Write(l)
 			c.out.WriteByte('\n')
 			limit--
 		}
@@ -327,7 +382,8 @@ func builtinSed(c *ctxio, args []string) int {
 		}
 		repl := strings.ReplaceAll(parts[1], "\\", "$")
 		global := len(parts) > 2 && strings.Contains(parts[2], "g")
-		each = func(l string) {
+		each = func(line []byte) {
+			l := string(line)
 			if global {
 				l = re.ReplaceAllString(l, repl)
 			} else if loc := re.FindStringIndex(l); loc != nil {
@@ -345,16 +401,18 @@ func builtinSed(c *ctxio, args []string) int {
 			return c.errorf("bad pattern: %v", err)
 		}
 		del := cmd == 'd'
-		each = func(l string) {
-			match := re.MatchString(l)
+		each = func(l []byte) {
+			match := re.Match(l)
 			switch {
 			case del && match:
 			case !del && match && !noPrint:
-				c.out.WriteString(l + "\n" + l + "\n")
-			case !del && match:
-				c.out.WriteString(l + "\n")
-			case !noPrint:
-				c.out.WriteString(l + "\n")
+				// /re/p prints a match once more.
+				c.out.Write(l)
+				c.out.WriteByte('\n')
+				fallthrough
+			case !del && match, !noPrint:
+				c.out.Write(l)
+				c.out.WriteByte('\n')
 			}
 		}
 	} else {
@@ -433,12 +491,12 @@ func builtinGrep(c *ctxio, args []string) int {
 	}
 	matched, failed, n := false, false, 0
 	c.inputs(args[1:], func(r io.Reader) int {
-		err := c.eachLine(r, func(l string) {
-			if re.MatchString(l) != invert {
+		err := c.eachLine(r, func(l []byte) {
+			if re.Match(l) != invert {
 				matched = true
 				n++
 				if !count && !quiet {
-					c.out.WriteString(l)
+					c.out.Write(l)
 					c.out.WriteByte('\n')
 				}
 			}
@@ -499,8 +557,8 @@ func builtinHead(c *ctxio, args []string) int {
 		return c.errorf("bad count")
 	}
 	return c.inputs(files, func(r io.Reader) int {
-		err := c.firstLines(r, max(n, 0), func(l string) {
-			c.out.WriteString(l)
+		err := c.firstLines(r, max(n, 0), func(l []byte) {
+			c.out.Write(l)
 			c.out.WriteByte('\n')
 		})
 		if err != nil {
@@ -517,8 +575,8 @@ func builtinTail(c *ctxio, args []string) int {
 	}
 	return c.inputs(files, func(r io.Reader) int {
 		var keep []string
-		err := c.eachLine(r, func(l string) {
-			keep = append(keep, l)
+		err := c.eachLine(r, func(l []byte) {
+			keep = append(keep, string(l))
 			if len(keep) > n {
 				keep = keep[1:]
 			}
@@ -688,8 +746,8 @@ func builtinCut(c *ctxio, args []string) int {
 		return c.errorf("missing field list")
 	}
 	return c.inputs(files, func(r io.Reader) int {
-		err := c.eachLine(r, func(l string) {
-			cols := strings.Split(l, delim)
+		err := c.eachLine(r, func(l []byte) {
+			cols := strings.Split(string(l), delim)
 			var outCols []string
 			for _, f := range fields {
 				if f >= 1 && f <= len(cols) {
@@ -708,8 +766,8 @@ func builtinCut(c *ctxio, args []string) int {
 
 func builtinRev(c *ctxio, args []string) int {
 	return c.inputs(args, func(r io.Reader) int {
-		err := c.eachLine(r, func(l string) {
-			rs := []rune(l)
+		err := c.eachLine(r, func(l []byte) {
+			rs := bytes.Runes(l)
 			for a, b := 0, len(rs)-1; a < b; a, b = a+1, b-1 {
 				rs[a], rs[b] = rs[b], rs[a]
 			}
@@ -727,7 +785,7 @@ func builtinTac(c *ctxio, args []string) int {
 	var lines []string
 	status := 0
 	c.inputs(args, func(r io.Reader) int {
-		if err := c.eachLine(r, func(l string) { lines = append(lines, l) }); err != nil {
+		if err := c.eachLine(r, func(l []byte) { lines = append(lines, string(l)) }); err != nil {
 			status = c.errorf("%v", err)
 		}
 		return 0
@@ -742,7 +800,7 @@ func builtinTac(c *ctxio, args []string) int {
 func builtinNl(c *ctxio, args []string) int {
 	n := 0
 	return c.inputs(args, func(r io.Reader) int {
-		err := c.eachLine(r, func(l string) {
+		err := c.eachLine(r, func(l []byte) {
 			n++
 			fmt.Fprintf(c.out, "%6d\t%s\n", n, l)
 		})

@@ -215,7 +215,7 @@ func primBackground(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, e
 	child, cmd, rest := i.ForkCmd(args[0], args[1:])
 	cctx := ctx.NonTail()
 	stderr := ctx.Stderr()
-	id := i.StartJob(func() core.List {
+	id := child.StartJob(func() core.List {
 		res, err := child.ApplyTerm(cctx, cmd, rest)
 		if err != nil {
 			return subshellResultTo(stderr, err, "in background job")

@@ -175,6 +175,40 @@ func TestDeadlineEndsPipeline(t *testing.T) {
 	}
 }
 
+// TestDeadlineEndsBackgroundJob: a background job keeps the deadline of
+// the request that started it.  The reply comes at once, the job ends
+// soon after that deadline though no request of its own is running, and
+// the session's next request, which runs across the deadline under one
+// of its own, is not cancelled and does not lend the job its token.
+func TestDeadlineEndsBackgroundJob(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	c := dial(t, srv.cfg.Socket)
+	base, _ := core.Runners()
+	start := time.Now()
+	if f := c.eval(t, "{while {} {}} &", 200); f.Type != "result" {
+		t.Fatalf("reply = %+v", f)
+	}
+	if elapsed := time.Since(start); elapsed >= 200*time.Millisecond {
+		t.Fatalf("reply took %v, want it before the 200ms deadline", elapsed)
+	}
+	if f := c.eval(t, "sleep 0.4; result ok", 10000); f.Type != "result" || strings.Join(f.Value, " ") != "ok" {
+		t.Fatalf("next request = %+v", f)
+	}
+	for {
+		busy, _ := core.Runners()
+		if busy <= base {
+			break
+		}
+		if time.Since(start) > 2200*time.Millisecond {
+			t.Fatalf("%d subshell runners busy 2s past the deadline, %d before the job", busy, base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if f := c.eval(t, "result ok", 0); f.Type != "result" || strings.Join(f.Value, " ") != "ok" {
+		t.Fatalf("request after the job ended = %+v", f)
+	}
+}
+
 func TestDeadlineCatchableInScript(t *testing.T) {
 	srv := newTestServer(t, Config{})
 	c := dial(t, srv.cfg.Socket)

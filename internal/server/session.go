@@ -376,8 +376,11 @@ func (s *session) eval(f *Frame) *Frame {
 		timer := time.AfterFunc(deadline, func() { close(done) })
 		s.interp.SetCancel(done, "deadline")
 		defer func() {
-			timer.Stop()
-			s.interp.ClearCancel()
+			// A background job the request left running keeps the
+			// token, so the timer must still fire to end it.
+			if !s.interp.ClearCancel() {
+				timer.Stop()
+			}
 		}()
 	}
 	start := time.Now()

@@ -31,7 +31,7 @@ fi
 base=BENCH_allocs.json
 flags="-run=NONE -benchmem -benchtime=100ms -count=3"
 out=$(go test $flags \
-	-bench='NativePath|ParseCold|GlobMatch|EnvDecode|AllocUnderLiveRoots|Fig1PipeBaseline|PipeWordCount|PipeBuiltins|ForkClone|ServerSessionSpawn|SpawnResident|CompileProgram|EngineEval|ScriptFamilies|Analyze|ApplyFunction|StartupEnv|StartupBare' \
+	-bench='NativePath|ParseCold|GlobMatch|EnvDecode|AllocUnderLiveRoots|Fig1PipeBaseline|Fig1PipeCorpus|PipeWordCount|PipeBuiltins|ForkClone|ServerSessionSpawn|SpawnResident|CompileProgram|EngineEval|ScriptFamilies|Analyze|ApplyFunction|StartupEnv|StartupBare' \
 	. ./internal/gc ./internal/glob ./internal/compile)
 out="$out
 $(go test $flags -bench='^BenchmarkServerEval$/^sequential$' .)"

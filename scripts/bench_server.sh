@@ -6,9 +6,10 @@
 # spawn path next to the restore-per-session cost it avoids, the
 # static-analysis pass that esd -vet puts on the admission path, the
 # EngineEval micros and ScriptFamilies, the builtin pipelines
-# (PipeBuiltins, PipeWordCount, Fig1PipeProfile, Fig1PipeBaseline), and
-# two esload waves against a live daemon binary: unix serial and TCP
-# pipelined).
+# (PipeBuiltins, PipeWordCount, Fig1PipeProfile, Fig1PipeBaseline,
+# Fig1PipeCorpus), the shell startups (StartupEnv, StartupRcFile,
+# StartupBare: the other half of an `es -c` request), and two esload
+# waves against a live daemon binary: unix serial and TCP pipelined).
 #
 # Usage: scripts/bench_server.sh [benchtime]   regenerate BENCH_server.json
 #        scripts/bench_server.sh -check [rev]  paired gate against rev
@@ -29,7 +30,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-benches='ServerEval|ServerSession|Analyze|EngineEval|ScriptFamilies|Pipe'
+benches='ServerEval|ServerSession|Analyze|EngineEval|ScriptFamilies|Pipe|Startup'
 
 tmp=$(mktemp -d)
 espid=""

@@ -19,7 +19,9 @@
 #                     over the full
 #                     suite (including the 100-session esd soak test), 20s of
 #                     FuzzFrameCodec (esd's frame codec against
-#                     encoding/json), a binary-level server soak
+#                     encoding/json), 20s of FuzzTextBuiltins (sort, tr
+#                     and uniq against the algorithms they replaced),
+#                     a binary-level server soak
 #                     (concurrent esc clients against a race-enabled esd,
 #                     asserting zero failed frames and a clean drain on
 #                     SIGTERM), and last the paired timing gate
@@ -61,6 +63,8 @@ if [ "${1:-}" = "-race" ]; then
 	go test -race ./...
 	echo "== FuzzFrameCodec (20s: the frame codec against encoding/json)"
 	go test -run '^$' -fuzz '^FuzzFrameCodec$' -fuzztime 20s ./internal/server
+	echo "== FuzzTextBuiltins (20s: sort, tr and uniq against their references)"
+	go test -run '^$' -fuzz '^FuzzTextBuiltins$' -fuzztime 20s ./internal/coreutils
 	echo "== server soak (esd -race + concurrent esc, SIGTERM drain)"
 	sh scripts/soak.sh
 	echo "== paired timing gate (scripts/bench_server.sh -check, against the parent)"
