@@ -1,7 +1,9 @@
 # Verification tiers: `make check` is the tier-1 floor (build, tests,
 # gofmt, and vet plus the short tests of the bench module);
-# `make race` adds vet, the fork, spawn, isolation, pipe and shared-unit
-# tests ten times over under the race detector, the race detector over
+# `make race` adds vet, the fork, spawn, isolation, pipe, wait and
+# shared-program tests ten times over under the race detector (sessions
+# that run one fresh program may each lower it into the one parse cache),
+# the race detector over
 # everything, 20s of frame-codec fuzzing, the esd server soak, and then
 # the serving bench gate; `make bench` runs, with -benchmem, the dispatch-cache
 # benchmarks that guard the native cache speedups, the builtin

@@ -9,11 +9,11 @@ package es
 // the file: the engine that wrote it is gone, so an edit to it is a
 // hand-reviewed change of semantics.
 //
-// The fuzz target covers the risk that comes with one engine: compiled
-// units live on the cached tree and are shared by every interpreter in
-// the process, so each input must behave the same cold (a fresh tree,
-// lowered on its first run) and warm (a second shell running the units
-// the first run left on the cached tree).
+// The fuzz target covers the risk that comes with one engine: a program
+// is lowered once and kept in the parse cache, shared by every
+// interpreter in the process, so each input must behave the same cold (a
+// fresh program, lowered on its first run) and warm (a second shell
+// running the program the first run left in the cache).
 
 import (
 	"bytes"
@@ -39,7 +39,7 @@ type outcome struct {
 // deterministic stand-ins for the counter-reporting primitives, and a
 // deadline so `forever {}` inputs terminate.  With cold set, the
 // process-wide caches are flushed first, so src is parsed anew and its
-// fresh tree lowered on its first run.  It reports false, with no
+// fresh program lowered on its first run.  It reports false, with no
 // outcome, when the run is not reproducible: the deadline stopped it at
 // a timing-dependent point, or it started a background job that may
 // still be writing.

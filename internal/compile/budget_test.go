@@ -12,8 +12,8 @@ import (
 
 // unitBudget is the most a program's compiled units may weigh, as a
 // fraction of the heap bytes of the rewritten tree they are lowered from.
-// Units live on their blocks for the tree's whole life, so every byte of
-// a unit is kept as long as the parse cache keeps the tree.
+// A program lives in the parse cache beside its tree, so every byte of a
+// unit is kept as long as the parse cache keeps the tree.
 const unitBudget = 0.6
 
 // TestUnitBytesWithinBudget lowers a corpus of higher-order programs
@@ -49,11 +49,9 @@ func BenchmarkCompileProgram(b *testing.B) {
 }
 
 // weigh parses and rewrites srcs, lowers each tree, and returns the live
-// heap bytes of the trees and of the units.  The registrar keeps every
-// nested unit, as the evaluator does by attaching it to its block.  The
-// trees' bytes include the slot each block keeps its unit in; the units'
-// bytes include the slice that keeps them here, which weighs about as
-// much.
+// heap bytes of the trees and of the units.  A root unit keeps its whole
+// program, nested units included.  The units' bytes include the slice
+// that keeps the roots here, as the parse cache's entries keep them.
 func weigh(tb testing.TB, srcs []string) (treeBytes, unitBytes int64) {
 	before := liveHeap()
 	trees := make([]*syntax.Block, len(srcs))
@@ -61,11 +59,9 @@ func weigh(tb testing.TB, srcs []string) (treeBytes, unitBytes int64) {
 		trees[k] = parseRewrite(tb, src)
 	}
 	treeBytes = liveHeap() - before
-	var units []*Unit
-	keep := func(_ *syntax.Block, u *Unit) { units = append(units, u) }
-	for _, b := range trees {
-		u, _ := Compile(b, keep)
-		units = append(units, u)
+	units := make([]*Unit, len(trees))
+	for k, b := range trees {
+		units[k], _ = Compile(b, nil)
 	}
 	unitBytes = liveHeap() - before - treeBytes
 	runtime.KeepAlive(trees)

@@ -1,23 +1,22 @@
 // Package compile lowers syntax trees to a compact, flat instruction
 // form, the only form the evaluator in internal/core executes.
 //
-// The parse cache (internal/core.ParseCommand) already makes rewritten
-// trees shared and immutable, which is exactly the precondition for a
-// compile step: each *syntax.Block is lowered at most once, on its first
-// run, and the evaluator keeps the compiled Unit on the block itself for
-// as long as the tree lives, shared by every evaluation and every
-// interpreter.
+// The parse cache (internal/core) maps a source to its rewritten tree
+// and, from the program's first run on, to the unit Compile lowered from
+// the whole tree.  A program is built whole before anything runs it, and
+// is immutable once built, so every evaluation and every interpreter in
+// the process shares it.  A closure is a unit and an environment.
 //
-// Compile lowers rewritten trees, the only form ParseCommand makes: the
-// core forms syntax.Rewrite leaves.  It is total on them, so every block
-// the parser accepts compiles once it is rewritten; a surface node
+// Compile lowers rewritten trees, the only form the parse cache holds:
+// the core forms syntax.Rewrite leaves.  It is total on them, so every
+// block the parser accepts compiles once it is rewritten; a surface node
 // (pipe, and/or, background, redirection, fn) is not one of its inputs.
 //
 // A program — a block and every block nested in it — is laid out in a few
 // flat tables indexed by int32 (instructions, words, segments and static
 // pieces), plus side tables for the rare operands (bindings, static match
-// patterns, computed names and subscripts, variable and primitive names,
-// lambda and substitution bodies).
+// patterns, computed names and subscripts, variable and primitive names)
+// and the units of the lambda and substitution bodies.
 // Compiling a program makes about one allocation per non-empty table,
 // not one per word and segment, and the units weigh less than the tree
 // they come from.
@@ -37,9 +36,9 @@
 //     every other word's terms directly;
 //   - match patterns built from static words are compiled to glob
 //     patterns once, not per evaluation;
-//   - lambda and substitution bodies are lowered with the program that
-//     holds them and handed to the caller, so closure application starts
-//     on compiled code.
+//   - every lambda and substitution body gets a unit in the program that
+//     holds it, which the segment that makes it indexes, so closure
+//     application starts on compiled code.
 //
 // A $&primitive stays a name, looked up in the running interpreter's
 // registry each time its command runs.
@@ -123,11 +122,9 @@ type Program struct {
 	Pats     []glob.Pattern // static match pattern lists
 	Vars     []VarExt       // computed names and subscripts
 	Names    []string       // variable and primitive names
-	Lambdas  []*syntax.Lambda
-	Blocks   []*syntax.Block // substitution bodies
 
 	// Units holds the root block's unit first, then one for each lambda
-	// and substitution body, in the order Compile registered them.
+	// and substitution body, each after the units nested in it.
 	Units []Unit
 }
 
@@ -153,9 +150,15 @@ func (p *Program) PatsIn(s Span) []glob.Pattern { return in(p.Pats, s) }
 // Every block nested in the program that can run on its own — a lambda
 // or substitution body — has a unit of its own in the same program, so a
 // closure that outlives its tree keeps the whole program's tables alive.
+//
+// Body is the tree the unit was lowered from, and Lambda, for a lambda
+// body, the lambda that holds it: closures unparse from them, and read
+// their free variables and parameters there.
 type Unit struct {
-	Prog *Program
-	Seq  Span
+	Prog   *Program
+	Seq    Span
+	Body   *syntax.Block
+	Lambda *syntax.Lambda
 }
 
 // Instr is one compiled command.  The operand fields used depend on Op.
@@ -258,8 +261,8 @@ type Seg struct {
 
 	// Ref is, by kind: SegLit, the pattern in Pieces; SegVar, the name
 	// in Names, or -1 for a computed name; SegPrim, the name in Names;
-	// SegLambda, the lambda in Lambdas; SegCmdSub and SegRetSub, the body
-	// in Blocks; SegList, the first of its words.
+	// SegLambda, SegCmdSub and SegRetSub, the body's unit in Units;
+	// SegList, the first of its words.
 	Ref int32
 	// Ext is, for SegVar, the entry in Vars, or -1 when the name is
 	// static and there is no subscript; for SegList, the number of words.
@@ -273,28 +276,18 @@ type VarExt struct {
 	Pos   Pos   // anchors a bad subscript error
 }
 
-// Registrar receives the compiled unit for every nested block — lambda
-// bodies, substitution bodies — in a program, so closure application
-// later starts on compiled code without recompiling.  It is called once
-// per nested block, after the program is complete.
-type Registrar func(b *syntax.Block, u *Unit)
-
 // Compile lowers a block that syntax.Rewrite has lowered to the core
-// forms and returns the unit of b.  Every call lowers the whole tree
-// afresh.  reg may be nil.  Compilation cannot fail: the error is always
-// nil.
-func Compile(b *syntax.Block, reg Registrar) (*Unit, error) {
+// forms and returns the unit of b, the first of its program's.  Every
+// call lowers the whole tree afresh.  Compilation cannot fail: the error
+// is always nil.  The second parameter is unused; it and the error are
+// kept because bench/esbench/probe.go, in the benchmark's own module,
+// calls Compile(b, nil).
+func Compile(b *syntax.Block, _ any) (*Unit, error) {
 	c := compilers.Get().(*compiler)
-	c.units = append(c.units, Unit{})
-	c.nested = append(c.nested, b)
-	root := c.block(b)
+	c.units = append(c.units, Unit{Body: b})
+	root := c.block(b) // may grow c.units: index it after
 	c.units[0].Seq = root
 	p := c.finish()
-	if reg != nil {
-		for k := 1; k < len(p.Units); k++ {
-			reg(c.nested[k], &p.Units[k])
-		}
-	}
 	c.reset()
 	compilers.Put(c)
 	return &p.Units[0], nil
@@ -312,12 +305,9 @@ type compiler struct {
 	pats     []glob.Pattern
 	vars     []VarExt
 	names    []string
-	lambdas  []*syntax.Lambda
-	blocks   []*syntax.Block
 	units    []Unit
 
-	nested []*syntax.Block // the block of each units entry
-	one    [1]StaticPiece  // static's result for a lone literal
+	one [1]StaticPiece // static's result for a lone literal
 }
 
 var compilers = sync.Pool{New: func() any { return new(compiler) }}
@@ -342,8 +332,6 @@ func (c *compiler) finish() *Program {
 		Pats:     exact(c.pats),
 		Vars:     exact(c.vars),
 		Names:    exact(c.names),
-		Lambdas:  exact(c.lambdas),
-		Blocks:   exact(c.blocks),
 		Units:    exact(c.units),
 	}
 	for k := range p.Units {
@@ -363,10 +351,7 @@ func (c *compiler) reset() {
 	c.pats = truncate(c.pats, 0)
 	c.vars = c.vars[:0]
 	c.names = truncate(c.names, 0)
-	c.lambdas = truncate(c.lambdas, 0)
-	c.blocks = truncate(c.blocks, 0)
-	c.units = c.units[:0]
-	c.nested = truncate(c.nested, 0)
+	c.units = truncate(c.units, 0)
 	c.one = [1]StaticPiece{}
 }
 
@@ -403,15 +388,12 @@ func (c *compiler) block(b *syntax.Block) Span {
 	return seq
 }
 
-// nest lowers a block that may later be evaluated on its own (a lambda
-// or substitution body) and gives it a unit.
-func (c *compiler) nest(b *syntax.Block) {
-	if b == nil {
-		return
-	}
+// nest lowers a block that may later be evaluated on its own — the body
+// of lam, or of a substitution when lam is nil — and returns the index of
+// its unit.
+func (c *compiler) nest(b *syntax.Block, lam *syntax.Lambda) int32 {
 	seq := c.block(b)
-	c.units = append(c.units, Unit{Seq: seq})
-	c.nested = append(c.nested, b)
+	return add(&c.units, Unit{Seq: seq, Body: b, Lambda: lam})
 }
 
 func (c *compiler) cmd(cmd syntax.Cmd) Instr {
@@ -702,14 +684,11 @@ func (c *compiler) seg(part syntax.Part) Seg {
 	case *syntax.Prim:
 		return Seg{Kind: SegPrim, Ref: add(&c.names, part.Name)}
 	case *syntax.LambdaPart:
-		c.nest(part.Lambda.Body)
-		return Seg{Kind: SegLambda, Ref: add(&c.lambdas, part.Lambda)}
+		return Seg{Kind: SegLambda, Ref: c.nest(part.Lambda.Body, part.Lambda)}
 	case *syntax.CmdSub:
-		c.nest(part.Body)
-		return Seg{Kind: SegCmdSub, Ref: add(&c.blocks, part.Body)}
+		return Seg{Kind: SegCmdSub, Ref: c.nest(part.Body, nil)}
 	case *syntax.RetSub:
-		c.nest(part.Body)
-		return Seg{Kind: SegRetSub, Ref: add(&c.blocks, part.Body)}
+		return Seg{Kind: SegRetSub, Ref: c.nest(part.Body, nil)}
 	case *syntax.ListPart:
 		run := c.wordRun(part.Words)
 		return Seg{Kind: SegList, Ref: run.Off, Ext: run.Len}

@@ -148,29 +148,39 @@ func TestCompileBareBlockIsGrouping(t *testing.T) {
 	}
 }
 
-// The program is lowered whole: the lambda body gets its own unit in the
-// root's program, handed to the registrar once, after the program is
-// complete.
-func TestCompileRegistersLambdaBodies(t *testing.T) {
+// The program is lowered whole: the lambda's segment indexes the unit of
+// its body in the root's program, which records the lambda, and so its
+// parameters, and the tree the body was lowered from.
+func TestCompileLambdaBodyUnit(t *testing.T) {
 	b := parseRewrite(t, "f = @ x {result $x}")
-	body := b.Cmds[0].(*syntax.Assign).Values[0].Parts[0].(*syntax.LambdaPart).Lambda.Body
-	var got []*Unit
-	u, err := Compile(b, func(blk *syntax.Block, su *Unit) {
-		if blk != body {
-			t.Errorf("registrar got block %p, want the lambda body %p", blk, body)
-		}
-		got = append(got, su)
-	})
+	lam := b.Cmds[0].(*syntax.Assign).Values[0].Parts[0].(*syntax.LambdaPart).Lambda
+	root, err := Compile(b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 {
-		t.Fatalf("lambda body registered %d times, want once", len(got))
+	if root.Body != b || root.Lambda != nil {
+		t.Errorf("root unit records tree %p and lambda %p, want %p and none", root.Body, root.Lambda, b)
 	}
-	if got[0].Prog != u.Prog {
+	p, in := only(t, root)
+	ws := p.WordsIn(in.Words)
+	if in.Op != OpAssign || len(ws) != 1 || len(p.SegsOf(&ws[0])) != 1 || p.SegsOf(&ws[0])[0].Kind != SegLambda {
+		t.Fatalf("f = @ x {…} lowered to %+v, want an assignment of one lambda segment", in)
+	}
+	ref := p.SegsOf(&ws[0])[0].Ref
+	if ref != 1 || len(p.Units) != 2 {
+		t.Fatalf("the lambda names unit %d of %d, want unit 1 of 2", ref, len(p.Units))
+	}
+	u := &p.Units[ref]
+	if u.Prog != p {
 		t.Error("the lambda body's unit is not in its program's tables")
 	}
-	if seq := u.Prog.Seq(got[0].Seq); len(seq) != 1 || seq[0].Op != OpSimple {
+	if u.Lambda != lam || u.Body != lam.Body {
+		t.Errorf("the lambda body's unit records lambda %p and tree %p, want %p and %p", u.Lambda, u.Body, lam, lam.Body)
+	}
+	if ps := u.Lambda.Params; !u.Lambda.HasParams || len(ps) != 1 || ps[0] != "x" {
+		t.Errorf("the lambda body's unit has parameters %q (declared: %v), want x", ps, u.Lambda.HasParams)
+	}
+	if seq := p.Seq(u.Seq); len(seq) != 1 || seq[0].Op != OpSimple {
 		t.Errorf("lambda body unit = %+v, want one OpSimple", seq)
 	}
 }

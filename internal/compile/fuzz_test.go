@@ -16,9 +16,9 @@ import (
 // syntax.Parse accepts must, once syntax.Rewrite has lowered it to the
 // core forms (the only trees Compile takes), compile to a non-nil unit
 // with a nil error, without panicking, into one program whose every
-// operand stays inside its table.  Each nested block is registered with
-// a unit in that same program.  Seeded with FuzzParse's seeds and its
-// on-disk corpus.
+// operand stays inside its table.  Every lambda and substitution body
+// has one unit of its own in that same program.  Seeded with FuzzParse's
+// seeds and its on-disk corpus.
 func FuzzCompile(f *testing.F) {
 	seeds := []string{
 		"ls > /tmp/foo",
@@ -45,13 +45,7 @@ func FuzzCompile(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var nested []*Unit
-		u, err := Compile(syntax.Rewrite(b).(*syntax.Block), func(sb *syntax.Block, su *Unit) {
-			if sb == nil || su == nil {
-				t.Errorf("%q: registrar got block %p, unit %p", src, sb, su)
-			}
-			nested = append(nested, su)
-		})
+		u, err := Compile(syntax.Rewrite(b).(*syntax.Block), nil)
 		if u == nil || err != nil {
 			t.Fatalf("Compile(%q) = %v, %v; want a unit and no error", src, u, err)
 		}
@@ -61,15 +55,44 @@ func FuzzCompile(f *testing.F) {
 		if err := globKinds(u.Prog); err != nil {
 			t.Errorf("Compile(%q): %v", src, err)
 		}
-		if len(nested) != len(u.Prog.Units)-1 {
-			t.Errorf("%q: %d nested units registered, program holds %d", src, len(nested), len(u.Prog.Units)-1)
-		}
-		for _, su := range nested {
-			if su != nil && su.Prog != u.Prog {
-				t.Errorf("%q: a nested unit is outside its program", src)
-			}
+		if err := units(u); err != nil {
+			t.Errorf("Compile(%q): %v", src, err)
 		}
 	})
+}
+
+// units checks the units of root's program: root is the first, every
+// lambda and substitution segment names a unit of its own, so that there
+// is one unit per nested body, and every unit is in the program.
+func units(root *Unit) error {
+	p := root.Prog
+	if root != &p.Units[0] {
+		return errors.New("the root is not its program's first unit")
+	}
+	named := make([]bool, len(p.Units))
+	nested := 0
+	for _, s := range p.Segs {
+		if s.Kind != SegLambda && s.Kind != SegCmdSub && s.Kind != SegRetSub {
+			continue
+		}
+		nested++
+		if s.Ref < 1 || int(s.Ref) >= len(named) || named[s.Ref] {
+			return fmt.Errorf("a body segment names unit %d, the root or a unit named already", s.Ref)
+		}
+		named[s.Ref] = true
+		if (s.Kind == SegLambda) != (p.Units[s.Ref].Lambda != nil) {
+			return fmt.Errorf("segment kind %d names unit %d, whose lambda is %p", s.Kind, s.Ref, p.Units[s.Ref].Lambda)
+		}
+	}
+	if nested != len(p.Units)-1 {
+		return fmt.Errorf("%d nested bodies, %d nested units", nested, len(p.Units)-1)
+	}
+	for k := range p.Units {
+		if p.Units[k].Prog != p {
+			return fmt.Errorf("unit %d is outside its program", k)
+		}
+	}
+	return nil
 }
 
 // validate checks that every operand of a program indexes inside the
@@ -133,10 +156,8 @@ func validate(p *Program) error {
 			}
 		case SegPrim:
 			errs = append(errs, index("prim", s.Ref, len(p.Names)))
-		case SegLambda:
-			errs = append(errs, index("lambda", s.Ref, len(p.Lambdas)))
-		case SegCmdSub, SegRetSub:
-			errs = append(errs, index("body", s.Ref, len(p.Blocks)))
+		case SegLambda, SegCmdSub, SegRetSub:
+			errs = append(errs, index("body unit", s.Ref, len(p.Units)))
 		case SegList:
 			errs = append(errs, span("list", Span{Off: s.Ref, Len: s.Ext}, len(p.Words)))
 		}

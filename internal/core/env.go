@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"es/internal/cache"
+	"es/internal/compile"
 	"es/internal/syntax"
 )
 
@@ -65,9 +66,9 @@ func EncodeClosure(c *Closure) string {
 		}
 		b.WriteString(")")
 	}
-	if c.HasParams {
+	if params, ok := c.params(); ok {
 		b.WriteString("@ ")
-		for _, p := range c.Params {
+		for _, p := range params {
 			b.WriteString(p)
 			b.WriteByte(' ')
 		}
@@ -75,7 +76,7 @@ func EncodeClosure(c *Closure) string {
 		b.WriteString("@ * ")
 	}
 	b.WriteByte('{')
-	b.WriteString(syntax.UnparseBody(c.Body))
+	b.WriteString(syntax.UnparseBody(c.Unit.Body))
 	b.WriteByte('}')
 	return b.String()
 }
@@ -98,7 +99,7 @@ func captures(c *Closure) []*Binding {
 		return nil
 	}
 	free := make(map[string]bool)
-	all := freeVars(c.Body, paramSet(c), free)
+	all := freeVars(c.Unit.Body, paramSet(c), free)
 	var out []*Binding
 	seen := make(map[string]bool)
 	for b := c.Env; b != nil; b = b.Next {
@@ -116,10 +117,9 @@ func captures(c *Closure) []*Binding {
 
 func paramSet(c *Closure) map[string]bool {
 	bound := map[string]bool{"*": true} // $* is always application-bound
-	if c.HasParams {
-		for _, p := range c.Params {
-			bound[p] = true
-		}
+	params, _ := c.params()
+	for _, p := range params {
+		bound[p] = true
 	}
 	return bound
 }
@@ -358,8 +358,8 @@ func (i *Interp) decodeTerm(seg string) (Term, bool) {
 	return t, ok
 }
 
-// copyDecoded detaches a decoded term from shared mutable state.  Bodies
-// are immutable ASTs and stay shared; only the captured binding chain is
+// copyDecoded detaches a decoded term from shared mutable state.  Units
+// are immutable and stay shared; only the captured binding chain is
 // duplicated.
 func copyDecoded(t Term) Term {
 	if t.Closure != nil && t.Closure.Env != nil {
@@ -388,11 +388,11 @@ func (i *Interp) decodeTermUncached(seg string) (Term, bool) {
 		}
 		return Term{}, false
 	}
-	blk, err := ParseCommand(rest)
-	if err != nil || len(blk.Cmds) != 1 {
+	p, err := parse(rest)
+	if err != nil || len(p.tree.Cmds) != 1 {
 		return Term{}, false
 	}
-	s, ok := blk.Cmds[0].(*syntax.Simple)
+	s, ok := p.tree.Cmds[0].(*syntax.Simple)
 	if !ok || len(s.Words) != 1 || len(s.Words[0].Parts) != 1 {
 		return Term{}, false
 	}
@@ -400,13 +400,19 @@ func (i *Interp) decodeTermUncached(seg string) (Term, bool) {
 	if !ok {
 		return Term{}, false
 	}
-	cl := &Closure{
-		Params:    lp.Lambda.Params,
-		HasParams: lp.Lambda.HasParams,
-		Body:      lp.Lambda.Body,
-		Env:       env,
+	return Term{Closure: &Closure{Unit: lambdaUnit(lower(rest, p), lp.Lambda), Env: env}}, true
+}
+
+// lambdaUnit returns the unit of lam, the one word of the one command of
+// u's program.  A bare {…} there lowers as grouping, a run of
+// instructions with no unit of its own, so it gets one over that run.
+func lambdaUnit(u *compile.Unit, lam *syntax.Lambda) *compile.Unit {
+	p := u.Prog
+	in := &p.Seq(u.Seq)[0]
+	if in.Op == compile.OpSeq {
+		return &compile.Unit{Prog: p, Seq: in.Body, Body: lam.Body, Lambda: lam}
 	}
-	return Term{Closure: cl}, true
+	return &p.Units[p.SegsOf(&p.WordsIn(in.Words)[0])[0].Ref]
 }
 
 // scanClosureHeader splits "a=b;c=d)rest" at the parenthesis matching the

@@ -3,8 +3,6 @@ package core
 import (
 	"strings"
 	"sync/atomic"
-
-	"es/internal/syntax"
 )
 
 // Interrupt requests that this interpreter raise a signal exception at
@@ -114,19 +112,6 @@ func (i *Interp) checkPending() error {
 	return nil
 }
 
-// EvalBlock evaluates a command sequence; the result is the last
-// command's result (the empty list — true — for an empty block).  When
-// ctx is a tail context the final command is evaluated in tail position.
-// The block runs as its compiled unit, lowered on first use, so it must
-// be in the core form (see syntax.Rewrite).
-func (i *Interp) EvalBlock(ctx *Ctx, b *syntax.Block, env *Binding) (List, error) {
-	if b == nil || len(b.Cmds) == 0 {
-		return List{}, nil
-	}
-	u := unitFor(b)
-	return i.execSeq(ctx, u.Prog, u.Prog.Seq(u.Seq), env)
-}
-
 // applyTerm dispatches a command head: closures are applied, primitives
 // invoked, and plain strings resolved through fn- lookup, then the builtin
 // table, then %pathsearch and external execution.
@@ -213,7 +198,7 @@ func (i *Interp) applyClosure(ctx *Ctx, cl *Closure, args List, boundary bool) (
 			return nil, err
 		}
 		env := bindParams(i, cl, args)
-		res, err := i.EvalBlock(body, cl.Body, env)
+		res, err := i.execUnit(body, cl.Unit, env)
 		if err == nil {
 			return res, nil
 		}
@@ -238,13 +223,14 @@ func bindParams(i *Interp, cl *Closure, args List) *Binding {
 	// $* always holds the full argument list, named parameters or not
 	// (the paper's watch settor is "@ { ... return $* }").
 	env := &Binding{Name: "*", Value: args, Next: cl.Env}
-	if !cl.HasParams {
+	params, ok := cl.params()
+	if !ok {
 		i.Alloc.binding(1)
 		return env
 	}
-	n := len(cl.Params)
+	n := len(params)
 	i.Alloc.binding(n + 1)
-	for k, p := range cl.Params {
+	for k, p := range params {
 		var v List
 		switch {
 		case k == n-1 && len(args) > k:

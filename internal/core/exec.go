@@ -1,12 +1,11 @@
 package core
 
-// The bytecode execution loop, the interpreter's one evaluator.
-// EvalBlock routes every block through unitFor, which lowers the (shared,
-// immutable) rewritten AST to the flat tables of internal/compile on the
-// block's first run and keeps the unit on the block for as long as the
-// tree lives.  Commands and words run here; closure application, the
-// tail-call trampoline and cancellation polls are in eval.go.  The
-// outcomes this loop must reproduce are pinned by
+// The bytecode execution loop, the interpreter's one evaluator.  It runs
+// compiled units only: a program is lowered whole, on its first run, and
+// kept in its parse cache entry (see CompileCommand); a closure is one of
+// its units and an environment.  Commands and words run here; closure
+// application, the tail-call trampoline and cancellation polls are in
+// eval.go.  The outcomes this loop must reproduce are pinned by
 // testdata/engine_golden.json and testdata/words_golden.json at the
 // repository root.
 //
@@ -19,48 +18,16 @@ package core
 
 import (
 	"strconv"
-	"sync/atomic"
 
-	"es/internal/cache"
 	"es/internal/compile"
 	"es/internal/glob"
 	"es/internal/syntax"
 )
 
-// compileHits counts block runs that found their unit on the block;
-// compileMisses counts lowerings.  $&cachestats reports them as the
-// compile cache, which keeps no table: a unit lives on its block, and
-// goes when the tree goes.
-var compileHits, compileMisses atomic.Int64
-
-func compileStats() cache.Stats {
-	return cache.Stats{Name: "compile", Hits: compileHits.Load(), Misses: compileMisses.Load()}
-}
-
-// unitFor returns the compiled unit of b, lowering b's whole tree on
-// first use.  Every block, rewritten or not, has a unit, and keeps the
-// first one published for its lifetime.  Nested lambda and substitution
-// bodies are attached as the tree is lowered, so closure application
-// starts on compiled code.
-func unitFor(b *syntax.Block) *compile.Unit {
-	if u, ok := b.Unit.Load().(*compile.Unit); ok {
-		compileHits.Add(1)
-		return u
-	}
-	compileMisses.Add(1)
-	// Compilation is total: the error is always nil.
-	u, _ := compile.Compile(b, func(sb *syntax.Block, su *compile.Unit) { attach(sb, su) })
-	return attach(b, u)
-}
-
-// attach publishes u as b's unit unless another goroutine (a session or
-// pipeline element running the same cached tree) published one first,
-// and returns the unit b keeps.
-func attach(b *syntax.Block, u *compile.Unit) *compile.Unit {
-	if b.Unit.CompareAndSwap(nil, u) {
-		return u
-	}
-	return b.Unit.Load().(*compile.Unit)
+// execUnit evaluates a compiled unit: its run of instructions, as
+// execSeq does.
+func (i *Interp) execUnit(ctx *Ctx, u *compile.Unit, env *Binding) (List, error) {
+	return i.execSeq(ctx, u.Prog, u.Prog.Seq(u.Seq), env)
 }
 
 // execSeq evaluates a compiled command sequence; the result is the last
@@ -518,17 +485,10 @@ func (i *Interp) appendSeg(ctx *Ctx, out List, p *compile.Program, s *compile.Se
 		return append(out, Term{Prim: p.Names[s.Ref]}), nil
 	case compile.SegLambda:
 		i.Alloc.closure()
-		lam := p.Lambdas[s.Ref]
-		cl := &Closure{
-			Params:    lam.Params,
-			HasParams: lam.HasParams,
-			Body:      lam.Body,
-			Env:       env,
-		}
-		return append(out, Term{Closure: cl}), nil
+		return append(out, Term{Closure: &Closure{Unit: &p.Units[s.Ref], Env: env}}), nil
 	case compile.SegCmdSub:
 		i.Alloc.closure()
-		cl := &Closure{Body: p.Blocks[s.Ref], Env: env}
+		cl := &Closure{Unit: &p.Units[s.Ref], Env: env}
 		res, err := i.CallHook(ctx.NonTail(), "%backquote", List{Term{Closure: cl}})
 		if err != nil {
 			return nil, err
@@ -536,7 +496,7 @@ func (i *Interp) appendSeg(ctx *Ctx, out List, p *compile.Program, s *compile.Se
 		// Substituted command output is not re-globbed (rc semantics).
 		return appendValue(out, res), nil
 	case compile.SegRetSub:
-		res, err := i.EvalBlock(ctx.NonTail(), p.Blocks[s.Ref], env)
+		res, err := i.execUnit(ctx.NonTail(), &p.Units[s.Ref], env)
 		if err != nil {
 			return nil, err
 		}

@@ -4,8 +4,10 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"es/internal/cache"
+	"es/internal/compile"
 	"es/internal/glob"
 	"es/internal/syntax"
 )
@@ -145,11 +147,14 @@ func (a *AllocStats) command() {
 }
 
 // jobTable tracks %background jobs; it is shared between an interpreter
-// and its forks so wait works from subshells of the spawning shell.
+// and its forks so wait works from subshells of the spawning shell.  The
+// first job makes the map and the condition variable, which each job
+// broadcasts under mu when it finishes.
 type jobTable struct {
-	mu   sync.Mutex
-	next int
-	jobs map[int]*job
+	mu       sync.Mutex
+	finished *sync.Cond
+	next     int
+	jobs     map[int]*job
 }
 
 type job struct {
@@ -171,7 +176,7 @@ func New() *Interp {
 		prims:    make(map[string]PrimFunc),
 		builtins: make(map[string]BuiltinFunc),
 		dir:      dir,
-		jobs:     &jobTable{jobs: make(map[int]*job)},
+		jobs:     new(jobTable),
 		sig:      new(signals),
 		maxDepth: 10000,
 	}
@@ -297,7 +302,7 @@ func (i *Interp) ForkCmd(cmd Term, args List) (*Interp, Term, List) {
 func (i *Interp) Spawn() *Interp {
 	child := i.Fork()
 	child.sig = new(signals)
-	child.jobs = &jobTable{jobs: make(map[int]*job)}
+	child.jobs = new(jobTable)
 	return child
 }
 
@@ -341,7 +346,7 @@ func copyClosure(c *Closure, memo *forkMemo) *Closure {
 	if dup, ok := memo.closures[c]; ok {
 		return dup
 	}
-	dup := &Closure{Params: c.Params, HasParams: c.HasParams, Body: c.Body}
+	dup := &Closure{Unit: c.Unit}
 	if memo.closures == nil {
 		memo.closures = make(map[*Closure]*Closure)
 	}
@@ -367,38 +372,83 @@ func copyBindings(b *Binding, memo *forkMemo) *Binding {
 	return dup
 }
 
-// parseCache memoizes ParseCommand results by source text.  Rewrite
-// lowers the fresh parse in place before the tree is published, and from
-// then on evaluation only reads it (the compiled units on its blocks are
-// published by compare-and-swap), so one Block is safely shared by every
-// evaluation and every interpreter in the process.  Repeated eval/%parse
-// of the same source (and every startup's initial.es) skips the lexer
-// entirely.
-var parseCache = cache.NewMap[*syntax.Block]("parse", 512)
+// program is a parse cache entry: a source's rewritten tree and, from
+// the program's first run on, the unit lowered from the whole tree.
+type program struct {
+	tree *syntax.Block
+	unit *compile.Unit
+}
+
+// parseCache maps source text to its program.  Rewrite lowers the fresh
+// parse in place before the entry is stored, and from then on nothing
+// writes the tree or the program lowered from it, so both are shared by
+// every evaluation and every interpreter in the process.  Repeated
+// eval/%parse of the same source (and every startup's initial.es) skips
+// the lexer entirely, and from its second run on, the compiler too.
+var parseCache = cache.NewMap[program]("parse", 512)
+
+// reused counts the runs that found their program lowered, and
+// lowerings the programs lowered: $&cachestats reports them as the
+// compile cache's hits and misses.
+var reused, lowerings atomic.Int64
 
 // maxCachedSrc bounds the source size the parse cache will retain; huge
 // one-off scripts would otherwise pin memory for no repeat benefit.
 const maxCachedSrc = 1 << 14
 
-// ParseCommand parses source and rewrites the parsed tree, which it
-// alone holds, in place into the core representation ready for
-// evaluation.  Successful parses of modest sources are memoized.
-func ParseCommand(src string) (*syntax.Block, error) {
+// parse returns src's program, parsing src and rewriting the tree, which
+// it alone holds, in place on a miss.  Successful parses of modest
+// sources are memoized.
+func parse(src string) (program, error) {
 	cacheable := len(src) <= maxCachedSrc
 	if cacheable {
-		if b, ok := parseCache.Get(src); ok {
-			return b, nil
+		if p, ok := parseCache.Get(src); ok {
+			return p, nil
 		}
 	}
 	b, err := syntax.Parse(src)
 	if err != nil {
+		return program{}, err
+	}
+	p := program{tree: syntax.Rewrite(b).(*syntax.Block)}
+	if cacheable {
+		parseCache.Put(src, p)
+	}
+	return p, nil
+}
+
+// lower returns the unit of p, src's program.  The first run lowers the
+// tree and writes the unit back to src's entry.  Sessions that race on a
+// fresh program may each lower it, and the cache keeps one.
+func lower(src string, p program) *compile.Unit {
+	if p.unit != nil {
+		reused.Add(1)
+		return p.unit
+	}
+	lowerings.Add(1)
+	p.unit, _ = compile.Compile(p.tree, nil) // total: the error is always nil
+	if len(src) <= maxCachedSrc {
+		parseCache.Put(src, p)
+	}
+	return p.unit
+}
+
+// ParseCommand parses source into the core representation ready for
+// evaluation, through the parse cache.  It does not lower the tree, so a
+// program that is only checked is never compiled.
+func ParseCommand(src string) (*syntax.Block, error) {
+	p, err := parse(src)
+	return p.tree, err
+}
+
+// CompileCommand parses source as ParseCommand does and returns the unit
+// of the whole program, lowered on its first run.
+func CompileCommand(src string) (*compile.Unit, error) {
+	p, err := parse(src)
+	if err != nil {
 		return nil, err
 	}
-	rw := syntax.Rewrite(b).(*syntax.Block)
-	if cacheable {
-		parseCache.Put(src, rw)
-	}
-	return rw, nil
+	return lower(src, p), nil
 }
 
 // FlushParseCache drops every memoized parse (the $&recache escape hatch
@@ -416,9 +466,9 @@ func (i *Interp) PathCache() *cache.Map[string] {
 
 // FlushCaches drops this interpreter's path cache and the process-wide
 // parse, decode, and glob caches: the native analogue of Figure 2's
-// recache function, bound to $&recache.  Compiled units live on their
-// trees, so a flushed tree takes its units with it and the next parse
-// lowers afresh.
+// recache function, bound to $&recache.  A program lives in its parse
+// cache entry, so a flushed entry takes its units with it and the next
+// run lowers afresh.
 func (i *Interp) FlushCaches() {
 	i.PathCache().Flush()
 	FlushParseCache()
@@ -434,7 +484,7 @@ func (i *Interp) CacheStats() []cache.Stats {
 	return []cache.Stats{
 		i.PathCache().Stats(),
 		parseCache.Stats(),
-		compileStats(),
+		{Name: "compile", Hits: reused.Load(), Misses: lowerings.Load()},
 		decodeCache.Stats(),
 		glob.CacheStats(),
 	}
@@ -442,11 +492,11 @@ func (i *Interp) CacheStats() []cache.Stats {
 
 // RunString parses and evaluates src, returning its rich result.
 func (i *Interp) RunString(ctx *Ctx, src string) (List, error) {
-	b, err := ParseCommand(src)
+	u, err := CompileCommand(src)
 	if err != nil {
 		return nil, ErrorExc(err.Error())
 	}
-	return i.EvalBlock(ctx.NonTail(), b, nil)
+	return i.execUnit(ctx.NonTail(), u, nil)
 }
 
 // RunFile sources the script at path with $* bound to args.
@@ -458,11 +508,11 @@ func (i *Interp) RunFile(ctx *Ctx, path string, args List) (List, error) {
 	if err != nil {
 		return nil, ErrorExc(err.Error())
 	}
-	b, perr := ParseCommand(string(src))
+	u, perr := CompileCommand(string(src))
 	if perr != nil {
 		return nil, ErrorExc(path + ": " + perr.Error())
 	}
 	// $0 names the script for its dynamic extent, $* holds the args.
-	cl := &Closure{Body: b, Env: &Binding{Name: "0", Value: StrList(path)}}
+	cl := &Closure{Unit: u, Env: &Binding{Name: "0", Value: StrList(path)}}
 	return i.Apply(ctx.NonTail(), cl, args)
 }

@@ -163,12 +163,8 @@ func TestForkDeepCopySharing(t *testing.T) {
 	// with each other, but not with the parent's pair.
 	i := New()
 	shared := &Binding{Name: "s", Value: StrList("orig")}
-	blk, err := ParseCommand("echo $s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1 := &Closure{Body: blk, Env: shared}
-	c2 := &Closure{Body: blk, Env: shared}
+	c1 := closureOf(t, "{echo $s}", shared)
+	c2 := &Closure{Unit: c1.Unit, Env: shared}
 	i.SetVarRaw("f1", List{{Closure: c1}})
 	i.SetVarRaw("f2", List{{Closure: c2}})
 
@@ -184,9 +180,9 @@ func TestForkDeepCopySharing(t *testing.T) {
 	if g1.Env == shared {
 		t.Error("fork shares bindings with parent")
 	}
-	// The body AST is immutable and may be shared.
-	if g1.Body != blk {
-		t.Error("fork needlessly copied the AST")
+	// The compiled body is immutable and may be shared.
+	if g1.Unit != c1.Unit {
+		t.Error("fork needlessly copied the unit")
 	}
 	// Mutation in the child is invisible to the parent.
 	g1.Env.Value = StrList("child")
@@ -199,9 +195,8 @@ func TestForkCyclicEnv(t *testing.T) {
 	// A binding whose value contains a closure over that same binding
 	// (the recursive-structure case) must fork without looping.
 	i := New()
-	blk, _ := ParseCommand("echo self")
 	b := &Binding{Name: "self"}
-	cl := &Closure{Body: blk, Env: b}
+	cl := closureOf(t, "{echo self}", b)
 	b.Value = List{{Closure: cl}}
 	i.SetVarRaw("rec", List{{Closure: cl}})
 	child := i.Fork()

@@ -6,8 +6,8 @@ package core
 // implementation.
 
 import (
-	"reflect"
 	"sort"
+	"sync"
 )
 
 // StartJob runs fn, which evaluates in i, on a subshell runner (see Go)
@@ -19,11 +19,16 @@ import (
 // next SetCancel on the group touches, so the deadline of the request
 // that started the job still ends it after the request has returned.
 func (i *Interp) StartJob(fn func() List) int {
-	i.jobs.mu.Lock()
-	i.jobs.next++
-	j := &job{id: i.jobs.next, done: make(chan struct{})}
-	i.jobs.jobs[j.id] = j
-	i.jobs.mu.Unlock()
+	t := i.jobs
+	t.mu.Lock()
+	if t.jobs == nil {
+		t.jobs = make(map[int]*job)
+		t.finished = sync.NewCond(&t.mu)
+	}
+	t.next++
+	j := &job{id: t.next, done: make(chan struct{})}
+	t.jobs[j.id] = j
+	t.mu.Unlock()
 	c := i.sig.cancel.Load()
 	if c != nil {
 		c.jobs.Add(1)
@@ -35,7 +40,10 @@ func (i *Interp) StartJob(fn func() List) int {
 		if c != nil {
 			c.jobs.Add(-1)
 		}
+		t.mu.Lock()
 		close(j.done)
+		t.finished.Broadcast()
+		t.mu.Unlock()
 	})
 	return j.id
 }
@@ -64,53 +72,31 @@ func (i *Interp) WaitJob(id int) (List, bool) {
 // finishes first — not the lowest id, which would hang `wait` behind a
 // long-running early job while later jobs sit finished — breaking ties on
 // the lowest id so the result is deterministic when several are already
-// done.
+// done.  It looks under the table lock, and waits for the next job to
+// finish when none has.
 func (i *Interp) WaitAny() (int, List, bool) {
-	for {
-		i.jobs.mu.Lock()
-		ids := make([]int, 0, len(i.jobs.jobs))
-		for id := range i.jobs.jobs {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		chans := make([]chan struct{}, len(ids))
-		for k, id := range ids {
-			chans[k] = i.jobs.jobs[id].done
-		}
-		i.jobs.mu.Unlock()
-		if len(ids) == 0 {
-			return 0, nil, false
-		}
-		// Fast path: claim the lowest-id job that has already finished.
-		raced := false
-		for k, id := range ids {
+	t := i.jobs
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for len(t.jobs) > 0 {
+		first := 0
+		for id, j := range t.jobs {
 			select {
-			case <-chans[k]:
-				if res, ok := i.WaitJob(id); ok {
-					return id, res, true
+			case <-j.done:
+				if first == 0 || id < first {
+					first = id
 				}
-				// A concurrent waiter claimed it between our snapshot and
-				// the reap; take a fresh snapshot.
-				raced = true
 			default:
 			}
-			if raced {
-				break
-			}
 		}
-		if raced {
-			continue
+		if first != 0 {
+			j := t.jobs[first]
+			delete(t.jobs, first)
+			return first, j.res, true
 		}
-		// Nothing finished yet: block until any of the snapshot's jobs
-		// closes its done channel, then re-scan from the top (the re-scan
-		// applies the lowest-id tie-break and tolerates concurrent
-		// waiters reaping the job first).
-		cases := make([]reflect.SelectCase, len(chans))
-		for k, ch := range chans {
-			cases[k] = reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(ch)}
-		}
-		reflect.Select(cases)
+		t.finished.Wait()
 	}
+	return 0, nil, false
 }
 
 // JobIDs returns the live background job ids (unwaited), sorted ascending.

@@ -3,7 +3,7 @@ package core
 // Subshell runners.  C es forks a process for every pipeline element and
 // background job; here each runs on a goroutine of its own.  A new
 // goroutine starts on a small stack and grows it by copying, frame by
-// frame, as es code descends through applyTerm, EvalBlock and a
+// frame, as es code descends through applyTerm, execSeq and a
 // builtin's line reader.  A runner does not exit when its subshell ends:
 // it parks, and the next subshell starts on the stack it has already
 // grown.

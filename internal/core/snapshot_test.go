@@ -3,8 +3,6 @@ package core
 import (
 	"strings"
 	"testing"
-
-	"es/internal/syntax"
 )
 
 // The regression the snapshot work surfaced: a captured binding whose
@@ -14,14 +12,8 @@ import (
 // returning a nil environment and losing every captured variable.
 func TestDecodeNestedClosureCaptures(t *testing.T) {
 	i := New()
-	inner := &Closure{
-		Body: mustParseBody(t, i, "{echo $x}"),
-		Env:  &Binding{Name: "x", Value: StrList("1")},
-	}
-	outer := &Closure{
-		Body: mustParseBody(t, i, "{$f}"),
-		Env:  &Binding{Name: "f", Value: List{{Closure: inner}}},
-	}
+	inner := closureOf(t, "{echo $x}", &Binding{Name: "x", Value: StrList("1")})
+	outer := closureOf(t, "{$f}", &Binding{Name: "f", Value: List{{Closure: inner}}})
 	enc := EncodeClosure(outer)
 	want := "%closure(f=%closure(x=1)@ * {echo $x})@ * {$f}"
 	if enc != want {
@@ -48,12 +40,9 @@ func TestDecodeNestedClosureCaptures(t *testing.T) {
 // Deeper nesting and mixed values keep round-tripping.
 func TestDecodeNestedClosureDepth(t *testing.T) {
 	i := New()
-	l3 := &Closure{Body: mustParseBody(t, i, "{echo $z deep}"),
-		Env: &Binding{Name: "z", Value: StrList("3", "z z")}}
-	l2 := &Closure{Body: mustParseBody(t, i, "{$g}"),
-		Env: &Binding{Name: "g", Value: List{{Closure: l3}, {Str: "lit"}, {Prim: "echo"}}}}
-	l1 := &Closure{Body: mustParseBody(t, i, "{$h}"),
-		Env: &Binding{Name: "h", Value: List{{Closure: l2}}}}
+	l3 := closureOf(t, "{echo $z deep}", &Binding{Name: "z", Value: StrList("3", "z z")})
+	l2 := closureOf(t, "{$g}", &Binding{Name: "g", Value: List{{Closure: l3}, {Str: "lit"}, {Prim: "echo"}}})
+	l1 := closureOf(t, "{$h}", &Binding{Name: "h", Value: List{{Closure: l2}}})
 	enc := EncodeClosure(l1)
 	dec := i.DecodeValue("fn-t", enc)
 	if len(dec) != 1 || dec[0].Closure == nil {
@@ -62,15 +51,6 @@ func TestDecodeNestedClosureDepth(t *testing.T) {
 	if re := EncodeClosure(dec[0].Closure); re != enc {
 		t.Errorf("round trip changed:\n  %q\n  %q", enc, re)
 	}
-}
-
-func mustParseBody(t *testing.T, i *Interp, src string) *syntax.Block {
-	t.Helper()
-	val := i.DecodeValue("fn-x", src)
-	if len(val) != 1 || val[0].Closure == nil {
-		t.Fatalf("parse %q failed: %v", src, val)
-	}
-	return val[0].Closure.Body
 }
 
 // Snapshot -> restore preserves export status exactly: noexport marks on
@@ -83,8 +63,7 @@ func TestSnapshotRestoreNoExport(t *testing.T) {
 	a.SetVarRaw("public", StrList("42"))
 	// A function whose closure captured a lexical binding, itself marked
 	// noexport: the round trip must keep both the capture and the mark.
-	fn := &Closure{Body: mustParseBody(t, a, "{echo $cap $secret}"),
-		Env: &Binding{Name: "cap", Value: StrList("held")}}
+	fn := closureOf(t, "{echo $cap $secret}", &Binding{Name: "cap", Value: StrList("held")})
 	a.SetVarRaw("fn-f", List{{Closure: fn}})
 	a.SetNoExport("fn-f")
 	// A sticky mark on a name never assigned (the phantom slot).
@@ -173,16 +152,12 @@ func TestSnapshotLazySlots(t *testing.T) {
 func TestSnapshotRoundTripStable(t *testing.T) {
 	a := New()
 	a.SetVarRaw("words", StrList("a", "b c", "don't", ""))
-	a.SetVarRaw("fn-id", List{{Closure: &Closure{
-		Body: mustParseBody(t, a, "@ x {result $x}"), Params: []string{"x"}, HasParams: true}}})
-	inner := &Closure{Body: mustParseBody(t, a, "{echo $n}"),
-		Env: &Binding{Name: "n", Value: StrList("5")}}
-	a.SetVarRaw("fn-outer", List{{Closure: &Closure{
-		Body: mustParseBody(t, a, "{$inner}"),
-		Env:  &Binding{Name: "inner", Value: List{{Closure: inner}}}}}})
+	a.SetVarRaw("fn-id", List{{Closure: closureOf(t, "@ x {result $x}", nil)}})
+	inner := closureOf(t, "{echo $n}", &Binding{Name: "n", Value: StrList("5")})
+	a.SetVarRaw("fn-outer", List{{Closure: closureOf(t, "{$inner}",
+		&Binding{Name: "inner", Value: List{{Closure: inner}}})}})
 	a.SetNoExport("words")
-	a.SetVarRaw("set-watched", List{{Closure: &Closure{
-		Body: mustParseBody(t, a, "{result $*}")}}})
+	a.SetVarRaw("set-watched", List{{Closure: closureOf(t, "{result $*}", nil)}})
 
 	first := a.SnapshotVars()
 	b := New()

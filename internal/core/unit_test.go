@@ -5,88 +5,97 @@ import (
 	"sync"
 	"testing"
 
-	"es/internal/compile"
+	"es/internal/analysis"
 	"es/internal/core"
-	"es/internal/syntax"
 )
 
-// TestConcurrentFirstRunSharesUnits: spawned sessions that run one cached
-// but never lowered tree at the same moment race to lower it.  Every
-// block ends up with one unit, every session runs on it, and every
-// session gets the right result.
-func TestConcurrentFirstRunSharesUnits(t *testing.T) {
+// lowerings returns the compile cache's misses: the programs lowered.
+func lowerings(t *testing.T, i *core.Interp) int64 {
+	t.Helper()
+	for _, s := range i.CacheStats() {
+		if s.Name == "compile" {
+			return s.Misses
+		}
+	}
+	t.Fatal("no compile cache in CacheStats")
+	return 0
+}
+
+// TestConcurrentFirstRunSharesProgram: spawned sessions that run one
+// fresh program at the same moment may each lower it.  Every session
+// gets the right result, the parse cache keeps one of the programs, and
+// running it again lowers nothing.
+func TestConcurrentFirstRunSharesProgram(t *testing.T) {
 	tmpl, _, _ := harness(t)
-	core.FlushParseCache() // a fresh tree on every -count
+	core.FlushParseCache() // a fresh program on every -count
 	const src = "let (mk = @ p {result @ x {result $p^$x}}; twice = @ f x {$f <={$f $x}}) " +
 		"{let (f = <={$mk first-run-}; g = <={$mk shares-}) {result <={$f a} <={$twice $g b} <={$f <={$g c}}}}"
 	const want = "first-run-a shares-shares-b first-run-shares-c"
-	compiles := func() int64 {
-		for _, s := range tmpl.CacheStats() {
-			if s.Name == "compile" {
-				return s.Misses
-			}
-		}
-		t.Fatal("no compile cache in CacheStats")
-		return 0
-	}
-
-	b, err := core.ParseCommand(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Unit.Load() != nil {
-		t.Fatal("the fresh tree already has a unit")
+	run := func(s *core.Interp) (core.List, error) {
+		out := &core.Buffer{}
+		return s.RunString(&core.Ctx{IO: core.NewIOTable(strings.NewReader(""), out, out)}, src)
 	}
 
 	const sessions = 8
-	before := compiles()
+	before := lowerings(t, tmpl)
 	start := make(chan struct{})
-	seen := make([]*compile.Unit, sessions)
 	var wg sync.WaitGroup
 	for k := range sessions {
 		s := tmpl.Spawn()
-		out := &core.Buffer{}
-		ctx := &core.Ctx{IO: core.NewIOTable(strings.NewReader(""), out, out)}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			<-start
-			res, err := s.RunString(ctx, src)
-			if err != nil || res.Flatten(" ") != want {
+			if res, err := run(s); err != nil || res.Flatten(" ") != want {
 				t.Errorf("session %d = %v, %v; want %s", k, res, err, want)
 			}
-			seen[k], _ = b.Unit.Load().(*compile.Unit)
 		}()
 	}
 	close(start)
 	wg.Wait()
+	if n := lowerings(t, tmpl) - before; n < 1 || n > sessions {
+		t.Errorf("%d lowerings for %d sessions", n, sessions)
+	}
 
-	lowered := compiles() - before
-	if lowered < 1 || lowered > sessions {
-		t.Errorf("%d lowerings for %d sessions", lowered, sessions)
+	u, err := core.CompileCommand(src)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for k, u := range seen {
-		if u == nil || u != seen[0] {
-			t.Fatalf("session %d saw unit %p, session 0 saw %p", k, u, seen[0])
-		}
+	if again, _ := core.CompileCommand(src); again != u {
+		t.Errorf("the parse cache holds no one program: units %p, then %p", u, again)
 	}
-	// Every lambda and substitution body kept a unit too, so running
-	// the program again lowers nothing.
-	nested := 0
-	compile.Compile(b, func(nb *syntax.Block, _ *compile.Unit) {
-		nested++
-		if nb.Unit.Load() == nil {
-			t.Errorf("a nested body at %v has no unit", nb.Pos)
-		}
-	})
-	if nested == 0 {
-		t.Fatal("the program has no nested bodies")
-	}
-	before = compiles()
-	if res, err := tmpl.Spawn().RunString(&core.Ctx{IO: core.NewIOTable(strings.NewReader(""), &core.Buffer{}, &core.Buffer{})}, src); err != nil || res.Flatten(" ") != want {
+	before = lowerings(t, tmpl)
+	if res, err := run(tmpl.Spawn()); err != nil || res.Flatten(" ") != want {
 		t.Errorf("rerun = %v, %v; want %s", res, err, want)
 	}
-	if n := compiles() - before; n != 0 {
-		t.Errorf("rerun lowered %d blocks", n)
+	if n := lowerings(t, tmpl) - before; n != 0 {
+		t.Errorf("rerun lowered the program %d times", n)
+	}
+}
+
+// TestCheckedProgramIsNotLowered: checking a program, through the
+// analyzer or ParseCommand, parses it and does not lower it.  Its first
+// run lowers it once, and the runs after it find it lowered.
+func TestCheckedProgramIsNotLowered(t *testing.T) {
+	i, ctx, _ := harness(t)
+	core.FlushParseCache()
+	const src = "let (f = @ x {result <={result $x}^-ok}) {$f checked}"
+	before := lowerings(t, i)
+	if _, err := core.ParseCommand(src); err != nil {
+		t.Fatal(err)
+	}
+	if r := analysis.Analyze(src, analysis.Options{}); len(r.Diags) != 0 {
+		t.Fatalf("Analyze(%q) = %+v", src, r.Diags)
+	}
+	if n := lowerings(t, i) - before; n != 0 {
+		t.Fatalf("checking the program lowered it %d times", n)
+	}
+	for range 3 {
+		if res := eval(t, i, ctx, src); res.Flatten(" ") != "checked-ok" {
+			t.Fatalf("run = %v, want checked-ok", res)
+		}
+	}
+	if n := lowerings(t, i) - before; n != 1 {
+		t.Errorf("three runs lowered the program %d times, want once", n)
 	}
 }

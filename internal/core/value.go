@@ -10,6 +10,7 @@ package core
 import (
 	"strings"
 
+	"es/internal/compile"
 	"es/internal/syntax"
 )
 
@@ -26,16 +27,13 @@ type Term struct {
 // that is, lists may not contain lists as elements."
 type List []Term
 
-// Closure is a procedure "waiting to happen": a lambda body plus the
+// Closure is a procedure "waiting to happen": a compiled body plus the
 // lexical environment captured at the point the lambda was evaluated.
-//
-// HasParams distinguishes "@ {body}" (explicitly zero parameters) from a
-// bare "{body}" fragment, whose arguments bind to *.
+// The unit's lambda holds the parameters; a unit with none, such as a
+// substitution body or a parsed command, binds its arguments to *.
 type Closure struct {
-	Params    []string
-	HasParams bool
-	Body      *syntax.Block
-	Env       *Binding
+	Unit *compile.Unit
+	Env  *Binding
 }
 
 // Binding is one link in a lexical environment chain.  Bindings are
@@ -85,8 +83,24 @@ func (t Term) String() string {
 	}
 }
 
+// params returns the closure's parameters, and whether it declares a
+// list at all: "@ {body}" declares an empty one, while a bare "{body}"
+// fragment, or a unit that is no lambda's body, declares none and binds
+// its arguments to *.
+func (c *Closure) params() ([]string, bool) {
+	if lam := c.Unit.Lambda; lam != nil && lam.HasParams {
+		return lam.Params, true
+	}
+	return nil, false
+}
+
+// lambda returns the lambda the closure's unit was lowered from, or a
+// bare {body} one for a unit that has none.
 func (c *Closure) lambda() *syntax.Lambda {
-	return &syntax.Lambda{Params: c.Params, HasParams: c.HasParams, Body: c.Body}
+	if c.Unit.Lambda != nil {
+		return c.Unit.Lambda
+	}
+	return &syntax.Lambda{Body: c.Unit.Body}
 }
 
 // Strings flattens the list to plain strings (closures unparse).

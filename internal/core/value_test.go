@@ -6,11 +6,21 @@ import (
 	"testing/quick"
 
 	"es/internal/compile"
-	"es/internal/syntax"
 )
 
+// closureOf makes a closure of the lambda src spells, such as "{echo hi}"
+// or "@ a b {echo hi}", over env.
+func closureOf(t testing.TB, src string, env *Binding) *Closure {
+	t.Helper()
+	val := New().DecodeValue("fn-x", src)
+	if len(val) != 1 || val[0].Closure == nil {
+		t.Fatalf("decode %q: %v", src, val)
+	}
+	return &Closure{Unit: val[0].Closure.Unit, Env: env}
+}
+
 func TestListTruth(t *testing.T) {
-	cl := &Closure{Body: &syntax.Block{}}
+	cl := closureOf(t, "{}", nil)
 	tests := []struct {
 		l    List
 		want bool
@@ -83,11 +93,7 @@ func TestConcatSemantics(t *testing.T) {
 		}
 	}
 	// A closure or primitive joins by its unparsed form.
-	blk, err := ParseCommand("echo hi")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := Term{Closure: &Closure{Body: blk}}
+	cl := Term{Closure: closureOf(t, "{echo hi}", nil)}
 	got, ok := concat(t, List{cl, {Prim: "echo"}}, StrList("!"))
 	if !ok || got.Flatten(",") != "{echo hi}!,$&echo!" || got[0].Closure != nil {
 		t.Errorf("terms joined = %v, %v", got, ok)
@@ -138,15 +144,11 @@ func TestTermString(t *testing.T) {
 	if got := (Term{Prim: "create"}).String(); got != "$&create" {
 		t.Errorf("prim term = %q", got)
 	}
-	blk, err := ParseCommand("echo hi")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := &Closure{Body: blk}
+	cl := closureOf(t, "{echo hi}", nil)
 	if got := (Term{Closure: cl}).String(); got != "{echo hi}" {
 		t.Errorf("closure term = %q", got)
 	}
-	cl2 := &Closure{Params: []string{"a", "b"}, HasParams: true, Body: blk}
+	cl2 := closureOf(t, "@ a b {echo hi}", nil)
 	if got := (Term{Closure: cl2}).String(); got != "@ a b {echo hi}" {
 		t.Errorf("lambda term = %q", got)
 	}
@@ -166,13 +168,13 @@ func TestFlattenAndStrings(t *testing.T) {
 }
 
 func TestListEqual(t *testing.T) {
-	cl := &Closure{Body: &syntax.Block{}}
+	cl := closureOf(t, "{}", nil)
 	a := List{StrTerm("x"), {Closure: cl}}
 	b := List{StrTerm("x"), {Closure: cl}}
 	if !a.Equal(b) {
 		t.Error("identical lists unequal")
 	}
-	c := List{StrTerm("x"), {Closure: &Closure{Body: &syntax.Block{}}}}
+	c := List{StrTerm("x"), {Closure: closureOf(t, "{}", nil)}}
 	if a.Equal(c) {
 		t.Error("different closures equal")
 	}

@@ -179,12 +179,8 @@ func TestConcurrentSpawnFromUnfoldedTemplate(t *testing.T) {
 		tmpl.SetVarRaw("v"+strconv.Itoa(k), StrList("tmpl"))
 	}
 	tmpl.ImportEnv([]string{"lazy=x"})
-	blk, err := ParseCommand("echo $s")
-	if err != nil {
-		t.Fatal(err)
-	}
 	shared := &Binding{Name: "s", Value: StrList("tmpl")}
-	tmpl.SetVarRaw("fn-f", List{{Closure: &Closure{Body: blk, Env: shared}}})
+	tmpl.SetVarRaw("fn-f", List{{Closure: closureOf(t, "{echo $s}", shared)}})
 
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {

@@ -226,9 +226,9 @@ func primParse(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, error)
 			return nil, core.ErrorExc("unexpected end of input")
 		}
 		src.WriteString(line)
-		blk, perr := core.ParseCommand(src.String())
+		u, perr := core.CompileCommand(src.String())
 		if perr == nil {
-			return core.List{core.Term{Closure: &core.Closure{Body: blk}}}, nil
+			return core.List{core.Term{Closure: &core.Closure{Unit: u}}}, nil
 		}
 		if !syntax.IsIncomplete(perr) {
 			return nil, core.ErrorExc(perr.Error())
@@ -259,7 +259,7 @@ func commandLabel(args core.List) string {
 	parts := make([]string, 0, len(args))
 	for _, t := range args {
 		if t.Closure != nil {
-			parts = append(parts, syntax.UnparseBody(t.Closure.Body))
+			parts = append(parts, syntax.UnparseBody(t.Closure.Unit.Body))
 		} else {
 			parts = append(parts, t.String())
 		}

@@ -1,9 +1,6 @@
 package syntax
 
-import (
-	"strconv"
-	"sync/atomic"
-)
+import "strconv"
 
 // The AST.  Parse produces surface nodes; Rewrite lowers the surface sugar
 // (pipes, redirections, background, && and ||, fn definitions) into core
@@ -142,12 +139,6 @@ type Lambda struct {
 type Block struct {
 	Cmds []Cmd
 	Pos  Pos
-
-	// Unit holds the block's compiled form from its first run on, for
-	// the block's lifetime.  Only the evaluator (internal/core) reads or
-	// writes it, by atomic load and compare-and-swap, because sessions
-	// and pipeline elements run one cached tree at the same time.
-	Unit atomic.Value
 }
 
 // Simple is a command invocation: evaluate the words, apply the first

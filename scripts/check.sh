@@ -9,13 +9,14 @@
 #                     allocation ratchet against BENCH_allocs.json (about
 #                     30s: allocation counts do not depend on the host)
 #   tier 2 (-race):   adds go vet, the fork, spawn, isolation, pipe,
-#                     runner, cancel and shared-unit tests ten times over
-#                     under the race detector (forks and spawned sessions
-#                     share one frozen variable table across goroutines,
-#                     pipeline elements share the ends of their pipes,
-#                     subshells share the runners that run them, and
-#                     sessions running one cached tree publish its
-#                     compiled units to each other), the race detector
+#                     runner, cancel, wait and shared-program tests ten
+#                     times over under the race detector (forks and
+#                     spawned sessions share one frozen variable table
+#                     across goroutines, pipeline elements share the ends
+#                     of their pipes, subshells share the runners that
+#                     run them, waiters share their job table, and
+#                     sessions that run one fresh program may each lower
+#                     it into the one parse cache), the race detector
 #                     over the full
 #                     suite (including the 100-session esd soak test), 20s of
 #                     FuzzFrameCodec (esd's frame codec against
@@ -57,8 +58,8 @@ sh scripts/bench_allocs.sh -check
 if [ "${1:-}" = "-race" ]; then
 	echo "== go vet ./..."
 	go vet ./...
-	echo "== go test -race -count=10 (fork, spawn, isolation, pipe, runner, cancel and shared-unit tests)"
-	go test -race -count=10 -run 'Fork|Spawn|Subshell|Isolation|BackgroundJob|Pipe|Runner|Cancel|ConcurrentFirstRunSharesUnits' ./internal/core ./internal/prim
+	echo "== go test -race -count=10 (fork, spawn, isolation, pipe, runner, cancel, wait and shared-program tests)"
+	go test -race -count=10 -run 'Fork|Spawn|Subshell|Isolation|BackgroundJob|Pipe|Runner|Cancel|Wait|ConcurrentFirstRunSharesProgram' ./internal/core ./internal/prim
 	echo "== go test -race ./..."
 	go test -race ./...
 	echo "== FuzzFrameCodec (20s: the frame codec against encoding/json)"
