@@ -143,11 +143,11 @@ func (r Result) Filter(min Severity) []Diagnostic {
 	return out
 }
 
-// Analyze analyzes src as the evaluator parses it, through the parse
-// cache (core.ParseCommand), so a checked program that then runs is
-// parsed once.  A parse failure yields a single E100 diagnostic rather
-// than an error: the analyzer's contract is that every input produces a
-// Result.
+// Analyze analyzes src as the evaluator parses it (core.ParseCommand).
+// It neither lowers the program nor stores it in the parse cache, so a
+// checked program that then runs on a cache miss is parsed again.  A
+// parse failure yields a single E100 diagnostic rather than an error:
+// the analyzer's contract is that every input produces a Result.
 func Analyze(src string, opts Options) Result {
 	b, err := core.ParseCommand(src)
 	if err != nil {

@@ -12,8 +12,8 @@ import (
 
 // unitBudget is the most a program's compiled units may weigh, as a
 // fraction of the heap bytes of the rewritten tree they are lowered from.
-// A program lives in the parse cache beside its tree, so every byte of a
-// unit is kept as long as the parse cache keeps the tree.
+// A program replaces its tree in the parse cache, so its units are what
+// the cache keeps of every program it holds.
 const unitBudget = 0.6
 
 // TestUnitBytesWithinBudget lowers a corpus of higher-order programs

@@ -1,13 +1,14 @@
 // Package compile lowers syntax trees to a compact, flat instruction
 // form, the only form the evaluator in internal/core executes.
 //
-// The parse cache (internal/core) maps a source to its rewritten tree
-// and, from the program's first run on, to the unit Compile lowered from
-// the whole tree.  A program is built whole before anything runs it, and
-// is immutable once built, so every evaluation and every interpreter in
-// the process shares it.  A closure is a unit and an environment.
+// The parse cache (internal/core) maps a source to the unit Compile
+// lowered from its whole rewritten tree, which is then dropped: a program
+// keeps its source, and Unit.Tree parses it again for the cold paths that
+// unparse a closure.  A program is built whole before anything runs it,
+// and is immutable once built, so every evaluation and every interpreter
+// in the process shares it.  A closure is a unit and an environment.
 //
-// Compile lowers rewritten trees, the only form the parse cache holds:
+// Compile lowers rewritten trees, the only form the parser hands on:
 // the core forms syntax.Rewrite leaves.  It is total on them, so every
 // block the parser accepts compiles once it is rewritten; a surface node
 // (pipe, and/or, background, redirection, fn) is not one of its inputs.
@@ -15,8 +16,8 @@
 // A program — a block and every block nested in it — is laid out in a few
 // flat tables indexed by int32 (instructions, words, segments and static
 // pieces), plus side tables for the rare operands (bindings, static match
-// patterns, computed names and subscripts, variable and primitive names)
-// and the units of the lambda and substitution bodies.
+// patterns, computed names and subscripts, variable, parameter and
+// primitive names) and the units of the lambda and substitution bodies.
 // Compiling a program makes about one allocation per non-empty table,
 // not one per word and segment, and the units weigh less than the tree
 // they come from.
@@ -37,8 +38,9 @@
 //   - match patterns built from static words are compiled to glob
 //     patterns once, not per evaluation;
 //   - every lambda and substitution body gets a unit in the program that
-//     holds it, which the segment that makes it indexes, so closure
-//     application starts on compiled code.
+//     holds it, which the segment that makes it indexes, and a lambda
+//     body's unit its parameters, so closure application starts on
+//     compiled code.
 //
 // A $&primitive stays a name, looked up in the running interpreter's
 // registry each time its command runs.
@@ -50,6 +52,7 @@ package compile
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"es/internal/glob"
 	"es/internal/syntax"
@@ -110,7 +113,8 @@ func pos(p syntax.Pos) Pos { return Pos{Line: int32(p.Line), Col: int32(p.Col)} 
 
 // Program is one lowered tree: its root block and every block nested in
 // it, laid out in flat tables.  Operands refer to table entries by int32
-// index or by Span.  A Program is immutable once Compile returns it.
+// index or by Span.  A Program is immutable once Compile returns it, but
+// for the trees Tree derives from its source.
 type Program struct {
 	Instrs []Instr
 	Words  []Word
@@ -121,12 +125,22 @@ type Program struct {
 	Bindings []Binding
 	Pats     []glob.Pattern // static match pattern lists
 	Vars     []VarExt       // computed names and subscripts
-	Names    []string       // variable and primitive names
+	Names    []string       // variable, parameter and primitive names
 
 	// Units holds the root block's unit first, then one for each lambda
 	// and substitution body, each after the units nested in it.
 	Units []Unit
+
+	// src is the source the program was lowered from, and trees, once
+	// Tree has derived them from it, the tree of each unit in the order
+	// of Units: none, for a program lowered without its source.  One
+	// store to trees wins and nothing writes it after.
+	src   string
+	trees atomic.Pointer[[]*syntax.Block]
 }
+
+// noTrees is the trees of every program lowered without its source.
+var noTrees []*syntax.Block
 
 // Seq returns the instructions s covers.
 func (p *Program) Seq(s Span) []Instr { return in(p.Instrs, s) }
@@ -146,19 +160,50 @@ func (p *Program) BindingsIn(s Span) []Binding { return in(p.Bindings, s) }
 // PatsIn returns the static match patterns s covers.
 func (p *Program) PatsIn(s Span) []glob.Pattern { return in(p.Pats, s) }
 
+// NamesIn returns the names s covers.
+func (p *Program) NamesIn(s Span) []string { return in(p.Names, s) }
+
 // Unit is one compiled block: a run of instructions in its program.
 // Every block nested in the program that can run on its own — a lambda
 // or substitution body — has a unit of its own in the same program, so a
-// closure that outlives its tree keeps the whole program's tables alive.
+// closure keeps the whole program's tables alive.
 //
-// Body is the tree the unit was lowered from, and Lambda, for a lambda
-// body, the lambda that holds it: closures unparse from them, and read
-// their free variables and parameters there.
+// Params is a lambda body's parameter list, into Names: set and possibly
+// empty for "@ params {body}", absent for a bare {body}, a substitution
+// body and a program's root, which bind their arguments to *.
 type Unit struct {
 	Prog   *Program
 	Seq    Span
-	Body   *syntax.Block
-	Lambda *syntax.Lambda
+	Params Span
+}
+
+// Tree returns the rewritten tree the unit was lowered from: the whole
+// program's for its root unit, else its lambda or substitution body.
+// The first call on a program parses its source again and lowers it
+// into the compiler's scratch, which pairs every unit with its tree, and
+// keeps the trees with the program, so a program whose closures are
+// never unparsed keeps none.  Callers that race on a first call may each
+// derive them; one store wins.  A program lowered without its source
+// has no trees: Tree returns nil.
+func (u *Unit) Tree() *syntax.Block {
+	p := u.Prog
+	trees := p.trees.Load()
+	if trees == nil {
+		b, _ := syntax.Parse(p.src) // it parsed when the program was lowered
+		c := compilers.Get().(*compiler)
+		c.lower(syntax.Rewrite(b).(*syntax.Block))
+		derived := exact(c.trees)
+		c.reset()
+		compilers.Put(c)
+		p.trees.CompareAndSwap(nil, &derived)
+		trees = p.trees.Load()
+	}
+	for k := range *trees {
+		if &p.Units[k] == u {
+			return (*trees)[k]
+		}
+	}
+	return nil
 }
 
 // Instr is one compiled command.  The operand fields used depend on Op.
@@ -278,19 +323,32 @@ type VarExt struct {
 
 // Compile lowers a block that syntax.Rewrite has lowered to the core
 // forms and returns the unit of b, the first of its program's.  Every
-// call lowers the whole tree afresh.  Compilation cannot fail: the error
-// is always nil.  The second parameter is unused; it and the error are
-// kept because bench/esbench/probe.go, in the benchmark's own module,
-// calls Compile(b, nil).
-func Compile(b *syntax.Block, _ any) (*Unit, error) {
+// call lowers the whole tree afresh.  src is the source b was parsed
+// from, which the program keeps, sharing its bytes, so that Tree can
+// derive the trees again; with nil, the program has no trees.
+// Compilation cannot fail: the error is always nil, and is kept because
+// bench/esbench/probe.go, in the benchmark's own module, calls
+// Compile(b, nil).
+func Compile(b *syntax.Block, src *string) (*Unit, error) {
 	c := compilers.Get().(*compiler)
-	c.units = append(c.units, Unit{Body: b})
-	root := c.block(b) // may grow c.units: index it after
-	c.units[0].Seq = root
+	c.lower(b)
 	p := c.finish()
+	if src != nil {
+		p.src = *src
+	} else {
+		p.trees.Store(&noTrees)
+	}
 	c.reset()
 	compilers.Put(c)
 	return &p.Units[0], nil
+}
+
+// lower lowers b, the root of a program, into the scratch tables.
+func (c *compiler) lower(b *syntax.Block) {
+	c.units = append(c.units, Unit{Params: none})
+	c.trees = append(c.trees, b)
+	root := c.block(b) // may grow c.units: index it after
+	c.units[0].Seq = root
 }
 
 // compiler holds the tables of the program being lowered.  They grow as
@@ -306,6 +364,7 @@ type compiler struct {
 	vars     []VarExt
 	names    []string
 	units    []Unit
+	trees    []*syntax.Block // the tree of each unit
 
 	one [1]StaticPiece // static's result for a lone literal
 }
@@ -352,6 +411,7 @@ func (c *compiler) reset() {
 	c.vars = c.vars[:0]
 	c.names = truncate(c.names, 0)
 	c.units = truncate(c.units, 0)
+	c.trees = truncate(c.trees, 0)
 	c.one = [1]StaticPiece{}
 }
 
@@ -388,12 +448,13 @@ func (c *compiler) block(b *syntax.Block) Span {
 	return seq
 }
 
-// nest lowers a block that may later be evaluated on its own — the body
-// of lam, or of a substitution when lam is nil — and returns the index of
-// its unit.
-func (c *compiler) nest(b *syntax.Block, lam *syntax.Lambda) int32 {
+// nest lowers a block that may later be evaluated on its own — a lambda
+// or substitution body, whose parameters params spans — and returns the
+// index of its unit.
+func (c *compiler) nest(b *syntax.Block, params Span) int32 {
 	seq := c.block(b)
-	return add(&c.units, Unit{Seq: seq, Body: b, Lambda: lam})
+	c.trees = append(c.trees, b)
+	return add(&c.units, Unit{Seq: seq, Params: params})
 }
 
 func (c *compiler) cmd(cmd syntax.Cmd) Instr {
@@ -684,11 +745,16 @@ func (c *compiler) seg(part syntax.Part) Seg {
 	case *syntax.Prim:
 		return Seg{Kind: SegPrim, Ref: add(&c.names, part.Name)}
 	case *syntax.LambdaPart:
-		return Seg{Kind: SegLambda, Ref: c.nest(part.Lambda.Body, part.Lambda)}
+		params := none
+		if lam := part.Lambda; lam.HasParams {
+			params = Span{Off: int32(len(c.names)), Len: int32(len(lam.Params))}
+			c.names = append(c.names, lam.Params...)
+		}
+		return Seg{Kind: SegLambda, Ref: c.nest(part.Lambda.Body, params)}
 	case *syntax.CmdSub:
-		return Seg{Kind: SegCmdSub, Ref: c.nest(part.Body, nil)}
+		return Seg{Kind: SegCmdSub, Ref: c.nest(part.Body, none)}
 	case *syntax.RetSub:
-		return Seg{Kind: SegRetSub, Ref: c.nest(part.Body, nil)}
+		return Seg{Kind: SegRetSub, Ref: c.nest(part.Body, none)}
 	case *syntax.ListPart:
 		run := c.wordRun(part.Words)
 		return Seg{Kind: SegList, Ref: run.Off, Ext: run.Len}

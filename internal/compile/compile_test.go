@@ -1,7 +1,9 @@
 package compile
 
 import (
+	"runtime"
 	"testing"
+	"weak"
 
 	"es/internal/syntax"
 )
@@ -149,17 +151,19 @@ func TestCompileBareBlockIsGrouping(t *testing.T) {
 }
 
 // The program is lowered whole: the lambda's segment indexes the unit of
-// its body in the root's program, which records the lambda, and so its
-// parameters, and the tree the body was lowered from.
+// its body in the root's program, which holds its parameters, and whose
+// tree, derived from the program's source, is the lambda's body.
 func TestCompileLambdaBodyUnit(t *testing.T) {
-	b := parseRewrite(t, "f = @ x {result $x}")
-	lam := b.Cmds[0].(*syntax.Assign).Values[0].Parts[0].(*syntax.LambdaPart).Lambda
-	root, err := Compile(b, nil)
+	src := "f = @ x {result $x}"
+	root, err := Compile(parseRewrite(t, src), &src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if root.Body != b || root.Lambda != nil {
-		t.Errorf("root unit records tree %p and lambda %p, want %p and none", root.Body, root.Lambda, b)
+	if root.Params.Set() {
+		t.Errorf("the root unit has parameters %+v", root.Params)
+	}
+	if got := syntax.UnparseBody(root.Tree()); got != src {
+		t.Errorf("the root unit's tree unparses to %q, want %q", got, src)
 	}
 	p, in := only(t, root)
 	ws := p.WordsIn(in.Words)
@@ -174,13 +178,72 @@ func TestCompileLambdaBodyUnit(t *testing.T) {
 	if u.Prog != p {
 		t.Error("the lambda body's unit is not in its program's tables")
 	}
-	if u.Lambda != lam || u.Body != lam.Body {
-		t.Errorf("the lambda body's unit records lambda %p and tree %p, want %p and %p", u.Lambda, u.Body, lam, lam.Body)
+	if ps := p.NamesIn(u.Params); !u.Params.Set() || len(ps) != 1 || ps[0] != "x" {
+		t.Errorf("the lambda body's unit has parameters %q (declared: %v), want x", ps, u.Params.Set())
 	}
-	if ps := u.Lambda.Params; !u.Lambda.HasParams || len(ps) != 1 || ps[0] != "x" {
-		t.Errorf("the lambda body's unit has parameters %q (declared: %v), want x", ps, u.Lambda.HasParams)
+	if got := syntax.UnparseBody(u.Tree()); got != "result $x" {
+		t.Errorf("the lambda body's tree unparses to %q, want %q", got, "result $x")
 	}
 	if seq := p.Seq(u.Seq); len(seq) != 1 || seq[0].Op != OpSimple {
 		t.Errorf("lambda body unit = %+v, want one OpSimple", seq)
+	}
+
+	// A bare fragment and a substitution body declare no parameters, and
+	// "@ {…}" an empty list.
+	src = "result {a} <={b} @ {c}"
+	p = mustCompileSrc(t, src).Prog
+	for k, want := range []bool{false, false, true} {
+		u := &p.Units[k+1]
+		if u.Params.Set() != want || want && u.Params.Len != 0 {
+			t.Errorf("%s: unit %d has parameters %+v, want declared %v and none", src, k+1, u.Params, want)
+		}
+	}
+}
+
+func mustCompileSrc(t *testing.T, src string) *Unit {
+	t.Helper()
+	u, err := Compile(parseRewrite(t, src), &src)
+	if err != nil {
+		t.Fatalf("Compile(%q): %v", src, err)
+	}
+	return u
+}
+
+// TestLoweredProgramKeepsNoTree: a program lowered with its source keeps
+// no pointer into the tree it was lowered from, so one collection frees
+// the tree while the unit lives, and Tree derives trees that unparse
+// exactly as the originals did.
+func TestLoweredProgramKeepsNoTree(t *testing.T) {
+	src := "let (mk = @ p {result @ x {result $p^$x}}) {result <={$mk a} `{echo b}}"
+	tree := parseRewrite(t, src)
+	lam := tree.Cmds[0].(*syntax.Let).Bindings[0].Values[0].Parts[0].(*syntax.LambdaPart).Lambda
+	want := []string{
+		syntax.UnparseBody(tree),
+		"result $p$x",
+		syntax.UnparseBody(lam.Body),
+		"$mk a",
+		"echo b",
+	}
+	root, body := weak.Make(tree), weak.Make(lam.Body)
+	u, err := Compile(tree, &src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, lam = nil, nil
+	runtime.GC()
+	if root.Value() != nil || body.Value() != nil {
+		t.Fatal("the tree outlived its lowering while the unit lives")
+	}
+	p := u.Prog
+	if len(p.Units) != len(want) {
+		t.Fatalf("%d units, want %d", len(p.Units), len(want))
+	}
+	for k := range p.Units {
+		if got := syntax.UnparseBody(p.Units[k].Tree()); got != want[k] {
+			t.Errorf("unit %d's tree unparses to %q, want %q", k, got, want[k])
+		}
+	}
+	if again := p.Units[1].Tree(); again != p.Units[1].Tree() {
+		t.Error("a second call derived the trees again")
 	}
 }

@@ -14,11 +14,13 @@ import (
 
 // FuzzCompile: Compile is total on rewritten trees.  Anything
 // syntax.Parse accepts must, once syntax.Rewrite has lowered it to the
-// core forms (the only trees Compile takes), compile to a non-nil unit
-// with a nil error, without panicking, into one program whose every
-// operand stays inside its table.  Every lambda and substitution body
-// has one unit of its own in that same program.  Seeded with FuzzParse's
-// seeds and its on-disk corpus.
+// core forms (the only trees Compile takes), compile with its source to
+// a non-nil unit with a nil error, without panicking, into one program
+// whose every operand stays inside its table.  Every lambda and
+// substitution body has one unit of its own in that same program, and
+// every unit a tree, derived from the source, that lowers to as many
+// instructions as the unit runs.  Seeded with FuzzParse's seeds and its
+// on-disk corpus.
 func FuzzCompile(f *testing.F) {
 	seeds := []string{
 		"ls > /tmp/foo",
@@ -45,7 +47,7 @@ func FuzzCompile(f *testing.F) {
 		if err != nil {
 			return
 		}
-		u, err := Compile(syntax.Rewrite(b).(*syntax.Block), nil)
+		u, err := Compile(syntax.Rewrite(b).(*syntax.Block), &src)
 		if u == nil || err != nil {
 			t.Fatalf("Compile(%q) = %v, %v; want a unit and no error", src, u, err)
 		}
@@ -58,7 +60,28 @@ func FuzzCompile(f *testing.F) {
 		if err := units(u); err != nil {
 			t.Errorf("Compile(%q): %v", src, err)
 		}
+		if err := trees(u.Prog); err != nil {
+			t.Errorf("Compile(%q): %v", src, err)
+		}
 	})
+}
+
+// trees checks that every unit of p pairs with its tree: the tree Tree
+// derives for it lowers, as a block of its own, to a run as long as the
+// unit's.
+func trees(p *Program) error {
+	for k := range p.Units {
+		u := &p.Units[k]
+		tree := u.Tree()
+		if tree == nil {
+			return fmt.Errorf("unit %d has no tree", k)
+		}
+		again, _ := Compile(tree, nil)
+		if again.Seq.Len != u.Seq.Len {
+			return fmt.Errorf("unit %d runs %d instructions, its tree lowers to %d", k, u.Seq.Len, again.Seq.Len)
+		}
+	}
+	return nil
 }
 
 // units checks the units of root's program: root is the first, every
@@ -80,8 +103,8 @@ func units(root *Unit) error {
 			return fmt.Errorf("a body segment names unit %d, the root or a unit named already", s.Ref)
 		}
 		named[s.Ref] = true
-		if (s.Kind == SegLambda) != (p.Units[s.Ref].Lambda != nil) {
-			return fmt.Errorf("segment kind %d names unit %d, whose lambda is %p", s.Kind, s.Ref, p.Units[s.Ref].Lambda)
+		if s.Kind != SegLambda && p.Units[s.Ref].Params.Set() {
+			return fmt.Errorf("segment kind %d names unit %d, which has parameters", s.Kind, s.Ref)
 		}
 	}
 	if nested != len(p.Units)-1 {
@@ -114,6 +137,9 @@ func validate(p *Program) error {
 	var errs []error
 	for _, u := range p.Units {
 		errs = append(errs, span("unit", u.Seq, len(p.Instrs)))
+		if u.Params.Set() {
+			errs = append(errs, span("params", u.Params, len(p.Names)))
+		}
 	}
 	for _, in := range p.Instrs {
 		errs = append(errs, span("body", in.Body, len(p.Instrs)))

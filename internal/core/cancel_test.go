@@ -1,10 +1,11 @@
 package core_test
 
-// Tests for cooperative cancellation (SetCancel) and its interaction with
-// the interrupt latch: a fired deadline surfaces as the catchable
-// exception `signal <reason>`, delivery is one-shot, an eval that is both
-// interrupted and past its deadline raises exactly one exception, and
-// ClearInterrupt at a prompt does not disarm a server-side deadline.
+// Tests for cooperative cancellation (SetCancel) and interrupts: a fired
+// deadline surfaces as the catchable exception `signal <reason>`, and an
+// interrupt as `signal sigint`; delivery is one-shot per interpreter of a
+// fork group, an eval that is both interrupted and past its deadline
+// raises exactly one exception, and ClearInterrupt at a prompt does not
+// disarm a server-side deadline.
 
 import (
 	"testing"
@@ -146,18 +147,35 @@ func TestSpawnDetachesSignalStateAndJobs(t *testing.T) {
 // the deadline.
 func deadlineWithin(t *testing.T, src string) (*core.Buffer, error) {
 	t.Helper()
+	return abortWithin(t, src, func(i *core.Interp) func() {
+		done := make(chan struct{})
+		i.SetCancel(done, "deadline")
+		return func() { close(done) }
+	})
+}
+
+// interruptWithin is deadlineWithin with one interrupt for the deadline.
+func interruptWithin(t *testing.T, src string) (*core.Buffer, error) {
+	t.Helper()
+	return abortWithin(t, src, func(i *core.Interp) func() { return i.Interrupt })
+}
+
+// abortWithin runs src on a fresh interpreter, calls the abort that arm
+// returns after 50ms, waits for the jobs src started, and returns what
+// it printed and its error; it fails the test if that takes more than a
+// second past the abort.
+func abortWithin(t *testing.T, src string, arm func(i *core.Interp) (abort func())) (*core.Buffer, error) {
+	t.Helper()
 	i, ctx, out := harness(t)
 	coreutils.Register(i)
-	done := make(chan struct{})
-	timer := time.AfterFunc(50*time.Millisecond, func() { close(done) })
+	timer := time.AfterFunc(50*time.Millisecond, arm(i))
 	defer timer.Stop()
-	i.SetCancel(done, "deadline")
 	defer i.ClearCancel()
 	errc := make(chan error, 1)
 	go func() {
 		_, err := i.RunString(ctx, src)
 		// The jobs src started take their own delivery: wait for them
-		// while the token is still armed.
+		// while a deadline is still armed.
 		for {
 			if _, _, ok := i.WaitAny(); !ok {
 				break
@@ -169,7 +187,7 @@ func deadlineWithin(t *testing.T, src string) (*core.Buffer, error) {
 	case err := <-errc:
 		return out, err
 	case <-time.After(time.Second + 50*time.Millisecond):
-		t.Fatalf("%s still running a second after its deadline", src)
+		t.Fatalf("%s still running a second after it was aborted", src)
 		return nil, nil
 	}
 }
@@ -188,6 +206,48 @@ func TestCancelEndsEveryElement(t *testing.T) {
 		_, err := deadlineWithin(t, src)
 		wantSignal(t, err, "deadline")
 	}
+}
+
+// TestInterruptEndsEveryElement: one interrupt reaches every
+// interpreter of a fork group, each of which takes its own delivery, so
+// it ends pipelines whose elements loop, jobs that loop beside their
+// parent, and the subshells and jobs a command waits for, and the
+// command that waited raises it too.
+func TestInterruptEndsEveryElement(t *testing.T) {
+	for _, src := range []string{
+		"{while {} {}} | {while {} {}}",
+		"{while {} {}} | cat",
+		"{while {} {}} & while {} {}",
+		"fork {while {} {}}",
+		"x = `{while {} {}}",
+		"{while {} {}} & wait",
+	} {
+		_, err := interruptWithin(t, src)
+		wantSignal(t, err, "sigint")
+	}
+}
+
+// TestInterruptReachesBackgroundJob: a job started with no deadline
+// armed takes an interrupt like every other subshell of the group, and
+// does not take the shell's delivery from it.
+func TestInterruptReachesBackgroundJob(t *testing.T) {
+	i, ctx, _ := harness(t)
+	if _, err := i.RunString(ctx, "{while {} {}} &"); err != nil {
+		t.Fatal(err)
+	}
+	i.Interrupt()
+	ended := make(chan struct{})
+	go func() {
+		i.WaitAny()
+		close(ended)
+	}()
+	select {
+	case <-ended:
+	case <-time.After(time.Second):
+		t.Fatal("job still running a second after the interrupt")
+	}
+	_, err := i.RunString(ctx, "result ok")
+	wantSignal(t, err, "sigint")
 }
 
 // TestCancelHandlerPipelineRuns: the subshells a handler starts after

@@ -76,7 +76,7 @@ func EncodeClosure(c *Closure) string {
 		b.WriteString("@ * ")
 	}
 	b.WriteByte('{')
-	b.WriteString(syntax.UnparseBody(c.Unit.Body))
+	b.WriteString(syntax.UnparseBody(c.Unit.Tree()))
 	b.WriteByte('}')
 	return b.String()
 }
@@ -99,7 +99,7 @@ func captures(c *Closure) []*Binding {
 		return nil
 	}
 	free := make(map[string]bool)
-	all := freeVars(c.Unit.Body, paramSet(c), free)
+	all := freeVars(c.Unit.Tree(), paramSet(c), free)
 	var out []*Binding
 	seen := make(map[string]bool)
 	for b := c.Env; b != nil; b = b.Next {
@@ -388,31 +388,39 @@ func (i *Interp) decodeTermUncached(seg string) (Term, bool) {
 		}
 		return Term{}, false
 	}
-	p, err := parse(rest)
-	if err != nil || len(p.tree.Cmds) != 1 {
+	u := lambdaUnit(rest)
+	if u == nil {
 		return Term{}, false
 	}
-	s, ok := p.tree.Cmds[0].(*syntax.Simple)
-	if !ok || len(s.Words) != 1 || len(s.Words[0].Parts) != 1 {
-		return Term{}, false
-	}
-	lp, ok := s.Words[0].Parts[0].(*syntax.LambdaPart)
-	if !ok {
-		return Term{}, false
-	}
-	return Term{Closure: &Closure{Unit: lambdaUnit(lower(rest, p), lp.Lambda), Env: env}}, true
+	return Term{Closure: &Closure{Unit: u, Env: env}}, true
 }
 
-// lambdaUnit returns the unit of lam, the one word of the one command of
-// u's program.  A bare {…} there lowers as grouping, a run of
-// instructions with no unit of its own, so it gets one over that run.
-func lambdaUnit(u *compile.Unit, lam *syntax.Lambda) *compile.Unit {
-	p := u.Prog
-	in := &p.Seq(u.Seq)[0]
-	if in.Op == compile.OpSeq {
-		return &compile.Unit{Prog: p, Seq: in.Body, Body: lam.Body, Lambda: lam}
+// lambdaUnit lowers src and returns the unit of the one lambda it is
+// made of, or nil when src is no lambda: one instruction, of one word, of
+// one lambda segment.  A bare {…} lowers as grouping instead, one
+// instruction with no unit of its own, so the text of its body becomes a
+// program of its own.
+func lambdaUnit(src string) *compile.Unit {
+	u, err := CompileCommand(src)
+	if err != nil {
+		return nil
 	}
-	return &p.Units[p.SegsOf(&p.WordsIn(in.Words)[0])[0].Ref]
+	p := u.Prog
+	if seq := p.Seq(u.Seq); len(seq) == 1 {
+		switch in := &seq[0]; in.Op {
+		case compile.OpSeq:
+			body, _ := CompileCommand(src[1:strings.LastIndexByte(src, '}')]) // nil if it does not parse
+			return body
+		case compile.OpSimple:
+			ws := p.WordsIn(in.Words)
+			if len(ws) == 1 && ws[0].Kind != compile.WordStatic {
+				if segs := p.SegsOf(&ws[0]); len(segs) == 1 && segs[0].Kind == compile.SegLambda {
+					return &p.Units[segs[0].Ref]
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // scanClosureHeader splits "a=b;c=d)rest" at the parenthesis matching the

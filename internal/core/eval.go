@@ -5,28 +5,29 @@ import (
 	"sync/atomic"
 )
 
-// Interrupt requests that this interpreter raise a signal exception at
-// its next command boundary.  "Exceptions ... provide a way for user code
-// to interact with UNIX signals."  The pending flag is per-interpreter
-// (shared with its forks, like a process group): interrupting one embedded
-// Interp does not abort commands running in an unrelated one.
-func (i *Interp) Interrupt() { i.sig.intr.Store(true) }
+// Interrupt requests that every interpreter of this one's fork group —
+// the shell, its pipeline elements, subshells and jobs — raise a signal
+// exception at its next command boundary, once each, as a SIGINT reaches
+// each process of a Unix process group.  "Exceptions ... provide a way
+// for user code to interact with UNIX signals."  Interrupting one
+// embedded Interp does not abort commands running in an unrelated one.
+func (i *Interp) Interrupt() { i.sig.intr.Add(1) }
 
-// ClearInterrupt drops a pending interrupt that no command boundary
-// consumed.  The REPL calls this when it returns to the prompt (%parse),
-// so a SIGINT delivered in the dead time after one command finishes does
-// not stay latched and abort the next, unrelated command.  It touches
-// only the interrupt line: a server-side deadline armed with SetCancel
-// stays armed — a user pressing ^C at an embedded prompt must not grant
-// a request more time.
-func (i *Interp) ClearInterrupt() { i.sig.intr.Store(false) }
+// ClearInterrupt drops the interrupts sent to the group that this
+// interpreter has not raised.  The REPL calls this when it returns to
+// the prompt (%parse), so a SIGINT delivered in the dead time after one
+// command finishes does not stay pending and abort the next, unrelated
+// command.  It touches only the interrupt line: a server-side deadline
+// armed with SetCancel stays armed — a user pressing ^C at an embedded
+// prompt must not grant a request more time.
+func (i *Interp) ClearInterrupt() { i.intrSeen = i.sig.intr.Load() }
 
-// signals is what a fork group shares for asynchronous aborts: the
-// pending-interrupt line, and the cooperative-cancellation slot a serving
-// layer arms per request (SetCancel), which every command boundary in the
-// group polls.
+// signals is what a fork group shares for asynchronous aborts: the count
+// of interrupts sent to the group, and the cooperative-cancellation slot
+// a serving layer arms per request (SetCancel), which every command
+// boundary in the group polls.
 type signals struct {
-	intr   atomic.Bool
+	intr   atomic.Uint32
 	cancel atomic.Pointer[cancelState]
 }
 
@@ -57,7 +58,7 @@ func (i *Interp) SetCancel(done <-chan struct{}, reason string) {
 	i.sig.cancel.Store(&cancelState{done: done, reason: reason})
 }
 
-// ClearCancel disarms SetCancel.  It does not touch a latched interrupt;
+// ClearCancel disarms SetCancel.  It does not drop a pending interrupt;
 // the interrupt line and the cancel slot are independent (ClearInterrupt
 // likewise leaves the cancel token armed).  It reports whether a
 // background job started under the token is still running: the job
@@ -67,46 +68,37 @@ func (i *Interp) ClearCancel() (jobsRunning bool) {
 	return c != nil && c.jobs.Load() > 0
 }
 
-// CheckCancel raises `signal <reason>` once the token SetCancel armed has
-// fired, unless this interpreter has raised it already.  A primitive that
-// waits for subshells calls it when they end: each subshell takes its own
-// delivery, so a deadline that aborted them aborts the command that
-// waited too, even when no command boundary follows.
+// CheckCancel is the one poll for asynchronous aborts: it raises `signal
+// <reason>` once the token SetCancel armed has fired, and `signal sigint`
+// once the group has been interrupted, each once per interpreter.  It
+// runs at every command boundary and closure application (so that
+// `while {} {}` observes aborts), and a primitive that waits for
+// subshells or jobs calls it when they end, so an abort that ended them
+// ends the command that waited, even when no boundary follows.  The
+// common path, with no token armed and no interrupt, costs two atomic
+// loads, no read-modify-write, and inlines.
 func (i *Interp) CheckCancel() error {
-	if c := i.sig.cancel.Load(); c != nil && c != i.raised {
-		return i.deliver(c)
+	if s := i.sig; s.cancel.Load() != nil || s.intr.Load() != i.intrSeen {
+		return i.abort()
 	}
 	return nil
 }
 
-// deliver raises c's signal once c has fired, and records that this
-// interpreter has.
-func (i *Interp) deliver(c *cancelState) error {
-	select {
-	case <-c.done:
-		i.raised = c
-		i.sig.intr.Store(false)
-		return Throw(StrList("signal", c.reason))
-	default:
-		return nil
-	}
-}
-
-// checkPending is the boundary poll for asynchronous aborts, run at every
-// command boundary and every closure application (the latter so that
-// loops over empty thunks — `while {} {}` — still observe aborts).  A
-// fired cancel token outranks a latched interrupt, and consumes it: an
-// eval that is both interrupted and past its deadline is aborting for one
-// cause and raises exactly one exception.  The common no-abort path costs
-// two atomic loads, no read-modify-write; its cancel check is
-// CheckCancel's, written out so that it inlines here.
-func (i *Interp) checkPending() error {
+// abort is CheckCancel's slow path.  A fired token outranks a pending
+// interrupt, and consumes it: an eval that is both interrupted and past
+// its deadline raises exactly one exception.
+func (i *Interp) abort() error {
 	if c := i.sig.cancel.Load(); c != nil && c != i.raised {
-		if err := i.deliver(c); err != nil {
-			return err
+		select {
+		case <-c.done:
+			i.raised = c
+			i.intrSeen = i.sig.intr.Load()
+			return Throw(StrList("signal", c.reason))
+		default:
 		}
 	}
-	if i.sig.intr.Load() && i.sig.intr.CompareAndSwap(true, false) {
+	if n := i.sig.intr.Load(); n != i.intrSeen {
+		i.intrSeen = n
 		return Throw(StrList("signal", "sigint"))
 	}
 	return nil
@@ -194,7 +186,7 @@ func (i *Interp) applyClosure(ctx *Ctx, cl *Closure, args List, boundary bool) (
 		body = ctx.InTail()
 	}
 	for {
-		if err := i.checkPending(); err != nil {
+		if err := i.CheckCancel(); err != nil {
 			return nil, err
 		}
 		env := bindParams(i, cl, args)

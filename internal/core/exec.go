@@ -1,9 +1,10 @@
 package core
 
 // The bytecode execution loop, the interpreter's one evaluator.  It runs
-// compiled units only: a program is lowered whole, on its first run, and
-// kept in its parse cache entry (see CompileCommand); a closure is one of
-// its units and an environment.  Commands and words run here; closure
+// compiled units only, and never sees a tree: a program is lowered whole,
+// on its first run, and its parse cache entry keeps it in place of the
+// tree (see CompileCommand); a closure is one of its units and an
+// environment.  Commands and words run here; closure
 // application, the tail-call trampoline and cancellation polls are in
 // eval.go.  The outcomes this loop must reproduce are pinned by
 // testdata/engine_golden.json and testdata/words_golden.json at the
@@ -54,7 +55,7 @@ func (i *Interp) execSeq(ctx *Ctx, p *compile.Program, seq []compile.Instr, env 
 // poll for the body as a command, then block bodies count their member
 // command boundaries.
 func (i *Interp) execBody(ctx *Ctx, p *compile.Program, in *compile.Instr, env *Binding) (List, error) {
-	if err := i.checkPending(); err != nil {
+	if err := i.CheckCancel(); err != nil {
 		return nil, err
 	}
 	seq := p.Seq(in.Body)
@@ -68,7 +69,7 @@ func (i *Interp) execBody(ctx *Ctx, p *compile.Program, in *compile.Instr, env *
 }
 
 func (i *Interp) execInstr(ctx *Ctx, p *compile.Program, in *compile.Instr, env *Binding) (List, error) {
-	if err := i.checkPending(); err != nil {
+	if err := i.CheckCancel(); err != nil {
 		return nil, err
 	}
 	switch in.Op {

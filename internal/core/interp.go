@@ -34,6 +34,10 @@ type Interp struct {
 	dirty  bool
 	forkMu sync.Mutex
 
+	// intrSeen is the count of the group's interrupts (sig.intr) this
+	// interpreter has raised or dropped; it fills the hole after forkMu.
+	intrSeen uint32
+
 	prims    map[string]PrimFunc
 	builtins map[string]BuiltinFunc
 
@@ -76,7 +80,7 @@ type Interp struct {
 	// see CacheStats.
 	pathCache *cache.Map[string]
 
-	// sig holds the interrupt line and the cancel slot, shared with forks
+	// sig holds the interrupt count and the cancel slot, shared with forks
 	// (a subshell belongs to the same "process group" as its parent) but
 	// private to each independently created interpreter.
 	sig *signals
@@ -269,10 +273,12 @@ func (i *Interp) ForkCmd(cmd Term, args List) (*Interp, Term, List) {
 		// interrupts its subshells too, like a Unix process group.  So is
 		// the cancel slot: a request deadline aborts the subshells and
 		// background jobs the request spawned, not just its main line.
-		// A subshell started after the parent raised the token (from the
-		// handler that caught it) is not aborted by it again.
-		sig:    i.sig,
-		raised: i.raised,
+		// A subshell started after the parent raised an interrupt or the
+		// token (from the handler that caught it) is not aborted by it
+		// again.
+		sig:      i.sig,
+		raised:   i.raised,
+		intrSeen: i.intrSeen,
 	}
 	var memo forkMemo
 	if len(i.base.captured) > 0 {
@@ -301,7 +307,7 @@ func (i *Interp) ForkCmd(cmd Term, args List) (*Interp, Term, List) {
 // defines.
 func (i *Interp) Spawn() *Interp {
 	child := i.Fork()
-	child.sig = new(signals)
+	child.sig, child.intrSeen = new(signals), 0
 	child.jobs = new(jobTable)
 	return child
 }
@@ -372,20 +378,14 @@ func copyBindings(b *Binding, memo *forkMemo) *Binding {
 	return dup
 }
 
-// program is a parse cache entry: a source's rewritten tree and, from
-// the program's first run on, the unit lowered from the whole tree.
-type program struct {
-	tree *syntax.Block
-	unit *compile.Unit
-}
-
-// parseCache maps source text to its program.  Rewrite lowers the fresh
-// parse in place before the entry is stored, and from then on nothing
-// writes the tree or the program lowered from it, so both are shared by
-// every evaluation and every interpreter in the process.  Repeated
-// eval/%parse of the same source (and every startup's initial.es) skips
-// the lexer entirely, and from its second run on, the compiler too.
-var parseCache = cache.NewMap[program]("parse", 512)
+// parseCache maps source text to the root unit of its program, lowered
+// whole from the rewritten tree of its first run, which is then dropped:
+// the program keeps the source, and derives the tree again only when a
+// closure is unparsed (see compile.Unit.Tree).  Nothing writes a cached
+// program, so it is shared by every evaluation and every interpreter in
+// the process.  Repeated eval/%parse of the same source (and every
+// startup's initial.es) skips the lexer and the compiler entirely.
+var parseCache = cache.NewMap[*compile.Unit]("parse", 512)
 
 // reused counts the runs that found their program lowered, and
 // lowerings the programs lowered: $&cachestats reports them as the
@@ -396,59 +396,39 @@ var reused, lowerings atomic.Int64
 // one-off scripts would otherwise pin memory for no repeat benefit.
 const maxCachedSrc = 1 << 14
 
-// parse returns src's program, parsing src and rewriting the tree, which
-// it alone holds, in place on a miss.  Successful parses of modest
-// sources are memoized.
-func parse(src string) (program, error) {
-	cacheable := len(src) <= maxCachedSrc
-	if cacheable {
-		if p, ok := parseCache.Get(src); ok {
-			return p, nil
-		}
-	}
-	b, err := syntax.Parse(src)
-	if err != nil {
-		return program{}, err
-	}
-	p := program{tree: syntax.Rewrite(b).(*syntax.Block)}
-	if cacheable {
-		parseCache.Put(src, p)
-	}
-	return p, nil
-}
-
-// lower returns the unit of p, src's program.  The first run lowers the
-// tree and writes the unit back to src's entry.  Sessions that race on a
-// fresh program may each lower it, and the cache keeps one.
-func lower(src string, p program) *compile.Unit {
-	if p.unit != nil {
-		reused.Add(1)
-		return p.unit
-	}
-	lowerings.Add(1)
-	p.unit, _ = compile.Compile(p.tree, nil) // total: the error is always nil
-	if len(src) <= maxCachedSrc {
-		parseCache.Put(src, p)
-	}
-	return p.unit
-}
-
-// ParseCommand parses source into the core representation ready for
-// evaluation, through the parse cache.  It does not lower the tree, so a
-// program that is only checked is never compiled.
+// ParseCommand parses source into the core representation, as the
+// checkers (es -n, escheck, esd -vet, $&analyze) read it.  It neither
+// lowers the tree nor touches the parse cache.
 func ParseCommand(src string) (*syntax.Block, error) {
-	p, err := parse(src)
-	return p.tree, err
-}
-
-// CompileCommand parses source as ParseCommand does and returns the unit
-// of the whole program, lowered on its first run.
-func CompileCommand(src string) (*compile.Unit, error) {
-	p, err := parse(src)
+	b, err := syntax.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return lower(src, p), nil
+	return syntax.Rewrite(b).(*syntax.Block), nil
+}
+
+// CompileCommand returns the unit of src's whole program.  On a parse
+// cache miss it parses src, lowers the tree with the source and, for a
+// source of modest size, fills the cache entry.  Sessions that race on a
+// fresh program may each lower it, and the cache keeps one.
+func CompileCommand(src string) (*compile.Unit, error) {
+	cacheable := len(src) <= maxCachedSrc
+	if cacheable {
+		if u, ok := parseCache.Get(src); ok {
+			reused.Add(1)
+			return u, nil
+		}
+	}
+	b, err := ParseCommand(src)
+	if err != nil {
+		return nil, err
+	}
+	lowerings.Add(1)
+	u, _ := compile.Compile(b, &src) // total: the error is always nil
+	if cacheable {
+		parseCache.Put(src, u)
+	}
+	return u, nil
 }
 
 // FlushParseCache drops every memoized parse (the $&recache escape hatch
@@ -467,8 +447,7 @@ func (i *Interp) PathCache() *cache.Map[string] {
 // FlushCaches drops this interpreter's path cache and the process-wide
 // parse, decode, and glob caches: the native analogue of Figure 2's
 // recache function, bound to $&recache.  A program lives in its parse
-// cache entry, so a flushed entry takes its units with it and the next
-// run lowers afresh.
+// cache entry, so the next run of a flushed source lowers afresh.
 func (i *Interp) FlushCaches() {
 	i.PathCache().Flush()
 	FlushParseCache()

@@ -14,10 +14,12 @@ import (
 // as a background job of i's fork group, and returns the job id (the es
 // analogue of the child pid printed by &).  i is the job's own subshell.
 //
-// A job started under an armed cancel token keeps that token: i gets
-// signals of its own that hold it, which neither ClearCancel nor the
-// next SetCancel on the group touches, so the deadline of the request
-// that started the job still ends it after the request has returned.
+// A job started with no cancel token armed shares the group's signals,
+// and takes each interrupt once, as every subshell does.  A job started
+// under an armed token keeps that token: i gets signals of its own that
+// hold it, which neither ClearCancel nor the next SetCancel on the group
+// touches, so the deadline of the request that started the job still
+// ends it after the request has returned.
 func (i *Interp) StartJob(fn func() List) int {
 	t := i.jobs
 	t.mu.Lock()
@@ -32,7 +34,7 @@ func (i *Interp) StartJob(fn func() List) int {
 	c := i.sig.cancel.Load()
 	if c != nil {
 		c.jobs.Add(1)
-		i.sig = new(signals)
+		i.sig, i.intrSeen = new(signals), 0
 		i.sig.cancel.Store(c)
 	}
 	Go(func() {

@@ -73,14 +73,27 @@ func TestConcurrentFirstRunSharesProgram(t *testing.T) {
 	}
 }
 
+// parseEntries returns the number of programs the parse cache holds.
+func parseEntries(t *testing.T, i *core.Interp) int {
+	t.Helper()
+	for _, s := range i.CacheStats() {
+		if s.Name == "parse" {
+			return s.Entries
+		}
+	}
+	t.Fatal("no parse cache in CacheStats")
+	return 0
+}
+
 // TestCheckedProgramIsNotLowered: checking a program, through the
-// analyzer or ParseCommand, parses it and does not lower it.  Its first
-// run lowers it once, and the runs after it find it lowered.
+// analyzer or ParseCommand, parses it and neither lowers it nor stores
+// it in the parse cache.  Its first run lowers it once, and the runs
+// after it find it lowered.
 func TestCheckedProgramIsNotLowered(t *testing.T) {
 	i, ctx, _ := harness(t)
 	core.FlushParseCache()
 	const src = "let (f = @ x {result <={result $x}^-ok}) {$f checked}"
-	before := lowerings(t, i)
+	before, entries := lowerings(t, i), parseEntries(t, i)
 	if _, err := core.ParseCommand(src); err != nil {
 		t.Fatal(err)
 	}
@@ -90,6 +103,9 @@ func TestCheckedProgramIsNotLowered(t *testing.T) {
 	if n := lowerings(t, i) - before; n != 0 {
 		t.Fatalf("checking the program lowered it %d times", n)
 	}
+	if n := parseEntries(t, i) - entries; n != 0 {
+		t.Fatalf("checking the program stored %d parse cache entries", n)
+	}
 	for range 3 {
 		if res := eval(t, i, ctx, src); res.Flatten(" ") != "checked-ok" {
 			t.Fatalf("run = %v, want checked-ok", res)
@@ -98,4 +114,33 @@ func TestCheckedProgramIsNotLowered(t *testing.T) {
 	if n := lowerings(t, i) - before; n != 1 {
 		t.Errorf("three runs lowered the program %d times, want once", n)
 	}
+}
+
+// TestConcurrentWhatisSharesTrees: sessions that unparse one closure of
+// a fresh program at the same moment may each derive its trees, and all
+// print the same definition.
+func TestConcurrentWhatisSharesTrees(t *testing.T) {
+	tmpl, ctx, _ := harness(t)
+	core.FlushParseCache() // a fresh program, with no trees, on every -count
+	eval(t, tmpl, ctx, "let (greeting = 'hello there') fn greet who {echo $greeting $who}")
+	const want = "%closure(greeting='hello there')@ who {echo $greeting $who}\n"
+
+	const sessions = 8
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for k := range sessions {
+		s := tmpl.Spawn()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out := &core.Buffer{}
+			<-start
+			_, err := s.RunString(&core.Ctx{IO: core.NewIOTable(strings.NewReader(""), out, out)}, "whatis greet")
+			if err != nil || out.String() != want {
+				t.Errorf("session %d printed %q, %v; want %q", k, out.String(), err, want)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
 }

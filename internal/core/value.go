@@ -29,7 +29,7 @@ type List []Term
 
 // Closure is a procedure "waiting to happen": a compiled body plus the
 // lexical environment captured at the point the lambda was evaluated.
-// The unit's lambda holds the parameters; a unit with none, such as a
+// The unit holds the parameters; a unit that declares none, such as a
 // substitution body or a parsed command, binds its arguments to *.
 type Closure struct {
 	Unit *compile.Unit
@@ -75,7 +75,8 @@ func (t Term) IsClosure() bool { return t.Closure != nil }
 func (t Term) String() string {
 	switch {
 	case t.Closure != nil:
-		return syntax.UnparseLambda(t.Closure.lambda())
+		params, ok := t.Closure.params()
+		return syntax.UnparseLambda(&syntax.Lambda{Params: params, HasParams: ok, Body: t.Closure.Unit.Tree()})
 	case t.Prim != "":
 		return "$&" + t.Prim
 	default:
@@ -88,19 +89,11 @@ func (t Term) String() string {
 // fragment, or a unit that is no lambda's body, declares none and binds
 // its arguments to *.
 func (c *Closure) params() ([]string, bool) {
-	if lam := c.Unit.Lambda; lam != nil && lam.HasParams {
-		return lam.Params, true
+	u := c.Unit
+	if !u.Params.Set() {
+		return nil, false
 	}
-	return nil, false
-}
-
-// lambda returns the lambda the closure's unit was lowered from, or a
-// bare {body} one for a unit that has none.
-func (c *Closure) lambda() *syntax.Lambda {
-	if c.Unit.Lambda != nil {
-		return c.Unit.Lambda
-	}
-	return &syntax.Lambda{Body: c.Unit.Body}
+	return u.Prog.NamesIn(u.Params), true
 }
 
 // Strings flattens the list to plain strings (closures unparse).

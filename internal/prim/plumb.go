@@ -311,14 +311,15 @@ func splitIfs(s, ifs string) []string {
 	})
 }
 
-// primWait waits for a background job: `wait [id]`.
+// primWait waits for a background job: `wait [id]`.  An interrupt or a
+// deadline that ended the job ends the wait too.
 func primWait(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, error) {
 	if len(args) == 0 {
 		_, res, ok := i.WaitAny()
 		if !ok {
 			return nil, core.ErrorExc("wait: no processes to wait for")
 		}
-		return res, nil
+		return res, i.CheckCancel()
 	}
 	id, err := strconv.Atoi(args[0].String())
 	if err != nil {
@@ -328,7 +329,7 @@ func primWait(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, error) 
 	if !ok {
 		return nil, core.ErrorExc("wait: unknown process " + args[0].String())
 	}
-	return res, nil
+	return res, i.CheckCancel()
 }
 
 // primApids lists the process ids of the outstanding background jobs,

@@ -205,7 +205,7 @@ func primParse(i *core.Interp, ctx *core.Ctx, args core.List) (core.List, error)
 	}
 	// Back at the prompt: an interrupt that fired after the previous
 	// command's last boundary check has no command left to abort; without
-	// this it would stay latched and kill the next, unrelated command.
+	// this it would stay pending and kill the next, unrelated command.
 	i.ClearInterrupt()
 	p1, p2 := "", ""
 	if len(args) > 0 {
@@ -259,7 +259,7 @@ func commandLabel(args core.List) string {
 	parts := make([]string, 0, len(args))
 	for _, t := range args {
 		if t.Closure != nil {
-			parts = append(parts, syntax.UnparseBody(t.Closure.Unit.Body))
+			parts = append(parts, syntax.UnparseBody(t.Closure.Unit.Tree()))
 		} else {
 			parts = append(parts, t.String())
 		}

@@ -387,7 +387,7 @@ func (s *session) eval(f *Frame) *Frame {
 	res, err := s.interp.RunString(ctx, f.Src)
 	elapsed := time.Since(start)
 	// The next request must start clean even if this one left an
-	// interrupt latched mid-eval; the deadline token is cleared above.
+	// interrupt pending mid-eval; the deadline token is cleared above.
 	s.interp.ClearInterrupt()
 	m.Observe(elapsed)
 

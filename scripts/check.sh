@@ -9,19 +9,23 @@
 #                     allocation ratchet against BENCH_allocs.json (about
 #                     30s: allocation counts do not depend on the host)
 #   tier 2 (-race):   adds go vet, the fork, spawn, isolation, pipe,
-#                     runner, cancel, wait and shared-program tests ten
-#                     times over under the race detector (forks and
-#                     spawned sessions share one frozen variable table
+#                     runner, cancel, interrupt, wait and shared-program
+#                     tests ten times over under the race detector (forks
+#                     and spawned sessions share one frozen variable table
 #                     across goroutines, pipeline elements share the ends
 #                     of their pipes, subshells share the runners that
-#                     run them, waiters share their job table, and
-#                     sessions that run one fresh program may each lower
-#                     it into the one parse cache), the race detector
-#                     over the full
+#                     run them and the interrupt count of their group,
+#                     waiters share their job table, sessions that run
+#                     one fresh program may each lower it into the one
+#                     parse cache, and sessions that unparse its closures
+#                     at once may each derive its trees), the race
+#                     detector over the full
 #                     suite (including the 100-session esd soak test), 20s of
 #                     FuzzFrameCodec (esd's frame codec against
-#                     encoding/json), 20s of FuzzTextBuiltins (sort, tr
-#                     and uniq against the algorithms they replaced),
+#                     encoding/json; minimizing a new input is bounded
+#                     to 1s, so that it cannot stall the run), 20s of
+#                     FuzzTextBuiltins (sort, tr and uniq against the
+#                     algorithms they replaced),
 #                     a binary-level server soak
 #                     (concurrent esc clients against a race-enabled esd,
 #                     asserting zero failed frames and a clean drain on
@@ -58,12 +62,12 @@ sh scripts/bench_allocs.sh -check
 if [ "${1:-}" = "-race" ]; then
 	echo "== go vet ./..."
 	go vet ./...
-	echo "== go test -race -count=10 (fork, spawn, isolation, pipe, runner, cancel, wait and shared-program tests)"
-	go test -race -count=10 -run 'Fork|Spawn|Subshell|Isolation|BackgroundJob|Pipe|Runner|Cancel|Wait|ConcurrentFirstRunSharesProgram' ./internal/core ./internal/prim
+	echo "== go test -race -count=10 (fork, spawn, isolation, pipe, runner, cancel, interrupt, wait and shared-program tests)"
+	go test -race -count=10 -run 'Fork|Spawn|Subshell|Isolation|BackgroundJob|Pipe|Runner|Cancel|Interrupt|Wait|ConcurrentFirstRunSharesProgram|ConcurrentWhatisSharesTrees' ./internal/core ./internal/prim
 	echo "== go test -race ./..."
 	go test -race ./...
 	echo "== FuzzFrameCodec (20s: the frame codec against encoding/json)"
-	go test -run '^$' -fuzz '^FuzzFrameCodec$' -fuzztime 20s ./internal/server
+	go test -run '^$' -fuzz '^FuzzFrameCodec$' -fuzztime 20s -fuzzminimizetime 1s ./internal/server
 	echo "== FuzzTextBuiltins (20s: sort, tr and uniq against their references)"
 	go test -run '^$' -fuzz '^FuzzTextBuiltins$' -fuzztime 20s ./internal/coreutils
 	echo "== server soak (esd -race + concurrent esc, SIGTERM drain)"
