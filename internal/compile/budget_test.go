@@ -3,7 +3,9 @@ package compile
 import (
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"runtime"
+	"runtime/metrics"
 	"strings"
 	"testing"
 
@@ -14,7 +16,12 @@ import (
 // fraction of the heap bytes of the rewritten tree they are lowered from.
 // A program replaces its tree in the parse cache, so its units are what
 // the cache keeps of every program it holds.
-const unitBudget = 0.6
+const unitBudget = 0.5
+
+// scanBudget is the most of a lowered program's heap bytes the collector
+// may have to scan: every table but Units holds no pointer, so a cached
+// program adds little to each collection's mark work.
+const scanBudget = 0.15
 
 // TestUnitBytesWithinBudget lowers a corpus of higher-order programs
 // (map/filter/fold, subscripts, match dispatch and currying, one in four
@@ -29,6 +36,73 @@ func TestUnitBytesWithinBudget(t *testing.T) {
 	if ratio > unitBudget {
 		t.Errorf("units take %.2fx their trees' bytes, budget %.2fx", ratio, unitBudget)
 	}
+}
+
+// TestProgramScanWithinBudget lowers the corpus with its sources, as the
+// parse cache does, and weighs the programs' live and scannable heap
+// bytes after a collection.
+func TestProgramScanWithinBudget(t *testing.T) {
+	srcs := programCorpus(256)
+	trees := make([]*syntax.Block, len(srcs))
+	for k, src := range srcs {
+		trees[k] = parseRewrite(t, src)
+	}
+	live0, scan0 := heapAfterGC()
+	units := make([]*Unit, len(trees))
+	for k, b := range trees {
+		units[k], _ = Compile(b, &srcs[k])
+	}
+	live1, scan1 := heapAfterGC()
+	runtime.KeepAlive(trees)
+	runtime.KeepAlive(units)
+	n := float64(len(srcs))
+	live, scan := float64(live1-live0), float64(scan1-scan0)
+	t.Logf("per program: %.0f B live, %.0f B scannable (%.2fx)", live/n, scan/n, scan/live)
+	if scan > scanBudget*live {
+		t.Errorf("the collector scans %.2fx of the programs' bytes, budget %.2fx", scan/live, scanBudget)
+	}
+}
+
+// heapAfterGC is the live and the scannable heap after a full collection.
+func heapAfterGC() (live, scan int64) {
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/scan/heap:bytes"}}
+	metrics.Read(s)
+	return int64(s[0].Value.Uint64()), int64(s[1].Value.Uint64())
+}
+
+// TestProgramTablesHoldNoPointers: no table of a program but Units has an
+// element type that holds a pointer, so the collector scans none of them.
+func TestProgramTablesHoldNoPointers(t *testing.T) {
+	typ := reflect.TypeOf(Program{})
+	for k := 0; k < typ.NumField(); k++ {
+		f := typ.Field(k)
+		if f.Type.Kind() != reflect.Slice || f.Name == "Units" {
+			continue
+		}
+		if pointers(f.Type.Elem()) {
+			t.Errorf("Program.%s holds %s, which has pointers", f.Name, f.Type.Elem())
+		}
+	}
+}
+
+// pointers reports whether a value of type t holds a pointer.
+func pointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return t.Len() > 0 && pointers(t.Elem())
+	case reflect.Struct:
+		for k := 0; k < t.NumField(); k++ {
+			if pointers(t.Field(k).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan, reflect.Func,
+		reflect.Interface, reflect.Slice, reflect.String:
+		return true
+	}
+	return false
 }
 
 // BenchmarkCompileProgram lowers programs of the same four shapes, one at

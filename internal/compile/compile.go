@@ -14,29 +14,36 @@
 // (pipe, and/or, background, redirection, fn) is not one of its inputs.
 //
 // A program — a block and every block nested in it — is laid out in a few
-// flat tables indexed by int32 (instructions, words, segments and static
-// pieces), plus side tables for the rare operands (bindings, static match
-// patterns, computed names and subscripts, variable, parameter and
-// primitive names) and the units of the lambda and substitution bodies.
-// Compiling a program makes about one allocation per non-empty table,
-// not one per word and segment, and the units weigh less than the tree
-// they come from.
+// flat tables indexed by int32 (instructions, words, segments and
+// pieces), plus side tables for the rare operands (bindings, computed
+// names and subscripts) and the units of the lambda and substitution
+// bodies.  Every text the program names — a literal, a variable,
+// parameter or primitive name, a static match pattern — is a piece that
+// spans its bytes in the program's one Text string, where each distinct
+// name is laid out once, and its glob mask, if it has one, in Masks.  So
+// every table but Units holds no pointer, and the collector scans a
+// cached program's table headers and units, not its pieces.  Compiling a
+// program makes about one allocation per non-empty table, not one per
+// word, segment or quoted literal, and the units weigh about 0.42× the
+// tree they come from.
 //
 // What the lowering does once, so that no evaluation repeats it:
 //
 //   - each command node becomes a dense opcode, so dispatch is one
 //     switch, not a type assertion per evaluation;
-//   - word parts are pre-lowered: literal text becomes a pre-built
-//     glob.Pattern constant (quoting masks included), so evaluation never
-//     re-scans source text or re-allocates literal masks;
+//   - word parts are pre-lowered: literal text becomes a piece whose
+//     text and quoting mask the evaluator reads as a glob.Pattern without
+//     building one, so evaluation never re-scans source text or
+//     re-allocates literal masks;
 //   - fully static words — no variable references, no substitutions — are
 //     folded at compile time into constant piece lists;
 //   - a dynamic word with an unquoted wildcard in a literal of its own or
 //     of a word it lists is marked WordGlob, read from the source text,
 //     so the evaluator tracks quoting for those words only and builds
 //     every other word's terms directly;
-//   - match patterns built from static words are compiled to glob
-//     patterns once, not per evaluation;
+//   - match patterns built from static words are laid out as pattern
+//     pieces once, not per evaluation, a primitive as its $&name text
+//     with an all-literal mask;
 //   - every lambda and substitution body gets a unit in the program that
 //     holds it, which the segment that makes it indexes, and a lambda
 //     body's unit its parameters, so closure application starts on
@@ -86,11 +93,13 @@ const (
 	OpNot
 )
 
-// Span is a run of entries in one of a Program's tables: Len entries
-// from Off.  A Len of -1 marks an absent operand.
+// Span is a run of entries in one of a Program's tables, or of bytes in
+// its Text: Len entries from Off.  A Len of -1 marks an absent operand.
 type Span struct{ Off, Len int32 }
 
-// none is the absent span: match patterns that are not static.
+// none is the absent span: match patterns that are not static, the
+// parameters of a body that declares none, and the mask of a text whose
+// every byte may be magic.
 var none = Span{Off: -1, Len: -1}
 
 // Set reports whether the span is present (possibly empty).
@@ -113,19 +122,27 @@ func pos(p syntax.Pos) Pos { return Pos{Line: int32(p.Line), Col: int32(p.Col)} 
 
 // Program is one lowered tree: its root block and every block nested in
 // it, laid out in flat tables.  Operands refer to table entries by int32
-// index or by Span.  A Program is immutable once Compile returns it, but
-// for the trees Tree derives from its source.
+// index or by Span.  No table but Units has an element type that holds a
+// pointer.  A Program is immutable once Compile returns it, but for the
+// trees Tree derives from its source.
 type Program struct {
 	Instrs []Instr
 	Words  []Word
 	Segs   []Seg
+	// Pieces holds the pieces of static words, literal segments, static
+	// match patterns, and the names of variables, parameters and
+	// primitives.
 	Pieces []StaticPiece
 
 	// Side tables for the rare operands.
 	Bindings []Binding
-	Pats     []glob.Pattern // static match pattern lists
-	Vars     []VarExt       // computed names and subscripts
-	Names    []string       // variable, parameter and primitive names
+	Vars     []VarExt // computed names and subscripts
+
+	// Text holds the bytes of every piece, each distinct name once, and
+	// Masks the glob masks of the pieces that have one: Masks[i] means
+	// the byte it pairs with has no wildcard meaning.
+	Text  string
+	Masks []bool
 
 	// Units holds the root block's unit first, then one for each lambda
 	// and substitution body, each after the units nested in it.
@@ -154,23 +171,50 @@ func (p *Program) SegsOf(w *Word) []Seg { return in(p.Segs, w.Span) }
 // PiecesOf returns a static word's pieces.
 func (p *Program) PiecesOf(w *Word) []StaticPiece { return in(p.Pieces, w.Span) }
 
+// PiecesIn returns the pieces s covers: static match patterns, or a
+// lambda body's parameters.
+func (p *Program) PiecesIn(s Span) []StaticPiece { return in(p.Pieces, s) }
+
 // BindingsIn returns the bindings s covers.
 func (p *Program) BindingsIn(s Span) []Binding { return in(p.Bindings, s) }
 
-// PatsIn returns the static match patterns s covers.
-func (p *Program) PatsIn(s Span) []glob.Pattern { return in(p.Pats, s) }
+// Str returns the text s spans.
+func (p *Program) Str(s Span) string { return p.Text[s.Off : s.Off+s.Len] }
 
-// NamesIn returns the names s covers.
-func (p *Program) NamesIn(s Span) []string { return in(p.Names, s) }
+// Name returns the text of piece k: a variable, parameter or primitive
+// name.
+func (p *Program) Name(k int32) string { return p.Str(p.Pieces[k].Text) }
+
+// Pat returns a piece's text and mask as a glob pattern, which shares
+// the program's bytes: building it allocates nothing.
+func (p *Program) Pat(sp *StaticPiece) glob.Pattern {
+	var lit []bool
+	if sp.Mask.Set() {
+		lit = in(p.Masks, sp.Mask)
+	}
+	return glob.WithMask(p.Str(sp.Text), lit)
+}
+
+// Pattern returns a piece as a match pattern: a $&prim term matches its
+// unparsed name literally.  A static match pattern lays a primitive out
+// as that text already, so only a primitive piece of a word that is
+// matched among dynamic patterns builds one.
+func (p *Program) Pattern(sp *StaticPiece) glob.Pattern {
+	if sp.Prim {
+		return glob.NewLiteral("$&" + p.Str(sp.Text))
+	}
+	return p.Pat(sp)
+}
 
 // Unit is one compiled block: a run of instructions in its program.
 // Every block nested in the program that can run on its own — a lambda
 // or substitution body — has a unit of its own in the same program, so a
 // closure keeps the whole program's tables alive.
 //
-// Params is a lambda body's parameter list, into Names: set and possibly
-// empty for "@ params {body}", absent for a bare {body}, a substitution
-// body and a program's root, which bind their arguments to *.
+// Params is a lambda body's parameter list, name pieces in Pieces: set
+// and possibly empty for "@ params {body}", absent for a bare {body}, a
+// substitution body and a program's root, which bind their arguments to
+// *.
 type Unit struct {
 	Prog   *Program
 	Seq    Span
@@ -216,7 +260,7 @@ type Instr struct {
 
 	Word     int32 // OpAssign target; OpMatch, OpMatchExtract subject
 	Words    Span  // OpSimple command; OpAssign values; match patterns: into Words
-	Pats     Span  // match patterns, when all static: into Pats
+	Pats     Span  // match patterns, when all static: into Pieces
 	Bindings Span  // OpLet, OpLocal, OpFor: into Bindings
 	Body     Span  // OpSeq, and the body of OpLet, OpLocal, OpFor, OpNot
 }
@@ -258,21 +302,14 @@ type Word struct {
 	Pos Pos
 }
 
-// StaticPiece is one pre-evaluated piece of a static word, or the
-// pattern of a literal segment.
+// StaticPiece is one pre-evaluated piece of a static word, the pattern
+// of a literal segment or of a static match, or a name.  A name piece
+// has no mask and is neither Wild nor Prim.
 type StaticPiece struct {
-	Pat  glob.Pattern // the literal text; for a primitive, its name
-	Wild bool         // Pat.HasWild(), computed once
-	Prim bool         // the piece is a $&prim term
-}
-
-// Pattern is the piece as a match pattern: a $&prim term matches its
-// unparsed name literally.
-func (sp StaticPiece) Pattern() glob.Pattern {
-	if sp.Prim {
-		return glob.NewLiteral("$&" + sp.Pat.String())
-	}
-	return sp.Pat
+	Text Span // the text, in Text; for a primitive, its name
+	Mask Span // the glob mask, in Masks; absent when every byte may be magic
+	Wild bool // the piece has an unquoted wildcard, computed once
+	Prim bool // the piece is a $&prim term
 }
 
 // SegKind identifies one word segment.
@@ -305,7 +342,7 @@ type Seg struct {
 	Count, Double, Flat bool
 
 	// Ref is, by kind: SegLit, the pattern in Pieces; SegVar, the name
-	// in Names, or -1 for a computed name; SegPrim, the name in Names;
+	// in Pieces, or -1 for a computed name; SegPrim, the name in Pieces;
 	// SegLambda, SegCmdSub and SegRetSub, the body's unit in Units;
 	// SegList, the first of its words.
 	Ref int32
@@ -360,16 +397,44 @@ type compiler struct {
 	segs     []Seg
 	pieces   []StaticPiece
 	bindings []Binding
-	pats     []glob.Pattern
 	vars     []VarExt
-	names    []string
 	units    []Unit
 	trees    []*syntax.Block // the tree of each unit
 
-	one [1]StaticPiece // static's result for a lone literal
+	texts []byte           // the program's Text
+	masks []bool           // the program's Masks
+	names map[string]int32 // where each name laid out in texts starts
+	lits  Span             // the last run of literal entries in masks
+
+	one [1]value // static's result for a lone literal
+}
+
+// value is a static piece before it is laid out: its text, and its mask
+// as glob keeps it.  A quoted literal keeps no mask, which lowering lays
+// out as a run of literal entries.
+type value struct {
+	pat    glob.Pattern
+	quoted bool // every byte of the text is literal
+	prim   bool // the text is a primitive's name
+}
+
+// pattern returns v as a glob pattern, as the evaluator joins it: a
+// primitive as its unparsed name, literally.
+func (v value) pattern() glob.Pattern {
+	switch {
+	case v.prim:
+		return glob.NewLiteral("$&" + v.pat.String())
+	case v.quoted:
+		return glob.NewLiteral(v.pat.String())
+	}
+	return v.pat
 }
 
 var compilers = sync.Pool{New: func() any { return new(compiler) }}
+
+// maxPooledNames bounds the name map a pooled compiler keeps for the
+// next compile.
+const maxPooledNames = 256
 
 // exact copies a scratch table to a new slice of its exact length; an
 // empty table becomes nil.
@@ -388,9 +453,9 @@ func (c *compiler) finish() *Program {
 		Segs:     exact(c.segs),
 		Pieces:   exact(c.pieces),
 		Bindings: exact(c.bindings),
-		Pats:     exact(c.pats),
 		Vars:     exact(c.vars),
-		Names:    exact(c.names),
+		Text:     string(c.texts),
+		Masks:    exact(c.masks),
 		Units:    exact(c.units),
 	}
 	for k := range p.Units {
@@ -405,14 +470,20 @@ func (c *compiler) reset() {
 	c.instrs = c.instrs[:0]
 	c.words = c.words[:0]
 	c.segs = c.segs[:0]
-	c.pieces = truncate(c.pieces, 0)
+	c.pieces = c.pieces[:0]
 	c.bindings = c.bindings[:0]
-	c.pats = truncate(c.pats, 0)
 	c.vars = c.vars[:0]
-	c.names = truncate(c.names, 0)
 	c.units = truncate(c.units, 0)
 	c.trees = truncate(c.trees, 0)
-	c.one = [1]StaticPiece{}
+	c.texts = c.texts[:0]
+	c.masks = c.masks[:0]
+	if len(c.names) > maxPooledNames {
+		c.names = nil // clearing a map costs its capacity, every compile
+	} else {
+		clear(c.names)
+	}
+	c.lits = Span{}
+	c.one = [1]value{}
 }
 
 // truncate shortens s to n entries, zeroing the entries dropped.
@@ -433,6 +504,82 @@ func reserve[T any](t *[]T, n int) Span {
 func add[T any](t *[]T, v T) int32 {
 	*t = append(*t, v)
 	return int32(len(*t) - 1)
+}
+
+// text lays s out at the end of the program's text.
+func (c *compiler) text(s string) Span {
+	off := len(c.texts)
+	c.texts = append(c.texts, s...)
+	return Span{Off: int32(off), Len: int32(len(s))}
+}
+
+// intern returns the span of a name in the program's text, laying it
+// out the first time the program names it, so that every reference to a
+// variable and the parameter that binds it share one copy.  Only names
+// are interned: looking every literal up cost more time than its bytes
+// were worth.
+func (c *compiler) intern(name string) Span {
+	if off, ok := c.names[name]; ok {
+		return Span{Off: off, Len: int32(len(name))}
+	}
+	if c.names == nil {
+		c.names = make(map[string]int32)
+	}
+	sp := c.text(name)
+	c.names[name] = sp.Off
+	return sp
+}
+
+// literal returns the span of n literal entries in masks: the mask of a
+// quoted text.  Every such mask shares one run, lengthened in place
+// while it ends the table.
+func (c *compiler) literal(n int) Span {
+	if int(c.lits.Len) < n {
+		if int(c.lits.Off+c.lits.Len) != len(c.masks) {
+			c.lits = Span{Off: int32(len(c.masks))}
+		}
+		for ; int(c.lits.Len) < n; c.lits.Len++ {
+			c.masks = append(c.masks, true)
+		}
+	}
+	return Span{Off: c.lits.Off, Len: int32(n)}
+}
+
+// mask returns the span of a glob mask in masks, none when every byte
+// may be magic.
+func (c *compiler) mask(lit []bool) Span {
+	all, some := true, false
+	for _, l := range lit {
+		all = all && l
+		some = some || l
+	}
+	switch {
+	case !some:
+		return none
+	case all:
+		return c.literal(len(lit))
+	}
+	off := len(c.masks)
+	c.masks = append(c.masks, lit...)
+	return Span{Off: int32(off), Len: int32(len(lit))}
+}
+
+// piece lays a static value out as a piece.
+func (c *compiler) piece(v value) StaticPiece {
+	sp := StaticPiece{Text: c.text(v.pat.String()), Mask: none, Prim: v.prim}
+	switch {
+	case v.quoted:
+		sp.Mask = c.literal(len(v.pat.String()))
+	case !v.prim:
+		sp.Mask = c.mask(v.pat.Mask())
+		sp.Wild = v.pat.HasWild()
+	}
+	return sp
+}
+
+// name lays a variable, parameter or primitive name out as a piece.
+func (c *compiler) name(s string) int32 {
+	return add(&c.pieces, StaticPiece{Text: c.intern(s), Mask: none})
 }
 
 // block lowers a command sequence into a contiguous run of instructions.
@@ -526,23 +673,29 @@ func (c *compiler) simple(s *syntax.Simple) Instr {
 	return Instr{Op: OpSimple, Words: c.wordRun(s.Words)}
 }
 
-// match lowers ~ and ~~: the subject, and the patterns as static glob
-// patterns when every pattern word is static, else as words.
+// match lowers ~ and ~~: the subject, and the patterns as pattern
+// pieces when every pattern word is static, else as words.  A primitive
+// is laid out as its $&name text with a literal mask, so that matching
+// it builds no pattern.
 func (c *compiler) match(op Op, subject *syntax.Word, pats []*syntax.Word) Instr {
 	in := Instr{Op: op, Word: c.word(subject), Pats: none}
-	start := len(c.pats)
+	start, texts, masks, lits := len(c.pieces), len(c.texts), len(c.masks), c.lits
 	for _, w := range pats {
-		ps, ok := c.static(w)
+		vs, ok := c.static(w)
 		if !ok {
-			c.pats = truncate(c.pats, start)
+			// Drop the pieces laid out so far, and their bytes.
+			c.pieces, c.texts, c.masks, c.lits = c.pieces[:start], c.texts[:texts], c.masks[:masks], lits
 			in.Words = c.wordRun(pats)
 			return in
 		}
-		for _, sp := range ps {
-			c.pats = append(c.pats, sp.Pattern())
+		for _, v := range vs {
+			if v.prim {
+				v = value{pat: glob.New("$&" + v.pat.String()), quoted: true}
+			}
+			c.pieces = append(c.pieces, c.piece(v))
 		}
 	}
-	in.Pats = Span{Off: int32(start), Len: int32(len(c.pats) - start)}
+	in.Pats = Span{Off: int32(start), Len: int32(len(c.pieces) - start)}
 	return in
 }
 
@@ -565,10 +718,12 @@ func (c *compiler) word(w *syntax.Word) int32 {
 }
 
 func (c *compiler) wordValue(w *syntax.Word) Word {
-	if ps, ok := c.static(w); ok {
+	if vs, ok := c.static(w); ok {
 		off := len(c.pieces)
-		c.pieces = append(c.pieces, ps...)
-		cw := Word{Kind: WordStatic, Span: Span{Off: int32(off), Len: int32(len(ps))}}
+		for _, v := range vs {
+			c.pieces = append(c.pieces, c.piece(v))
+		}
+		cw := Word{Kind: WordStatic, Span: Span{Off: int32(off), Len: int32(len(vs))}}
 		if w != nil {
 			cw.Pos = pos(w.Pos)
 		}
@@ -612,12 +767,12 @@ func wild(w *syntax.Word) bool {
 	return false
 }
 
-// static returns the pieces a word always evaluates to, mirroring the
+// static returns the values a word always evaluates to, mirroring the
 // evaluator's concatenation over its parts, and whether it has such
-// pieces at all.  A concatenation that would fail at run time (length
+// values at all.  A concatenation that would fail at run time (length
 // mismatch) is not static, so the evaluator reproduces the exact error.
 // The result may alias c.one and is only valid until the next call.
-func (c *compiler) static(w *syntax.Word) ([]StaticPiece, bool) {
+func (c *compiler) static(w *syntax.Word) ([]value, bool) {
 	if w == nil || len(w.Parts) == 0 {
 		return nil, true
 	}
@@ -625,7 +780,7 @@ func (c *compiler) static(w *syntax.Word) ([]StaticPiece, bool) {
 	if !ok || len(w.Parts) == 1 {
 		return acc, ok
 	}
-	acc = append([]StaticPiece(nil), acc...)
+	acc = append([]value(nil), acc...)
 	for _, part := range w.Parts[1:] {
 		next, ok := c.partStatic(part)
 		if !ok {
@@ -639,24 +794,23 @@ func (c *compiler) static(w *syntax.Word) ([]StaticPiece, bool) {
 	return acc, true
 }
 
-// partStatic returns the pieces one word part always evaluates to.
-func (c *compiler) partStatic(part syntax.Part) ([]StaticPiece, bool) {
+// partStatic returns the values one word part always evaluates to.
+func (c *compiler) partStatic(part syntax.Part) ([]value, bool) {
 	switch part := part.(type) {
 	case *syntax.Lit:
-		p := litPattern(part)
-		c.one[0] = StaticPiece{Pat: p, Wild: p.HasWild()}
+		c.one[0] = value{pat: glob.New(part.Text), quoted: part.Quoted}
 		return c.one[:], true
 	case *syntax.Prim:
-		c.one[0] = StaticPiece{Pat: glob.New(part.Name), Prim: true}
+		c.one[0] = value{pat: glob.New(part.Name), prim: true}
 		return c.one[:], true
 	case *syntax.ListPart:
-		var out []StaticPiece
+		var out []value
 		for _, w := range part.Words {
-			ps, ok := c.static(w)
+			vs, ok := c.static(w)
 			if !ok {
 				return nil, false
 			}
-			out = append(out, ps...)
+			out = append(out, vs...)
 		}
 		return out, true
 	default:
@@ -664,23 +818,16 @@ func (c *compiler) partStatic(part syntax.Part) ([]StaticPiece, bool) {
 	}
 }
 
-func litPattern(l *syntax.Lit) glob.Pattern {
-	if l.Quoted {
-		return glob.NewLiteral(l.Text)
-	}
-	return glob.New(l.Text)
-}
-
 // litName returns the value of a word used as a single name (a variable
 // or binding target): set when the word is static with exactly one
-// non-prim piece.  Names are never glob-expanded, so a wildcard piece is
+// non-prim value.  Names are never glob-expanded, so a wildcard piece is
 // still a legal single name (a variable really can be called a*b).
 func (c *compiler) litName(w *syntax.Word) (string, bool) {
-	ps, ok := c.static(w)
-	if !ok || len(ps) != 1 || ps[0].Prim {
+	vs, ok := c.static(w)
+	if !ok || len(vs) != 1 || vs[0].prim {
 		return "", false
 	}
-	return ps[0].Pat.String(), true
+	return vs[0].pat.String(), true
 }
 
 // Concat is es list concatenation, the ^ operator, over the values of
@@ -715,23 +862,22 @@ func Concat[T any](l []T, start, mid int, join func(x, y T) T) ([]T, bool) {
 	return l[:start+n], true
 }
 
-// joinStatic concatenates two static pieces, as the evaluator joins the
+// joinStatic concatenates two static values, as the evaluator joins the
 // pieces they stand for.
-func joinStatic(x, y StaticPiece) StaticPiece {
-	p := glob.Concat(x.Pattern(), y.Pattern())
-	return StaticPiece{Pat: p, Wild: p.HasWild()}
+func joinStatic(x, y value) value {
+	return value{pat: glob.Concat(x.pattern(), y.pattern())}
 }
 
 func (c *compiler) seg(part syntax.Part) Seg {
 	switch part := part.(type) {
 	case *syntax.Lit:
-		p := litPattern(part)
-		return Seg{Kind: SegLit, Ref: add(&c.pieces, StaticPiece{Pat: p, Wild: p.HasWild()})}
+		v := value{pat: glob.New(part.Text), quoted: part.Quoted}
+		return Seg{Kind: SegLit, Ref: add(&c.pieces, c.piece(v))}
 	case *syntax.Var:
 		s := Seg{Kind: SegVar, Count: part.Count, Double: part.Double, Flat: part.Flat, Ref: -1, Ext: -1}
 		name, static := c.litName(part.Name)
 		if static {
-			s.Ref = add(&c.names, name)
+			s.Ref = c.name(name)
 		}
 		if !static || len(part.Index) > 0 {
 			ext := VarExt{Name: -1, Pos: pos(part.Pos)}
@@ -743,12 +889,14 @@ func (c *compiler) seg(part syntax.Part) Seg {
 		}
 		return s
 	case *syntax.Prim:
-		return Seg{Kind: SegPrim, Ref: add(&c.names, part.Name)}
+		return Seg{Kind: SegPrim, Ref: c.name(part.Name)}
 	case *syntax.LambdaPart:
 		params := none
 		if lam := part.Lambda; lam.HasParams {
-			params = Span{Off: int32(len(c.names)), Len: int32(len(lam.Params))}
-			c.names = append(c.names, lam.Params...)
+			params = Span{Off: int32(len(c.pieces)), Len: int32(len(lam.Params))}
+			for _, name := range lam.Params {
+				c.name(name)
+			}
 		}
 		return Seg{Kind: SegLambda, Ref: c.nest(part.Lambda.Body, params)}
 	case *syntax.CmdSub:

@@ -59,7 +59,7 @@ func TestCompileConstantCommandWords(t *testing.T) {
 		t.Fatalf("%d words, want %d", n, len(want))
 	}
 	for k, w := range want {
-		if ps := staticWord(t, p, in, k); len(ps) != 1 || ps[0].Pat.String() != w || ps[0].Prim || ps[0].Wild {
+		if ps := staticWord(t, p, in, k); len(ps) != 1 || p.Str(ps[0].Text) != w || ps[0].Prim || ps[0].Wild {
 			t.Errorf("word %d = %+v, want the plain piece %q", k, ps, w)
 		}
 	}
@@ -74,7 +74,7 @@ func TestCompilePrimHeadInterned(t *testing.T) {
 	if in.Op != OpSimple {
 		t.Fatalf("op = %v, want OpSimple", in.Op)
 	}
-	if ps := staticWord(t, p, in, 0); len(ps) != 1 || !ps[0].Prim || ps[0].Pat.String() != "result" {
+	if ps := staticWord(t, p, in, 0); len(ps) != 1 || !ps[0].Prim || p.Str(ps[0].Text) != "result" {
 		t.Fatalf("head = %+v, want the prim piece result", ps)
 	}
 }
@@ -91,8 +91,8 @@ func TestCompileWildcardBlocksConstPool(t *testing.T) {
 // A quoted wildcard is a plain piece, which no expansion touches.
 func TestCompileQuotedWildcardStaysConstant(t *testing.T) {
 	p, in := only(t, mustCompile(t, "result '*.c'"))
-	if ps := staticWord(t, p, in, 1); len(ps) != 1 || ps[0].Wild || ps[0].Pat.String() != "*.c" {
-		t.Errorf("quoted wildcard = %+v, want the plain piece %q", ps, "*.c")
+	if ps := staticWord(t, p, in, 1); len(ps) != 1 || ps[0].Wild || p.Str(ps[0].Text) != "*.c" || !ps[0].Mask.Set() {
+		t.Errorf("quoted wildcard = %+v, want the plain masked piece %q", ps, "*.c")
 	}
 }
 
@@ -101,8 +101,23 @@ func TestCompileMatchPatterns(t *testing.T) {
 	if in.Op != OpMatch {
 		t.Fatalf("op = %v, want OpMatch", in.Op)
 	}
-	if !in.Pats.Set() || len(p.PatsIn(in.Pats)) != 2 {
+	if !in.Pats.Set() || len(p.PiecesIn(in.Pats)) != 2 {
 		t.Fatalf("static patterns not pre-compiled: %+v", in)
+	}
+	if pats := p.PiecesIn(in.Pats); !pats[0].Wild || pats[1].Wild || p.Str(pats[1].Text) != "foo" {
+		t.Errorf("patterns = %+v, want the wild *.[ch] and the plain foo", pats)
+	}
+
+	// A primitive matches its unparsed name literally, laid out so.
+	p, in = only(t, mustCompile(t, "~ $x $&echo 'a*'"))
+	pats := p.PiecesIn(in.Pats)
+	if len(pats) != 2 || pats[0].Prim || p.Str(pats[0].Text) != "$&echo" {
+		t.Fatalf("patterns = %+v, want $&echo as text", pats)
+	}
+	for k, subj := range []string{"$&echo", "a*"} {
+		if pat := p.Pattern(&pats[k]); !pat.Match(subj) || pat.Match(subj+"x") || pat.HasWild() {
+			t.Errorf("pattern %d does not match %q literally", k, subj)
+		}
 	}
 
 	if _, in := only(t, mustCompile(t, "~ $x $y")); in.Pats.Set() {
@@ -119,8 +134,8 @@ func TestCompileStaticWordsKeepNoSegments(t *testing.T) {
 	if len(ws) != 3 || ws[0].Kind != WordStatic || ws[1].Kind != WordStatic || ws[2].Kind != WordLoneVar {
 		t.Fatalf("words = %+v, want static, static, lone var", ws)
 	}
-	if len(p.Pieces) != 2 || len(p.Segs) != 1 || p.Names[p.Segs[0].Ref] != "x" {
-		t.Errorf("pieces %+v, segs %+v, names %q: want two pieces and one $x segment", p.Pieces, p.Segs, p.Names)
+	if len(p.Pieces) != 3 || len(p.Segs) != 1 || p.Name(p.Segs[0].Ref) != "x" {
+		t.Errorf("pieces %+v, segs %+v: want two word pieces, the name x, and one $x segment", p.Pieces, p.Segs)
 	}
 }
 
@@ -178,8 +193,8 @@ func TestCompileLambdaBodyUnit(t *testing.T) {
 	if u.Prog != p {
 		t.Error("the lambda body's unit is not in its program's tables")
 	}
-	if ps := p.NamesIn(u.Params); !u.Params.Set() || len(ps) != 1 || ps[0] != "x" {
-		t.Errorf("the lambda body's unit has parameters %q (declared: %v), want x", ps, u.Params.Set())
+	if ps := p.PiecesIn(u.Params); !u.Params.Set() || len(ps) != 1 || p.Str(ps[0].Text) != "x" {
+		t.Errorf("the lambda body's unit has parameters %+v (declared: %v), want x", ps, u.Params.Set())
 	}
 	if got := syntax.UnparseBody(u.Tree()); got != "result $x" {
 		t.Errorf("the lambda body's tree unparses to %q, want %q", got, "result $x")

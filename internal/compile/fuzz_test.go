@@ -119,7 +119,9 @@ func units(root *Unit) error {
 }
 
 // validate checks that every operand of a program indexes inside the
-// table it names.
+// table it names, that every piece's text lies inside Text and its mask,
+// if it has one, inside Masks, as long as its text, and that names carry
+// no mask.
 func validate(p *Program) error {
 	span := func(what string, s Span, n int) error {
 		if s.Off < 0 || s.Len < 0 || int(s.Off)+int(s.Len) > n {
@@ -134,11 +136,32 @@ func validate(p *Program) error {
 		return nil
 	}
 	words := func(s Span) error { return span("words", s, len(p.Words)) }
+	name := func(what string, k int32) error {
+		if err := index(what, k, len(p.Pieces)); err != nil {
+			return err
+		}
+		if sp := p.Pieces[k]; sp.Mask.Set() || sp.Wild || sp.Prim {
+			return fmt.Errorf("%s piece %d is not a plain name: %+v", what, k, sp)
+		}
+		return nil
+	}
 	var errs []error
+	for _, sp := range p.Pieces {
+		errs = append(errs, span("text", sp.Text, len(p.Text)))
+		if sp.Mask.Set() {
+			errs = append(errs, span("mask", sp.Mask, len(p.Masks)))
+			if sp.Mask.Len != sp.Text.Len {
+				errs = append(errs, fmt.Errorf("mask %+v is not as long as its text %+v", sp.Mask, sp.Text))
+			}
+		}
+	}
 	for _, u := range p.Units {
 		errs = append(errs, span("unit", u.Seq, len(p.Instrs)))
 		if u.Params.Set() {
-			errs = append(errs, span("params", u.Params, len(p.Names)))
+			errs = append(errs, span("params", u.Params, len(p.Pieces)))
+			for k := u.Params.Off; k < u.Params.Off+u.Params.Len; k++ {
+				errs = append(errs, name("param", k))
+			}
 		}
 	}
 	for _, in := range p.Instrs {
@@ -153,7 +176,7 @@ func validate(p *Program) error {
 		case OpMatch, OpMatchExtract:
 			errs = append(errs, index("subject", in.Word, len(p.Words)))
 			if in.Pats.Set() {
-				errs = append(errs, span("patterns", in.Pats, len(p.Pats)))
+				errs = append(errs, span("patterns", in.Pats, len(p.Pieces)))
 			} else {
 				errs = append(errs, words(in.Words))
 			}
@@ -175,13 +198,13 @@ func validate(p *Program) error {
 			errs = append(errs, index("literal", s.Ref, len(p.Pieces)))
 		case SegVar:
 			if s.Ref >= 0 || s.Ext < 0 {
-				errs = append(errs, index("name", s.Ref, len(p.Names)))
+				errs = append(errs, name("name", s.Ref))
 			}
 			if s.Ext >= 0 {
 				errs = append(errs, index("var", s.Ext, len(p.Vars)))
 			}
 		case SegPrim:
-			errs = append(errs, index("prim", s.Ref, len(p.Names)))
+			errs = append(errs, name("prim", s.Ref))
 		case SegLambda, SegCmdSub, SegRetSub:
 			errs = append(errs, index("body unit", s.Ref, len(p.Units)))
 		case SegList:

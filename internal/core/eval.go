@@ -215,14 +215,14 @@ func bindParams(i *Interp, cl *Closure, args List) *Binding {
 	// $* always holds the full argument list, named parameters or not
 	// (the paper's watch settor is "@ { ... return $* }").
 	env := &Binding{Name: "*", Value: args, Next: cl.Env}
-	params, ok := cl.params()
-	if !ok {
+	u := cl.Unit
+	if !u.Params.Set() {
 		i.Alloc.binding(1)
 		return env
 	}
-	n := len(params)
+	n := int(u.Params.Len)
 	i.Alloc.binding(n + 1)
-	for k, p := range params {
+	for k := 0; k < n; k++ {
 		var v List
 		switch {
 		case k == n-1 && len(args) > k:
@@ -230,7 +230,7 @@ func bindParams(i *Interp, cl *Closure, args List) *Binding {
 		case k < len(args):
 			v = args[k : k+1 : k+1]
 		}
-		env = &Binding{Name: p, Value: v, Next: env}
+		env = &Binding{Name: u.Prog.Name(u.Params.Off + int32(k)), Value: v, Next: env}
 	}
 	return env
 }

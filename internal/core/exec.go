@@ -300,8 +300,10 @@ func (i *Interp) execMatch(ctx *Ctx, p *compile.Program, in *compile.Instr, env 
 	}
 	m := matcher{subj: subj, extract: extract, first: len(subj)}
 	if in.Pats.Set() {
-		for _, pat := range p.PatsIn(in.Pats) {
-			m.glob(pat)
+		// Compile laid each primitive out as its $&name text.
+		pats := p.PiecesIn(in.Pats)
+		for k := range pats {
+			m.glob(p.Pat(&pats[k]))
 		}
 	} else {
 		ws := p.WordsIn(in.Words)
@@ -332,7 +334,7 @@ func (i *Interp) matchWord(ctx *Ctx, m *matcher, p *compile.Program, w *compile.
 	case compile.WordStatic:
 		static := p.PiecesOf(w)
 		for k := range static {
-			m.glob(static[k].Pattern())
+			m.glob(p.Pattern(&static[k]))
 		}
 		return nil
 	case compile.WordGlob:
@@ -403,7 +405,7 @@ func (i *Interp) execWordTerms(ctx *Ctx, p *compile.Program, w *compile.Word, en
 
 // loneVarName is the variable a WordLoneVar word names.
 func loneVarName(p *compile.Program, w *compile.Word) string {
-	return p.Names[p.Segs[w.Span.Off].Ref]
+	return p.Name(p.Segs[w.Span.Off].Ref)
 }
 
 // appendValue appends a value — a variable's, or a substitution's — to
@@ -423,7 +425,7 @@ func appendValue(out, value List) List {
 func (i *Interp) appendWordTerms(ctx *Ctx, out List, p *compile.Program, w *compile.Word, env *Binding) (List, error) {
 	switch w.Kind {
 	case compile.WordStatic:
-		return i.appendStatic(out, p.PiecesOf(w)), nil
+		return i.appendStatic(out, p, p.PiecesOf(w)), nil
 	case compile.WordLoneVar:
 		// $name alone in a word: the value splices in unchanged (string
 		// terms stay literal — variable values are not re-globbed — and
@@ -479,11 +481,11 @@ func joinTerms(x, y Term) Term { return Term{Str: x.String() + y.String()} }
 func (i *Interp) appendSeg(ctx *Ctx, out List, p *compile.Program, s *compile.Seg, env *Binding) (List, error) {
 	switch s.Kind {
 	case compile.SegLit:
-		return append(out, Term{Str: p.Pieces[s.Ref].Pat.String()}), nil
+		return append(out, Term{Str: p.Str(p.Pieces[s.Ref].Text)}), nil
 	case compile.SegVar:
 		return i.appendVarSeg(ctx, out, p, s, env)
 	case compile.SegPrim:
-		return append(out, Term{Prim: p.Names[s.Ref]}), nil
+		return append(out, Term{Prim: p.Name(s.Ref)}), nil
 	case compile.SegLambda:
 		i.Alloc.closure()
 		return append(out, Term{Closure: &Closure{Unit: &p.Units[s.Ref], Env: env}}), nil
@@ -510,7 +512,7 @@ func (i *Interp) appendSeg(ctx *Ctx, out List, p *compile.Program, s *compile.Se
 			if w.Kind == compile.WordStatic {
 				static := p.PiecesOf(w)
 				for j := range static {
-					out = append(out, staticTerm(&static[j]))
+					out = append(out, staticTerm(p, &static[j]))
 				}
 				continue
 			}
@@ -532,7 +534,7 @@ func (i *Interp) appendVarSeg(ctx *Ctx, out List, p *compile.Program, s *compile
 	}
 	var name string
 	if s.Ref >= 0 {
-		name = p.Names[s.Ref]
+		name = p.Name(s.Ref)
 	} else {
 		var err error
 		name, err = i.execWordString(ctx, p, &p.Words[ext.Name], env)
@@ -586,38 +588,32 @@ func (i *Interp) appendVarSeg(ctx *Ctx, out List, p *compile.Program, s *compile
 	return appendValue(out, value), nil
 }
 
-// staticTerm is the term a static piece stands for, unexpanded.
-func staticTerm(sp *compile.StaticPiece) Term {
+// staticTerm is the term a static piece of p stands for, unexpanded.
+func staticTerm(p *compile.Program, sp *compile.StaticPiece) Term {
 	if sp.Prim {
-		return Term{Prim: sp.Pat.String()}
+		return Term{Prim: p.Str(sp.Text)}
 	}
-	return Term{Str: sp.Pat.String()}
+	return Term{Str: p.Str(sp.Text)}
 }
 
-// appendStatic appends pre-evaluated pieces, expanding wildcards against
-// the interpreter's current directory.
-func (i *Interp) appendStatic(out List, static []compile.StaticPiece) List {
+// appendStatic appends pre-evaluated pieces of p, expanding wildcards
+// against the interpreter's current directory.
+func (i *Interp) appendStatic(out List, p *compile.Program, static []compile.StaticPiece) List {
 	for k := range static {
 		sp := &static[k]
-		switch {
-		case sp.Prim:
-			i.Alloc.term(1)
-			out = append(out, Term{Prim: sp.Pat.String()})
-		case sp.Wild:
-			if matches := glob.Expand(sp.Pat, i.dir); matches != nil {
+		if sp.Wild {
+			if matches := glob.Expand(p.Pat(sp), i.dir); matches != nil {
 				for _, m := range matches {
 					out = append(out, Term{Str: m})
 					i.Alloc.term(1)
 				}
 				continue
 			}
-			i.Alloc.term(1)
-			out = append(out, Term{Str: sp.Pat.String()})
-		default:
-			i.Alloc.term(1)
-			i.Alloc.str(len(sp.Pat.String()))
-			out = append(out, Term{Str: sp.Pat.String()})
+		} else if !sp.Prim {
+			i.Alloc.str(int(sp.Text.Len))
 		}
+		i.Alloc.term(1)
+		out = append(out, staticTerm(p, sp))
 	}
 	return out
 }
@@ -630,7 +626,7 @@ func (i *Interp) execWordString(ctx *Ctx, p *compile.Program, w *compile.Word, e
 		// A static word is a name only as one plain piece; otherwise it
 		// is a constant failure.
 		if static := p.PiecesOf(w); len(static) == 1 && !static[0].Prim {
-			return static[0].Pat.String(), nil
+			return p.Str(static[0].Text), nil
 		}
 	case compile.WordGlob:
 		pieces, err := i.appendWordPieces(ctx, nil, p, w, env)
@@ -706,9 +702,9 @@ func (i *Interp) appendWordPieces(ctx *Ctx, out []piece, p *compile.Program, w *
 		static := p.PiecesOf(w)
 		for k := range static {
 			if sp := &static[k]; sp.Prim {
-				out = append(out, piece{term: &Term{Prim: sp.Pat.String()}})
+				out = append(out, piece{term: &Term{Prim: p.Str(sp.Text)}})
 			} else {
-				out = append(out, piece{pat: sp.Pat})
+				out = append(out, piece{pat: p.Pat(sp)})
 			}
 		}
 		return out, nil
@@ -743,7 +739,7 @@ func joinPieces(x, y piece) piece {
 func (i *Interp) appendSegPieces(ctx *Ctx, out []piece, p *compile.Program, s *compile.Seg, env *Binding) ([]piece, error) {
 	switch s.Kind {
 	case compile.SegLit:
-		return append(out, piece{pat: p.Pieces[s.Ref].Pat}), nil
+		return append(out, piece{pat: p.Pat(&p.Pieces[s.Ref])}), nil
 	case compile.SegList:
 		ws := p.WordsIn(compile.Span{Off: s.Ref, Len: s.Ext})
 		for k := range ws {

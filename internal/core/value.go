@@ -93,7 +93,12 @@ func (c *Closure) params() ([]string, bool) {
 	if !u.Params.Set() {
 		return nil, false
 	}
-	return u.Prog.NamesIn(u.Params), true
+	ps := u.Prog.PiecesIn(u.Params)
+	names := make([]string, len(ps))
+	for k := range ps {
+		names[k] = u.Prog.Str(ps[k].Text)
+	}
+	return names, true
 }
 
 // Strings flattens the list to plain strings (closures unparse).

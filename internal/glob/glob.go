@@ -38,6 +38,18 @@ func NewLiteral(text string) Pattern {
 	return Pattern{text: text, lit: lit}
 }
 
+// WithMask returns the pattern text with the literal mask lit, which it
+// keeps rather than copies: lit[i] means text[i] has no wildcard
+// meaning, and a nil lit makes every character magic.  A lowered program
+// builds its patterns this way from its own tables.
+func WithMask(text string, lit []bool) Pattern {
+	return Pattern{text: text, lit: lit}
+}
+
+// Mask returns the pattern's literal mask, nil when every character may
+// be magic.  It is the pattern's own, not a copy.
+func (p Pattern) Mask() []bool { return p.lit }
+
 // Concat joins two patterns (used for word concatenation: a^'*').
 func Concat(a, b Pattern) Pattern {
 	if a.lit == nil && b.lit == nil {

@@ -176,6 +176,7 @@ func (m *Metrics) Words() []string {
 		fmt.Sprintf("p99_us:%d", m.Quantile(0.99).Microseconds()),
 		fmt.Sprintf("gc_cpu_frac:%.3f", gcCPUFrac()),
 	}
+	words = append(words, heapWords()...)
 	m.lmu.Lock()
 	listeners := append([]*ListenerStats(nil), m.listeners...)
 	m.lmu.Unlock()
@@ -204,6 +205,21 @@ func gcCPUFrac() float64 {
 		return 0
 	}
 	return s[0].Value.Float64() / used
+}
+
+// heapWords reports the heap as of the last collection: the bytes of the
+// objects it marked live, and the bytes of heap it has to scan for
+// pointers, which is what each collection's mark work follows.
+func heapWords() []string {
+	s := []metrics.Sample{
+		{Name: "/gc/heap/live:bytes"},
+		{Name: "/gc/scan/heap:bytes"},
+	}
+	metrics.Read(s)
+	return []string{
+		fmt.Sprintf("heap_live_bytes:%d", s[0].Value.Uint64()),
+		fmt.Sprintf("heap_scan_bytes:%d", s[1].Value.Uint64()),
+	}
 }
 
 // sessionMetrics is the per-session slice of the same counters, reported

@@ -265,7 +265,9 @@ func TestStatsFrameAndServerstatsPrim(t *testing.T) {
 			t.Errorf("stats missing %q: %v", want, f.Stats)
 		}
 	}
-	// gc_cpu_frac follows p99_us and is a share, printed with three decimals.
+	// gc_cpu_frac follows p99_us and is a share, printed with three
+	// decimals; the heap's live and scannable bytes follow it, in that
+	// order, as integers.
 	for k, w := range f.Stats {
 		v, ok := strings.CutPrefix(w, "gc_cpu_frac:")
 		if !ok {
@@ -277,6 +279,19 @@ func TestStatsFrameAndServerstatsPrim(t *testing.T) {
 		frac, err := strconv.ParseFloat(v, 64)
 		if err != nil || frac < 0 || frac > 1 || len(v) != len("0.000") {
 			t.Errorf("gc_cpu_frac = %q, want a value in [0, 1] with three decimals", v)
+		}
+		for j, name := range []string{"heap_live_bytes:", "heap_scan_bytes:"} {
+			if k+1+j >= len(f.Stats) {
+				t.Fatalf("%s does not follow gc_cpu_frac: %v", name, f.Stats)
+			}
+			v, ok := strings.CutPrefix(f.Stats[k+1+j], name)
+			if !ok {
+				t.Errorf("%s does not follow gc_cpu_frac in order: %v", name, f.Stats)
+				continue
+			}
+			if n, err := strconv.ParseInt(v, 10, 64); err != nil || n < 0 {
+				t.Errorf("%s%s is not a byte count", name, v)
+			}
 		}
 	}
 

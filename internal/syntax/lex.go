@@ -44,8 +44,8 @@ type lexer struct {
 
 type skipRegion struct{ start, end int }
 
-func newLexer(src string) *lexer {
-	return &lexer{src: src, line: 1, col: 1}
+func newLexer(src string) lexer {
+	return lexer{src: src, line: 1, col: 1}
 }
 
 func (l *lexer) errorf(incomplete bool, format string, args ...interface{}) {

@@ -23,7 +23,7 @@ func Parse(src string) (*Block, error) {
 }
 
 type parser struct {
-	lex *lexer
+	lex lexer // embedded, so a parse allocates one object for both
 	tok Token
 	err *ParseError
 }
@@ -378,9 +378,9 @@ func plainNameText(text string) bool {
 // keywordIsolated reports whether the current WORD token stands alone (no
 // adjacent continuation or caret), so it may act as a keyword.
 func (p *parser) keywordIsolated() bool {
-	save := *p.lex
+	save := p.lex
 	next := p.lex.next()
-	*p.lex = save
+	p.lex = save
 	if next.Kind == CARET {
 		return false
 	}

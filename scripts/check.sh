@@ -10,8 +10,11 @@
 #                     30s: allocation counts do not depend on the host)
 #   tier 2 (-race):   adds go vet, the fork, spawn, isolation, pipe,
 #                     runner, cancel, interrupt, wait and shared-program
-#                     tests ten times over under the race detector (forks
-#                     and spawned sessions share one frozen variable table
+#                     tests, and the concurrent-access test of the CLOCK
+#                     caches, which every session shares (the parse
+#                     cache above all), ten times over under the race
+#                     detector (forks and spawned sessions share one
+#                     frozen variable table
 #                     across goroutines, pipeline elements share the ends
 #                     of their pipes, subshells share the runners that
 #                     run them and the interrupt count of their group,
@@ -62,8 +65,8 @@ sh scripts/bench_allocs.sh -check
 if [ "${1:-}" = "-race" ]; then
 	echo "== go vet ./..."
 	go vet ./...
-	echo "== go test -race -count=10 (fork, spawn, isolation, pipe, runner, cancel, interrupt, wait and shared-program tests)"
-	go test -race -count=10 -run 'Fork|Spawn|Subshell|Isolation|BackgroundJob|Pipe|Runner|Cancel|Interrupt|Wait|ConcurrentFirstRunSharesProgram|ConcurrentWhatisSharesTrees' ./internal/core ./internal/prim
+	echo "== go test -race -count=10 (fork, spawn, isolation, pipe, runner, cancel, interrupt, wait, shared-program and shared-cache tests)"
+	go test -race -count=10 -run 'Fork|Spawn|Subshell|Isolation|BackgroundJob|Pipe|Runner|Cancel|Interrupt|Wait|ConcurrentFirstRunSharesProgram|ConcurrentWhatisSharesTrees|ConcurrentAccess' ./internal/core ./internal/prim ./internal/cache
 	echo "== go test -race ./..."
 	go test -race ./...
 	echo "== FuzzFrameCodec (20s: the frame codec against encoding/json)"
