@@ -4,8 +4,9 @@
 # shared-program tests ten times over under the race detector (sessions
 # that run one fresh program may each lower it into the one parse cache),
 # the race detector over
-# everything, 20s of frame-codec fuzzing, the esd server soak, and then
-# the serving bench gate; `make bench` runs, with -benchmem, the dispatch-cache
+# everything, 20s each of frame-codec, text-builtin and glob-quoting
+# fuzzing (the frame codec and glob with minimizing bounded to 1s), the
+# esd server soak, and then the serving bench gate; `make bench` runs, with -benchmem, the dispatch-cache
 # benchmarks that guard the native cache speedups, the builtin
 # pipelines whose allocations the coreutils buffer pools cut and whose
 # stages the in-memory pipe joins without descriptors (Fig1PipeCorpus

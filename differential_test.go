@@ -41,8 +41,10 @@ type outcome struct {
 // process-wide caches are flushed first, so src is parsed anew and its
 // fresh program lowered on its first run.  It reports false, with no
 // outcome, when the run is not reproducible: the deadline stopped it at
-// a timing-dependent point, or it started a background job that may
-// still be writing.
+// a timing-dependent point, or it started a background job.  A job keeps
+// the run's deadline, so runEngine fires it and reaps every job before
+// it returns: no job is left to write into the directory as the test
+// removes it.
 func runEngine(t *testing.T, src string, cold bool, deadline time.Duration, files ...string) (outcome, bool) {
 	t.Helper()
 	dir := t.TempDir()
@@ -78,7 +80,19 @@ func runEngine(t *testing.T, src string, cold bool, deadline time.Duration, file
 	timer := time.AfterFunc(deadline, func() { close(done) })
 	sh.Interp().SetCancel(done, "difftest-deadline")
 	res, rerr := sh.Run(src)
-	if fired := !timer.Stop(); fired || concurrent.Load() {
+	fired := !timer.Stop()
+	if concurrent.Load() {
+		if !fired {
+			close(done)
+		}
+		for {
+			if _, _, ok := sh.Interp().WaitAny(); !ok {
+				break
+			}
+		}
+		return outcome{}, false
+	}
+	if fired {
 		return outcome{}, false
 	}
 	o := outcome{Src: src, Output: buf.String()}

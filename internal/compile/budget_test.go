@@ -16,7 +16,7 @@ import (
 // fraction of the heap bytes of the rewritten tree they are lowered from.
 // A program replaces its tree in the parse cache, so its units are what
 // the cache keeps of every program it holds.
-const unitBudget = 0.5
+const unitBudget = 0.45
 
 // scanBudget is the most of a lowered program's heap bytes the collector
 // may have to scan: every table but Units holds no pointer, so a cached

@@ -20,30 +20,31 @@
 // bodies.  Every text the program names — a literal, a variable,
 // parameter or primitive name, a static match pattern — is a piece that
 // spans its bytes in the program's one Text string, where each distinct
-// name is laid out once, and its glob mask, if it has one, in Masks.  So
-// every table but Units holds no pointer, and the collector scans a
-// cached program's table headers and units, not its pieces.  Compiling a
-// program makes about one allocation per non-empty table, not one per
-// word, segment or quoted literal, and the units weigh about 0.42× the
-// tree they come from.
+// name is laid out once, and whose quoting is one bit: a Wild piece is a
+// magic pattern, any other a quoted one.  So every table but Units holds
+// no pointer, and the collector scans a cached program's table headers
+// and units, not its pieces.  Compiling a program makes about one
+// allocation per non-empty table, not one per word, segment or quoted
+// literal, and the units weigh about 0.38× the tree they come from.
 //
 // What the lowering does once, so that no evaluation repeats it:
 //
 //   - each command node becomes a dense opcode, so dispatch is one
 //     switch, not a type assertion per evaluation;
-//   - word parts are pre-lowered: literal text becomes a piece whose
-//     text and quoting mask the evaluator reads as a glob.Pattern without
-//     building one, so evaluation never re-scans source text or
-//     re-allocates literal masks;
+//   - word parts are pre-lowered: literal text becomes a piece that the
+//     evaluator reads as a glob.Pattern at no cost, so evaluation never
+//     re-scans source text for its quoting;
 //   - fully static words — no variable references, no substitutions — are
-//     folded at compile time into constant piece lists;
+//     folded at compile time into constant piece lists, but for a word
+//     whose value would mix quoted and unquoted wildcards ('*'^*), which
+//     the evaluator joins at run time;
 //   - a dynamic word with an unquoted wildcard in a literal of its own or
 //     of a word it lists is marked WordGlob, read from the source text,
 //     so the evaluator tracks quoting for those words only and builds
 //     every other word's terms directly;
 //   - match patterns built from static words are laid out as pattern
-//     pieces once, not per evaluation, a primitive as its $&name text
-//     with an all-literal mask;
+//     pieces once, not per evaluation, a primitive as its quoted $&name
+//     text;
 //   - every lambda and substitution body gets a unit in the program that
 //     holds it, which the segment that makes it indexes, and a lambda
 //     body's unit its parameters, so closure application starts on
@@ -97,9 +98,8 @@ const (
 // its Text: Len entries from Off.  A Len of -1 marks an absent operand.
 type Span struct{ Off, Len int32 }
 
-// none is the absent span: match patterns that are not static, the
-// parameters of a body that declares none, and the mask of a text whose
-// every byte may be magic.
+// none is the absent span: match patterns that are not static, and the
+// parameters of a body that declares none.
 var none = Span{Off: -1, Len: -1}
 
 // Set reports whether the span is present (possibly empty).
@@ -138,11 +138,8 @@ type Program struct {
 	Bindings []Binding
 	Vars     []VarExt // computed names and subscripts
 
-	// Text holds the bytes of every piece, each distinct name once, and
-	// Masks the glob masks of the pieces that have one: Masks[i] means
-	// the byte it pairs with has no wildcard meaning.
-	Text  string
-	Masks []bool
+	// Text holds the bytes of every piece, each distinct name once.
+	Text string
 
 	// Units holds the root block's unit first, then one for each lambda
 	// and substitution body, each after the units nested in it.
@@ -185,14 +182,14 @@ func (p *Program) Str(s Span) string { return p.Text[s.Off : s.Off+s.Len] }
 // name.
 func (p *Program) Name(k int32) string { return p.Str(p.Pieces[k].Text) }
 
-// Pat returns a piece's text and mask as a glob pattern, which shares
-// the program's bytes: building it allocates nothing.
+// Pat returns a piece as a glob pattern, magic if it is Wild and quoted
+// otherwise, which shares the program's bytes: building it allocates
+// nothing.
 func (p *Program) Pat(sp *StaticPiece) glob.Pattern {
-	var lit []bool
-	if sp.Mask.Set() {
-		lit = in(p.Masks, sp.Mask)
+	if sp.Wild {
+		return glob.New(p.Str(sp.Text))
 	}
-	return glob.WithMask(p.Str(sp.Text), lit)
+	return glob.NewLiteral(p.Str(sp.Text))
 }
 
 // Pattern returns a piece as a match pattern: a $&prim term matches its
@@ -303,11 +300,12 @@ type Word struct {
 }
 
 // StaticPiece is one pre-evaluated piece of a static word, the pattern
-// of a literal segment or of a static match, or a name.  A name piece
-// has no mask and is neither Wild nor Prim.
+// of a literal segment or of a static match, or a name.  Its quoting is
+// Wild alone: a Wild piece is a magic pattern, any other a quoted one.
+// No piece mixes quoted and unquoted wildcards; compile leaves a word
+// that would make one dynamic.  A name piece is neither Wild nor Prim.
 type StaticPiece struct {
 	Text Span // the text, in Text; for a primitive, its name
-	Mask Span // the glob mask, in Masks; absent when every byte may be magic
 	Wild bool // the piece has an unquoted wildcard, computed once
 	Prim bool // the piece is a $&prim term
 }
@@ -316,8 +314,7 @@ type StaticPiece struct {
 type SegKind uint8
 
 const (
-	// SegLit is literal text, pre-built as a pattern with its quoting
-	// mask.
+	// SegLit is literal text, a piece in Pieces.
 	SegLit SegKind = iota
 	// SegVar is a variable reference.
 	SegVar
@@ -402,30 +399,23 @@ type compiler struct {
 	trees    []*syntax.Block // the tree of each unit
 
 	texts []byte           // the program's Text
-	masks []bool           // the program's Masks
 	names map[string]int32 // where each name laid out in texts starts
-	lits  Span             // the last run of literal entries in masks
 
 	one [1]value // static's result for a lone literal
 }
 
-// value is a static piece before it is laid out: its text, and its mask
-// as glob keeps it.  A quoted literal keeps no mask, which lowering lays
-// out as a run of literal entries.
+// value is a static piece before it is laid out: its text and quoting,
+// as a glob pattern.
 type value struct {
-	pat    glob.Pattern
-	quoted bool // every byte of the text is literal
-	prim   bool // the text is a primitive's name
+	pat  glob.Pattern
+	prim bool // the text is a primitive's name
 }
 
 // pattern returns v as a glob pattern, as the evaluator joins it: a
 // primitive as its unparsed name, literally.
 func (v value) pattern() glob.Pattern {
-	switch {
-	case v.prim:
+	if v.prim {
 		return glob.NewLiteral("$&" + v.pat.String())
-	case v.quoted:
-		return glob.NewLiteral(v.pat.String())
 	}
 	return v.pat
 }
@@ -455,7 +445,6 @@ func (c *compiler) finish() *Program {
 		Bindings: exact(c.bindings),
 		Vars:     exact(c.vars),
 		Text:     string(c.texts),
-		Masks:    exact(c.masks),
 		Units:    exact(c.units),
 	}
 	for k := range p.Units {
@@ -476,13 +465,11 @@ func (c *compiler) reset() {
 	c.units = truncate(c.units, 0)
 	c.trees = truncate(c.trees, 0)
 	c.texts = c.texts[:0]
-	c.masks = c.masks[:0]
 	if len(c.names) > maxPooledNames {
 		c.names = nil // clearing a map costs its capacity, every compile
 	} else {
 		clear(c.names)
 	}
-	c.lits = Span{}
 	c.one = [1]value{}
 }
 
@@ -530,56 +517,14 @@ func (c *compiler) intern(name string) Span {
 	return sp
 }
 
-// literal returns the span of n literal entries in masks: the mask of a
-// quoted text.  Every such mask shares one run, lengthened in place
-// while it ends the table.
-func (c *compiler) literal(n int) Span {
-	if int(c.lits.Len) < n {
-		if int(c.lits.Off+c.lits.Len) != len(c.masks) {
-			c.lits = Span{Off: int32(len(c.masks))}
-		}
-		for ; int(c.lits.Len) < n; c.lits.Len++ {
-			c.masks = append(c.masks, true)
-		}
-	}
-	return Span{Off: c.lits.Off, Len: int32(n)}
-}
-
-// mask returns the span of a glob mask in masks, none when every byte
-// may be magic.
-func (c *compiler) mask(lit []bool) Span {
-	all, some := true, false
-	for _, l := range lit {
-		all = all && l
-		some = some || l
-	}
-	switch {
-	case !some:
-		return none
-	case all:
-		return c.literal(len(lit))
-	}
-	off := len(c.masks)
-	c.masks = append(c.masks, lit...)
-	return Span{Off: int32(off), Len: int32(len(lit))}
-}
-
 // piece lays a static value out as a piece.
 func (c *compiler) piece(v value) StaticPiece {
-	sp := StaticPiece{Text: c.text(v.pat.String()), Mask: none, Prim: v.prim}
-	switch {
-	case v.quoted:
-		sp.Mask = c.literal(len(v.pat.String()))
-	case !v.prim:
-		sp.Mask = c.mask(v.pat.Mask())
-		sp.Wild = v.pat.HasWild()
-	}
-	return sp
+	return StaticPiece{Text: c.text(v.pat.String()), Wild: v.pat.HasWild(), Prim: v.prim}
 }
 
 // name lays a variable, parameter or primitive name out as a piece.
 func (c *compiler) name(s string) int32 {
-	return add(&c.pieces, StaticPiece{Text: c.intern(s), Mask: none})
+	return add(&c.pieces, StaticPiece{Text: c.intern(s)})
 }
 
 // block lowers a command sequence into a contiguous run of instructions.
@@ -675,22 +620,22 @@ func (c *compiler) simple(s *syntax.Simple) Instr {
 
 // match lowers ~ and ~~: the subject, and the patterns as pattern
 // pieces when every pattern word is static, else as words.  A primitive
-// is laid out as its $&name text with a literal mask, so that matching
-// it builds no pattern.
+// is laid out as its quoted $&name text, so that matching it builds no
+// pattern.
 func (c *compiler) match(op Op, subject *syntax.Word, pats []*syntax.Word) Instr {
 	in := Instr{Op: op, Word: c.word(subject), Pats: none}
-	start, texts, masks, lits := len(c.pieces), len(c.texts), len(c.masks), c.lits
+	start, texts := len(c.pieces), len(c.texts)
 	for _, w := range pats {
 		vs, ok := c.static(w)
 		if !ok {
 			// Drop the pieces laid out so far, and their bytes.
-			c.pieces, c.texts, c.masks, c.lits = c.pieces[:start], c.texts[:texts], c.masks[:masks], lits
+			c.pieces, c.texts = c.pieces[:start], c.texts[:texts]
 			in.Words = c.wordRun(pats)
 			return in
 		}
 		for _, v := range vs {
 			if v.prim {
-				v = value{pat: glob.New("$&" + v.pat.String()), quoted: true}
+				v = value{pat: v.pattern()}
 			}
 			c.pieces = append(c.pieces, c.piece(v))
 		}
@@ -753,7 +698,7 @@ func wild(w *syntax.Word) bool {
 	for _, part := range w.Parts {
 		switch part := part.(type) {
 		case *syntax.Lit:
-			if !part.Quoted && glob.New(part.Text).HasWild() {
+			if lit(part).HasWild() {
 				return true
 			}
 		case *syntax.ListPart:
@@ -770,8 +715,11 @@ func wild(w *syntax.Word) bool {
 // static returns the values a word always evaluates to, mirroring the
 // evaluator's concatenation over its parts, and whether it has such
 // values at all.  A concatenation that would fail at run time (length
-// mismatch) is not static, so the evaluator reproduces the exact error.
-// The result may alias c.one and is only valid until the next call.
+// mismatch) is not static, so the evaluator reproduces the exact error,
+// and neither is one whose value mixes quoted and unquoted wildcards: a
+// piece cannot keep that quoting, so the word, a WordGlob word by its
+// unquoted wildcard, joins it at run time.  The result may alias c.one
+// and is only valid until the next call.
 func (c *compiler) static(w *syntax.Word) ([]value, bool) {
 	if w == nil || len(w.Parts) == 0 {
 		return nil, true
@@ -791,6 +739,11 @@ func (c *compiler) static(w *syntax.Word) ([]value, bool) {
 			return nil, false
 		}
 	}
+	for _, v := range acc {
+		if v.pat.Mixed() {
+			return nil, false
+		}
+	}
 	return acc, true
 }
 
@@ -798,10 +751,10 @@ func (c *compiler) static(w *syntax.Word) ([]value, bool) {
 func (c *compiler) partStatic(part syntax.Part) ([]value, bool) {
 	switch part := part.(type) {
 	case *syntax.Lit:
-		c.one[0] = value{pat: glob.New(part.Text), quoted: part.Quoted}
+		c.one[0] = value{pat: lit(part)}
 		return c.one[:], true
 	case *syntax.Prim:
-		c.one[0] = value{pat: glob.New(part.Name), prim: true}
+		c.one[0] = value{pat: glob.NewLiteral(part.Name), prim: true}
 		return c.one[:], true
 	case *syntax.ListPart:
 		var out []value
@@ -816,6 +769,14 @@ func (c *compiler) partStatic(part syntax.Part) ([]value, bool) {
 	default:
 		return nil, false
 	}
+}
+
+// lit returns a literal part as a glob pattern: quoted or magic.
+func lit(l *syntax.Lit) glob.Pattern {
+	if l.Quoted {
+		return glob.NewLiteral(l.Text)
+	}
+	return glob.New(l.Text)
 }
 
 // litName returns the value of a word used as a single name (a variable
@@ -871,8 +832,7 @@ func joinStatic(x, y value) value {
 func (c *compiler) seg(part syntax.Part) Seg {
 	switch part := part.(type) {
 	case *syntax.Lit:
-		v := value{pat: glob.New(part.Text), quoted: part.Quoted}
-		return Seg{Kind: SegLit, Ref: add(&c.pieces, c.piece(v))}
+		return Seg{Kind: SegLit, Ref: add(&c.pieces, c.piece(value{pat: lit(part)}))}
 	case *syntax.Var:
 		s := Seg{Kind: SegVar, Count: part.Count, Double: part.Double, Flat: part.Flat, Ref: -1, Ext: -1}
 		name, static := c.litName(part.Name)

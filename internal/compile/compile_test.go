@@ -3,8 +3,10 @@ package compile
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 	"weak"
 
+	"es/internal/glob"
 	"es/internal/syntax"
 )
 
@@ -88,11 +90,62 @@ func TestCompileWildcardBlocksConstPool(t *testing.T) {
 	}
 }
 
-// A quoted wildcard is a plain piece, which no expansion touches.
+// A quoted wildcard is a plain piece, which no expansion touches: it is
+// not Wild, so its pattern is quoted.
 func TestCompileQuotedWildcardStaysConstant(t *testing.T) {
 	p, in := only(t, mustCompile(t, "result '*.c'"))
-	if ps := staticWord(t, p, in, 1); len(ps) != 1 || ps[0].Wild || p.Str(ps[0].Text) != "*.c" || !ps[0].Mask.Set() {
-		t.Errorf("quoted wildcard = %+v, want the plain masked piece %q", ps, "*.c")
+	ps := staticWord(t, p, in, 1)
+	if len(ps) != 1 || ps[0].Wild || p.Str(ps[0].Text) != "*.c" {
+		t.Fatalf("quoted wildcard = %+v, want the plain piece %q", ps, "*.c")
+	}
+	if pat := p.Pat(&ps[0]); pat.HasWild() || !pat.Match("*.c") || pat.Match("a.c") {
+		t.Errorf("the quoted piece %q does not match literally", "*.c")
+	}
+}
+
+// A piece is 12 bytes: its text's span and two bits, Wild and Prim,
+// which are all of its quoting.
+func TestStaticPieceSize(t *testing.T) {
+	if n := unsafe.Sizeof(StaticPiece{}); n != 12 {
+		t.Errorf("a StaticPiece is %d bytes, want 12", n)
+	}
+}
+
+// Reading any piece as a pattern allocates nothing.
+func TestPatAllocatesNothing(t *testing.T) {
+	p := mustCompile(t, "result a '*' *.c 'a'^*.c $&echo; ~ $x *.[ch] 'q*' $&echo; x = $y^'?'").Prog
+	var sink glob.Pattern
+	for k := range p.Pieces {
+		sp := &p.Pieces[k]
+		if n := testing.AllocsPerRun(100, func() { sink = p.Pat(sp) }); n != 0 {
+			t.Errorf("Pat(%q) made %v allocations, want 0", p.Str(sp.Text), n)
+		}
+	}
+	_ = sink
+}
+
+// A word whose folded value would mix a quoted and an unquoted wildcard
+// is left to the evaluator: a result word is a WordGlob word, and a
+// match keeps its pattern words.  A quoted text with no wildcard joined
+// to a wildcard folds to one Wild piece.
+func TestCompileMixedQuotingStaysDynamic(t *testing.T) {
+	p, in := only(t, mustCompile(t, "result '*'^*"))
+	if ws := p.WordsIn(in.Words); ws[1].Kind != WordGlob {
+		t.Errorf("'*'^* lowered to word kind %d, want WordGlob", ws[1].Kind)
+	}
+	p, in = only(t, mustCompile(t, "result (a '*'^*)^.c"))
+	if ws := p.WordsIn(in.Words); ws[1].Kind != WordGlob {
+		t.Errorf("(a '*'^*)^.c lowered to word kind %d, want WordGlob", ws[1].Kind)
+	}
+	p, in = only(t, mustCompile(t, "~ $x '*'^*"))
+	if in.Pats.Set() {
+		t.Errorf("the pattern '*'^* was folded to pieces %+v", p.PiecesIn(in.Pats))
+	} else if ws := p.WordsIn(in.Words); len(ws) != 1 || ws[0].Kind != WordGlob {
+		t.Errorf("pattern words = %+v, want one WordGlob word", ws)
+	}
+	p, in = only(t, mustCompile(t, "result 'a'^*.c"))
+	if ps := staticWord(t, p, in, 1); len(ps) != 1 || !ps[0].Wild || p.Str(ps[0].Text) != "a*.c" {
+		t.Errorf("'a'^*.c = %+v, want the one Wild piece %q", ps, "a*.c")
 	}
 }
 

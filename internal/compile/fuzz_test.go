@@ -119,9 +119,8 @@ func units(root *Unit) error {
 }
 
 // validate checks that every operand of a program indexes inside the
-// table it names, that every piece's text lies inside Text and its mask,
-// if it has one, inside Masks, as long as its text, and that names carry
-// no mask.
+// table it names, that every piece's text lies inside Text, and that
+// names are neither Wild nor Prim.
 func validate(p *Program) error {
 	span := func(what string, s Span, n int) error {
 		if s.Off < 0 || s.Len < 0 || int(s.Off)+int(s.Len) > n {
@@ -140,7 +139,7 @@ func validate(p *Program) error {
 		if err := index(what, k, len(p.Pieces)); err != nil {
 			return err
 		}
-		if sp := p.Pieces[k]; sp.Mask.Set() || sp.Wild || sp.Prim {
+		if sp := p.Pieces[k]; sp.Wild || sp.Prim {
 			return fmt.Errorf("%s piece %d is not a plain name: %+v", what, k, sp)
 		}
 		return nil
@@ -148,12 +147,6 @@ func validate(p *Program) error {
 	var errs []error
 	for _, sp := range p.Pieces {
 		errs = append(errs, span("text", sp.Text, len(p.Text)))
-		if sp.Mask.Set() {
-			errs = append(errs, span("mask", sp.Mask, len(p.Masks)))
-			if sp.Mask.Len != sp.Text.Len {
-				errs = append(errs, fmt.Errorf("mask %+v is not as long as its text %+v", sp.Mask, sp.Text))
-			}
-		}
 	}
 	for _, u := range p.Units {
 		errs = append(errs, span("unit", u.Seq, len(p.Instrs)))

@@ -259,20 +259,6 @@ type matcher struct {
 	caps    []string // the captures of the match at first
 }
 
-// literal tries a pattern that matches its text literally: a term of a
-// word with no unquoted wildcard, closures by their unparsed form.  A
-// literal match captures nothing.
-func (m *matcher) literal(t *Term) {
-	m.pats++
-	s := t.String()
-	for k := range m.subj[:m.first] {
-		if m.subj[k].String() == s {
-			m.first, m.caps = k, nil
-			return
-		}
-	}
-}
-
 // glob tries a glob pattern.
 func (m *matcher) glob(pat glob.Pattern) {
 	m.pats++
@@ -328,7 +314,8 @@ func (i *Interp) execMatch(ctx *Ctx, p *compile.Program, in *compile.Instr, env 
 // matchWord evaluates a compiled word as match patterns, with no
 // filename expansion, and tries them.  Only a WordGlob word makes glob
 // patterns, which keep quoting so quoted wildcards stay literal; the
-// terms of any other dynamic word match literally.
+// terms of any other dynamic word, closures by their unparsed form, are
+// quoted patterns.
 func (i *Interp) matchWord(ctx *Ctx, m *matcher, p *compile.Program, w *compile.Word, env *Binding) error {
 	switch w.Kind {
 	case compile.WordStatic:
@@ -343,11 +330,7 @@ func (i *Interp) matchWord(ctx *Ctx, m *matcher, p *compile.Program, w *compile.
 			return err
 		}
 		for _, pc := range pieces {
-			if pc.term != nil {
-				m.literal(pc.term)
-			} else {
-				m.glob(pc.pat)
-			}
+			m.glob(pc.toPattern())
 		}
 		return nil
 	}
@@ -356,7 +339,7 @@ func (i *Interp) matchWord(ctx *Ctx, m *matcher, p *compile.Program, w *compile.
 		return err
 	}
 	for k := range terms {
-		m.literal(&terms[k])
+		m.glob(glob.NewLiteral(terms[k].String()))
 	}
 	return nil
 }
@@ -651,8 +634,8 @@ func (i *Interp) execWordString(ctx *Ctx, p *compile.Program, w *compile.Word, e
 // ---- words with unquoted wildcards ----
 
 // piece is one term of a WordGlob word as it is concatenated: a pattern
-// (string with its literal mask, pre-glob) or a non-string term (closure
-// or primitive).
+// (a string with its quoting, pre-glob) or a non-string term (closure or
+// primitive).
 type piece struct {
 	pat  glob.Pattern
 	term *Term
@@ -727,15 +710,15 @@ func (i *Interp) appendWordPieces(ctx *Ctx, out []piece, p *compile.Program, w *
 	return out, nil
 }
 
-// joinPieces is ^ over two pieces: the patterns join with their masks.
+// joinPieces is ^ over two pieces: the patterns join with their quoting.
 func joinPieces(x, y piece) piece {
 	return piece{pat: glob.Concat(x.toPattern(), y.toPattern())}
 }
 
 // appendSegPieces appends one segment's pieces to out.  Only a literal
-// keeps its quoting mask; every other segment's terms are literal
-// (substitution does not re-scan for wildcards, the rc rule), so they
-// come from the term path.
+// may be magic; every other segment's terms are quoted (substitution does
+// not re-scan for wildcards, the rc rule), so they come from the term
+// path.
 func (i *Interp) appendSegPieces(ctx *Ctx, out []piece, p *compile.Program, s *compile.Seg, env *Binding) ([]piece, error) {
 	switch s.Kind {
 	case compile.SegLit:

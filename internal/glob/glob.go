@@ -4,9 +4,12 @@
 // ranges are supported).
 //
 // The same machinery backs both the ~ match command and filename
-// expansion.  Because quoting protects characters from wildcard meaning, a
-// Pattern carries a per-byte literal mask: 'a*' is a literal star, a* is a
-// wildcard.
+// expansion.  Quoting protects characters from wildcard meaning, so a
+// Pattern carries its quoting: 'a*' is a literal star, a* is a wildcard.
+// Only the quoting of a '*', '?' or '[' changes a match, a capture or an
+// expansion, so a pattern is magic (every byte may be a wildcard) or
+// quoted (none is), and spells its quoting out byte by byte only when a
+// concatenation mixes a quoted and an unquoted wildcard.
 package glob
 
 import (
@@ -18,10 +21,11 @@ import (
 	"es/internal/cache"
 )
 
-// Pattern is a wildcard pattern with a per-byte literal mask.
+// Pattern is a wildcard pattern: magic, quoted, or masked by lit.
 type Pattern struct {
-	text string
-	lit  []bool // lit[i] → text[i] has no wildcard meaning; nil → all magic
+	text   string
+	quoted bool   // no byte has wildcard meaning
+	lit    []bool // masked: lit[i] → text[i] has no wildcard meaning
 }
 
 // New returns a pattern in which every character may be magic.
@@ -31,59 +35,73 @@ func New(text string) Pattern {
 
 // NewLiteral returns a pattern that matches text exactly.
 func NewLiteral(text string) Pattern {
-	lit := make([]bool, len(text))
-	for i := range lit {
-		lit[i] = true
-	}
-	return Pattern{text: text, lit: lit}
+	return Pattern{text: text, quoted: true}
 }
 
-// WithMask returns the pattern text with the literal mask lit, which it
-// keeps rather than copies: lit[i] means text[i] has no wildcard
-// meaning, and a nil lit makes every character magic.  A lowered program
-// builds its patterns this way from its own tables.
-func WithMask(text string, lit []bool) Pattern {
-	return Pattern{text: text, lit: lit}
-}
-
-// Mask returns the pattern's literal mask, nil when every character may
-// be magic.  It is the pattern's own, not a copy.
-func (p Pattern) Mask() []bool { return p.lit }
-
-// Concat joins two patterns (used for word concatenation: a^'*').
+// Concat joins two patterns (used for word concatenation: a^'*').  The
+// join is magic when it has an unquoted wildcard and no quoted one,
+// quoted when it has no unquoted wildcard, and masked only when it has
+// both: a quoted byte that is not a wildcard matches itself either way.
 func Concat(a, b Pattern) Pattern {
-	if a.lit == nil && b.lit == nil {
-		return Pattern{text: a.text + b.text}
+	aMagic, aQuoted := a.wilds()
+	bMagic, bQuoted := b.wilds()
+	p := Pattern{text: a.text + b.text}
+	switch {
+	case !aMagic && !bMagic:
+		p.quoted = true
+	case aQuoted || bQuoted:
+		p.lit = make([]bool, len(p.text))
+		for i := range a.text {
+			p.lit[i] = !a.isMagic(i)
+		}
+		for i := range b.text {
+			p.lit[len(a.text)+i] = !b.isMagic(i)
+		}
 	}
-	lit := make([]bool, 0, len(a.text)+len(b.text))
-	lit = append(lit, a.mask()...)
-	lit = append(lit, b.mask()...)
-	return Pattern{text: a.text + b.text, lit: lit}
+	return p
 }
 
-func (p Pattern) mask() []bool {
-	if p.lit != nil {
-		return p.lit
-	}
-	return make([]bool, len(p.text)) // all magic
+// Mixed reports whether the pattern has both a quoted and an unquoted
+// wildcard, the one case in which its quoting is a per-byte mask.
+func (p Pattern) Mixed() bool {
+	magic, quoted := p.wilds()
+	return magic && quoted
 }
 
-// String returns the pattern text (losing the literal mask).
+// wilds reports whether the pattern has an unquoted and whether it has a
+// quoted '*', '?' or '['.
+func (p Pattern) wilds() (magic, quoted bool) {
+	for i := 0; i < len(p.text); i++ {
+		switch p.text[i] {
+		case '*', '?', '[':
+			if p.isMagic(i) {
+				magic = true
+			} else {
+				quoted = true
+			}
+		}
+	}
+	return magic, quoted
+}
+
+// String returns the pattern text (losing its quoting).
 func (p Pattern) String() string { return p.text }
 
 func (p Pattern) isMagic(i int) bool {
-	return p.lit == nil || !p.lit[i]
+	return !p.quoted && (p.lit == nil || !p.lit[i])
 }
 
 // HasWild reports whether the pattern contains any unquoted wildcard.
 func (p Pattern) HasWild() bool {
+	if p.quoted {
+		return false
+	}
 	for i := 0; i < len(p.text); i++ {
-		if !p.isMagic(i) {
-			continue
-		}
 		switch p.text[i] {
 		case '*', '?', '[':
-			return true
+			if p.isMagic(i) {
+				return true
+			}
 		}
 	}
 	return false
@@ -222,7 +240,7 @@ func Expand(p Pattern, dir string) []string {
 	if !p.HasWild() {
 		return nil
 	}
-	segs, masks := splitPath(p)
+	segs := splitPath(p)
 	var prefix string
 	var roots []string
 	if strings.HasPrefix(p.text, "/") {
@@ -236,16 +254,15 @@ func Expand(p Pattern, dir string) []string {
 	}
 	results := roots
 	names := make([]string, 0)
-	for i, seg := range segs {
-		if seg == "" {
+	for _, segPat := range segs {
+		if segPat.text == "" {
 			continue
 		}
-		segPat := Pattern{text: seg, lit: masks[i]}
 		names = names[:0]
 		if !segPat.HasWild() {
 			// Fixed component: append and keep only existing paths.
 			for _, r := range results {
-				cand := joinPath(r, seg)
+				cand := joinPath(r, segPat.text)
 				if _, err := os.Lstat(cand); err == nil {
 					names = append(names, cand)
 				}
@@ -291,21 +308,22 @@ func joinPath(dir, name string) string {
 	return dir + string(filepath.Separator) + name
 }
 
-// splitPath splits a pattern on literal or magic '/' into segments with
-// their masks.
-func splitPath(p Pattern) ([]string, [][]bool) {
-	mask := p.mask()
-	var segs []string
-	var masks [][]bool
+// splitPath splits a pattern on literal or magic '/' into segments, each
+// with the pattern's quoting.
+func splitPath(p Pattern) []Pattern {
+	var segs []Pattern
 	start := 0
 	for i := 0; i <= len(p.text); i++ {
 		if i == len(p.text) || p.text[i] == '/' {
-			segs = append(segs, p.text[start:i])
-			masks = append(masks, mask[start:i])
+			seg := Pattern{text: p.text[start:i], quoted: p.quoted}
+			if p.lit != nil {
+				seg.lit = p.lit[start:i]
+			}
+			segs = append(segs, seg)
 			start = i + 1
 		}
 	}
-	return segs, masks
+	return segs
 }
 
 // ---- compiled patterns ----
@@ -314,9 +332,8 @@ func splitPath(p Pattern) ([]string, [][]bool) {
 // one string comparison, character classes become 256-bit membership sets
 // built once instead of being re-scanned per subject byte, and consecutive
 // stars are collapsed at compile time.  Compilation results are memoized
-// in a process-wide cache keyed by pattern text (plus the literal mask for
-// the rare mixed patterns produced by concatenation), so a pattern matched
-// in a loop compiles exactly once.
+// in a process-wide cache keyed by pattern text, so a magic pattern
+// matched in a loop compiles exactly once.
 
 type opKind uint8
 
@@ -362,13 +379,12 @@ func CacheStats() cache.Stats { return globCache.Stats() }
 func FlushCache() { globCache.Flush() }
 
 // compiledFor returns the compiled form of p, consulting the cache.
-// Fully-magic patterns (the overwhelmingly common case: any unquoted
-// wildcard word) are keyed by their text alone; patterns with a mixed
-// literal mask — produced only by concatenation like $x^'*' — are
-// compiled uncached, since a collision-proof key would cost more than the
-// compile.
+// Magic patterns (the overwhelmingly common case: any unquoted wildcard
+// word) are keyed by their text alone; masked patterns — produced only by
+// a concatenation like $x^* with a quoted star in $x — are compiled
+// uncached, since a collision-proof key would cost more than the compile.
 func compiledFor(p Pattern) *compiled {
-	if !p.allMagic() {
+	if p.lit != nil {
 		return compilePattern(p)
 	}
 	if c, ok := globCache.Get(p.text); ok {
@@ -377,19 +393,6 @@ func compiledFor(p Pattern) *compiled {
 	c := compilePattern(p)
 	globCache.Put(p.text, c)
 	return c
-}
-
-// allMagic reports whether no byte of the pattern is mask-protected.
-func (p Pattern) allMagic() bool {
-	if p.lit == nil {
-		return true
-	}
-	for _, l := range p.lit {
-		if l {
-			return false
-		}
-	}
-	return true
 }
 
 // compilePattern translates a pattern into ops, mirroring matchHere's
@@ -506,6 +509,9 @@ func (cp *compiled) match(oi int, s string, si int) bool {
 // each unquoted wildcard consumed, in pattern order ('*' greedy).  ok is
 // false if s does not match.  This backs the ~~ extraction command.
 func (p Pattern) MatchCapture(s string) (captures []string, ok bool) {
+	if !p.HasWild() {
+		return nil, p.text == s
+	}
 	return captureHere(p, 0, s, 0)
 }
 

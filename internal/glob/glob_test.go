@@ -325,9 +325,9 @@ func compileFresh(p Pattern) *compiled {
 	return compilePattern(p)
 }
 
-// Concat-produced patterns carry a wildcard mask (literal text may
-// contain metacharacters that must NOT be special); the compiled path
-// must honor it.
+// A Concat that mixes quoted and unquoted wildcards carries a mask
+// (literal text may contain metacharacters that must NOT be special);
+// the compiled path must honor it.
 func TestCompiledHonorsMask(t *testing.T) {
 	tests := []struct {
 		lit, wild, s string
@@ -346,6 +346,39 @@ func TestCompiledHonorsMask(t *testing.T) {
 			t.Errorf("Concat(lit %q, %q).Match(%q) = %v, want %v", tc.lit, tc.wild, tc.s, got, tc.want)
 		}
 	}
+}
+
+// A quoted pattern is a flag, not a mask: NewLiteral allocates nothing,
+// and a Concat whose join does not mix quoted and unquoted wildcards
+// allocates only the joined text.  A mixed join adds its mask.
+func TestQuotingAllocations(t *testing.T) {
+	var sink Pattern
+	if n := testing.AllocsPerRun(100, func() { sink = NewLiteral("a*") }); n != 0 {
+		t.Errorf("NewLiteral made %v allocations, want 0", n)
+	}
+	for _, tc := range []struct {
+		a, b  Pattern
+		mixed bool
+	}{
+		{New("a*"), NewLiteral("bc"), false},
+		{NewLiteral("a"), New("*.c"), false},
+		{New("ab"), NewLiteral("*"), false},
+		{NewLiteral("*"), NewLiteral("?"), false},
+		{New("*"), New("?"), false},
+		{NewLiteral("*"), New("*"), true},
+	} {
+		want := 1.0
+		if tc.mixed {
+			want = 2
+		}
+		if n := testing.AllocsPerRun(100, func() { sink = Concat(tc.a, tc.b) }); n != want {
+			t.Errorf("Concat(%q, %q) made %v allocations, want %v", tc.a, tc.b, n, want)
+		}
+		if got := Concat(tc.a, tc.b).Mixed(); got != tc.mixed {
+			t.Errorf("Concat(%q, %q).Mixed() = %v, want %v", tc.a, tc.b, got, tc.mixed)
+		}
+	}
+	_ = sink
 }
 
 // Repeated matching of the same all-magic pattern reuses one compiled

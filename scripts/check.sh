@@ -28,8 +28,12 @@
 #                     encoding/json; minimizing a new input is bounded
 #                     to 1s, so that it cannot stall the run), 20s of
 #                     FuzzTextBuiltins (sort, tr and uniq against the
-#                     algorithms they replaced),
-#                     a binary-level server soak
+#                     algorithms they replaced), 20s of FuzzQuoting
+#                     (glob patterns folded by Concat from quoted and
+#                     magic bytes, against the reference matchers over
+#                     an explicit per-byte mask; minimizing bounded to
+#                     1s, as for FuzzFrameCodec), a binary-level server
+#                     soak
 #                     (concurrent esc clients against a race-enabled esd,
 #                     asserting zero failed frames and a clean drain on
 #                     SIGTERM), and last the paired timing gate
@@ -73,6 +77,8 @@ if [ "${1:-}" = "-race" ]; then
 	go test -run '^$' -fuzz '^FuzzFrameCodec$' -fuzztime 20s -fuzzminimizetime 1s ./internal/server
 	echo "== FuzzTextBuiltins (20s: sort, tr and uniq against their references)"
 	go test -run '^$' -fuzz '^FuzzTextBuiltins$' -fuzztime 20s ./internal/coreutils
+	echo "== FuzzQuoting (20s: glob's folded quoting against an explicit mask)"
+	go test -run '^$' -fuzz '^FuzzQuoting$' -fuzztime 20s -fuzzminimizetime 1s ./internal/glob
 	echo "== server soak (esd -race + concurrent esc, SIGTERM drain)"
 	sh scripts/soak.sh
 	echo "== paired timing gate (scripts/bench_server.sh -check, against the parent)"
