@@ -1,18 +1,23 @@
 # Verification tiers: `make check` is the tier-1 floor (build, tests,
 # gofmt, and vet plus the short tests of the bench module);
-# `make race` adds vet, the fork, spawn, isolation, pipe, wait and
-# shared-program tests ten times over under the race detector (sessions
-# that run one fresh program may each lower it into the one parse cache),
-# the race detector over
-# everything, 20s each of frame-codec, text-builtin and glob-quoting
-# fuzzing (the frame codec and glob with minimizing bounded to 1s), the
+# `make race` adds vet, the fork, spawn, isolation, pipe, wait,
+# shared-program and concurrent-snapshot tests ten times over under the
+# race detector (sessions that run one fresh program may each lower it
+# into the one parse cache, and sessions spawned from one template sort
+# its names once), the race detector over
+# everything, 20s each of frame-codec, text-builtin, glob-quoting and
+# image-codec fuzzing (all but the text builtins with minimizing bounded
+# to 1s), the
 # esd server soak, and then the serving bench gate; `make bench` runs, with -benchmem, the dispatch-cache
 # benchmarks that guard the native cache speedups, the builtin
 # pipelines whose allocations the coreutils buffer pools cut and whose
 # stages the in-memory pipe joins without descriptors (Fig1PipeCorpus
 # runs Figure 1 over a shell_exec-sized corpus), the fork and
 # spawn benchmarks of the copy-on-write variable table (SpawnResident
-# reports heap bytes per live session), CompileProgram, which lowers
+# reports heap bytes per live session), the session-image path
+# (ServerSessionRestore restores an image onto a spawned session, and
+# SessionImage runs one session_state session: decode, restore, step,
+# capture and encode), CompileProgram, which lowers
 # higher-order programs into flat units and reports their allocations
 # and the heap bytes a program's units keep (unit-B/prog), the EngineEval
 # micros of steady-state evaluation, and ScriptFamilies, which runs one
@@ -47,7 +52,7 @@ soak:
 	sh scripts/soak.sh
 
 bench:
-	go test -run=NONE -bench='NativePath|ParseCold|GlobMatch|EnvDecode|AllocUnderLiveRoots|Fig1PipeBaseline|Fig1PipeCorpus|PipeWordCount|PipeBuiltins|ForkClone|ServerSessionSpawn|SpawnResident|CompileProgram|EngineEval|ScriptFamilies' -benchmem -benchtime=200ms . ./internal/gc ./internal/glob ./internal/compile
+	go test -run=NONE -bench='NativePath|ParseCold|GlobMatch|EnvDecode|AllocUnderLiveRoots|Fig1PipeBaseline|Fig1PipeCorpus|PipeWordCount|PipeBuiltins|ForkClone|ServerSessionSpawn|ServerSessionRestore|SessionImage|SpawnResident|CompileProgram|EngineEval|ScriptFamilies' -benchmem -benchtime=200ms . ./internal/gc ./internal/glob ./internal/compile
 
 bench-server:
 	sh scripts/bench_server.sh

@@ -885,6 +885,49 @@ func BenchmarkServerSessionRestore(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionImage is one session of esbench's session_state
+// workload without the wire: a session spawned from the template
+// decodes the image the previous session captured, restores it, runs
+// one step, and captures and encodes the image the next session
+// restores.  The state is the workload's: 16 closures made by let, 16
+// variables of six words, and the step function.  Two step requests
+// alternate, so every parse is cached and every image is one size.
+func BenchmarkSessionImage(b *testing.B) {
+	tmpl := benchShell(b).Interp()
+	var src strings.Builder
+	for k := 0; k < 16; k++ {
+		fmt.Fprintf(&src, "let (p = p%d; q = q%d) fn f%d x {result $p^$x^$q}\n", k, k, k)
+		fmt.Fprintf(&src, "v%d = bcdfgh cdfghj dfghjk fghjkm ghjkmn hjkmnp\n", k)
+	}
+	src.WriteString("fn step new f a {let (old = $gen) {gen = $new; result $old <={$f $a}}}\ngen = g0\n")
+	ctx := &core.Ctx{IO: core.NewIOTable(strings.NewReader(""), io.Discard, io.Discard)}
+	first := tmpl.Spawn()
+	if _, err := first.RunString(ctx, src.String()); err != nil {
+		b.Fatal(err)
+	}
+	data := image.Capture(first, nil).Encode()
+	steps := []string{"step g1 f3 $v5(2)", "step g0 f11 $v9(4)"}
+	session := func(n int) {
+		img, err := image.Decode(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := tmpl.Spawn()
+		img.Restore(s)
+		if _, err := s.RunString(ctx, steps[n%2]); err != nil {
+			b.Fatal(err)
+		}
+		data = image.Capture(s, nil).Encode()
+	}
+	session(0)
+	session(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		session(n)
+	}
+}
+
 // ---- static analysis: the escheck pass ----
 
 // BenchmarkAnalyze measures one full analysis pass — parse, reference

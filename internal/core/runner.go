@@ -6,17 +6,19 @@ package core
 // frame, as es code descends through applyTerm, execSeq and a
 // builtin's line reader.  A runner does not exit when its subshell ends:
 // it parks, and the next subshell starts on the stack it has already
-// grown.
+// grown.  esd runs each session on a runner too, for the same reason: a
+// session's first eval would otherwise regrow the stack every earlier
+// session grew.  A session's runner counts as busy while it is open.
 //
 // The runners are not bounded, on purpose.  The elements of one pipeline
 // wait on each other (cat waits for its writer, `{while {} {echo y}} |
 // sed 1q` runs until its reader goes, and an element may itself run a
 // pipeline), so a fixed set of workers could deadlock.  The busy runners
 // are the goroutines a plain go statement would start, one per running
-// element or job; the pool adds only idle ones, and each exits after
-// runnerIdle, so an idle process holds none.  A parked runner holds no
-// reference to its last subshell: its fn is dropped, and the collector
-// does not scan a stack's dead frames.
+// element, job or session; the pool adds only idle ones, and each exits
+// after runnerIdle, so an idle process holds none.  A parked runner
+// holds no reference to its last subshell: its fn is dropped, and the
+// collector does not scan a stack's dead frames.
 
 import (
 	"sync/atomic"
@@ -40,8 +42,9 @@ var (
 )
 
 // Go runs fn on a goroutine of its own, as a go statement does, for a
-// subshell: a pipeline element or a background job.  It hands fn to a
-// parked runner when there is one, and starts a runner otherwise.
+// subshell (a pipeline element or a background job) or an esd session.
+// It hands fn to a parked runner when there is one, and starts a runner
+// otherwise.
 func Go(fn func()) {
 	select {
 	case work <- fn:
@@ -51,8 +54,8 @@ func Go(fn func()) {
 	}
 }
 
-// Runners reports how many runners are running a subshell and how many
-// are parked, waiting for one.
+// Runners reports how many runners are running a subshell or a session
+// and how many are parked, waiting for one.
 func Runners() (busy, idle int) {
 	n, i := liveRunners.Load(), idleRunners.Load()
 	return int(n - i), int(i)

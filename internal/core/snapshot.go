@@ -1,7 +1,5 @@
 package core
 
-import "sort"
-
 // Session snapshot support.  The paper's environment trick — every
 // definable value, closures included, unparses to a string — means an
 // interpreter's entire definable state already has a textual
@@ -26,10 +24,12 @@ type VarRecord struct {
 // SnapshotVars captures every variable slot, sorted by name so snapshots
 // are deterministic.  Slots still lazy from an environment import are
 // captured as their undecoded raw string — no decode work happens, and
-// the encoding is the same either way.
+// the encoding is the same either way.  The order comes from one walk
+// over the base's sorted names and the overlay's: nothing is sorted but
+// the overlay.
 func (i *Interp) SnapshotVars() []VarRecord {
 	out := make([]VarRecord, 0, len(i.base.slots)+len(i.over))
-	for name, slot := range i.allVars {
+	for name, slot := range i.sortedVars {
 		rec := VarRecord{Name: name, NoExport: slot.noexport}
 		switch {
 		case slot.phantom():
@@ -43,7 +43,6 @@ func (i *Interp) SnapshotVars() []VarRecord {
 		}
 		out = append(out, rec)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
 	return out
 }
 
@@ -52,21 +51,37 @@ func (i *Interp) SnapshotVars() []VarRecord {
 // import — decoding every function definition up front would defeat the
 // fast startup the lazy path buys — but unlike an import the noexport
 // marks, phantom marks, and null values are restored exactly.  Settors do
-// not run: a restore reinstates state, it does not re-assign it.
+// not run: a restore reinstates state, it does not re-assign it.  The
+// slots come from one slab, and records sorted by name with no name
+// twice, as SnapshotVars makes them, give the new base its order; any
+// other base sorts its names on first use.  A later record wins over an
+// earlier one of the same name.
 func (i *Interp) RestoreVars(recs []VarRecord) {
+	slab := make([]varSlot, len(recs))
 	slots := make(map[string]*varSlot, len(recs))
-	for _, r := range recs {
+	sorted := true
+	for k, r := range recs {
+		s := &slab[k]
+		s.noexport = r.NoExport
 		switch {
 		case r.Phantom:
-			slots[r.Name] = &varSlot{noexport: r.NoExport}
 		case r.Empty:
-			slots[r.Name] = &varSlot{value: List{}, noexport: r.NoExport}
+			s.value = List{}
 		default:
-			slots[r.Name] = &varSlot{raw: r.Value, lazy: true, noexport: r.NoExport}
+			s.raw, s.lazy = r.Value, true
 		}
+		slots[r.Name] = s
+		sorted = sorted && (k == 0 || recs[k-1].Name < r.Name)
 	}
 	// No slot holds a decoded closure, so nothing is captured.
-	i.base = &frozenVars{slots: slots}
+	base := &frozenVars{slots: slots}
+	if sorted {
+		base.names = make([]string, len(recs))
+		for k, r := range recs {
+			base.names[k] = r.Name
+		}
+	}
+	i.base = base
 	clear(i.over)
 	i.dirty = false
 	// $path may have changed wholesale; cached lookups are for the old one.

@@ -2,8 +2,9 @@ package core
 
 import (
 	"maps"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 )
 
 // varSlot holds one global (dynamic) variable.  Values imported from the
@@ -45,6 +46,35 @@ type frozenVars struct {
 	// bindings.  Bindings are mutable, so every fork still copies these
 	// slots through a forkMemo; the list is made once per base.
 	captured []string
+	// names holds the slots' names in byte order, for the ordered walk
+	// of SnapshotVars and VarNames.  RestoreVars takes it from records
+	// that arrive sorted; any other base sorts its names on first use,
+	// once, since sessions spawned from one template share their base.
+	names []string
+	order sync.Once
+}
+
+// sorted returns the base's names in byte order.
+func (b *frozenVars) sorted() []string {
+	b.order.Do(func() {
+		if b.names == nil {
+			b.names = sortedKeys(b.slots)
+		}
+	})
+	return b.names
+}
+
+// sortedKeys returns m's names in byte order; nil when m is empty.
+func sortedKeys(m map[string]*varSlot) []string {
+	if len(m) == 0 {
+		return nil
+	}
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
 }
 
 // slot returns name's current slot, or nil if it has none.
@@ -113,7 +143,8 @@ func (i *Interp) fold() {
 }
 
 // allVars ranges over every slot the table holds, phantoms included, in
-// no particular order.
+// no particular order.  sortedVars is the same walk in byte order of
+// name.
 func (i *Interp) allVars(yield func(string, *varSlot) bool) {
 	for name, s := range i.base.slots {
 		if _, ok := i.over[name]; !ok && !yield(name, s) {
@@ -121,6 +152,31 @@ func (i *Interp) allVars(yield func(string, *varSlot) bool) {
 		}
 	}
 	for name, s := range i.over {
+		if s != nil && !yield(name, s) {
+			return
+		}
+	}
+}
+
+// sortedVars ranges over every slot the table holds, phantoms included,
+// in byte order of name: one walk that merges the base's sorted names
+// with the overlay's, which are few and sorted here.  An overlay slot
+// hides the base's slot of its name; a nil one, a tombstone, is skipped.
+func (i *Interp) sortedVars(yield func(string, *varSlot) bool) {
+	base, over := i.base.sorted(), sortedKeys(i.over)
+	for len(base) > 0 || len(over) > 0 {
+		var name string
+		var s *varSlot
+		if len(over) == 0 || len(base) > 0 && base[0] < over[0] {
+			name, base = base[0], base[1:]
+			s = i.base.slots[name]
+		} else {
+			name, over = over[0], over[1:]
+			s = i.over[name]
+			if len(base) > 0 && base[0] == name {
+				base = base[1:]
+			}
+		}
 		if s != nil && !yield(name, s) {
 			return
 		}
@@ -157,12 +213,11 @@ func (i *Interp) Defined(name string) bool {
 // noexport-only slots are omitted, matching Defined.
 func (i *Interp) VarNames() []string {
 	names := make([]string, 0, len(i.base.slots)+len(i.over))
-	for n, s := range i.allVars {
+	for n, s := range i.sortedVars {
 		if !s.phantom() {
 			names = append(names, n)
 		}
 	}
-	sort.Strings(names)
 	return names
 }
 

@@ -40,11 +40,10 @@
 package image
 
 import (
-	"bytes"
 	"fmt"
 	"hash/crc32"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -114,72 +113,128 @@ func (img *Image) Restore(i *core.Interp) {
 
 // Encode renders the image in the wire format.  Output is deterministic:
 // vars arrive sorted from SnapshotVars and meta keys are sorted here.
+// It appends every line into one buffer, sized from the records first.
 func (img *Image) Encode() []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "%s %d\n", magic, FormatVersion)
-	header := func(key, val string) {
-		fmt.Fprintf(&b, "h %s %d\n%s\n", key, len(val), val)
-	}
-	if img.Es != "" {
-		header("es", img.Es)
-	}
 	keys := make([]string, 0, len(img.Meta))
 	for k := range img.Meta {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		header(k, img.Meta[k])
+	slices.Sort(keys)
+	n := len(magic) + 1 + decLen(FormatVersion) + 1 +
+		len("s vars \n") + decLen(len(img.Vars)) + len("t crc32 01234567\n")
+	if img.Es != "" {
+		n += headerLen("es", img.Es)
 	}
-	fmt.Fprintf(&b, "s vars %d\n", len(img.Vars))
-	for _, r := range img.Vars {
-		p := varPayload(r)
-		fmt.Fprintf(&b, "r %d\n", len(p))
-		b.Write(p)
-		b.WriteByte('\n')
+	for _, k := range keys {
+		n += headerLen(k, img.Meta[k])
+	}
+	for k := range img.Vars {
+		n += recordLen(payloadLen(&img.Vars[k]))
 	}
 	if img.Dir != "" {
-		fmt.Fprintf(&b, "s cwd 1\nr %d\n%s\n", len(img.Dir), img.Dir)
+		n += len("s cwd 1\n") + recordLen(len(img.Dir))
 	}
-	fmt.Fprintf(&b, "t crc32 %08x\n", crc32.ChecksumIEEE(b.Bytes()))
-	return b.Bytes()
+
+	b := make([]byte, 0, n)
+	b = append(append(b, magic...), ' ')
+	b = append(strconv.AppendInt(b, FormatVersion, 10), '\n')
+	if img.Es != "" {
+		b = appendHeader(b, "es", img.Es)
+	}
+	for _, k := range keys {
+		b = appendHeader(b, k, img.Meta[k])
+	}
+	b = append(strconv.AppendInt(append(b, "s vars "...), int64(len(img.Vars)), 10), '\n')
+	for k := range img.Vars {
+		r := &img.Vars[k]
+		b = appendRecordHead(b, payloadLen(r))
+		b = append(append(b, flags(r)...), ' ')
+		b = append(strconv.AppendInt(b, int64(len(r.Name)), 10), ' ')
+		b = append(append(append(b, r.Name...), r.Value...), '\n')
+	}
+	if img.Dir != "" {
+		b = appendRecordHead(append(b, "s cwd 1\n"...), len(img.Dir))
+		b = append(append(b, img.Dir...), '\n')
+	}
+	sum := crc32.ChecksumIEEE(b)
+	b = append(b, "t crc32 "...)
+	for shift := 28; shift >= 0; shift -= 4 {
+		b = append(b, "0123456789abcdef"[sum>>shift&0xf])
+	}
+	return append(b, '\n')
 }
 
-func varPayload(r core.VarRecord) []byte {
-	var flags strings.Builder
+// decLen is the number of decimal digits in n >= 0.
+func decLen(n int) int {
+	d := 1
+	for ; n >= 10; n /= 10 {
+		d++
+	}
+	return d
+}
+
+// headerLen is the encoded size of one header: "h <key> <len>\n<val>\n".
+func headerLen(key, val string) int {
+	return len("h  \n\n") + len(key) + decLen(len(val)) + len(val)
+}
+
+func appendHeader(b []byte, key, val string) []byte {
+	b = append(append(append(b, "h "...), key...), ' ')
+	b = append(strconv.AppendInt(b, int64(len(val)), 10), '\n')
+	return append(append(b, val...), '\n')
+}
+
+// recordLen is the encoded size of a record of n payload bytes:
+// "r <n>\n<payload>\n".
+func recordLen(n int) int { return len("r \n\n") + decLen(n) + n }
+
+func appendRecordHead(b []byte, n int) []byte {
+	return append(strconv.AppendInt(append(b, "r "...), int64(n), 10), '\n')
+}
+
+// payloadLen is the size of r's vars payload: "<flags> <namelen> <name><value>".
+func payloadLen(r *core.VarRecord) int {
+	return len(flags(r)) + 1 + decLen(len(r.Name)) + 1 + len(r.Name) + len(r.Value)
+}
+
+// flagText holds every set of var flags as written, indexed by the
+// noexport, phantom and empty bits.
+var flagText = [8]string{"-", "e", "p", "pe", "n", "ne", "np", "npe"}
+
+// flags returns r's flags: a subset of "npe" in that order, or "-".
+func flags(r *core.VarRecord) string {
+	k := 0
 	if r.NoExport {
-		flags.WriteByte('n')
+		k |= 4
 	}
 	if r.Phantom {
-		flags.WriteByte('p')
+		k |= 2
 	}
 	if r.Empty {
-		flags.WriteByte('e')
+		k |= 1
 	}
-	if flags.Len() == 0 {
-		flags.WriteByte('-')
-	}
-	return []byte(flags.String() + " " + strconv.Itoa(len(r.Name)) + " " + r.Name + r.Value)
+	return flagText[k]
 }
 
-func parseVarPayload(p []byte) (core.VarRecord, error) {
-	s := string(p)
-	sp1 := strings.IndexByte(s, ' ')
+// parseVarPayload reads one vars payload; its name and value are
+// substrings of p.
+func parseVarPayload(p string) (core.VarRecord, error) {
+	sp1 := strings.IndexByte(p, ' ')
 	if sp1 <= 0 {
 		return core.VarRecord{}, fmt.Errorf("image: malformed var record")
 	}
-	sp2 := strings.IndexByte(s[sp1+1:], ' ')
+	sp2 := strings.IndexByte(p[sp1+1:], ' ')
 	if sp2 < 0 {
 		return core.VarRecord{}, fmt.Errorf("image: malformed var record")
 	}
 	sp2 += sp1 + 1
-	nameLen, err := strconv.Atoi(s[sp1+1 : sp2])
-	if err != nil || nameLen < 0 || nameLen > len(s)-sp2-1 {
+	nameLen, err := strconv.Atoi(p[sp1+1 : sp2])
+	if err != nil || nameLen < 0 || nameLen > len(p)-sp2-1 {
 		return core.VarRecord{}, fmt.Errorf("image: bad name length in var record")
 	}
-	rest := s[sp2+1:]
+	rest := p[sp2+1:]
 	rec := core.VarRecord{Name: rest[:nameLen], Value: rest[nameLen:]}
-	for _, c := range s[:sp1] {
+	for _, c := range p[:sp1] {
 		switch c {
 		case 'n':
 			rec.NoExport = true
@@ -194,29 +249,30 @@ func parseVarPayload(p []byte) (core.VarRecord, error) {
 	return rec, nil
 }
 
-// decoder walks the byte stream with newline-framed reads.
+// decoder walks the image, held as one string, with newline-framed
+// reads; every line and payload it returns is a substring of it.
 type decoder struct {
-	data []byte
+	data string
 	pos  int
 }
 
 func (d *decoder) line() (string, error) {
-	nl := bytes.IndexByte(d.data[d.pos:], '\n')
+	nl := strings.IndexByte(d.data[d.pos:], '\n')
 	if nl < 0 {
 		return "", fmt.Errorf("image: truncated (no newline at byte %d)", d.pos)
 	}
-	ln := string(d.data[d.pos : d.pos+nl])
+	ln := d.data[d.pos : d.pos+nl]
 	d.pos += nl + 1
 	return ln, nil
 }
 
-func (d *decoder) take(n int) ([]byte, error) {
+func (d *decoder) take(n int) (string, error) {
 	if n < 0 || d.pos+n+1 > len(d.data) {
-		return nil, fmt.Errorf("image: truncated (record of %d bytes at byte %d)", n, d.pos)
+		return "", fmt.Errorf("image: truncated (record of %d bytes at byte %d)", n, d.pos)
 	}
 	p := d.data[d.pos : d.pos+n]
 	if d.data[d.pos+n] != '\n' {
-		return nil, fmt.Errorf("image: bad record framing at byte %d", d.pos+n)
+		return "", fmt.Errorf("image: bad record framing at byte %d", d.pos+n)
 	}
 	d.pos += n + 1
 	return p, nil
@@ -232,11 +288,17 @@ func field2(ln string) (string, string, error) {
 	return rest[:sp], rest[sp+1:], nil
 }
 
+// minRecord is the size of the shortest record, "r 0\n\n".
+const minRecord = len("r 0\n\n")
+
 // Decode parses and verifies an encoded image.  It rejects images with a
 // newer format version, a wrong checksum, truncation, or trailing bytes;
-// unknown sections, header keys, and var flags are skipped.
+// unknown sections, header keys, and var flags are skipped.  It copies
+// data into one string, and every name, value, header and the directory
+// of the image are substrings of it: the string lives as long as any of
+// them, a restored slot included.
 func Decode(data []byte) (*Image, error) {
-	d := &decoder{data: data}
+	d := &decoder{data: string(data)}
 	first, err := d.line()
 	if err != nil {
 		return nil, err
@@ -273,12 +335,12 @@ func Decode(data []byte) (*Image, error) {
 				return nil, err
 			}
 			if key == "es" {
-				img.Es = string(val)
+				img.Es = val
 			} else {
 				if img.Meta == nil {
 					img.Meta = make(map[string]string)
 				}
-				img.Meta[key] = string(val)
+				img.Meta[key] = val
 			}
 		case strings.HasPrefix(ln, "s "):
 			name, countStr, err := field2(ln)
@@ -288,6 +350,11 @@ func Decode(data []byte) (*Image, error) {
 			count, err := strconv.Atoi(countStr)
 			if err != nil || count < 0 {
 				return nil, fmt.Errorf("image: bad section count %q", countStr)
+			}
+			if name == "vars" && count > 0 && img.Vars == nil {
+				// The count is the sender's word; the bytes left bound
+				// how many records there can be.
+				img.Vars = make([]core.VarRecord, 0, min(count, (len(d.data)-d.pos)/minRecord))
 			}
 			for k := 0; k < count; k++ {
 				rl, err := d.line()
@@ -313,7 +380,7 @@ func Decode(data []byte) (*Image, error) {
 					}
 					img.Vars = append(img.Vars, rec)
 				case "cwd":
-					img.Dir = string(payload)
+					img.Dir = payload
 				default:
 					// Unknown section: skipped record by record.
 				}

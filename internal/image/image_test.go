@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -20,7 +21,7 @@ var update = flag.Bool("update", false, "regenerate testdata/golden.esimg")
 // state an image must carry: plain and multi-word variables, noexport
 // marks, phantom marks, the null/empty-string distinction, functions
 // with (nested) captures, a settor, and a spoofed % hook.
-func richInterp(t *testing.T) *core.Interp {
+func richInterp(t testing.TB) *core.Interp {
 	t.Helper()
 	i := core.New()
 	i.SetDir("/tmp")
@@ -30,17 +31,36 @@ func richInterp(t *testing.T) *core.Interp {
 	i.SetNoExport("phantom-mark")
 	i.SetVarRaw("null", core.List{})
 	i.SetVarRaw("empty", core.StrList(""))
-	mustSet := func(name, src string) {
-		val := i.DecodeValue(name, src)
-		if len(val) != 1 || val[0].Closure == nil {
-			t.Fatalf("decode %q failed: %v", src, val)
-		}
-		i.SetVarRaw(name, val)
+	setClosure(t, i, "fn-greet", "@ who {echo hi $who}")
+	setClosure(t, i, "fn-outer", "%closure(inner=%closure(n=5)@ * {echo $n})@ * {$inner}")
+	setClosure(t, i, "set-watched", "@ {result $*}")
+	setClosure(t, i, "fn-%pathsearch", "@ name {result /spoofed/$name}")
+	return i
+}
+
+// setClosure decodes src, which must be one closure, and assigns it.
+func setClosure(t testing.TB, i *core.Interp, name, src string) {
+	t.Helper()
+	val := i.DecodeValue(name, src)
+	if len(val) != 1 || val[0].Closure == nil {
+		t.Fatalf("decode %q failed: %v", src, val)
 	}
-	mustSet("fn-greet", "@ who {echo hi $who}")
-	mustSet("fn-outer", "%closure(inner=%closure(n=5)@ * {echo $n})@ * {$inner}")
-	mustSet("set-watched", "@ {result $*}")
-	mustSet("fn-%pathsearch", "@ name {result /spoofed/$name}")
+	i.SetVarRaw(name, val)
+}
+
+// sessionInterp holds the state of an esd session_state image: 16
+// closures made by let, each with its own captured words, 16 variables
+// of six words, and the step function that a session runs.
+func sessionInterp(t testing.TB) *core.Interp {
+	t.Helper()
+	i := core.New()
+	i.SetDir("/srv/es")
+	for k := 0; k < 16; k++ {
+		setClosure(t, i, fmt.Sprintf("fn-f%d", k), fmt.Sprintf("%%closure(p=p%d;q=q%d)@ x {result $p^$x^$q}", k, k))
+		i.SetVarRaw(fmt.Sprintf("v%d", k), core.StrList("alpha", "beta", "gamma", "delta", "eps"+strconv.Itoa(k), "zeta"))
+	}
+	setClosure(t, i, "fn-step", "@ new f a {let (old = $gen) {gen = $new; result $old <={$f $a}}}")
+	i.SetVarRaw("gen", core.StrList("g0n0"))
 	return i
 }
 
@@ -242,5 +262,40 @@ func TestImageGolden(t *testing.T) {
 	}
 	if !bytes.Equal(img.Encode(), want) {
 		t.Errorf("golden fixture decode/re-encode not the identity")
+	}
+}
+
+// A restore frame is client input, so the section count cannot size the
+// records: a count of a billion with nothing after it is rejected
+// without allocating for it.
+func TestImageDecodeHugeCount(t *testing.T) {
+	data := []byte("%esimg 1\ns vars 1000000000\n")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(data)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("an image that promises a billion records and holds none was accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {
+		t.Errorf("rejecting it allocated %d bytes", grew)
+	}
+}
+
+// Encode sizes its one buffer from the records: a session image takes
+// one allocation, and fills it exactly.  Decode copies the bytes once,
+// into the string every record's name and value are cut from.
+func TestImageCodecAllocations(t *testing.T) {
+	img := Capture(sessionInterp(t), nil)
+	enc := img.Encode()
+	if len(enc) != cap(enc) {
+		t.Errorf("Encode made a buffer of %d bytes for %d", cap(enc), len(enc))
+	}
+	if n := testing.AllocsPerRun(50, func() { img.Encode() }); n != 1 {
+		t.Errorf("Encode makes %v allocations, want 1", n)
+	}
+	// The string, the Image and its records.
+	if n := testing.AllocsPerRun(50, func() { Decode(enc) }); n != 3 {
+		t.Errorf("Decode makes %v allocations, want 3", n)
 	}
 }

@@ -276,10 +276,12 @@ func (s *Server) Serve() error {
 
 // accept serves one listener until Drain closes it.  Each connection
 // gets a goroutine of its own, so a slow NewSession never holds up the
-// next Accept; the loop adds it to wg while itself counted there, which
-// orders the Add before Drain's Wait.  Any error but a closed listener
-// (EMFILE, ECONNABORTED, ...) is logged and retried after a backoff, as
-// net/http does, so a transient one cannot end serving.
+// next Accept: a runner (core.Go), which starts the session on a stack
+// an earlier session already grew.  The loop adds it to wg while itself
+// counted there, which orders the Add before Drain's Wait.  Any error
+// but a closed listener (EMFILE, ECONNABORTED, ...) is logged and
+// retried after a backoff, as net/http does, so a transient one cannot
+// end serving.
 func (s *Server) accept(ln net.Listener, ls *ListenerStats) {
 	defer s.wg.Done()
 	s.cfg.Logf("esd: listening on %s %s", ls.Name, ln.Addr())
@@ -300,10 +302,10 @@ func (s *Server) accept(ln net.Listener, ls *ListenerStats) {
 		}
 		backoff = 0
 		s.wg.Add(1)
-		go func() {
+		core.Go(func() {
 			defer s.wg.Done()
 			s.startSession(conn, ls)
-		}()
+		})
 	}
 }
 

@@ -22,6 +22,7 @@ package server
 
 import (
 	"encoding/base64"
+	"fmt"
 
 	"es/internal/core"
 	"es/internal/image"
@@ -42,12 +43,26 @@ func NewSessionFromImage(base *core.Interp, img *image.Image) func() (*core.Inte
 
 // snap answers with the session's state as a base64 session image.  It
 // runs on the session goroutine, so the interpreter is quiescent; no
-// meta is stamped, keeping snap → restore → snap byte-identical.
+// meta is stamped, keeping snap → restore → snap byte-identical.  An
+// image whose reply line would be over maxFrameBytes, which no
+// FrameReader accepts, is refused with an error frame instead, and the
+// session reads on.
 func (s *session) snap(f *Frame) {
-	img := image.Capture(s.interp, nil)
+	data := image.Capture(s.interp, nil).Encode()
+	reply := &Frame{Type: "snap", ID: f.ID}
+	// The line is the frame without its image, the image's field (base64
+	// text, which JSON does not escape) and the newline.  appendFrame
+	// fails only on a frame's ms, which reply does not set.
+	bare, _ := appendFrame(nil, reply)
+	line := len(bare) + len(`,"image":""`) + base64.StdEncoding.EncodedLen(len(data)) + 1
+	if line > maxFrameBytes {
+		s.fw.Write(&Frame{Type: "error", ID: f.ID, Exception: []string{"error", "esd",
+			fmt.Sprintf("snap: an image of %d bytes makes a %d-byte frame, over the %d-byte bound", len(data), line, maxFrameBytes)}})
+		return
+	}
 	s.srv.metrics.Snapshots.Add(1)
-	s.fw.Write(&Frame{Type: "snap", ID: f.ID,
-		Image: base64.StdEncoding.EncodeToString(img.Encode())})
+	reply.Image = base64.StdEncoding.EncodeToString(data)
+	s.fw.Write(reply)
 }
 
 // restore replaces the session's definable state with the frame's image.

@@ -7,6 +7,7 @@ package server
 
 import (
 	"encoding/base64"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -89,6 +90,37 @@ func TestSnapRestoreFrames(t *testing.T) {
 	}
 	if got := srv.Metrics().Restores.Load(); got != 1 {
 		t.Errorf("restores counter = %d, want 1", got)
+	}
+}
+
+// TestSnapOverFrameBound: a snap whose reply line would be over
+// maxFrameBytes, which no FrameReader accepts, is refused with an error
+// frame naming the image's size and the bound, and the session stays
+// usable.
+func TestSnapOverFrameBound(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	c := dial(t, srv.cfg.Socket)
+	// 7 MiB of value is 9.3 MiB of base64.
+	if f := c.eval(t, "big = "+strings.Repeat("x", 7<<20)+"; result 0", 0); f.Type != "result" {
+		t.Fatalf("eval = %+v", f)
+	}
+	f, err := c.RoundTrip(&Frame{Type: "snap", ID: 2})
+	if err != nil {
+		t.Fatalf("snap round trip: %v", err)
+	}
+	msg := strings.Join(f.Exception, " ")
+	if f.Type != "error" || f.ID != 2 || !strings.HasPrefix(msg, "error esd snap: ") ||
+		!strings.Contains(msg, strconv.Itoa(maxFrameBytes)) {
+		t.Fatalf("oversized snap reply = %+v", f)
+	}
+	if f := c.eval(t, "big = small; result $big", 0); f.Type != "result" || strings.Join(f.Value, " ") != "small" {
+		t.Fatalf("eval after the refused snap = %+v", f)
+	}
+	if f := c.roundTrip(t, &Frame{Type: "snap", ID: 3}); f.Type != "snap" || f.Image == "" {
+		t.Fatalf("snap after the refused one = %+v", f)
+	}
+	if got := srv.Metrics().Snapshots.Load(); got != 1 {
+		t.Errorf("snapshots counter = %d, want 1", got)
 	}
 }
 

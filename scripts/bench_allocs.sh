@@ -1,7 +1,9 @@
 #!/bin/sh
 # bench_allocs.sh - the allocation baseline: allocs/op and B/op of every
-# benchmark `make bench` runs, plus Analyze, ApplyFunction, StartupEnv,
-# StartupBare and ServerEval/sequential.  An allocation count is a
+# benchmark `make bench` runs (SessionImage and ServerSessionRestore among
+# them: a session image decoded, restored, run, captured and encoded),
+# plus Analyze, ApplyFunction, StartupEnv, StartupBare and
+# ServerEval/sequential.  An allocation count is a
 # property of the code, not of the host, so this gate needs no paired run
 # against a parent build.
 #
@@ -31,7 +33,7 @@ fi
 base=BENCH_allocs.json
 flags="-run=NONE -benchmem -benchtime=100ms -count=3"
 out=$(go test $flags \
-	-bench='NativePath|ParseCold|GlobMatch|EnvDecode|AllocUnderLiveRoots|Fig1PipeBaseline|Fig1PipeCorpus|PipeWordCount|PipeBuiltins|ForkClone|ServerSessionSpawn|SpawnResident|CompileProgram|EngineEval|ScriptFamilies|Analyze|ApplyFunction|StartupEnv|StartupBare' \
+	-bench='NativePath|ParseCold|GlobMatch|EnvDecode|AllocUnderLiveRoots|Fig1PipeBaseline|Fig1PipeCorpus|PipeWordCount|PipeBuiltins|ForkClone|ServerSessionSpawn|ServerSessionRestore|SessionImage|SpawnResident|CompileProgram|EngineEval|ScriptFamilies|Analyze|ApplyFunction|StartupEnv|StartupBare' \
 	. ./internal/gc ./internal/glob ./internal/compile)
 out="$out
 $(go test $flags -bench='^BenchmarkServerEval$/^sequential$' .)"

@@ -9,13 +9,14 @@
 #                     allocation ratchet against BENCH_allocs.json (about
 #                     30s: allocation counts do not depend on the host)
 #   tier 2 (-race):   adds go vet, the fork, spawn, isolation, pipe,
-#                     runner, cancel, interrupt, wait and shared-program
-#                     tests, and the concurrent-access test of the CLOCK
-#                     caches, which every session shares (the parse
-#                     cache above all), ten times over under the race
-#                     detector (forks and spawned sessions share one
-#                     frozen variable table
-#                     across goroutines, pipeline elements share the ends
+#                     runner, cancel, interrupt, wait, shared-program and
+#                     concurrent-snapshot tests, and the concurrent-access
+#                     test of the CLOCK caches, which every session shares
+#                     (the parse cache above all), ten times over under
+#                     the race detector (forks and spawned sessions share
+#                     one frozen variable table across goroutines, whose
+#                     names the first of them to snapshot sorts for all,
+#                     pipeline elements share the ends
 #                     of their pipes, subshells share the runners that
 #                     run them and the interrupt count of their group,
 #                     waiters share their job table, sessions that run
@@ -32,7 +33,10 @@
 #                     (glob patterns folded by Concat from quoted and
 #                     magic bytes, against the reference matchers over
 #                     an explicit per-byte mask; minimizing bounded to
-#                     1s, as for FuzzFrameCodec), a binary-level server
+#                     1s, as for FuzzFrameCodec), 20s of FuzzImageCodec
+#                     (the session-image codec against the one it
+#                     replaced, kept in internal/image/reference_test.go;
+#                     minimizing bounded to 1s), a binary-level server
 #                     soak
 #                     (concurrent esc clients against a race-enabled esd,
 #                     asserting zero failed frames and a clean drain on
@@ -69,8 +73,8 @@ sh scripts/bench_allocs.sh -check
 if [ "${1:-}" = "-race" ]; then
 	echo "== go vet ./..."
 	go vet ./...
-	echo "== go test -race -count=10 (fork, spawn, isolation, pipe, runner, cancel, interrupt, wait, shared-program and shared-cache tests)"
-	go test -race -count=10 -run 'Fork|Spawn|Subshell|Isolation|BackgroundJob|Pipe|Runner|Cancel|Interrupt|Wait|ConcurrentFirstRunSharesProgram|ConcurrentWhatisSharesTrees|ConcurrentAccess' ./internal/core ./internal/prim ./internal/cache
+	echo "== go test -race -count=10 (fork, spawn, isolation, pipe, runner, cancel, interrupt, wait, shared-program, shared-cache and concurrent-snapshot tests)"
+	go test -race -count=10 -run 'Fork|Spawn|Subshell|Isolation|BackgroundJob|Pipe|Runner|Cancel|Interrupt|Wait|ConcurrentFirstRunSharesProgram|ConcurrentWhatisSharesTrees|ConcurrentAccess|ConcurrentSnapshot' ./internal/core ./internal/prim ./internal/cache
 	echo "== go test -race ./..."
 	go test -race ./...
 	echo "== FuzzFrameCodec (20s: the frame codec against encoding/json)"
@@ -79,6 +83,8 @@ if [ "${1:-}" = "-race" ]; then
 	go test -run '^$' -fuzz '^FuzzTextBuiltins$' -fuzztime 20s ./internal/coreutils
 	echo "== FuzzQuoting (20s: glob's folded quoting against an explicit mask)"
 	go test -run '^$' -fuzz '^FuzzQuoting$' -fuzztime 20s -fuzzminimizetime 1s ./internal/glob
+	echo "== FuzzImageCodec (20s: the session-image codec against its reference)"
+	go test -run '^$' -fuzz '^FuzzImageCodec$' -fuzztime 20s -fuzzminimizetime 1s ./internal/image
 	echo "== server soak (esd -race + concurrent esc, SIGTERM drain)"
 	sh scripts/soak.sh
 	echo "== paired timing gate (scripts/bench_server.sh -check, against the parent)"
