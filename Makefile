@@ -5,9 +5,10 @@
 # race detector (sessions that run one fresh program may each lower it
 # into the one parse cache, and sessions spawned from one template sort
 # its names once), the race detector over
-# everything, 20s each of frame-codec, text-builtin, glob-quoting and
-# image-codec fuzzing (all but the text builtins with minimizing bounded
-# to 1s), the
+# everything, 20s each of frame-codec, text-builtin, glob-quoting,
+# image-codec, parser (syntax.Inspect against the AST's fields among its
+# checks) and analyzer fuzzing (all but the text builtins with
+# minimizing bounded to 1s), the
 # esd server soak, and then the serving bench gate; `make bench` runs, with -benchmem, the dispatch-cache
 # benchmarks that guard the native cache speedups, the builtin
 # pipelines whose allocations the coreutils buffer pools cut and whose

@@ -14,7 +14,11 @@ package es
 //
 // The corpora are the prelude, lib/*.es, testdata/selftest.es, the
 // analyzer's escheck battery, and every src of the engine, words and
-// rewrite goldens.  Regenerate both files deliberately with:
+// rewrite goldens, but not the battery's sequential.es, whose let and
+// local headers read the bindings before them in their values: the
+// analyzer and export changed on such headers alone when they came to
+// see those bindings, and the file's # DIAG lines pin it.  Regenerate
+// both files deliberately with:
 //
 //	go test -run CorpusGolden -update-corpus .
 
@@ -51,6 +55,9 @@ func corpusPrograms(t *testing.T) []corpusProgram {
 			t.Fatalf("corpus %s: %v", pattern, err)
 		}
 		for _, file := range files {
+			if filepath.Base(file) == "sequential.es" {
+				continue
+			}
 			src, err := os.ReadFile(file)
 			if err != nil {
 				t.Fatal(err)

@@ -165,8 +165,8 @@ func Analyze(src string, opts Options) Result {
 		dynNames: map[string]bool{},
 		effects:  newEffectSet(),
 	}
-	c.prepass(b)
-	c.walkCmd(b, nil)
+	syntax.Inspect(b, c.fact)
+	c.walk(b, nil)
 	sort.SliceStable(c.diags, func(i, j int) bool {
 		a, b := c.diags[i], c.diags[j]
 		if a.Pos.Line != b.Pos.Line {
@@ -222,89 +222,24 @@ func newScope(parent *scope) *scope {
 	return &scope{parent: parent, names: map[string]*binder{}}
 }
 
-// prepass collects flow-insensitive facts: every literal assignment
-// target (es assignments are global unless lexically shadowed, even
-// inside closures) and every literal local-bound name.
-func (c *checker) prepass(cmd syntax.Cmd) {
-	switch n := cmd.(type) {
-	case nil:
-	case *syntax.Block:
-		for _, sub := range n.Cmds {
-			c.prepass(sub)
-		}
-	case *syntax.Simple:
-		for _, w := range n.Words {
-			c.prepassWord(w)
-		}
+// fact collects the flow-insensitive facts, over the whole tree before
+// the check: every literal assignment target (es assignments are global
+// unless lexically shadowed, even inside closures) and every literal
+// local-bound name.
+func (c *checker) fact(n any) bool {
+	switch n := n.(type) {
 	case *syntax.Assign:
 		if name, ok := n.Name.LitText(); ok {
 			c.globals[name] = true
 		}
-		for _, w := range n.Values {
-			c.prepassWord(w)
-		}
-	case *syntax.Let:
-		c.prepassBindings(n.Bindings)
-		c.prepass(n.Body)
 	case *syntax.Local:
 		for _, b := range n.Bindings {
 			if name, ok := b.Name.LitText(); ok {
 				c.dynNames[name] = true
 			}
 		}
-		c.prepassBindings(n.Bindings)
-		c.prepass(n.Body)
-	case *syntax.For:
-		c.prepassBindings(n.Bindings)
-		c.prepass(n.Body)
-	case *syntax.Match:
-		c.prepassWord(n.Subject)
-		for _, w := range n.Pats {
-			c.prepassWord(w)
-		}
-	case *syntax.MatchExtract:
-		c.prepassWord(n.Subject)
-		for _, w := range n.Pats {
-			c.prepassWord(w)
-		}
-	case *syntax.Not:
-		c.prepass(n.Body)
 	}
-}
-
-func (c *checker) prepassBindings(bs []syntax.Binding) {
-	for _, b := range bs {
-		for _, w := range b.Values {
-			c.prepassWord(w)
-		}
-	}
-}
-
-func (c *checker) prepassWord(w *syntax.Word) {
-	if w == nil {
-		return
-	}
-	for _, p := range w.Parts {
-		switch p := p.(type) {
-		case *syntax.Var:
-			c.prepassWord(p.Name)
-			for _, iw := range p.Index {
-				c.prepassWord(iw)
-			}
-		case *syntax.CmdSub:
-			c.prepass(p.Body)
-		case *syntax.RetSub:
-			c.prepass(p.Body)
-		case *syntax.LambdaPart:
-			if p.Lambda != nil {
-				c.prepass(p.Lambda.Body)
-			}
-		case *syntax.ListPart:
-			for _, lw := range p.Words {
-				c.prepassWord(lw)
-			}
-		}
-	}
+	return true
 }
 
 // terminal heads: commands after one of these in the same block can
@@ -329,50 +264,57 @@ func isTerminal(cmd syntax.Cmd) bool {
 	return false
 }
 
-// walkCmd checks a command of a core tree, the only form ParseCommand
-// makes.
-func (c *checker) walkCmd(cmd syntax.Cmd, sc *scope) {
-	switch n := cmd.(type) {
-	case nil:
+// walk checks the core tree under n, the only form ParseCommand makes,
+// in scope sc.
+func (c *checker) walk(n any, sc *scope) {
+	syntax.Inspect(n, func(n any) bool { return c.check(n, sc) })
+}
+
+// check is the checker's visitor: it checks node n in scope sc.  Binding
+// forms and lambdas open scopes, so it walks their children itself.
+func (c *checker) check(n any, sc *scope) bool {
+	switch n := n.(type) {
 	case *syntax.Block:
-		for i, sub := range n.Cmds {
-			c.walkCmd(sub, sc)
-			if isTerminal(sub) && i+1 < len(n.Cmds) {
-				next := n.Cmds[i+1]
+		// Report the first dead command of a block once; the walk still
+		// checks the dead commands, which may hold more findings.
+		for i := 0; i+1 < len(n.Cmds); i++ {
+			if sub := n.Cmds[i]; isTerminal(sub) {
 				head, _ := terminalName(sub)
-				c.report(bestPos(syntax.CmdPos(next), syntax.CmdPos(sub)), CodeUnreachable, SevWarning,
+				c.report(bestPos(syntax.CmdPos(n.Cmds[i+1]), syntax.CmdPos(sub)), CodeUnreachable, SevWarning,
 					"unreachable command: preceding %s always transfers control", head)
-				// Still walk the dead commands (they may hold more
-				// findings) but report unreachability only once per block.
-				for _, dead := range n.Cmds[i+1:] {
-					c.walkCmd(dead, sc)
-				}
-				return
+				break
 			}
 		}
 	case *syntax.Simple:
-		c.checkSimple(n, sc)
+		if len(n.Words) > 0 {
+			if name, ok := n.Words[0].LitText(); ok {
+				c.checkHead(name, n.Words[0].Pos, len(n.Words)-1, n, sc)
+			}
+		}
 	case *syntax.Assign:
-		c.checkAssign(n, sc)
+		c.checkAssign(n)
 	case *syntax.Let:
-		c.walkBindingForm(n.Pos, "let", n.Bindings, n.Body, sc, true)
+		c.walkBindingForm(n.Pos, "let", n.Bindings, n.Body, sc)
+		return false
 	case *syntax.Local:
-		c.walkBindingForm(n.Pos, "local", n.Bindings, n.Body, sc, false)
+		c.walkBindingForm(n.Pos, "local", n.Bindings, n.Body, sc)
+		return false
 	case *syntax.For:
-		c.walkBindingForm(n.Pos, "for", n.Bindings, n.Body, sc, false)
-	case *syntax.Match:
-		c.walkWord(n.Subject, sc)
-		for _, w := range n.Pats {
-			c.walkWord(w, sc)
+		c.walkBindingForm(n.Pos, "for", n.Bindings, n.Body, sc)
+		return false
+	case *syntax.Var:
+		c.checkVar(n, sc)
+	case *syntax.Prim:
+		if c.env != nil && !c.env.Prims[n.Name] {
+			c.report(n.Pos, CodeUnknownPrim, SevError,
+				"reference to unregistered primitive $&%s", n.Name)
 		}
-	case *syntax.MatchExtract:
-		c.walkWord(n.Subject, sc)
-		for _, w := range n.Pats {
-			c.walkWord(w, sc)
-		}
-	case *syntax.Not:
-		c.walkCmd(n.Body, sc)
+		c.effects.addPrim(n.Name)
+	case *syntax.LambdaPart:
+		c.walkLambda(n.Lambda, sc)
+		return false
 	}
+	return true
 }
 
 func terminalName(cmd syntax.Cmd) (string, bool) {
@@ -388,19 +330,6 @@ func bestPos(p, fallback syntax.Pos) syntax.Pos {
 		return p
 	}
 	return fallback
-}
-
-func (c *checker) checkSimple(n *syntax.Simple, sc *scope) {
-	if len(n.Words) == 0 {
-		return
-	}
-	head := n.Words[0]
-	if name, ok := head.LitText(); ok {
-		c.checkHead(name, head.Pos, len(n.Words)-1, n, sc)
-	}
-	for _, w := range n.Words {
-		c.walkWord(w, sc)
-	}
 }
 
 // checkHead resolves a literal command head: hooks against the registry,
@@ -460,36 +389,34 @@ func (c *checker) headKnown(name string, sc *scope) bool {
 	return c.env.Vars[fn] || c.env.Builtins[name]
 }
 
-func (c *checker) checkAssign(n *syntax.Assign, sc *scope) {
-	if name, ok := n.Name.LitText(); ok {
-		if hook := strings.TrimPrefix(name, "fn-"); hook != name && strings.HasPrefix(hook, "%") {
-			// Spoofing a hook: fine if the hook exists (the whole point of
-			// the architecture), suspicious if nothing will ever call it.
-			if c.env != nil && !c.env.Vars[name] && !knownHookName(hook) {
-				c.report(bestPos(n.Name.Pos, n.Pos), CodeSpoofJunk, SevWarning,
-					"definition of unknown hook %s: nothing dispatches through it (typo?)", hook)
-			}
-		}
-	} else {
-		c.walkWord(n.Name, sc)
-	}
-	for _, w := range n.Values {
-		c.walkWord(w, sc)
+// checkAssign reports the spoof of a hook: fine if the hook exists (the
+// whole point of the architecture), suspicious if nothing will ever call
+// it.
+func (c *checker) checkAssign(n *syntax.Assign) {
+	name, ok := n.Name.LitText()
+	hook := strings.TrimPrefix(name, "fn-")
+	if ok && hook != name && strings.HasPrefix(hook, "%") &&
+		c.env != nil && !c.env.Vars[name] && !knownHookName(hook) {
+		c.report(bestPos(n.Name.Pos, n.Pos), CodeSpoofJunk, SevWarning,
+			"definition of unknown hook %s: nothing dispatches through it (typo?)", hook)
 	}
 }
 
-func (c *checker) walkBindingForm(pos syntax.Pos, kind string, bs []syntax.Binding, body syntax.Cmd, sc *scope, warnUnused bool) {
-	// Binding values evaluate in the outer scope.
-	for _, b := range bs {
-		if _, ok := b.Name.LitText(); !ok {
-			c.walkWord(b.Name, sc)
-		}
-		for _, w := range b.Values {
-			c.walkWord(w, sc)
-		}
-	}
+// walkBindingForm checks a let, local or for, whose body runs in a scope
+// of its own.  Names evaluate in the outer scope.  The values of a let or
+// local binding see the bindings before it, as the evaluator binds them
+// one by one; for evaluates all its values before it binds any.
+func (c *checker) walkBindingForm(pos syntax.Pos, kind string, bs []syntax.Binding, body syntax.Cmd, sc *scope) {
 	inner := newScope(sc)
+	values := inner
+	if kind == "for" {
+		values = sc
+	}
 	for _, b := range bs {
+		c.walk(b.Name, sc)
+		for _, w := range b.Values {
+			c.walk(w, values)
+		}
 		name, ok := b.Name.LitText()
 		if !ok {
 			continue
@@ -502,14 +429,14 @@ func (c *checker) walkBindingForm(pos syntax.Pos, kind string, bs []syntax.Bindi
 		}
 		inner.names[name] = &binder{
 			pos:        bestPos(b.Name.Pos, pos),
-			warnUnused: warnUnused,
+			warnUnused: kind == "let",
 		}
 	}
 	if emptyBody(body) {
 		c.report(pos, CodeEmptyBody, SevWarning, "%s with an empty body", kind)
 	}
-	c.walkCmd(body, inner)
-	if warnUnused && !subtreeDynamic(body) {
+	c.walk(body, inner)
+	if kind == "let" && !subtreeDynamic(body) {
 		for name, b := range inner.names {
 			if !b.used && b.warnUnused {
 				c.report(b.pos, CodeUnusedLet, SevWarning,
@@ -548,37 +475,10 @@ func lambdaArg(w *syntax.Word) *syntax.Lambda {
 	return lp.Lambda
 }
 
-func (c *checker) walkWord(w *syntax.Word, sc *scope) {
-	if w == nil {
+func (c *checker) walkLambda(l *syntax.Lambda, sc *scope) {
+	if l == nil {
 		return
 	}
-	for _, p := range w.Parts {
-		switch p := p.(type) {
-		case *syntax.Var:
-			c.checkVar(p, sc)
-		case *syntax.Prim:
-			if c.env != nil && !c.env.Prims[p.Name] {
-				c.report(p.Pos, CodeUnknownPrim, SevError,
-					"reference to unregistered primitive $&%s", p.Name)
-			}
-			c.effects.addPrim(p.Name)
-		case *syntax.CmdSub:
-			c.walkCmd(p.Body, sc)
-		case *syntax.RetSub:
-			c.walkCmd(p.Body, sc)
-		case *syntax.LambdaPart:
-			if p.Lambda != nil {
-				c.walkLambda(p.Lambda, sc)
-			}
-		case *syntax.ListPart:
-			for _, lw := range p.Words {
-				c.walkWord(lw, sc)
-			}
-		}
-	}
-}
-
-func (c *checker) walkLambda(l *syntax.Lambda, sc *scope) {
 	inner := newScope(sc)
 	for _, param := range l.Params {
 		inner.names[param] = &binder{pos: l.Pos}
@@ -586,21 +486,15 @@ func (c *checker) walkLambda(l *syntax.Lambda, sc *scope) {
 	// Every lambda binds * (to its arguments when no parameter list is
 	// declared, and it remains visible regardless).
 	inner.names["*"] = &binder{pos: l.Pos}
-	c.walkCmd(l.Body, inner)
+	c.walk(l.Body, inner)
 }
 
+// checkVar resolves a variable reference.  A computed name like
+// $(fn-$cmd) is not resolved; the walk checks its parts.
 func (c *checker) checkVar(v *syntax.Var, sc *scope) {
 	name, ok := v.Name.LitText()
 	if !ok {
-		// Computed name like $(fn-$cmd): analyze the parts, skip resolution.
-		c.walkWord(v.Name, sc)
-		for _, iw := range v.Index {
-			c.walkWord(iw, sc)
-		}
 		return
-	}
-	for _, iw := range v.Index {
-		c.walkWord(iw, sc)
 	}
 	if sc != nil {
 		if b := sc.lookup(name); b != nil {
@@ -647,102 +541,21 @@ func alwaysDefined(name string) bool {
 // suppressed in such scopes.
 func subtreeDynamic(cmd syntax.Cmd) bool {
 	found := false
-	var walkC func(syntax.Cmd)
-	var walkW func(*syntax.Word)
-	walkW = func(w *syntax.Word) {
-		if w == nil || found {
-			return
-		}
-		for _, p := range w.Parts {
-			switch p := p.(type) {
-			case *syntax.Var:
-				if _, ok := p.Name.LitText(); !ok {
-					found = true
-					return
-				}
-				for _, iw := range p.Index {
-					walkW(iw)
-				}
-			case *syntax.CmdSub:
-				walkC(p.Body)
-			case *syntax.RetSub:
-				walkC(p.Body)
-			case *syntax.LambdaPart:
-				if p.Lambda != nil {
-					walkC(p.Lambda.Body)
-				}
-			case *syntax.ListPart:
-				for _, lw := range p.Words {
-					walkW(lw)
-				}
-			}
-		}
-	}
-	walkC = func(cmd syntax.Cmd) {
-		if found {
-			return
-		}
-		switch n := cmd.(type) {
-		case *syntax.Block:
-			for _, sub := range n.Cmds {
-				walkC(sub)
+	syntax.Inspect(cmd, func(n any) bool {
+		switch n := n.(type) {
+		case *syntax.Var:
+			if _, ok := n.Name.LitText(); !ok {
+				found = true
 			}
 		case *syntax.Simple:
 			if len(n.Words) > 0 {
-				if name, ok := n.Words[0].LitText(); ok {
-					switch name {
-					case "eval", ".", "vars", "var":
-						found = true
-						return
-					}
+				switch name, _ := n.Words[0].LitText(); name {
+				case "eval", ".", "vars", "var":
+					found = true
 				}
 			}
-			for _, w := range n.Words {
-				walkW(w)
-			}
-		case *syntax.Assign:
-			walkW(n.Name)
-			for _, w := range n.Values {
-				walkW(w)
-			}
-		case *syntax.Let:
-			for _, b := range n.Bindings {
-				walkW(b.Name)
-				for _, w := range b.Values {
-					walkW(w)
-				}
-			}
-			walkC(n.Body)
-		case *syntax.Local:
-			for _, b := range n.Bindings {
-				walkW(b.Name)
-				for _, w := range b.Values {
-					walkW(w)
-				}
-			}
-			walkC(n.Body)
-		case *syntax.For:
-			for _, b := range n.Bindings {
-				walkW(b.Name)
-				for _, w := range b.Values {
-					walkW(w)
-				}
-			}
-			walkC(n.Body)
-		case *syntax.Match:
-			walkW(n.Subject)
-			for _, w := range n.Pats {
-				walkW(w)
-			}
-		case *syntax.MatchExtract:
-			walkW(n.Subject)
-			for _, w := range n.Pats {
-				walkW(w)
-			}
-		case *syntax.Not:
-			walkC(n.Body)
 		}
-	}
-	walkC(cmd)
+		return !found
+	})
 	return found
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"sort"
 	"strings"
 
@@ -124,152 +125,82 @@ func paramSet(c *Closure) map[string]bool {
 	return bound
 }
 
-// freeVars walks a block collecting free variable references into free.
-// It returns true if a computed name ($(...) or a non-literal assignment
-// target) makes the free set unknowable, in which case everything must be
-// captured.
-func freeVars(b *syntax.Block, bound map[string]bool, free map[string]bool) bool {
-	if b == nil {
-		return false
-	}
+// freeVars adds to free the names the tree under n reads or assigns that
+// bound does not hold.  It returns true if a computed name, a $$
+// indirection or a surface node makes the free set unknowable, in which
+// case everything must be captured.  Binding forms and lambdas open
+// scopes: let and for bind their names around the body, local binds none
+// lexically, and a lambda binds its parameters, or * without them.  The
+// values of a let or local binding see the bindings before it; for's see
+// none.
+func freeVars(n any, bound, free map[string]bool) bool {
 	all := false
-	for _, c := range b.Cmds {
-		if freeVarsCmd(c, bound, free) {
-			all = true
+	scan := func(n any, bound map[string]bool) { all = all || freeVars(n, bound, free) }
+	bindingForm := func(bs []syntax.Binding, body syntax.Cmd, lexical, sequential bool) {
+		inner := bound
+		if lexical {
+			inner = maps.Clone(bound)
 		}
-	}
-	return all
-}
-
-func freeVarsCmd(c syntax.Cmd, bound, free map[string]bool) bool {
-	switch c := c.(type) {
-	case nil:
-		return false
-	case *syntax.Block:
-		return freeVars(c, bound, free)
-	case *syntax.Simple:
-		return freeVarsWords(c.Words, bound, free)
-	case *syntax.Assign:
-		all := freeVarsWords(c.Values, bound, free)
-		if name, ok := c.Name.LitText(); ok {
-			if !bound[name] {
-				free[name] = true
+		for _, b := range bs {
+			values := bound
+			if sequential {
+				values = inner
 			}
-		} else {
-			all = true
-		}
-		return all
-	case *syntax.Let:
-		return freeVarsBindingForm(c.Bindings, c.Body, true, bound, free)
-	case *syntax.For:
-		return freeVarsBindingForm(c.Bindings, c.Body, true, bound, free)
-	case *syntax.Local:
-		return freeVarsBindingForm(c.Bindings, c.Body, false, bound, free)
-	case *syntax.Match:
-		all := freeVarsWords([]*syntax.Word{c.Subject}, bound, free)
-		if freeVarsWords(c.Pats, bound, free) {
-			all = true
-		}
-		return all
-	case *syntax.MatchExtract:
-		all := freeVarsWords([]*syntax.Word{c.Subject}, bound, free)
-		if freeVarsWords(c.Pats, bound, free) {
-			all = true
-		}
-		return all
-	case *syntax.Not:
-		return freeVarsCmd(c.Body, bound, free)
-	default:
-		// Surface nodes (pre-Rewrite): be conservative.
-		return true
-	}
-}
-
-// freeVarsBindingForm handles let/for (which bind lexically) and local
-// (which does not shadow lexical references).
-func freeVarsBindingForm(bindings []syntax.Binding, body syntax.Cmd, lexical bool, bound, free map[string]bool) bool {
-	all := false
-	inner := bound
-	if lexical {
-		inner = make(map[string]bool, len(bound)+len(bindings))
-		for k := range bound {
-			inner[k] = true
-		}
-	}
-	for _, b := range bindings {
-		if freeVarsWords(b.Values, bound, free) {
-			all = true
-		}
-		if name, ok := b.Name.LitText(); ok {
-			if lexical {
+			for _, w := range b.Values {
+				scan(w, values)
+			}
+			if name, ok := b.Name.LitText(); !ok {
+				all = true
+			} else if lexical {
 				inner[name] = true
 			}
-		} else {
+		}
+		scan(body, inner)
+	}
+	syntax.Inspect(n, func(n any) bool {
+		if all {
+			return false
+		}
+		switch n := n.(type) {
+		case *syntax.Var:
+			name, ok := n.Name.LitText()
+			if !ok || n.Double {
+				all = true
+			} else if !bound[name] {
+				free[name] = true
+			}
+		case *syntax.Assign:
+			if name, ok := n.Name.LitText(); !ok {
+				all = true
+			} else if !bound[name] {
+				free[name] = true
+			}
+		case *syntax.Let:
+			bindingForm(n.Bindings, n.Body, true, true)
+			return false
+		case *syntax.Local:
+			bindingForm(n.Bindings, n.Body, false, true)
+			return false
+		case *syntax.For:
+			bindingForm(n.Bindings, n.Body, true, false)
+			return false
+		case *syntax.LambdaPart:
+			inner := maps.Clone(bound)
+			if n.Lambda.HasParams {
+				for _, p := range n.Lambda.Params {
+					inner[p] = true
+				}
+			} else {
+				inner["*"] = true
+			}
+			scan(n.Lambda.Body, inner)
+			return false
+		case *syntax.Pipe, *syntax.AndOr, *syntax.Bg, *syntax.RedirCmd, *syntax.Fn:
 			all = true
 		}
-	}
-	if freeVarsCmd(body, inner, free) {
-		all = true
-	}
+		return !all
+	})
 	return all
-}
-
-func freeVarsWords(words []*syntax.Word, bound, free map[string]bool) bool {
-	all := false
-	for _, w := range words {
-		if w == nil {
-			continue
-		}
-		for _, part := range w.Parts {
-			if freeVarsPart(part, bound, free) {
-				all = true
-			}
-		}
-	}
-	return all
-}
-
-func freeVarsPart(part syntax.Part, bound, free map[string]bool) bool {
-	switch part := part.(type) {
-	case *syntax.Var:
-		name, ok := part.Name.LitText()
-		if !ok {
-			return true // computed name: capture everything
-		}
-		if !bound[name] {
-			free[name] = true
-		}
-		if part.Double {
-			return true // indirection can reach any binding
-		}
-		all := false
-		for _, iw := range part.Index {
-			if freeVarsWords([]*syntax.Word{iw}, bound, free) {
-				all = true
-			}
-		}
-		return all
-	case *syntax.LambdaPart:
-		inner := make(map[string]bool, len(bound)+len(part.Lambda.Params))
-		for k := range bound {
-			inner[k] = true
-		}
-		if part.Lambda.HasParams {
-			for _, p := range part.Lambda.Params {
-				inner[p] = true
-			}
-		} else {
-			inner["*"] = true
-		}
-		return freeVars(part.Lambda.Body, inner, free)
-	case *syntax.CmdSub:
-		return freeVars(part.Body, bound, free)
-	case *syntax.RetSub:
-		return freeVars(part.Body, bound, free)
-	case *syntax.ListPart:
-		return freeVarsWords(part.Words, bound, free)
-	}
-	return false
 }
 
 // ExportEnv renders the exportable variables as environment strings.

@@ -256,6 +256,33 @@ let (shared = init) {
 	}
 }
 
+// Export keeps a binding only when the body reads it from outside.  The
+// values of a let binding see the bindings before it, so f's $a is the
+// inner let's and f captures nothing; local binds no lexical name, so
+// g's $a is the outer let's, and g keeps it.
+func TestExportSequentialHeaders(t *testing.T) {
+	i, ctx, out := harness(t)
+	eval(t, i, ctx, `let (a = outer) {
+	fn f {let (a = inner; b = $a) echo $b}
+	fn g {local (a = inner; b = $a) echo $b}
+}`)
+	for _, c := range []struct{ fn, whatis, prints string }{
+		{"f", "@ * {let (a = inner; b = $a) echo $b}\n", "inner\n"},
+		{"g", "%closure(a=outer)@ * {local (a = inner; b = $a) echo $b}\n", "outer\n"},
+	} {
+		out.Reset()
+		eval(t, i, ctx, "whatis "+c.fn)
+		if got := out.String(); got != c.whatis {
+			t.Errorf("whatis %s = %q, want %q", c.fn, got, c.whatis)
+		}
+		out.Reset()
+		eval(t, i, ctx, c.fn)
+		if got := out.String(); got != c.prints {
+			t.Errorf("%s printed %q, want %q", c.fn, got, c.prints)
+		}
+	}
+}
+
 // ... but if the functions are forked, the connection is lost (the
 // paper's subshell lament, reproduced by Fork's copy of captured
 // bindings).

@@ -1,9 +1,13 @@
 package syntax
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
-// FuzzParse: the parser must never panic, and anything it accepts must
-// unparse to source that re-parses to the same unparsed form.
+// FuzzParse: the parser must never panic, anything it accepts must
+// unparse to source that re-parses to the same unparsed form, and
+// Inspect must visit its rewritten tree's nodes each once.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"ls > /tmp/foo",
@@ -40,9 +44,23 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("unparse not a fixed point:\n src: %q\nonce: %q\ntwice: %q", src, once, twice)
 		}
 		// The rewriter must accept anything the parser produced.
-		core := UnparseBody(Rewrite(blk).(*Block))
+		root := Rewrite(blk)
+		core := UnparseBody(root.(*Block))
 		if _, err := Parse(core); err != nil {
 			t.Fatalf("core form does not parse:\n src: %q\ncore: %q\nerr: %v", src, core, err)
+		}
+		// Inspect visits each command, word and part of the core tree
+		// exactly once: the nodes a walk over the AST's fields finds.
+		visits := inspected(root, nil)
+		if want := append([]any{root}, fieldNodes(root)...); !slices.Equal(visits, want) {
+			t.Fatalf("Inspect visits %s\nthe fields hold %s\n src: %q", describe(visits), describe(want), src)
+		}
+		seen := make(map[any]bool, len(visits))
+		for _, n := range visits {
+			if seen[n] {
+				t.Fatalf("Inspect visits %s twice\n src: %q", describe([]any{n}), src)
+			}
+			seen[n] = true
 		}
 	})
 }

@@ -36,7 +36,11 @@
 #                     1s, as for FuzzFrameCodec), 20s of FuzzImageCodec
 #                     (the session-image codec against the one it
 #                     replaced, kept in internal/image/reference_test.go;
-#                     minimizing bounded to 1s), a binary-level server
+#                     minimizing bounded to 1s), 20s of FuzzParse (the
+#                     unparse round trip, and syntax.Inspect against a
+#                     walk over the AST's fields) and 20s of FuzzAnalyze
+#                     (the analyzer survives any input), both with
+#                     minimizing bounded to 1s, a binary-level server
 #                     soak
 #                     (concurrent esc clients against a race-enabled esd,
 #                     asserting zero failed frames and a clean drain on
@@ -85,6 +89,10 @@ if [ "${1:-}" = "-race" ]; then
 	go test -run '^$' -fuzz '^FuzzQuoting$' -fuzztime 20s -fuzzminimizetime 1s ./internal/glob
 	echo "== FuzzImageCodec (20s: the session-image codec against its reference)"
 	go test -run '^$' -fuzz '^FuzzImageCodec$' -fuzztime 20s -fuzzminimizetime 1s ./internal/image
+	echo "== FuzzParse (20s: the unparse round trip, and Inspect against the AST's fields)"
+	go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 20s -fuzzminimizetime 1s ./internal/syntax
+	echo "== FuzzAnalyze (20s: the analyzer survives any input)"
+	go test -run '^$' -fuzz '^FuzzAnalyze$' -fuzztime 20s -fuzzminimizetime 1s ./internal/analysis
 	echo "== server soak (esd -race + concurrent esc, SIGTERM drain)"
 	sh scripts/soak.sh
 	echo "== paired timing gate (scripts/bench_server.sh -check, against the parent)"
