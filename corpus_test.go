@@ -1,8 +1,9 @@
 package es
 
-// Two goldens over the repository's program corpora pin what the static
-// analyzer reports and which bindings closure export keeps, so that a
-// change to how either reads a core tree shows up as a diff:
+// Three goldens over the repository's program corpora pin what the
+// static analyzer reports, which bindings closure export keeps and how
+// esfmt lays a program out, so that a change to how any of them reads a
+// tree shows up as a diff:
 //
 //   - testdata/analysis_golden.json: for the prelude and every corpus
 //     program, each diagnostic analysis.Analyze reports with the shell's
@@ -10,7 +11,9 @@ package es
 //   - testdata/capture_golden.json: for every program root and lambda
 //     body, core.EncodeClosure of a closure over that body whose
 //     environment binds every literal variable name the program mentions,
-//     plus one name it does not mention.
+//     plus one name it does not mention;
+//   - testdata/pretty_golden.json: for the prelude and every corpus
+//     program, syntax.Pretty of its parsed tree, or its parse error.
 //
 // The corpora are the prelude, lib/*.es, testdata/selftest.es, the
 // analyzer's escheck battery, and every src of the engine, words and
@@ -18,7 +21,7 @@ package es
 // local headers read the bindings before them in their values: the
 // analyzer and export changed on such headers alone when they came to
 // see those bindings, and the file's # DIAG lines pin it.  Regenerate
-// both files deliberately with:
+// the files deliberately with:
 //
 //	go test -run CorpusGolden -update-corpus .
 
@@ -39,7 +42,7 @@ import (
 	"es/internal/syntax"
 )
 
-var updateCorpus = flag.Bool("update-corpus", false, "regenerate testdata/analysis_golden.json and testdata/capture_golden.json")
+var updateCorpus = flag.Bool("update-corpus", false, "regenerate testdata/analysis_golden.json, capture_golden.json and pretty_golden.json")
 
 // corpusProgram is one program of the corpora, named by where it comes from.
 type corpusProgram struct {
@@ -187,6 +190,25 @@ func TestCaptureCorpusGolden(t *testing.T) {
 		got = append(got, e)
 	}
 	checkCorpusGolden(t, filepath.Join("testdata", "capture_golden.json"), got)
+}
+
+func TestPrettyCorpusGolden(t *testing.T) {
+	type entry struct {
+		Program string `json:"program"`
+		Pretty  string `json:"pretty"`
+		Error   string `json:"error,omitempty"`
+	}
+	var got []entry
+	for _, p := range corpusPrograms(t) {
+		e := entry{Program: p.name}
+		if b, err := syntax.Parse(p.src); err != nil {
+			e.Error = err.Error()
+		} else {
+			e.Pretty = syntax.Pretty(b)
+		}
+		got = append(got, e)
+	}
+	checkCorpusGolden(t, filepath.Join("testdata", "pretty_golden.json"), got)
 }
 
 // mentions finds, by reflection over the tree's fields, every literal

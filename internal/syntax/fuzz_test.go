@@ -6,7 +6,8 @@ import (
 )
 
 // FuzzParse: the parser must never panic, anything it accepts must
-// unparse to source that re-parses to the same unparsed form, and
+// unparse to source that re-parses to the same unparsed form, Pretty's
+// layout of it must re-parse to that form too (esfmt's guarantee), and
 // Inspect must visit its rewritten tree's nodes each once.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
@@ -25,6 +26,9 @@ func FuzzParse(f *testing.F) {
 		"$",
 		"a ^^ b",
 		"fn-%x = $&y",
+		"local (a = x; $a = 1) echo $x",
+		"~~ $x *.[ch] ?",
+		"for (i = 1 2) let (j = $i) fn f {a; b}",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -42,6 +46,12 @@ func FuzzParse(f *testing.F) {
 		twice := UnparseBody(blk2)
 		if once != twice {
 			t.Fatalf("unparse not a fixed point:\n src: %q\nonce: %q\ntwice: %q", src, once, twice)
+		}
+		pretty := Pretty(blk)
+		if blk3, err := Parse(pretty); err != nil {
+			t.Fatalf("pretty output does not parse:\n src: %q\npretty: %q\nerr: %v", src, pretty, err)
+		} else if back := UnparseBody(blk3); back != once {
+			t.Fatalf("pretty changed the program:\n src: %q\npretty: %q\nonce: %q\nback: %q", src, pretty, once, back)
 		}
 		// The rewriter must accept anything the parser produced.
 		root := Rewrite(blk)
