@@ -1,13 +1,14 @@
 # Verification tiers: `make check` is the tier-1 floor (build, tests,
-# gofmt, and vet plus the short tests of the bench module);
+# gofmt, and vet plus the short tests of the bench module), which ends
+# by printing the non-test Go line count under cmd/ and internal/;
 # `make race` adds vet, the fork, spawn, isolation, pipe, wait,
 # shared-program and concurrent-snapshot tests ten times over under the
 # race detector (sessions that run one fresh program may each lower it
 # into the one parse cache, and sessions spawned from one template sort
 # its names once), the race detector over
 # everything, 20s each of frame-codec, text-builtin, glob-quoting,
-# image-codec, parser (syntax.Inspect against the AST's fields among its
-# checks) and analyzer fuzzing (all but the text builtins with
+# image-codec, parser (Pretty's round trip and syntax.Inspect against the
+# AST's fields among its checks) and analyzer fuzzing (all but the text builtins with
 # minimizing bounded to 1s), the
 # esd server soak, and then the serving bench gate; `make bench` runs, with -benchmem, the dispatch-cache
 # benchmarks that guard the native cache speedups, the builtin

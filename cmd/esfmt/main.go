@@ -9,6 +9,11 @@
 // With no files, esfmt reads standard input and writes standard output.
 // -w rewrites files in place; -d prints whether each file would change
 // (exit status 1 if any would) without writing.
+//
+// esfmt keeps no comments: the syntax tree holds none.  So -w leaves a
+// file that holds a comment as it is, names the comment's line, and
+// exits with status 2; the other modes print the same message on
+// standard error as a warning.
 package main
 
 import (
@@ -36,11 +41,14 @@ func main() {
 		if err != nil {
 			fatal("stdin: %v", err)
 		}
+		if note := commentNote("stdin", string(src)); note != "" {
+			fmt.Fprintf(os.Stderr, "esfmt: warning: %s\n", note)
+		}
 		os.Stdout.WriteString(out)
 		return
 	}
 
-	changed := false
+	changed, refused := false, false
 	for _, path := range flag.Args() {
 		src, err := os.ReadFile(path)
 		if err != nil {
@@ -49,6 +57,15 @@ func main() {
 		out, err := format(string(src))
 		if err != nil {
 			fatal("%s: %v", path, err)
+		}
+		note := commentNote(path, string(src))
+		if *write && !*diff && note != "" {
+			fmt.Fprintf(os.Stderr, "esfmt: %s; not rewritten\n", note)
+			refused = true
+			continue
+		}
+		if note != "" {
+			fmt.Fprintf(os.Stderr, "esfmt: warning: %s\n", note)
 		}
 		switch {
 		case *diff:
@@ -66,9 +83,21 @@ func main() {
 			os.Stdout.WriteString(out)
 		}
 	}
+	if refused {
+		os.Exit(2)
+	}
 	if changed {
 		os.Exit(1)
 	}
+}
+
+// commentNote names the line of the first comment in src, read from
+// name, since the formatted output drops it; it is "" when src holds none.
+func commentNote(name, src string) string {
+	if line := syntax.CommentLine(src); line > 0 {
+		return fmt.Sprintf("%s:%d: a comment, which esfmt does not keep", name, line)
+	}
+	return ""
 }
 
 // format parses and pretty-prints src, verifying the round trip: if the

@@ -198,6 +198,64 @@ func TestEsfmtShippedScripts(t *testing.T) {
 	}
 }
 
+// esfmt keeps no comments, so -w leaves a file that holds one as it is:
+// it exits 2 naming the comment's line, while the stdout mode formats the
+// file and prints the same message as a warning.
+func TestEsfmtWriteKeepsCommentedFile(t *testing.T) {
+	bin := buildEsfmt(t)
+	src, err := os.ReadFile(filepath.Join(mustGetwd(), "lib", "trace.es"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trace.es")
+	if err := os.WriteFile(path, src, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	cmd := exec.Command(bin, "-w", path)
+	cmd.Stderr = &stderr
+	err = cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Fatalf("esfmt -w on a file with comments: %v (stderr %q), want exit status 2", err, stderr.String())
+	}
+	note := path + ":1: a comment, which esfmt does not keep"
+	if !strings.Contains(stderr.String(), note) {
+		t.Errorf("stderr %q does not name the comment's line (%q)", stderr.String(), note)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, src) {
+		t.Errorf("esfmt -w changed a file with comments (%v):\n%s", err, got)
+	}
+
+	stderr.Reset()
+	cmd = exec.Command(bin, path)
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil || !strings.HasPrefix(string(out), "fn trace functions {") {
+		t.Errorf("esfmt %s: %v, output %q", path, err, out)
+	}
+	if !strings.Contains(stderr.String(), "warning: "+note) {
+		t.Errorf("stderr %q lacks the warning %q", stderr.String(), note)
+	}
+}
+
+// A file without comments is still rewritten in place, '#' in a quoted
+// word, a count or a heredoc body notwithstanding.
+func TestEsfmtWriteRewritesFile(t *testing.T) {
+	bin := buildEsfmt(t)
+	path := filepath.Join(t.TempDir(), "f.es")
+	src := "fn f {a; b}\necho '#' $#x\ncat << EOF\n# body\nEOF\n"
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := exec.Command(bin, "-w", path).CombinedOutput(); err != nil || len(out) > 0 {
+		t.Fatalf("esfmt -w: %v, output %q", err, out)
+	}
+	want := "fn f {\n\ta\n\tb\n}\necho '#' $#x\ncat <<< '# body\n'\n"
+	if got, err := os.ReadFile(path); err != nil || string(got) != want {
+		t.Errorf("esfmt -w wrote %q (%v), want %q", got, err, want)
+	}
+}
+
 func TestEsfmtRejectsBadInput(t *testing.T) {
 	bin := buildEsfmt(t)
 	cmd := exec.Command(bin)

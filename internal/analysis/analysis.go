@@ -232,7 +232,10 @@ func (c *checker) fact(n any) bool {
 		if name, ok := n.Name.LitText(); ok {
 			c.globals[name] = true
 		}
-	case *syntax.Local:
+	case *syntax.Bind:
+		if n.Kind != syntax.BindLocal {
+			break
+		}
 		for _, b := range n.Bindings {
 			if name, ok := b.Name.LitText(); ok {
 				c.dynNames[name] = true
@@ -293,14 +296,8 @@ func (c *checker) check(n any, sc *scope) bool {
 		}
 	case *syntax.Assign:
 		c.checkAssign(n)
-	case *syntax.Let:
-		c.walkBindingForm(n.Pos, "let", n.Bindings, n.Body, sc)
-		return false
-	case *syntax.Local:
-		c.walkBindingForm(n.Pos, "local", n.Bindings, n.Body, sc)
-		return false
-	case *syntax.For:
-		c.walkBindingForm(n.Pos, "for", n.Bindings, n.Body, sc)
+	case *syntax.Bind:
+		c.walkBindingForm(n, sc)
 		return false
 	case *syntax.Var:
 		c.checkVar(n, sc)
@@ -403,17 +400,23 @@ func (c *checker) checkAssign(n *syntax.Assign) {
 }
 
 // walkBindingForm checks a let, local or for, whose body runs in a scope
-// of its own.  Names evaluate in the outer scope.  The values of a let or
-// local binding see the bindings before it, as the evaluator binds them
-// one by one; for evaluates all its values before it binds any.
-func (c *checker) walkBindingForm(pos syntax.Pos, kind string, bs []syntax.Binding, body syntax.Cmd, sc *scope) {
+// of its own.  The evaluator binds a let's or local's bindings one by
+// one: the values of each see the bindings before it, and so do a local's
+// names, since it sets each variable before it evaluates the next name.
+// A let's names evaluate in the outer scope, and for evaluates every name
+// and value before it binds any.
+func (c *checker) walkBindingForm(n *syntax.Bind, sc *scope) {
 	inner := newScope(sc)
-	values := inner
-	if kind == "for" {
+	names, values := sc, inner
+	switch n.Kind {
+	case syntax.BindLocal:
+		names = inner
+	case syntax.BindFor:
 		values = sc
 	}
-	for _, b := range bs {
-		c.walk(b.Name, sc)
+	let := n.Kind == syntax.BindLet
+	for _, b := range n.Bindings {
+		c.walk(b.Name, names)
 		for _, w := range b.Values {
 			c.walk(w, values)
 		}
@@ -423,20 +426,17 @@ func (c *checker) walkBindingForm(pos syntax.Pos, kind string, bs []syntax.Bindi
 		}
 		if name != "*" && name != "0" && sc != nil {
 			if outer := sc.lookup(name); outer != nil {
-				c.report(bestPos(b.Name.Pos, pos), CodeShadow, SevWarning,
-					"%s binding of %s shadows an enclosing binding at %s", kind, name, outer.pos)
+				c.report(bestPos(b.Name.Pos, n.Pos), CodeShadow, SevWarning,
+					"%s binding of %s shadows an enclosing binding at %s", n.Kind, name, outer.pos)
 			}
 		}
-		inner.names[name] = &binder{
-			pos:        bestPos(b.Name.Pos, pos),
-			warnUnused: kind == "let",
-		}
+		inner.names[name] = &binder{pos: bestPos(b.Name.Pos, n.Pos), warnUnused: let}
 	}
-	if emptyBody(body) {
-		c.report(pos, CodeEmptyBody, SevWarning, "%s with an empty body", kind)
+	if emptyBody(n.Body) {
+		c.report(n.Pos, CodeEmptyBody, SevWarning, "%s with an empty body", n.Kind)
 	}
-	c.walk(body, inner)
-	if kind == "let" && !subtreeDynamic(body) {
+	c.walk(n.Body, inner)
+	if let && !subtreeDynamic(n.Body) {
 		for name, b := range inner.names {
 			if !b.used && b.warnUnused {
 				c.report(b.pos, CodeUnusedLet, SevWarning,

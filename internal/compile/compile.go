@@ -560,16 +560,10 @@ func (c *compiler) cmd(cmd syntax.Cmd) Instr {
 	case *syntax.Assign:
 		name := c.word(cmd.Name)
 		return Instr{Op: OpAssign, Word: name, Words: c.wordRun(cmd.Values)}
-	case *syntax.Let:
-		return c.binder(OpLet, cmd.Bindings, cmd.Body)
-	case *syntax.Local:
-		return c.binder(OpLocal, cmd.Bindings, cmd.Body)
-	case *syntax.For:
-		return c.binder(OpFor, cmd.Bindings, cmd.Body)
+	case *syntax.Bind:
+		return c.binder(cmd)
 	case *syntax.Match:
-		return c.match(OpMatch, cmd.Subject, cmd.Pats)
-	case *syntax.MatchExtract:
-		return c.match(OpMatchExtract, cmd.Subject, cmd.Pats)
+		return c.match(cmd)
 	case *syntax.Not:
 		in := Instr{Op: OpNot}
 		in.Body, in.IsBlock = c.body(cmd.Body)
@@ -581,15 +575,18 @@ func (c *compiler) cmd(cmd syntax.Cmd) Instr {
 	}
 }
 
+// bindOps is the opcode of each kind of binding form.
+var bindOps = [...]Op{syntax.BindLet: OpLet, syntax.BindLocal: OpLocal, syntax.BindFor: OpFor}
+
 // binder lowers let, local and for: a binding header around a body.
-func (c *compiler) binder(op Op, bs []syntax.Binding, body syntax.Cmd) Instr {
-	in := Instr{Op: op, Bindings: reserve(&c.bindings, len(bs))}
-	for k, b := range bs {
-		name := c.word(b.Name)
-		values := c.wordRun(b.Values)
+func (c *compiler) binder(b *syntax.Bind) Instr {
+	in := Instr{Op: bindOps[b.Kind], Bindings: reserve(&c.bindings, len(b.Bindings))}
+	for k, bind := range b.Bindings {
+		name := c.word(bind.Name)
+		values := c.wordRun(bind.Values)
 		c.bindings[in.Bindings.Off+int32(k)] = Binding{Name: name, Values: values}
 	}
-	in.Body, in.IsBlock = c.body(body)
+	in.Body, in.IsBlock = c.body(b.Body)
 	return in
 }
 
@@ -622,15 +619,18 @@ func (c *compiler) simple(s *syntax.Simple) Instr {
 // pieces when every pattern word is static, else as words.  A primitive
 // is laid out as its quoted $&name text, so that matching it builds no
 // pattern.
-func (c *compiler) match(op Op, subject *syntax.Word, pats []*syntax.Word) Instr {
-	in := Instr{Op: op, Word: c.word(subject), Pats: none}
+func (c *compiler) match(m *syntax.Match) Instr {
+	in := Instr{Op: OpMatch, Word: c.word(m.Subject), Pats: none}
+	if m.Extract {
+		in.Op = OpMatchExtract
+	}
 	start, texts := len(c.pieces), len(c.texts)
-	for _, w := range pats {
+	for _, w := range m.Pats {
 		vs, ok := c.static(w)
 		if !ok {
 			// Drop the pieces laid out so far, and their bytes.
 			c.pieces, c.texts = c.pieces[:start], c.texts[:texts]
-			in.Words = c.wordRun(pats)
+			in.Words = c.wordRun(m.Pats)
 			return in
 		}
 		for _, v := range vs {

@@ -284,7 +284,7 @@ func mustCompileSrc(t *testing.T, src string) *Unit {
 func TestLoweredProgramKeepsNoTree(t *testing.T) {
 	src := "let (mk = @ p {result @ x {result $p^$x}}) {result <={$mk a} `{echo b}}"
 	tree := parseRewrite(t, src)
-	lam := tree.Cmds[0].(*syntax.Let).Bindings[0].Values[0].Parts[0].(*syntax.LambdaPart).Lambda
+	lam := tree.Cmds[0].(*syntax.Bind).Bindings[0].Values[0].Parts[0].(*syntax.LambdaPart).Lambda
 	want := []string{
 		syntax.UnparseBody(tree),
 		"result $p$x",

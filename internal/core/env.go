@@ -136,27 +136,6 @@ func paramSet(c *Closure) map[string]bool {
 func freeVars(n any, bound, free map[string]bool) bool {
 	all := false
 	scan := func(n any, bound map[string]bool) { all = all || freeVars(n, bound, free) }
-	bindingForm := func(bs []syntax.Binding, body syntax.Cmd, lexical, sequential bool) {
-		inner := bound
-		if lexical {
-			inner = maps.Clone(bound)
-		}
-		for _, b := range bs {
-			values := bound
-			if sequential {
-				values = inner
-			}
-			for _, w := range b.Values {
-				scan(w, values)
-			}
-			if name, ok := b.Name.LitText(); !ok {
-				all = true
-			} else if lexical {
-				inner[name] = true
-			}
-		}
-		scan(body, inner)
-	}
 	syntax.Inspect(n, func(n any) bool {
 		if all {
 			return false
@@ -175,14 +154,27 @@ func freeVars(n any, bound, free map[string]bool) bool {
 			} else if !bound[name] {
 				free[name] = true
 			}
-		case *syntax.Let:
-			bindingForm(n.Bindings, n.Body, true, true)
-			return false
-		case *syntax.Local:
-			bindingForm(n.Bindings, n.Body, false, true)
-			return false
-		case *syntax.For:
-			bindingForm(n.Bindings, n.Body, true, false)
+		case *syntax.Bind:
+			lexical := n.Kind != syntax.BindLocal
+			inner := bound
+			if lexical {
+				inner = maps.Clone(bound)
+			}
+			values := inner
+			if n.Kind == syntax.BindFor {
+				values = bound
+			}
+			for _, b := range n.Bindings {
+				for _, w := range b.Values {
+					scan(w, values)
+				}
+				if name, ok := b.Name.LitText(); !ok {
+					all = true
+				} else if lexical {
+					inner[name] = true
+				}
+			}
+			scan(n.Body, inner)
 			return false
 		case *syntax.LambdaPart:
 			inner := maps.Clone(bound)

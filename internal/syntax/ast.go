@@ -9,7 +9,9 @@ import "strconv"
 // analyzer) takes core trees only.
 //
 // Nodes shared by both layers: Word and its Parts, Block, Simple, Assign,
-// Let, Local, For, Match, MatchExtract, Not, Lambda.
+// Bind (let, local and for, by its Kind), Match (~, and ~~ when it
+// extracts), Not, Lambda.  Each core form is one node type, so a reader
+// of a tree has one case per form.
 // Surface-only nodes eliminated by Rewrite: Pipe, AndOr, Bg, RedirCmd, Fn.
 
 // Pos is a source position: 1-based line and column.  The zero Pos means
@@ -41,15 +43,9 @@ func CmdPos(c Cmd) Pos {
 		return c.Pos
 	case *Assign:
 		return c.Pos
-	case *Let:
-		return c.Pos
-	case *Local:
-		return c.Pos
-	case *For:
+	case *Bind:
 		return c.Pos
 	case *Match:
-		return c.Pos
-	case *MatchExtract:
 		return c.Pos
 	case *Not:
 		return c.Pos
@@ -171,39 +167,34 @@ type Binding struct {
 	Values []*Word
 }
 
-// Let lexically binds names around Body.
-type Let struct {
+// BindKind names a binding form; it prints as the form's keyword.
+type BindKind uint8
+
+const (
+	BindLet   BindKind = iota // lexically binds names around the body
+	BindLocal                 // dynamically binds them, old values restored after
+	BindFor                   // iterates the bindings in parallel over their values
+)
+
+var bindKeywords = [...]string{BindLet: "let", BindLocal: "local", BindFor: "for"}
+
+func (k BindKind) String() string { return bindKeywords[k] }
+
+// Bind is a binding form, let, local or for: Bindings around Body.
+type Bind struct {
+	Kind     BindKind
 	Bindings []Binding
 	Body     Cmd
 	Pos      Pos
 }
 
-// Local dynamically binds names around Body (old values restored after).
-type Local struct {
-	Bindings []Binding
-	Body     Cmd
-	Pos      Pos
-}
-
-// For iterates bindings in parallel over their value lists.
-type For struct {
-	Bindings []Binding
-	Body     Cmd
-	Pos      Pos
-}
-
-// Match is ~ subject patterns...
+// Match is ~ subject patterns..., true when a pattern matches a subject.
+// With Extract it is ~~, whose result is instead the text matched by each
+// wildcard of the first pattern that matches.
 type Match struct {
 	Subject *Word
 	Pats    []*Word
-	Pos     Pos
-}
-
-// MatchExtract is ~~ subject patterns...: like Match, but the result is
-// the text matched by each wildcard of the first pattern that matches.
-type MatchExtract struct {
-	Subject *Word
-	Pats    []*Word
+	Extract bool
 	Pos     Pos
 }
 
@@ -261,20 +252,17 @@ func (*RetSub) part()     {}
 func (*LambdaPart) part() {}
 func (*ListPart) part()   {}
 
-func (*Block) cmd()        {}
-func (*Simple) cmd()       {}
-func (*Assign) cmd()       {}
-func (*Let) cmd()          {}
-func (*Local) cmd()        {}
-func (*For) cmd()          {}
-func (*Match) cmd()        {}
-func (*MatchExtract) cmd() {}
-func (*Not) cmd()          {}
-func (*Pipe) cmd()         {}
-func (*AndOr) cmd()        {}
-func (*Bg) cmd()           {}
-func (*RedirCmd) cmd()     {}
-func (*Fn) cmd()           {}
+func (*Block) cmd()    {}
+func (*Simple) cmd()   {}
+func (*Assign) cmd()   {}
+func (*Bind) cmd()     {}
+func (*Match) cmd()    {}
+func (*Not) cmd()      {}
+func (*Pipe) cmd()     {}
+func (*AndOr) cmd()    {}
+func (*Bg) cmd()       {}
+func (*RedirCmd) cmd() {}
+func (*Fn) cmd()       {}
 
 // LitWord constructs a Word holding unquoted literal text.
 func LitWord(text string) *Word {

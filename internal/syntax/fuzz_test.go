@@ -29,6 +29,7 @@ func FuzzParse(f *testing.F) {
 		"local (a = x; $a = 1) echo $x",
 		"~~ $x *.[ch] ?",
 		"for (i = 1 2) let (j = $i) fn f {a; b}",
+		"fn f {echo \\; b}",
 	}
 	for _, s := range seeds {
 		f.Add(s)

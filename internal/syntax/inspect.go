@@ -7,7 +7,7 @@ package syntax
 //
 //   - a block's commands;
 //   - a command's words and bodies;
-//   - a binding form's names, values and body, binding by binding;
+//   - a Bind's names and values, binding by binding, then its body;
 //   - a word's parts;
 //   - a variable's name and subscripts;
 //   - a substitution's or a lambda's body;
@@ -15,8 +15,8 @@ package syntax
 //
 // A surface node (Pipe, AndOr, Bg, RedirCmd, Fn) is passed to f but not
 // descended: the readers of a tree see only rewritten ones.  Inspect
-// skips nil nodes.  Binding forms and lambdas are where a reader that
-// tracks scope returns false and walks the children itself.
+// skips nil nodes.  A Bind and a lambda are where a reader that tracks
+// scope returns false and walks the children itself.
 func Inspect(n any, f func(any) bool) {
 	if n == nil || n == (*Block)(nil) || n == (*Word)(nil) || !f(n) {
 		return
@@ -31,16 +31,13 @@ func Inspect(n any, f func(any) bool) {
 	case *Assign:
 		Inspect(n.Name, f)
 		inspectWords(n.Values, f)
-	case *Let:
-		inspectBindings(n.Bindings, n.Body, f)
-	case *Local:
-		inspectBindings(n.Bindings, n.Body, f)
-	case *For:
-		inspectBindings(n.Bindings, n.Body, f)
+	case *Bind:
+		for _, b := range n.Bindings {
+			Inspect(b.Name, f)
+			inspectWords(b.Values, f)
+		}
+		Inspect(n.Body, f)
 	case *Match:
-		Inspect(n.Subject, f)
-		inspectWords(n.Pats, f)
-	case *MatchExtract:
 		Inspect(n.Subject, f)
 		inspectWords(n.Pats, f)
 	case *Not:
@@ -69,12 +66,4 @@ func inspectWords(ws []*Word, f func(any) bool) {
 	for _, w := range ws {
 		Inspect(w, f)
 	}
-}
-
-func inspectBindings(bs []Binding, body Cmd, f func(any) bool) {
-	for _, b := range bs {
-		Inspect(b.Name, f)
-		inspectWords(b.Values, f)
-	}
-	Inspect(body, f)
 }

@@ -86,12 +86,12 @@ func TestInspect(t *testing.T) {
 	all := inspected(root, nil)
 	want := "Block " +
 		"Assign Word x Word ListPart Word a Word Var Word y Word 1 " +
-		"Let Word p Word CmdSub Block Simple Word q " +
-		"Local Word r Word $&s " +
-		"For Word t Word RetSub Block Simple Word u " +
+		"Bind Word p Word CmdSub Block Simple Word q " +
+		"Bind Word r Word $&s " +
+		"Bind Word t Word RetSub Block Simple Word u " +
 		"Not Simple Word LambdaPart Block Simple Word w Word Var Word v " +
 		"Match Word Var Word x Word a " +
-		"MatchExtract Word Var Word x Word *"
+		"Match Word Var Word x Word *"
 	if got := describe(all); got != want {
 		t.Fatalf("Inspect visits\n%s\nwant\n%s", got, want)
 	}

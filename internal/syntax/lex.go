@@ -35,6 +35,7 @@ type lexer struct {
 	space      bool // whitespace seen since last token
 	prevDollar bool // previous token was $, $#, $$ or $&
 	err        *ParseError
+	comment    int // the line of the first comment skipped; 0 if none
 
 	// skips are [start,end) source regions consumed out of band —
 	// heredoc bodies, which belong to an earlier << token rather than
@@ -366,6 +367,9 @@ func (l *lexer) skipSpace() {
 			l.advance()
 			l.space = true
 		case c == '#':
+			if l.comment == 0 {
+				l.comment = l.line
+			}
 			for l.pos < len(l.src) && l.peek() != '\n' {
 				l.advance()
 			}
@@ -459,6 +463,16 @@ func (l *lexer) lexNumber() (int, bool) {
 // maxFd bounds descriptor annotations; anything larger is a typo, not a
 // file descriptor.
 const maxFd = 1 << 20
+
+// CommentLine returns the line of the first comment in src, or 0 when
+// src holds none before its end or its first lexical error.  A '#' in a
+// quoted word, in a heredoc body or after '$' starts no comment.
+func CommentLine(src string) int {
+	l := newLexer(src)
+	for l.comment == 0 && l.err == nil && l.next().Kind != EOF {
+	}
+	return l.comment
+}
 
 // Lex tokenizes src completely; used by esdump and tests.
 func Lex(src string) ([]Token, error) {

@@ -244,3 +244,29 @@ func TestLexTwoHeredocsSequential(t *testing.T) {
 		t.Fatalf("got %d cmds", len(b.Cmds))
 	}
 }
+
+// CommentLine finds the first comment the lexer skips, and no '#' that
+// belongs to a word, a count or a heredoc body.
+func TestCommentLine(t *testing.T) {
+	tests := []struct {
+		src  string
+		want int
+	}{
+		{"", 0},
+		{"echo hi", 0},
+		{"# head\necho hi", 1},
+		{"echo hi # tail", 1},
+		{"echo hi\n\n\t# third\n# fourth", 3},
+		{"echo '#' $#x '# not' ''''#", 1},
+		{"echo '#' $#x '# not' ''''", 0},
+		{"echo a#b", 1},
+		{"cat << EOF\n# body\nEOF\n", 0},
+		{"x = 1 \\\n# next", 2},
+		{"echo 'open # quote", 0},
+	}
+	for _, tt := range tests {
+		if got := CommentLine(tt.src); got != tt.want {
+			t.Errorf("CommentLine(%q) = %d, want %d", tt.src, got, tt.want)
+		}
+	}
+}

@@ -178,10 +178,7 @@ func (p *parser) parseCommand() Cmd {
 			}
 			pats = append(pats, w)
 		}
-		if extract {
-			return &MatchExtract{Subject: subj, Pats: pats, Pos: matchPos}
-		}
-		return &Match{Subject: subj, Pats: pats, Pos: matchPos}
+		return &Match{Subject: subj, Pats: pats, Extract: extract, Pos: matchPos}
 	case WORD:
 		// Keywords only when the token is a complete word: let$x or
 		// fn^y are ordinary commands, not binding forms.
@@ -190,11 +187,11 @@ func (p *parser) parseCommand() Cmd {
 			case "fn":
 				return p.parseFn()
 			case "let":
-				return p.parseBindingForm("let")
+				return p.parseBindingForm(BindLet)
 			case "local":
-				return p.parseBindingForm("local")
+				return p.parseBindingForm(BindLocal)
 			case "for":
-				return p.parseBindingForm("for")
+				return p.parseBindingForm(BindFor)
 			}
 		}
 	}
@@ -211,7 +208,7 @@ func (p *parser) parseFn() Cmd {
 	}
 	var params []string
 	for p.tok.Kind == WORD || p.tok.Kind == QWORD {
-		if !plainNameText(p.tok.Text) {
+		if !isPlainName(p.tok.Text) {
 			p.errorf(false, "bad parameter name %q", p.tok.Text)
 			return nil
 		}
@@ -231,7 +228,7 @@ func (p *parser) parseFn() Cmd {
 }
 
 // parseBindingForm parses let/local/for (bindings) command.
-func (p *parser) parseBindingForm(kw string) Cmd {
+func (p *parser) parseBindingForm(kind BindKind) Cmd {
 	kwPos := p.pos()
 	p.advance() // keyword
 	p.expect(LPAREN)
@@ -243,7 +240,7 @@ func (p *parser) parseBindingForm(kw string) Cmd {
 		}
 		name := p.parseWord()
 		if name == nil {
-			p.errorf(p.tok.Kind == EOF, "expected binding name in %s", kw)
+			p.errorf(p.tok.Kind == EOF, "expected binding name in %s", kind)
 			return nil
 		}
 		b := Binding{Name: name}
@@ -274,17 +271,10 @@ func (p *parser) parseBindingForm(kw string) Cmd {
 	// "for (i = $x) a | b" pipes inside the loop body.
 	body := p.parseAndOr()
 	if body == nil && p.err == nil {
-		p.errorf(p.tok.Kind == EOF, "expected command after %s (...)", kw)
+		p.errorf(p.tok.Kind == EOF, "expected command after %s (...)", kind)
 		return nil
 	}
-	switch kw {
-	case "let":
-		return &Let{Bindings: bindings, Body: body, Pos: kwPos}
-	case "local":
-		return &Local{Bindings: bindings, Body: body, Pos: kwPos}
-	default:
-		return &For{Bindings: bindings, Body: body, Pos: kwPos}
-	}
+	return &Bind{Kind: kind, Bindings: bindings, Body: body, Pos: kwPos}
 }
 
 // parseSimple parses words and redirections; detects assignment when the
@@ -362,19 +352,6 @@ func isWordStartKind(k Kind) bool {
 	return false
 }
 
-// plainNameText reports whether text consists solely of name characters.
-func plainNameText(text string) bool {
-	if text == "" {
-		return false
-	}
-	for k := 0; k < len(text); k++ {
-		if !isNameChar(text[k]) {
-			return false
-		}
-	}
-	return true
-}
-
 // keywordIsolated reports whether the current WORD token stands alone (no
 // adjacent continuation or caret), so it may act as a keyword.
 func (p *parser) keywordIsolated() bool {
@@ -433,7 +410,7 @@ func (p *parser) parsePart() Part {
 	case PRIM:
 		primPos := p.pos()
 		p.advance()
-		if p.tok.Kind != WORD || p.tok.SpaceBefore || !plainNameText(p.tok.Text) {
+		if p.tok.Kind != WORD || p.tok.SpaceBefore || !isPlainName(p.tok.Text) {
 			p.errorf(p.tok.Kind == EOF, "expected primitive name after $&")
 			return nil
 		}
@@ -469,7 +446,7 @@ func (p *parser) parsePart() Part {
 		p.advance()
 		var params []string
 		for p.tok.Kind == WORD || p.tok.Kind == QWORD {
-			if !plainNameText(p.tok.Text) {
+			if !isPlainName(p.tok.Text) {
 				p.errorf(false, "bad parameter name %q", p.tok.Text)
 				return nil
 			}

@@ -5,7 +5,9 @@ import "strings"
 // Pretty renders a program in canonical multi-line form: one command per
 // line, brace bodies indented with tabs, binding forms split when their
 // bodies are blocks.  The output parses back to the same tree (the same
-// guarantee Unparse gives), so esfmt can rewrite scripts safely.
+// guarantee Unparse gives), so esfmt can rewrite scripts safely.  Every
+// line is Unparse text: a split body's opening line is its command's
+// unparse up to the body's '{', so no head is spelled twice.
 func Pretty(blk *Block) string {
 	var p prettyPrinter
 	p.seqLines(blk, 0)
@@ -54,11 +56,7 @@ func bodyIsMultiline(c Cmd) bool {
 				return true
 			}
 		}
-	case *Let:
-		return bodyIsMultiline(c.Body)
-	case *Local:
-		return bodyIsMultiline(c.Body)
-	case *For:
+	case *Bind:
 		return bodyIsMultiline(c.Body)
 	case *Fn:
 		return c.Lambda != nil && blockNeedsSplit(c.Lambda.Body)
@@ -86,87 +84,62 @@ func singleLambda(w *Word) (*Lambda, bool) {
 // cmdLines prints one command, splitting brace bodies across lines when
 // they hold more than one command.
 func (p *prettyPrinter) cmdLines(c Cmd, depth int) {
-	switch c := c.(type) {
-	case nil:
+	if c == nil {
 		return
-	case *Block:
-		if !bodyIsMultiline(c) {
-			p.emit(depth, Unparse(c))
-			return
-		}
-		p.emit(depth, "{")
-		p.seqLines(c, depth+1)
-		p.emit(depth, "}")
-	case *Fn:
-		if c.Lambda == nil || !blockNeedsSplit(c.Lambda.Body) {
-			p.emit(depth, Unparse(c))
-			return
-		}
-		var head strings.Builder
-		head.WriteString("fn ")
-		printWord(&head, c.Name)
-		for _, param := range c.Lambda.Params {
-			head.WriteByte(' ')
-			head.WriteString(param)
-		}
-		head.WriteString(" {")
-		p.emit(depth, head.String())
-		p.seqLines(c.Lambda.Body, depth+1)
-		p.emit(depth, "}")
-	case *Let, *Local, *For:
-		p.bindingLines(c, depth)
-	case *Simple:
-		p.simpleLines(c, depth)
-	case *Assign:
-		p.assignLines(c, depth)
-	default:
-		p.emit(depth, Unparse(c))
 	}
+	text := Unparse(c)
+	blk := splitBody(c)
+	if b, ok := c.(*Bind); ok && blk == nil && bodyIsMultiline(b.Body) {
+		// A non-block body (a chained let/for/fn) continues on the next
+		// line, indented — the grammar allows a newline after the binding
+		// list, so no grouping braces are added.
+		p.emit(depth, strings.TrimSuffix(text, " "+Unparse(b.Body)))
+		p.cmdLines(b.Body, depth+1)
+		return
+	}
+	if blk == nil {
+		p.emit(depth, text)
+		return
+	}
+	// c prints blk last, as '{', its commands and '}'.
+	p.emit(depth, strings.TrimSuffix(text, UnparseBody(blk)+"}"))
+	p.seqLines(blk, depth+1)
+	p.emit(depth, "}")
 }
 
-func (p *prettyPrinter) bindingLines(c Cmd, depth int) {
-	var kw string
-	var bindings []Binding
-	var body Cmd
+// splitBody returns the brace body that c prints last, when it goes on
+// lines of its own: a block's own commands, a binding form's body that is
+// a brace group, a fn's body, and the trailing brace argument of a simple
+// command (`if {cond} {a; b; c}`, but not one with a parameter list) or
+// of an assignment.
+func splitBody(c Cmd) *Block {
+	var l *Lambda
 	switch c := c.(type) {
-	case *Let:
-		kw, bindings, body = "let", c.Bindings, c.Body
-	case *Local:
-		kw, bindings, body = "local", c.Bindings, c.Body
-	case *For:
-		kw, bindings, body = "for", c.Bindings, c.Body
-	}
-	if !bodyIsMultiline(body) {
-		p.emit(depth, Unparse(c))
-		return
-	}
-	var head strings.Builder
-	head.WriteString(kw)
-	head.WriteString(" (")
-	for k, b := range bindings {
-		if k > 0 {
-			head.WriteString("; ")
+	case *Block:
+		if blockNeedsSplit(c) {
+			return c
 		}
-		printWord(&head, b.Name)
-		head.WriteString(" =")
-		for _, v := range b.Values {
-			head.WriteByte(' ')
-			printWord(&head, v)
+	case *Bind:
+		if bodyIsMultiline(c.Body) {
+			return groupBody(c.Body)
+		}
+	case *Fn:
+		l = c.Lambda
+	case *Simple:
+		if n := len(c.Words); n > 0 {
+			if l, _ = singleLambda(c.Words[n-1]); l != nil && l.HasParams {
+				l = nil
+			}
+		}
+	case *Assign:
+		if n := len(c.Values); n > 0 {
+			l, _ = singleLambda(c.Values[n-1])
 		}
 	}
-	head.WriteString(")")
-	if blk := groupBody(body); blk != nil {
-		head.WriteString(" {")
-		p.emit(depth, head.String())
-		p.seqLines(blk, depth+1)
-		p.emit(depth, "}")
-		return
+	if l == nil || !blockNeedsSplit(l.Body) {
+		return nil
 	}
-	// A non-block body (a chained let/for/fn) continues on the next
-	// line, indented — the grammar allows a newline after the binding
-	// list, so no grouping braces are added.
-	p.emit(depth, head.String())
-	p.cmdLines(body, depth+1)
+	return l.Body
 }
 
 // groupBody unwraps a command that is just a brace group (directly, or as
@@ -183,69 +156,4 @@ func groupBody(c Cmd) *Block {
 		}
 	}
 	return nil
-}
-
-// simpleLines splits a trailing multi-command brace argument across
-// lines: `if {cond} {a; b; c}` becomes an indented body.
-func (p *prettyPrinter) simpleLines(c *Simple, depth int) {
-	n := len(c.Words)
-	if n == 0 {
-		p.emit(depth, Unparse(c))
-		return
-	}
-	last, ok := singleLambda(c.Words[n-1])
-	if !ok || !blockNeedsSplit(last.Body) || last.HasParams {
-		p.emit(depth, Unparse(c))
-		return
-	}
-	var head strings.Builder
-	for k := 0; k < n-1; k++ {
-		if k > 0 {
-			head.WriteByte(' ')
-		}
-		if k == 0 {
-			printCmdWord(&head, c.Words[k])
-		} else {
-			printWord(&head, c.Words[k])
-		}
-	}
-	if n > 1 {
-		head.WriteByte(' ')
-	}
-	head.WriteByte('{')
-	p.emit(depth, head.String())
-	p.seqLines(last.Body, depth+1)
-	p.emit(depth, "}")
-}
-
-func (p *prettyPrinter) assignLines(c *Assign, depth int) {
-	n := len(c.Values)
-	if n == 0 {
-		p.emit(depth, Unparse(c))
-		return
-	}
-	last, ok := singleLambda(c.Values[n-1])
-	if !ok || !blockNeedsSplit(last.Body) {
-		p.emit(depth, Unparse(c))
-		return
-	}
-	var head strings.Builder
-	printWord(&head, c.Name)
-	head.WriteString(" =")
-	for k := 0; k < n-1; k++ {
-		head.WriteByte(' ')
-		printWord(&head, c.Values[k])
-	}
-	head.WriteByte(' ')
-	if last.HasParams {
-		head.WriteString("@ ")
-		for _, param := range last.Params {
-			head.WriteString(param)
-			head.WriteByte(' ')
-		}
-	}
-	head.WriteByte('{')
-	p.emit(depth, head.String())
-	p.seqLines(last.Body, depth+1)
-	p.emit(depth, "}")
 }

@@ -29,6 +29,7 @@ func TestPrettyBasics(t *testing.T) {
 		{"for (i = 1 2) {a;b}", "for (i = 1 2) {\n\ta\n\tb\n}\n"},
 		{"x = {a;b}", "x = {\n\ta\n\tb\n}\n"},
 		{"x = @ p {a;b}", "x = @ p {\n\ta\n\tb\n}\n"},
+		{"fn f {echo \\; b}", "fn f {\n\techo '\\'\n\tb\n}\n"},
 		{"a | b > f", "%pipe isn't rewritten: surface stays"},
 		{"", ""},
 	}

@@ -65,21 +65,28 @@ func printCmd(b *strings.Builder, c Cmd) {
 			b.WriteByte(' ')
 			printWord(b, v)
 		}
-	case *Let:
-		printBindingForm(b, "let", c.Bindings, c.Body)
-	case *Local:
-		printBindingForm(b, "local", c.Bindings, c.Body)
-	case *For:
-		printBindingForm(b, "for", c.Bindings, c.Body)
-	case *Match:
-		b.WriteString("~ ")
-		printWord(b, c.Subject)
-		for _, p := range c.Pats {
-			b.WriteByte(' ')
-			printWord(b, p)
+	case *Bind:
+		b.WriteString(c.Kind.String())
+		b.WriteString(" (")
+		for i, bind := range c.Bindings {
+			if i > 0 {
+				b.WriteString("; ")
+			}
+			printWord(b, bind.Name)
+			b.WriteString(" =")
+			for _, v := range bind.Values {
+				b.WriteByte(' ')
+				printWord(b, v)
+			}
 		}
-	case *MatchExtract:
-		b.WriteString("~~ ")
+		b.WriteString(") ")
+		printCmd(b, c.Body)
+	case *Match:
+		b.WriteByte('~')
+		if c.Extract {
+			b.WriteByte('~')
+		}
+		b.WriteByte(' ')
 		printWord(b, c.Subject)
 		for _, p := range c.Pats {
 			b.WriteByte(' ')
@@ -180,24 +187,6 @@ func printRedir(b *strings.Builder, r *Redir) {
 		b.WriteByte(' ')
 		printWord(b, r.Target)
 	}
-}
-
-func printBindingForm(b *strings.Builder, kw string, bindings []Binding, body Cmd) {
-	b.WriteString(kw)
-	b.WriteString(" (")
-	for i, bind := range bindings {
-		if i > 0 {
-			b.WriteString("; ")
-		}
-		printWord(b, bind.Name)
-		b.WriteString(" =")
-		for _, v := range bind.Values {
-			b.WriteByte(' ')
-			printWord(b, v)
-		}
-	}
-	b.WriteString(") ")
-	printCmd(b, body)
 }
 
 // printCmdWord prints a word in command position, quoting a literal that
@@ -338,9 +327,10 @@ func printLambda(b *strings.Builder, l *Lambda) {
 // QuoteString renders s as a single es word, quoting when necessary.
 func QuoteString(s string) string { return quoteIfNeeded(s, false) }
 
-// isPlainName reports whether text can follow '$' directly and re-lex as a
-// complete variable name: every character must be a name character (the
-// lexer's rule); anything else needs the $(name) computed form.
+// isPlainName reports whether every character of text is a name
+// character (the lexer's rule), as in a parameter or primitive name.  A
+// variable name that is not plain needs the $(name) computed form to
+// re-lex whole after '$'.
 func isPlainName(text string) bool {
 	if text == "" {
 		return false
@@ -355,9 +345,11 @@ func isPlainName(text string) bool {
 
 // quoteIfNeeded quotes text with rc-style single quotes when it contains
 // characters that would not re-lex as a single plain word, or when the
-// original was quoted (preserving glob exemption).
+// original was quoted (preserving glob exemption).  A lone backslash is
+// quoted too: Pretty may end a line after it, and a backslash that starts
+// a token joins the next line.
 func quoteIfNeeded(text string, quoted bool) string {
-	need := quoted || text == ""
+	need := quoted || text == "" || text == `\`
 	if !need {
 		for i := 0; i < len(text); i++ {
 			c := text[i]

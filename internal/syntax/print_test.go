@@ -24,6 +24,8 @@ func TestQuoteString(t *testing.T) {
 		{"a=b", "'a=b'"},
 		{"hash#ok", "'hash#ok'"},
 		{"{brace", "'{brace'"},
+		{`\`, `'\'`},
+		{`a\`, `a\`},
 	}
 	for _, tt := range tests {
 		if got := QuoteString(tt.in); got != tt.want {
@@ -107,7 +109,7 @@ func (g *progGen) cmd() Cmd {
 	case 3:
 		return &Match{Subject: g.word(), Pats: []*Word{g.word(), g.word()}}
 	case 4:
-		return &Let{Bindings: []Binding{{Name: LitWord("lv"), Values: []*Word{g.word()}}}, Body: g.cmd()}
+		return &Bind{Kind: BindLet, Bindings: []Binding{{Name: LitWord("lv"), Values: []*Word{g.word()}}}, Body: g.cmd()}
 	case 5:
 		return &Assign{Name: LitWord("av"), Values: []*Word{g.word(), g.word()}}
 	case 6:

@@ -20,8 +20,8 @@ import "strconv"
 //	fn f p {b}     →  fn-f = @ p {b}
 //	fn f           →  fn-f =
 //
-// The rewritten tree contains only Block, Simple, Assign, Let, Local, For,
-// Match and Not command nodes.  Because the targets are ordinary hook
+// The rewritten tree contains only Block, Simple, Assign, Bind (let,
+// local and for), Match (~ and ~~) and Not command nodes.  Because the targets are ordinary hook
 // functions (fn-%pipe and friends, bound in initial.es), redefining them
 // from the shell changes the behaviour of the corresponding syntax — the
 // paper's "spoofing".
@@ -43,19 +43,13 @@ func Rewrite(c Cmd) Cmd {
 	case *Assign:
 		rewriteWord(c.Name)
 		rewriteWords(c.Values)
-	case *Let:
-		rewriteBindings(c.Bindings)
-		c.Body = Rewrite(c.Body)
-	case *Local:
-		rewriteBindings(c.Bindings)
-		c.Body = Rewrite(c.Body)
-	case *For:
-		rewriteBindings(c.Bindings)
+	case *Bind:
+		for _, b := range c.Bindings {
+			rewriteWord(b.Name)
+			rewriteWords(b.Values)
+		}
 		c.Body = Rewrite(c.Body)
 	case *Match:
-		rewriteWord(c.Subject)
-		rewriteWords(c.Pats)
-	case *MatchExtract:
 		rewriteWord(c.Subject)
 		rewriteWords(c.Pats)
 	case *Not:
@@ -179,13 +173,6 @@ func rewriteSeq(b *Block) {
 	}
 	for k, sub := range b.Cmds {
 		b.Cmds[k] = Rewrite(sub)
-	}
-}
-
-func rewriteBindings(bs []Binding) {
-	for _, b := range bs {
-		rewriteWord(b.Name)
-		rewriteWords(b.Values)
 	}
 }
 

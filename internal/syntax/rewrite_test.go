@@ -140,11 +140,7 @@ func TestRewriteEliminatesSurfaceNodes(t *testing.T) {
 			for _, w := range c.Values {
 				checkWord(w)
 			}
-		case *Let:
-			check(c.Body)
-		case *Local:
-			check(c.Body)
-		case *For:
+		case *Bind:
 			check(c.Body)
 		case *Not:
 			check(c.Body)
@@ -206,24 +202,16 @@ func (w *posWalk) cmd(c Cmd) {
 		w.at("A", c.Pos)
 		w.word(c.Name)
 		w.words(c.Values)
-	case *Let:
-		w.at("let", c.Pos)
-		w.bindings(c.Bindings)
-		w.cmd(c.Body)
-	case *Local:
-		w.at("local", c.Pos)
-		w.bindings(c.Bindings)
-		w.cmd(c.Body)
-	case *For:
-		w.at("for", c.Pos)
+	case *Bind:
+		w.at(c.Kind.String(), c.Pos)
 		w.bindings(c.Bindings)
 		w.cmd(c.Body)
 	case *Match:
-		w.at("~", c.Pos)
-		w.word(c.Subject)
-		w.words(c.Pats)
-	case *MatchExtract:
-		w.at("~~", c.Pos)
+		if c.Extract {
+			w.at("~~", c.Pos)
+		} else {
+			w.at("~", c.Pos)
+		}
 		w.word(c.Subject)
 		w.words(c.Pats)
 	case *Not:

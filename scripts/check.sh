@@ -7,7 +7,10 @@
 #                     never compiles but which imports the server, core,
 #                     compile and image APIs), esvet, escheck, and the
 #                     allocation ratchet against BENCH_allocs.json (about
-#                     30s: allocation counts do not depend on the host)
+#                     30s: allocation counts do not depend on the host);
+#                     it ends by printing the count of non-test Go lines
+#                     under cmd/ and internal/, the figure a change that
+#                     simplifies quotes (a report, not a gate)
 #   tier 2 (-race):   adds go vet, the fork, spawn, isolation, pipe,
 #                     runner, cancel, interrupt, wait, shared-program and
 #                     concurrent-snapshot tests, and the concurrent-access
@@ -37,7 +40,8 @@
 #                     (the session-image codec against the one it
 #                     replaced, kept in internal/image/reference_test.go;
 #                     minimizing bounded to 1s), 20s of FuzzParse (the
-#                     unparse round trip, and syntax.Inspect against a
+#                     unparse round trip, Pretty's layout re-parsing to
+#                     the same program, and syntax.Inspect against a
 #                     walk over the AST's fields) and 20s of FuzzAnalyze
 #                     (the analyzer survives any input), both with
 #                     minimizing bounded to 1s, a binary-level server
@@ -73,6 +77,8 @@ echo "== escheck (zero errors over lib/ and the embedded prelude)"
 go run ./cmd/escheck -prelude lib/*.es
 echo "== bench_allocs.sh -check (no allocs/op above BENCH_allocs.json)"
 sh scripts/bench_allocs.sh -check
+echo "== non-test Go lines under cmd/ and internal/ (a report, not a gate)"
+find cmd internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 if [ "${1:-}" = "-race" ]; then
 	echo "== go vet ./..."
@@ -89,7 +95,7 @@ if [ "${1:-}" = "-race" ]; then
 	go test -run '^$' -fuzz '^FuzzQuoting$' -fuzztime 20s -fuzzminimizetime 1s ./internal/glob
 	echo "== FuzzImageCodec (20s: the session-image codec against its reference)"
 	go test -run '^$' -fuzz '^FuzzImageCodec$' -fuzztime 20s -fuzzminimizetime 1s ./internal/image
-	echo "== FuzzParse (20s: the unparse round trip, and Inspect against the AST's fields)"
+	echo "== FuzzParse (20s: the unparse and Pretty round trips, and Inspect against the AST's fields)"
 	go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 20s -fuzzminimizetime 1s ./internal/syntax
 	echo "== FuzzAnalyze (20s: the analyzer survives any input)"
 	go test -run '^$' -fuzz '^FuzzAnalyze$' -fuzztime 20s -fuzzminimizetime 1s ./internal/analysis
