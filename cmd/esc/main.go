@@ -81,7 +81,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "esc:", err)
 		return 1
 	}
-	defer c.Conn.Close()
+	defer c.Close()
 
 	// roundTrip submits one frame and returns the daemon's answer.
 	id := int64(0)

@@ -188,7 +188,7 @@ func worker(cfg loadCfg) (t tally) {
 		t.errors++
 		return t
 	}
-	defer c.Conn.Close()
+	defer c.Close()
 
 	window := cfg.window
 	if window > 1 || cfg.tenant != "" {

@@ -28,7 +28,11 @@ type VarRecord struct {
 // over the base's sorted names and the overlay's: nothing is sorted but
 // the overlay.
 func (i *Interp) SnapshotVars() []VarRecord {
-	out := make([]VarRecord, 0, len(i.base.slots)+len(i.over))
+	return i.AppendSnapshotVars(make([]VarRecord, 0, len(i.base.slots)+len(i.over)))
+}
+
+// AppendSnapshotVars appends what SnapshotVars returns to out.
+func (i *Interp) AppendSnapshotVars(out []VarRecord) []VarRecord {
 	for name, slot := range i.sortedVars {
 		rec := VarRecord{Name: name, NoExport: slot.noexport}
 		switch {

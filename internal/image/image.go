@@ -46,6 +46,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"es/internal/core"
 )
@@ -89,6 +90,40 @@ func Capture(i *core.Interp, meta map[string]string) *Image {
 	return img
 }
 
+// records holds the record slices AppendCapture and RestoreString work
+// in, cleared before they go back so the pool pins no state.
+var records = sync.Pool{New: func() any { return new([]core.VarRecord) }}
+
+// AppendCapture appends the encoding of i's definable state to b, the
+// bytes Capture(i, nil).Encode() returns, with its records in pooled
+// scratch.
+func AppendCapture(b []byte, i *core.Interp) []byte {
+	recs := records.Get().(*[]core.VarRecord)
+	img := Image{Format: FormatVersion, Es: EsVersion, Vars: i.AppendSnapshotVars((*recs)[:0]), Dir: i.Dir()}
+	b = img.AppendEncode(b)
+	clear(img.Vars)
+	*recs = img.Vars[:0]
+	records.Put(recs)
+	return b
+}
+
+// RestoreString decodes the image held in data and restores it onto i,
+// as Decode and Restore do, with its records in pooled scratch: i keeps
+// data, which it does not copy, and the rest is garbage.  An image that
+// does not decode leaves i as it was.
+func RestoreString(i *core.Interp, data string) error {
+	recs := records.Get().(*[]core.VarRecord)
+	img := Image{Vars: (*recs)[:0]}
+	err := img.decode(data, nil)
+	if err == nil {
+		img.Restore(i)
+	}
+	clear(img.Vars)
+	*recs = img.Vars[:0]
+	records.Put(recs)
+	return err
+}
+
 // Restore installs the image's state onto an interpreter, replacing its
 // entire definable state (the interpreter's registered primitives and
 // builtins are code, not state, and are untouched).  Values install
@@ -114,7 +149,11 @@ func (img *Image) Restore(i *core.Interp) {
 // Encode renders the image in the wire format.  Output is deterministic:
 // vars arrive sorted from SnapshotVars and meta keys are sorted here.
 // It appends every line into one buffer, sized from the records first.
-func (img *Image) Encode() []byte {
+func (img *Image) Encode() []byte { return img.AppendEncode(nil) }
+
+// AppendEncode appends the image's encoding to b, growing b at most once,
+// to the size the records need, and returns the extended buffer.
+func (img *Image) AppendEncode(b []byte) []byte {
 	keys := make([]string, 0, len(img.Meta))
 	for k := range img.Meta {
 		keys = append(keys, k)
@@ -135,7 +174,10 @@ func (img *Image) Encode() []byte {
 		n += len("s cwd 1\n") + recordLen(len(img.Dir))
 	}
 
-	b := make([]byte, 0, n)
+	if cap(b)-len(b) < n {
+		b = append(make([]byte, 0, len(b)+n), b...)
+	}
+	start := len(b)
 	b = append(append(b, magic...), ' ')
 	b = append(strconv.AppendInt(b, FormatVersion, 10), '\n')
 	if img.Es != "" {
@@ -156,7 +198,7 @@ func (img *Image) Encode() []byte {
 		b = appendRecordHead(append(b, "s cwd 1\n"...), len(img.Dir))
 		b = append(append(b, img.Dir...), '\n')
 	}
-	sum := crc32.ChecksumIEEE(b)
+	sum := crc32.ChecksumIEEE(b[start:])
 	b = append(b, "t crc32 "...)
 	for shift := 28; shift >= 0; shift -= 4 {
 		b = append(b, "0123456789abcdef"[sum>>shift&0xf])
@@ -298,41 +340,52 @@ const minRecord = len("r 0\n\n")
 // of the image are substrings of it: the string lives as long as any of
 // them, a restored slot included.
 func Decode(data []byte) (*Image, error) {
-	d := &decoder{data: string(data)}
-	first, err := d.line()
-	if err != nil {
+	img := new(Image)
+	if err := img.decode(string(data), data); err != nil {
 		return nil, err
 	}
+	return img, nil
+}
+
+// decode fills img, whose Vars may hold a slice to append the records
+// to, from the image in data, which it does not copy; raw is data as
+// bytes, or nil.
+func (img *Image) decode(data string, raw []byte) error {
+	d := &decoder{data: data}
+	first, err := d.line()
+	if err != nil {
+		return err
+	}
 	if !strings.HasPrefix(first, magic+" ") {
-		return nil, fmt.Errorf("image: not an es session image (no %s magic)", magic)
+		return fmt.Errorf("image: not an es session image (no %s magic)", magic)
 	}
 	version, err := strconv.Atoi(first[len(magic)+1:])
 	if err != nil || version < 1 {
-		return nil, fmt.Errorf("image: bad format version %q", first[len(magic)+1:])
+		return fmt.Errorf("image: bad format version %q", first[len(magic)+1:])
 	}
 	if version > FormatVersion {
-		return nil, fmt.Errorf("image: format %d too new (this es reads <= %d)", version, FormatVersion)
+		return fmt.Errorf("image: format %d too new (this es reads <= %d)", version, FormatVersion)
 	}
-	img := &Image{Format: version}
+	img.Format = version
 	for {
 		trailerStart := d.pos
 		ln, err := d.line()
 		if err != nil {
-			return nil, fmt.Errorf("image: truncated (missing checksum trailer)")
+			return fmt.Errorf("image: truncated (missing checksum trailer)")
 		}
 		switch {
 		case strings.HasPrefix(ln, "h "):
 			key, lenStr, err := field2(ln)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			n, err := strconv.Atoi(lenStr)
 			if err != nil {
-				return nil, fmt.Errorf("image: bad header length %q", lenStr)
+				return fmt.Errorf("image: bad header length %q", lenStr)
 			}
 			val, err := d.take(n)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if key == "es" {
 				img.Es = val
@@ -345,38 +398,40 @@ func Decode(data []byte) (*Image, error) {
 		case strings.HasPrefix(ln, "s "):
 			name, countStr, err := field2(ln)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			count, err := strconv.Atoi(countStr)
 			if err != nil || count < 0 {
-				return nil, fmt.Errorf("image: bad section count %q", countStr)
+				return fmt.Errorf("image: bad section count %q", countStr)
 			}
-			if name == "vars" && count > 0 && img.Vars == nil {
+			if name == "vars" && len(img.Vars) == 0 {
 				// The count is the sender's word; the bytes left bound
 				// how many records there can be.
-				img.Vars = make([]core.VarRecord, 0, min(count, (len(d.data)-d.pos)/minRecord))
+				if n := min(count, (len(d.data)-d.pos)/minRecord); n > cap(img.Vars) {
+					img.Vars = make([]core.VarRecord, 0, n)
+				}
 			}
 			for k := 0; k < count; k++ {
 				rl, err := d.line()
 				if err != nil {
-					return nil, err
+					return err
 				}
 				if !strings.HasPrefix(rl, "r ") {
-					return nil, fmt.Errorf("image: expected record, got %q", rl)
+					return fmt.Errorf("image: expected record, got %q", rl)
 				}
 				n, err := strconv.Atoi(rl[2:])
 				if err != nil {
-					return nil, fmt.Errorf("image: bad record length %q", rl[2:])
+					return fmt.Errorf("image: bad record length %q", rl[2:])
 				}
 				payload, err := d.take(n)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				switch name {
 				case "vars":
 					rec, err := parseVarPayload(payload)
 					if err != nil {
-						return nil, err
+						return err
 					}
 					img.Vars = append(img.Vars, rec)
 				case "cwd":
@@ -388,26 +443,49 @@ func Decode(data []byte) (*Image, error) {
 		case strings.HasPrefix(ln, "t "):
 			algo, sumStr, err := field2(ln)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if algo != "crc32" {
-				return nil, fmt.Errorf("image: unknown checksum %q", algo)
+				return fmt.Errorf("image: unknown checksum %q", algo)
 			}
 			want, err := strconv.ParseUint(sumStr, 16, 32)
 			if err != nil {
-				return nil, fmt.Errorf("image: bad checksum %q", sumStr)
+				return fmt.Errorf("image: bad checksum %q", sumStr)
 			}
-			if got := crc32.ChecksumIEEE(data[:trailerStart]); got != uint32(want) {
-				return nil, fmt.Errorf("image: checksum mismatch (have %08x, trailer says %08x): corrupted image", got, want)
+			if got := checksum(data[:trailerStart], raw); got != uint32(want) {
+				return fmt.Errorf("image: checksum mismatch (have %08x, trailer says %08x): corrupted image", got, want)
 			}
 			if d.pos != len(data) {
-				return nil, fmt.Errorf("image: %d trailing bytes after checksum", len(data)-d.pos)
+				return fmt.Errorf("image: %d trailing bytes after checksum", len(data)-d.pos)
 			}
-			return img, nil
+			return nil
 		default:
-			return nil, fmt.Errorf("image: unknown line %q", ln)
+			return fmt.Errorf("image: unknown line %q", ln)
 		}
 	}
+}
+
+// crcBufs holds the buffers checksum feeds a string to crc32 through.
+// crc32 lets any slice it is handed escape, so a buffer on the stack would
+// be allocated on every call.
+var crcBufs = sync.Pool{New: func() any { return new([1 << 10]byte) }}
+
+// checksum is the IEEE CRC-32 of s: of the first len(s) bytes of raw,
+// which holds s when it is not nil, else of s copied through a pooled
+// buffer rather than converted to a []byte whole.
+func checksum(s string, raw []byte) uint32 {
+	if raw != nil {
+		return crc32.ChecksumIEEE(raw[:len(s)])
+	}
+	buf := crcBufs.Get().(*[1 << 10]byte)
+	defer crcBufs.Put(buf)
+	var sum uint32
+	for len(s) > 0 {
+		n := copy(buf[:], s)
+		sum = crc32.Update(sum, crc32.IEEETable, buf[:n])
+		s = s[n:]
+	}
+	return sum
 }
 
 // WriteFile encodes the image to path (0600: images can hold secrets —

@@ -17,6 +17,10 @@ import (
 
 var update = flag.Bool("update", false, "regenerate testdata/golden.esimg")
 
+// raceEnabled is set under the race detector, which makes sync.Pool drop
+// a random quarter of what is put back.
+var raceEnabled bool
+
 // richInterp builds an interpreter exercising every kind of definable
 // state an image must carry: plain and multi-word variables, noexport
 // marks, phantom marks, the null/empty-string distinction, functions
@@ -297,5 +301,64 @@ func TestImageCodecAllocations(t *testing.T) {
 	// The string, the Image and its records.
 	if n := testing.AllocsPerRun(50, func() { Decode(enc) }); n != 3 {
 		t.Errorf("Decode makes %v allocations, want 3", n)
+	}
+}
+
+// The append-style entry points write and read what Encode and Decode
+// do: AppendEncode and AppendCapture append Encode's bytes after what
+// the buffer holds, and RestoreString installs what Decode and Restore
+// install.  A string that is not an image leaves the interpreter as it
+// was.
+func TestImageAppendEntryPoints(t *testing.T) {
+	i := richInterp(t)
+	want := Capture(i, nil).Encode()
+	prefix := []byte("prefix:")
+	if got := Capture(i, nil).AppendEncode(bytes.Clone(prefix)); !bytes.Equal(got, append(bytes.Clone(prefix), want...)) {
+		t.Errorf("AppendEncode:\n%q\nwant the prefix, then\n%q", got, want)
+	}
+	if got := AppendCapture(bytes.Clone(prefix), i); !bytes.Equal(got, append(bytes.Clone(prefix), want...)) {
+		t.Errorf("AppendCapture:\n%q\nwant the prefix, then\n%q", got, want)
+	}
+
+	j := core.New()
+	if err := RestoreString(j, string(want)); err != nil {
+		t.Fatalf("RestoreString: %v", err)
+	}
+	if got := Capture(j, nil).Encode(); !bytes.Equal(got, want) {
+		t.Errorf("after RestoreString:\n%s\nwant\n%s", got, want)
+	}
+	bad := string(want[:len(want)-3]) + "0\n"
+	if err := RestoreString(j, bad); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Errorf("RestoreString of a corrupted image: err = %v", err)
+	}
+	if got := Capture(j, nil).Encode(); !bytes.Equal(got, want) {
+		t.Errorf("a refused RestoreString changed the state:\n%s", got)
+	}
+}
+
+// AppendCapture into a buffer that has room allocates only the values it
+// must encode, none for a state restored and not yet read; RestoreString
+// allocates only what RestoreVars installs of the records, so it neither
+// copies the string it is given nor keeps a record slice.
+func TestImageAppendAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items")
+	}
+	data := string(Capture(sessionInterp(t), nil).Encode())
+	i := core.New()
+	if err := RestoreString(i, data); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, 2*len(data))
+	if n := testing.AllocsPerRun(50, func() { AppendCapture(buf, i) }); n != 0 {
+		t.Errorf("AppendCapture of a restored state makes %v allocations, want 0", n)
+	}
+	img, err := Decode([]byte(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := testing.AllocsPerRun(50, func() { i.RestoreVars(img.Vars) })
+	if n := testing.AllocsPerRun(50, func() { RestoreString(i, data) }); n != want {
+		t.Errorf("RestoreString makes %v allocations, RestoreVars of its records %v", n, want)
 	}
 }

@@ -243,10 +243,11 @@ func refDecode(data []byte) (*Image, error) {
 	}
 }
 
-// FuzzImageCodec holds Encode and Decode to the reference codec: the
-// same inputs accepted, with equal images, and rejected, with the same
-// error; an accepted image encoded to the reference's bytes; and
-// Decode(Encode(img)) giving back img.
+// FuzzImageCodec holds Encode and Decode to the reference codec, and
+// decoding a string (RestoreString's path) and AppendEncode to Decode
+// and Encode: the same inputs accepted, with equal images, and rejected,
+// with the same error; an accepted image encoded to the reference's
+// bytes; and Decode(Encode(img)) giving back img.
 func FuzzImageCodec(f *testing.F) {
 	seeds := [][]byte{
 		goldenImage().Encode(),
@@ -269,6 +270,10 @@ func FuzzImageCodec(f *testing.F) {
 		if fmt.Sprint(err) != fmt.Sprint(refErr) {
 			t.Fatalf("Decode error %v, reference %v", err, refErr)
 		}
+		var fromString Image
+		if serr := fromString.decode(string(data), nil); fmt.Sprint(serr) != fmt.Sprint(err) || err == nil && !reflect.DeepEqual(&fromString, img) {
+			t.Fatalf("decoding a string = %+v, %v; Decode %+v, %v", fromString, serr, img, err)
+		}
 		if err != nil {
 			return
 		}
@@ -278,6 +283,9 @@ func FuzzImageCodec(f *testing.F) {
 		enc := img.Encode()
 		if want := refEncode(img); !bytes.Equal(enc, want) {
 			t.Fatalf("Encode:\n%q\nreference:\n%q", enc, want)
+		}
+		if appended := img.AppendEncode([]byte("%")); !bytes.Equal(appended[1:], enc) {
+			t.Fatalf("AppendEncode after one byte:\n%q\nEncode:\n%q", appended[1:], enc)
 		}
 		back, err := Decode(enc)
 		if err != nil || !reflect.DeepEqual(back, img) {

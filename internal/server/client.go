@@ -87,6 +87,15 @@ func ClientTLS(caFile string, skipVerify bool) (*tls.Config, error) {
 	return cfg, nil
 }
 
+// Close closes the connection and gives the client's frame buffers back
+// to the pools every connection shares.  It must not run beside a Read.
+func (c *Client) Close() error {
+	err := c.Conn.Close()
+	c.FrameReader.Release()
+	c.FrameWriter.Release()
+	return err
+}
+
 // RoundTrip writes one frame and reads the next one back.  It matches no
 // ids: a pipelining caller writes and reads on its own.
 func (c *Client) RoundTrip(f *Frame) (*Frame, error) {

@@ -9,6 +9,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/base64"
 	"fmt"
 	"math"
 	"strconv"
@@ -18,8 +19,9 @@ import (
 )
 
 // appendFrame appends f as json.Marshal writes it: fields in declaration
-// order, empty ones omitted, strings escaped HTML-safe.  It fails only
-// on an ms that JSON cannot carry (NaN or an infinity).
+// order, empty ones omitted, strings escaped HTML-safe, and a raw image
+// as the base64 Image it stands for.  It fails only on an ms that JSON
+// cannot carry (NaN or an infinity).
 func appendFrame(b []byte, f *Frame) ([]byte, error) {
 	b = append(b, `{"type":`...)
 	b = appendString(b, f.Type)
@@ -41,7 +43,13 @@ func appendFrame(b []byte, f *Frame) ([]byte, error) {
 	}
 	b = listField(b, `,"stats":`, f.Stats)
 	b = stringField(b, `,"reason":`, f.Reason)
-	b = stringField(b, `,"image":`, f.Image)
+	if len(f.rawImage) > 0 {
+		// Base64 text holds nothing JSON escapes.
+		b = base64.StdEncoding.AppendEncode(append(b, `,"image":"`...), f.rawImage)
+		b = append(b, '"')
+	} else {
+		b = stringField(b, `,"image":`, f.Image)
+	}
 	b = stringField(b, `,"socket":`, f.Socket)
 	b = listField(b, `,"diags":`, f.Diags)
 	b = listField(b, `,"effects":`, f.Effects)

@@ -34,9 +34,11 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"sync"
 	"sync/atomic"
 )
@@ -96,6 +98,11 @@ type Frame struct {
 	Tenant       string `json:"tenant,omitempty"`         // hello: tenant name for quotas
 	Window       int    `json:"window,omitempty"`         // hello: requested/granted pipeline window
 	RetryAfterMS int64  `json:"retry_after_ms,omitempty"` // error(overload/quota): retry hint
+
+	// rawImage, when set, is an encoded session image that the codec
+	// writes as Image, base64 and all, straight into the frame's line, so
+	// a frame this daemon sends never holds its image as base64 text.
+	rawImage []byte
 }
 
 // maxFrameBytes bounds one frame line; a client shipping a larger script
@@ -103,10 +110,10 @@ type Frame struct {
 // rather than an unbounded buffer.
 const maxFrameBytes = 8 << 20
 
-// ErrFrameTooLarge reports a frame line over maxFrameBytes.  The
-// underlying bufio.Scanner cannot resynchronize past the oversized line,
-// so the stream is unusable after this error; the session answers with an
-// error frame and a bye rather than dying silently.
+// ErrFrameTooLarge reports a frame line over maxFrameBytes.  The reader
+// cannot resynchronize past the oversized line, so the stream is unusable
+// after this error; the session answers with an error frame and a bye
+// rather than dying silently.
 var ErrFrameTooLarge = fmt.Errorf("frame exceeds %d bytes: %w", maxFrameBytes, bufio.ErrTooLong)
 
 // ErrBadFrame reports a line that is not a valid frame.  The newline
@@ -114,37 +121,57 @@ var ErrFrameTooLarge = fmt.Errorf("frame exceeds %d bytes: %w", maxFrameBytes, b
 // usable: the session answers with an error frame and reads on.
 var ErrBadFrame = errors.New("bad frame")
 
-// FrameReader decodes newline-delimited frames, counting wire bytes into
-// the given metrics counters (nil counters are skipped; sessions count
-// into both the server-wide and the per-listener counter).
-type FrameReader struct {
-	s  *bufio.Scanner
-	in []*atomic.Int64
+// maxKeptFrame bounds a buffer that goes back to framePool, so one large
+// frame (a snap image, a long stdout) does not stay pinned to the pool.
+const maxKeptFrame = 64 << 10
+
+// framePool holds the line buffers of FrameReaders, the encoding buffers
+// of FrameWriters and the scratch a session encodes its image into,
+// shared by every connection.  A buffer comes back at whatever size its
+// traffic grew it to, up to maxKeptFrame, so the pool settles at the
+// size the frames need.  It holds *[]byte, which Put stores without
+// allocating.
+var framePool = sync.Pool{New: func() any {
+	b := make([]byte, 4<<10) // bufio's starting size
+	return &b
+}}
+
+// putFrameBuf gives b back to framePool unless it outgrew maxKeptFrame.
+func putFrameBuf(b *[]byte) {
+	if cap(*b) <= maxKeptFrame {
+		framePool.Put(b)
+	}
 }
 
-// NewFrameReader reads frames from r.  Its line buffer starts at
-// bufio's default size and grows only as far as the longest line, up to
-// maxFrameBytes.
+// FrameReader decodes newline-delimited frames, counting wire bytes into
+// the given metrics counters (nil counters are skipped; sessions count
+// into both the server-wide and the per-listener counter).  It splits
+// lines as bufio.ScanLines does, over a buffer from framePool that
+// Release gives back.
+type FrameReader struct {
+	r   io.Reader
+	in  []*atomic.Int64
+	buf *[]byte // the line buffer; nil until the first read and after Release
+	beg int     // (*buf)[beg:end] is read and not yet returned
+	end int
+	err error // the read error that ends the stream, once the bytes before it are returned
+}
+
+// NewFrameReader reads frames from r.  Its line buffer, taken from a pool
+// that every connection shares, grows only as far as the longest line,
+// up to maxFrameBytes.
 func NewFrameReader(r io.Reader, in ...*atomic.Int64) *FrameReader {
-	s := bufio.NewScanner(r)
-	s.Buffer(nil, maxFrameBytes)
-	return &FrameReader{s: s, in: in}
+	return &FrameReader{r: r, in: in}
 }
 
 // Read returns the next frame; io.EOF at end of stream, ErrFrameTooLarge
 // for a line over the frame-size bound, and an error wrapping ErrBadFrame
 // for a line that does not decode.
 func (fr *FrameReader) Read() (*Frame, error) {
-	if !fr.s.Scan() {
-		if err := fr.s.Err(); err != nil {
-			if errors.Is(err, bufio.ErrTooLong) {
-				return nil, ErrFrameTooLarge
-			}
-			return nil, err
-		}
-		return nil, io.EOF
+	line, err := fr.line()
+	if err != nil {
+		return nil, err
 	}
-	line := fr.s.Bytes()
 	for _, c := range fr.in {
 		if c != nil {
 			c.Add(int64(len(line) + 1))
@@ -153,23 +180,89 @@ func (fr *FrameReader) Read() (*Frame, error) {
 	return decodeFrame(line)
 }
 
+// line returns the next line, valid until the next call, without its
+// newline or a carriage return before it.  A stream that ends inside a
+// line yields the rest as a last line.
+func (fr *FrameReader) line() ([]byte, error) {
+	from, empty := fr.beg, 0 // where the newline search resumes; reads that brought nothing
+	for {
+		if fr.beg < fr.end {
+			b := *fr.buf
+			if i := bytes.IndexByte(b[from:fr.end], '\n'); i >= 0 {
+				line := b[fr.beg : from+i]
+				fr.beg = from + i + 1
+				return dropCR(line), nil
+			}
+			if fr.err != nil {
+				line := b[fr.beg:fr.end]
+				fr.beg = fr.end
+				return dropCR(line), nil
+			}
+		}
+		if fr.err != nil {
+			return nil, fr.err
+		}
+		if fr.buf == nil {
+			fr.buf = framePool.Get().(*[]byte)
+			*fr.buf = (*fr.buf)[:cap(*fr.buf)]
+		}
+		b := *fr.buf
+		if fr.beg > 0 {
+			fr.end = copy(b, b[fr.beg:fr.end])
+			fr.beg = 0
+		}
+		if fr.end == len(b) {
+			if len(b) >= maxFrameBytes {
+				fr.beg, fr.end, fr.err = 0, 0, ErrFrameTooLarge
+				return nil, fr.err
+			}
+			b = make([]byte, min(2*len(b), maxFrameBytes))
+			copy(b, (*fr.buf)[:fr.end])
+			*fr.buf = b
+		}
+		from = fr.end
+		n, err := fr.r.Read(b[fr.end:])
+		fr.end += n
+		fr.err = err
+		if n > 0 || err != nil {
+			empty = 0
+		} else if empty++; empty == 100 {
+			fr.err = io.ErrNoProgress
+		}
+	}
+}
+
+// dropCR drops a carriage return that ends a line, as bufio.ScanLines does.
+func dropCR(line []byte) []byte {
+	if n := len(line); n > 0 && line[n-1] == '\r' {
+		return line[:n-1]
+	}
+	return line
+}
+
+// Release gives the line buffer back to the pool.  The reader reads
+// nothing more after it, and it must not run beside a Read.
+func (fr *FrameReader) Release() {
+	if fr.buf != nil {
+		putFrameBuf(fr.buf)
+		fr.buf = nil
+	}
+	fr.beg, fr.end, fr.err = 0, 0, net.ErrClosed
+}
+
 // FrameWriter encodes frames one per line.  It serializes writers: the
 // session goroutine, the read loop's admission path, the server's drain
 // path and a migrated session's relay may all speak on one connection.
 // The first failed write stops it, since a torn line would corrupt the
 // stream: every later Write returns that error without writing.
 type FrameWriter struct {
-	mu  sync.Mutex
-	w   io.Writer
-	out []*atomic.Int64
-	buf []byte // the last frame encoded, reused for the next
-	err error  // the first write error
+	mu       sync.Mutex
+	w        io.Writer
+	out      []*atomic.Int64
+	buf      *[]byte // the encoding buffer: from framePool at the first Write, until Release
+	released bool
+	err      error // the first write error
 }
-
-// maxKeptFrame bounds the encoding buffer a FrameWriter keeps between
-// writes, so one large reply (a snap image, a long stdout) does not stay
-// pinned to an idle connection.
-const maxKeptFrame = 64 << 10
 
 func NewFrameWriter(w io.Writer, out ...*atomic.Int64) *FrameWriter {
 	return &FrameWriter{w: w, out: out}
@@ -178,15 +271,34 @@ func NewFrameWriter(w io.Writer, out ...*atomic.Int64) *FrameWriter {
 func (fw *FrameWriter) Write(f *Frame) error {
 	fw.mu.Lock()
 	defer fw.mu.Unlock()
-	b, err := appendFrame(fw.buf[:0], f)
+	if fw.buf == nil && !fw.released {
+		fw.buf = framePool.Get().(*[]byte)
+	}
+	var b []byte
+	if fw.buf != nil {
+		b = (*fw.buf)[:0]
+	}
+	b, err := appendFrame(b, f)
 	if err != nil {
 		return err
 	}
 	b = append(b, '\n')
-	if cap(b) <= maxKeptFrame {
-		fw.buf = b
+	if fw.buf != nil && cap(b) <= maxKeptFrame {
+		*fw.buf = b
 	}
 	return fw.put(b)
+}
+
+// Release gives the encoding buffer back to the pool.  A Write after it
+// still writes, from a buffer of its own that it does not keep.
+func (fw *FrameWriter) Release() {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	if fw.buf != nil {
+		putFrameBuf(fw.buf)
+		fw.buf = nil
+	}
+	fw.released = true
 }
 
 // CopyLines copies r to the connection one whole line at a time, holding

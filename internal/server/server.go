@@ -318,6 +318,7 @@ func (s *Server) startSession(conn net.Conn, ls *ListenerStats) {
 	if err != nil {
 		fw := NewFrameWriter(conn, &s.metrics.BytesOut)
 		fw.Write(&Frame{Type: "error", Exception: []string{"error", "esd", err.Error()}})
+		fw.Release()
 		conn.Close()
 		return
 	}
@@ -328,6 +329,7 @@ func (s *Server) startSession(conn net.Conn, ls *ListenerStats) {
 	if s.draining.Load() {
 		s.mu.Unlock()
 		sess.fw.Write(&Frame{Type: "bye", Reason: "drain"})
+		sess.fw.Release()
 		conn.Close()
 		return
 	}

@@ -72,7 +72,7 @@ func dial(t *testing.T, target string) *client {
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	t.Cleanup(func() { c.Conn.Close() })
+	t.Cleanup(func() { c.Close() })
 	return &client{c}
 }
 

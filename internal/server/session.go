@@ -87,6 +87,9 @@ func (s *session) run() {
 		for f := range s.mail {
 			s.release(f)
 		}
+		// The read loop has ended, the last writer but this goroutine;
+		// a write after Release would get a buffer of its own.
+		s.fw.Release()
 		s.srv.metrics.SessionsClosed.Add(1)
 		s.srv.dropSession(s.id)
 	}()
@@ -150,6 +153,7 @@ func (s *session) readLoop() {
 	window := 1
 	pending := 0
 	defer func() {
+		s.fr.Release()
 		close(s.mail)
 		if t := s.tenant.Load(); t != nil {
 			t.sessions.Add(-1)

@@ -23,6 +23,8 @@ package server
 import (
 	"encoding/base64"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"es/internal/core"
 	"es/internal/image"
@@ -44,53 +46,101 @@ func NewSessionFromImage(base *core.Interp, img *image.Image) func() (*core.Inte
 // snap answers with the session's state as a base64 session image.  It
 // runs on the session goroutine, so the interpreter is quiescent; no
 // meta is stamped, keeping snap → restore → snap byte-identical.  An
-// image whose reply line would be over maxFrameBytes, which no
-// FrameReader accepts, is refused with an error frame instead, and the
-// session reads on.
+// image whose reply line would be over maxFrameBytes is refused with an
+// error frame instead (see imageFrame), and the session reads on.
 func (s *session) snap(f *Frame) {
-	data := image.Capture(s.interp, nil).Encode()
-	reply := &Frame{Type: "snap", ID: f.ID}
-	// The line is the frame without its image, the image's field (base64
-	// text, which JSON does not escape) and the newline.  appendFrame
-	// fails only on a frame's ms, which reply does not set.
-	bare, _ := appendFrame(nil, reply)
-	line := len(bare) + len(`,"image":""`) + base64.StdEncoding.EncodedLen(len(data)) + 1
-	if line > maxFrameBytes {
-		s.fw.Write(&Frame{Type: "error", ID: f.ID, Exception: []string{"error", "esd",
-			fmt.Sprintf("snap: an image of %d bytes makes a %d-byte frame, over the %d-byte bound", len(data), line, maxFrameBytes)}})
+	reply, buf, err := s.imageFrame("snap", f.ID)
+	if err != nil {
+		s.fw.Write(&Frame{Type: "error", ID: f.ID,
+			Exception: []string{"error", "esd", "snap: " + err.Error()}})
 		return
 	}
 	s.srv.metrics.Snapshots.Add(1)
-	reply.Image = base64.StdEncoding.EncodeToString(data)
 	s.fw.Write(reply)
+	putFrameBuf(buf)
+}
+
+// imageFrame captures the session's state into a frame of type typ that
+// carries it as its image.  The image is encoded into a buffer from
+// framePool, which the caller gives back once the frame is written, and
+// the frame's encoder writes its base64 straight into the line.  A frame
+// whose line would be over maxFrameBytes, which no FrameReader accepts,
+// is refused with an error naming both sizes.
+func (s *session) imageFrame(typ string, id int64) (*Frame, *[]byte, error) {
+	buf := framePool.Get().(*[]byte)
+	*buf = image.AppendCapture((*buf)[:0], s.interp)
+	n := len(*buf)
+	if line := imageLineLen(typ, id, n); line > maxFrameBytes {
+		putFrameBuf(buf)
+		return nil, nil, fmt.Errorf("an image of %d bytes makes a %d-byte frame, over the %d-byte bound", n, line, maxFrameBytes)
+	}
+	return &Frame{Type: typ, ID: id, rawImage: *buf}, buf, nil
+}
+
+// imageLineLen is the length of the line, newline included, of a frame
+// of type typ (which JSON does not escape) and id that carries an image
+// of n bytes and nothing else: {"type":typ,"id":id,"image":"<base64>"}.
+func imageLineLen(typ string, id int64, n int) int {
+	line := len(`{"type":"","image":""}`+"\n") + len(typ) + base64.StdEncoding.EncodedLen(n)
+	if id != 0 {
+		var digits [20]byte
+		line += len(`,"id":`) + len(strconv.AppendInt(digits[:0], id, 10))
+	}
+	return line
 }
 
 // restore replaces the session's definable state with the frame's image.
+// The base64 is decoded into the one string that the image's names and
+// values, and so the restored state, are cut from.  An image that is not
+// base64, or not an image, is refused with an error frame and leaves the
+// session as it was.
 func (s *session) restore(f *Frame) {
-	img, err := decodeImageFrame(f)
+	data, err := decodeBase64(f.Image)
+	if err == nil {
+		err = image.RestoreString(s.interp, data)
+	}
 	if err != nil {
 		s.fw.Write(&Frame{Type: "error", ID: f.ID,
 			Exception: []string{"error", "esd", err.Error()}})
 		return
 	}
-	img.Restore(s.interp)
 	s.srv.metrics.Restores.Add(1)
 	s.fw.Write(&Frame{Type: "restore", ID: f.ID, True: true})
 }
 
-func decodeImageFrame(f *Frame) (*image.Image, error) {
-	data, err := base64.StdEncoding.DecodeString(f.Image)
-	if err != nil {
-		return nil, err
+// decodeBase64 decodes standard base64 into a string sized once and
+// filled a chunk at a time, so the decoded bytes are copied into it from
+// the stack and nowhere else.  It accepts, decodes and rejects what
+// base64.StdEncoding.DecodeString does, with its errors: a chunk that
+// fails, or that ends short before the end of s (padding or a line break
+// inside), hands the whole of s to DecodeString.
+func decodeBase64(s string) (string, error) {
+	const chunk = 1 << 10 // base64 bytes per step, whole quanta
+	var b strings.Builder
+	b.Grow(base64.StdEncoding.DecodedLen(len(s)))
+	var out [chunk / 4 * 3]byte
+	for rest := s; rest != ""; {
+		in := rest[:min(chunk, len(rest))]
+		n, err := base64.StdEncoding.Decode(out[:], []byte(in))
+		if err != nil || len(in) < len(rest) && n < len(out) {
+			data, err := base64.StdEncoding.DecodeString(s)
+			if err != nil {
+				return "", err
+			}
+			return string(data), nil
+		}
+		b.Write(out[:n])
+		rest = rest[len(in):]
 	}
-	return image.Decode(data)
+	return b.String(), nil
 }
 
 // migrate moves the session to the daemon at f.Socket — a Dial target:
 // unix path, tcp:// or tls:// — and turns this session into a relay.  The
 // returned bool is dispatch's "close the session" flag: true once the
 // relay ends.  A failed migration replies with an error frame and leaves
-// the session here, untouched.
+// the session here, untouched; so does an image too large for the
+// restore frame, found before anything is dialed.
 func (s *session) migrate(f *Frame) bool {
 	fail := func(msg string) bool {
 		s.fw.Write(&Frame{Type: "error", ID: f.ID,
@@ -103,19 +153,23 @@ func (s *session) migrate(f *Frame) bool {
 	if s.srv.isSelf(f.Socket) {
 		return fail("target is this daemon")
 	}
-	target, err := Dial(f.Socket, nil, 1)
+	req, buf, err := s.imageFrame("restore", f.ID)
 	if err != nil {
 		return fail(err.Error())
 	}
-	img := image.Capture(s.interp, nil)
-	ack, err := target.RoundTrip(&Frame{Type: "restore", ID: f.ID,
-		Image: base64.StdEncoding.EncodeToString(img.Encode())})
+	target, err := Dial(f.Socket, nil, 1)
 	if err != nil {
-		target.Conn.Close()
+		putFrameBuf(buf)
+		return fail(err.Error())
+	}
+	ack, err := target.RoundTrip(req)
+	putFrameBuf(buf)
+	if err != nil {
+		target.Close()
 		return fail(err.Error())
 	}
 	if ack.Type != "restore" || !ack.True {
-		target.Conn.Close()
+		target.Close()
 		msg := "target refused the session"
 		if len(ack.Exception) > 0 {
 			msg = ack.Exception[len(ack.Exception)-1]
@@ -148,7 +202,7 @@ func (s *Server) isSelf(target string) bool {
 // the snap/restore path is for.
 func (s *session) relay(target *Client) {
 	tconn := target.Conn
-	defer tconn.Close()
+	defer target.Close()
 	copied := make(chan struct{})
 	go func() {
 		defer close(copied)

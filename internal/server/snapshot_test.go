@@ -6,7 +6,11 @@ package server
 // and migrate moves a live session between two daemons.
 
 import (
+	"bytes"
 	"encoding/base64"
+	"encoding/json"
+	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -79,11 +83,19 @@ func TestSnapRestoreFrames(t *testing.T) {
 		t.Errorf("re-snapshot differs from snapshot")
 	}
 
-	// Corrupted images are refused and the session stays usable.
-	if f := c2.roundTrip(t, &Frame{Type: "restore", ID: 5, Image: "bm90IGFuIGltYWdl"}); f.Type != "error" {
-		t.Errorf("corrupt restore accepted: %+v", f)
+	// An image that is not base64, or not an image, is refused with an
+	// error frame that keeps its id, and the session stays as it was.
+	for _, bad := range []struct{ image, msg string }{
+		{"bm90IGFuIGltYWdl", "image: truncated (no newline at byte 0)"},
+		{"not base64!", "illegal base64 data at input byte 3"},
+		{snap.Image[:len(snap.Image)-4] + "!" + snap.Image[len(snap.Image)-3:], "illegal base64 data at input byte " + strconv.Itoa(len(snap.Image)-4)},
+	} {
+		f := c2.roundTrip(t, &Frame{Type: "restore", ID: 5, Image: bad.image})
+		if f.Type != "error" || f.ID != 5 || strings.Join(f.Exception, " ") != "error esd "+bad.msg {
+			t.Errorf("restore of %.20q... = %+v, want error esd %s", bad.image, f, bad.msg)
+		}
+		checkDecorated(t, c2, "session after refused restore")
 	}
-	checkDecorated(t, c2, "session after refused restore")
 
 	if got := srv.Metrics().Snapshots.Load(); got != 2 {
 		t.Errorf("snapshots counter = %d, want 2", got)
@@ -195,6 +207,99 @@ func TestMigrateFailureLeavesSession(t *testing.T) {
 	checkDecorated(t, c, "session after failed migrate")
 	if got := origin.Metrics().Migrations.Load(); got != 0 {
 		t.Errorf("migrations counter = %d after failures", got)
+	}
+}
+
+// TestMigrateOverFrameBound: a session whose image makes a restore frame
+// over maxFrameBytes, which the target would drop, is not migrated.  The
+// bound is checked before anything is dialed, the client gets an error
+// frame naming both sizes, and the session stays where it was.
+func TestMigrateOverFrameBound(t *testing.T) {
+	origin := newTestServer(t, Config{})
+	target := newTestServer(t, Config{})
+	c := dial(t, origin.cfg.Socket)
+	decorate(t, c)
+	// 7 MiB of value is 9.3 MiB of base64.
+	if f := c.eval(t, "big = "+strings.Repeat("x", 7<<20)+"; result 0", 0); f.Type != "result" {
+		t.Fatalf("eval = %+v", f)
+	}
+	f := c.roundTrip(t, &Frame{Type: "migrate", ID: 4, Socket: target.cfg.Socket})
+	msg := strings.Join(f.Exception, " ")
+	if f.Type != "error" || f.ID != 4 || !strings.HasPrefix(msg, "error esd migrate: an image of ") ||
+		!strings.HasSuffix(msg, "-byte frame, over the "+strconv.Itoa(maxFrameBytes)+"-byte bound") {
+		t.Fatalf("oversized migrate reply = %+v", f)
+	}
+	if f := c.eval(t, "big = small; result $big", 0); f.Type != "result" || strings.Join(f.Value, " ") != "small" {
+		t.Fatalf("eval after the refused migrate = %+v", f)
+	}
+	checkDecorated(t, c, "session after the refused migrate")
+	if got := origin.Metrics().Migrations.Load(); got != 0 {
+		t.Errorf("migrations counter = %d after the refusal", got)
+	}
+	if got := target.Metrics().SessionsOpened.Load(); got != 0 {
+		t.Errorf("the target opened %d sessions: the origin dialed it", got)
+	}
+	if f := c.roundTrip(t, &Frame{Type: "migrate", ID: 5, Socket: target.cfg.Socket}); f.Type != "migrate" || !f.True {
+		t.Fatalf("migrate once the image fits = %+v", f)
+	}
+	checkDecorated(t, c, "session migrated once its image fits")
+}
+
+// TestImageLineLen: the length a snap or a migrate checks against the
+// frame bound is the length of the line the frame's encoder writes.
+func TestImageLineLen(t *testing.T) {
+	for _, typ := range []string{"snap", "restore"} {
+		for _, id := range []int64{0, 1, -1, 12345, math.MaxInt64, math.MinInt64} {
+			for _, n := range []int{1, 2, 3, 4, 100, 4096} {
+				data := bytes.Repeat([]byte{0xfe}, n)
+				line, err := appendFrame(nil, &Frame{Type: typ, ID: id, rawImage: data})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := imageLineLen(typ, id, n); got != len(line)+1 {
+					t.Errorf("imageLineLen(%s, %d, %d) = %d, the line is %d with its newline", typ, id, n, got, len(line)+1)
+				}
+				want, _ := json.Marshal(&Frame{Type: typ, ID: id, Image: base64.StdEncoding.EncodeToString(data)})
+				if !bytes.Equal(line, want) {
+					t.Errorf("frame with a raw image:\n%s\njson.Marshal of its base64:\n%s", line, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDecodeBase64MatchesStdlib: restore's chunked decoder accepts,
+// decodes and rejects what base64.StdEncoding.DecodeString does, with its
+// error texts, around its chunk boundaries too.
+func TestDecodeBase64MatchesStdlib(t *testing.T) {
+	var inputs []string
+	for _, n := range []int{0, 1, 2, 3, 766, 767, 768, 769, 770, 1535, 1536, 1537, 5000} {
+		data := make([]byte, n)
+		for k := range data {
+			data[k] = byte(k*7 + n)
+		}
+		enc := base64.StdEncoding.EncodeToString(data)
+		inputs = append(inputs, enc, enc+"=", enc+"\n", "\r\n"+enc)
+		for _, at := range []int{0, 1, 1023, 1024, 1025, len(enc) / 2, len(enc) - 1} {
+			if at < 0 || at > len(enc) {
+				continue
+			}
+			inputs = append(inputs,
+				enc[:at]+"\n"+enc[at:],
+				enc[:at]+"\r\n\n\n"+enc[at:],
+				enc[:at]+"!"+enc[min(at+1, len(enc)):],
+				enc[:at]+"==="+enc[at:],
+				enc[:at]+"QQ=="+enc[at:],
+				enc[:at])
+		}
+	}
+	for _, in := range inputs {
+		got, err := decodeBase64(in)
+		want, wantErr := base64.StdEncoding.DecodeString(in)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || err == nil && got != string(want) {
+			t.Errorf("decodeBase64 of %d bytes (%.40q...) = %d bytes, %v; DecodeString %d bytes, %v",
+				len(in), in, len(got), err, len(want), wantErr)
+		}
 	}
 }
 

@@ -342,12 +342,12 @@ func (l *lexer) lexHeredoc() string {
 }
 
 // applySkips jumps the cursor over any heredoc body region it has
-// reached.
+// reached, counting the lines it jumps.
 func (l *lexer) applySkips() {
 	for len(l.skips) > 0 && l.pos >= l.skips[0].start {
-		if l.pos < l.skips[0].end {
-			l.pos = l.skips[0].end
-			l.line++ // approximate: body lines are opaque
+		if end := l.skips[0].end; l.pos < end {
+			l.line += strings.Count(l.src[l.pos:end], "\n")
+			l.pos = end
 		}
 		l.skips = l.skips[1:]
 	}

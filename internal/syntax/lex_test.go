@@ -245,6 +245,29 @@ func TestLexTwoHeredocsSequential(t *testing.T) {
 	}
 }
 
+// A token after a heredoc sits on the line it is on: the lexer counts
+// every line of the bodies it jumps, two bodies on one line included.
+func TestLexHeredocLines(t *testing.T) {
+	for _, tc := range []struct {
+		src  string
+		line int
+	}{
+		{"cat << EOF\nEOF\necho $x", 3},
+		{"cat << EOF\na\nb\nc\nEOF\necho $x", 6},
+		{"cat << A << B\na\nA\nb1\nb2\nB\necho $x", 7},
+		{"cat << A; cat << B\na\nA\nb\nB\n\necho $x", 7},
+	} {
+		toks, err := Lex(tc.src)
+		if err != nil {
+			t.Fatalf("Lex(%q): %v", tc.src, err)
+		}
+		last := toks[len(toks)-2] // the x of $x, before EOF
+		if last.Line != tc.line || last.Col != 7 {
+			t.Errorf("Lex(%q): %s at %d:%d, want %d:7", tc.src, last.Text, last.Line, last.Col, tc.line)
+		}
+	}
+}
+
 // CommentLine finds the first comment the lexer skips, and no '#' that
 // belongs to a word, a count or a heredoc body.
 func TestCommentLine(t *testing.T) {

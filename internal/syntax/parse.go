@@ -181,18 +181,17 @@ func (p *parser) parseCommand() Cmd {
 		return &Match{Subject: subj, Pats: pats, Extract: extract, Pos: matchPos}
 	case WORD:
 		// Keywords only when the token is a complete word: let$x or
-		// fn^y are ordinary commands, not binding forms.
-		if p.keywordIsolated() {
-			switch p.tok.Text {
-			case "fn":
-				return p.parseFn()
-			case "let":
-				return p.parseBindingForm(BindLet)
-			case "local":
-				return p.parseBindingForm(BindLocal)
-			case "for":
-				return p.parseBindingForm(BindFor)
-			}
+		// fn^y are ordinary commands, not binding forms.  The lookahead
+		// that tells runs only for a keyword's text.
+		switch text := p.tok.Text; {
+		case text == "fn" && p.keywordIsolated():
+			return p.parseFn()
+		case text == "let" && p.keywordIsolated():
+			return p.parseBindingForm(BindLet)
+		case text == "local" && p.keywordIsolated():
+			return p.parseBindingForm(BindLocal)
+		case text == "for" && p.keywordIsolated():
+			return p.parseBindingForm(BindFor)
 		}
 	}
 	return p.parseSimple()

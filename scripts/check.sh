@@ -13,10 +13,14 @@
 #                     simplifies quotes (a report, not a gate)
 #   tier 2 (-race):   adds go vet, the fork, spawn, isolation, pipe,
 #                     runner, cancel, interrupt, wait, shared-program and
-#                     concurrent-snapshot tests, and the concurrent-access
+#                     concurrent-snapshot tests, the concurrent-access
 #                     test of the CLOCK caches, which every session shares
-#                     (the parse cache above all), ten times over under
-#                     the race detector (forks and spawned sessions share
+#                     (the parse cache above all), and esd's tests of the
+#                     same names with its concurrent-session test (esd
+#                     sessions snap and restore at once over the frame
+#                     buffers and image scratch every connection takes
+#                     from shared pools and gives back), ten times over
+#                     under the race detector (forks and spawned sessions share
 #                     one frozen variable table across goroutines, whose
 #                     names the first of them to snapshot sorts for all,
 #                     pipeline elements share the ends
@@ -83,8 +87,8 @@ find cmd internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 if [ "${1:-}" = "-race" ]; then
 	echo "== go vet ./..."
 	go vet ./...
-	echo "== go test -race -count=10 (fork, spawn, isolation, pipe, runner, cancel, interrupt, wait, shared-program, shared-cache and concurrent-snapshot tests)"
-	go test -race -count=10 -run 'Fork|Spawn|Subshell|Isolation|BackgroundJob|Pipe|Runner|Cancel|Interrupt|Wait|ConcurrentFirstRunSharesProgram|ConcurrentWhatisSharesTrees|ConcurrentAccess|ConcurrentSnapshot' ./internal/core ./internal/prim ./internal/cache
+	echo "== go test -race -count=10 (fork, spawn, isolation, pipe, runner, cancel, interrupt, wait, shared-program, shared-cache, concurrent-snapshot and shared-pool session tests)"
+	go test -race -count=10 -run 'Fork|Spawn|Subshell|Isolation|BackgroundJob|Pipe|Runner|Cancel|Interrupt|Wait|ConcurrentFirstRunSharesProgram|ConcurrentWhatisSharesTrees|ConcurrentAccess|ConcurrentSnapshot|ConcurrentSessionsSharePools' ./internal/core ./internal/prim ./internal/cache ./internal/server
 	echo "== go test -race ./..."
 	go test -race ./...
 	echo "== FuzzFrameCodec (20s: the frame codec against encoding/json)"
