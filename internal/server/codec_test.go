@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -153,6 +154,46 @@ func TestFrameCodecAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("encoding a result frame: %v allocs, want 0", n)
+	}
+}
+
+// BenchmarkFrameDecode decodes one line of each shape esd's traffic
+// brings, each spelled as its writer spells it: esbench's eval line, an
+// rpc_script eval whose <, > and & encoding/json escapes, a
+// session_state restore line of about 5.7 KB, and the result reply a
+// client reads.  scripts/bench_allocs.sh holds its allocations.
+func BenchmarkFrameDecode(b *testing.B) {
+	// esbench writes an eval line's prefix itself and its src with
+	// json.Marshal, and every other request with json.Marshal.
+	eval := func(src string) []byte {
+		q, _ := json.Marshal(src)
+		return append(append([]byte(`{"type":"eval","id":4711,"src":`), q...), '}')
+	}
+	image := base64.StdEncoding.EncodeToString(bytes.Repeat([]byte("%esimg 1\n\x00x = a b\x01"), 212))
+	restore, _ := json.Marshal(&Frame{Type: "restore", ID: 4711, Image: image})
+	result, _ := appendFrame(nil, &Frame{Type: "result", ID: 4711, Value: []string{"kq3v", "mzt0"},
+		True: true, Stdout: "kq3v mzt0\n", MS: 0.012})
+	lines := []struct {
+		name string
+		line []byte
+	}{
+		{"eval", eval("x6 = kq3v mzt0 p8wd; result $x6(2)")},
+		{"escaped-eval", eval("let (map = @ f l {let (acc = ) {for (x = $l) {acc = $acc <={$f $x}}; result $acc}}; " +
+			"fold = @ f a l {for (x = $l) {a = <={$f $a $x}}; result $a}) {result <={$fold @ a b {result $a^.^$b} q0vz " +
+			"<={$map @ x {result mk2^$x} ab3k c4zr e5mq}}} >[2=1] /dev/null &")},
+		{"restore", restore},
+		{"result", result},
+	}
+	for _, l := range lines {
+		line := l.line
+		b.Run(l.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := decodeFrame(line); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -2,8 +2,12 @@
 # bench_allocs.sh - the allocation baseline: allocs/op and B/op of every
 # benchmark `make bench` runs (SessionImage and ServerSessionRestore among
 # them: a session image decoded, restored, run, captured and encoded),
-# plus Analyze, ApplyFunction, StartupEnv, StartupBare and
-# ServerEval/sequential.  An allocation count is a
+# plus Analyze, ApplyFunction, StartupEnv, StartupBare,
+# ServerEval/sequential and FrameDecode (esd's frame decoder on one line
+# of each shape its traffic brings: esbench's eval line, an escaped
+# rpc_script eval, a session_state restore line and a result reply,
+# recorded before the decoder was cut down to a reader of json.Marshal's
+# shape in front of encoding/json).  An allocation count is a
 # property of the code, not of the host, so this gate needs no paired run
 # against a parent build.
 #
@@ -33,8 +37,8 @@ fi
 base=BENCH_allocs.json
 flags="-run=NONE -benchmem -benchtime=100ms -count=3"
 out=$(go test $flags \
-	-bench='NativePath|ParseCold|GlobMatch|EnvDecode|AllocUnderLiveRoots|Fig1PipeBaseline|Fig1PipeCorpus|PipeWordCount|PipeBuiltins|ForkClone|ServerSessionSpawn|ServerSessionRestore|SessionImage|SpawnResident|CompileProgram|EngineEval|ScriptFamilies|Analyze|ApplyFunction|StartupEnv|StartupBare' \
-	. ./internal/gc ./internal/glob ./internal/compile)
+	-bench='NativePath|ParseCold|GlobMatch|EnvDecode|AllocUnderLiveRoots|Fig1PipeBaseline|Fig1PipeCorpus|PipeWordCount|PipeBuiltins|ForkClone|ServerSessionSpawn|ServerSessionRestore|SessionImage|SpawnResident|CompileProgram|EngineEval|ScriptFamilies|Analyze|ApplyFunction|StartupEnv|StartupBare|FrameDecode' \
+	. ./internal/gc ./internal/glob ./internal/compile ./internal/server)
 out="$out
 $(go test $flags -bench='^BenchmarkServerEval$/^sequential$' .)"
 

@@ -7,7 +7,9 @@
 #                     never compiles but which imports the server, core,
 #                     compile and image APIs), esvet, escheck, and the
 #                     allocation ratchet against BENCH_allocs.json (about
-#                     30s: allocation counts do not depend on the host);
+#                     30s: allocation counts do not depend on the host;
+#                     its FrameDecode rows hold esd's frame decoder to
+#                     what it allocated per line shape);
 #                     it ends by printing the count of non-test Go lines
 #                     under cmd/ and internal/, the figure a change that
 #                     simplifies quotes (a report, not a gate)
