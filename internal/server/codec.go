@@ -1,15 +1,17 @@
 package server
 
-// The frame codec: one Frame to and from one JSON line, written by hand
-// for this one struct so that no request pays for reflection.  The wire
-// is encoding/json's to the byte: appendFrame writes what json.Marshal
-// writes, and decodeFrame accepts, rejects and decodes what
-// json.Unmarshal into a zero Frame does.  FuzzFrameCodec holds both to
+// The frame codec: one Frame to and from one JSON line, on the wire
+// exactly as encoding/json writes and reads it.  appendFrame, written by
+// hand for this one struct so that no reply pays for reflection, writes
+// what json.Marshal writes.  decodeFrame reads a line in json.Marshal's
+// shape itself, in one pass, and hands every other line to
+// json.Unmarshal, so it accepts, rejects and decodes what json.Unmarshal
+// into a zero Frame does.  FuzzFrameCodec holds both halves to
 // encoding/json itself.
 
 import (
-	"bytes"
 	"encoding/base64"
+	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
@@ -166,155 +168,60 @@ func appendString(b []byte, s string) []byte {
 	return append(append(b, s[start:]...), '"')
 }
 
-// frameKeys are the Frame's JSON keys.
-var frameKeys = [...]string{"type", "id", "src", "deadline_ms", "value", "true",
-	"exception", "stdout", "stderr", "ms", "stats", "reason", "image", "socket",
-	"diags", "effects", "tenant", "window", "retry_after_ms"}
-
-// frameKey returns the Frame key that key selects, matched as
-// encoding/json matches it: exactly, else case-insensitively by
-// bytes.EqualFold.  It returns "" for a key the Frame does not have.
-func frameKey(key []byte) string {
-	for _, k := range frameKeys {
-		if string(key) == k {
-			return k
-		}
-	}
-	for _, k := range frameKeys {
-		if bytes.EqualFold(key, []byte(k)) {
-			return k
-		}
-	}
-	return ""
-}
-
-// maxDepth is encoding/json's nesting limit.  The frame object is one
-// level, and so is every array or object inside a value.
-const maxDepth = 10000
-
-// frameDecoder is one pass over one frame line.
-type frameDecoder struct {
-	line []byte
-	i    int    // the next byte to read
-	key  string // the Frame key whose value is being read, for errors
-	buf  []byte // an unescaped string, valid until the next str call
-}
-
 // decodeFrame decodes one frame line as json.Unmarshal does into a zero
-// Frame.  It takes any JSON whitespace and every escape, matches keys
-// exactly and then by case folding, validates and skips unknown keys,
-// lets the last of duplicate keys win, and leaves a field untouched by a
-// null (but nils a list).  A syntax error, a value of the wrong type, an
-// integer field given a fraction or an overflowing number, and bytes
-// after the frame are all errors wrapping ErrBadFrame.
+// Frame.  A line in the shape json.Marshal writes a Frame in, which is
+// the shape of every line esd's clients send, is read by plainFrame;
+// every other line, including every malformed one, goes to
+// json.Unmarshal, whose error is wrapped in ErrBadFrame.
 func decodeFrame(line []byte) (*Frame, error) {
-	d := frameDecoder{line: line}
 	f := new(Frame)
-	d.space()
-	var err error
-	if d.peek() == 'n' {
-		err = d.null() // json.Unmarshal leaves the Frame as it was
-	} else {
-		err = d.object(f)
+	if plainFrame(line, f) {
+		return f, nil
 	}
-	if err == nil {
-		if d.space(); d.i < len(d.line) {
-			err = d.fail("bytes after the frame")
-		}
-	}
-	if err != nil {
-		return nil, err
+	*f = Frame{}
+	if err := json.Unmarshal(line, f); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadFrame, err)
 	}
 	return f, nil
 }
 
-func (d *frameDecoder) fail(format string, args ...any) error {
-	msg := fmt.Sprintf(format, args...)
-	if d.key != "" {
-		msg = d.key + ": " + msg
-	}
-	return fmt.Errorf("%w: byte %d: %s", ErrBadFrame, d.i, msg)
+// frameDecoder is one pass of plainFrame over one line.
+type frameDecoder struct {
+	line []byte
+	i    int    // the next byte to read
+	buf  []byte // an unescaped string, valid until the next str call
 }
 
-func (d *frameDecoder) space() {
-	for d.i < len(d.line) {
-		switch d.line[d.i] {
-		case ' ', '\t', '\n', '\r':
-			d.i++
-		default:
-			return
-		}
-	}
-}
-
-// peek returns the next byte, or 0 at the end of the line.
-func (d *frameDecoder) peek() byte {
-	if d.i < len(d.line) {
-		return d.line[d.i]
-	}
-	return 0
-}
-
-func (d *frameDecoder) eat(c byte) bool {
-	if d.peek() == c {
-		d.i++
-		return true
-	}
-	return false
-}
-
-func (d *frameDecoder) literal(word string) bool {
-	if len(d.line)-d.i >= len(word) && string(d.line[d.i:d.i+len(word)]) == word {
-		d.i += len(word)
-		return true
-	}
-	return false
-}
-
-func (d *frameDecoder) null() error {
-	if !d.literal("null") {
-		return d.fail("want a value")
-	}
-	return nil
-}
-
-func (d *frameDecoder) object(f *Frame) error {
+// plainFrame decodes line into f when the line has the shape json.Marshal
+// writes a Frame in: no whitespace, no null, every key one of the
+// Frame's, and no control byte, invalid UTF-8 or \u escape of a
+// surrogate in a string.  A line it takes decodes as json.Unmarshal
+// decodes it; for any other line it reports false, leaving f half
+// written.  A key given twice needs no care: the last value wins, as in
+// json.Unmarshal, since no null can keep an earlier one and a list is
+// replaced whole.
+func plainFrame(line []byte, f *Frame) bool {
+	d := frameDecoder{line: line}
 	if !d.eat('{') {
-		return d.fail("want an object")
+		return false
 	}
-	if d.space(); d.eat('}') {
-		return nil
-	}
-	for {
-		if d.space(); d.peek() != '"' {
-			return d.fail("want a key")
+	for k := 0; !d.eat('}'); k++ {
+		if k > 0 && !d.eat(',') {
+			return false
 		}
-		key, err := d.str()
-		if err != nil {
-			return err
-		}
-		if d.space(); !d.eat(':') {
-			return d.fail("want ':' after a key")
-		}
-		d.space()
-		d.key = frameKey(key)
-		if err := d.field(f); err != nil {
-			return err
-		}
-		d.key = ""
-		if d.space(); d.eat('}') {
-			return nil
-		}
-		if !d.eat(',') {
-			return d.fail("want ',' or '}'")
+		key, ok := d.str()
+		if !ok || !d.eat(':') || !d.field(f, key) {
+			return false
 		}
 	}
+	return d.i == len(line)
 }
 
-// field reads the value at d.i into the field d.key names, or validates
-// and skips it when the key is unknown.
-func (d *frameDecoder) field(f *Frame) error {
-	switch d.key {
+// field reads the value of key into the Frame field it names.  It
+// reports false for a key the Frame does not have, and for a value not
+// of the field's type.
+func (d *frameDecoder) field(f *Frame, key []byte) bool {
+	switch string(key) {
 	case "type":
 		return d.string(&f.Type)
 	case "id":
@@ -326,7 +233,8 @@ func (d *frameDecoder) field(f *Frame) error {
 	case "value":
 		return d.list(&f.Value)
 	case "true":
-		return d.bool(&f.True)
+		f.True = d.literal("true")
+		return f.True || d.literal("false")
 	case "exception":
 		return d.list(&f.Exception)
 	case "stdout":
@@ -334,7 +242,9 @@ func (d *frameDecoder) field(f *Frame) error {
 	case "stderr":
 		return d.string(&f.Stderr)
 	case "ms":
-		return d.float(&f.MS)
+		x, err := strconv.ParseFloat(string(d.number()), 64)
+		f.MS = x
+		return err == nil
 	case "stats":
 		return d.list(&f.Stats)
 	case "reason":
@@ -354,186 +264,78 @@ func (d *frameDecoder) field(f *Frame) error {
 	case "retry_after_ms":
 		return decodeInt(d, &f.RetryAfterMS, 64)
 	}
-	return d.skip(1)
+	return false
 }
 
-func (d *frameDecoder) string(p *string) error {
-	switch d.peek() {
-	case 'n':
-		return d.null()
-	case '"':
-		s, err := d.str()
-		if err == nil {
-			*p = string(s)
-		}
-		return err
-	}
-	return d.fail("want a string")
-}
-
-func (d *frameDecoder) bool(p *bool) error {
-	switch {
-	case d.literal("true"):
-		*p = true
-	case d.literal("false"):
-		*p = false
-	case !d.literal("null"):
-		return d.fail("want true or false")
-	}
-	return nil
-}
-
-// decodeInt reads an integer of the given bit size into *p.  A fraction,
-// an exponent or a number out of range is an error, as in encoding/json.
-func decodeInt[T int | int64](d *frameDecoder, p *T, bits int) error {
-	if d.peek() == 'n' {
-		return d.null()
-	}
-	lit, err := d.number()
-	if err != nil {
-		return err
-	}
-	n, err := strconv.ParseInt(string(lit), 10, bits)
-	if err != nil {
-		return d.fail("want a %d-bit integer, not %s", bits, lit)
-	}
-	*p = T(n)
-	return nil
-}
-
-func (d *frameDecoder) float(p *float64) error {
-	if d.peek() == 'n' {
-		return d.null()
-	}
-	lit, err := d.number()
-	if err != nil {
-		return err
-	}
-	x, err := strconv.ParseFloat(string(lit), 64)
-	if err != nil {
-		return d.fail("%s is out of range", lit)
-	}
-	*p = x
-	return nil
-}
-
-// list reads an array of strings into *p as json.Unmarshal does, over
-// whatever an earlier duplicate of the key left there: element k is
-// decoded into slot k, so a null element keeps the string already in
-// the slot, and the slots past the old length but within its capacity
-// come back into view.  A null list is nil, and [] is empty but not nil.
-func (d *frameDecoder) list(p *[]string) error {
-	if d.peek() == 'n' {
-		if err := d.null(); err != nil {
-			return err
-		}
-		*p = nil
-		return nil
-	}
-	if !d.eat('[') {
-		return d.fail("want an array of strings")
-	}
-	s, n := *p, 0
-	if d.space(); !d.eat(']') {
-		for {
-			if n < cap(s) {
-				s = s[:n+1]
-			} else {
-				s = append(s[:n], "")
-			}
-			d.space()
-			if err := d.string(&s[n]); err != nil {
-				return err
-			}
-			n++
-			if d.space(); d.eat(']') {
-				break
-			}
-			if !d.eat(',') {
-				return d.fail("want ',' or ']'")
-			}
-		}
-	}
-	if n == 0 {
-		s = []string{}
-	}
-	*p = s[:n]
-	return nil
-}
-
-// skip validates and passes over the value of an unknown key; depth
-// counts the arrays and objects open around it.
-func (d *frameDecoder) skip(depth int) error {
-	switch c := d.peek(); c {
-	case '"':
-		_, err := d.str()
-		return err
-	case '{', '[':
-		if depth >= maxDepth {
-			return d.fail("nested over %d deep", maxDepth)
-		}
-		end := byte(']')
-		if c == '{' {
-			end = '}'
-		}
+func (d *frameDecoder) eat(c byte) bool {
+	if d.i < len(d.line) && d.line[d.i] == c {
 		d.i++
-		if d.space(); d.eat(end) {
-			return nil
-		}
-		for {
-			d.space()
-			if c == '{' {
-				if d.peek() != '"' {
-					return d.fail("want a key")
-				}
-				if _, err := d.str(); err != nil {
-					return err
-				}
-				if d.space(); !d.eat(':') {
-					return d.fail("want ':' after a key")
-				}
-				d.space()
-			}
-			if err := d.skip(depth + 1); err != nil {
-				return err
-			}
-			if d.space(); d.eat(end) {
-				return nil
-			}
-			if !d.eat(',') {
-				return d.fail("want ',' or '%c'", end)
-			}
-		}
-	case 't', 'f', 'n':
-		if d.literal("true") || d.literal("false") || d.literal("null") {
-			return nil
-		}
-		return d.fail("want a value")
+		return true
 	}
-	_, err := d.number()
-	return err
+	return false
+}
+
+func (d *frameDecoder) literal(word string) bool {
+	if len(d.line)-d.i >= len(word) && string(d.line[d.i:d.i+len(word)]) == word {
+		d.i += len(word)
+		return true
+	}
+	return false
+}
+
+func (d *frameDecoder) string(p *string) bool {
+	s, ok := d.str()
+	*p = string(s)
+	return ok
+}
+
+// decodeInt reads an integer of the given bit size into *p.  It refuses a
+// fraction, an exponent and a number out of range, all of which
+// json.Unmarshal rejects.
+func decodeInt[T int | int64](d *frameDecoder, p *T, bits int) bool {
+	n, err := strconv.ParseInt(string(d.number()), 10, bits)
+	*p = T(n)
+	return err == nil
+}
+
+// list reads an array of strings into *p, replacing whatever an earlier
+// duplicate of the key left there; [] is empty but not nil, as in
+// json.Unmarshal.
+func (d *frameDecoder) list(p *[]string) bool {
+	if !d.eat('[') {
+		return false
+	}
+	s := []string{}
+	for !d.eat(']') {
+		if len(s) > 0 && !d.eat(',') {
+			return false
+		}
+		s = append(s, "")
+		if !d.string(&s[len(s)-1]) {
+			return false
+		}
+	}
+	*p = s
+	return true
 }
 
 // number scans a JSON number, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,
-// and returns its text.
-func (d *frameDecoder) number() ([]byte, error) {
+// and returns its text, or nil when there is none.
+func (d *frameDecoder) number() []byte {
 	start := d.i
 	d.eat('-')
-	if !d.eat('0') && d.digits() == 0 {
-		return nil, d.fail("want a number")
-	}
-	if d.eat('.') && d.digits() == 0 {
-		return nil, d.fail("want a digit after '.'")
+	if !d.eat('0') && d.digits() == 0 || d.eat('.') && d.digits() == 0 {
+		return nil
 	}
 	if d.eat('e') || d.eat('E') {
 		if !d.eat('+') {
 			d.eat('-')
 		}
 		if d.digits() == 0 {
-			return nil, d.fail("want a digit in the exponent")
+			return nil
 		}
 	}
-	return d.line[start:d.i], nil
+	return d.line[start:d.i]
 }
 
 func (d *frameDecoder) digits() int {
@@ -549,62 +351,58 @@ func (d *frameDecoder) digits() int {
 var unescape = [256]byte{'"': '"', '\\': '\\', '/': '/', 'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t'}
 
 // str reads the string literal at d.i and returns its contents: a slice
-// of the line when it is plain ASCII without escapes, else the unescaped
-// copy in d.buf.  As in encoding/json, a \u escape of a surrogate that
-// is not half of a pair, and each byte of invalid UTF-8, become U+FFFD.
-func (d *frameDecoder) str() ([]byte, error) {
-	d.i++ // the opening quote
-	start := d.i
-	for d.i < len(d.line) {
-		c := d.line[d.i]
-		if c == '"' {
-			d.i++
-			return d.line[start : d.i-1], nil
-		}
-		if c == '\\' || c < ' ' || c >= utf8.RuneSelf {
-			break
-		}
-		d.i++
+// of the line when it holds no escape, else the unescaped copy in d.buf.
+// It refuses a control byte, invalid UTF-8 and a \u escape of a
+// surrogate, which json.Unmarshal reads but json.Marshal never writes.
+func (d *frameDecoder) str() ([]byte, bool) {
+	if !d.eat('"') {
+		return nil, false
 	}
-	b := append(d.buf[:0], d.line[start:d.i]...)
+	b, start, escaped := d.buf[:0], d.i, false
 	for {
-		c := d.peek()
-		switch {
-		case d.i == len(d.line):
-			return nil, d.fail("unterminated string")
+		i := d.i
+		for i < len(d.line) && asIs(d.line[i]) {
+			i++
+		}
+		if d.i = i; i == len(d.line) {
+			return nil, false
+		}
+		switch c := d.line[i]; {
 		case c == '"':
 			d.i++
-			d.buf = b
-			return b, nil
-		case c < ' ':
-			return nil, d.fail("control byte %#x in a string", c)
-		case c == '\\' && d.i+1 < len(d.line) && unescape[d.line[d.i+1]] != 0:
-			b = append(b, unescape[d.line[d.i+1]])
-			d.i += 2
+			if !escaped {
+				return d.line[start:i], true
+			}
+			d.buf = append(b, d.line[start:i]...)
+			return d.buf, true
 		case c == '\\':
-			r := hex4(d.line[d.i:])
-			if r < 0 {
-				return nil, d.fail("bad escape")
+			b, escaped = append(b, d.line[start:i]...), true
+			if i+1 < len(d.line) && unescape[d.line[i+1]] != 0 {
+				b = append(b, unescape[d.line[i+1]])
+				d.i += 2
+			} else if r := hex4(d.line[i:]); r >= 0 && !utf16.IsSurrogate(r) {
+				b = utf8.AppendRune(b, r)
+				d.i += 6
+			} else {
+				return nil, false
 			}
-			d.i += 6
-			if utf16.IsSurrogate(r) {
-				if pair := utf16.DecodeRune(r, hex4(d.line[d.i:])); pair != utf8.RuneError {
-					r = pair
-					d.i += 6
-				} else {
-					r = utf8.RuneError
-				}
-			}
-			b = utf8.AppendRune(b, r)
-		case c < utf8.RuneSelf:
-			b = append(b, c)
-			d.i++
+			start = d.i
+		case c < ' ':
+			return nil, false
 		default:
-			r, size := utf8.DecodeRune(d.line[d.i:])
-			b = utf8.AppendRune(b, r)
+			r, size := utf8.DecodeRune(d.line[i:])
+			if r == utf8.RuneError && size == 1 {
+				return nil, false
+			}
 			d.i += size
 		}
 	}
+}
+
+// asIs reports whether c stands for itself in a JSON string: printable
+// ASCII but the quote and the backslash.
+func asIs(c byte) bool {
+	return ' ' <= c && c < utf8.RuneSelf && c != '"' && c != '\\'
 }
 
 // hex4 returns the code unit of the \uXXXX escape s starts with, or -1.

@@ -14,15 +14,15 @@ import (
 )
 
 // codecSeeds holds one frame of every type MANUAL §14 and §17 show, each
-// side's form where the two differ, then strings of every escape class,
-// key spellings, duplicates, nulls, numbers at their limits, and lines
-// that must be rejected.
+// side's form where the two differ, then lines as esd's clients write
+// them, strings of every escape class, key spellings, duplicates, nulls,
+// numbers at their limits, and lines that must be rejected.
 var codecSeeds = []string{
 	`{"type":"eval","id":1,"src":"echo hi","deadline_ms":50}`,
 	`{"type":"result","id":1,"value":["a","b"],"true":true,"stdout":"hi\n","stderr":"","ms":0.012}`,
 	`{"type":"error","id":1,"exception":["signal","deadline"],"stdout":"","ms":50.25}`,
 	`{"type":"error","id":9,"exception":["signal","overload","p99 over ceiling"],"retry_after_ms":100}`,
-	`{"type":"error","exception":["error","esd","bad frame: byte 3: want a key"]}`,
+	`{"type":"error","exception":["error","esd","bad frame: invalid character '}' looking for beginning of object key string"]}`,
 	`{"type":"stats","id":7}`,
 	`{"type":"stats","id":7,"stats":["sessions_open:1","evals:12","p99_us:40"]}`,
 	`{"type":"check","id":2,"src":"echo $x"}`,
@@ -37,6 +37,15 @@ var codecSeeds = []string{
 	`{"type":"hello","id":6,"true":true,"window":8,"tenant":"acme"}`,
 	`{"type":"bye"}`,
 	`{"type":"bye","reason":"frame too large"}`,
+
+	// esbench's eval line, an rpc_script src as encoding/json escapes it,
+	// a restore line as esbench writes it, a hello as Client.Hello writes
+	// it, and keys given twice, none of them null.
+	`{"type":"eval","id":4711,"src":"x6 = kq3v mzt0 p8wd; result $x6(2)"}`,
+	`{"type":"eval","id":12,"src":"let (f = @ x {result \u003c={echo $x}}) {$f a \u003e[2=1] /dev/null \u0026}"}`,
+	`{"type":"restore","id":17,"image":"JWVzaW1nIDEKAAAAAgAAAAF4AAAAB2EgYiBjCgD+/w=="}`,
+	`{"type":"hello","window":8}`,
+	`{"type":"eval","id":1,"src":"a","value":["a","b"],"true":true,"src":"b","value":["x"],"id":2,"true":false}`,
 
 	`{"type":"eval","src":"\"\\\/\b\f\n\r\t"}`,
 	`{"type":"eval","src":"\u003c\u003E\u0026 <>& \u0000\u001f\u007f\u0080 \u2028\u2029"}`,
@@ -98,9 +107,14 @@ func frameFrom(data []byte) *Frame {
 		Window: int(int32(n[1])), RetryAfterMS: int64(n[1])}
 }
 
+// maxDepth is encoding/json's nesting limit.  The frame object is one
+// level, and so is every array or object inside a value.
+const maxDepth = 10000
+
 // FuzzFrameCodec holds the codec to encoding/json: decodeFrame accepts
 // exactly the lines json.Unmarshal accepts and decodes them to the same
-// Frame, and appendFrame writes json.Marshal's bytes.
+// Frame, and appendFrame writes json.Marshal's bytes.  Every line
+// appendFrame writes takes plainFrame's path, not encoding/json's.
 func FuzzFrameCodec(f *testing.F) {
 	for _, s := range codecSeeds {
 		f.Add([]byte(s))
@@ -126,7 +140,19 @@ func FuzzFrameCodec(f *testing.F) {
 			}
 			encodeMatches(t, got)
 		}
-		encodeMatches(t, frameFrom(line))
+		fr := frameFrom(line)
+		encodeMatches(t, fr)
+		if math.IsNaN(fr.MS) || math.IsInf(fr.MS, 0) {
+			return
+		}
+		b, _ := appendFrame(nil, fr)
+		var plain, unmarshaled Frame
+		if err := json.Unmarshal(b, &unmarshaled); err != nil {
+			t.Fatalf("json.Unmarshal %s: %v", b, err)
+		}
+		if !plainFrame(b, &plain) || !reflect.DeepEqual(plain, unmarshaled) {
+			t.Fatalf("%s does not decode on the plain path to %#v", b, unmarshaled)
+		}
 	})
 }
 

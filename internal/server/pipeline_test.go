@@ -405,6 +405,34 @@ func TestStatsIncludeListenersAndTenants(t *testing.T) {
 	}
 }
 
+// TestTenantWordsInNameOrder: the tenant gauges come in tenant name
+// order, whatever the order the tenants arrived in, so stats output is
+// diffable.
+func TestTenantWordsInNameOrder(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	names := []string{"echo", "delta", "charlie", "bravo", "alpha"}
+	for _, name := range names {
+		if _, ok := srv.tenants.acquireSession(name); !ok {
+			t.Fatalf("acquireSession(%q) refused", name)
+		}
+	}
+	var want []string
+	for k := len(names) - 1; k >= 0; k-- {
+		want = append(want, "tenant_"+names[k]+"_sessions:1", "tenant_"+names[k]+"_inflight:0")
+	}
+	for k := 0; k < 2; k++ {
+		var got []string
+		for _, w := range srv.Stats() {
+			if strings.HasPrefix(w, "tenant_") {
+				got = append(got, w)
+			}
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("stats call %d: tenant words\n %s\nwant\n %s", k+1, got, want)
+		}
+	}
+}
+
 // TestQuotaRefusalRetryHint: tenant in-flight refusals carry the
 // configured retry hint, like sheds do.
 func TestQuotaRefusalRetryHint(t *testing.T) {

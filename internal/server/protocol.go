@@ -24,12 +24,14 @@
 // Cross-session concurrency comes from sessions.  Dial is the client
 // side.
 //
-// Frames are encoded and decoded by a codec written for the Frame struct
-// alone (codec.go), without reflection: it writes each frame byte for
-// byte as encoding/json would and reads a line by encoding/json's rules.
-// A line that does not decode is answered with an error frame and the
-// session reads on, since the newline framing is intact; a client that
-// hangs up has the evals it left queued dropped, not run.
+// Frames are encoded by hand for the Frame struct alone (codec.go),
+// without reflection, byte for byte as encoding/json would write them.
+// A line in that shape is decoded by a short reader of its own, and any
+// other line by encoding/json, so a line is read by encoding/json's
+// rules either way.  A line that does not decode is answered with an
+// error frame and the session reads on, since the newline framing is
+// intact; so is a request whose reply would be over the frame bound.  A
+// client that hangs up has the evals it left queued dropped, not run.
 package server
 
 import (
@@ -105,9 +107,10 @@ type Frame struct {
 	rawImage []byte
 }
 
-// maxFrameBytes bounds one frame line; a client shipping a larger script
-// gets an error frame (see ErrFrameTooLarge and the session read loop)
-// rather than an unbounded buffer.
+// maxFrameBytes bounds one frame line, its newline included; a client
+// shipping a larger script gets an error frame (see ErrFrameTooLarge and
+// the session read loop) rather than an unbounded buffer, and a
+// FrameWriter refuses to write a larger frame (see errTooLong).
 const maxFrameBytes = 8 << 20
 
 // ErrFrameTooLarge reports a frame line over maxFrameBytes.  The reader
@@ -115,6 +118,16 @@ const maxFrameBytes = 8 << 20
 // after this error; the session answers with an error frame and a bye
 // rather than dying silently.
 var ErrFrameTooLarge = fmt.Errorf("frame exceeds %d bytes: %w", maxFrameBytes, bufio.ErrTooLong)
+
+// errTooLong is a frame that FrameWriter refused to write because its
+// line, n bytes with the newline, is over maxFrameBytes, which no
+// FrameReader takes.  Nothing was written, so the stream is still
+// usable.
+type errTooLong struct{ n int }
+
+func (e errTooLong) Error() string {
+	return fmt.Sprintf("frame of %d bytes is over the %d-byte frame bound", e.n, maxFrameBytes)
+}
 
 // ErrBadFrame reports a line that is not a valid frame.  The newline
 // framing survives it, so unlike ErrFrameTooLarge the stream is still
@@ -254,7 +267,9 @@ func (fr *FrameReader) Release() {
 // session goroutine, the read loop's admission path, the server's drain
 // path and a migrated session's relay may all speak on one connection.
 // The first failed write stops it, since a torn line would corrupt the
-// stream: every later Write returns that error without writing.
+// stream: every later Write returns that error without writing.  A frame
+// whose line would be over maxFrameBytes is not written at all, and
+// Write returns an errTooLong without stopping.
 type FrameWriter struct {
 	mu       sync.Mutex
 	w        io.Writer
@@ -285,6 +300,9 @@ func (fw *FrameWriter) Write(f *Frame) error {
 	b = append(b, '\n')
 	if fw.buf != nil && cap(b) <= maxKeptFrame {
 		*fw.buf = b
+	}
+	if len(b) > maxFrameBytes {
+		return errTooLong{len(b)}
 	}
 	return fw.put(b)
 }

@@ -6,6 +6,7 @@ package server
 // load that completes every in-flight eval.
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"runtime"
@@ -645,6 +646,35 @@ func TestMalformedFrameLine(t *testing.T) {
 	}
 	if f := c.eval(t, "result ok", 0); f.Type != "result" || strings.Join(f.Value, " ") != "ok" {
 		t.Fatalf("eval after bad lines = %+v", f)
+	}
+}
+
+// TestReplyOverFrameBound: a reply whose line would be over
+// maxFrameBytes, which no FrameReader takes, is not written; the eval is
+// answered with an error frame with its id that names the reply's size
+// and the bound, and the session reads on.  A client's Write refuses
+// such a request the same way, and its connection stays usable.
+func TestReplyOverFrameBound(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	c := dial(t, srv.cfg.Socket)
+	// 64 bytes doubled 17 times: 8 MiB of stdout and its newline.
+	src := "x = " + strings.Repeat("0123456789abcdef", 4) +
+		"; for (i = 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17) {x = $x^$x}; echo $x"
+	f := c.roundTrip(t, &Frame{Type: "eval", ID: 7, Src: src})
+	msg := strings.Join(f.Exception, " ")
+	if f.Type != "error" || f.ID != 7 || !strings.HasPrefix(msg, "error esd reply of ") ||
+		!strings.HasSuffix(msg, " bytes is over the 8388608-byte frame bound") {
+		t.Fatalf("oversized reply = %+v", f)
+	}
+	if f := c.eval(t, "result ok", 0); f.Type != "result" || strings.Join(f.Value, " ") != "ok" {
+		t.Fatalf("eval after the refused reply = %+v", f)
+	}
+	err := c.Write(&Frame{Type: "eval", ID: 8, Src: strings.Repeat("x", maxFrameBytes)})
+	if !errors.As(err, new(errTooLong)) {
+		t.Fatalf("writing an oversized request: %v, want an errTooLong", err)
+	}
+	if f := c.eval(t, "result ok", 0); f.Type != "result" || strings.Join(f.Value, " ") != "ok" {
+		t.Fatalf("eval after the refused request = %+v", f)
 	}
 }
 

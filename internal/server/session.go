@@ -22,6 +22,7 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -253,7 +254,7 @@ func (s *session) hello(f *Frame, window int) (int, bool) {
 	if t := s.tenant.Load(); t != nil {
 		reply.Tenant = t.name
 	}
-	s.fw.Write(reply)
+	s.reply(reply)
 	return w, true
 }
 
@@ -277,11 +278,11 @@ func (s *session) handle(f *Frame) bool {
 		// a client that has its answer sees balanced counters.
 		reply := s.eval(f)
 		s.finishEval()
-		s.fw.Write(reply)
+		s.reply(reply)
 		return false
 	case "stats":
 		words := append(s.srv.Stats(), s.sm.words(s.id)...)
-		s.fw.Write(&Frame{Type: "stats", ID: f.ID, Stats: words})
+		s.reply(&Frame{Type: "stats", ID: f.ID, Stats: words})
 		return false
 	case "snap":
 		s.snap(f)
@@ -298,10 +299,30 @@ func (s *session) handle(f *Frame) bool {
 		s.fw.Write(&Frame{Type: "bye", Reason: "bye"})
 		return true
 	default:
-		s.fw.Write(&Frame{Type: "error", ID: f.ID,
+		s.reply(&Frame{Type: "error", ID: f.ID,
 			Exception: []string{"error", "esd", "unknown frame type: " + f.Type}})
 		return false
 	}
+}
+
+// reply writes f, the answer to a request.  A reply whose line would be
+// over the frame bound is not written; an error frame with the
+// request's id says so instead, and the session reads on.
+func (s *session) reply(f *Frame) {
+	s.tooLong(s.fw.Write(f), f.ID, "reply")
+}
+
+// tooLong answers the request id with an error frame naming what was
+// over the frame bound, when err is a frame the writer refused for its
+// size, and reports whether it was.
+func (s *session) tooLong(err error, id int64, what string) bool {
+	var big errTooLong
+	if !errors.As(err, &big) {
+		return false
+	}
+	s.fw.Write(&Frame{Type: "error", ID: id, Exception: []string{"error", "esd",
+		fmt.Sprintf("%s of %d bytes is over the %d-byte frame bound", what, big.n, maxFrameBytes)}})
+	return true
 }
 
 // analyze runs the static analyzer over one script, resolving hooks,
@@ -325,7 +346,7 @@ func (s *session) check(f *Frame) {
 	if res.Errors() > 0 {
 		s.srv.metrics.CheckRejects.Add(1)
 	}
-	s.fw.Write(reply)
+	s.reply(reply)
 }
 
 // eval runs one request on the session's interpreter, under the server's

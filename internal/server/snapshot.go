@@ -217,9 +217,10 @@ func (s *session) relay(target *Client) {
 				return
 			}
 			// The target answers this frame; an eval's local accounting
-			// is released here.
+			// is released here.  A frame whose line is over the frame
+			// bound once encoded is answered here, and never sent.
 			s.release(f)
-			if err := target.Write(f); err != nil {
+			if err := target.Write(f); err != nil && !s.tooLong(err, f.ID, "request") {
 				<-copied
 				return
 			}

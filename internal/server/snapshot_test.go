@@ -245,6 +245,34 @@ func TestMigrateOverFrameBound(t *testing.T) {
 	checkDecorated(t, c, "session migrated once its image fits")
 }
 
+// TestRelayRequestOverFrameBound: a request that fits the bound as the
+// client wrote it but not once the relay encodes it again (each raw <
+// becomes \u003c) is answered by the relay with an error frame with its
+// id, and the relay goes on forwarding.
+func TestRelayRequestOverFrameBound(t *testing.T) {
+	origin := newTestServer(t, Config{})
+	target := newTestServer(t, Config{})
+	c := dial(t, origin.cfg.Socket)
+	decorate(t, c)
+	if f := c.roundTrip(t, &Frame{Type: "migrate", ID: 1, Socket: target.cfg.Socket}); f.Type != "migrate" || !f.True {
+		t.Fatalf("migrate reply = %+v", f)
+	}
+	line := `{"type":"eval","id":2,"src":"` + strings.Repeat("<", 2<<20) + `"}` + "\n"
+	if _, err := c.Conn.Write([]byte(line)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := c.Read()
+	if err != nil {
+		t.Fatalf("reply to the oversized relayed request: %v", err)
+	}
+	msg := strings.Join(f.Exception, " ")
+	if f.Type != "error" || f.ID != 2 || !strings.HasPrefix(msg, "error esd request of ") ||
+		!strings.HasSuffix(msg, " bytes is over the "+strconv.Itoa(maxFrameBytes)+"-byte frame bound") {
+		t.Fatalf("oversized relayed request = %+v", f)
+	}
+	checkDecorated(t, c, "migrated session after the refused request")
+}
+
 // TestImageLineLen: the length a snap or a migrate checks against the
 // frame bound is the length of the line the frame's encoder writes.
 func TestImageLineLen(t *testing.T) {

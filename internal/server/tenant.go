@@ -11,6 +11,8 @@ package server
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,7 +82,8 @@ func (ts *tenantSet) acquireSession(name string) (*tenantState, bool) {
 	}
 }
 
-// words renders every tenant's live gauges for the stats surfaces.
+// words renders every tenant's live gauges for the stats surfaces, in
+// tenant name order.
 func (ts *tenantSet) words() []string {
 	ts.mu.Lock()
 	states := make([]*tenantState, 0, len(ts.m))
@@ -88,6 +91,7 @@ func (ts *tenantSet) words() []string {
 		states = append(states, t)
 	}
 	ts.mu.Unlock()
+	slices.SortFunc(states, func(a, b *tenantState) int { return strings.Compare(a.name, b.name) })
 	var w []string
 	for _, t := range states {
 		w = append(w,
