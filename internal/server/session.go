@@ -314,10 +314,12 @@ func (s *session) reply(f *Frame) {
 
 // tooLong answers the request id with an error frame naming what was
 // over the frame bound, when err is a frame the writer refused for its
-// size, and reports whether it was.
+// size, and reports whether it was.  FrameWriter.Write returns an
+// errTooLong bare, so a type assertion finds it; errors.As would move
+// its target to the heap on every reply.
 func (s *session) tooLong(err error, id int64, what string) bool {
-	var big errTooLong
-	if !errors.As(err, &big) {
+	big, ok := err.(errTooLong)
+	if !ok {
 		return false
 	}
 	s.fw.Write(&Frame{Type: "error", ID: id, Exception: []string{"error", "esd",
